@@ -12,7 +12,7 @@ from .expr import (
     poly_coefficients, substitute,
 )
 from .jets import (
-    DegreeBounds, NotInDivergenceImage, OrderOverflow, ReplacementTable,
+    NotInDivergenceImage, OrderOverflow, ReplacementTable,
     TableTooShallow, TimeJetPresent, build_replacement_table,
     deprolongation_dimension, euler_operator, invert_divergence,
     iterated_total_derivative, parabolic_system_dimension, reduce_to_spatial,

@@ -47,7 +47,8 @@ class AnsatzTooLarge(ValueError):
 
 
 class FluxReconstructionFailed(NotInDivergenceImage):
-    """Degree bounds for the flux ansatz were exhausted."""
+    """The on-shell time derivative of the density is not a spatial
+    divergence: the density is not a conservation law."""
 
 
 class NotParabolicEquation(ValueError):
@@ -83,11 +84,11 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class ConservationLaw:
-    """Density T, spatial fluxes X (None when reconstruction failed), and
-    characteristic Q = E_u(T); all purely spatial."""
+    """Density T, spatial fluxes X, and characteristic Q = E_u(T); all
+    purely spatial."""
 
     T: Expr
-    X: tuple[Expr, ...] | None
+    X: tuple[Expr, ...]
     Q: Expr
 
 
@@ -230,8 +231,8 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
 
     Trivial laws (characteristic 0 on the equation) are dropped; laws with
     rationally proportional characteristics are deduplicated; each law is
-    scaled so its characteristic is monic.  Fluxes are reconstructed when
-    the degree bounds allow it, else reported as None.  Every returned law
+    scaled so its characteristic is monic.  Every null-space density has a
+    flux, reconstructed by exact divergence inversion.  Every returned law
     satisfies the conservation identity exactly and has characteristic of
     jet order <= 2."""
     spec = spec or AnsatzSpec()
@@ -256,13 +257,14 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         seen.add(key)
         try:
             X = reconstruct_flux(eq, T)
-        except FluxReconstructionFailed:
-            X = None
+        except FluxReconstructionFailed as exc:
+            raise InvariantViolation(
+                f"null-space density has no flux: T = {T}") from exc
         law = ConservationLaw(T, X, Q)
         if jacobi_potential_order(law) > 2:
             raise InvariantViolation(
                 f"characteristic of jet order > 2 found: {Q}")
-        if X is not None and not verify(eq, law):
+        if not verify(eq, law):
             raise InvariantViolation(f"reconstructed flux fails to verify for T = {T}")
         laws.append(law)
     return laws

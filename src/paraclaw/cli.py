@@ -397,7 +397,7 @@ def _ma_section(report) -> dict:
 def _law_section(law: ConservationLaw, n: int) -> dict:
     return {
         "density": expr_to_source(law.T, n),
-        "flux": None if law.X is None else [expr_to_source(x, n) for x in law.X],
+        "flux": [expr_to_source(x, n) for x in law.X],
         "characteristic": expr_to_source(law.Q, n),
         "order": jacobi_potential_order(law),
     }
@@ -442,9 +442,6 @@ def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
     if ma.singular_symbol:
         warnings.append("singular symbol at the reference jet; residue test skipped")
     laws = find_conservation_laws(eq, spec, force=force)
-    for k, law in enumerate(laws, start=1):
-        if law.X is None:
-            warnings.append(f"flux reconstruction failed for law {k}")
     validation = cross_validate_ma(eq, laws)
     if not validation.consistent:
         raise RuntimeError(f"MA cross-validation violated: {validation.detail}")
@@ -509,10 +506,7 @@ def _render_text(report: dict, elapsed: float) -> str:
         for k, law in enumerate(report["laws"], start=1):
             lines.append(f"  [{k}] Q = {law['characteristic']} (order {law['order']})")
             lines.append(f"      T = {law['density']}")
-            if law["flux"] is None:
-                lines.append("      X = (flux reconstruction failed)")
-            else:
-                lines.append(f"      X = [{', '.join(law['flux'])}]")
+            lines.append(f"      X = [{', '.join(law['flux'])}]")
     if "tableau_dim" in report:
         lines.append(f"tableau_dim(n={report['n']}, r={report['r']}) = "
                      f"{report['tableau_dim']}")

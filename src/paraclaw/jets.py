@@ -12,15 +12,13 @@ every time jet is eliminated through the replacement table below.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from . import linalg
 from .expr import (
     BASE, JET, Expr, Monomial, MultiIndex, NotPolynomialIn, Poly, Symbol, ZERO,
-    aux_var, base_var, jet_symbol, jet_var, mono_sort_key, poly_coefficients,
+    base_var, jet_symbol, jet_var, mono_mul,
 )
 
 if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are used here
@@ -28,7 +26,7 @@ if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are use
 
 __all__ = [
     "OrderOverflow", "TableTooShallow", "TimeJetPresent", "NotInDivergenceImage",
-    "ORDER_GUARD", "DegreeBounds", "ReplacementTable",
+    "ORDER_GUARD", "ReplacementTable",
     "total_derivative", "iterated_total_derivative",
     "build_replacement_table", "reduce_to_spatial",
     "euler_operator", "invert_divergence",
@@ -38,7 +36,6 @@ __all__ = [
 ]
 
 ORDER_GUARD = 12
-FLUX_ANSATZ_GUARD = 20000
 
 
 class OrderOverflow(ValueError):
@@ -54,7 +51,7 @@ class TimeJetPresent(ValueError):
 
 
 class NotInDivergenceImage(ValueError):
-    """No flux within the degree bounds has the requested divergence."""
+    """The expression is not a total spatial divergence: E_u of it is nonzero."""
 
 
 # ---------------------------------------------------------------------------
@@ -225,119 +222,64 @@ def bounded_monomials(symbols: Sequence[Symbol], max_degree: int) -> list[Monomi
     return out
 
 
-@dataclass(frozen=True)
-class DegreeBounds:
-    """Ansatz bounds for flux reconstruction."""
+def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
+    """Fluxes X^1..X^n with sum_i D_i X^i = R, exactly, by the total
+    homotopy operator.
 
-    jet_order: int
-    jet_degree: int
-    base_degree: int
-
-    def widened(self) -> "DegreeBounds":
-        return DegreeBounds(self.jet_order + 1, self.jet_degree + 1,
-                            self.base_degree + 1)
-
-
-def _default_bounds(R: Expr) -> DegreeBounds:
-    jets = [s for s in R.symbols() if s.kind == JET]
-    bases = [s for s in R.symbols() if s.kind == BASE]
-    return DegreeBounds(
-        jet_order=max(spatial_jet_order(R) - 1, 0),
-        jet_degree=R.num.degree_in(jets) if jets else 0,
-        base_degree=(R.num.degree_in(bases) if bases else 0) + 1,
-    )
-
-
-def invert_divergence(R: Expr, n: int, bounds: DegreeBounds | None = None,
-                      attempts: int = 3) -> tuple[Expr, ...]:
-    """Fluxes X^1..X^n with sum_i D_i X^i = R, exactly.
-
-    Works by a polynomial flux ansatz with undetermined coefficients and an
-    exact sparse linear solve; free coefficients are set to zero, so the
-    representative is deterministic.  Bounds default to ones derived from R
-    and are widened up to ``attempts`` times before giving up with
-    :class:`NotInDivergenceImage`.
+    Total derivatives preserve jet degree, so R splits into parts R_d of
+    jet degree d.  For d >= 1, d R_d = sum_J u_J dR_d/du_J, and each term is
+    integrated by parts down to u with u_{Kj} P = D_j(u_K P) - u_K D_j P.
+    The D_j parts, weighted 1/d, are the flux; the remainder is
+    u E_u(R_d), so R is a divergence exactly when E_u(R) = 0, and
+    :class:`NotInDivergenceImage` is raised otherwise.  The jet-free part
+    R_0(t, x) is integrated in x1 and added to X^1.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if has_time_jets(R):
         raise TimeJetPresent("divergence inversion needs a purely spatial expression")
     if not R.is_polynomial:
         raise NotPolynomialIn(sorted(R.den.symbols()))
-    if any(s.kind not in (BASE, JET) for s in R.symbols()):
-        raise ValueError("R may contain base and jet symbols only")
-    if R.is_zero:
-        return (ZERO,) * n
+    for s in R.symbols():
+        if not (s.kind == BASE and s.index <= n
+                or s.kind == JET and all(i <= n for i in s.jet.spatial)):
+            raise ValueError(
+                f"R may contain t, x1..x{n} and jets in directions 1..{n} only, not {s}")
+    by_degree: dict[int, dict] = {}
+    for mono, c in R.num.terms.items():
+        d = sum(e for s, e in mono if s.kind == JET)
+        by_degree.setdefault(d, {})[mono] = c
+    fluxes = [ZERO] * n
+    for d, terms in sorted(by_degree.items()):
+        if d == 0:
+            fluxes[0] = fluxes[0] + _integrate_x1(terms)
+            continue
+        Rd = Expr._make(Poly(terms), Poly.one())
+        parts = [ZERO] * n
+        remainder = ZERO
+        for s in jet_symbols_of(Rd):
+            coeff = Rd.diff(s)
+            rest = s.jet.spatial
+            while rest:
+                rest, j = rest[:-1], rest[-1]
+                parts[j - 1] = parts[j - 1] + Expr.symbol(jet_var(rest)) * coeff
+                coeff = -total_derivative(coeff, j)
+            remainder = remainder + coeff
+        if not remainder.is_zero:
+            raise NotInDivergenceImage(
+                f"E_u of the jet-degree-{d} part is {remainder}, not 0")
+        fluxes = [X + P * Fraction(1, d) for X, P in zip(fluxes, parts)]
+    return tuple(fluxes)
 
-    current = bounds or _default_bounds(R)
-    last_reason = "no attempt made"
-    for _ in range(attempts):
-        monos = _flux_monomials(n, current)
-        if n * len(monos) > FLUX_ANSATZ_GUARD:
-            last_reason = f"flux ansatz larger than guard ({n * len(monos)} unknowns)"
-            break
-        solution = _solve_flux(R, n, monos)
-        if solution is not None:
-            return solution
-        last_reason = f"no solution within bounds {current}"
-        current = current.widened()
-    raise NotInDivergenceImage(last_reason)
 
-
-def _flux_monomials(n: int, bounds: DegreeBounds) -> list[Monomial]:
-    base_syms = [base_var(a) for a in range(n + 1)]
-    jet_syms = spatial_jet_vars(n, bounds.jet_order)
-    base_part = bounded_monomials(base_syms, bounds.base_degree)
-    jet_part = bounded_monomials(jet_syms, bounds.jet_degree)
-    out = []
-    for jm in jet_part:
-        for bm in base_part:
-            out.append(tuple(sorted(bm + jm, key=lambda p: p[0].key)))
-    return out
-
-
-def _solve_flux(R: Expr, n: int, monos: list[Monomial]) -> tuple[Expr, ...] | None:
-    unknowns: list[Symbol] = []
-    fluxes = []
-    for i in range(1, n + 1):
-        terms = {}
-        for mono in monos:
-            w = aux_var(len(unknowns) + 1)
-            unknowns.append(w)
-            terms[tuple(sorted(mono + ((w, 1),), key=lambda p: p[0].key))] = Fraction(1)
-        fluxes.append(Expr._make(Poly(terms), Poly.one()))
-    divergence = ZERO
-    for i, X in enumerate(fluxes, start=1):
-        divergence = divergence + total_derivative(X, i)
-    residual = divergence - R
-
-    col = {w: k for k, w in enumerate(unknowns)}
-    point_vars = [s for s in residual.symbols() if s.kind in (BASE, JET)]
-    rows: list[dict] = []
-    rhs: list[Fraction] = []
-    for _, coeff in sorted(poly_coefficients(residual, point_vars).items(),
-                           key=lambda kv: mono_sort_key(kv[0])):
-        row: dict = {}
-        const = Fraction(0)
-        for mono, c in coeff.num.terms.items():
-            if not mono:
-                const = c
-            else:
-                (w, _e), = mono
-                row[col[w]] = c
-        rows.append(row)
-        rhs.append(-const)
-    sol = linalg.solve_particular(rows, rhs, len(unknowns))
-    if sol is None:
-        return None
-    out = []
-    k = 0
-    for _ in range(n):
-        terms = {}
-        for mono in monos:
-            if sol[k]:
-                terms[mono] = sol[k]
-            k += 1
-        out.append(Expr._make(Poly(dict(terms)), Poly.one()))
-    return tuple(out)
+def _integrate_x1(terms: dict) -> Expr:
+    """Antiderivative in x1 of the jet-free polynomial with these terms."""
+    x1 = base_var(1)
+    out = {}
+    for mono, c in terms.items():
+        m = mono_mul(mono, ((x1, 1),))
+        out[m] = c / dict(m)[x1]
+    return Expr._make(Poly(out), Poly.one())
 
 
 # ---------------------------------------------------------------------------

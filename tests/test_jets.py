@@ -14,9 +14,10 @@ from paraclaw.jets import (
 )
 from paraclaw.parabolic import EvolutionEquation
 from util import (
-    jet, suite_commutativity, suite_divergence_roundtrip,
+    jet, suite_commutativity, suite_divergence_decision,
+    suite_divergence_roundtrip, suite_divergence_roundtrip_multid,
     suite_euler_kills_divergences, t, trace_matrix_nullity,
-    u, u1, u12, u2, ux, uxx, uxxx, x,
+    u, u1, u12, u2, ux, uxx, uxxx, x, x1, x2,
 )
 
 
@@ -154,10 +155,30 @@ class TestInvertDivergence:
 
     def test_not_a_divergence(self):
         with pytest.raises(NotInDivergenceImage):
-            invert_divergence(u, 1, attempts=2)
+            invert_divergence(u, 1)
 
     def test_roundtrip_suite(self):
         assert suite_divergence_roundtrip(cases=100) == 100
+
+    def test_roundtrip_suite_two_and_three_dimensions(self):
+        assert suite_divergence_roundtrip_multid(cases=60) == 60
+
+    def test_decides_exactly_by_euler_operator(self):
+        inverted, rejected = suite_divergence_decision(cases=100)
+        assert inverted + rejected == 100
+        assert inverted >= 20 and rejected >= 20
+
+    def test_jet_free_part_goes_to_first_flux(self):
+        X = invert_divergence(t * x1 * x2, 2)
+        assert X == (t * x1 ** 2 * x2 / 2, ZERO)
+
+    def test_rejects_directions_beyond_n(self):
+        with pytest.raises(ValueError):
+            invert_divergence(u2, 1)
+        with pytest.raises(ValueError):
+            invert_divergence(x2, 1)
+        with pytest.raises(TimeJetPresent):
+            invert_divergence(jet(1, tp=1), 1)
 
 
 class TestEnumeration:

@@ -15,7 +15,8 @@ from paraclaw import linalg
 from paraclaw.claws import AnsatzSpec, cross_validate_ma, find_conservation_laws, verify
 from paraclaw.expr import Expr, Symbol, ZERO, base_var, jet_var
 from paraclaw.jets import (
-    euler_operator, invert_divergence, spatial_jet_vars, total_derivative,
+    NotInDivergenceImage, euler_operator, invert_divergence, spatial_jet_vars,
+    total_derivative,
 )
 from paraclaw.corpus import CORPUS
 
@@ -107,6 +108,60 @@ def suite_divergence_roundtrip(cases: int = 100, seed: int = 13) -> int:
         assert back == R, f"roundtrip failed for R = {R}"
         done += 1
     return done
+
+
+def suite_divergence_roundtrip_multid(cases: int = 60, seed: int = 23) -> int:
+    """Round trips for n = 2 and n = 3 with jet order 2: every flux has an
+    explicit t/x-dependent term, and R has a jet-free part."""
+    rng = random.Random(seed)
+    done = 0
+    for k in range(cases):
+        n = 2 + k % 2
+        bases = [base_var(a) for a in range(n + 1)]
+        jets = spatial_jet_vars(n, 2)
+        R = random_poly(rng, bases)
+        for i in range(1, n + 1):
+            flux = random_poly(rng, bases + jets, terms=3) \
+                + Expr.symbol(rng.choice(bases)) * random_poly(rng, jets, terms=2)
+            R = R + total_derivative(flux, i)
+        X = invert_divergence(R, n)
+        assert len(X) == n
+        back = ZERO
+        for i, Xi in enumerate(X, start=1):
+            back = back + total_derivative(Xi, i)
+        assert back == R, f"roundtrip failed for n={n}, R = {R}"
+        done += 1
+    return done
+
+
+def suite_divergence_decision(cases: int = 100, seed: int = 29) -> tuple[int, int]:
+    """invert_divergence raises NotInDivergenceImage exactly when E_u(R) != 0,
+    and whenever it returns, sum_i D_i X^i == R.  R is a random divergence,
+    half the time plus a random polynomial.  Returns (inverted, rejected)."""
+    rng = random.Random(seed)
+    inverted = rejected = 0
+    for _ in range(cases):
+        n = rng.choice((1, 2, 3))
+        syms = random_spatial_symbols(n, 2)
+        R = ZERO
+        for i in range(1, n + 1):
+            R = R + total_derivative(random_poly(rng, syms, terms=2), i)
+        if rng.random() < 0.5:
+            R = R + random_poly(rng, syms, terms=2)
+        is_divergence = euler_operator(R).is_zero
+        try:
+            X = invert_divergence(R, n)
+        except NotInDivergenceImage:
+            assert not is_divergence, f"divergence rejected: R = {R}"
+            rejected += 1
+            continue
+        assert is_divergence, f"E_u(R) != 0 but inversion returned: R = {R}"
+        back = ZERO
+        for i, Xi in enumerate(X, start=1):
+            back = back + total_derivative(Xi, i)
+        assert back == R, f"roundtrip failed for R = {R}"
+        inverted += 1
+    return inverted, rejected
 
 
 def suite_triviality_filter(cases: int = 100, seed: int = 17) -> int:
