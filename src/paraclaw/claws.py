@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    ANSATZ, BASE, JET, Expr, Monomial, Poly, Symbol,
-    ansatz_unknown, base_var, mono_sort_key, poly_coefficients,
+    ANSATZ, BASE, JET, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
+    ansatz_unknown, base_var, mono_sort_key,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, bounded_monomials, build_replacement_table,
@@ -36,7 +36,8 @@ __all__ = [
     "AnsatzTooLarge", "FluxReconstructionFailed", "NotParabolicEquation",
     "InvariantViolation",
     "AnsatzSpec", "ConservationLaw", "DeterminingSystem", "CrossValidation",
-    "generate_ansatz", "assemble_determining_system", "solve_exact",
+    "generate_ansatz", "assemble_determining_system", "linear_columns", "combine",
+    "solve_exact",
     "find_conservation_laws", "verify", "characteristic",
     "jacobi_potential_order", "reconstruct_flux", "cross_validate_ma",
 ]
@@ -161,24 +162,44 @@ def assemble_determining_system(eq: EvolutionEquation, T_ansatz: Expr,
     unknowns = sorted(s for s in T_ansatz.symbols() if s.kind == ANSATZ)
     table = build_replacement_table(eq, ORDER_GUARD)
     R = reduce_to_spatial(total_derivative(T_ansatz, 0), table)
-    E = euler_operator(R)
+    rows: dict = {}
+    for k, column in enumerate(linear_columns(euler_operator(R), unknowns)):
+        for key, c in column.items():
+            rows.setdefault(key, {})[k] = c
     system = DeterminingSystem(unknowns)
-    if E.is_zero:
-        return system
-    col = {c: k for k, c in enumerate(unknowns)}
-    point_vars = [s for s in E.symbols() if s.kind in (BASE, JET)]
-    coeffs = poly_coefficients(E, point_vars)
-    for key in sorted(coeffs, key=mono_sort_key):
-        coeff = coeffs[key]
-        row: dict = {}
-        for mono, c in coeff.num.terms.items():
-            if len(mono) != 1 or mono[0][1] != 1 or mono[0][0].kind != ANSATZ:
-                raise InvariantViolation(
-                    "determining equation is not linear homogeneous in the unknowns")
-            row[col[mono[0][0]]] = c
-        system.rows.append(row)
+    for key in sorted(rows, key=mono_sort_key):
+        system.rows.append(rows[key])
         system.keys.append(key)
     return system
+
+
+def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
+    """E, linear homogeneous in the ansatz unknowns, as sparse columns:
+    column k maps each monomial in the base and jet variables to its
+    coefficient in E at unknowns[k]."""
+    if not E.is_polynomial:
+        raise NotPolynomialIn(E.den.symbols())
+    col = {c: k for k, c in enumerate(unknowns)}
+    columns: list[dict] = [{} for _ in unknowns]
+    for mono, c in E.num.terms.items():
+        outside = [p for p in mono if p[0].kind not in (BASE, JET)]
+        if len(outside) != 1 or outside[0][1] != 1 or outside[0][0] not in col:
+            raise InvariantViolation(
+                "expression is not linear homogeneous in the ansatz unknowns")
+        columns[col[outside[0][0]]][tuple(p for p in mono if p is not outside[0])] = c
+    return columns
+
+
+def combine(columns: list[dict], vec: list[Fraction]) -> Expr:
+    """sum_k vec[k] * columns[k] as a polynomial, over the nonzero vec[k]."""
+    acc: dict = {}
+    for k, v in enumerate(vec):
+        if not v:
+            continue
+        for mono, c in columns[k].items():
+            got = acc.get(mono)
+            acc[mono] = v * c if got is None else got + v * c
+    return Expr._make(Poly({m: c for m, c in acc.items() if c}), Poly.one())
 
 
 def solve_exact(system: DeterminingSystem) -> list[list[Fraction]]:
@@ -229,10 +250,13 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
                            force: bool = False) -> list[ConservationLaw]:
     """All conservation laws within the ansatz bounds, up to equivalence.
 
-    Trivial laws (characteristic 0 on the equation) are dropped; laws with
-    rationally proportional characteristics are deduplicated; each law is
-    scaled so its characteristic is monic.  Every null-space density has a
-    flux, reconstructed by exact divergence inversion.  Every returned law
+    E_u is linear, so the characteristic of every null vector v is M v,
+    with M = E_u(T_ansatz) read off once as columns over the unknowns, and
+    its density is sum_k v_k m_k.  Trivial laws (characteristic 0) are
+    dropped; a law is kept only when its characteristic is linearly
+    independent of those already kept; each law is scaled so its
+    characteristic is monic.  Every null-space density has a flux,
+    reconstructed by exact divergence inversion.  Every returned law
     satisfies the conservation identity exactly and has characteristic of
     jet order <= 2."""
     spec = spec or AnsatzSpec()
@@ -242,19 +266,18 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     T_ansatz, unknowns = generate_ansatz(eq, spec)
     system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
     basis = solve_exact(system)
+    densities = linear_columns(T_ansatz, unknowns)
+    characteristics = linear_columns(euler_operator(T_ansatz), unknowns)
+    kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
-    seen: set = set()
     for vec in basis:
-        T = T_ansatz.substitute(dict(zip(unknowns, vec)))
-        Q = euler_operator(T)
+        Q = combine(characteristics, vec)
         if Q.is_zero:
             continue  # density is a spatial divergence: trivial
+        if not kept.add(Q.num.terms):
+            continue  # Q is a combination of the characteristics already kept
         scale = 1 / Q.num.leading()[1]
-        T, Q = T * scale, Q * scale
-        key = Q.canonical_key()
-        if key in seen:
-            continue
-        seen.add(key)
+        T, Q = combine(densities, vec) * scale, Q * scale
         try:
             X = reconstruct_flux(eq, T)
         except FluxReconstructionFailed as exc:
@@ -270,12 +293,16 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     return laws
 
 
-def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw]
-                      ) -> CrossValidation:
+def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw],
+                      report: MAReport | None = None) -> CrossValidation:
     """Check the structural implication: a nontrivial conservation law forces
     the Monge-Ampere verdict (n1_affine for n = 1, vanishing traceless
-    residue for n >= 2).  A violation is an implementation bug."""
-    report = ma_classify(eq)
+    residue for n >= 2).  A violation is an implementation bug.
+
+    ``report`` is the pointwise ``ma_classify(eq)``, computed here when not
+    given."""
+    if report is None:
+        report = ma_classify(eq)
     if not laws:
         return CrossValidation(True, 0, report, "no laws, nothing to check")
     if eq.n == 1:

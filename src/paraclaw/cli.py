@@ -442,7 +442,8 @@ def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
     if ma.singular_symbol:
         warnings.append("singular symbol at the reference jet; residue test skipped")
     laws = find_conservation_laws(eq, spec, force=force)
-    validation = cross_validate_ma(eq, laws)
+    # the cross-check uses the pointwise verdict, so a --symbolic one is not reused
+    validation = cross_validate_ma(eq, laws, None if symbolic else ma)
     if not validation.consistent:
         raise RuntimeError(f"MA cross-validation violated: {validation.detail}")
     report["parabolicity"] = verdict.value

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: sparse RREF, null spaces, particular solutions.
+"""Exact rational linear algebra: sparse RREF, null spaces, independence
+tests, particular solutions.
 
 Rows are sparse dicts ``{column: Fraction}``; elimination is plain
 Gauss-Jordan with deterministic pivoting (first column, in the global
@@ -17,6 +18,18 @@ SparseRow = dict  # dict[int, Fraction]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _subtract(row: SparseRow, factor: Fraction, other: SparseRow) -> SparseRow:
+    """row - factor * other, as a new sparse row."""
+    out = dict(row)
+    for c, v in other.items():
+        acc = out.get(c, _F0) - factor * v
+        if acc:
+            out[c] = acc
+        else:
+            out.pop(c, None)
+    return out
 
 
 def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
@@ -42,40 +55,30 @@ def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]
         for target in (work, reduced):
             for i, r in enumerate(target):
                 factor = r.get(col)
-                if not factor:
-                    continue
-                nr = dict(r)
-                for c, v in pivot_row.items():
-                    acc = nr.get(c, _F0) - factor * v
-                    if acc:
-                        nr[c] = acc
-                    else:
-                        nr.pop(c, None)
-                target[i] = nr
+                if factor:
+                    target[i] = _subtract(r, factor, pivot_row)
         work = [r for r in work if r]
         reduced.append(pivot_row)
         pivots.append(col)
     return reduced, pivots
 
 
-def _primitive_signed(vec: list[Fraction]) -> list[Fraction]:
-    """Scale to a primitive integer vector whose first nonzero entry is positive."""
+def _primitive_signed(entries: SparseRow, ncols: int) -> list[Fraction]:
+    """The dense vector with these nonzero entries, scaled to a primitive
+    integer vector whose first nonzero entry is positive."""
     lcm = 1
-    for v in vec:
-        if v:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
+    for v in entries.values():
+        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    ints = {i: int(v * lcm) for i, v in entries.items()}
     g = 0
-    for v in ints:
+    for v in ints.values():
         g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return [Fraction(v) for v in ints]
+    if ints[min(ints)] < 0:
+        g = -g
+    vec = [_F0] * ncols
+    for i, v in ints.items():
+        vec[i] = Fraction(v // g)
+    return vec
 
 
 def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
@@ -88,14 +91,40 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [_F0] * ncols
-        vec[free] = _F1
+        entries = {free: _F1}
         for row, piv in zip(reduced, pivots):
             coeff = row.get(free)
             if coeff:
-                vec[piv] = -coeff
-        basis.append(_primitive_signed(vec))
+                entries[piv] = -coeff
+        basis.append(_primitive_signed(entries, ncols))
     return basis
+
+
+class Echelon:
+    """Incremental Gauss-Jordan echelon of sparse rows over any hashable
+    keys: every kept row has entry 1 at its pivot and 0 at every other
+    pivot."""
+
+    def __init__(self) -> None:
+        self.rows: dict = {}  # pivot key -> row
+
+    def add(self, row: SparseRow) -> bool:
+        """Keep row and return True when it is linearly independent of the
+        kept rows; return False otherwise.  The input is not mutated."""
+        rest = row
+        for key in [k for k in row if k in self.rows]:
+            rest = _subtract(rest, rest[key], self.rows[key])
+        if not rest:
+            return False
+        pivot = next(iter(rest))
+        inv = 1 / rest[pivot]
+        rest = {c: v * inv for c, v in rest.items()}
+        for key, kept in self.rows.items():
+            factor = kept.get(pivot)
+            if factor:
+                self.rows[key] = _subtract(kept, factor, rest)
+        self.rows[pivot] = rest
+        return True
 
 
 def solve_particular(rows: list[SparseRow], rhs: Sequence[Fraction],

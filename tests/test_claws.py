@@ -2,23 +2,26 @@
 exact null spaces, the finder on the classic equations, verification, and
 the Monge-Ampere cross-validation."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from paraclaw import claws, linalg
 from paraclaw.claws import (
     AnsatzSpec, AnsatzTooLarge, ConservationLaw, FluxReconstructionFailed,
-    NotParabolicEquation, assemble_determining_system, characteristic,
+    NotParabolicEquation, assemble_determining_system, characteristic, combine,
     cross_validate_ma, find_conservation_laws, generate_ansatz,
-    jacobi_potential_order, reconstruct_flux, solve_exact, verify,
+    jacobi_potential_order, linear_columns, reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.corpus import CORPUS, by_name
 from paraclaw.expr import Expr, ansatz_unknown, jet_var, poly_coefficients
 from paraclaw.jets import euler_operator, spatial_jet_order, total_derivative
 from paraclaw.parabolic import EvolutionEquation
 from util import (
-    expr_coefficient_vector, heat_polynomial_space, in_span, span_equal,
-    suite_cross_validation, suite_solver_soundness, suite_triviality_filter,
+    GOLDEN_PATH, claws_corpus_reports, expr_coefficient_vector,
+    heat_polynomial_space, in_span, span_equal, suite_cross_validation,
+    suite_linear_extraction, suite_solver_soundness, suite_triviality_filter,
     t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
 )
 
@@ -175,6 +178,39 @@ class TestFindConservationLaws:
         for law in laws:
             assert law.Q.num.leading()[1] == 1
 
+    def test_independence_not_proportionality(self, monkeypatch):
+        # null vectors v_a, v_b, v_a + v_b: Q_a + Q_b is proportional to
+        # neither Q_a nor Q_b, so deduplication by proportional
+        # characteristics would keep three laws; they span two
+        spec = AnsatzSpec(2, 1, 2)
+        T_ansatz, unknowns = generate_ansatz(HEAT, spec)
+        columns = linear_columns(euler_operator(T_ansatz), unknowns)
+        basis = solve_exact(assemble_determining_system(HEAT, T_ansatz))
+        va, vb = [v for v in basis if not combine(columns, v).is_zero][:2]
+        vectors = [va, vb, [a + b for a, b in zip(va, vb)]]
+        Qs = [combine(columns, v) for v in vectors]
+        monic = {(Q * (1 / Q.num.leading()[1])).canonical_key() for Q in Qs}
+        assert len(monic) == 3
+        monkeypatch.setattr(claws, "solve_exact", lambda system: vectors)
+        laws = find_conservation_laws(HEAT, spec)
+        assert len(laws) == 2
+        assert [law.Q for law in laws] == [Q * (1 / Q.num.leading()[1])
+                                           for Q in Qs[:2]]
+
+    def test_heat_3d_jet_degree_2(self):
+        from paraclaw.cli import parse
+        eq = parse("n=3; u_t = u_11 + 2*u_22 + 3*u_33").equation()
+        laws = find_conservation_laws(eq, AnsatzSpec(2, 2, 2))
+        assert len(laws) == 10
+        for law in laws:
+            assert verify(eq, law)
+            assert jacobi_potential_order(law) <= 2
+        monos = sorted({m for law in laws for m in law.Q.num.terms},
+                       key=str)
+        rows = [{monos.index(m): c for m, c in law.Q.num.terms.items()}
+                for law in laws]
+        assert linalg.rank(rows, len(monos)) == 10
+
     def test_not_parabolic_blocks_without_force(self):
         backward = EvolutionEquation(1, -uxx)
         with pytest.raises(NotParabolicEquation):
@@ -271,6 +307,10 @@ class TestCharacteristic:
         assert Q == 2 * uxx
         assert jacobi_potential_order(ConservationLaw(T, None, Q)) == 2
 
+    def test_linear_extraction_suite(self):
+        # every null vector, trivial ones included
+        assert suite_linear_extraction() > 1000
+
     def test_triviality_filter_suite(self):
         assert suite_triviality_filter(cases=100) == 100
 
@@ -316,3 +356,15 @@ class TestSolverSoundness:
     def test_randomized_bounds_suite(self):
         # the full 100-case run lives in the acceptance module
         assert suite_solver_soundness(cases=40) == 40
+
+
+class TestGoldenCorpus:
+    def test_reports_byte_identical(self):
+        # claws reports recorded before law extraction became linear; a
+        # difference is a finding to explain, not a file to re-record
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            want = json.load(fh)
+        got = claws_corpus_reports()
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key] == want[key], key

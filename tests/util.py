@@ -7,12 +7,20 @@ seeded; all assertions are exact.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
-from paraclaw import linalg
-from paraclaw.claws import AnsatzSpec, cross_validate_ma, find_conservation_laws, verify
+from paraclaw import cli, linalg
+from paraclaw.claws import (
+    AnsatzSpec, assemble_determining_system, combine, cross_validate_ma,
+    find_conservation_laws, generate_ansatz, linear_columns, solve_exact, verify,
+)
 from paraclaw.expr import Expr, Symbol, ZERO, base_var, jet_var
 from paraclaw.jets import (
     NotInDivergenceImage, euler_operator, invert_divergence, spatial_jet_vars,
@@ -205,6 +213,34 @@ def suite_solver_soundness(cases: int = 100, seed: int = 19) -> int:
     return done
 
 
+def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
+    """For every null vector v, trivial ones included, over the corpus at the
+    default bounds and over seeded randomized bounds: the characteristic read
+    off the columns of E_u(T_ansatz) is E_u(T_v), and the density built from
+    the ansatz columns is T_ansatz with v substituted.  Returns the number
+    of vectors checked."""
+    rng = random.Random(seed)
+    problems = [(entry, AnsatzSpec()) for entry in CORPUS]
+    for _ in range(cases):
+        entry = rng.choice(CORPUS)
+        problems.append((entry, corpus_specs(rng, entry.equation().n)))
+    checked = 0
+    for entry, spec in problems:
+        eq = entry.equation()
+        T_ansatz, unknowns = generate_ansatz(eq, spec)
+        system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
+        assert system.unknowns == unknowns
+        densities = linear_columns(T_ansatz, unknowns)
+        characteristics = linear_columns(euler_operator(T_ansatz), unknowns)
+        for vec in solve_exact(system):
+            T = T_ansatz.substitute(dict(zip(unknowns, vec)))
+            assert combine(densities, vec) == T, f"density differs on {entry.name}"
+            assert combine(characteristics, vec) == euler_operator(T), \
+                f"characteristic differs on {entry.name}: T = {T}"
+            checked += 1
+    return checked
+
+
 def suite_cross_validation() -> int:
     """cross_validate_ma reports zero violations over the whole corpus."""
     checked = 0
@@ -218,6 +254,53 @@ def suite_cross_validation() -> int:
         checked += 1
     assert checked >= 10
     return checked
+
+
+# ---------------------------------------------------------------------------
+# Golden corpus reports
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "claws_corpus.json")
+
+# (order, jet degree, base degree) flags; None runs with the default bounds.
+GOLDEN_SPECS = (None, (2, 2, 1), (2, 3, 1), (2, 2, 2))
+
+
+def claws_corpus_reports() -> dict[str, dict]:
+    """`paraclaw claws` on every corpus entry under every golden spec, keyed
+    "<entry> <order>/<jet degree>/<base degree>" ("default" for no flags):
+    exit code, stdout (the JSON report) and stderr."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for entry in CORPUS:
+            path = os.path.join(tmp, f"{entry.name}.pde")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(entry.source)
+            for spec in GOLDEN_SPECS:
+                argv = ["claws", path]
+                label = "default"
+                if spec is not None:
+                    argv += ["--order", str(spec[0]), "--jet-degree", str(spec[1]),
+                             "--base-degree", str(spec[2])]
+                    label = "/".join(map(str, spec))
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+                out[f"{entry.name} {label}"] = {
+                    "exit": code, "stdout": stdout.getvalue(),
+                    "stderr": stderr.getvalue().replace(path, "<file>")}
+    return out
+
+
+def write_claws_golden() -> None:
+    """Record the golden reports; run once, from the commit whose reports
+    are the reference:
+    ``PYTHONPATH=src:tests python -c "import util; util.write_claws_golden()"``."""
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(claws_corpus_reports(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
