@@ -25,9 +25,9 @@ from .expr import (
     ansatz_unknown, base_var, mono_sort_key,
 )
 from .jets import (
-    ORDER_GUARD, NotInDivergenceImage, bounded_monomials, build_replacement_table,
-    euler_operator, invert_divergence, reduce_to_spatial, spatial_jet_order,
-    spatial_jet_vars, total_derivative,
+    ORDER_GUARD, NotInDivergenceImage, ReplacementTable, bounded_monomials,
+    build_replacement_table, euler_operator, invert_divergence, reduce_to_spatial,
+    spatial_jet_order, spatial_jet_vars, total_derivative,
 )
 from .parabolic import EvolutionEquation, MAReport, Parabolicity, ma_classify, \
     parabolicity_check
@@ -98,11 +98,15 @@ class DeterminingSystem:
     """Exact homogeneous linear system in the ansatz coefficients.
 
     One row per monomial of E_u(reduce(D_t T_ansatz)) in the base and jet
-    variables; ``rows`` are sparse {column: Fraction} over ``unknowns``."""
+    variables; ``rows`` are sparse {column: Fraction} over ``unknowns``.
+    ``table`` is the replacement table the time jets were eliminated with;
+    the law search reuses it for flux reconstruction and verification."""
 
     unknowns: list[Symbol]
     rows: list[dict] = field(default_factory=list)
     keys: list[Monomial] = field(default_factory=list)
+    table: ReplacementTable | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     @property
     def num_equations(self) -> int:
@@ -161,16 +165,22 @@ def assemble_determining_system(eq: EvolutionEquation, T_ansatz: Expr,
         raise ValueError(f"ansatz jet order {order} exceeds allowed {max_jet_order}")
     unknowns = sorted(s for s in T_ansatz.symbols() if s.kind == ANSATZ)
     table = build_replacement_table(eq, ORDER_GUARD)
-    R = reduce_to_spatial(total_derivative(T_ansatz, 0), table)
     rows: dict = {}
-    for k, column in enumerate(linear_columns(euler_operator(R), unknowns)):
+    for k, column in enumerate(
+            linear_columns(euler_operator(_on_shell_dt(T_ansatz, table)), unknowns)):
         for key, c in column.items():
             rows.setdefault(key, {})[k] = c
     system = DeterminingSystem(unknowns)
+    system.table = table
     for key in sorted(rows, key=mono_sort_key):
         system.rows.append(rows[key])
         system.keys.append(key)
     return system
+
+
+def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
+    """reduce(D_t T): the time derivative of T on the prolonged equation."""
+    return reduce_to_spatial(total_derivative(T, 0), table)
 
 
 def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
@@ -224,10 +234,13 @@ def jacobi_potential_order(law: ConservationLaw) -> int:
 
 def reconstruct_flux(eq: EvolutionEquation, T: Expr) -> tuple[Expr, ...]:
     """Fluxes X with D_t T + Div X = 0 on solutions."""
-    table = build_replacement_table(eq, ORDER_GUARD)
-    R = -reduce_to_spatial(total_derivative(T, 0), table)
+    return _reconstruct_flux(eq, T, build_replacement_table(eq, ORDER_GUARD))
+
+
+def _reconstruct_flux(eq: EvolutionEquation, T: Expr,
+                      table: ReplacementTable) -> tuple[Expr, ...]:
     try:
-        return invert_divergence(R, eq.n)
+        return invert_divergence(-_on_shell_dt(T, table), eq.n)
     except NotInDivergenceImage as exc:
         raise FluxReconstructionFailed(str(exc)) from exc
 
@@ -238,9 +251,11 @@ def verify(eq: EvolutionEquation, law: ConservationLaw) -> bool:
         raise ValueError("law has no flux to verify")
     if len(law.X) != eq.n:
         raise ValueError(f"expected {eq.n} fluxes, got {len(law.X)}")
-    table = build_replacement_table(
-        eq, min(ORDER_GUARD, max(1, spatial_jet_order(law.T) + 1)))
-    residual = reduce_to_spatial(total_derivative(law.T, 0), table)
+    return _verify(law, build_replacement_table(eq, ORDER_GUARD))
+
+
+def _verify(law: ConservationLaw, table: ReplacementTable) -> bool:
+    residual = _on_shell_dt(law.T, table)
     for i, X in enumerate(law.X, start=1):
         residual = residual + total_derivative(X, i)
     return residual.is_zero
@@ -258,7 +273,8 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     characteristic is monic.  Every null-space density has a flux,
     reconstructed by exact divergence inversion.  Every returned law
     satisfies the conservation identity exactly and has characteristic of
-    jet order <= 2."""
+    jet order <= 2.  One replacement table, built by the assembly, serves
+    assembly, flux reconstruction and verification."""
     spec = spec or AnsatzSpec()
     if parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC and not force:
         raise NotParabolicEquation(
@@ -279,7 +295,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         scale = 1 / Q.num.leading()[1]
         T, Q = combine(densities, vec) * scale, Q * scale
         try:
-            X = reconstruct_flux(eq, T)
+            X = _reconstruct_flux(eq, T, system.table)
         except FluxReconstructionFailed as exc:
             raise InvariantViolation(
                 f"null-space density has no flux: T = {T}") from exc
@@ -287,7 +303,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         if jacobi_potential_order(law) > 2:
             raise InvariantViolation(
                 f"characteristic of jet order > 2 found: {Q}")
-        if not verify(eq, law):
+        if not _verify(law, system.table):
             raise InvariantViolation(f"reconstructed flux fails to verify for T = {T}")
         laws.append(law)
     return laws

@@ -15,7 +15,8 @@ Input grammar (whitespace insignificant)::
 
 Implicit multiplication is not supported.  "p/q" rational literals fold to
 exact fractions through the division operator.  Any u_t-like token on the
-right-hand side is rejected with TimeDerivativeOnRHS.
+right-hand side is rejected with TimeDerivativeOnRHS.  Parentheses nest at
+most MAX_NESTING deep: deeper input is a ParseError, not a RecursionError.
 
 JSON reports follow a fixed schema (see README) and are byte-stable for
 identical inputs; elapsed time appears only in --text output.
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -140,6 +142,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.n = n
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -257,8 +260,13 @@ class _Parser:
             self.advance()
             return Expr.symbol(self.symbol_from_name(tok))
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.col)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect("op", ")")
             return inner
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}",

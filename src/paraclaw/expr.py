@@ -127,6 +127,7 @@ class Symbol:
     jet: MultiIndex | None = None
     name: str = field(default="", compare=False, repr=False)
     key: tuple = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == JET:
@@ -137,8 +138,15 @@ class Symbol:
         else:
             key = (_KIND_RANK[self.kind], self.index)
         object.__setattr__(self, "key", key)
+        # symbols key every monomial dict, so hash once; from exactly the
+        # fields equality compares (the kind by rank: no string hash seed)
+        object.__setattr__(
+            self, "_hash", hash((_KIND_RANK[self.kind], self.index, self.jet)))
         if not self.name:
             object.__setattr__(self, "name", self._default_name())
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _default_name(self) -> str:
         if self.kind == BASE:

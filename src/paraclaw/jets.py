@@ -11,10 +11,11 @@ every time jet is eliminated through the replacement table below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .expr import (
     BASE, JET, Expr, Monomial, MultiIndex, NotPolynomialIn, Poly, Symbol, ZERO,
@@ -31,7 +32,7 @@ __all__ = [
     "build_replacement_table", "reduce_to_spatial",
     "euler_operator", "invert_divergence",
     "tableau_dimension", "parabolic_system_dimension", "deprolongation_dimension",
-    "jet_symbols_of", "spatial_jet_order", "has_time_jets",
+    "spatial_jet_order", "has_time_jets",
     "spatial_jet_vars", "bounded_monomials",
 ]
 
@@ -58,10 +59,6 @@ class NotInDivergenceImage(ValueError):
 # Total derivatives
 # ---------------------------------------------------------------------------
 
-def jet_symbols_of(e: Expr) -> list[Symbol]:
-    return sorted(s for s in e.symbols() if s.kind == JET)
-
-
 def has_time_jets(e: Expr) -> bool:
     return any(s.kind == JET and s.jet.time_power > 0 for s in e.symbols())
 
@@ -75,14 +72,67 @@ def total_derivative(e: Expr, a: int) -> Expr:
     """Total derivative D_a e = de/dx^a + sum_J u_{Ja} * de/du_J.
 
     Treats jet coordinates as functions of the base coordinates; direction
-    a = 0 is time.  Raises the jet order by at most one.
+    a = 0 is time.  Raises the jet order by at most one.  Numerator and
+    denominator are each swept once (:func:`_poly_total_derivative`) and
+    joined by the quotient rule with one normalization.
     """
-    out = e.diff(base_var(a))
-    for s in jet_symbols_of(e):
-        d = e.diff(s)
-        if not d.is_zero:
-            out = out + Expr.symbol(jet_symbol(s.jet.append(a))) * d
-    return out
+    num, den = e.num, e.den
+    dnum = _poly_total_derivative(num, a)
+    dden = _poly_total_derivative(den, a)
+    if dden.is_zero:
+        return Expr._make(dnum, den)
+    return Expr._make(dnum * den - num * dden, den * den)
+
+
+def _poly_total_derivative(p: Poly, a: int) -> Poly:
+    """D_a p in one pass over the terms: each power s^e of a monomial
+    contributes e s^(e-1) D_a s, with D_a u_J = u_{Ja}, D_a x^a = 1 and every
+    other symbol constant."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        for idx, (s, e) in enumerate(m):
+            if s.kind == JET:
+                nm = mono_mul(_lower(m, idx), ((_prolong(s, a), 1),))
+            elif s.kind == BASE and s.index == a:
+                nm = _lower(m, idx)
+            else:
+                continue
+            nc = c * e if e != 1 else c
+            acc = out.get(nm)
+            if acc is None:
+                out[nm] = nc
+            else:
+                acc = acc + nc
+                if acc:
+                    out[nm] = acc
+                else:
+                    del out[nm]
+    return Poly(out)
+
+
+def _lower(m: Monomial, idx: int) -> Monomial:
+    """m with the exponent of its idx-th symbol lowered by one."""
+    s, e = m[idx]
+    if e == 1:
+        return m[:idx] + m[idx + 1:]
+    return m[:idx] + ((s, e - 1),) + m[idx + 1:]
+
+
+@functools.lru_cache(maxsize=4096)
+def _prolong(s: Symbol, a: int) -> Symbol:
+    """u_{Ja} for the jet symbol u_J."""
+    return jet_symbol(s.jet.append(a))
+
+
+def _jet_partials(p: Poly) -> dict[Symbol, Poly]:
+    """Every nonzero dp/du_J, in one pass over the terms of p.  Lowering one
+    exponent of s is injective on monomials, so no two terms collide."""
+    out: dict[Symbol, dict] = {}
+    for m, c in p.terms.items():
+        for idx, (s, e) in enumerate(m):
+            if s.kind == JET:
+                out.setdefault(s, {})[_lower(m, idx)] = c * e if e != 1 else c
+    return {s: Poly(terms) for s, terms in out.items()}
 
 
 def iterated_total_derivative(e: Expr, index: MultiIndex) -> Expr:
@@ -180,24 +230,49 @@ def euler_operator(e: Expr) -> Expr:
     The sum runs over the spatial multi-indices whose jet variable occurs in
     e, each distinct multi-index counted once (no combinatorial factor).  On
     the polynomial fragment its kernel is exactly the total spatial
-    divergences.
+    divergences.  It is evaluated in Horner form (:func:`_horner`).
     """
     if has_time_jets(e):
         raise TimeJetPresent("euler_operator needs a purely spatial expression")
     bad = [s for s in e.den.symbols() if s.kind == JET]
     if bad:
         raise NotPolynomialIn(bad)
-    total = ZERO
-    for s in jet_symbols_of(e):
-        d = e.diff(s)
-        if d.is_zero:
-            continue
-        term = iterated_total_derivative(d, MultiIndex(s.jet.spatial, 0))
-        if s.jet.spatial_order % 2:
-            total = total - term
-        else:
-            total = total + term
-    return total
+    E = ZERO
+    for _, E in _horner(e):
+        pass  # post-order: the root, S_() = E_u(e), comes last
+    return E
+
+
+def _horner(e: Expr) -> Iterator[tuple[MultiIndex, Expr]]:
+    """(w, S_w) for every node w of the trie of prefixes of the sorted
+    spatial index words of e's jets, children before parents, where
+    S_w = de/du_w - sum_{j >= last(w)} D_j S_{wj}.
+
+    Unrolled, S_w = sum_v (-1)^|v| D_v de/du_{wv} over the words wv below w,
+    so S_() = E_u(e) at one total derivative per trie edge.  The walk is
+    depth first, so only the partial sums along one path are held.  e must
+    be purely spatial with a jet-free denominator.
+    """
+    partials = {s.jet: Expr._make(p, e.den) for s, p in _jet_partials(e.num).items()}
+    nodes = {MultiIndex(mi.spatial[:k]) for mi in partials for k in range(mi.order + 1)}
+    n = max((mi.spatial[-1] for mi in partials if mi.spatial), default=0)
+    return _horner_visit(MultiIndex(), partials, nodes, n)
+
+
+def _horner_visit(w: MultiIndex, partials: dict, nodes: set, n: int):
+    """Yield the subtree of w as :func:`_horner` does; return S_w.
+
+    A module-level function, not a closure in _horner: a closure that calls
+    itself is a reference cycle, which would keep ``partials`` alive until
+    the cycle collector runs."""
+    acc = partials.get(w, ZERO)
+    for j in range(w.spatial[-1] if w.spatial else 1, n + 1):
+        child = w.append(j)
+        if child in nodes:
+            below = yield from _horner_visit(child, partials, nodes, n)
+            acc = acc - total_derivative(below, j)
+    yield w, acc
+    return acc
 
 
 def spatial_jet_vars(n: int, max_order: int) -> list[Symbol]:
@@ -229,10 +304,11 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
     Total derivatives preserve jet degree, so R splits into parts R_d of
     jet degree d.  For d >= 1, d R_d = sum_J u_J dR_d/du_J, and each term is
     integrated by parts down to u with u_{Kj} P = D_j(u_K P) - u_K D_j P.
-    The D_j parts, weighted 1/d, are the flux; the remainder is
-    u E_u(R_d), so R is a divergence exactly when E_u(R) = 0, and
-    :class:`NotInDivergenceImage` is raised otherwise.  The jet-free part
-    R_0(t, x) is integrated in x1 and added to X^1.
+    Collected on the trie of :func:`_horner`, the D_j part is
+    sum_{wj} u_w S_{wj}; weighted 1/d, these parts are the flux.  The
+    remainder is u S_() = u E_u(R_d), so R is a divergence exactly when
+    E_u(R) = 0, and :class:`NotInDivergenceImage` is raised otherwise.  The
+    jet-free part R_0(t, x) is integrated in x1 and added to X^1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -254,17 +330,14 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
         if d == 0:
             fluxes[0] = fluxes[0] + _integrate_x1(terms)
             continue
-        Rd = Expr._make(Poly(terms), Poly.one())
         parts = [ZERO] * n
         remainder = ZERO
-        for s in jet_symbols_of(Rd):
-            coeff = Rd.diff(s)
-            rest = s.jet.spatial
-            while rest:
-                rest, j = rest[:-1], rest[-1]
-                parts[j - 1] = parts[j - 1] + Expr.symbol(jet_var(rest)) * coeff
-                coeff = -total_derivative(coeff, j)
-            remainder = remainder + coeff
+        for w, Sw in _horner(Expr._make(Poly(terms), Poly.one())):
+            if w.spatial:
+                rest, j = w.spatial[:-1], w.spatial[-1]
+                parts[j - 1] = parts[j - 1] + Expr.symbol(jet_var(rest)) * Sw
+            else:
+                remainder = Sw
         if not remainder.is_zero:
             raise NotInDivergenceImage(
                 f"E_u of the jet-degree-{d} part is {remainder}, not 0")

@@ -127,6 +127,25 @@ class TestGrammarRejects:
         assert "RATIONAL" in err.value.expected
 
 
+class TestNestingLimit:
+    @staticmethod
+    def nested(depth: int) -> str:
+        return "n=1; u_t = " + "(" * depth + "u_xx" + ")" * depth
+
+    def test_modest_depth_parses(self):
+        assert parse(self.nested(50)).G == uxx
+        assert parse_expression("-(" * 50 + "u" + ")" * 50, 1) == u
+
+    @pytest.mark.parametrize("depth", [400, 3000])
+    def test_deep_nesting_is_a_parse_error(self, depth, tmp_path, capsys):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(self.nested(depth))
+        f = tmp_path / "deep.pde"
+        f.write_text(self.nested(depth))
+        assert main(["classify", str(f)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("source", [
         "n=1; u_t = u_xx",

@@ -9,7 +9,7 @@ import pytest
 
 from paraclaw.expr import (
     DivisionByZeroExpr, Expr, NotPolynomialIn, Poly, ZERO, ONE,
-    ansatz_unknown, base_var, divexact, jet_var, monomial_expr,
+    ansatz_unknown, aux_var, base_var, divexact, jet_var, monomial_expr,
     poly_coefficients, poly_gcd, substitute, diff,
 )
 from util import random_poly, u, u11, u12, u22, ux, uxx, x
@@ -198,3 +198,25 @@ class TestOrdering:
     def test_deterministic_printing(self):
         e = u22 * u11 - u12 * u12 + 3
         assert str(e) == "u_11*u_22 - u_12^2 + 3"
+
+
+class TestSymbolHash:
+    def test_display_name_is_not_identity(self):
+        a, b = aux_var(3, "a"), aux_var(3, "b")
+        assert a == b and hash(a) == hash(b)
+        assert str(a) != str(b)
+
+    def test_separately_built_jets_are_interchangeable_keys(self):
+        s1, s2 = jet_var((1, 2)), jet_var((2, 1))
+        assert s1 is not s2
+        assert s1 == s2 and hash(s1) == hash(s2)
+        table = {s1: "mixed"}
+        assert table[s2] == "mixed"
+        assert Poly({((s1, 1),): Fraction(1)}) == Poly({((s2, 1),): Fraction(1)})
+
+    def test_kinds_with_equal_index_differ(self):
+        syms = [base_var(1), ansatz_unknown(1), aux_var(1)]
+        assert len(set(syms)) == 3
+        assert all(a != b for i, a in enumerate(syms) for b in syms[i + 1:])
+        assert base_var(0) != jet_var()
+        assert jet_var((1,)) != jet_var((), 1)

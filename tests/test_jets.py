@@ -16,8 +16,9 @@ from paraclaw.parabolic import EvolutionEquation
 from util import (
     jet, suite_commutativity, suite_divergence_decision,
     suite_divergence_roundtrip, suite_divergence_roundtrip_multid,
-    suite_euler_kills_divergences, t, trace_matrix_nullity,
-    u, u1, u12, u2, ux, uxx, uxxx, x, x1, x2,
+    suite_euler_equivalence, suite_euler_kills_divergences,
+    suite_total_derivative_equivalence, t, trace_matrix_nullity,
+    u, u1, u11, u12, u2, u22, ux, uxx, uxxx, x, x1, x2,
 )
 
 
@@ -50,6 +51,16 @@ class TestTotalDerivative:
         after_e = total_derivative(e, 1)
         after = max(s.jet.order for s in after_e.symbols() if s.kind == "jet")
         assert after <= before + 1
+
+    def test_quotient_rule(self):
+        assert total_derivative(u / x, 1) == (x * ux - u) / x ** 2
+        assert total_derivative(x1 / u2, 1) == (u2 - x1 * u12) / u2 ** 2
+        # the denominator does not depend on x2: D_2 acts on the numerator only
+        assert total_derivative(u * u2 / x1, 2) == (u2 ** 2 + u * jet(2, 2)) / x1
+
+    def test_matches_per_symbol_reference(self):
+        # polynomial and rational inputs, n = 1..3, every direction a = 0..n
+        assert suite_total_derivative_equivalence(cases=100) == 299
 
 
 class TestIteratedTotalDerivative:
@@ -135,6 +146,21 @@ class TestEulerOperator:
 
     def test_annihilates_divergences_suite(self):
         assert suite_euler_kills_divergences(cases=100) == 100
+
+    def test_mixed_third_order(self):
+        # E_u(u_1 u_12) = D_1 u_12 - D_1 D_2 u_1 = 0 and
+        # E_u(u * u_112) = u_112 - D_1 D_1 D_2 u = 0: both are divergences
+        assert euler_operator(u1 * u12).is_zero
+        assert euler_operator(u * jet(1, 1, 2)).is_zero
+        # -D_1(u_2 u_12) - D_2(u_1 u_12) + D_1 D_2(u_1 u_2): the Hessian determinant
+        assert euler_operator(u1 * u2 * u12) == u11 * u22 - u12 ** 2
+
+    def test_rational_in_base_coordinates(self):
+        # E_u(u_1^2 / x1) = -D_1(2 u_1 / x1) = -2 u_11 / x1 + 2 u_1 / x1^2
+        assert euler_operator(u1 ** 2 / x1) == -2 * u11 / x1 + 2 * u1 / x1 ** 2
+
+    def test_matches_naive_reference(self):
+        assert suite_euler_equivalence(cases=100) == 100
 
 
 class TestInvertDivergence:

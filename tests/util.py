@@ -21,7 +21,7 @@ from paraclaw.claws import (
     AnsatzSpec, assemble_determining_system, combine, cross_validate_ma,
     find_conservation_laws, generate_ansatz, linear_columns, solve_exact, verify,
 )
-from paraclaw.expr import Expr, Symbol, ZERO, base_var, jet_var
+from paraclaw.expr import JET, Expr, Symbol, ZERO, base_var, jet_symbol, jet_var
 from paraclaw.jets import (
     NotInDivergenceImage, euler_operator, invert_divergence, spatial_jet_vars,
     total_derivative,
@@ -61,6 +61,32 @@ def random_poly(rng: random.Random, symbols: list[Symbol], terms: int = 4,
 
 def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
     return [base_var(a) for a in range(n + 1)] + spatial_jet_vars(n, max_order)
+
+
+# ---------------------------------------------------------------------------
+# Naive references: the textbook definitions, one partial derivative per
+# symbol, kept to check the one-pass and Horner kernels of paraclaw.jets
+# ---------------------------------------------------------------------------
+
+def naive_total_derivative(e: Expr, a: int) -> Expr:
+    """D_a e = de/dx^a + sum_J u_{Ja} de/du_J, one Expr.diff per symbol."""
+    out = e.diff(base_var(a))
+    for s in sorted(s for s in e.symbols() if s.kind == JET):
+        d = e.diff(s)
+        if not d.is_zero:
+            out = out + Expr.symbol(jet_symbol(s.jet.append(a))) * d
+    return out
+
+
+def naive_euler_operator(e: Expr) -> Expr:
+    """sum_I (-1)^|I| D_I de/du_I, with |I| total derivatives per partial."""
+    total = ZERO
+    for s in sorted(s for s in e.symbols() if s.kind == JET):
+        term = e.diff(s)
+        for i in s.jet.spatial:
+            term = naive_total_derivative(term, i)
+        total = total - term if s.jet.spatial_order % 2 else total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +196,51 @@ def suite_divergence_decision(cases: int = 100, seed: int = 29) -> tuple[int, in
         assert back == R, f"roundtrip failed for R = {R}"
         inverted += 1
     return inverted, rejected
+
+
+def _random_input(rng: random.Random, numerator_syms: list[Symbol],
+                  denominator_syms: list[Symbol], quotient_exp: int) -> Expr:
+    """A random polynomial, or half the time a smaller random quotient with
+    exponents <= quotient_exp (the references renormalize a quotient once
+    per symbol and per derivative, so quotients must stay small)."""
+    if rng.random() < 0.5:
+        return random_poly(rng, numerator_syms, terms=5, max_exp=3)
+    return random_poly(rng, numerator_syms, terms=3, max_exp=quotient_exp) \
+        / random_poly(rng, denominator_syms, terms=2, max_exp=quotient_exp)
+
+
+def suite_total_derivative_equivalence(cases: int = 100, seed: int = 37) -> int:
+    """total_derivative equals naive_total_derivative in every direction
+    a = 0..n, on random polynomial and rational inputs over t, x, spatial
+    jets of order <= 4 and time jets, for n = 1..3.  Returns the number of
+    (input, direction) pairs checked."""
+    rng = random.Random(seed)
+    checked = 0
+    for k in range(cases):
+        n = 1 + k % 3
+        syms = random_spatial_symbols(n, 4) + [
+            jet_var(combo, tp) for tp in (1, 2) for order in range(5 - tp)
+            for combo in itertools.combinations_with_replacement(range(1, n + 1), order)]
+        e = _random_input(rng, syms, syms, 2)
+        for a in range(n + 1):
+            assert total_derivative(e, a) == naive_total_derivative(e, a), \
+                f"D_{a} differs from the reference on {e}"
+            checked += 1
+    return checked
+
+
+def suite_euler_equivalence(cases: int = 100, seed: int = 41) -> int:
+    """euler_operator equals naive_euler_operator on random polynomials over
+    t, x and spatial jets of order <= 4, for n = 1..3, half of them divided
+    by a random polynomial in t and x (E_u needs a jet-free denominator)."""
+    rng = random.Random(seed)
+    for k in range(cases):
+        n = 1 + k % 3
+        bases = [base_var(a) for a in range(n + 1)]
+        e = _random_input(rng, bases + spatial_jet_vars(n, 4), bases, 1)
+        assert euler_operator(e) == naive_euler_operator(e), \
+            f"E_u differs from the reference on {e}"
+    return cases
 
 
 def suite_triviality_filter(cases: int = 100, seed: int = 17) -> int:
