@@ -4,9 +4,18 @@ The pipeline: enumerate a polynomial density ansatz T in the base
 coordinates and spatial jets of order <= 2 (the order bound is licensed by
 the structure theory -- characteristics of evolutionary parabolic
 equations depend on at most second derivatives); assemble the determining
-system by requiring the spatial Euler operator to kill the on-shell time
-derivative of T; solve the system exactly; filter trivial laws by their
-characteristic; reconstruct fluxes by divergence inversion.
+system in characteristic form; solve the system exactly; filter trivial
+laws by their characteristic; reconstruct fluxes by divergence inversion.
+
+Characteristic form.  On u_t = G the on-shell time derivative is
+reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
+parts gives reduce(D_t T) = dT/dt + G Q + Div(...) with Q = E_u(T) (Olver,
+GTM 107; Anco & Bluman 2002).  E_u kills divergences, so the determining
+system is E_u(dT/dt + G Q) = 0 over the ansatz: no time jet is ever
+eliminated, and the search builds no replacement table.  Flux
+reconstruction and verification still restrict D_t T to the equation
+through a replacement table, which makes verification an independent
+second route to the conservation identity.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -21,7 +30,7 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    ANSATZ, BASE, JET, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
+    ANSATZ, BASE, JET, TIME, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
     ansatz_unknown, base_var, mono_sort_key,
 )
 from .jets import (
@@ -97,16 +106,14 @@ class ConservationLaw:
 class DeterminingSystem:
     """Exact homogeneous linear system in the ansatz coefficients.
 
-    One row per monomial of E_u(reduce(D_t T_ansatz)) in the base and jet
-    variables; ``rows`` are sparse {column: Fraction} over ``unknowns``.
-    ``table`` is the replacement table the time jets were eliminated with;
-    the law search reuses it for flux reconstruction and verification."""
+    One row per monomial of E_u(dT/dt + G Q) in the base and jet variables,
+    with T = T_ansatz and Q = E_u(T_ansatz) (the characteristic form of
+    E_u(reduce(D_t T_ansatz))); ``rows`` are sparse {column: Fraction} over
+    ``unknowns``."""
 
     unknowns: list[Symbol]
     rows: list[dict] = field(default_factory=list)
     keys: list[Monomial] = field(default_factory=list)
-    table: ReplacementTable | None = field(default=None, init=False, repr=False,
-                                           compare=False)
 
     @property
     def num_equations(self) -> int:
@@ -157,25 +164,38 @@ def assemble_determining_system(eq: EvolutionEquation, T_ansatz: Expr,
                                 max_jet_order: int = 2) -> DeterminingSystem:
     """Extract the linear determining equations for T_ansatz.
 
-    Computes E_u(reduce(D_t T_ansatz)) and turns the coefficient of every
-    monomial in the base and jet variables into one homogeneous equation in
-    the ansatz unknowns."""
+    Computes E_u(dT/dt + G Q) with Q = E_u(T_ansatz), which equals
+    E_u(reduce(D_t T_ansatz)) (see the module docstring), and turns the
+    coefficient of every monomial in the base and jet variables into one
+    homogeneous equation in the ansatz unknowns.  No time jet occurs, so
+    no replacement table is built."""
+    return _assemble(eq, T_ansatz, characteristic(T_ansatz), max_jet_order)
+
+
+def _assemble(eq: EvolutionEquation, T_ansatz: Expr, Q_ansatz: Expr,
+              max_jet_order: int) -> DeterminingSystem:
+    """:func:`assemble_determining_system` given Q_ansatz = E_u(T_ansatz),
+    which the law search also reads its characteristics from."""
     order = spatial_jet_order(T_ansatz)
     if order > max_jet_order:
         raise ValueError(f"ansatz jet order {order} exceeds allowed {max_jet_order}")
     unknowns = sorted(s for s in T_ansatz.symbols() if s.kind == ANSATZ)
-    table = build_replacement_table(eq, ORDER_GUARD)
+    E = _determining_expression(eq, T_ansatz, Q_ansatz)
     rows: dict = {}
-    for k, column in enumerate(
-            linear_columns(euler_operator(_on_shell_dt(T_ansatz, table)), unknowns)):
+    for k, column in enumerate(linear_columns(E, unknowns)):
         for key, c in column.items():
             rows.setdefault(key, {})[k] = c
     system = DeterminingSystem(unknowns)
-    system.table = table
     for key in sorted(rows, key=mono_sort_key):
         system.rows.append(rows[key])
         system.keys.append(key)
     return system
+
+
+def _determining_expression(eq: EvolutionEquation, T: Expr, Q: Expr) -> Expr:
+    """E_u(dT/dt + G Q) for Q = E_u(T): E_u(reduce(D_t T)) in characteristic
+    form, with no time jet and no replacement table."""
+    return euler_operator(T.diff(TIME) + eq.G * Q)
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
@@ -273,18 +293,22 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     characteristic is monic.  Every null-space density has a flux,
     reconstructed by exact divergence inversion.  Every returned law
     satisfies the conservation identity exactly and has characteristic of
-    jet order <= 2.  One replacement table, built by the assembly, serves
-    assembly, flux reconstruction and verification."""
+    jet order <= 2.  Q_ansatz = E_u(T_ansatz) is computed once, for the
+    assembly and the characteristics; the one replacement table, which
+    flux reconstruction and verification share, is built only when the
+    first law is kept."""
     spec = spec or AnsatzSpec()
     if parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC and not force:
         raise NotParabolicEquation(
             "symbol is not parabolic at the reference jet; pass force=True to proceed")
     T_ansatz, unknowns = generate_ansatz(eq, spec)
-    system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
+    Q_ansatz = characteristic(T_ansatz)
+    system = _assemble(eq, T_ansatz, Q_ansatz, spec.max_jet_order)
     basis = solve_exact(system)
     densities = linear_columns(T_ansatz, unknowns)
-    characteristics = linear_columns(euler_operator(T_ansatz), unknowns)
+    characteristics = linear_columns(Q_ansatz, unknowns)
     kept = linalg.Echelon()
+    table: ReplacementTable | None = None
     laws: list[ConservationLaw] = []
     for vec in basis:
         Q = combine(characteristics, vec)
@@ -294,8 +318,10 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
             continue  # Q is a combination of the characteristics already kept
         scale = 1 / Q.num.leading()[1]
         T, Q = combine(densities, vec) * scale, Q * scale
+        if table is None:
+            table = build_replacement_table(eq, ORDER_GUARD)
         try:
-            X = _reconstruct_flux(eq, T, system.table)
+            X = _reconstruct_flux(eq, T, table)
         except FluxReconstructionFailed as exc:
             raise InvariantViolation(
                 f"null-space density has no flux: T = {T}") from exc
@@ -303,7 +329,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         if jacobi_potential_order(law) > 2:
             raise InvariantViolation(
                 f"characteristic of jet order > 2 found: {Q}")
-        if not _verify(law, system.table):
+        if not _verify(law, table):
             raise InvariantViolation(f"reconstructed flux fails to verify for T = {T}")
         laws.append(law)
     return laws

@@ -400,7 +400,21 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        """self - other in one pass over other's terms (no negated copy)."""
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            acc = out.get(m)
+            if acc is None:
+                out[m] = -c
+            else:
+                acc = acc - c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+        return Poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
@@ -753,13 +767,15 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self.is_polynomial and other.is_polynomial:
+            return Expr._make(self.num - other.num, _ONE_POLY)
         return self + (-other)
 
     def __rsub__(self, other) -> "Expr":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Expr":
         other = _coerce(other)

@@ -20,7 +20,8 @@ from paraclaw.jets import euler_operator, spatial_jet_order, total_derivative
 from paraclaw.parabolic import EvolutionEquation
 from util import (
     GOLDEN_PATH, claws_corpus_reports, expr_coefficient_vector,
-    heat_polynomial_space, in_span, span_equal, suite_cross_validation,
+    heat_polynomial_space, in_span, span_equal, suite_characteristic_form_corpus,
+    suite_characteristic_form_random, suite_cross_validation,
     suite_linear_extraction, suite_solver_soundness, suite_triviality_filter,
     t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
 )
@@ -107,6 +108,54 @@ class TestDeterminingSystem:
         eq = EvolutionEquation(1, uxx / u, {jet_var(): 1})
         with pytest.raises(NotPolynomialIn):
             find_conservation_laws(eq, AnsatzSpec(2, 1, 0))
+
+
+class TestCharacteristicForm:
+    """The search assembles E_u(dT/dt + G E_u(T)); the on-shell route
+    E_u(reduce(D_t T)) of tests/util.py is the reference."""
+
+    def test_matches_on_shell_reference_on_corpus(self):
+        assert suite_characteristic_form_corpus() == 2 * len(CORPUS)
+
+    def test_matches_on_shell_reference_on_random_equations(self):
+        assert suite_characteristic_form_random(cases=60) == 60
+
+    def test_replacement_table_built_only_once_a_law_is_kept(self, monkeypatch):
+        built = []
+        real_build = claws.build_replacement_table
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(claws, "build_replacement_table", counting_build)
+        eq = by_name("laplacian_squared").equation()
+        assert find_conservation_laws(eq, AnsatzSpec(2, 2, 1)) == []
+        assert built == []
+        laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 1))
+        assert laws and len(built) == 1
+
+    def test_verify_still_eliminates_time_jets(self, monkeypatch):
+        reduced_in_verify = []
+        in_verify = []
+        real_verify, real_reduce = claws._verify, claws.reduce_to_spatial
+
+        def tracking_verify(*args):
+            in_verify.append(True)
+            try:
+                return real_verify(*args)
+            finally:
+                in_verify.pop()
+
+        def tracking_reduce(*args):
+            if in_verify:
+                reduced_in_verify.append(args)
+            return real_reduce(*args)
+
+        monkeypatch.setattr(claws, "_verify", tracking_verify)
+        monkeypatch.setattr(claws, "reduce_to_spatial", tracking_reduce)
+        laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 1))
+        assert laws and len(reduced_in_verify) == len(laws)
 
 
 class TestSolveExact:

@@ -274,6 +274,18 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "elapsed:" in out and "parabolicity: strict" in out
 
+    @pytest.mark.parametrize("source, symbols", [
+        ("n=1; u_t = u_xx/(1+u^2)", "{u}"),
+        ("n=1; u_t = u_xx/(1+x^2)", "{x1}"),
+    ])
+    def test_claws_rational_equation_exits_one(self, tmp_path, capsys, source, symbols):
+        f = tmp_path / "rational.pde"
+        f.write_text(source)
+        assert main(["claws", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expression is not polynomial in {symbols}\n"
+
     def test_unsafe_order_flag(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"
         f.write_text("n=1; u_t = u_xx")

@@ -147,6 +147,18 @@ class TestAlgebraProperties:
             assert e1 * e2 == e2 * e1
             assert e1 + e2 - e2 == e1
 
+    def test_subtraction_random(self):
+        rng = random.Random(6)
+        syms = [base_var(1), jet_var(), jet_var((1,))]
+        for _ in range(100):
+            p, q = random_poly(rng, syms).num, random_poly(rng, syms).num
+            p_terms, q_terms = dict(p.terms), dict(q.terms)
+            assert (p - q).terms == (p + (-q)).terms
+            assert p.terms == p_terms and q.terms == q_terms  # operands untouched
+            assert (p - p).is_zero
+            assert (Poly() - q).terms == (-q).terms
+        assert 3 - u == Expr.const(3) + (-u)
+
     def test_zero_test_complete_on_rational_fragment(self):
         rng = random.Random(8)
         syms = [base_var(1), jet_var()]

@@ -18,15 +18,17 @@ from fractions import Fraction
 
 from paraclaw import cli, linalg
 from paraclaw.claws import (
-    AnsatzSpec, assemble_determining_system, combine, cross_validate_ma,
-    find_conservation_laws, generate_ansatz, linear_columns, solve_exact, verify,
+    AnsatzSpec, _determining_expression, assemble_determining_system, combine,
+    cross_validate_ma, find_conservation_laws, generate_ansatz, linear_columns,
+    solve_exact, verify,
 )
 from paraclaw.expr import JET, Expr, Symbol, ZERO, base_var, jet_symbol, jet_var
 from paraclaw.jets import (
-    NotInDivergenceImage, euler_operator, invert_divergence, spatial_jet_vars,
-    total_derivative,
+    ORDER_GUARD, NotInDivergenceImage, build_replacement_table, euler_operator,
+    invert_divergence, reduce_to_spatial, spatial_jet_vars, total_derivative,
 )
 from paraclaw.corpus import CORPUS
+from paraclaw.parabolic import EvolutionEquation
 
 t = Expr.symbol(base_var(0))
 x = Expr.symbol(base_var(1))
@@ -87,6 +89,14 @@ def naive_euler_operator(e: Expr) -> Expr:
             term = naive_total_derivative(term, i)
         total = total - term if s.jet.spatial_order % 2 else total + term
     return total
+
+
+def naive_determining_expression(eq: EvolutionEquation, T: Expr) -> Expr:
+    """E_u(reduce(D_t T)): the determining expression on shell, with every
+    time jet of D_t T eliminated through a replacement table.  Kept to check
+    the characteristic form E_u(dT/dt + G E_u(T)) of paraclaw.claws."""
+    table = build_replacement_table(eq, ORDER_GUARD)
+    return euler_operator(reduce_to_spatial(total_derivative(T, 0), table))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +250,46 @@ def suite_euler_equivalence(cases: int = 100, seed: int = 41) -> int:
         e = _random_input(rng, bases + spatial_jet_vars(n, 4), bases, 1)
         assert euler_operator(e) == naive_euler_operator(e), \
             f"E_u differs from the reference on {e}"
+    return cases
+
+
+def suite_characteristic_form_corpus() -> int:
+    """The characteristic-form determining expression equals the on-shell
+    reference on the density ansatz of every corpus entry at 2/2/1 and
+    2/2/2.  Returns the number of (entry, bounds) pairs checked."""
+    checked = 0
+    for entry in CORPUS:
+        eq = entry.equation()
+        for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
+            T, _ = generate_ansatz(eq, spec)
+            assert _determining_expression(eq, T, euler_operator(T)) \
+                == naive_determining_expression(eq, T), \
+                f"characteristic form differs on {entry.name} at {spec}"
+            checked += 1
+    return checked
+
+
+def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
+    """The same identity on random polynomial equations u_t = G and random
+    polynomial densities T over t, x and spatial jets of order <= 2, for
+    n = 1..3.  Every G has an explicit t term and an explicit x term."""
+    rng = random.Random(seed)
+    for k in range(cases):
+        n = 1 + k % 3
+        syms = random_spatial_symbols(n)
+        jets = spatial_jet_vars(n, 2)
+        explicit = {base_var(0), base_var(rng.randint(1, n))}
+        G = ZERO
+        while not explicit <= G.symbols():
+            G = random_poly(rng, syms, terms=3)
+            for s in explicit:
+                G = G + rng.choice((-3, -2, -1, 1, 2, 3)) * Expr.symbol(s) \
+                    * Expr.symbol(rng.choice(jets))
+        eq = EvolutionEquation(n, G)
+        T = random_poly(rng, syms, terms=4)
+        assert _determining_expression(eq, T, euler_operator(T)) \
+            == naive_determining_expression(eq, T), \
+            f"characteristic form differs for u_t = {G}, T = {T}"
     return cases
 
 
