@@ -34,9 +34,9 @@ from .expr import (
     ansatz_unknown, base_var, mono_sort_key,
 )
 from .jets import (
-    ORDER_GUARD, NotInDivergenceImage, ReplacementTable, bounded_monomials,
-    build_replacement_table, euler_operator, invert_divergence, reduce_to_spatial,
-    spatial_jet_order, spatial_jet_vars, total_derivative,
+    ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
+    bounded_monomials, build_replacement_table, euler_operator, invert_divergence,
+    reduce_to_spatial, spatial_jet_order, spatial_jet_vars, total_derivative,
 )
 from .parabolic import EvolutionEquation, MAReport, Parabolicity, ma_classify, \
     parabolicity_check
@@ -109,11 +109,13 @@ class DeterminingSystem:
     One row per monomial of E_u(dT/dt + G Q) in the base and jet variables,
     with T = T_ansatz and Q = E_u(T_ansatz) (the characteristic form of
     E_u(reduce(D_t T_ansatz))); ``rows`` are sparse {column: Fraction} over
-    ``unknowns``."""
+    ``unknowns``.  ``Q_ansatz`` = E_u(T_ansatz), or None for a system not
+    built by :func:`assemble_determining_system`."""
 
     unknowns: list[Symbol]
     rows: list[dict] = field(default_factory=list)
     keys: list[Monomial] = field(default_factory=list)
+    Q_ansatz: Expr | None = None
 
     @property
     def num_equations(self) -> int:
@@ -168,24 +170,19 @@ def assemble_determining_system(eq: EvolutionEquation, T_ansatz: Expr,
     E_u(reduce(D_t T_ansatz)) (see the module docstring), and turns the
     coefficient of every monomial in the base and jet variables into one
     homogeneous equation in the ansatz unknowns.  No time jet occurs, so
-    no replacement table is built."""
-    return _assemble(eq, T_ansatz, characteristic(T_ansatz), max_jet_order)
-
-
-def _assemble(eq: EvolutionEquation, T_ansatz: Expr, Q_ansatz: Expr,
-              max_jet_order: int) -> DeterminingSystem:
-    """:func:`assemble_determining_system` given Q_ansatz = E_u(T_ansatz),
-    which the law search also reads its characteristics from."""
+    no replacement table is built.  The system keeps Q_ansatz, from which
+    the law search reads its characteristics."""
     order = spatial_jet_order(T_ansatz)
     if order > max_jet_order:
         raise ValueError(f"ansatz jet order {order} exceeds allowed {max_jet_order}")
     unknowns = sorted(s for s in T_ansatz.symbols() if s.kind == ANSATZ)
+    Q_ansatz = characteristic(T_ansatz)
     E = _determining_expression(eq, T_ansatz, Q_ansatz)
     rows: dict = {}
     for k, column in enumerate(linear_columns(E, unknowns)):
         for key, c in column.items():
             rows.setdefault(key, {})[k] = c
-    system = DeterminingSystem(unknowns)
+    system = DeterminingSystem(unknowns, Q_ansatz=Q_ansatz)
     for key in sorted(rows, key=mono_sort_key):
         system.rows.append(rows[key])
         system.keys.append(key)
@@ -199,7 +196,16 @@ def _determining_expression(eq: EvolutionEquation, T: Expr, Q: Expr) -> Expr:
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
-    """reduce(D_t T): the time derivative of T on the prolonged equation."""
+    """reduce(D_t T): the time derivative of T on the prolonged equation.
+
+    Raises OrderOverflow when T has jet order >= the table's max order, as
+    D_t T then holds time jets the table cannot eliminate."""
+    order = spatial_jet_order(T)
+    if order >= table.max_order:
+        raise OrderOverflow(
+            f"density has jet order {order} > {table.max_order - 1}: its time "
+            f"derivative needs the equation prolonged past the order limit "
+            f"{table.max_order}")
     return reduce_to_spatial(total_derivative(T, 0), table)
 
 
@@ -302,11 +308,10 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         raise NotParabolicEquation(
             "symbol is not parabolic at the reference jet; pass force=True to proceed")
     T_ansatz, unknowns = generate_ansatz(eq, spec)
-    Q_ansatz = characteristic(T_ansatz)
-    system = _assemble(eq, T_ansatz, Q_ansatz, spec.max_jet_order)
+    system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
     basis = solve_exact(system)
     densities = linear_columns(T_ansatz, unknowns)
-    characteristics = linear_columns(Q_ansatz, unknowns)
+    characteristics = linear_columns(system.Q_ansatz, unknowns)
     kept = linalg.Echelon()
     table: ReplacementTable | None = None
     laws: list[ConservationLaw] = []

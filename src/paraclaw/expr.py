@@ -95,10 +95,6 @@ class MultiIndex:
     def spatial_order(self) -> int:
         return len(self.spatial)
 
-    @property
-    def is_spatial(self) -> bool:
-        return self.time_power == 0
-
     def append(self, a: int) -> "MultiIndex":
         """The multi-index Ia: one more derivative in direction a (0 = time)."""
         if a == 0:
@@ -345,24 +341,12 @@ class Poly:
                 out.add(s)
         return out
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def degree_of(self, s: Symbol) -> int:
         best = 0
         for m in self.terms:
             for sym, e in m:
                 if sym == s and e > best:
                     best = e
-        return best
-
-    def degree_in(self, syms: Iterable[Symbol]) -> int:
-        symset = frozenset(syms)
-        best = 0
-        for m in self.terms:
-            d = sum(e for s, e in m if s in symset)
-            if d > best:
-                best = d
         return best
 
     def leading(self) -> tuple[Monomial, Fraction]:
@@ -720,15 +704,6 @@ class Expr:
     @property
     def is_polynomial(self) -> bool:
         return self.den.terms == _ONE_POLY.terms
-
-    def is_constant(self) -> bool:
-        return (not self.num.terms or set(self.num.terms) == {_ONE_MONO}) \
-            and self.den.terms == _ONE_POLY.terms
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.num.terms.get(_ONE_MONO, _F0)
 
     def symbols(self) -> set[Symbol]:
         return self.num.symbols() | self.den.symbols()

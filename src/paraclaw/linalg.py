@@ -1,11 +1,13 @@
 """Exact rational linear algebra: sparse RREF, null spaces, independence
-tests, particular solutions.
+tests, particular solutions, determinants.
 
-Rows are sparse dicts ``{column: Fraction}``; elimination is plain
-Gauss-Jordan with deterministic pivoting (first column, in the global
-unknown order, that has a nonzero entry).  Everything is exact -- no
-floating point anywhere, which is what keeps determining-system null
-spaces honest.
+Rows are sparse dicts ``{column: Fraction}``.  All sparse elimination is
+one incremental Gauss-Jordan loop, :class:`Echelon`, which pivots each new
+row on its smallest remaining column; ``rref`` feeds it the rows in order
+and sorts the result by pivot.  The reduced row echelon form is unique for
+a fixed column order, so the result does not depend on the row order.
+Everything is exact -- no floating point anywhere, which is what keeps
+determining-system null spaces honest.
 """
 
 from __future__ import annotations
@@ -20,47 +22,27 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _subtract(row: SparseRow, factor: Fraction, other: SparseRow) -> SparseRow:
-    """row - factor * other, as a new sparse row."""
-    out = dict(row)
+def _subtract(row: SparseRow, factor: Fraction, other: SparseRow) -> None:
+    """row -= factor * other, in place."""
     for c, v in other.items():
-        acc = out.get(c, _F0) - factor * v
+        acc = row.get(c, _F0) - factor * v
         if acc:
-            out[c] = acc
+            row[c] = acc
         else:
-            out.pop(c, None)
-    return out
+            row.pop(c, None)
 
 
 def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
     """Reduced row echelon form.
 
-    Returns (reduced nonzero rows, pivot column per row).  Input rows are
-    not mutated.
+    Returns (reduced nonzero rows, pivot column per row), in increasing
+    pivot order.  Input rows are not mutated.
     """
-    work = [dict(r) for r in rows if r]
-    reduced: list[SparseRow] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        pivot_row = None
-        for r in work:
-            if r.get(col):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work.remove(pivot_row)
-        inv = 1 / pivot_row[col]
-        pivot_row = {c: v * inv for c, v in pivot_row.items()}
-        for target in (work, reduced):
-            for i, r in enumerate(target):
-                factor = r.get(col)
-                if factor:
-                    target[i] = _subtract(r, factor, pivot_row)
-        work = [r for r in work if r]
-        reduced.append(pivot_row)
-        pivots.append(col)
-    return reduced, pivots
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    pivots = sorted(echelon.rows)
+    return [echelon.rows[p] for p in pivots], pivots
 
 
 def _primitive_signed(entries: SparseRow, ncols: int) -> list[Fraction]:
@@ -101,9 +83,10 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
 
 
 class Echelon:
-    """Incremental Gauss-Jordan echelon of sparse rows over any hashable
-    keys: every kept row has entry 1 at its pivot and 0 at every other
-    pivot."""
+    """Incremental Gauss-Jordan echelon of sparse rows over orderable keys:
+    every kept row has entry 1 at its pivot, its smallest key, and 0 at
+    every other pivot.  So the kept rows, sorted by pivot, are the reduced
+    row echelon form of the rows added so far."""
 
     def __init__(self) -> None:
         self.rows: dict = {}  # pivot key -> row
@@ -111,18 +94,18 @@ class Echelon:
     def add(self, row: SparseRow) -> bool:
         """Keep row and return True when it is linearly independent of the
         kept rows; return False otherwise.  The input is not mutated."""
-        rest = row
-        for key in [k for k in row if k in self.rows]:
-            rest = _subtract(rest, rest[key], self.rows[key])
+        rest = {c: v for c, v in row.items() if v}
+        for key in [k for k in rest if k in self.rows]:
+            _subtract(rest, rest[key], self.rows[key])
         if not rest:
             return False
-        pivot = next(iter(rest))
+        pivot = min(rest)
         inv = 1 / rest[pivot]
         rest = {c: v * inv for c, v in rest.items()}
-        for key, kept in self.rows.items():
+        for kept in self.rows.values():
             factor = kept.get(pivot)
             if factor:
-                self.rows[key] = _subtract(kept, factor, rest)
+                _subtract(kept, factor, rest)
         self.rows[pivot] = rest
         return True
 
@@ -173,6 +156,27 @@ def solve_dense(matrix: list[list], rhs: list, zero) -> list | None:
                 continue
             a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
     return [a[r][m] for r in range(m)]
+
+
+def det(matrix: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square Fraction matrix, by Gaussian elimination."""
+    m = [row[:] for row in matrix]
+    size = len(m)
+    value = _F1
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
+        if piv is None:
+            return _F0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            value = -value
+        value *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, size):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return value
 
 
 def rank(rows: list[SparseRow], ncols: int) -> int:

@@ -145,26 +145,6 @@ def symbol_form(eq: EvolutionEquation) -> SymbolForm:
     return SymbolForm(eq.n, tuple(rows))
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
     """Classify the symbol at the reference jet, exactly.
 
@@ -174,13 +154,13 @@ def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
     """
     g = symbol_form(eq).at_reference(eq.reference_jet)
     n = eq.n
-    strict = all(_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
+    strict = all(linalg.det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
     if strict:
         return Parabolicity.STRICT
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             minor = [[g[r][c] for c in subset] for r in subset]
-            if _det(minor) < 0:
+            if linalg.det(minor) < 0:
                 return Parabolicity.NOT_PARABOLIC
     return Parabolicity.WEAK
 

@@ -286,6 +286,17 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == f"error: expression is not polynomial in {symbols}\n"
 
+    def test_verify_density_past_order_limit_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        assert main(["verify", str(f), "--density", "u_" + "x" * 12, "--flux", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: density has jet order 12 > 11: its time derivative needs "
+            "the equation prolonged past the order limit 12\n")
+        assert main(["verify", str(f), "--density", "u_" + "x" * 11, "--flux", "0"]) == 0
+
     def test_unsafe_order_flag(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"
         f.write_text("n=1; u_t = u_xx")

@@ -67,7 +67,8 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 
 # ---------------------------------------------------------------------------
 # Naive references: the textbook definitions, one partial derivative per
-# symbol, kept to check the one-pass and Horner kernels of paraclaw.jets
+# symbol, kept to check the one-pass and Horner kernels of paraclaw.jets;
+# the column-sweep RREF, kept to check paraclaw.linalg
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -97,6 +98,48 @@ def naive_determining_expression(eq: EvolutionEquation, T: Expr) -> Expr:
     the characteristic form E_u(dT/dt + G E_u(T)) of paraclaw.claws."""
     table = build_replacement_table(eq, ORDER_GUARD)
     return euler_operator(reduce_to_spatial(total_derivative(T, 0), table))
+
+
+def _naive_subtract(row: dict, factor: Fraction, other: dict) -> dict:
+    """row - factor * other, as a new sparse row."""
+    out = dict(row)
+    for c, v in other.items():
+        acc = out.get(c, Fraction(0)) - factor * v
+        if acc:
+            out[c] = acc
+        else:
+            out.pop(c, None)
+    return out
+
+
+def naive_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form by a column sweep: for each column in
+    order, take the first remaining row with a nonzero entry there as the
+    pivot row and clear that column from every other row.  Kept to check
+    the incremental elimination of paraclaw.linalg."""
+    work = [dict(r) for r in rows if r]
+    reduced: list[dict] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        pivot_row = None
+        for r in work:
+            if r.get(col):
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        work.remove(pivot_row)
+        inv = 1 / pivot_row[col]
+        pivot_row = {c: v * inv for c, v in pivot_row.items()}
+        for target in (work, reduced):
+            for i, r in enumerate(target):
+                factor = r.get(col)
+                if factor:
+                    target[i] = _naive_subtract(r, factor, pivot_row)
+        work = [r for r in work if r]
+        reduced.append(pivot_row)
+        pivots.append(col)
+    return reduced, pivots
 
 
 # ---------------------------------------------------------------------------
