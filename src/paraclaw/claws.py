@@ -260,13 +260,13 @@ def jacobi_potential_order(law: ConservationLaw) -> int:
 
 def reconstruct_flux(eq: EvolutionEquation, T: Expr) -> tuple[Expr, ...]:
     """Fluxes X with D_t T + Div X = 0 on solutions."""
-    return _reconstruct_flux(eq, T, build_replacement_table(eq, ORDER_GUARD))
+    return _flux(_on_shell_dt(T, build_replacement_table(eq, ORDER_GUARD)), eq.n)
 
 
-def _reconstruct_flux(eq: EvolutionEquation, T: Expr,
-                      table: ReplacementTable) -> tuple[Expr, ...]:
+def _flux(R: Expr, n: int) -> tuple[Expr, ...]:
+    """Fluxes X with R + Div X = 0, for R = reduce(D_t T)."""
     try:
-        return invert_divergence(-_on_shell_dt(T, table), eq.n)
+        return invert_divergence(-R, n)
     except NotInDivergenceImage as exc:
         raise FluxReconstructionFailed(str(exc)) from exc
 
@@ -277,14 +277,15 @@ def verify(eq: EvolutionEquation, law: ConservationLaw) -> bool:
         raise ValueError("law has no flux to verify")
     if len(law.X) != eq.n:
         raise ValueError(f"expected {eq.n} fluxes, got {len(law.X)}")
-    return _verify(law, build_replacement_table(eq, ORDER_GUARD))
+    return _balances(_on_shell_dt(law.T, build_replacement_table(eq, ORDER_GUARD)),
+                     law.X)
 
 
-def _verify(law: ConservationLaw, table: ReplacementTable) -> bool:
-    residual = _on_shell_dt(law.T, table)
-    for i, X in enumerate(law.X, start=1):
-        residual = residual + total_derivative(X, i)
-    return residual.is_zero
+def _balances(R: Expr, X: tuple[Expr, ...]) -> bool:
+    """R + sum_i D_i X^i == 0, for R = reduce(D_t T)."""
+    for i, Xi in enumerate(X, start=1):
+        R = R + total_derivative(Xi, i)
+    return R.is_zero
 
 
 def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None,
@@ -300,9 +301,10 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     reconstructed by exact divergence inversion.  Every returned law
     satisfies the conservation identity exactly and has characteristic of
     jet order <= 2.  Q_ansatz = E_u(T_ansatz) is computed once, for the
-    assembly and the characteristics; the one replacement table, which
-    flux reconstruction and verification share, is built only when the
-    first law is kept."""
+    assembly and the characteristics.  Each law's on-shell D_t T is
+    computed once, from the one replacement table, and serves both its flux
+    and its identity check; the table is built only when the first law is
+    kept."""
     spec = spec or AnsatzSpec()
     if parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC and not force:
         raise NotParabolicEquation(
@@ -325,8 +327,9 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         T, Q = combine(densities, vec) * scale, Q * scale
         if table is None:
             table = build_replacement_table(eq, ORDER_GUARD)
+        R = _on_shell_dt(T, table)
         try:
-            X = _reconstruct_flux(eq, T, table)
+            X = _flux(R, eq.n)
         except FluxReconstructionFailed as exc:
             raise InvariantViolation(
                 f"null-space density has no flux: T = {T}") from exc
@@ -334,7 +337,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         if jacobi_potential_order(law) > 2:
             raise InvariantViolation(
                 f"characteristic of jet order > 2 found: {Q}")
-        if not _verify(law, table):
+        if not _balances(R, X):
             raise InvariantViolation(f"reconstructed flux fails to verify for T = {T}")
         laws.append(law)
     return laws

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .claws import (
-    AnsatzSpec, ConservationLaw, NotParabolicEquation, cross_validate_ma,
-    find_conservation_laws, jacobi_potential_order, verify,
+    AnsatzSpec, ConservationLaw, InvariantViolation, NotParabolicEquation,
+    cross_validate_ma, find_conservation_laws, jacobi_potential_order, verify,
 )
 from .expr import (
     BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Symbol,
@@ -453,7 +453,7 @@ def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
     # the cross-check uses the pointwise verdict, so a --symbolic one is not reused
     validation = cross_validate_ma(eq, laws, None if symbolic else ma)
     if not validation.consistent:
-        raise RuntimeError(f"MA cross-validation violated: {validation.detail}")
+        raise InvariantViolation(f"MA cross-validation violated: {validation.detail}")
     report["parabolicity"] = verdict.value
     report["ma"] = _ma_section(ma)
     report["laws"] = [_law_section(law, eq.n) for law in laws]
@@ -612,6 +612,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (NotParabolicEquation, DivisionByZeroExpr, NotPolynomialIn,
             TimeJetPresent, NotInDivergenceImage, OrderOverflow,
             ValueError, OSError, RuntimeError) as exc:

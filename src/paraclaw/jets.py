@@ -198,13 +198,13 @@ class ReplacementTable:
         return e.substitute(bindings) if bindings else e
 
 
-def build_replacement_table(equation: "EvolutionEquation", max_order: int,
-                            guard: int = ORDER_GUARD) -> ReplacementTable:
+def build_replacement_table(equation: "EvolutionEquation",
+                            max_order: int) -> ReplacementTable:
     """Replacement table covering every (I, t), t >= 1, of order <= max_order."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if max_order > guard:
-        raise OrderOverflow(f"max_order {max_order} exceeds guard {guard}")
+    if max_order > ORDER_GUARD:
+        raise OrderOverflow(f"max_order {max_order} exceeds guard {ORDER_GUARD}")
     return ReplacementTable(equation, max_order)
 
 

@@ -15,7 +15,9 @@ Two Monge-Ampere verdicts are computed and reported side by side:
   i.e. the totally symmetric component of the secondary invariant.  Its
   vanishing is the condition for a Monge-Ampere deprolongation, and it is
   strictly weaker than minor affinity (Laplacian-squared reaction terms
-  pass it while failing the literal minor test).
+  pass it while failing the literal minor test).  It is computed in closed
+  form from det(g), adj(g) (Faddeev-LeVerrier) and two adjugate Laplacians
+  of q, with no matrix inverse and no linear solve.
 
 Parabolicity and the residue are certified at a user-supplied reference
 2-jet; global positivity of a symbolic matrix is not decided here.
@@ -27,7 +29,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import linalg
 from .expr import (
@@ -48,7 +50,8 @@ class PreconditionSpatialDim(ValueError):
 
 
 class SingularSymbol(ArithmeticError):
-    """The symbol matrix is not invertible at the reference jet."""
+    """The symbol matrix is not invertible at the reference jet (or, in the
+    symbolic residue test, its determinant vanishes identically)."""
 
 
 class Parabolicity(str, enum.Enum):
@@ -190,78 +193,64 @@ def is_minor_affine(eq: EvolutionEquation) -> bool:
     return quartic_form(eq).is_zero
 
 
-def _invert_matrix(g: list[list[Expr]]) -> list[list[Expr]]:
+def _det_adjugate(g: Sequence[Sequence[Expr]]) -> tuple[Expr, list[list[Expr]]]:
+    """(det g, adj g) by Faddeev-LeVerrier: ring operations and division by
+    the integers 1..n only, so polynomial entries stay polynomial."""
     n = len(g)
-    cols = []
-    for j in range(n):
-        rhs = [ONE if i == j else ZERO for i in range(n)]
-        col = linalg.solve_dense([list(row) for row in g], rhs, ZERO)
-        if col is None:
-            raise SingularSymbol("symbol matrix is singular")
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    m = [[ZERO] * n for _ in range(n)]
+    c = ONE
+    for k in range(1, n + 1):
+        adj = [[m[i][j] + c if i == j else m[i][j] for j in range(n)]
+               for i in range(n)]
+        m = [[sum((g[i][l] * adj[l][j] for l in range(n)), ZERO) for j in range(n)]
+             for i in range(n)]
+        c = -sum((m[i][i] for i in range(n)), ZERO) * Fraction(1, k)
+    # c = (-1)^n det g and adj g = (-1)^(n-1) M_n, M_n the last ``adj``
+    det = c if n % 2 == 0 else -c
+    if det.is_zero:
+        raise SingularSymbol("symbol matrix is singular")
+    if n % 2 == 0:
+        adj = [[-v for v in row] for row in adj]
+    return det, adj
 
 
-def _trace_with(ginv: list[list[Expr]], P: Expr, xi: list[Symbol]) -> Expr:
+def _trace_with(adj: list[list[Expr]], P: Expr, xi: list[Symbol]) -> Expr:
     out = ZERO
     for i in range(len(xi)):
         for j in range(len(xi)):
-            if ginv[i][j].is_zero:
+            if adj[i][j].is_zero:
                 continue
-            out = out + ginv[i][j] * P.diff(xi[i]).diff(xi[j])
+            out = out + adj[i][j] * P.diff(xi[i]).diff(xi[j])
     return out
 
 
 def _residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
                            ) -> tuple[Expr, Expr, Expr]:
-    """(q0, h, sigma) with q = q0 + sigma * h and tr_g(q0) = 0."""
+    """(q0, h, sigma) with q = q0 + sigma * h and tr_g(q0) = 0, in closed form.
+
+    L = sum adj(g)_ij d_xi_i d_xi_j is det(g) tr_g, and tr_g(sigma p) =
+    sigma tr_g(p) + (2n + 4 deg p) p.  On the harmonic split
+    q = H4 + sigma H2 + sigma^2 H0 (tr_g H4 = tr_g H2 = 0) this gives
+    L(q) = det ((2n+8) H2 + (4n+8) sigma H0) and L(L(q)) = det^2 2n(4n+8) H0,
+    so h = H2 + sigma H0 and q0 = H4 need no inverse and no linear solve."""
     if eq.n < 2:
         raise PreconditionSpatialDim("traceless residue needs n >= 2")
     n = eq.n
     xi = xi_symbols(n)
     q = quartic_form(eq)
     sf = symbol_form(eq)
-    if symbolic:
-        g = [list(row) for row in sf.g]
-    else:
+    if not symbolic:
         ref = eq.reference_jet
-        g = [[Expr.const(entry.eval_fraction(ref)) for entry in row] for row in sf.g]
+        sf = SymbolForm(n, tuple(tuple(Expr.const(entry.eval_fraction(ref))
+                                       for entry in row) for row in sf.g))
         q = q.substitute(ref)
-    ginv = _invert_matrix(g)
-
-    sigma = ZERO
-    for i in range(n):
-        for j in range(n):
-            sigma = sigma + g[i][j] * Expr.symbol(xi[i]) * Expr.symbol(xi[j])
-
-    pairs = [(k, l) for k in range(n) for l in range(k, n)]
-    pair_monos = []
-    for k, l in pairs:
-        if k == l:
-            pair_monos.append(((xi[k], 2),))
-        else:
-            pair_monos.append(((xi[k], 1), (xi[l], 1)))
-
-    # tr_g(q - sigma*h) = 0, linear in the n(n+1)/2 unknown h_kl
-    target = _trace_with(ginv, q, xi).poly_coefficients(xi)
-    matrix = []
-    rhs = []
-    columns = []
-    for k, l in pairs:
-        basis = Expr.symbol(xi[k]) * Expr.symbol(xi[l])
-        columns.append(_trace_with(ginv, sigma * basis, xi).poly_coefficients(xi))
-    for mono in pair_monos:
-        matrix.append([colmap.get(mono, ZERO) for colmap in columns])
-        rhs.append(target.get(mono, ZERO))
-    coeffs = linalg.solve_dense(matrix, rhs, ZERO)
-    if coeffs is None:
-        raise SingularSymbol("trace equations are singular (degenerate symbol)")
-
-    h = ZERO
-    for (k, l), c in zip(pairs, coeffs):
-        h = h + c * Expr.symbol(xi[k]) * Expr.symbol(xi[l])
-    q0 = q - sigma * h
-    return q0, h, sigma
+    det, adj = _det_adjugate(sf.g)
+    sigma = sf.sigma()
+    Lq = _trace_with(adj, q, xi)
+    LLq = _trace_with(adj, Lq, xi)
+    h = ((4 * n + 8) * det * Lq - sigma * LLq) \
+        / ((2 * n + 8) * (4 * n + 8) * det * det)
+    return q - sigma * h, h, sigma
 
 
 def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
@@ -270,7 +259,8 @@ def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
 
     By default the symbol and the quartic coefficients are evaluated at the
     reference jet (enough to falsify Monge-Ampere-ness); ``symbolic=True``
-    solves the trace equations over the full rational-function field.
+    keeps them exact over the rational functions of the jet.  SingularSymbol
+    is raised when det(g) vanishes (identically, when symbolic).
     """
     return _residue_decomposition(eq, symbolic)[0]
 

@@ -136,26 +136,24 @@ class TestCharacteristicForm:
         assert laws and len(built) == 1
 
     def test_verify_still_eliminates_time_jets(self, monkeypatch):
-        reduced_in_verify = []
-        in_verify = []
-        real_verify, real_reduce = claws._verify, claws.reduce_to_spatial
+        # the identity check reads reduce(D_t T) from the replacement table,
+        # computed once per law and shared with flux reconstruction
+        reduced, checked = [], []
+        real_balances, real_reduce = claws._balances, claws.reduce_to_spatial
 
-        def tracking_verify(*args):
-            in_verify.append(True)
-            try:
-                return real_verify(*args)
-            finally:
-                in_verify.pop()
+        def tracking_balances(R, X):
+            checked.append(R)
+            return real_balances(R, X)
 
         def tracking_reduce(*args):
-            if in_verify:
-                reduced_in_verify.append(args)
-            return real_reduce(*args)
+            reduced.append(real_reduce(*args))
+            return reduced[-1]
 
-        monkeypatch.setattr(claws, "_verify", tracking_verify)
+        monkeypatch.setattr(claws, "_balances", tracking_balances)
         monkeypatch.setattr(claws, "reduce_to_spatial", tracking_reduce)
         laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 1))
-        assert laws and len(reduced_in_verify) == len(laws)
+        assert laws and len(reduced) == len(checked) == len(laws)
+        assert all(R is got for R, got in zip(checked, reduced))
 
 
 class TestSolveExact:

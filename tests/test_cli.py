@@ -297,6 +297,24 @@ class TestMainEntry:
             "the equation prolonged past the order limit 12\n")
         assert main(["verify", str(f), "--density", "u_" + "x" * 11, "--flux", "0"]) == 0
 
+    @pytest.mark.parametrize("broken", ["cross_validation", "flux_check"])
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch, broken):
+        from paraclaw import claws, cli
+        from paraclaw.claws import CrossValidation
+        if broken == "cross_validation":
+            monkeypatch.setattr(cli, "cross_validate_ma", lambda eq, laws, report=None:
+                                CrossValidation(False, len(laws), report, "forced"))
+            message = "MA cross-validation violated: forced"
+        else:
+            monkeypatch.setattr(claws, "_balances", lambda R, X: False)
+            message = "reconstructed flux fails to verify for T = u"
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        assert main(["claws", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {message}\n"
+
     def test_unsafe_order_flag(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"
         f.write_text("n=1; u_t = u_xx")

@@ -15,12 +15,20 @@ from paraclaw.parabolic import (
     _residue_decomposition, is_minor_affine, ma_classify, ma_traceless_residue,
     parabolicity_check, quartic_form, symbol_form, xi_symbols,
 )
-from util import random_poly, u, u11, u12, u22, ux, uxx, x
+from util import (
+    jet, random_poly, suite_residue_equivalence, u, u11, u12, u22, ux, uxx, x,
+)
 
 
 XI1, XI2 = (Expr.symbol(s) for s in xi_symbols(2))
 LAPLACIAN = u11 + u22
 DET_HESS = u11 * u22 - u12 ** 2
+LAP3 = jet(1, 1) + jet(2, 2) + jet(3, 3)
+DET_HESS3 = sum(
+    (sign * jet(*sorted((1, p[0]))) * jet(*sorted((2, p[1]))) * jet(*sorted((3, p[2])))
+     for p, sign in (((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1),
+                     ((1, 3, 2), -1), ((3, 2, 1), -1), ((2, 1, 3), -1))),
+    ZERO)
 
 
 def det_hess_eq():
@@ -241,7 +249,8 @@ class TestTracelessResidue:
         assert q0.is_zero == (divexact_ok(q, sigma))
 
     def test_postcheck_decomposition_and_trace(self):
-        from paraclaw.parabolic import _invert_matrix, _trace_with
+        from paraclaw.parabolic import _trace_with
+        from util import naive_invert_matrix as _invert_matrix
         for G in (LAPLACIAN + LAPLACIAN ** 2,
                   LAPLACIAN + u11 ** 2,
                   LAPLACIAN + u11 * u22,
@@ -270,6 +279,34 @@ class TestTracelessResidue:
         assert ma_traceless_residue(eq, symbolic=True).is_zero
         eq2 = EvolutionEquation(2, LAPLACIAN + u11 ** 2)
         assert not ma_traceless_residue(eq2, symbolic=True).is_zero
+
+    def test_matches_inverse_and_trace_equation_reference(self):
+        assert suite_residue_equivalence() == 58
+
+    @pytest.mark.parametrize("G, ref, vanishes", [
+        (LAP3 + DET_HESS3, {jet_var((i, i)): 1 for i in (1, 2, 3)}, True),
+        (LAP3 + u11 ** 2, {}, False),
+    ], ids=["det_hessian", "anisotropic"])
+    def test_symbolic_n3_agrees_with_random_points(self, G, ref, vanishes):
+        # Schwartz-Zippel: a nonzero rational function of the jet is nonzero
+        # at most random rational points, so the symbolic residue must
+        # specialize to the pointwise one and vanish exactly when it does
+        q0 = ma_traceless_residue(EvolutionEquation(3, G, ref), symbolic=True)
+        assert q0.is_zero == vanishes
+        rng = random.Random(53)
+        checked = nonzero = 0
+        for _ in range(12):
+            point = {s: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                     for s in G.symbols()}
+            try:
+                at_point = ma_traceless_residue(EvolutionEquation(3, G, point))
+            except SingularSymbol:
+                continue
+            assert q0.substitute(point) == at_point
+            checked += 1
+            nonzero += not at_point.is_zero
+        assert checked >= 8
+        assert (nonzero == 0) == vanishes
 
 
 def divexact_ok(a: Expr, b: Expr) -> bool:

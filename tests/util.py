@@ -22,13 +22,18 @@ from paraclaw.claws import (
     cross_validate_ma, find_conservation_laws, generate_ansatz, linear_columns,
     solve_exact, verify,
 )
-from paraclaw.expr import JET, Expr, Symbol, ZERO, base_var, jet_symbol, jet_var
+from paraclaw.expr import (
+    JET, Expr, ONE, Symbol, ZERO, base_var, jet_symbol, jet_var,
+)
 from paraclaw.jets import (
     ORDER_GUARD, NotInDivergenceImage, build_replacement_table, euler_operator,
     invert_divergence, reduce_to_spatial, spatial_jet_vars, total_derivative,
 )
 from paraclaw.corpus import CORPUS
-from paraclaw.parabolic import EvolutionEquation
+from paraclaw.parabolic import (
+    EvolutionEquation, PreconditionSpatialDim, SingularSymbol,
+    _residue_decomposition, _trace_with, quartic_form, symbol_form, xi_symbols,
+)
 
 t = Expr.symbol(base_var(0))
 x = Expr.symbol(base_var(1))
@@ -68,7 +73,9 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # ---------------------------------------------------------------------------
 # Naive references: the textbook definitions, one partial derivative per
 # symbol, kept to check the one-pass and Horner kernels of paraclaw.jets;
-# the column-sweep RREF, kept to check paraclaw.linalg
+# the column-sweep RREF, kept to check paraclaw.linalg; the inverse-and-
+# trace-equations residue, kept to check the closed form of
+# paraclaw.parabolic
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -140,6 +147,58 @@ def naive_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
         reduced.append(pivot_row)
         pivots.append(col)
     return reduced, pivots
+
+
+def naive_invert_matrix(g: list[list[Expr]]) -> list[list[Expr]]:
+    """g^-1 column by column, one dense Gauss-Jordan solve per column."""
+    n = len(g)
+    cols = []
+    for j in range(n):
+        rhs = [ONE if i == j else ZERO for i in range(n)]
+        col = linalg.solve_dense([list(row) for row in g], rhs, ZERO)
+        if col is None:
+            raise SingularSymbol("symbol matrix is singular")
+        cols.append(col)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def naive_residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
+                                ) -> tuple[Expr, Expr, Expr]:
+    """(q0, h, sigma) with q = q0 + sigma * h and tr_g(q0) = 0: invert g,
+    then solve the n(n+1)/2 linear equations tr_g(q - sigma * h) = 0 for
+    the coefficients of the quadratic h."""
+    if eq.n < 2:
+        raise PreconditionSpatialDim("traceless residue needs n >= 2")
+    n = eq.n
+    xi = xi_symbols(n)
+    q = quartic_form(eq)
+    sf = symbol_form(eq)
+    if symbolic:
+        g = [list(row) for row in sf.g]
+    else:
+        ref = eq.reference_jet
+        g = [[Expr.const(entry.eval_fraction(ref)) for entry in row] for row in sf.g]
+        q = q.substitute(ref)
+    ginv = naive_invert_matrix(g)
+    sigma = ZERO
+    for i in range(n):
+        for j in range(n):
+            sigma = sigma + g[i][j] * Expr.symbol(xi[i]) * Expr.symbol(xi[j])
+    pairs = [(k, l) for k in range(n) for l in range(k, n)]
+    target = _trace_with(ginv, q, xi).poly_coefficients(xi)
+    columns = [_trace_with(ginv, sigma * Expr.symbol(xi[k]) * Expr.symbol(xi[l]),
+                           xi).poly_coefficients(xi) for k, l in pairs]
+    monos = [((xi[k], 2),) if k == l else ((xi[k], 1), (xi[l], 1))
+             for k, l in pairs]
+    matrix = [[colmap.get(mono, ZERO) for colmap in columns] for mono in monos]
+    rhs = [target.get(mono, ZERO) for mono in monos]
+    coeffs = linalg.solve_dense(matrix, rhs, ZERO)
+    if coeffs is None:
+        raise SingularSymbol("trace equations are singular (degenerate symbol)")
+    h = ZERO
+    for (k, l), c in zip(pairs, coeffs):
+        h = h + c * Expr.symbol(xi[k]) * Expr.symbol(xi[l])
+    return q - sigma * h, h, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +393,58 @@ def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
             == naive_determining_expression(eq, T), \
             f"characteristic form differs for u_t = {G}, T = {T}"
     return cases
+
+
+def _residue_outcome(decompose, eq: EvolutionEquation, symbolic: bool):
+    try:
+        return decompose(eq, symbolic)
+    except SingularSymbol:
+        return "singular"
+
+
+def _random_parabolic_like(rng: random.Random, n: int, extra: Expr) -> EvolutionEquation:
+    """u_t = sum_i c_i u_ii + extra, with random rational reference values
+    for every symbol (so some symbols are singular at the reference jet)."""
+    G = extra
+    for i in range(1, n + 1):
+        G = G + rng.randint(1, 3) * Expr.symbol(jet_var((i, i)))
+    ref = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in G.symbols()}
+    return EvolutionEquation(n, G, ref)
+
+
+def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
+    """The closed-form (q0, h, sigma) of paraclaw.parabolic equals
+    naive_residue_decomposition, or both raise SingularSymbol: on every
+    corpus entry with n >= 2, pointwise and symbolic; on random G for
+    n = 2..4 pointwise; and on random G for n = 2 symbolically.  The random
+    pointwise G are polynomials of degree <= 6 in the Hessian and
+    first-order data.  A symbolic G has one term quadratic in the Hessian
+    and one Hessian entry times first-order data: the gcds that normalize
+    the rational coefficients run for minutes on richer G, such as
+    u_11*u_12*u_22, on either route.  Returns the number of (equation,
+    mode) pairs checked."""
+    rng = random.Random(seed)
+    problems = [(entry.equation(), symbolic) for entry in CORPUS
+                if entry.equation().n >= 2 for symbolic in (False, True)]
+    for k in range(cases):
+        n = 2 + k % 3
+        hess = [s for s in spatial_jet_vars(n, 2) if s.jet.order == 2]
+        lower = [base_var(1), jet_var(), jet_var((1,))]
+        extra = random_poly(rng, hess + lower, terms=3, max_exp=2)
+        problems.append((_random_parabolic_like(rng, n, extra), False))
+        if n == 2:
+            extra = rng.randint(1, 5) * Expr.symbol(rng.choice(hess)) \
+                * Expr.symbol(rng.choice(hess)) \
+                + rng.randint(-5, 5) * Expr.symbol(rng.choice(lower)) \
+                * Expr.symbol(rng.choice(hess))
+            problems.append((_random_parabolic_like(rng, n, extra), True))
+    for eq, symbolic in problems:
+        got = _residue_outcome(_residue_decomposition, eq, symbolic)
+        want = _residue_outcome(naive_residue_decomposition, eq, symbolic)
+        assert got == want if isinstance(got, str) or isinstance(want, str) \
+            else tuple(got) == tuple(want), \
+            f"residue differs for u_t = {eq.G} (symbolic={symbolic})"
+    return len(problems)
 
 
 def suite_triviality_filter(cases: int = 100, seed: int = 17) -> int:
