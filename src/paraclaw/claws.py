@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .expr import (
@@ -108,9 +109,11 @@ class DeterminingSystem:
 
     One row per monomial of E_u(dT/dt + G Q) in the base and jet variables,
     with T = T_ansatz and Q = E_u(T_ansatz) (the characteristic form of
-    E_u(reduce(D_t T_ansatz))); ``rows`` are sparse {column: Fraction} over
-    ``unknowns``.  ``Q_ansatz`` = E_u(T_ansatz), or None for a system not
-    built by :func:`assemble_determining_system`."""
+    E_u(reduce(D_t T_ansatz))), scaled by the lcm d of the denominators
+    of G; ``rows`` are sparse {column: coefficient} over ``unknowns``, with
+    ``int`` coefficients for an ``int`` ansatz.  ``Q_ansatz`` =
+    E_u(T_ansatz), or None for a system not built by
+    :func:`assemble_determining_system`."""
 
     unknowns: list[Symbol]
     rows: list[dict] = field(default_factory=list)
@@ -137,7 +140,8 @@ class CrossValidation:
 # ---------------------------------------------------------------------------
 
 def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list[Symbol]]:
-    """Density ansatz sum_k c_k m_k over all monomials within the bounds.
+    """Density ansatz sum_k c_k m_k over all monomials within the bounds,
+    with ``int`` coefficients.
 
     Monomials are products of a base monomial in {t, x^1..x^n} (joint total
     degree <= base_degree) and a jet monomial in the spatial jets of order
@@ -158,7 +162,7 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list
             c = ansatz_unknown(k)
             unknowns.append(c)
             mono = tuple(sorted(bm + jm + ((c, 1),), key=lambda p: p[0].key))
-            terms[mono] = Fraction(1)
+            terms[mono] = 1
     return Expr._make(Poly(terms), Poly.one()), unknowns
 
 
@@ -166,12 +170,17 @@ def assemble_determining_system(eq: EvolutionEquation, T_ansatz: Expr,
                                 max_jet_order: int = 2) -> DeterminingSystem:
     """Extract the linear determining equations for T_ansatz.
 
-    Computes E_u(dT/dt + G Q) with Q = E_u(T_ansatz), which equals
-    E_u(reduce(D_t T_ansatz)) (see the module docstring), and turns the
-    coefficient of every monomial in the base and jet variables into one
-    homogeneous equation in the ansatz unknowns.  No time jet occurs, so
-    no replacement table is built.  The system keeps Q_ansatz, from which
-    the law search reads its characteristics."""
+    Computes d E_u(dT/dt + G Q) with Q = E_u(T_ansatz), where E_u(dT/dt + G Q)
+    equals E_u(reduce(D_t T_ansatz)) (see the module docstring), and turns
+    the coefficient of every monomial in the base and jet variables into one
+    homogeneous equation in the ansatz unknowns.  Denominators are cleared
+    once, up front: d is the lcm of the denominators of G's coefficients,
+    so on the ``int`` ansatz of :func:`generate_ansatz` every step runs on
+    ``int`` coefficients and the rows are d times the rows of
+    E_u(dT/dt + G Q), with ``int`` entries.  The scale changes neither the
+    null space nor the reduced rows.  No time jet occurs, so no replacement
+    table is built.  The system keeps Q_ansatz, from which the law search
+    reads its characteristics."""
     order = spatial_jet_order(T_ansatz)
     if order > max_jet_order:
         raise ValueError(f"ansatz jet order {order} exceeds allowed {max_jet_order}")
@@ -190,9 +199,19 @@ def assemble_determining_system(eq: EvolutionEquation, T_ansatz: Expr,
 
 
 def _determining_expression(eq: EvolutionEquation, T: Expr, Q: Expr) -> Expr:
-    """E_u(dT/dt + G Q) for Q = E_u(T): E_u(reduce(D_t T)) in characteristic
-    form, with no time jet and no replacement table."""
-    return euler_operator(T.diff(TIME) + eq.G * Q)
+    """d E_u(dT/dt + G Q) for Q = E_u(T): E_u(reduce(D_t T)) in characteristic
+    form, with no time jet and no replacement table.  d is the lcm of the
+    denominators of G's coefficients, and the result is computed as
+    E_u(d dT/dt + (d G) Q), so an ``int`` T keeps every step on ``int``
+    coefficients.  A rational-function G is used as it is, with d = 1."""
+    G = eq.G
+    if not G.is_polynomial:
+        return euler_operator(T.diff(TIME) + G * Q)
+    d = lcm(*(c.denominator for c in G.num.terms.values()))
+    dG = Poly({m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()})
+    dT = T.diff(TIME)
+    return euler_operator(Expr._make(dT.num.scale(d), dT.den)
+                          + Expr._make(dG, Poly.one()) * Q)
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
@@ -306,7 +325,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     and its identity check; the table is built only when the first law is
     kept."""
     spec = spec or AnsatzSpec()
-    if parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC and not force:
+    if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation(
             "symbol is not parabolic at the reference jet; pass force=True to proceed")
     T_ansatz, unknowns = generate_ansatz(eq, spec)
@@ -323,7 +342,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
             continue  # density is a spatial divergence: trivial
         if not kept.add(Q.num.terms):
             continue  # Q is a combination of the characteristics already kept
-        scale = 1 / Q.num.leading()[1]
+        scale = Fraction(1) / Q.num.leading()[1]
         T, Q = combine(densities, vec) * scale, Q * scale
         if table is None:
             table = build_replacement_table(eq, ORDER_GUARD)

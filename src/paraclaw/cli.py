@@ -25,6 +25,7 @@ identical inputs; elapsed time appears only in --text output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -449,7 +450,9 @@ def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
     ma = ma_classify(eq, symbolic=symbolic)
     if ma.singular_symbol:
         warnings.append("singular symbol at the reference jet; residue test skipped")
-    laws = find_conservation_laws(eq, spec, force=force)
+    # the verdict above stands in for find_conservation_laws' own check
+    laws = find_conservation_laws(
+        eq, spec, force=force or verdict is not Parabolicity.NOT_PARABOLIC)
     # the cross-check uses the pointwise verdict, so a --symbolic one is not reused
     validation = cross_validate_ma(eq, laws, None if symbolic else ma)
     if not validation.consistent:
@@ -548,7 +551,10 @@ def _ansatz_spec(pf: ProblemFile, args: argparse.Namespace) -> AnsatzSpec:
     )
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    does not change it."""
     ap = argparse.ArgumentParser(
         prog="paraclaw",
         description="Conservation laws and Monge-Ampere classification for "

@@ -21,7 +21,6 @@ hence every downstream linear-algebra step) decidable.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -123,6 +122,7 @@ class Symbol:
     jet: MultiIndex | None = None
     name: str = field(default="", compare=False, repr=False)
     key: tuple = field(init=False, compare=False, repr=False)
+    _rkey: tuple = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -131,9 +131,14 @@ class Symbol:
             if mi is None:
                 raise ValueError("jet symbol needs a MultiIndex")
             key = (1, mi.order, mi.time_power, mi.spatial)
+            # equal order and time power imply equal spatial length, so
+            # negating elementwise reverses the order of the keys
+            rkey = (-1, -mi.order, -mi.time_power, tuple(-i for i in mi.spatial))
         else:
             key = (_KIND_RANK[self.kind], self.index)
+            rkey = (-key[0], -self.index)
         object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_rkey", rkey)
         # symbols key every monomial dict, so hash once; from exactly the
         # fields equality compares (the kind by rank: no string hash seed)
         object.__setattr__(
@@ -278,7 +283,18 @@ def mono_cmp(m1: Monomial, m2: Monomial) -> int:
     return 0
 
 
-mono_sort_key = functools.cmp_to_key(mono_cmp)
+def mono_sort_key(m: Monomial) -> list:
+    """Sort key of the order :func:`mono_cmp` defines: [degree, reversed
+    key of the first symbol, its exponent, ...].  The symbol keys are
+    reversed, so the earlier symbol and then the larger exponent sort
+    higher."""
+    key = [0]
+    degree = 0
+    for s, e in m:
+        degree += e
+        key += (s._rkey, e)
+    key[0] = degree
+    return key
 
 
 def mono_split(m: Monomial, varset: frozenset) -> tuple[Monomial, Monomial]:
@@ -297,7 +313,12 @@ _F1 = Fraction(1)
 
 
 class Poly:
-    """Sparse multivariate polynomial: dict monomial -> nonzero Fraction."""
+    """Sparse multivariate polynomial: dict monomial -> nonzero coefficient.
+
+    A coefficient is a nonzero ``int`` or ``Fraction``.  Ring arithmetic,
+    :meth:`diff` and the total derivatives of :mod:`paraclaw.jets` keep
+    ``int`` coefficients ``int``; every division returns a ``Fraction``.
+    """
 
     __slots__ = ("terms",)
 
@@ -420,7 +441,6 @@ class Poly:
         return Poly(out)
 
     def scale(self, c: Rationalish) -> "Poly":
-        c = Fraction(c)
         if not c:
             return Poly()
         return Poly({m: k * c for m, k in self.terms.items()})
@@ -536,7 +556,7 @@ def divexact(p: Poly, q: Poly) -> Poly:
         if not mono_divides(qm, pm):
             raise ValueError("inexact polynomial division")
         m = mono_div(pm, qm)
-        c = pc / qc
+        c = Fraction(pc, qc) if type(pc) is type(qc) is int else pc / qc
         out[m] = c
         rest = (r - q.mono_shift(m).scale(c)).terms
     return Poly(out)
@@ -556,7 +576,7 @@ def _monic(p: Poly) -> Poly:
     if p.is_zero:
         return p
     _, c = p.leading()
-    return p if c == 1 else p.scale(1 / c)
+    return p if c == 1 else p.scale(_F1 / c)
 
 
 def _univariate_view(p: Poly, v: Symbol) -> dict[int, Poly]:
@@ -681,7 +701,7 @@ class Expr:
             if den.terms != _ONE_POLY.terms:
                 _, lc = den.leading()
                 if lc != 1:
-                    num, den = num.scale(1 / lc), den.scale(1 / lc)
+                    num, den = num.scale(_F1 / lc), den.scale(_F1 / lc)
         return Expr(num, den, _raw=True)
 
     @staticmethod

@@ -351,7 +351,7 @@ def _integrate_x1(terms: dict) -> Expr:
     out = {}
     for mono, c in terms.items():
         m = mono_mul(mono, ((x1, 1),))
-        out[m] = c / dict(m)[x1]
+        out[m] = Fraction(c) / dict(m)[x1]
     return Expr._make(Poly(out), Poly.one())
 
 

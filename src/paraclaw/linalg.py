@@ -1,112 +1,164 @@
 """Exact rational linear algebra: sparse RREF, null spaces, independence
 tests, particular solutions, determinants.
 
-Rows are sparse dicts ``{column: Fraction}``.  All sparse elimination is
-one incremental Gauss-Jordan loop, :class:`Echelon`, which pivots each new
-row on its smallest remaining column; ``rref`` feeds it the rows in order
-and sorts the result by pivot.  The reduced row echelon form is unique for
-a fixed column order, so the result does not depend on the row order.
-Everything is exact -- no floating point anywhere, which is what keeps
-determining-system null spaces honest.
+Rows are sparse dicts ``{column: coefficient}`` with ``int`` or ``Fraction``
+entries.  All sparse elimination is one incremental Gauss-Jordan loop,
+:class:`Echelon`, which runs fraction-free, after Bareiss (Math. Comp. 22,
+1968): each row is scaled to integers once, eliminated with Python ints,
+and kept primitive by dividing out the gcd of its entries (where Bareiss
+divides exactly by the previous pivot).  ``rref`` divides by the pivots
+once, at the end, and returns ``Fraction`` rows sorted by pivot.  The
+reduced row echelon form is unique for a fixed column order, so the result
+depends neither on the row order nor on the arithmetic.  Everything is exact -- no
+floating point anywhere, which is what keeps determining-system null
+spaces honest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-SparseRow = dict  # dict[int, Fraction]
+SparseRow = dict  # dict[key, int | Fraction]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _subtract(row: SparseRow, factor: Fraction, other: SparseRow) -> None:
-    """row -= factor * other, in place."""
-    for c, v in other.items():
-        acc = row.get(c, _F0) - factor * v
-        if acc:
-            row[c] = acc
-        else:
-            row.pop(c, None)
 
 
 def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
     """Reduced row echelon form.
 
     Returns (reduced nonzero rows, pivot column per row), in increasing
-    pivot order.  Input rows are not mutated.
+    pivot order; the rows have ``Fraction`` entries.  Input rows are not
+    mutated.
     """
     echelon = Echelon()
     for row in rows:
         echelon.add(row)
-    pivots = sorted(echelon.rows)
-    return [echelon.rows[p] for p in pivots], pivots
-
-
-def _primitive_signed(entries: SparseRow, ncols: int) -> list[Fraction]:
-    """The dense vector with these nonzero entries, scaled to a primitive
-    integer vector whose first nonzero entry is positive."""
-    lcm = 1
-    for v in entries.values():
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = {i: int(v * lcm) for i, v in entries.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if ints[min(ints)] < 0:
-        g = -g
-    vec = [_F0] * ncols
-    for i, v in ints.items():
-        vec[i] = Fraction(v // g)
-    return vec
+    reduced = echelon.rows
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
 
 
 def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
     """Basis of the null space of the homogeneous system, one vector per free
     column, each scaled to a primitive integer vector with positive leading
-    entry."""
+    entry.
+
+    The vector of free column f is L e_f - sum_p (n_p L / d_p) e_p over the
+    reduced rows with entry n_p / d_p (in lowest terms) at f, where L is
+    the lcm of the d_p.  It is primitive: a prime dividing L divides some d_p
+    to its full power in L, and then not n_p L / d_p.  Each such pivot p is
+    smaller than f, so the sign of the vector is set by the first of them.
+    """
     reduced, pivots = rref(rows, ncols)
+    by_column: dict[int, list] = {}
+    for row, piv in zip(reduced, pivots):
+        for c, v in row.items():
+            if c != piv:
+                by_column.setdefault(c, []).append((piv, v))
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        entries = {free: _F1}
-        for row, piv in zip(reduced, pivots):
-            coeff = row.get(free)
-            if coeff:
-                entries[piv] = -coeff
-        basis.append(_primitive_signed(entries, ncols))
+        vec = [_F0] * ncols
+        entries = by_column.get(free, ())
+        scale = lcm(*(v.denominator for _, v in entries)) if entries else 1
+        if entries and entries[0][1] > 0:
+            scale = -scale
+        vec[free] = Fraction(scale)
+        for piv, v in entries:
+            vec[piv] = Fraction(-v.numerator * (scale // v.denominator))
+        basis.append(vec)
     return basis
 
 
+def _integral(row: SparseRow) -> SparseRow:
+    """The nonzero entries of row times the lcm of their denominators: an
+    ``int`` row, for ``int``, ``Fraction`` or mixed entries."""
+    den = 1
+    for v in row.values():
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+
+def _cancel(row: SparseRow, key, other: SparseRow) -> None:
+    """row := a row - b other in place, with a, b coprime and a > 0, so that
+    the entry at key cancels; other[key] must be positive."""
+    a, b = other[key], row[key]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in other.items():
+        acc = row.get(c, 0) - b * v
+        if acc:
+            row[c] = acc
+        else:
+            del row[c]
+
+
+def _make_primitive(row: SparseRow, pivot) -> None:
+    """Divide row in place by the gcd of its entries, signed so that the
+    entry at pivot is positive."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
 class Echelon:
-    """Incremental Gauss-Jordan echelon of sparse rows over orderable keys:
-    every kept row has entry 1 at its pivot, its smallest key, and 0 at
-    every other pivot.  So the kept rows, sorted by pivot, are the reduced
-    row echelon form of the rows added so far."""
+    """Incremental fraction-free Gauss-Jordan echelon of sparse rows over
+    orderable keys.
+
+    Rows with ``int``, ``Fraction`` or mixed entries are accepted; each is
+    scaled to an ``int`` row once, in :meth:`add`.  Every kept row is a
+    primitive ``int`` row, positive at its pivot (its smallest key) and 0
+    at every other pivot, so the kept rows divided by their pivot entries,
+    :attr:`rows`, are the reduced row echelon form of the rows added so
+    far."""
 
     def __init__(self) -> None:
-        self.rows: dict = {}  # pivot key -> row
+        self._rows: dict = {}   # pivot key -> primitive int row
+        self._users: dict = {}  # key -> pivots of the kept rows that may be nonzero there
+
+    @property
+    def rows(self) -> dict:
+        """pivot key -> reduced row: the kept row divided by its pivot entry,
+        with ``Fraction`` entries."""
+        return {p: {c: Fraction(v, row[p]) for c, v in row.items()}
+                for p, row in self._rows.items()}
 
     def add(self, row: SparseRow) -> bool:
         """Keep row and return True when it is linearly independent of the
         kept rows; return False otherwise.  The input is not mutated."""
-        rest = {c: v for c, v in row.items() if v}
-        for key in [k for k in rest if k in self.rows]:
-            _subtract(rest, rest[key], self.rows[key])
+        rest = _integral(row)
+        kept = self._rows
+        for key in [k for k in rest if k in kept]:
+            _cancel(rest, key, kept[key])
         if not rest:
             return False
         pivot = min(rest)
-        inv = 1 / rest[pivot]
-        rest = {c: v * inv for c, v in rest.items()}
-        for kept in self.rows.values():
-            factor = kept.get(pivot)
-            if factor:
-                _subtract(kept, factor, rest)
-        self.rows[pivot] = rest
+        _make_primitive(rest, pivot)
+        users = self._users
+        for p in users.pop(pivot, ()):
+            target = kept[p]
+            if target.get(pivot):
+                _cancel(target, pivot, rest)
+                _make_primitive(target, p)
+                for c in rest:
+                    users.setdefault(c, set()).add(p)
+        for c in rest:
+            users.setdefault(c, set()).add(pivot)
+        kept[pivot] = rest
         return True
 
 
@@ -118,7 +170,7 @@ def solve_particular(rows: list[SparseRow], rhs: Sequence[Fraction],
     for r, b in zip(rows, rhs):
         row = dict(r)
         if b:
-            row[ncols] = Fraction(b)
+            row[ncols] = b
         augmented.append(row)
     reduced, pivots = rref(augmented, ncols + 1)
     sol = [_F0] * ncols
@@ -171,7 +223,7 @@ def det(matrix: list[list[Fraction]]) -> Fraction:
             m[col], m[piv] = m[piv], m[col]
             value = -value
         value *= m[col][col]
-        inv = 1 / m[col][col]
+        inv = _F1 / m[col][col]
         for r in range(col + 1, size):
             if m[r][col]:
                 factor = m[r][col] * inv

@@ -21,8 +21,9 @@ from paraclaw.parabolic import EvolutionEquation
 from util import (
     GOLDEN_PATH, claws_corpus_reports, expr_coefficient_vector,
     heat_polynomial_space, in_span, span_equal, suite_characteristic_form_corpus,
-    suite_characteristic_form_random, suite_cross_validation,
-    suite_linear_extraction, suite_solver_soundness, suite_triviality_filter,
+    suite_characteristic_form_random, suite_cross_validation, suite_integer_assembly,
+    suite_linear_extraction, suite_reported_coefficients_are_fractions,
+    suite_solver_soundness, suite_triviality_filter,
     t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
 )
 
@@ -119,6 +120,12 @@ class TestCharacteristicForm:
 
     def test_matches_on_shell_reference_on_random_equations(self):
         assert suite_characteristic_form_random(cases=60) == 60
+
+    def test_integer_rows_are_scaled_on_shell_rows(self):
+        assert suite_integer_assembly() == 2 * len(CORPUS)
+
+    def test_reported_coefficients_are_fractions(self):
+        assert suite_reported_coefficients_are_fractions() > 2 * len(CORPUS)
 
     def test_replacement_table_built_only_once_a_law_is_kept(self, monkeypatch):
         built = []

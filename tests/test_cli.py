@@ -363,6 +363,61 @@ class TestMainEntry:
         assert report["ma"] == {"minor_affine": False, "residue_vanishes": True,
                                 "n1_affine": None}
 
+    def test_parser_built_once_and_reused(self, tmp_path, capsys):
+        """Consecutive main calls in one process share one parser and give
+        the stdout and exit code of a call with a freshly built parser."""
+        import re
+
+        from paraclaw import cli
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        calls = [
+            ["verify", str(f), "--density", "u", "--flux=-u_x", "--flux", "0"],
+            ["verify", str(f), "--density", "u", "--flux=-u_x"],
+            ["claws", str(f), "--text"],
+            ["claws", str(f)],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            out = capsys.readouterr().out
+            return code, re.sub(r"elapsed: \S+", "elapsed: <s>", out)
+
+        reused = [run(argv) for argv in calls]
+        assert [code for code, _ in reused] == [1, 0, 0, 0]
+        fresh = []
+        for argv in calls:
+            cli._build_arg_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert cli._build_arg_parser() is cli._build_arg_parser()
+        with pytest.raises(SystemExit) as usage:
+            main(["claws"])
+        assert usage.value.code == 2
+        assert run(calls[1]) == fresh[1]
+
+    def test_one_parabolicity_check_per_claws_request(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from paraclaw import claws, cli
+        calls = []
+        real = cli.parabolicity_check
+
+        def counting(eq):
+            calls.append(eq)
+            return real(eq)
+
+        monkeypatch.setattr(cli, "parabolicity_check", counting)
+        monkeypatch.setattr(claws, "parabolicity_check", counting)
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        assert main(["claws", str(f)]) == 0
+        assert len(calls) == 1
+        f.write_text("n=1; u_t = -u_xx")
+        assert main(["claws", str(f)]) == 1
+        assert capsys.readouterr().err == (
+            "error: symbol is not parabolic at the reference jet; "
+            "pass force=True to proceed\n")
+
     def test_file_options_feed_claws_defaults(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"
         f.write_text("n=1; u_t = u_xx; base_degree = 2")

@@ -2,6 +2,8 @@
 coefficient extraction, and the algebra properties that make the zero test
 trustworthy."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +11,8 @@ import pytest
 
 from paraclaw.expr import (
     DivisionByZeroExpr, Expr, NotPolynomialIn, Poly, ZERO, ONE,
-    ansatz_unknown, aux_var, base_var, divexact, jet_var, monomial_expr,
-    poly_coefficients, poly_gcd, substitute, diff,
+    ansatz_unknown, aux_var, base_var, divexact, jet_var, mono_cmp, mono_sort_key,
+    monomial_expr, poly_coefficients, poly_gcd, substitute, diff,
 )
 from util import random_poly, u, u11, u12, u22, ux, uxx, x
 
@@ -210,6 +212,28 @@ class TestOrdering:
     def test_deterministic_printing(self):
         e = u22 * u11 - u12 * u12 + 3
         assert str(e) == "u_11*u_22 - u_12^2 + 3"
+
+    def test_sort_key_matches_mono_cmp(self):
+        """mono_sort_key sorts random monomials over all four symbol kinds,
+        time jets among them, exactly as mono_cmp orders them."""
+        rng = random.Random(211)
+        symbols = [base_var(a) for a in range(4)] + [ansatz_unknown(k) for k in (1, 2, 9)] \
+            + [aux_var(k) for k in (1, 3)]
+        for order in range(4):
+            for tp in range(order + 1):
+                for spatial in itertools.combinations_with_replacement(
+                        range(1, 4), order - tp):
+                    symbols.append(jet_var(spatial, tp))
+        for _ in range(40):
+            monos = set()
+            for _ in range(rng.randint(0, 60)):
+                chosen = rng.sample(symbols, rng.randint(0, 4))
+                monos.add(tuple(sorted(((s, rng.randint(1, 3)) for s in chosen),
+                                       key=lambda p: p[0].key)))
+            monos = list(monos)
+            rng.shuffle(monos)
+            assert sorted(monos, key=mono_sort_key) == \
+                sorted(monos, key=functools.cmp_to_key(mono_cmp))
 
 
 class TestSymbolHash:

@@ -1,11 +1,13 @@
 """Exact sparse linear algebra: the incremental RREF against the column-sweep
 reference, null spaces, the independence test, particular solutions and
-determinants, over seeded random rational matrices."""
+determinants, over seeded random rational, integer and mixed matrices."""
 
 import copy
 import itertools
 import random
 from fractions import Fraction
+
+import pytest
 
 from paraclaw import linalg
 from util import naive_rref
@@ -17,7 +19,19 @@ def _entry(rng: random.Random) -> Fraction:
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
 
 
-def _random_rows(rng: random.Random, nrows: int, ncols: int) -> list[dict]:
+def _int_entry(rng: random.Random) -> int:
+    return rng.choice([-1, 1]) * rng.randint(1, 6)
+
+
+def _mixed_entry(rng: random.Random) -> int | Fraction:
+    return _int_entry(rng) if rng.random() < 0.5 else _entry(rng)
+
+
+ENTRIES = {"fraction": _entry, "int": _int_entry, "mixed": _mixed_entry}
+
+
+def _random_rows(rng: random.Random, nrows: int, ncols: int,
+                 entry=_entry) -> list[dict]:
     """Sparse rows with zero rows, duplicate and scaled rows, and rows that
     combine earlier ones mixed in, so most matrices are rank-deficient.
     Keys are inserted in random order."""
@@ -30,15 +44,15 @@ def _random_rows(rng: random.Random, nrows: int, ncols: int) -> list[dict]:
         elif kind < 0.25 and rows:
             rows.append(dict(rng.choice(rows)))
         elif kind < 0.4 and rows:
-            f = _entry(rng)
+            f = entry(rng)
             rows.append({c: f * v for c, v in rng.choice(rows).items()})
         elif kind < 0.55 and len(rows) >= 2:
             a, b = rng.sample(rows, 2)
-            fa, fb = _entry(rng), _entry(rng)
+            fa, fb = entry(rng), entry(rng)
             combo = {c: fa * a.get(c, 0) + fb * b.get(c, 0) for c in a.keys() | b.keys()}
             rows.append({c: v for c, v in combo.items() if v})
         else:
-            rows.append({c: _entry(rng) for c in range(ncols) if rng.random() < density})
+            rows.append({c: entry(rng) for c in range(ncols) if rng.random() < density})
     rng.shuffle(rows)
     return [_shuffled(rng, row) for row in rows]
 
@@ -51,11 +65,15 @@ def _shuffled(rng: random.Random, row: dict) -> dict:
     return {c: row[c] for c in keys}
 
 
-def _cases(seed: int, per_shape: int = 25):
+def _cases(seed: int, per_shape: int = 25, entry=_entry):
     rng = random.Random(seed)
     for nrows, ncols in SHAPES:
         for _ in range(per_shape):
-            yield _random_rows(rng, nrows, ncols), ncols
+            yield _random_rows(rng, nrows, ncols, entry), ncols
+
+
+def _all_fractions(rows: list[dict]) -> bool:
+    return all(type(v) is Fraction for row in rows for v in row.values())
 
 
 def _dot(row: dict, vec: list[Fraction]) -> Fraction:
@@ -70,6 +88,26 @@ def test_rref_matches_column_sweep():
         assert rows == before
         count += 1
     assert count == 25 * len(SHAPES)
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed"])
+def test_rref_of_integer_and_mixed_rows(kind):
+    """Integer and mixed int/Fraction rows give the reference RREF, and
+    every entry that comes back is a Fraction, never an int or a float."""
+    for rows, ncols in _cases(seed=151, entry=ENTRIES[kind]):
+        before = copy.deepcopy(rows)
+        reduced, pivots = linalg.rref(rows, ncols)
+        assert (reduced, pivots) == naive_rref(rows, ncols)
+        assert _all_fractions(reduced)
+        assert rows == before
+        kept = linalg.Echelon()
+        for row in rows:
+            kept.add(row)
+        assert _all_fractions(kept.rows.values())
+        for vec in linalg.nullspace(rows, ncols):
+            assert all(type(v) is Fraction and v.denominator == 1 for v in vec)
+            for row in rows:
+                assert _dot(row, vec) == 0
 
 
 def test_rref_ignores_explicit_zero_entries():

@@ -8,9 +8,11 @@ seeded; all assertions are exact.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import json
+import math
 import os
 import random
 import tempfile
@@ -23,7 +25,7 @@ from paraclaw.claws import (
     solve_exact, verify,
 )
 from paraclaw.expr import (
-    JET, Expr, ONE, Symbol, ZERO, base_var, jet_symbol, jet_var,
+    JET, Expr, ONE, Symbol, ZERO, base_var, jet_symbol, jet_var, mono_cmp,
 )
 from paraclaw.jets import (
     ORDER_GUARD, NotInDivergenceImage, build_replacement_table, euler_operator,
@@ -107,6 +109,16 @@ def naive_determining_expression(eq: EvolutionEquation, T: Expr) -> Expr:
     return euler_operator(reduce_to_spatial(total_derivative(T, 0), table))
 
 
+def determining_scale(eq: EvolutionEquation) -> int:
+    """d, the lcm of the denominators of the coefficients of a polynomial G:
+    the characteristic-form rows of paraclaw.claws are d times
+    E_u(reduce(D_t T))."""
+    d = 1
+    for c in eq.G.num.terms.values():
+        d = d * c.denominator // math.gcd(d, c.denominator)
+    return d
+
+
 def _naive_subtract(row: dict, factor: Fraction, other: dict) -> dict:
     """row - factor * other, as a new sparse row."""
     out = dict(row)
@@ -136,7 +148,7 @@ def naive_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
         if pivot_row is None:
             continue
         work.remove(pivot_row)
-        inv = 1 / pivot_row[col]
+        inv = Fraction(1) / pivot_row[col]
         pivot_row = {c: v * inv for c, v in pivot_row.items()}
         for target in (work, reduced):
             for i, r in enumerate(target):
@@ -365,7 +377,7 @@ def suite_characteristic_form_corpus() -> int:
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
             T, _ = generate_ansatz(eq, spec)
             assert _determining_expression(eq, T, euler_operator(T)) \
-                == naive_determining_expression(eq, T), \
+                == determining_scale(eq) * naive_determining_expression(eq, T), \
                 f"characteristic form differs on {entry.name} at {spec}"
             checked += 1
     return checked
@@ -390,9 +402,59 @@ def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
         eq = EvolutionEquation(n, G)
         T = random_poly(rng, syms, terms=4)
         assert _determining_expression(eq, T, euler_operator(T)) \
-            == naive_determining_expression(eq, T), \
+            == determining_scale(eq) * naive_determining_expression(eq, T), \
             f"characteristic form differs for u_t = {G}, T = {T}"
     return cases
+
+
+def rational_corpus() -> list[tuple[str, EvolutionEquation]]:
+    """Every corpus equation, and each with G replaced by 2/3 G + 1/6 u_1
+    (a parabolic equation whose coefficients have denominators)."""
+    out = []
+    for entry in CORPUS:
+        eq = entry.equation()
+        out.append((entry.name, eq))
+        G = eq.G * Fraction(2, 3) + Fraction(1, 6) * Expr.symbol(jet_var((1,)))
+        out.append((f"{entry.name} (2/3 G + u_1/6)", EvolutionEquation(eq.n, G)))
+    return out
+
+
+def suite_integer_assembly() -> int:
+    """On :func:`rational_corpus` at 2/2/1, the assembled rows are ``int``
+    and equal d times the rows of the on-shell reference
+    linear_columns(naive_determining_expression(eq, T)), under the same
+    keys, in mono_cmp order.  Returns the number of equations checked."""
+    checked = 0
+    for name, eq in rational_corpus():
+        T, unknowns = generate_ansatz(eq, AnsatzSpec(2, 2, 1))
+        system = assemble_determining_system(eq, T)
+        d = determining_scale(eq)
+        reference: dict = {}
+        columns = linear_columns(naive_determining_expression(eq, T), unknowns)
+        for k, column in enumerate(columns):
+            for key, c in column.items():
+                reference.setdefault(key, {})[k] = d * c
+        assert system.keys == sorted(reference, key=functools.cmp_to_key(mono_cmp)), name
+        assert system.rows == [reference[key] for key in system.keys], name
+        assert all(type(c) is int for row in system.rows for c in row.values()), name
+        checked += 1
+    return checked
+
+
+def suite_reported_coefficients_are_fractions() -> int:
+    """Every coefficient of every law's T, Q and X found on
+    :func:`rational_corpus` at 2/2/1 is a Fraction: no ``int`` of the
+    integer assembly and no float reaches a law.  Returns the number of
+    laws checked."""
+    laws = 0
+    for name, eq in rational_corpus():
+        for law in find_conservation_laws(eq, AnsatzSpec(2, 2, 1), force=True):
+            for e in (law.T, law.Q, *law.X):
+                for poly in (e.num, e.den):
+                    assert all(type(c) is Fraction for c in poly.terms.values()), \
+                        f"{name}: {e}"
+            laws += 1
+    return laws
 
 
 def _residue_outcome(decompose, eq: EvolutionEquation, symbolic: bool):
