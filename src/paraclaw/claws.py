@@ -203,15 +203,14 @@ def _determining_expression(eq: EvolutionEquation, T: Expr, Q: Expr) -> Expr:
     form, with no time jet and no replacement table.  d is the lcm of the
     denominators of G's coefficients, and the result is computed as
     E_u(d dT/dt + (d G) Q), so an ``int`` T keeps every step on ``int``
-    coefficients.  A rational-function G is used as it is, with d = 1."""
+    coefficients.  For a rational-function G, d is read off its numerator
+    and d G keeps G's denominator."""
     G = eq.G
-    if not G.is_polynomial:
-        return euler_operator(T.diff(TIME) + G * Q)
     d = lcm(*(c.denominator for c in G.num.terms.values()))
     dG = Poly({m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()})
     dT = T.diff(TIME)
     return euler_operator(Expr._make(dT.num.scale(d), dT.den)
-                          + Expr._make(dG, Poly.one()) * Q)
+                          + Expr._make(dG, G.den) * Q)
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:

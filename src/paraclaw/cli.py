@@ -445,14 +445,15 @@ def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
     verdict = parabolicity_check(eq)
     if verdict is Parabolicity.WEAK:
         warnings.append("weakly parabolic symbol at the reference jet")
-    if verdict is Parabolicity.NOT_PARABOLIC and force:
+    if verdict is Parabolicity.NOT_PARABOLIC:
+        if not force:
+            raise NotParabolicEquation(
+                "symbol is not parabolic at the reference jet; pass force=True to proceed")
         warnings.append("not parabolic at the reference jet; proceeding (--force)")
     ma = ma_classify(eq, symbolic=symbolic)
     if ma.singular_symbol:
         warnings.append("singular symbol at the reference jet; residue test skipped")
-    # the verdict above stands in for find_conservation_laws' own check
-    laws = find_conservation_laws(
-        eq, spec, force=force or verdict is not Parabolicity.NOT_PARABOLIC)
+    laws = find_conservation_laws(eq, spec, force=True)
     # the cross-check uses the pointwise verdict, so a --symbolic one is not reused
     validation = cross_validate_ma(eq, laws, None if symbolic else ma)
     if not validation.consistent:

@@ -127,8 +127,7 @@ class Echelon:
     far."""
 
     def __init__(self) -> None:
-        self._rows: dict = {}   # pivot key -> primitive int row
-        self._users: dict = {}  # key -> pivots of the kept rows that may be nonzero there
+        self._rows: dict = {}  # pivot key -> primitive int row
 
     @property
     def rows(self) -> dict:
@@ -148,16 +147,10 @@ class Echelon:
             return False
         pivot = min(rest)
         _make_primitive(rest, pivot)
-        users = self._users
-        for p in users.pop(pivot, ()):
-            target = kept[p]
+        for p, target in kept.items():
             if target.get(pivot):
                 _cancel(target, pivot, rest)
                 _make_primitive(target, p)
-                for c in rest:
-                    users.setdefault(c, set()).add(p)
-        for c in rest:
-            users.setdefault(c, set()).add(pivot)
         kept[pivot] = rest
         return True
 

@@ -413,10 +413,15 @@ class TestMainEntry:
         assert main(["claws", str(f)]) == 0
         assert len(calls) == 1
         f.write_text("n=1; u_t = -u_xx")
+        calls.clear()
+        classified = []
+        monkeypatch.setattr(cli, "ma_classify",
+                            lambda *a, **k: classified.append(a))
         assert main(["claws", str(f)]) == 1
         assert capsys.readouterr().err == (
             "error: symbol is not parabolic at the reference jet; "
             "pass force=True to proceed\n")
+        assert len(calls) == 1 and classified == []
 
     def test_file_options_feed_claws_defaults(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"
