@@ -31,8 +31,8 @@ from math import lcm
 
 from . import linalg
 from .expr import (
-    ANSATZ, BASE, JET, TIME, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
-    ansatz_unknown, base_var, mono_sort_key,
+    ANSATZ, BASE, JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
+    Symbol, ansatz_unknown, base_var, mono_sort_key,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
@@ -54,7 +54,7 @@ __all__ = [
 
 
 class AnsatzTooLarge(ValueError):
-    """The requested ansatz exceeds the monomial guard."""
+    """The requested ansatz has more than MAX_TERMS monomials."""
 
 
 class FluxReconstructionFailed(NotInDivergenceImage):
@@ -83,7 +83,6 @@ class AnsatzSpec:
     jet_degree: int = 1
     base_degree: int = 0
     unsafe_order: bool = False
-    guard: int = 20000
 
     def __post_init__(self) -> None:
         if min(self.max_jet_order, self.jet_degree, self.base_degree) < 0:
@@ -151,8 +150,8 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list
     base_monos = bounded_monomials(base_syms, spec.base_degree)
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
     count = len(base_monos) * len(jet_monos)
-    if count > spec.guard:
-        raise AnsatzTooLarge(f"{count} monomials exceed guard {spec.guard}")
+    if count > MAX_TERMS:
+        raise AnsatzTooLarge(f"{count} monomials exceed MAX_TERMS = {MAX_TERMS}")
     unknowns = []
     terms = {}
     k = 0

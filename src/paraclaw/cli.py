@@ -17,6 +17,9 @@ Implicit multiplication is not supported.  "p/q" rational literals fold to
 exact fractions through the division operator.  Any u_t-like token on the
 right-hand side is rejected with TimeDerivativeOnRHS.  Parentheses nest at
 most MAX_NESTING deep: deeper input is a ParseError, not a RecursionError.
+Each "*", "/" and "^" is charged its term-pair products before it runs
+("^k" is k - 1 multiplications); a parse whose running total would pass
+expr.MAX_TERMS is a ParseError, so no input expands without bound.
 
 JSON reports follow a fixed schema (see README) and are byte-stable for
 identical inputs; elapsed time appears only in --text output.
@@ -37,8 +40,8 @@ from .claws import (
     cross_validate_ma, find_conservation_laws, jacobi_potential_order, verify,
 )
 from .expr import (
-    BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Symbol,
-    base_var, format_expr, jet_var,
+    BASE, JET, MAX_TERMS, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
+    Symbol, base_var, format_expr, jet_var,
 )
 from .jets import (
     NotInDivergenceImage, OrderOverflow, TimeJetPresent, deprolongation_dimension,
@@ -144,6 +147,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.depth = 0
+        self.work = 0  # term-pair products so far, bounded by MAX_TERMS
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -231,12 +235,22 @@ class _Parser:
             op = self.advance()
             rhs = self.parse_unary()
             if op.text == "*":
+                self.charge(op, (acc.num, rhs.num), (acc.den, rhs.den))
                 acc = acc * rhs
             else:
                 if rhs.is_zero:
                     raise ParseError("division by zero", op.line, op.col)
+                self.charge(op, (acc.num, rhs.den), (acc.den, rhs.num))
                 acc = acc / rhs
         return acc
+
+    def charge(self, op: _Token, *products: tuple[Poly, Poly]) -> None:
+        """Add the term pairs of the polynomial products about to run to the
+        parse's running count; past MAX_TERMS the input is a ParseError."""
+        self.work += sum(len(p.terms) * len(q.terms) for p, q in products)
+        if self.work > MAX_TERMS:
+            raise ParseError(f"expression expands past MAX_TERMS = {MAX_TERMS} "
+                             "term products", op.line, op.col)
 
     def parse_unary(self) -> Expr:
         if self.peek().kind == "op" and self.peek().text == "-":
@@ -247,9 +261,14 @@ class _Parser:
     def parse_factor(self) -> Expr:
         atom = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            k = self.expect("num")
-            return atom ** int(k.text)
+            op = self.advance()
+            k = int(self.expect("num").text)
+            num, den = (atom.num, atom.den) if k else (Poly.one(), Poly.one())
+            for _ in range(k - 1):
+                self.charge(op, (num, atom.num), (den, atom.den))
+                num, den = num * atom.num, den * atom.den
+            # coprime parts stay coprime under powers, so no re-reduction
+            return Expr(num, den, _raw=True)
         return atom
 
     def parse_atom(self) -> Expr:
@@ -572,7 +591,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="parabolicity and Monge-Ampere tests")
     p_classify.add_argument("file", help="problem file, or - for stdin")
     p_classify.add_argument("--symbolic", action="store_true",
-                            help="solve the residue trace equations symbolically")
+                            help="compute the traceless residue over the rational "
+                                 "functions of the jet, not at the reference jet")
     add_output_flags(p_classify)
 
     p_claws = sub.add_parser("claws", help="find conservation laws")
@@ -583,7 +603,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                          help="max jet order of the density ansatz (capped at 2)")
     p_claws.add_argument("--unsafe-order", action="store_true",
                          help="allow --order above the proven bound of 2")
-    p_claws.add_argument("--symbolic", action="store_true")
+    p_claws.add_argument("--symbolic", action="store_true",
+                         help="report the traceless residue computed over the "
+                              "rational functions of the jet, not at the reference jet")
     p_claws.add_argument("--force", action="store_true",
                          help="proceed despite a non-parabolic symbol")
     add_output_flags(p_claws)

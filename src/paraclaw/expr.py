@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "BASE", "JET", "ANSATZ", "AUX",
-    "DivisionByZeroExpr", "NotPolynomialIn",
+    "DivisionByZeroExpr", "NotPolynomialIn", "MAX_TERMS",
     "MultiIndex", "Symbol",
     "base_var", "jet_var", "jet_symbol", "ansatz_unknown", "aux_var",
     "TIME", "U",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 Rationalish = Union[int, Fraction]
+
+# The one size budget: the term-pair products a parse may perform, and the
+# monomials a density ansatz may have.
+MAX_TERMS = 20000
 
 
 class DivisionByZeroExpr(ZeroDivisionError):

@@ -1,5 +1,5 @@
 """Exact rational linear algebra: sparse RREF, null spaces, independence
-tests, particular solutions, determinants.
+tests and particular solutions.
 
 Rows are sparse dicts ``{column: coefficient}`` with ``int`` or ``Fraction``
 entries.  All sparse elimination is one incremental Gauss-Jordan loop,
@@ -23,7 +23,6 @@ from typing import Sequence
 SparseRow = dict  # dict[key, int | Fraction]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
@@ -201,27 +200,6 @@ def solve_dense(matrix: list[list], rhs: list, zero) -> list | None:
                 continue
             a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
     return [a[r][m] for r in range(m)]
-
-
-def det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square Fraction matrix, by Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    value = _F1
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col]), None)
-        if piv is None:
-            return _F0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            value = -value
-        value *= m[col][col]
-        inv = _F1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return value
 
 
 def rank(rows: list[SparseRow], ncols: int) -> int:

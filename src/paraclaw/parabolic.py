@@ -26,12 +26,10 @@ Parabolicity and the residue are certified at a user-supplied reference
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import linalg
 from .expr import (
     BASE, JET, Expr, ONE, Rationalish, Symbol, ZERO, aux_var, jet_var,
 )
@@ -149,23 +147,23 @@ def symbol_form(eq: EvolutionEquation) -> SymbolForm:
 
 
 def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
-    """Classify the symbol at the reference jet, exactly.
-
-    Strict = positive definite (Sylvester: leading principal minors > 0);
-    weak = positive semidefinite but not definite (all principal minors >= 0);
-    otherwise not parabolic.
-    """
+    """Classify the symbol at the reference jet, exactly, by one symmetric
+    (LDL^T) elimination: a negative pivot, or a zero pivot whose row is not
+    zero, is not parabolic; all pivots positive is strict; else weak."""
     g = symbol_form(eq).at_reference(eq.reference_jet)
     n = eq.n
-    strict = all(linalg.det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
-    if strict:
-        return Parabolicity.STRICT
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            minor = [[g[r][c] for c in subset] for r in subset]
-            if linalg.det(minor) < 0:
-                return Parabolicity.NOT_PARABOLIC
-    return Parabolicity.WEAK
+    strict = True
+    for k in range(n):
+        pivot = g[k][k]
+        if pivot < 0 or (pivot == 0 and any(g[k][k + 1:])):
+            return Parabolicity.NOT_PARABOLIC
+        strict = strict and pivot > 0
+        for i in range(k + 1, n):
+            if g[i][k]:  # never under a zero pivot, whose row is zero
+                factor = g[i][k] / pivot
+                for j in range(k + 1, n):
+                    g[i][j] -= factor * g[k][j]
+    return Parabolicity.STRICT if strict else Parabolicity.WEAK
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +171,22 @@ def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
 # ---------------------------------------------------------------------------
 
 def quartic_form(eq: EvolutionEquation) -> Expr:
-    """Second derivative of G along the rank-one Hessian direction xi xi^T:
-    q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j) at e = 0, a quartic in xi."""
-    xi = xi_symbols(eq.n)
-    eps = aux_var(0, "eps")
-    eps_e = Expr.symbol(eps)
-    bindings = {}
-    for i in range(1, eq.n + 1):
-        for j in range(i, eq.n + 1):
-            s = eq.hessian_entry(i, j)
-            bindings[s] = Expr.symbol(s) + eps_e * Expr.symbol(xi[i - 1]) * Expr.symbol(xi[j - 1])
-    perturbed = eq.G.substitute(bindings)
-    return perturbed.diff(eps).diff(eps).substitute({eps: 0})
+    """Second derivative of G along the rank-one Hessian direction xi xi^T,
+    q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j) at e = 0, a quartic in xi.
+
+    Over the Hessian coordinates a = (ij), i <= j, with m_a = xi_i xi_j, this
+    is q = sum_{a <= b} (2 - delta_ab) d^2G/du_a du_b m_a m_b."""
+    xi = [Expr.symbol(s) for s in xi_symbols(eq.n)]
+    coords = [(eq.hessian_entry(i, j), xi[i - 1] * xi[j - 1])
+              for i in range(1, eq.n + 1) for j in range(i, eq.n + 1)]
+    q = ZERO
+    for a, (ua, ma) in enumerate(coords):
+        Ga = eq.G.diff(ua)
+        for b, (ub, mb) in enumerate(coords[a:], a):
+            Gab = Ga.diff(ub)
+            if not Gab.is_zero:
+                q = q + (Gab if a == b else 2 * Gab) * ma * mb
+    return q
 
 
 def is_minor_affine(eq: EvolutionEquation) -> bool:
@@ -293,9 +295,8 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
     q = quartic_form(eq)
     minor = q.is_zero
     if eq.n == 1:
-        uxx = jet_var((1, 1))
-        n1 = eq.G.diff(uxx).diff(uxx).is_zero
-        return MAReport(minor, q, None, None, n1)
+        # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity
+        return MAReport(minor, q, None, None, minor)
     try:
         q0 = ma_traceless_residue(eq, symbolic)
     except SingularSymbol:

@@ -64,8 +64,9 @@ class TestGenerateAnsatz:
         assert len(unknowns) == 7 * 10
 
     def test_guard(self):
-        with pytest.raises(AnsatzTooLarge):
-            generate_ansatz(HEAT2, AnsatzSpec(2, 2, 2, guard=10))
+        # 210 jet monomials x 165 base monomials = 34650 > MAX_TERMS
+        with pytest.raises(AnsatzTooLarge, match="MAX_TERMS = 20000"):
+            generate_ansatz(HEAT2, AnsatzSpec(2, 4, 8))
 
     def test_order_cap_needs_unsafe_flag(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,14 @@ case; reports are checked for the fixed field order and byte stability.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import paraclaw
 from paraclaw.cli import (
     IndexOutOfRange, ParseError, TimeDerivativeOnRHS, cmd_claws, cmd_classify,
     cmd_dims, cmd_verify, expr_to_source, main, parse, parse_expression,
@@ -17,6 +21,18 @@ from paraclaw.cli import (
 from paraclaw.claws import AnsatzSpec
 from paraclaw.expr import Expr, base_var, jet_var
 from util import t, u, u11, u12, u22, ux, uxx, x
+
+
+def run_paraclaw(args: list[str], timeout: float | None = None,
+                 **env: str) -> subprocess.CompletedProcess:
+    """``python -m paraclaw *args`` in a child process that runs the same
+    copy of paraclaw as this one, whether from a source checkout or an
+    install; nothing but PATH, the package location and ``env`` is passed."""
+    package_root = os.path.dirname(os.path.dirname(paraclaw.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "paraclaw", *args], capture_output=True,
+        text=True, timeout=timeout,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **env})
 
 
 class TestGrammarAccepts:
@@ -144,6 +160,26 @@ class TestNestingLimit:
         f.write_text(self.nested(depth))
         assert main(["classify", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+class TestParseBudget:
+    def test_products_within_the_budget_parse(self):
+        G = parse("n=2; u_t = u_11 + u_22 + (u+u_1+u_2+x1+x2+t)^8").G
+        assert len(G.num.terms) == 1287 + 2
+        e = parse_expression("((1+u)/(2+u))^60", 1)
+        assert (e.num, e.den) == (((1 + u) ** 60).num, ((2 + u) ** 60).num)
+        assert parse_expression("u^0 + 0^3", 1) == 1
+
+    @pytest.mark.parametrize("source", [
+        "(u+u_1+u_2+x1+x2+t)^10",
+        "(1+u)^200",
+        "(1+u+u_1)^20*(1+u+u_2)^20",
+        "1/(1+u+u_1+u_2+x1+x2+t)^12",
+        "u^30000",
+    ])
+    def test_past_the_budget_is_a_parse_error(self, source):
+        with pytest.raises(ParseError, match="MAX_TERMS = 20000"):
+            parse_expression(source, 2)
 
 
 class TestRoundTrip:
@@ -334,23 +370,11 @@ class TestMainEntry:
 
     def test_byte_stable_across_hash_seeds(self, tmp_path):
         # set/dict iteration must never leak into reports
-        import os
-        import subprocess
-        import sys
-
-        import paraclaw
-        # the child runs the same copy of paraclaw as this process, whether
-        # from a source checkout or an install; nothing else is passed through
-        package_root = os.path.dirname(os.path.dirname(paraclaw.__file__))
         f = tmp_path / "heat2.pde"
         f.write_text("n=2; u_t = u_11 + u_22; base_degree = 1")
         outputs = []
         for seed in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "paraclaw", "claws", str(f)],
-                capture_output=True, text=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": package_root})
+            proc = run_paraclaw(["claws", str(f)], PYTHONHASHSEED=seed)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
@@ -429,3 +453,32 @@ class TestMainEntry:
         assert main(["claws", str(f)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert any(law["characteristic"] == "x^2 - 2*t" for law in report["laws"])
+
+
+class TestBoundedWork:
+    """Inputs that once ran for minutes end within seconds with their
+    documented exit code: rational G in the Hessian (the quartic form is
+    read off second derivatives), and products that expand past
+    expr.MAX_TERMS while parsing (exit 2)."""
+
+    @pytest.mark.parametrize("command, source, code", [
+        ("classify", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 0),
+        ("classify", "n=2; u_t = u_11 + u_22 + u_11^2/(1+u_22^2)", 0),
+        ("classify", "n=3; u_t = (u_11+u_22+u_33)/(1+u_12^2+u_13^2)", 0),
+        ("claws", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 1),
+        ("classify", "n=2; u_t = u_11 + u_22 + (u+u_1+u_2+x1+x2+t)^15", 2),
+        ("classify", "n=2; u_t = u_11 + u_22 + (u+u_1+u_2+x1+x2+t)^16", 2),
+        ("classify", "n=2; u_t = u_11 + u_22 + (u+u_1+u_2+x1+x2+t)^40", 2),
+        ("classify", "n=1; u_t = u_xx + (1+u)^100000", 2),
+    ], ids=["rational-2d", "rational-reaction", "rational-3d", "claws-rational",
+            "power-15", "power-16", "power-40", "power-100000"])
+    def test_ends_with_documented_exit_code(self, tmp_path, command, source, code):
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        proc = run_paraclaw([command, str(f)], timeout=8)
+        assert proc.returncode == code, proc.stderr
+        if code == 1:
+            assert proc.stderr == "error: expression is not polynomial in {u_12}\n"
+        if code == 2:
+            assert proc.stderr.startswith("parse error: expression expands past "
+                                          "MAX_TERMS = 20000 term products")

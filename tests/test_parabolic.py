@@ -16,7 +16,8 @@ from paraclaw.parabolic import (
     parabolicity_check, quartic_form, symbol_form, xi_symbols,
 )
 from util import (
-    jet, random_poly, suite_residue_equivalence, u, u11, u12, u22, ux, uxx, x,
+    jet, random_poly, suite_parabolicity_equivalence, suite_quartic_equivalence,
+    suite_residue_equivalence, u, u11, u12, u22, ux, uxx, x,
 )
 
 
@@ -121,6 +122,13 @@ class TestParabolicity:
         assert parabolicity_check(EvolutionEquation(2, LAPLACIAN)) \
             is Parabolicity.STRICT
 
+    def test_matches_sylvester_and_principal_minors(self):
+        counts = suite_parabolicity_equivalence()
+        for verdict in Parabolicity:
+            assert counts[verdict] >= 100
+        assert counts["zero pivot", Parabolicity.WEAK] >= 50
+        assert counts["zero pivot", Parabolicity.NOT_PARABOLIC] >= 50
+
 
 class TestQuarticForm:
     def test_heat_vanishes(self):
@@ -134,8 +142,8 @@ class TestQuarticForm:
         assert quartic_form(det_hess_eq()).is_zero
 
     def test_matches_unordered_pair_assembly(self):
-        # q(xi) from the epsilon derivative equals
-        # sum_{I,J} d2G/du_I du_J xi^I xi^J over unordered pairs
+        # q(xi) over the Hessian coordinates I <= J equals
+        # sum_{I,J} d2G/du_I du_J xi^I xi^J over all ordered pairs
         rng = random.Random(31)
         hess = [jet_var((1, 1)), jet_var((1, 2)), jet_var((2, 2))]
         pair_of = {hess[0]: (1, 1), hess[1]: (1, 2), hess[2]: (2, 2)}
@@ -154,6 +162,9 @@ class TestQuarticForm:
                 assembled = assembled + G.diff(sI).diff(sJ) \
                     * xi_pow(pair_of[sI]) * xi_pow(pair_of[sJ])
             assert q == assembled
+
+    def test_matches_epsilon_derivative_reference(self):
+        assert suite_quartic_equivalence() == 75
 
 
 def minor_affine_oracle_2d(G: Expr) -> bool:
@@ -326,6 +337,15 @@ class TestMAClassify:
     def test_quadratic_in_uxx(self):
         rep = ma_classify(EvolutionEquation(1, uxx + uxx ** 2))
         assert rep.n1_affine is False and rep.minor_affine is False
+
+    def test_n1_affine_is_second_uxx_derivative(self):
+        # n = 1: q = G_{u_xx u_xx} xi^4, so both verdicts are one test
+        s = jet_var((1, 1))
+        for G, affine in ((uxx + u * ux, True), (uxx / (1 + ux ** 2), True),
+                          (uxx ** 3, False), (u * uxx ** 2 + ux, False)):
+            rep = ma_classify(EvolutionEquation(1, G))
+            assert G.diff(s).diff(s).is_zero is affine
+            assert rep.n1_affine is rep.minor_affine is affine
 
     def test_det_hessian(self):
         rep = ma_classify(det_hess_eq())

@@ -25,7 +25,8 @@ from paraclaw.claws import (
     solve_exact, verify,
 )
 from paraclaw.expr import (
-    JET, Expr, ONE, Symbol, ZERO, base_var, jet_symbol, jet_var, mono_cmp,
+    JET, Expr, ONE, Symbol, ZERO, aux_var, base_var, jet_symbol, jet_var,
+    mono_cmp,
 )
 from paraclaw.jets import (
     ORDER_GUARD, NotInDivergenceImage, build_replacement_table, euler_operator,
@@ -33,8 +34,9 @@ from paraclaw.jets import (
 )
 from paraclaw.corpus import CORPUS
 from paraclaw.parabolic import (
-    EvolutionEquation, PreconditionSpatialDim, SingularSymbol,
-    _residue_decomposition, _trace_with, quartic_form, symbol_form, xi_symbols,
+    EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
+    _residue_decomposition, _trace_with, parabolicity_check, quartic_form,
+    symbol_form, xi_symbols,
 )
 
 t = Expr.symbol(base_var(0))
@@ -75,9 +77,11 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # ---------------------------------------------------------------------------
 # Naive references: the textbook definitions, one partial derivative per
 # symbol, kept to check the one-pass and Horner kernels of paraclaw.jets;
-# the column-sweep RREF, kept to check paraclaw.linalg; the inverse-and-
-# trace-equations residue, kept to check the closed form of
-# paraclaw.parabolic
+# the column-sweep RREF, kept to check paraclaw.linalg; the epsilon-
+# derivative quartic form, the Sylvester and principal-minor parabolicity
+# test and the inverse-and-trace-equations residue, kept to check the
+# Hessian-derivative quartic, the LDL^T verdict and the closed-form residue
+# of paraclaw.parabolic
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -159,6 +163,48 @@ def naive_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
         reduced.append(pivot_row)
         pivots.append(col)
     return reduced, pivots
+
+
+def naive_quartic_form(eq: EvolutionEquation) -> Expr:
+    """q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j) at e = 0, by substituting
+    the perturbed Hessian into G and differentiating twice in e."""
+    xi = xi_symbols(eq.n)
+    eps = aux_var(0, "eps")
+    bindings = {}
+    for i in range(1, eq.n + 1):
+        for j in range(i, eq.n + 1):
+            s = eq.hessian_entry(i, j)
+            bindings[s] = Expr.symbol(s) + Expr.symbol(eps) \
+                * Expr.symbol(xi[i - 1]) * Expr.symbol(xi[j - 1])
+    perturbed = eq.G.substitute(bindings)
+    return perturbed.diff(eps).diff(eps).substitute({eps: 0})
+
+
+def leibniz_det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant as the signed sum over all permutations."""
+    size = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for r in range(size):
+            term *= m[r][perm[r]]
+        total += term
+    return total
+
+
+def naive_parabolicity(eq: EvolutionEquation) -> Parabolicity:
+    """Strict iff every leading principal minor of the reference symbol is
+    positive (Sylvester); weak iff every principal minor is >= 0."""
+    g = symbol_form(eq).at_reference(eq.reference_jet)
+    n = eq.n
+    if all(leibniz_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1)):
+        return Parabolicity.STRICT
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if leibniz_det([[g[r][c] for c in subset] for r in subset]) < 0:
+                return Parabolicity.NOT_PARABOLIC
+    return Parabolicity.WEAK
 
 
 def naive_invert_matrix(g: list[list[Expr]]) -> list[list[Expr]]:
@@ -507,6 +553,69 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
             else tuple(got) == tuple(want), \
             f"residue differs for u_t = {eq.G} (symbolic={symbolic})"
     return len(problems)
+
+
+def suite_quartic_equivalence(cases: int = 60, seed: int = 59) -> int:
+    """quartic_form equals naive_quartic_form on every corpus entry, on two
+    G rational in first-order data, and on random polynomial G for
+    n = 1..3 with products of up to three Hessian entries.  Returns the
+    number of equations checked."""
+    rng = random.Random(seed)
+    eqs = [entry.equation() for entry in CORPUS]
+    eqs += [EvolutionEquation(1, uxx / (1 + u ** 2)),
+            EvolutionEquation(2, (u11 + u22) / (2 + u1 ** 2) + u11 * u22)]
+    for k in range(cases):
+        n = 1 + k % 3
+        hess = [s for s in spatial_jet_vars(n, 2) if s.jet.order == 2]
+        lower = [base_var(0), base_var(1), jet_var(), jet_var((1,))]
+        G = random_poly(rng, hess + lower, terms=4, max_exp=3)
+        for _ in range(rng.randint(1, 2)):
+            G = G + random_poly(rng, lower, terms=2) * math.prod(
+                (Expr.symbol(rng.choice(hess)) for _ in range(rng.randint(2, 3))), start=ONE)
+        eqs.append(EvolutionEquation(n, G))
+    for eq in eqs:
+        assert quartic_form(eq) == naive_quartic_form(eq), \
+            f"quartic form differs for u_t = {eq.G} (n={eq.n})"
+    return len(eqs)
+
+
+def _random_symmetric(rng: random.Random, n: int) -> list[list[Fraction]]:
+    """B^T D B / d for a random integer B, some of whose entries are zero,
+    and a random diagonal D: of 1s (positive definite or semidefinite), or
+    of -1, 0 and 1 (often indefinite).  Rank-deficient B give singular
+    matrices, whose elimination meets zero pivots."""
+    rows = rng.randint(n - 1, n + 1)
+    B = [[rng.choice([0, rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(n)]
+         for _ in range(rows)]
+    D = [rng.choice([1] if rng.random() < 0.6 else [-1, 0, 1]) for _ in range(rows)]
+    d = rng.randint(1, 3)
+    return [[Fraction(sum(B[r][i] * D[r] * B[r][j] for r in range(rows)), d)
+             for j in range(n)] for i in range(n)]
+
+
+def suite_parabolicity_equivalence(cases: int = 600, seed: int = 61) -> dict:
+    """parabolicity_check agrees with naive_parabolicity on seeded random
+    symmetric rational symbols, n = 1..4.  G is linear in the Hessian,
+    G = sum_i g_ii u_ii + sum_{i<j} 2 g_ij u_ij, so its symbol is g at any
+    jet.  Returns the count of each verdict, and under ("zero pivot",
+    verdict) the count of matrices with a vanishing leading principal
+    minor, where the elimination meets a zero pivot."""
+    rng = random.Random(seed)
+    counts: dict = {}
+    for k in range(cases):
+        n = 1 + k % 4
+        g = _random_symmetric(rng, n)
+        G = ZERO
+        for i in range(n):
+            for j in range(i, n):
+                G = G + (1 if i == j else 2) * g[i][j] * jet(i + 1, j + 1)
+        eq = EvolutionEquation(n, G)
+        got = parabolicity_check(eq)
+        assert got is naive_parabolicity(eq), f"verdict differs on {g}"
+        counts[got] = counts.get(got, 0) + 1
+        if any(leibniz_det([row[:m] for row in g[:m]]) == 0 for m in range(1, n + 1)):
+            counts["zero pivot", got] = counts.get(("zero pivot", got), 0) + 1
+    return counts
 
 
 def suite_triviality_filter(cases: int = 100, seed: int = 17) -> int:
