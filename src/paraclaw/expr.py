@@ -21,6 +21,7 @@ hence every downstream linear-algebra step) decidable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -182,9 +183,17 @@ def base_var(a: int) -> Symbol:
     return Symbol(BASE, a)
 
 
+_JET_VARS: dict[tuple, Symbol] = {}
+
+
 def jet_var(spatial: Iterable[int] = (), time_power: int = 0) -> Symbol:
-    """Jet coordinate u_{I,t}; ``jet_var()`` is u itself."""
-    return Symbol(JET, 0, MultiIndex(tuple(spatial), time_power))
+    """Jet coordinate u_{I,t}; ``jet_var()`` is u itself.  Interned: equal
+    arguments return the same symbol."""
+    key = (tuple(spatial), time_power)
+    s = _JET_VARS.get(key)
+    if s is None:
+        s = _JET_VARS[key] = Symbol(JET, 0, MultiIndex(*key))
+    return s
 
 
 def jet_symbol(mi: MultiIndex) -> Symbol:
@@ -542,7 +551,7 @@ _ONE_POLY = Poly.one()
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd (content + primitive pseudo-remainder sequence)
+# Polynomial gcd (content + primitive pseudo-remainder sequence over Z)
 # ---------------------------------------------------------------------------
 
 def divexact(p: Poly, q: Poly) -> Poly:
@@ -627,6 +636,19 @@ def _prem(a: Poly, b: Poly, v: Symbol) -> Poly:
     return r
 
 
+def _rational_primitive(p: Poly) -> Poly:
+    """p divided by its rational content (gcd of the numerators over the lcm
+    of the denominators): coprime integer coefficients."""
+    num, den = 0, 1
+    for c in p.terms.values():
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    if num == den == 1:
+        return p
+    return Poly({m: c.numerator * (den // c.denominator) // num
+                 for m, c in p.terms.items()})
+
+
 def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     vars_ = p.symbols() | q.symbols()
     if not vars_:
@@ -645,7 +667,7 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     a, b = (pp_p, pp_q) if dp >= dq else (pp_q, pp_p)
     while not b.is_zero and b.degree_of(v) > 0:
         r = _prem(a, b, v)
-        a, b = b, (r if r.is_zero else _content_pp(r, v)[1])
+        a, b = b, (r if r.is_zero else _rational_primitive(_content_pp(r, v)[1]))
     if b.is_zero:
         g = a
     else:
@@ -653,8 +675,14 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     return c * g
 
 
+def _is_nonzero_const(p: Poly) -> bool:
+    return len(p.terms) == 1 and _ONE_MONO in p.terms
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd over the rationals; gcd(0, 0) = 0."""
+    if _is_nonzero_const(p) or _is_nonzero_const(q):
+        return Poly.one()
     if p.is_zero:
         return _monic(q)
     if q.is_zero:

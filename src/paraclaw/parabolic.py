@@ -11,13 +11,16 @@ Two Monge-Ampere verdicts are computed and reported side by side:
 * minor affinity -- the quartic form q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j)
   vanishes identically, which happens exactly when G is a combination of
   Hessian minor determinants with coefficients in first-order data;
-* the traceless residue -- the part of q(xi) not divisible by sigma(xi),
+* the traceless residue -- the part q0 of q(xi) not divisible by sigma(xi),
   i.e. the totally symmetric component of the secondary invariant.  Its
   vanishing is the condition for a Monge-Ampere deprolongation, and it is
   strictly weaker than minor affinity (Laplacian-squared reaction terms
-  pass it while failing the literal minor test).  It is computed in closed
-  form from det(g), adj(g) (Faddeev-LeVerrier) and two adjugate Laplacians
-  of q, with no matrix inverse and no linear solve.
+  pass it while failing the literal minor test).  The verdict is the
+  polynomial identity N = 0, where N = c det(g)^2 q0 is built from det(g),
+  adj(g) (Faddeev-LeVerrier) and two adjugate Laplacians of q by ring
+  operations alone: no matrix inverse, no linear solve and no gcd.  q0
+  itself, N / (c det(g)^2), is computed only on request
+  (MAReport.traceless_residue, ma_traceless_residue).
 
 Parabolicity and the residue are certified at a user-supplied reference
 2-jet; global positivity of a symbolic matrix is not decided here.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -226,20 +230,23 @@ def _trace_with(adj: list[list[Expr]], P: Expr, xi: list[Symbol]) -> Expr:
     return out
 
 
-def _residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
-                           ) -> tuple[Expr, Expr, Expr]:
-    """(q0, h, sigma) with q = q0 + sigma * h and tr_g(q0) = 0, in closed form.
+def _harmonic_split(eq: EvolutionEquation, q: Expr, symbolic: bool
+                    ) -> tuple[Expr, Expr, Expr, Expr]:
+    """(N, D, P, sigma) with q = q0 + sigma * P / D, tr_g(q0) = 0 and
+    D q0 = N, for the quartic form q of ``eq``: a polynomial identity, so q0
+    vanishes iff N does and the verdict needs no division.
 
     L = sum adj(g)_ij d_xi_i d_xi_j is det(g) tr_g, and tr_g(sigma p) =
     sigma tr_g(p) + (2n + 4 deg p) p.  On the harmonic split
     q = H4 + sigma H2 + sigma^2 H0 (tr_g H4 = tr_g H2 = 0) this gives
     L(q) = det ((2n+8) H2 + (4n+8) sigma H0) and L(L(q)) = det^2 2n(4n+8) H0,
-    so h = H2 + sigma H0 and q0 = H4 need no inverse and no linear solve."""
+    so with c = (2n+8)(4n+8), D = c det^2 and P = (4n+8) det L(q) -
+    sigma L(L(q)), h = H2 + sigma H0 is P / D and N = D q - sigma P is D H4.
+    g and q are taken at the reference jet unless ``symbolic``."""
     if eq.n < 2:
         raise PreconditionSpatialDim("traceless residue needs n >= 2")
     n = eq.n
     xi = xi_symbols(n)
-    q = quartic_form(eq)
     sf = symbol_form(eq)
     if not symbolic:
         ref = eq.reference_jet
@@ -249,10 +256,17 @@ def _residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
     det, adj = _det_adjugate(sf.g)
     sigma = sf.sigma()
     Lq = _trace_with(adj, q, xi)
-    LLq = _trace_with(adj, Lq, xi)
-    h = ((4 * n + 8) * det * Lq - sigma * LLq) \
-        / ((2 * n + 8) * (4 * n + 8) * det * det)
-    return q - sigma * h, h, sigma
+    P = (4 * n + 8) * det * Lq - sigma * _trace_with(adj, Lq, xi)
+    D = (2 * n + 8) * (4 * n + 8) * det * det
+    return D * q - sigma * P, D, P, sigma
+
+
+def _residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
+                           ) -> tuple[Expr, Expr, Expr]:
+    """(q0, h, sigma) with q = q0 + sigma * h and tr_g(q0) = 0, in closed
+    form (see _harmonic_split)."""
+    N, D, P, sigma = _harmonic_split(eq, quartic_form(eq), symbolic)
+    return N / D, P / D, sigma
 
 
 def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
@@ -269,18 +283,35 @@ def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
 
 @dataclass(frozen=True)
 class MAReport:
-    """Both Monge-Ampere verdicts, reported without collapsing them."""
+    """Both Monge-Ampere verdicts, reported without collapsing them.
+
+    For n >= 2 and a nonsingular symbol, ``residue_numerator`` is
+    N = c det(g)^2 q0 and ``residue_denominator`` is c det(g)^2 (see
+    _harmonic_split).  The residue verdict is N = 0; the traceless residue
+    q0 = N / (c det(g)^2) is computed on first read, since that division
+    runs polynomial gcds that the verdict does not need.
+    """
 
     minor_affine: bool
     quartic: Expr
-    traceless_residue: Expr | None
-    residue_vanishes: bool | None
     n1_affine: bool | None
     singular_symbol: bool = False
+    residue_numerator: Expr | None = None
+    residue_denominator: Expr | None = None
 
     def __post_init__(self) -> None:
         if self.minor_affine and self.residue_vanishes is False:
             raise AssertionError("minor-affine equation with nonzero residue")
+
+    @property
+    def residue_vanishes(self) -> bool | None:
+        N = self.residue_numerator
+        return None if N is None else N.is_zero
+
+    @cached_property
+    def traceless_residue(self) -> Expr | None:
+        N = self.residue_numerator
+        return None if N is None else N / self.residue_denominator
 
 
 def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
@@ -296,9 +327,9 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
     minor = q.is_zero
     if eq.n == 1:
         # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity
-        return MAReport(minor, q, None, None, minor)
+        return MAReport(minor, q, minor)
     try:
-        q0 = ma_traceless_residue(eq, symbolic)
+        N, D, _P, _sigma = _harmonic_split(eq, q, symbolic)
     except SingularSymbol:
-        return MAReport(minor, q, None, None, None, singular_symbol=True)
-    return MAReport(minor, q, q0, q0.is_zero, None)
+        return MAReport(minor, q, None, singular_symbol=True)
+    return MAReport(minor, q, None, residue_numerator=N, residue_denominator=D)

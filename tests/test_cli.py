@@ -458,8 +458,11 @@ class TestMainEntry:
 class TestBoundedWork:
     """Inputs that once ran for minutes end within seconds with their
     documented exit code: rational G in the Hessian (the quartic form is
-    read off second derivatives), and products that expand past
-    expr.MAX_TERMS while parsing (exit 2)."""
+    read off second derivatives), products that expand past
+    expr.MAX_TERMS while parsing (exit 2), symbolic residues of
+    non-Monge-Ampere G (the verdict is a polynomial identity, with no gcd)
+    and high powers of rational functions (the gcd's pseudo-remainder
+    sequence is primitive over Z)."""
 
     @pytest.mark.parametrize("command, source, code", [
         ("classify", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 0),
@@ -482,3 +485,19 @@ class TestBoundedWork:
         if code == 2:
             assert proc.stderr.startswith("parse error: expression expands past "
                                           "MAX_TERMS = 20000 term products")
+
+    @pytest.mark.parametrize("command, source, ma", [
+        ("classify --symbolic", "n=2; u_t = u_11 + u_22 + u_11*u_22*u_12",
+         {"minor_affine": False, "residue_vanishes": False, "n1_affine": None}),
+        ("classify --symbolic",
+         "n=3; u_t = u_11 + u_22 + u_33 + u_11*u_22*u_12 + u_33^2",
+         {"minor_affine": False, "residue_vanishes": False, "n1_affine": None}),
+        ("classify", "n=1; u_t = u_xx + ((1+u)/(2+u))^60",
+         {"minor_affine": True, "residue_vanishes": None, "n1_affine": True}),
+    ], ids=["symbolic-2d", "symbolic-3d", "rational-power-60"])
+    def test_classifies(self, tmp_path, command, source, ma):
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        proc = run_paraclaw([*command.split(), str(f)], timeout=8)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ma"] == ma

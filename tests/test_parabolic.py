@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from paraclaw import linalg
+from paraclaw import linalg, parabolic
 from paraclaw.expr import Expr, ZERO, base_var, divexact, jet_var
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
@@ -297,25 +297,27 @@ class TestTracelessResidue:
     @pytest.mark.parametrize("G, ref, vanishes", [
         (LAP3 + DET_HESS3, {jet_var((i, i)): 1 for i in (1, 2, 3)}, True),
         (LAP3 + u11 ** 2, {}, False),
-    ], ids=["det_hessian", "anisotropic"])
+        (LAP3 + u11 * u22 * u12 + jet(3, 3) ** 2, {}, False),
+    ], ids=["det_hessian", "anisotropic", "not_monge_ampere"])
     def test_symbolic_n3_agrees_with_random_points(self, G, ref, vanishes):
-        # Schwartz-Zippel: a nonzero rational function of the jet is nonzero
-        # at most random rational points, so the symbolic residue must
-        # specialize to the pointwise one and vanish exactly when it does
-        q0 = ma_traceless_residue(EvolutionEquation(3, G, ref), symbolic=True)
-        assert q0.is_zero == vanishes
+        # Schwartz-Zippel: a nonzero polynomial of the jet is nonzero at most
+        # random rational points.  N = c det^2 q0 is built by ring operations
+        # alone, so the symbolic N must specialize to the pointwise one, and
+        # the pointwise residue must vanish at every point exactly when the
+        # symbolic verdict says it vanishes
+        rep = ma_classify(EvolutionEquation(3, G, ref), symbolic=True)
+        assert rep.residue_vanishes is vanishes
         rng = random.Random(53)
         checked = nonzero = 0
         for _ in range(12):
             point = {s: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                      for s in G.symbols()}
-            try:
-                at_point = ma_traceless_residue(EvolutionEquation(3, G, point))
-            except SingularSymbol:
+            at_point = ma_classify(EvolutionEquation(3, G, point))
+            if at_point.singular_symbol:
                 continue
-            assert q0.substitute(point) == at_point
+            assert rep.residue_numerator.substitute(point) == at_point.residue_numerator
             checked += 1
-            nonzero += not at_point.is_zero
+            nonzero += not at_point.traceless_residue.is_zero
         assert checked >= 8
         assert (nonzero == 0) == vanishes
 
@@ -361,6 +363,25 @@ class TestMAClassify:
         rep = ma_classify(EvolutionEquation(2, u11 ** 2 + u22 ** 2))
         assert rep.singular_symbol
         assert rep.residue_vanishes is None
+
+    def test_quartic_form_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(eq):
+            calls.append(eq)
+            return quartic_form(eq)
+        monkeypatch.setattr(parabolic, "quartic_form", counted)
+        for symbolic in (False, True):
+            calls.clear()
+            ma_classify(EvolutionEquation(2, LAPLACIAN + u11 ** 2), symbolic)
+            assert len(calls) == 1
+
+    def test_traceless_residue_computed_on_read(self):
+        eq = EvolutionEquation(2, LAPLACIAN + u11 ** 2)
+        rep = ma_classify(eq)
+        assert "traceless_residue" not in vars(rep)
+        assert rep.traceless_residue == ma_traceless_residue(eq)
+        assert rep.traceless_residue is rep.traceless_residue
 
     def test_minor_affine_implies_residue_vanishes(self):
         from paraclaw.corpus import CORPUS

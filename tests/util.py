@@ -35,8 +35,8 @@ from paraclaw.jets import (
 from paraclaw.corpus import CORPUS
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
-    _residue_decomposition, _trace_with, parabolicity_check, quartic_form,
-    symbol_form, xi_symbols,
+    _residue_decomposition, _trace_with, ma_classify, parabolicity_check,
+    quartic_form, symbol_form, xi_symbols,
 )
 
 t = Expr.symbol(base_var(0))
@@ -522,14 +522,15 @@ def _random_parabolic_like(rng: random.Random, n: int, extra: Expr) -> Evolution
 
 def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
     """The closed-form (q0, h, sigma) of paraclaw.parabolic equals
-    naive_residue_decomposition, or both raise SingularSymbol: on every
+    naive_residue_decomposition, or both raise SingularSymbol, and the
+    verdict of ma_classify (N = 0) is whether the naive q0 vanishes: on every
     corpus entry with n >= 2, pointwise and symbolic; on random G for
     n = 2..4 pointwise; and on random G for n = 2 symbolically.  The random
     pointwise G are polynomials of degree <= 6 in the Hessian and
     first-order data.  A symbolic G has one term quadratic in the Hessian
     and one Hessian entry times first-order data: the gcds that normalize
-    the rational coefficients run for minutes on richer G, such as
-    u_11*u_12*u_22, on either route.  Returns the number of (equation,
+    the naive route's rational coefficients run for minutes on richer G,
+    such as u_11*u_12*u_22.  Returns the number of (equation,
     mode) pairs checked."""
     rng = random.Random(seed)
     problems = [(entry.equation(), symbolic) for entry in CORPUS
@@ -552,6 +553,9 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
         assert got == want if isinstance(got, str) or isinstance(want, str) \
             else tuple(got) == tuple(want), \
             f"residue differs for u_t = {eq.G} (symbolic={symbolic})"
+        verdict = ma_classify(eq, symbolic).residue_vanishes
+        assert verdict == (None if want == "singular" else want[0].is_zero), \
+            f"residue verdict differs for u_t = {eq.G} (symbolic={symbolic})"
     return len(problems)
 
 
