@@ -12,8 +12,8 @@ from .expr import (
     poly_coefficients, substitute,
 )
 from .jets import (
-    NotInDivergenceImage, OrderOverflow, ReplacementTable,
-    TableTooShallow, TimeJetPresent, build_replacement_table,
+    NotInDivergenceImage, OrderOverflow, ReplacementTable, TimeJetPresent,
+    build_replacement_table,
     deprolongation_dimension, euler_operator, invert_divergence,
     iterated_total_derivative, parabolic_system_dimension, reduce_to_spatial,
     tableau_dimension, total_derivative,

@@ -11,10 +11,10 @@ Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
 parts gives reduce(D_t T) = dT/dt + G Q + Div(...) with Q = E_u(T) (Olver,
 GTM 107; Anco & Bluman 2002).  E_u kills divergences, so the determining
-system is E_u(dT/dt + G Q) = 0 over the ansatz: no time jet is ever
-eliminated, and the search builds no replacement table.  Flux
-reconstruction and verification still restrict D_t T to the equation
-through a replacement table, which makes verification an independent
+system is E_u(dT/dt + G Q) = 0 over the ansatz, and the search builds no
+replacement table.  Flux reconstruction and verification evaluate
+reduce(D_t T) itself in that closed form, with D_J G read off a replacement
+table, and integrate nothing by parts: verification is an independent
 second route to the conservation identity.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import linalg
 from .expr import (
@@ -36,8 +36,9 @@ from .expr import (
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
-    bounded_monomials, build_replacement_table, euler_operator, invert_divergence,
-    reduce_to_spatial, spatial_jet_order, spatial_jet_vars, total_derivative,
+    TimeJetPresent, bounded_monomials, build_replacement_table, euler_operator,
+    has_time_jets, invert_divergence, spatial_jet_order, spatial_jet_vars,
+    total_derivative,
 )
 from .parabolic import EvolutionEquation, MAReport, Parabolicity, ma_classify, \
     parabolicity_check
@@ -144,14 +145,18 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list
 
     Monomials are products of a base monomial in {t, x^1..x^n} (joint total
     degree <= base_degree) and a jet monomial in the spatial jets of order
-    <= max_jet_order (total degree <= jet_degree)."""
+    <= max_jet_order (total degree <= jet_degree).  The monomials are
+    counted before any is built: there are C(n+r, r) jets of order <= r,
+    and C(k+d, d) monomials of degree <= d in k symbols."""
+    jet_count = comb(eq.n + spec.max_jet_order, spec.max_jet_order)
+    count = (comb(eq.n + 1 + spec.base_degree, spec.base_degree)
+             * comb(jet_count + spec.jet_degree, spec.jet_degree))
+    if count > MAX_TERMS:
+        raise AnsatzTooLarge(f"{count} monomials exceed MAX_TERMS = {MAX_TERMS}")
     base_syms = [base_var(a) for a in range(eq.n + 1)]
     jet_syms = spatial_jet_vars(eq.n, spec.max_jet_order)
     base_monos = bounded_monomials(base_syms, spec.base_degree)
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
-    count = len(base_monos) * len(jet_monos)
-    if count > MAX_TERMS:
-        raise AnsatzTooLarge(f"{count} monomials exceed MAX_TERMS = {MAX_TERMS}")
     unknowns = []
     terms = {}
     k = 0
@@ -213,17 +218,34 @@ def _determining_expression(eq: EvolutionEquation, T: Expr, Q: Expr) -> Expr:
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
-    """reduce(D_t T): the time derivative of T on the prolonged equation.
+    """reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J: the time derivative of
+    the purely spatial density T on the prolonged equation, with each D_J G
+    read off the table.
 
-    Raises OrderOverflow when T has jet order >= the table's max order, as
-    D_t T then holds time jets the table cannot eliminate."""
+    A quotient T is differentiated by the quotient rule, so for a
+    polynomial G only the final quotient is normalized.  Raises
+    TimeJetPresent when T holds a time jet, and OrderOverflow when T has
+    jet order >= ORDER_GUARD, the one limit on how far the equation is
+    prolonged."""
+    if has_time_jets(T):
+        raise TimeJetPresent("the on-shell time derivative needs a purely spatial density")
     order = spatial_jet_order(T)
-    if order >= table.max_order:
+    if order >= ORDER_GUARD:
         raise OrderOverflow(
-            f"density has jet order {order} > {table.max_order - 1}: its time "
+            f"density has jet order {order} > {ORDER_GUARD - 1}: its time "
             f"derivative needs the equation prolonged past the order limit "
-            f"{table.max_order}")
-    return reduce_to_spatial(total_derivative(T, 0), table)
+            f"{ORDER_GUARD}")
+
+    def on_shell(p: Expr) -> Expr:
+        R = p.diff(TIME)
+        for s in sorted(s for s in p.symbols() if s.kind == JET):
+            R = R + p.diff(s) * table.entry(s.jet.append(0))
+        return R
+
+    if T.is_polynomial:
+        return on_shell(T)
+    num, den = Expr._make(T.num, Poly.one()), Expr._make(T.den, Poly.one())
+    return (on_shell(num) * den - num * on_shell(den)) / (den * den)
 
 
 def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
@@ -277,7 +299,7 @@ def jacobi_potential_order(law: ConservationLaw) -> int:
 
 def reconstruct_flux(eq: EvolutionEquation, T: Expr) -> tuple[Expr, ...]:
     """Fluxes X with D_t T + Div X = 0 on solutions."""
-    return _flux(_on_shell_dt(T, build_replacement_table(eq, ORDER_GUARD)), eq.n)
+    return _flux(_on_shell_dt(T, build_replacement_table(eq)), eq.n)
 
 
 def _flux(R: Expr, n: int) -> tuple[Expr, ...]:
@@ -294,7 +316,7 @@ def verify(eq: EvolutionEquation, law: ConservationLaw) -> bool:
         raise ValueError("law has no flux to verify")
     if len(law.X) != eq.n:
         raise ValueError(f"expected {eq.n} fluxes, got {len(law.X)}")
-    return _balances(_on_shell_dt(law.T, build_replacement_table(eq, ORDER_GUARD)),
+    return _balances(_on_shell_dt(law.T, build_replacement_table(eq)),
                      law.X)
 
 
@@ -343,7 +365,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         scale = Fraction(1) / Q.num.leading()[1]
         T, Q = combine(densities, vec) * scale, Q * scale
         if table is None:
-            table = build_replacement_table(eq, ORDER_GUARD)
+            table = build_replacement_table(eq)
         R = _on_shell_dt(T, table)
         try:
             X = _flux(R, eq.n)

@@ -105,15 +105,6 @@ class MultiIndex:
             return MultiIndex(self.spatial, self.time_power + 1)
         return MultiIndex(self.spatial + (a,), self.time_power)
 
-    def counts(self, n: int) -> tuple[int, ...]:
-        """Multiplicity vector over the spatial directions 1..n."""
-        c = [0] * n
-        for i in self.spatial:
-            if i > n:
-                raise ValueError(f"index {i} out of range for n={n}")
-            c[i - 1] += 1
-        return tuple(c)
-
     def __str__(self) -> str:
         return "".join(map(str, self.spatial)) + "t" * self.time_power or "()"
 
@@ -608,7 +599,7 @@ def _univariate_view(p: Poly, v: Symbol) -> dict[int, Poly]:
 
 def _content_pp(p: Poly, v: Symbol) -> tuple[Poly, Poly]:
     view = _univariate_view(p, v)
-    coeffs = list(view.values())
+    coeffs = sorted(view.values(), key=lambda q: len(q.terms))
     cont = coeffs[0]
     for q in coeffs[1:]:
         cont = poly_gcd(cont, q)
@@ -649,6 +640,17 @@ def _rational_primitive(p: Poly) -> Poly:
                  for m, c in p.terms.items()})
 
 
+def _gcd_with_coefficients(p: Poly, q: Poly, v: Symbol) -> Poly:
+    """gcd(p, q) for p free of v: p folded through q's coefficients in v,
+    smallest first, so every gcd taken has an operand that divides p."""
+    g = p
+    for c in sorted(_univariate_view(q, v).values(), key=lambda c: len(c.terms)):
+        g = poly_gcd(g, c)
+        if g == _ONE_POLY:
+            break
+    return g
+
+
 def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     vars_ = p.symbols() | q.symbols()
     if not vars_:
@@ -656,11 +658,9 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
     v = max(vars_)
     dp, dq = p.degree_of(v), q.degree_of(v)
     if dp == 0:
-        cont_q = _content_pp(q, v)[0] if dq else q
-        return poly_gcd(p, cont_q)
+        return _gcd_with_coefficients(p, q, v)
     if dq == 0:
-        cont_p = _content_pp(p, v)[0]
-        return poly_gcd(q, cont_p)
+        return _gcd_with_coefficients(q, p, v)
     cp, pp_p = _content_pp(p, v)
     cq, pp_q = _content_pp(q, v)
     c = poly_gcd(cp, cq)

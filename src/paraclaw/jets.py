@@ -1,12 +1,14 @@
-"""Jet-coordinate bookkeeping: total derivatives, prolongation tables, the
-spatial Euler operator, divergence inversion, and tableau dimension counts.
+"""Jet-coordinate bookkeeping: total derivatives, the equation's spatial
+prolongations, the spatial Euler operator, divergence inversion, and tableau
+dimension counts.
 
 Conventions.  Direction 0 is time; spatial directions are 1..n.  A jet
 variable u_{I,t} is the coordinate p_{I,t} for the derivative D_I D_0^t u,
 stored as a :class:`~paraclaw.expr.MultiIndex`.  "Purely spatial" means
 ``time_power == 0`` for every jet variable in sight; on an evolution
-equation u_t = G those are free coordinates on the equation manifold and
-every time jet is eliminated through the replacement table below.
+equation u_t = G those are free coordinates on the equation manifold, where
+u_{J,t} = D_J G.  The replacement table below memoizes D_J G, so the
+on-shell time derivative of a spatial T is dT/dt + sum_J (D_J G) dT/du_J.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are use
     from .parabolic import EvolutionEquation
 
 __all__ = [
-    "OrderOverflow", "TableTooShallow", "TimeJetPresent", "NotInDivergenceImage",
+    "OrderOverflow", "TimeJetPresent", "NotInDivergenceImage",
     "ORDER_GUARD", "ReplacementTable",
     "total_derivative", "iterated_total_derivative",
     "build_replacement_table", "reduce_to_spatial",
@@ -41,10 +43,6 @@ ORDER_GUARD = 12
 
 class OrderOverflow(ValueError):
     """Requested prolongation order exceeds the configured guard."""
-
-
-class TableTooShallow(KeyError):
-    """A replacement-table entry beyond the table's max order was requested."""
 
 
 class TimeJetPresent(ValueError):
@@ -149,75 +147,48 @@ def iterated_total_derivative(e: Expr, index: MultiIndex) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Replacement tables (prolonged equation, solved for time jets)
+# Replacement table (the equation's spatial prolongations D_J G)
 # ---------------------------------------------------------------------------
 
 class ReplacementTable:
-    """Cache of time-jet eliminations for one evolution equation.
+    """Memo of D_J G for one evolution equation u_t = G.
 
-    ``entry((I, t))`` with t >= 1 is D_I D_0^(t-1) G with every intermediate
-    time jet eliminated, i.e. a purely spatial expression equal to u_{I,t}
-    modulo the prolonged equation ideal.  Entries are memoized; the table is
-    immutable once an entry is computed and safe to share afterwards.
+    ``entry((J, 1))`` is D_J G, the purely spatial value of u_{J,t} on the
+    prolonged equation, built from the entry of J's prefix by one total
+    derivative.  Only first-order time jets have entries: a spatial density
+    T has D_t T = dT/dt + sum_J u_{J,t} dT/du_J.  The table is immutable
+    once an entry is computed and safe to share afterwards.
     """
 
-    def __init__(self, equation: "EvolutionEquation", max_order: int):
+    def __init__(self, equation: "EvolutionEquation"):
         self.equation = equation
-        self.max_order = max_order
         self._cache: dict[MultiIndex, Expr] = {}
 
     def entry(self, index: MultiIndex) -> Expr:
-        if index.time_power < 1:
-            raise ValueError("replacement entries need time_power >= 1")
-        if index.order > self.max_order:
-            raise TableTooShallow(
-                f"entry {index} has order {index.order} > max_order {self.max_order}")
-        return self._compute(index)
-
-    def _compute(self, index: MultiIndex) -> Expr:
+        if index.time_power != 1:
+            raise ValueError("replacement entries need time_power == 1")
         got = self._cache.get(index)
-        if got is not None:
-            return got
-        if index.spatial:
-            parent = MultiIndex(index.spatial[:-1], index.time_power)
-            value = total_derivative(self._compute(parent), index.spatial[-1])
-        elif index.time_power == 1:
-            value = self.equation.G
-        else:
-            raw = total_derivative(
-                self._compute(MultiIndex((), index.time_power - 1)), 0)
-            value = self._eliminate(raw)
-        self._cache[index] = value
-        return value
-
-    def _eliminate(self, e: Expr) -> Expr:
-        bindings = {}
-        for s in e.symbols():
-            if s.kind == JET and s.jet.time_power > 0:
-                bindings[s] = self._compute(s.jet)
-        return e.substitute(bindings) if bindings else e
+        if got is None:
+            if index.spatial:
+                parent = MultiIndex(index.spatial[:-1], 1)
+                got = total_derivative(self.entry(parent), index.spatial[-1])
+            else:
+                got = self.equation.G
+            self._cache[index] = got
+        return got
 
 
-def build_replacement_table(equation: "EvolutionEquation",
-                            max_order: int) -> ReplacementTable:
-    """Replacement table covering every (I, t), t >= 1, of order <= max_order."""
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if max_order > ORDER_GUARD:
-        raise OrderOverflow(f"max_order {max_order} exceeds guard {ORDER_GUARD}")
-    return ReplacementTable(equation, max_order)
+def build_replacement_table(equation: "EvolutionEquation") -> ReplacementTable:
+    """An empty memo of the prolongations D_J G of ``equation``."""
+    return ReplacementTable(equation)
 
 
 def reduce_to_spatial(e: Expr, table: ReplacementTable) -> Expr:
-    """Eliminate every time jet of e through the table (restriction to the
-    prolonged equation manifold)."""
-    bindings = {}
-    for s in e.symbols():
-        if s.kind == JET and s.jet.time_power > 0:
-            bindings[s] = table.entry(s.jet)
-    if not bindings:
-        return e
-    return e.substitute(bindings)
+    """e with every first-order time jet u_{J,t} replaced by D_J G
+    (restriction to the prolonged equation manifold)."""
+    bindings = {s: table.entry(s.jet) for s in e.symbols()
+                if s.kind == JET and s.jet.time_power > 0}
+    return e.substitute(bindings) if bindings else e
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +330,13 @@ def _integrate_x1(terms: dict) -> Expr:
 # Dimension combinatorics
 # ---------------------------------------------------------------------------
 
-def _dim_sym_traceless(n: int, s: int) -> int:
-    """dim Sym^s_0(R^n): harmonic polynomials of degree s in n variables."""
-    first = comb(n + s - 1, s)
-    second = comb(n + s - 3, s - 2) if s >= 2 else 0
-    return first - second
-
-
 def tableau_dimension(n: int, r: int) -> int:
     """Dimension of the r-th tableau prolongation: the kernel of the spatial
-    trace Sym^(r+2)(R^(n+1)) -> Sym^r(R^(n+1)), which splits as a sum of
-    traceless spatial components up to degree r + 2."""
+    trace Sym^(r+2)(R^(n+1)) -> Sym^r(R^(n+1)).  The trace is onto, so this
+    is dim Sym^(r+2) - dim Sym^r = C(n+r+2, r+2) - C(n+r, r)."""
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
-    return sum(_dim_sym_traceless(n, s) for s in range(r + 3))
+    return comb(n + r + 2, r + 2) - comb(n + r, r)
 
 
 def parabolic_system_dimension(n: int) -> int:

@@ -16,15 +16,18 @@ from paraclaw.claws import (
 )
 from paraclaw.corpus import CORPUS, by_name
 from paraclaw.expr import Expr, ansatz_unknown, jet_var, poly_coefficients
-from paraclaw.jets import euler_operator, spatial_jet_order, total_derivative
+from paraclaw.jets import (
+    OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
+    spatial_jet_order, total_derivative,
+)
 from paraclaw.parabolic import EvolutionEquation
 from util import (
     GOLDEN_PATH, claws_corpus_reports, expr_coefficient_vector,
     heat_polynomial_space, in_span, span_equal, suite_characteristic_form_corpus,
     suite_characteristic_form_random, suite_cross_validation, suite_integer_assembly,
-    suite_linear_extraction, suite_reported_coefficients_are_fractions,
-    suite_solver_soundness, suite_triviality_filter,
-    t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
+    jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
+    suite_reported_coefficients_are_fractions, suite_solver_soundness,
+    suite_triviality_filter, t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
 )
 
 
@@ -67,6 +70,18 @@ class TestGenerateAnsatz:
         # 210 jet monomials x 165 base monomials = 34650 > MAX_TERMS
         with pytest.raises(AnsatzTooLarge, match="MAX_TERMS = 20000"):
             generate_ansatz(HEAT2, AnsatzSpec(2, 4, 8))
+
+    def test_guard_counts_before_enumerating(self, monkeypatch):
+        def enumerate_nothing(*args):
+            raise AssertionError("the ansatz was enumerated before the budget check")
+
+        monkeypatch.setattr(claws, "spatial_jet_vars", enumerate_nothing)
+        monkeypatch.setattr(claws, "bounded_monomials", enumerate_nothing)
+        with pytest.raises(AnsatzTooLarge,
+                           match="^230230 monomials exceed MAX_TERMS = 20000$"):
+            generate_ansatz(HEAT2, AnsatzSpec(2, 20, 0))
+        with pytest.raises(AnsatzTooLarge):
+            generate_ansatz(EvolutionEquation(9, u11), AnsatzSpec(10, 1, 0, True))
 
     def test_order_cap_needs_unsafe_flag(self):
         with pytest.raises(ValueError):
@@ -144,24 +159,57 @@ class TestCharacteristicForm:
         assert laws and len(built) == 1
 
     def test_verify_still_eliminates_time_jets(self, monkeypatch):
-        # the identity check reads reduce(D_t T) from the replacement table,
-        # computed once per law and shared with flux reconstruction
+        # the identity check reads reduce(D_t T) from _on_shell_dt, computed
+        # once per law and shared with flux reconstruction
         reduced, checked = [], []
-        real_balances, real_reduce = claws._balances, claws.reduce_to_spatial
+        real_balances, real_on_shell = claws._balances, claws._on_shell_dt
 
         def tracking_balances(R, X):
             checked.append(R)
             return real_balances(R, X)
 
-        def tracking_reduce(*args):
-            reduced.append(real_reduce(*args))
+        def tracking_on_shell(*args):
+            reduced.append(real_on_shell(*args))
             return reduced[-1]
 
         monkeypatch.setattr(claws, "_balances", tracking_balances)
-        monkeypatch.setattr(claws, "reduce_to_spatial", tracking_reduce)
+        monkeypatch.setattr(claws, "_on_shell_dt", tracking_on_shell)
         laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 1))
         assert laws and len(reduced) == len(checked) == len(laws)
         assert all(R is got for R, got in zip(checked, reduced))
+
+
+class TestOnShellDt:
+    """reduce(D_t T) in closed form, dT/dt + sum_J (D_J G) dT/du_J; the
+    substitution of the time jets of D_t T in tests/util.py is the
+    reference."""
+
+    def test_matches_substitution_on_corpus_laws(self):
+        assert suite_on_shell_corpus() >= 19
+
+    def test_matches_substitution_on_random_equations(self):
+        assert suite_on_shell_random(cases=60) == 60
+
+    def test_time_jet_rejected(self):
+        with pytest.raises(TimeJetPresent):
+            claws._on_shell_dt(jet(tp=1), build_replacement_table(HEAT))
+
+    def test_order_limit(self):
+        table = build_replacement_table(HEAT)
+        claws._on_shell_dt(jet(*[1] * 11), table)
+        with pytest.raises(OrderOverflow, match=r"^density has jet order 12 > 11: "):
+            claws._on_shell_dt(jet(*[1] * 12), table)
+
+    def test_search_and_verify_substitute_nothing(self, monkeypatch):
+        def no_substitute(*args):
+            raise AssertionError("Expr.substitute was called")
+
+        monkeypatch.setattr(Expr, "substitute", no_substitute)
+        for eq, spec in ((HEAT, AnsatzSpec(2, 1, 2)), (BURGERS, AnsatzSpec(2, 1, 1)),
+                         (HEAT2, AnsatzSpec(2, 1, 1))):
+            laws = find_conservation_laws(eq, spec)
+            assert laws and all(verify(eq, law) for law in laws)
+            assert reconstruct_flux(eq, laws[-1].T) == laws[-1].X
 
 
 class TestSolveExact:

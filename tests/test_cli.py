@@ -460,9 +460,12 @@ class TestBoundedWork:
     documented exit code: rational G in the Hessian (the quartic form is
     read off second derivatives), products that expand past
     expr.MAX_TERMS while parsing (exit 2), symbolic residues of
-    non-Monge-Ampere G (the verdict is a polynomial identity, with no gcd)
-    and high powers of rational functions (the gcd's pseudo-remainder
-    sequence is primitive over Z)."""
+    non-Monge-Ampere G (the verdict is a polynomial identity, with no gcd),
+    high powers of rational functions (the gcd's pseudo-remainder
+    sequence is primitive over Z), the on-shell D_t T over a rational G (a
+    content gcd folds the smaller operand through the coefficients, smallest
+    first), ansaetze past expr.MAX_TERMS (counted before any monomial is
+    built) and tableau dimensions at large r (a closed form)."""
 
     @pytest.mark.parametrize("command, source, code", [
         ("classify", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 0),
@@ -501,3 +504,27 @@ class TestBoundedWork:
         proc = run_paraclaw([*command.split(), str(f)], timeout=8)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ma"] == ma
+
+    def test_verifies_over_rational_equation(self, tmp_path):
+        f = tmp_path / "problem.pde"
+        f.write_text("n=3; u_t = (2/3*t*u_1 - 2/3*u*u_3 - 1/3*x1)/(u_1^2 + 1)")
+        density = ("-10/7*x1^2*u_1*u_33 + 15/7*u_1^2*u_2^2 + 25/7*u_1*u_11*u_12^2"
+                   " + 2*t*x1*u_1")
+        proc = run_paraclaw(["verify", str(f), "--density", density,
+                             "--flux", "0", "--flux", "0", "--flux", "0"], timeout=8)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verified"] is False
+
+    def test_oversized_ansatz_fails_before_enumerating(self, tmp_path):
+        f = tmp_path / "problem.pde"
+        f.write_text("n=2; u_t = u_11 + u_22")
+        proc = run_paraclaw(["claws", str(f), "--jet-degree", "1000"], timeout=8)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.endswith(" monomials exceed MAX_TERMS = 20000\n")
+
+    def test_dims_at_large_order(self):
+        proc = run_paraclaw(["dims", "-n", "50", "-r", "2000000"], timeout=8)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["n"], report["r"]) == (50, 2000000)
+        assert report["tableau_dim"] > 0

@@ -6,15 +6,14 @@ import pytest
 
 from paraclaw.expr import Expr, MultiIndex, ZERO, base_var, jet_var
 from paraclaw.jets import (
-    NotInDivergenceImage, OrderOverflow, TableTooShallow, TimeJetPresent,
-    bounded_monomials, build_replacement_table, deprolongation_dimension,
-    euler_operator, invert_divergence, iterated_total_derivative,
-    parabolic_system_dimension, reduce_to_spatial, spatial_jet_vars,
-    tableau_dimension, total_derivative,
+    NotInDivergenceImage, TimeJetPresent, bounded_monomials,
+    build_replacement_table, deprolongation_dimension, euler_operator,
+    invert_divergence, iterated_total_derivative, parabolic_system_dimension,
+    reduce_to_spatial, spatial_jet_vars, tableau_dimension, total_derivative,
 )
 from paraclaw.parabolic import EvolutionEquation
 from util import (
-    jet, suite_commutativity, suite_divergence_decision,
+    jet, naive_tableau_dimension, suite_commutativity, suite_divergence_decision,
     suite_divergence_roundtrip, suite_divergence_roundtrip_multid,
     suite_euler_equivalence, suite_euler_kills_divergences,
     suite_total_derivative_equivalence, t, trace_matrix_nullity,
@@ -29,7 +28,7 @@ def heat():
 
 @pytest.fixture(scope="module")
 def heat_table(heat):
-    return build_replacement_table(heat, 8)
+    return build_replacement_table(heat)
 
 
 class TestTotalDerivative:
@@ -88,46 +87,36 @@ class TestReplacementTable:
     def test_spatial_prolongation(self, heat_table):
         assert heat_table.entry(MultiIndex((1,), 1)) == uxxx
 
-    def test_double_time(self, heat_table):
-        assert heat_table.entry(MultiIndex((), 2)) == jet(1, 1, 1, 1)
-
     def test_burgers_mixed_entries_consistent(self):
         eq = EvolutionEquation(1, uxx + u * ux)
-        table = build_replacement_table(eq, 6)
-        # entry(Ia, t) = eliminate(D_a entry(I, t)), for either peel order
-        e_spatial_first = table.entry(MultiIndex((1,), 2))
-        via_time = reduce_to_spatial(
-            total_derivative(table.entry(MultiIndex((1,), 1)), 0), table)
-        via_space = total_derivative(table.entry(MultiIndex((), 2)), 1)
-        assert e_spatial_first == via_time == via_space
-
-    def test_guard_roundtrip(self, heat):
-        with pytest.raises(OrderOverflow):
-            build_replacement_table(heat, 13)
-        shallow = build_replacement_table(heat, 2)
-        with pytest.raises(TableTooShallow):
-            shallow.entry(MultiIndex((1, 1), 1))
+        table = build_replacement_table(eq)
+        # entry(Jx, 1) is D_x entry(J, 1), and the substitution of u_{J,t}
+        # agrees with it: reduce(D_x u_{xt}) = entry(xx, 1) = D_x D_x G
+        e_prefix = table.entry(MultiIndex((1, 1), 1))
+        via_reduce = reduce_to_spatial(
+            total_derivative(jet(1, tp=1), 1), table)
+        via_space = total_derivative(total_derivative(eq.G, 1), 1)
+        assert e_prefix == via_reduce == via_space
 
     def test_requires_time_power(self, heat_table):
         with pytest.raises(ValueError):
             heat_table.entry(MultiIndex((1,)))
+        with pytest.raises(ValueError):
+            heat_table.entry(MultiIndex((), 2))
 
 
 class TestReduceToSpatial:
     def test_equation_itself(self, heat_table):
         assert reduce_to_spatial(jet(tp=1) - uxx, heat_table).is_zero
 
-    def test_double_time(self, heat_table):
-        assert reduce_to_spatial(jet(tp=2), heat_table) == jet(1, 1, 1, 1)
-
     def test_already_spatial(self, heat_table):
         assert reduce_to_spatial(ux, heat_table) == ux
 
     def test_nonlinear_equation(self):
         eq = EvolutionEquation(1, ux ** 2)
-        table = build_replacement_table(eq, 4)
-        # u_tt = D_t(u_x^2) = 2 u_x u_xt -> 2 u_x D_x(u_x^2) = 4 u_x^2 u_xx
-        assert reduce_to_spatial(jet(tp=2), table) == 4 * ux ** 2 * uxx
+        table = build_replacement_table(eq)
+        # u_xt = D_x(u_x^2) = 2 u_x u_xx
+        assert reduce_to_spatial(jet(1, tp=1) * ux, table) == 2 * ux ** 2 * uxx
 
 
 class TestEulerOperator:
@@ -224,6 +213,11 @@ class TestDimensions:
         assert tableau_dimension(1, 0) == 2
         assert tableau_dimension(2, 0) == 5
         assert tableau_dimension(2, 1) == 7
+
+    def test_tableau_closed_form_matches_traceless_sum(self):
+        for n in range(1, 31):
+            for r in range(41):
+                assert tableau_dimension(n, r) == naive_tableau_dimension(n, r), (n, r)
 
     def test_tableau_against_trace_matrix_oracle(self):
         for n in range(1, 5):

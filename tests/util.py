@@ -20,16 +20,16 @@ from fractions import Fraction
 
 from paraclaw import cli, linalg
 from paraclaw.claws import (
-    AnsatzSpec, _determining_expression, assemble_determining_system, combine,
-    cross_validate_ma, find_conservation_laws, generate_ansatz, linear_columns,
-    solve_exact, verify,
+    AnsatzSpec, _determining_expression, _on_shell_dt, assemble_determining_system,
+    combine, cross_validate_ma, find_conservation_laws, generate_ansatz,
+    linear_columns, solve_exact, verify,
 )
 from paraclaw.expr import (
     JET, Expr, ONE, Symbol, ZERO, aux_var, base_var, jet_symbol, jet_var,
     mono_cmp,
 )
 from paraclaw.jets import (
-    ORDER_GUARD, NotInDivergenceImage, build_replacement_table, euler_operator,
+    NotInDivergenceImage, build_replacement_table, euler_operator,
     invert_divergence, reduce_to_spatial, spatial_jet_vars, total_derivative,
 )
 from paraclaw.corpus import CORPUS
@@ -81,7 +81,9 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # derivative quartic form, the Sylvester and principal-minor parabolicity
 # test and the inverse-and-trace-equations residue, kept to check the
 # Hessian-derivative quartic, the LDL^T verdict and the closed-form residue
-# of paraclaw.parabolic
+# of paraclaw.parabolic; the substitution route to the on-shell D_t T, kept
+# to check the closed form of paraclaw.claws; the sum of traceless
+# dimensions, kept to check the closed-form tableau dimension
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -109,8 +111,21 @@ def naive_determining_expression(eq: EvolutionEquation, T: Expr) -> Expr:
     """E_u(reduce(D_t T)): the determining expression on shell, with every
     time jet of D_t T eliminated through a replacement table.  Kept to check
     the characteristic form E_u(dT/dt + G E_u(T)) of paraclaw.claws."""
-    table = build_replacement_table(eq, ORDER_GUARD)
-    return euler_operator(reduce_to_spatial(total_derivative(T, 0), table))
+    return euler_operator(naive_on_shell_dt(eq, T))
+
+
+def naive_on_shell_dt(eq: EvolutionEquation, T: Expr) -> Expr:
+    """reduce(D_t T): the total time derivative of T, with every time jet
+    u_{J,t} then substituted by D_J G.  Kept to check the closed form
+    dT/dt + sum_J (D_J G) dT/du_J of paraclaw.claws._on_shell_dt."""
+    return reduce_to_spatial(total_derivative(T, 0), build_replacement_table(eq))
+
+
+def naive_tableau_dimension(n: int, r: int) -> int:
+    """sum_{s <= r+2} dim Sym^s_0(R^n): the tableau as a sum of traceless
+    (harmonic) spatial components, one pair of binomials per degree."""
+    return sum(math.comb(n + s - 1, s) - (math.comb(n + s - 3, s - 2) if s >= 2 else 0)
+               for s in range(r + 3))
 
 
 def determining_scale(eq: EvolutionEquation) -> int:
@@ -450,6 +465,50 @@ def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
         assert _determining_expression(eq, T, euler_operator(T)) \
             == determining_scale(eq) * naive_determining_expression(eq, T), \
             f"characteristic form differs for u_t = {G}, T = {T}"
+    return cases
+
+
+def suite_on_shell_corpus() -> int:
+    """The closed-form on-shell D_t T of every law the search reports on the
+    corpus (at the bounds of :func:`suite_cross_validation`) equals the
+    substitution reference.  Returns the number of laws checked."""
+    checked = 0
+    for entry in CORPUS:
+        eq = entry.equation()
+        spec = AnsatzSpec(2, 1, 2 if eq.n == 1 else 1)
+        table = build_replacement_table(eq)
+        for law in find_conservation_laws(eq, spec):
+            assert _on_shell_dt(law.T, table) == naive_on_shell_dt(eq, law.T), \
+                f"on-shell D_t T differs on {entry.name} for T = {law.T}"
+            checked += 1
+    return checked
+
+
+def suite_on_shell_random(cases: int = 60, seed: int = 53) -> int:
+    """The same identity on random equations u_t = G and random densities T
+    over t, x and spatial jets of order <= 2, for n = 1..3.  G and T have
+    explicit t and x terms and rational coefficients; every third G is a
+    quotient by 1 + u_1^2, and about half the other T are small quotients
+    (a rational T over a rational G in three dimensions took over 5 s on
+    either route)."""
+    rng = random.Random(seed)
+    for k in range(cases):
+        rational_G = k % 3 == 2
+        n = 1 + (k // 3 if rational_G else k) % 3
+        syms = random_spatial_symbols(n)
+        jets = syms[n + 1:]
+        G = random_poly(rng, syms, terms=3) * Fraction(rng.randint(1, 5), rng.randint(1, 7)) \
+            + Fraction(rng.randint(1, 5), 3) * t * Expr.symbol(rng.choice(jets)) \
+            + Fraction(-1, rng.randint(2, 5)) * Expr.symbol(base_var(rng.randint(1, n)))
+        T = Fraction(rng.randint(1, 5), 2) * t * x * Expr.symbol(rng.choice(jets))
+        if rational_G:
+            G = G / (1 + u1 ** 2)
+            T = T + random_poly(rng, syms, terms=4) * Fraction(rng.randint(1, 9), 7)
+        else:
+            T = T + _random_input(rng, syms, syms, 1) * Fraction(rng.randint(1, 9), 7)
+        eq = EvolutionEquation(n, G)
+        assert _on_shell_dt(T, build_replacement_table(eq)) == naive_on_shell_dt(eq, T), \
+            f"on-shell D_t T differs for u_t = {G}, T = {T}"
     return cases
 
 
