@@ -30,9 +30,9 @@ from .claws import (
     cross_validate_ma, find_conservation_laws, generate_ansatz,
     jacobi_potential_order, solve_exact, verify,
 )
-from .cli import (
-    IndexOutOfRange, ParseError, ProblemFile, TimeDerivativeOnRHS, main,
-    parse, parse_expression,
+from .grammar import (
+    IndexOutOfRange, ParseError, ProblemFile, TimeDerivativeOnRHS, parse, parse_expression,
 )
+from .cli import main
 
 __version__ = "0.1.0"

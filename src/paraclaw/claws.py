@@ -48,7 +48,7 @@ __all__ = [
     "InvariantViolation",
     "AnsatzSpec", "ConservationLaw", "DeterminingSystem", "CrossValidation",
     "generate_ansatz", "assemble_determining_system", "linear_columns", "combine",
-    "solve_exact",
+    "solve_exact", "check_density_order",
     "find_conservation_laws", "verify", "characteristic",
     "jacobi_potential_order", "reconstruct_flux", "cross_validate_ma",
 ]
@@ -66,6 +66,10 @@ class FluxReconstructionFailed(NotInDivergenceImage):
 class NotParabolicEquation(ValueError):
     """The symbol is not parabolic at the reference jet (use force to override)."""
 
+    def __init__(self) -> None:
+        super().__init__("symbol is not parabolic at the reference jet; "
+                         "pass force=True to proceed")
+
 
 class InvariantViolation(RuntimeError):
     """An output invariant failed; indicates a bug, never accepted output."""
@@ -77,7 +81,8 @@ class AnsatzSpec:
 
     ``max_jet_order`` is capped at 2 -- the proven search space -- unless
     ``unsafe_order`` is set (useful only to confirm experimentally that
-    nothing new appears at order 3).
+    nothing new appears at order 3), and is always below ORDER_GUARD: the
+    on-shell time derivative of a kept law is refused from that order on.
     """
 
     max_jet_order: int = 2
@@ -91,6 +96,9 @@ class AnsatzSpec:
         if self.max_jet_order > 2 and not self.unsafe_order:
             raise ValueError(
                 "max_jet_order > 2 needs unsafe_order=True (--unsafe-order)")
+        if self.max_jet_order >= ORDER_GUARD:
+            raise ValueError(f"max_jet_order {self.max_jet_order} reaches the order "
+                             f"limit ORDER_GUARD = {ORDER_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -224,17 +232,11 @@ def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
 
     A quotient T is differentiated by the quotient rule, so for a
     polynomial G only the final quotient is normalized.  Raises
-    TimeJetPresent when T holds a time jet, and OrderOverflow when T has
-    jet order >= ORDER_GUARD, the one limit on how far the equation is
-    prolonged."""
+    TimeJetPresent when T holds a time jet, and OrderOverflow past the
+    order limit (:func:`check_density_order`)."""
     if has_time_jets(T):
         raise TimeJetPresent("the on-shell time derivative needs a purely spatial density")
-    order = spatial_jet_order(T)
-    if order >= ORDER_GUARD:
-        raise OrderOverflow(
-            f"density has jet order {order} > {ORDER_GUARD - 1}: its time "
-            f"derivative needs the equation prolonged past the order limit "
-            f"{ORDER_GUARD}")
+    check_density_order(T)
 
     def on_shell(p: Expr) -> Expr:
         R = p.diff(TIME)
@@ -246,6 +248,17 @@ def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
         return on_shell(T)
     num, den = Expr._make(T.num, Poly.one()), Expr._make(T.den, Poly.one())
     return (on_shell(num) * den - num * on_shell(den)) / (den * den)
+
+
+def check_density_order(T: Expr) -> None:
+    """Raise OrderOverflow when the density T has jet order >= ORDER_GUARD,
+    the one limit on how far the equation is prolonged."""
+    order = spatial_jet_order(T)
+    if order >= ORDER_GUARD:
+        raise OrderOverflow(
+            f"density has jet order {order} > {ORDER_GUARD - 1}: its time "
+            f"derivative needs the equation prolonged past the order limit "
+            f"{ORDER_GUARD}")
 
 
 def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
@@ -265,21 +278,21 @@ def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
     return columns
 
 
-def combine(columns: list[dict], vec: list[Fraction]) -> Expr:
-    """sum_k vec[k] * columns[k] as a polynomial, over the nonzero vec[k]."""
+def combine(columns: list[dict], vec: dict) -> Expr:
+    """sum_k vec[k] * columns[k] as a polynomial, for a sparse vector
+    {k: Fraction}."""
     acc: dict = {}
-    for k, v in enumerate(vec):
-        if not v:
-            continue
+    for k, v in vec.items():
         for mono, c in columns[k].items():
             got = acc.get(mono)
             acc[mono] = v * c if got is None else got + v * c
     return Expr._make(Poly({m: c for m, c in acc.items() if c}), Poly.one())
 
 
-def solve_exact(system: DeterminingSystem) -> list[list[Fraction]]:
-    """Basis of the null space, by exact Gaussian elimination with
-    deterministic pivoting (first nonzero column in the unknown order)."""
+def solve_exact(system: DeterminingSystem) -> list[dict]:
+    """Basis of the null space as sparse vectors {column: Fraction}, by
+    exact Gaussian elimination with deterministic pivoting (first nonzero
+    column in the unknown order)."""
     return linalg.nullspace(system.rows, len(system.unknowns))
 
 
@@ -346,8 +359,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     kept."""
     spec = spec or AnsatzSpec()
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
-        raise NotParabolicEquation(
-            "symbol is not parabolic at the reference jet; pass force=True to proceed")
+        raise NotParabolicEquation()
     T_ansatz, unknowns = generate_ansatz(eq, spec)
     system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
     basis = solve_exact(system)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cli import ProblemFile, parse
+from .grammar import ProblemFile, parse
 from .parabolic import EvolutionEquation
 
 

@@ -40,10 +40,11 @@ def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]
     return [reduced[p] for p in pivots], pivots
 
 
-def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
+def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """Basis of the null space of the homogeneous system, one vector per free
     column, each scaled to a primitive integer vector with positive leading
-    entry.
+    entry.  Vectors are sparse: {column: Fraction} over their nonzero
+    entries, in increasing column order.
 
     The vector of free column f is L e_f - sum_p (n_p L / d_p) e_p over the
     reduced rows with entry n_p / d_p (in lowest terms) at f, where L is
@@ -62,14 +63,13 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [_F0] * ncols
         entries = by_column.get(free, ())
         scale = lcm(*(v.denominator for _, v in entries)) if entries else 1
         if entries and entries[0][1] > 0:
             scale = -scale
+        vec = {piv: Fraction(-v.numerator * (scale // v.denominator))
+               for piv, v in entries}
         vec[free] = Fraction(scale)
-        for piv, v in entries:
-            vec[piv] = Fraction(-v.numerator * (scale // v.denominator))
         basis.append(vec)
     return basis
 

@@ -17,7 +17,7 @@ from paraclaw.claws import (
 from paraclaw.corpus import CORPUS, by_name
 from paraclaw.expr import Expr, ansatz_unknown, jet_var, poly_coefficients
 from paraclaw.jets import (
-    OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
+    ORDER_GUARD, OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
     spatial_jet_order, total_derivative,
 )
 from paraclaw.parabolic import EvolutionEquation
@@ -90,13 +90,18 @@ class TestGenerateAnsatz:
         T, _ = generate_ansatz(HEAT, spec)
         assert spatial_jet_order(T) == 3
 
+    def test_order_limit_holds_with_unsafe_flag(self):
+        AnsatzSpec(max_jet_order=ORDER_GUARD - 1, unsafe_order=True)
+        with pytest.raises(ValueError, match=r"ORDER_GUARD = 12$"):
+            AnsatzSpec(max_jet_order=ORDER_GUARD, unsafe_order=True)
+
 
 class TestDeterminingSystem:
     def test_conserved_density_gives_empty_system(self):
         T = Expr.symbol(ansatz_unknown(1)) * u
         system = assemble_determining_system(HEAT, T)
         assert system.num_equations == 0
-        assert solve_exact(system) == [[Fraction(1)]]
+        assert solve_exact(system) == [{0: Fraction(1)}]
 
     def test_divergence_density_gives_empty_system(self):
         T = Expr.symbol(ansatz_unknown(1)) * ux
@@ -215,16 +220,15 @@ class TestOnShellDt:
 class TestSolveExact:
     def test_empty_system_identity(self):
         system = _system(3, [])
-        assert solve_exact(system) == [
-            [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert solve_exact(system) == [{0: 1}, {1: 1}, {2: 1}]
 
     def test_single_relation(self):
         system = _system(2, [{0: Fraction(1), 1: Fraction(1)}])
-        assert solve_exact(system) == [[Fraction(1), Fraction(-1)]]
+        assert solve_exact(system) == [{0: Fraction(1), 1: Fraction(-1)}]
 
     def test_two_relations(self):
         system = _system(3, [{0: Fraction(2)}, {1: Fraction(1), 2: Fraction(-3)}])
-        assert solve_exact(system) == [[Fraction(0), Fraction(3), Fraction(1)]]
+        assert solve_exact(system) == [{1: Fraction(3), 2: Fraction(1)}]
 
 
 def _system(m, rows):
@@ -290,7 +294,8 @@ class TestFindConservationLaws:
         columns = linear_columns(euler_operator(T_ansatz), unknowns)
         basis = solve_exact(assemble_determining_system(HEAT, T_ansatz))
         va, vb = [v for v in basis if not combine(columns, v).is_zero][:2]
-        vectors = [va, vb, [a + b for a, b in zip(va, vb)]]
+        vab = {k: va.get(k, 0) + vb.get(k, 0) for k in sorted(va.keys() | vb.keys())}
+        vectors = [va, vb, vab]
         Qs = [combine(columns, v) for v in vectors]
         monic = {(Q * (1 / Q.num.leading()[1])).canonical_key() for Q in Qs}
         assert len(monic) == 3
@@ -301,7 +306,7 @@ class TestFindConservationLaws:
                                            for Q in Qs[:2]]
 
     def test_heat_3d_jet_degree_2(self):
-        from paraclaw.cli import parse
+        from paraclaw.grammar import parse
         eq = parse("n=3; u_t = u_11 + 2*u_22 + 3*u_33").equation()
         laws = find_conservation_laws(eq, AnsatzSpec(2, 2, 2))
         assert len(laws) == 10
@@ -355,7 +360,7 @@ class TestFindConservationLaws:
         assert total_derivative(mass.X[0], 1) == -(uxx + x)
 
     def test_three_dimensional_heat(self):
-        from paraclaw.cli import parse
+        from paraclaw.grammar import parse
         from paraclaw.expr import base_var
         x3 = Expr.symbol(base_var(3))
         eq = parse("n=3; u_t = u_11 + u_22 + u_33").equation()

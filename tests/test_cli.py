@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 import paraclaw
-from paraclaw.cli import (
-    IndexOutOfRange, ParseError, TimeDerivativeOnRHS, cmd_claws, cmd_classify,
-    cmd_dims, cmd_verify, expr_to_source, main, parse, parse_expression,
-    print_problem,
+from paraclaw.cli import cmd_claws, cmd_classify, cmd_dims, cmd_verify, main
+from paraclaw.grammar import (
+    IndexOutOfRange, ParseError, TimeDerivativeOnRHS, expr_to_source, parse,
+    parse_expression, print_problem,
 )
 from paraclaw.claws import AnsatzSpec
 from paraclaw.expr import Expr, base_var, jet_var
@@ -202,7 +202,7 @@ class TestRoundTrip:
 
     def test_random_problem_files_round_trip(self):
         import random
-        from paraclaw.cli import ProblemFile
+        from paraclaw.grammar import ProblemFile
         from util import random_poly, random_spatial_symbols
         rng = random.Random(51)
         for _ in range(25):
@@ -465,7 +465,9 @@ class TestBoundedWork:
     sequence is primitive over Z), the on-shell D_t T over a rational G (a
     content gcd folds the smaller operand through the coefficients, smallest
     first), ansaetze past expr.MAX_TERMS (counted before any monomial is
-    built) and tableau dimensions at large r (a closed form)."""
+    built), tableau dimensions at large r (a closed form) and jet orders far
+    past jets.ORDER_GUARD (refused before the Euler operator's recursive
+    walk)."""
 
     @pytest.mark.parametrize("command, source, code", [
         ("classify", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 0),
@@ -521,6 +523,20 @@ class TestBoundedWork:
         proc = run_paraclaw(["claws", str(f), "--jet-degree", "1000"], timeout=8)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.endswith(" monomials exceed MAX_TERMS = 20000\n")
+
+    @pytest.mark.parametrize("args, stderr", [
+        (["verify", "--density", "u_" + "x" * 1200, "--flux", "0"],
+         "error: density has jet order 1200 > 11: its time derivative needs "
+         "the equation prolonged past the order limit 12\n"),
+        (["claws", "--unsafe-order", "--order", "1200"],
+         "error: max_jet_order 1200 reaches the order limit ORDER_GUARD = 12\n"),
+    ], ids=["verify-density", "claws-unsafe-order"])
+    def test_order_past_the_limit_is_refused(self, tmp_path, args, stderr):
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        proc = run_paraclaw([args[0], str(f), *args[1:]], timeout=8)
+        assert proc.returncode == 1
+        assert proc.stderr == stderr
 
     def test_dims_at_large_order(self):
         proc = run_paraclaw(["dims", "-n", "50", "-r", "2000000"], timeout=8)

@@ -1,10 +1,15 @@
-"""The names that perfbench/tracing.py wraps must exist in paraclaw.
+"""Checks on the package's structure, read from source.
 
-The tracer rebinds each (module, attribute) pair by ``getattr`` when it is
+The names that perfbench/tracing.py wraps must exist in paraclaw.  The
+tracer rebinds each (module, attribute) pair by ``getattr`` when it is
 installed, so a deleted or renamed name would break every traced benchmark
 run.  The tracer's source is read and executed in a private namespace; no
-file is imported, written or edited."""
+file is imported, written or edited.
 
+The package's imports run one way, from the command layer down to the
+kernel; each module's imports are read with ``ast``."""
+
+import ast
 import importlib
 import os
 
@@ -27,3 +32,68 @@ def test_traced_name_resolves(modname, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+# Each paraclaw module and the modules directly below it; a module may import
+# any module below it, directly or through others, and nothing else.  Only
+# __init__ and __main__, which are above everything, may import cli.
+LAYERS = {
+    "expr": (), "linalg": (),
+    "jets": ("expr", "linalg"),
+    "parabolic": ("jets",),
+    "claws": ("parabolic",),
+    "grammar": ("parabolic",),
+    "corpus": ("grammar",),
+    "cli": ("grammar", "claws"),
+}
+PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "paraclaw")
+
+
+def _below(module: str) -> set:
+    below = set()
+    for lower in LAYERS[module]:
+        below |= {lower} | _below(lower)
+    return below
+
+
+def _is_type_checking(node: ast.AST) -> bool:
+    test = getattr(node, "test", None)
+    return isinstance(node, ast.If) and (
+        isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+        or isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def _paraclaw_imports(tree: ast.AST) -> set:
+    """The paraclaw modules a module imports, outside ``if TYPE_CHECKING:``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if _is_type_checking(node):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "paraclaw":
+                continue
+            inner = parts[1:] if node.level == 0 else [p for p in parts if p]
+            found |= {inner[0]} if inner else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("paraclaw.")}
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_imports_run_one_way():
+    modules = sorted(name[:-3] for name in os.listdir(PACKAGE_DIR) if name.endswith(".py"))
+    assert set(modules) - {"__init__", "__main__"} <= set(LAYERS), "module without a layer"
+    for module in modules:
+        with open(os.path.join(PACKAGE_DIR, f"{module}.py"), encoding="utf-8") as fh:
+            imported = _paraclaw_imports(ast.parse(fh.read()))
+        if module in ("__init__", "__main__"):
+            assert imported <= set(LAYERS), module
+            continue
+        assert imported <= _below(module), \
+            f"{module} imports {sorted(imported - _below(module))}, which are not below it"

@@ -742,7 +742,7 @@ def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
         densities = linear_columns(T_ansatz, unknowns)
         characteristics = linear_columns(euler_operator(T_ansatz), unknowns)
         for vec in solve_exact(system):
-            T = T_ansatz.substitute(dict(zip(unknowns, vec)))
+            T = T_ansatz.substitute({c: vec.get(k, 0) for k, c in enumerate(unknowns)})
             assert combine(densities, vec) == T, f"density differs on {entry.name}"
             assert combine(characteristics, vec) == euler_operator(T), \
                 f"characteristic differs on {entry.name}: T = {T}"
@@ -872,7 +872,7 @@ def heat_polynomial_space(n: int, degree: int) -> list[dict]:
                 rows.setdefault(key, {})
                 add_to(rows[key], m, Fraction(m[i] * (m[i] - 1)))
     basis = linalg.nullspace(list(rows.values()), len(monos))
-    return [{monos[i]: v for i, v in enumerate(vec) if v} for vec in basis]
+    return [{monos[i]: v for i, v in vec.items()} for vec in basis]
 
 
 def expr_coefficient_vector(e: Expr, n: int, degree: int) -> list[Fraction]:
