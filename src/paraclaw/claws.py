@@ -3,9 +3,10 @@
 The pipeline: enumerate a polynomial density ansatz T in the base
 coordinates and spatial jets of order <= 2 (the order bound is licensed by
 the structure theory -- characteristics of evolutionary parabolic
-equations depend on at most second derivatives); assemble the determining
-system in characteristic form; solve the system exactly; filter trivial
-laws by their characteristic; reconstruct fluxes by divergence inversion.
+equations depend on at most second derivatives); keep only the monomials
+whose characteristics are independent, so that no trivial law is ever
+solved for; assemble the determining system in characteristic form; solve
+the system exactly; reconstruct fluxes by divergence inversion.
 
 Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
@@ -346,34 +347,51 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
 
     E_u is linear, so the characteristic of every null vector v is M v,
     with M = E_u(T_ansatz) read off once as columns over the unknowns, and
-    its density is sum_k v_k m_k.  Trivial laws (characteristic 0) are
-    dropped; a law is kept only when its characteristic is linearly
-    independent of those already kept; each law is scaled so its
-    characteristic is monic.  Every null-space density has a flux,
-    reconstructed by exact divergence inversion.  Every returned law
-    satisfies the conservation identity exactly and has characteristic of
-    jet order <= 2.  Q_ansatz = E_u(T_ansatz) is computed once, for the
-    assembly and the characteristics.  Each law's on-shell D_t T is
-    computed once, from the one replacement table, and serves both its flux
-    and its identity check; the table is built only when the first law is
-    kept."""
+    its density is sum_k v_k m_k.  E_u kills exactly the divergences, so
+    densities with the same characteristic are the same law.  The search
+    therefore first keeps only the ansatz monomials m_k whose
+    characteristic E_u(m_k) is linearly independent of those of the
+    earlier monomials, in unknown order (a monomial with E_u(m_k) = 0 is
+    dropped), and assembles and solves the determining system of that
+    restricted ansatz.  M is injective there, so each null vector is one
+    law: a vector whose characteristic is 0 or dependent on the kept ones
+    is an InvariantViolation.  The laws are those the full ansatz gives
+    after dropping trivial and dependent null vectors, in the same order:
+    E_u(dT/dt) = d/dt E_u(T), so ker M lies in the null space, and the
+    null vector of each free column that is not a pivot of M has a
+    characteristic that depends on those of earlier null vectors.
+
+    Each law is scaled so its characteristic is monic.  Every null-space
+    density has a flux, reconstructed by exact divergence inversion.
+    Every returned law satisfies the conservation identity exactly.  A
+    characteristic of jet order > 2 is an InvariantViolation on a strictly
+    parabolic symbol, where the order bound is a theorem; otherwise (a
+    weak or, with force, a non-parabolic symbol) the law is kept, and the
+    symbol is classified only when such a law turns up.  Each law's
+    on-shell D_t T is computed once, from the one replacement table, and
+    serves both its flux and its identity check; the table is built only
+    when the first law is kept."""
     spec = spec or AnsatzSpec()
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    T_ansatz, unknowns = generate_ansatz(eq, spec)
+    T_full, unknowns = generate_ansatz(eq, spec)
+    pivots = linalg.Echelon()
+    keep = {c for c, Q in zip(unknowns, linear_columns(characteristic(T_full), unknowns))
+            if pivots.add(Q)}
+    # every monomial of the ansatz holds exactly one unknown
+    T_ansatz = Expr._make(Poly({m: c for m, c in T_full.num.terms.items()
+                                if any(p[0] in keep for p in m)}), Poly.one())
     system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
     basis = solve_exact(system)
-    densities = linear_columns(T_ansatz, unknowns)
-    characteristics = linear_columns(system.Q_ansatz, unknowns)
+    densities = linear_columns(T_ansatz, system.unknowns)
+    characteristics = linear_columns(system.Q_ansatz, system.unknowns)
     kept = linalg.Echelon()
     table: ReplacementTable | None = None
     laws: list[ConservationLaw] = []
     for vec in basis:
         Q = combine(characteristics, vec)
-        if Q.is_zero:
-            continue  # density is a spatial divergence: trivial
         if not kept.add(Q.num.terms):
-            continue  # Q is a combination of the characteristics already kept
+            raise InvariantViolation("null vector with zero or dependent characteristic")
         scale = Fraction(1) / Q.num.leading()[1]
         T, Q = combine(densities, vec) * scale, Q * scale
         if table is None:
@@ -385,7 +403,8 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
             raise InvariantViolation(
                 f"null-space density has no flux: T = {T}") from exc
         law = ConservationLaw(T, X, Q)
-        if jacobi_potential_order(law) > 2:
+        if (jacobi_potential_order(law) > 2
+                and parabolicity_check(eq) is Parabolicity.STRICT):
             raise InvariantViolation(
                 f"characteristic of jet order > 2 found: {Q}")
         if not _balances(R, X):

@@ -10,9 +10,10 @@ import pytest
 from paraclaw import claws, linalg
 from paraclaw.claws import (
     AnsatzSpec, AnsatzTooLarge, ConservationLaw, FluxReconstructionFailed,
-    NotParabolicEquation, assemble_determining_system, characteristic, combine,
-    cross_validate_ma, find_conservation_laws, generate_ansatz,
-    jacobi_potential_order, linear_columns, reconstruct_flux, solve_exact, verify,
+    InvariantViolation, NotParabolicEquation, assemble_determining_system,
+    characteristic, combine, cross_validate_ma, find_conservation_laws,
+    generate_ansatz, jacobi_potential_order, linear_columns, reconstruct_flux,
+    solve_exact, verify,
 )
 from paraclaw.corpus import CORPUS, by_name
 from paraclaw.expr import Expr, ansatz_unknown, jet_var, poly_coefficients
@@ -26,8 +27,9 @@ from util import (
     heat_polynomial_space, in_span, span_equal, suite_characteristic_form_corpus,
     suite_characteristic_form_random, suite_cross_validation, suite_integer_assembly,
     jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
-    suite_reported_coefficients_are_fractions, suite_solver_soundness,
-    suite_triviality_filter, t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
+    suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
+    suite_solver_soundness, suite_triviality_filter,
+    t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
 )
 
 
@@ -286,24 +288,57 @@ class TestFindConservationLaws:
             assert law.Q.num.leading()[1] == 1
 
     def test_independence_not_proportionality(self, monkeypatch):
-        # null vectors v_a, v_b, v_a + v_b: Q_a + Q_b is proportional to
-        # neither Q_a nor Q_b, so deduplication by proportional
-        # characteristics would keep three laws; they span two
+        # null vectors v_a, v_b, v_a + v_b of the restricted system: Q_a + Q_b
+        # is proportional to neither Q_a nor Q_b, yet depends on them.  The
+        # restricted search never yields such a vector, so it fails loudly
+        # instead of being dropped
         spec = AnsatzSpec(2, 1, 2)
-        T_ansatz, unknowns = generate_ansatz(HEAT, spec)
-        columns = linear_columns(euler_operator(T_ansatz), unknowns)
-        basis = solve_exact(assemble_determining_system(HEAT, T_ansatz))
-        va, vb = [v for v in basis if not combine(columns, v).is_zero][:2]
-        vab = {k: va.get(k, 0) + vb.get(k, 0) for k in sorted(va.keys() | vb.keys())}
-        vectors = [va, vb, vab]
-        Qs = [combine(columns, v) for v in vectors]
+        Qs = []
+
+        def dependent_basis(system):
+            va, vb = solve_exact(system)[:2]
+            vab = {k: va.get(k, 0) + vb.get(k, 0) for k in sorted(va.keys() | vb.keys())}
+            columns = linear_columns(system.Q_ansatz, system.unknowns)
+            Qs.extend(combine(columns, v) for v in (va, vb, vab))
+            return [va, vb, vab]
+
+        monkeypatch.setattr(claws, "solve_exact", dependent_basis)
+        with pytest.raises(InvariantViolation,
+                           match="null vector with zero or dependent characteristic"):
+            find_conservation_laws(HEAT, spec)
         monic = {(Q * (1 / Q.num.leading()[1])).canonical_key() for Q in Qs}
         assert len(monic) == 3
-        monkeypatch.setattr(claws, "solve_exact", lambda system: vectors)
-        laws = find_conservation_laws(HEAT, spec)
-        assert len(laws) == 2
-        assert [law.Q for law in laws] == [Q * (1 / Q.num.leading()[1])
-                                           for Q in Qs[:2]]
+
+    def test_order_bound_enforced_only_on_strict_symbols(self, monkeypatch):
+        monkeypatch.setattr(claws, "jacobi_potential_order", lambda law: 3)
+        with pytest.raises(InvariantViolation, match="jet order > 2"):
+            find_conservation_laws(HEAT, AnsatzSpec(2, 1, 0))
+        transport = EvolutionEquation(1, ux)
+        assert [law.Q for law in find_conservation_laws(transport, AnsatzSpec(2, 1, 0))] \
+            == [Expr.const(1)]
+
+    def test_null_dimension_is_law_count(self, monkeypatch):
+        # the restricted ansatz leaves one null vector per law
+        dims = []
+
+        def recording(system):
+            basis = solve_exact(system)
+            dims.append(len(basis))
+            return basis
+
+        monkeypatch.setattr(claws, "solve_exact", recording)
+        total = 0
+        for entry in CORPUS:
+            eq = entry.equation()
+            for spec in (AnsatzSpec(), AnsatzSpec(2, 1, 2 if eq.n == 1 else 1)):
+                dims.clear()
+                laws = find_conservation_laws(eq, spec)
+                assert dims == [len(laws)], f"{entry.name} at {spec}"
+                total += len(laws)
+        assert total > 20
+
+    def test_matches_full_ansatz_search(self):
+        assert suite_restricted_search_equivalence() > 200
 
     def test_heat_3d_jet_degree_2(self):
         from paraclaw.grammar import parse

@@ -286,6 +286,22 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert any("force" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("source", ["n=1; u_t = u_x", "n=1; u_t = 0*u_xx"],
+                             ids=["transport", "zero-symbol"])
+    def test_claws_on_degenerate_symbol(self, tmp_path, capsys, source):
+        # the order-2 bound on characteristics is a theorem for a strictly
+        # parabolic symbol; on a degenerate one a law of order 4 is reported
+        f = tmp_path / "degenerate.pde"
+        f.write_text(source)
+        assert main(["claws", str(f), "--jet-degree", "2"]) == 0
+        laws = json.loads(capsys.readouterr().out)["laws"]
+        assert [(law["characteristic"], law["order"]) for law in laws] == [
+            ("1", 0), ("u", 0), ("u_xx", 2), ("u_xxxx", 4)]
+        for law in laws:
+            fluxes = [f"--flux={X}" for X in law["flux"]]
+            assert main(["verify", str(f), "--density", law["density"], *fluxes]) == 0
+            assert json.loads(capsys.readouterr().out)["verified"] is True
+
     def test_exit_one_on_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/f.pde"]) == 1
 

@@ -6,6 +6,11 @@ installed, so a deleted or renamed name would break every traced benchmark
 run.  The tracer's source is read and executed in a private namespace; no
 file is imported, written or edited.
 
+The tracer times the law search's stages by rebinding
+``claws.generate_ansatz``, ``claws.assemble_determining_system`` and
+``claws.solve_exact``, so the search must call each of them through its
+module name, once.
+
 The package's imports run one way, from the command layer down to the
 kernel; each module's imports are read with ``ast``."""
 
@@ -32,6 +37,26 @@ def test_traced_name_resolves(modname, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+@pytest.mark.parametrize("source, spec", [
+    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
+    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
+    ("n=1; u_t = u_x", (2, 2, 0)),
+], ids=["burgers", "heat_2d", "transport"])
+def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
+    from paraclaw import claws
+    from paraclaw.grammar import parse
+    calls = {}
+    for name in ("generate_ansatz", "assemble_determining_system", "solve_exact"):
+        def counting(*args, _name=name, _real=getattr(claws, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(claws, name, counting)
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+    assert laws
+    assert calls == {"generate_ansatz": 1, "assemble_determining_system": 1,
+                     "solve_exact": 1}
 
 
 # Each paraclaw module and the modules directly below it; a module may import

@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from paraclaw import cli, linalg
 from paraclaw.claws import (
-    AnsatzSpec, _determining_expression, _on_shell_dt, assemble_determining_system,
-    combine, cross_validate_ma, find_conservation_laws, generate_ansatz,
-    linear_columns, solve_exact, verify,
+    AnsatzSpec, ConservationLaw, NotParabolicEquation, _determining_expression,
+    _on_shell_dt, assemble_determining_system, combine, cross_validate_ma,
+    find_conservation_laws, generate_ansatz, linear_columns, reconstruct_flux,
+    solve_exact, verify,
 )
 from paraclaw.expr import (
     JET, Expr, ONE, Symbol, ZERO, aux_var, base_var, jet_symbol, jet_var,
@@ -720,6 +721,64 @@ def suite_solver_soundness(cases: int = 100, seed: int = 19) -> int:
             assert not law.Q.is_zero
         done += 1
     return done
+
+
+def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
+                                 force: bool = False) -> list[ConservationLaw]:
+    """The law search over the full ansatz: every null vector of the full
+    determining system is extracted; a vector whose characteristic is 0 is
+    dropped as trivial, and one whose characteristic depends on those
+    already kept is dropped as a duplicate.  Laws are scaled so their
+    characteristic is monic, and their fluxes are reconstructed, as in
+    find_conservation_laws."""
+    if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
+        raise NotParabolicEquation()
+    T_ansatz, unknowns = generate_ansatz(eq, spec)
+    system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
+    densities = linear_columns(T_ansatz, unknowns)
+    characteristics = linear_columns(system.Q_ansatz, unknowns)
+    kept = linalg.Echelon()
+    laws = []
+    for vec in solve_exact(system):
+        Q = combine(characteristics, vec)
+        if Q.is_zero or not kept.add(Q.num.terms):
+            continue
+        scale = Fraction(1) / Q.num.leading()[1]
+        T = combine(densities, vec) * scale
+        laws.append(ConservationLaw(T, reconstruct_flux(eq, T), Q * scale))
+    return laws
+
+
+def suite_restricted_search_equivalence(cases: int = 200, seed: int = 67) -> int:
+    """find_conservation_laws returns the laws of naive_find_conservation_laws,
+    in the same order, with the same T, X and Q, printed alike, on every
+    corpus equation at the default bounds, on seeded random (corpus entry,
+    corpus_specs) pairs, on :func:`rational_corpus` at 2/2/1, on the
+    backward heat equation -u_xx (not parabolic, so searched with force) at
+    2/2/2, and on the transport equation u_x (weakly parabolic, with a law
+    of order 4) at 2/2/1.  Returns the number of laws compared."""
+    rng = random.Random(seed)
+    problems = [(entry.name, entry.equation(), AnsatzSpec(), False) for entry in CORPUS]
+    for _ in range(cases):
+        entry = rng.choice(CORPUS)
+        eq = entry.equation()
+        problems.append((entry.name, eq, corpus_specs(rng, eq.n), False))
+    problems += [(name, eq, AnsatzSpec(2, 2, 1), True) for name, eq in rational_corpus()]
+    problems.append(("backward heat", EvolutionEquation(1, -uxx), AnsatzSpec(2, 2, 2), True))
+    problems.append(("transport", EvolutionEquation(1, ux), AnsatzSpec(2, 2, 1), False))
+    compared = 0
+    for name, eq, spec, force in problems:
+        laws = find_conservation_laws(eq, spec, force)
+        reference = naive_find_conservation_laws(eq, spec, force)
+        assert laws == reference, f"laws differ on {name} at {spec}"
+        assert [_law_text(law) for law in laws] == [_law_text(law) for law in reference], \
+            f"laws print differently on {name} at {spec}"
+        compared += len(laws)
+    return compared
+
+
+def _law_text(law: ConservationLaw) -> tuple:
+    return str(law.T), tuple(str(Xi) for Xi in law.X), str(law.Q)
 
 
 def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
