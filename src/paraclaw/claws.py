@@ -11,12 +11,12 @@ the system exactly; reconstruct fluxes by divergence inversion.
 Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
 parts gives reduce(D_t T) = dT/dt + G Q + Div(...) with Q = E_u(T) (Olver,
-GTM 107; Anco & Bluman 2002).  E_u kills divergences, so the determining
-system is E_u(dT/dt + G Q) = 0 over the ansatz, and the search builds no
-replacement table.  Flux reconstruction and verification evaluate
-reduce(D_t T) itself in that closed form, with D_J G read off a replacement
-table, and integrate nothing by parts: verification is an independent
-second route to the conservation identity.
+GTM 107; Anco & Bluman 2002).  E_u kills divergences and commutes with
+d/dt, so the determining system is dQ/dt + E_u(G Q) = 0, on solutions
+D_t Q + l*_G(Q) = 0 (l_Q is self-adjoint): the auxiliary equation of every
+characteristic, in Q alone.  Flux reconstruction and verification evaluate
+reduce(D_t T) in that closed form, D_J G read off a replacement table, and
+integrate nothing by parts: an independent second route to the identity.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -116,18 +116,14 @@ class ConservationLaw:
 class DeterminingSystem:
     """Exact homogeneous linear system in the ansatz coefficients.
 
-    One row per monomial of E_u(dT/dt + G Q) in the base and jet variables,
-    with T = T_ansatz and Q = E_u(T_ansatz) (the characteristic form of
-    E_u(reduce(D_t T_ansatz))), scaled by the lcm d of the denominators
-    of G; ``rows`` are sparse {column: coefficient} over ``unknowns``, with
-    ``int`` coefficients for an ``int`` ansatz.  ``Q_ansatz`` =
-    E_u(T_ansatz), or None for a system not built by
-    :func:`assemble_determining_system`."""
+    One row per monomial of dQ/dt + E_u(G Q) in the base and jet variables,
+    for Q = E_u(T_ansatz), scaled by the lcm d of the denominators of G;
+    ``rows`` are sparse {column: coefficient} over ``unknowns``, with
+    ``int`` coefficients for an ``int`` ansatz."""
 
     unknowns: list[Symbol]
     rows: list[dict] = field(default_factory=list)
     keys: list[Monomial] = field(default_factory=list)
-    Q_ansatz: Expr | None = None
 
     @property
     def num_equations(self) -> int:
@@ -179,51 +175,35 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list
     return Expr._make(Poly(terms), Poly.one()), unknowns
 
 
-def assemble_determining_system(eq: EvolutionEquation, T_ansatz: Expr,
-                                max_jet_order: int = 2) -> DeterminingSystem:
-    """Extract the linear determining equations for T_ansatz.
-
-    Computes d E_u(dT/dt + G Q) with Q = E_u(T_ansatz), where E_u(dT/dt + G Q)
-    equals E_u(reduce(D_t T_ansatz)) (see the module docstring), and turns
-    the coefficient of every monomial in the base and jet variables into one
-    homogeneous equation in the ansatz unknowns.  Denominators are cleared
-    once, up front: d is the lcm of the denominators of G's coefficients,
-    so on the ``int`` ansatz of :func:`generate_ansatz` every step runs on
-    ``int`` coefficients and the rows are d times the rows of
-    E_u(dT/dt + G Q), with ``int`` entries.  The scale changes neither the
-    null space nor the reduced rows.  No time jet occurs, so no replacement
-    table is built.  The system keeps Q_ansatz, from which the law search
-    reads its characteristics."""
-    order = spatial_jet_order(T_ansatz)
-    if order > max_jet_order:
-        raise ValueError(f"ansatz jet order {order} exceeds allowed {max_jet_order}")
-    unknowns = sorted(s for s in T_ansatz.symbols() if s.kind == ANSATZ)
-    Q_ansatz = characteristic(T_ansatz)
-    E = _determining_expression(eq, T_ansatz, Q_ansatz)
+def assemble_determining_system(eq: EvolutionEquation, Q_ansatz: Expr) -> DeterminingSystem:
+    """The linear determining equations of the characteristic ansatz
+    Q_ansatz = E_u(T_ansatz), in the ansatz unknowns of Q_ansatz: the
+    coefficient of every monomial in the base and jet variables of
+    d (dQ/dt + E_u(G Q)) = d E_u(reduce(D_t T_ansatz)) (see the module
+    docstring).  d, the lcm of the denominators of G's coefficients, keeps
+    every step on ``int`` coefficients for an ``int`` ansatz; it changes
+    neither the null space nor the reduced rows.  No time jet occurs, so
+    no replacement table is built."""
+    unknowns = sorted(s for s in Q_ansatz.symbols() if s.kind == ANSATZ)
     rows: dict = {}
-    for k, column in enumerate(linear_columns(E, unknowns)):
+    for k, column in enumerate(linear_columns(_determining_expression(eq, Q_ansatz),
+                                              unknowns)):
         for key, c in column.items():
             rows.setdefault(key, {})[k] = c
-    system = DeterminingSystem(unknowns, Q_ansatz=Q_ansatz)
-    for key in sorted(rows, key=mono_sort_key):
-        system.rows.append(rows[key])
-        system.keys.append(key)
-    return system
+    keys = sorted(rows, key=mono_sort_key)
+    return DeterminingSystem(unknowns, [rows[key] for key in keys], keys)
 
 
-def _determining_expression(eq: EvolutionEquation, T: Expr, Q: Expr) -> Expr:
-    """d E_u(dT/dt + G Q) for Q = E_u(T): E_u(reduce(D_t T)) in characteristic
-    form, with no time jet and no replacement table.  d is the lcm of the
-    denominators of G's coefficients, and the result is computed as
-    E_u(d dT/dt + (d G) Q), so an ``int`` T keeps every step on ``int``
+def _determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
+    """d dQ/dt + E_u((d G) Q) for Q = E_u(T), d the lcm of the denominators
+    of G's coefficients, so an ``int`` Q keeps every step on ``int``
     coefficients.  For a rational-function G, d is read off its numerator
     and d G keeps G's denominator."""
     G = eq.G
     d = lcm(*(c.denominator for c in G.num.terms.values()))
     dG = Poly({m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()})
-    dT = T.diff(TIME)
-    return euler_operator(Expr._make(dT.num.scale(d), dT.den)
-                          + Expr._make(dG, G.den) * Q)
+    dQ = Q.diff(TIME)
+    return Expr._make(dQ.num.scale(d), dQ.den) + euler_operator(Expr._make(dG, G.den) * Q)
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
@@ -352,8 +332,9 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     therefore first keeps only the ansatz monomials m_k whose
     characteristic E_u(m_k) is linearly independent of those of the
     earlier monomials, in unknown order (a monomial with E_u(m_k) = 0 is
-    dropped), and assembles and solves the determining system of that
-    restricted ansatz.  M is injective there, so each null vector is one
+    dropped), and assembles, from the kept columns of M alone, and solves
+    the determining system of that restricted ansatz.  M is injective
+    there, so each null vector is one
     law: a vector whose characteristic is 0 or dependent on the kept ones
     is an InvariantViolation.  The laws are those the full ansatz gives
     after dropping trivial and dependent null vectors, in the same order:
@@ -375,16 +356,19 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
     T_full, unknowns = generate_ansatz(eq, spec)
+    Q_full = characteristic(T_full)
     pivots = linalg.Echelon()
-    keep = {c for c, Q in zip(unknowns, linear_columns(characteristic(T_full), unknowns))
+    keep = {c: Q for c, Q in zip(unknowns, linear_columns(Q_full, unknowns))
             if pivots.add(Q)}
-    # every monomial of the ansatz holds exactly one unknown
-    T_ansatz = Expr._make(Poly({m: c for m, c in T_full.num.terms.items()
+
+    def restricted(E: Expr) -> Expr:  # each term of T_full and Q_full holds one unknown
+        return Expr._make(Poly({m: c for m, c in E.num.terms.items()
                                 if any(p[0] in keep for p in m)}), Poly.one())
-    system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
+
+    system = assemble_determining_system(eq, restricted(Q_full))
     basis = solve_exact(system)
-    densities = linear_columns(T_ansatz, system.unknowns)
-    characteristics = linear_columns(system.Q_ansatz, system.unknowns)
+    densities = linear_columns(restricted(T_full), system.unknowns)
+    characteristics = [keep[c] for c in system.unknowns]
     kept = linalg.Echelon()
     table: ReplacementTable | None = None
     laws: list[ConservationLaw] = []

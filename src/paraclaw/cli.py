@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -118,7 +119,18 @@ def cmd_verify(pf: ProblemFile, density: str, fluxes: list[str]) -> dict:
 
 
 def cmd_dims(n: int, r: int) -> dict:
-    return {
+    """The dimensions report.  A dimension with more digits than Python prints
+    (sys.get_int_max_str_digits) is refused, and a tableau dimension far past
+    that is refused before it is computed: it is at least C(n+r+2, k) n/(n+r+2)
+    for k = min(n, r+2), and C(n+r+2, k) is at least 2^k and ((n+r+2)/k)^k."""
+    limit = sys.get_int_max_str_digits()
+    too_long = ValueError(f"the dimensions for n = {n}, r = {r} have more than "
+                          f"{limit} digits")
+    k = min(n, r + 2)
+    if limit and k > 0 and r >= 0 and (
+            k > 10 * limit or k * (math.log10(n + r + 2) - math.log10(k)) > 3 * limit):
+        raise too_long
+    report = {
         "schema_version": SCHEMA_VERSION,
         "n": n,
         "r": r,
@@ -126,6 +138,9 @@ def cmd_dims(n: int, r: int) -> dict:
         "system_dim": parabolic_system_dimension(n),
         "deprolongation_dim": deprolongation_dimension(n),
     }
+    if limit and max(report.values()) >= 10 ** limit:
+        raise too_long
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ class MultiIndex:
     def order(self) -> int:
         return len(self.spatial) + self.time_power
 
-    @property
-    def spatial_order(self) -> int:
-        return len(self.spatial)
-
     def append(self, a: int) -> "MultiIndex":
         """The multi-index Ia: one more derivative in direction a (0 = time)."""
         if a == 0:
@@ -299,13 +295,6 @@ def mono_sort_key(m: Monomial) -> list:
         key += (s._rkey, e)
     key[0] = degree
     return key
-
-
-def mono_split(m: Monomial, varset: frozenset) -> tuple[Monomial, Monomial]:
-    """Split m into (part over varset, rest)."""
-    inside = tuple(p for p in m if p[0] in varset)
-    outside = tuple(p for p in m if p[0] not in varset)
-    return inside, outside
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +516,8 @@ class Poly:
     def coefficients_in(self, varset: frozenset) -> dict[Monomial, "Poly"]:
         out: dict[Monomial, dict] = {}
         for m, c in self.terms.items():
-            inside, outside = mono_split(m, varset)
-            out.setdefault(inside, {})[outside] = c
+            inside = tuple(p for p in m if p[0] in varset)
+            out.setdefault(inside, {})[tuple(p for p in m if p[0] not in varset)] = c
         return {k: Poly(v) for k, v in out.items()}
 
     def __str__(self) -> str:

@@ -19,11 +19,13 @@ right-hand side is rejected with TimeDerivativeOnRHS.  Parentheses nest at
 most MAX_NESTING deep: deeper input is a ParseError, not a RecursionError.
 Each "*", "/" and "^" is charged its term-pair products before it runs
 ("^k" is k - 1 multiplications); a parse whose running total would pass
-expr.MAX_TERMS is a ParseError, so no input expands without bound.
+expr.MAX_TERMS is a ParseError, so no input expands without bound; so is
+a number literal longer than sys.get_int_max_str_digits.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -141,13 +143,20 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col, (want,))
         return self.advance()
 
+    def number(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # past sys.get_int_max_str_digits
+            raise ParseError(f"number literal longer than {sys.get_int_max_str_digits()} "
+                             "digits", tok.line, tok.col) from None
+
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> "ProblemFile":
         self.expect("name", "n")
         self.expect("op", "=")
         ntok = self.expect("num")
-        n = int(ntok.text)
+        n = self.number(ntok)
         if not 1 <= n <= 9:
             raise ParseError("n must be between 1 and 9", ntok.line, ntok.col)
         self.n = n
@@ -178,7 +187,7 @@ class _Parser:
         elif tok.text in ("jet_degree", "base_degree", "order"):
             self.expect("op", "=")
             val = self.expect("num")
-            options[tok.text] = int(val.text)
+            options[tok.text] = self.number(val)
         else:
             raise ParseError(f"unknown option {tok.text!r}", tok.line, tok.col,
                              ("ref", "jet_degree", "base_degree", "order"))
@@ -188,11 +197,11 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
             sign = -1
-        p = int(self.expect("num").text)
+        p = self.number(self.expect("num"))
         if self.peek().kind == "op" and self.peek().text == "/":
             self.advance()
             qtok = self.expect("num")
-            q = int(qtok.text)
+            q = self.number(qtok)
             if q == 0:
                 raise ParseError("zero denominator", qtok.line, qtok.col)
             return Fraction(sign * p, q)
@@ -239,7 +248,7 @@ class _Parser:
         atom = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             op = self.advance()
-            k = int(self.expect("num").text)
+            k = self.number(self.expect("num"))
             num, den = (atom.num, atom.den) if k else (Poly.one(), Poly.one())
             for _ in range(k - 1):
                 self.charge(op, (num, atom.num), (den, atom.den))
@@ -252,7 +261,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Expr.const(int(tok.text))
+            return Expr.const(self.number(tok))
         if tok.kind == "name":
             self.advance()
             return Expr.symbol(self.symbol_from_name(tok))

@@ -182,6 +182,46 @@ class TestParseBudget:
             parse_expression(source, 2)
 
 
+class TestLongLiterals:
+    """A number literal longer than Python converts to an int is a parse
+    error with its position, wherever the grammar reads a number."""
+
+    LIMIT = 4300
+    LONG = "1" * (LIMIT + 1)
+
+    @pytest.fixture(autouse=True)
+    def int_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(self.LIMIT)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("source, where", [
+        ("n=1; u_t = u_xx + {}*u", "1:19"),
+        ("n={}; u_t = u_xx", "1:3"),
+        ("n=1; u_t = u*u_xx; ref u = {}", "1:28"),
+        ("n=1; u_t = u*u_xx; ref u = 1/{}", "1:30"),
+        ("n=1; u_t = u_xx; order = {}", "1:26"),
+        ("n=1; u_t = u_xx + u^{}", "1:21"),
+    ], ids=["coefficient", "n", "ref", "ref-denominator", "option", "exponent"])
+    def test_problem_file(self, tmp_path, capsys, source, where):
+        f = tmp_path / "long.pde"
+        f.write_text(source.format(self.LONG))
+        assert main(["classify", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: number literal longer than {self.LIMIT} digits at {where}\n")
+
+    def test_verify_density(self, tmp_path, capsys):
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        assert main(["verify", str(f), "--density", f"{self.LONG}*u", "--flux", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: number literal longer than {self.LIMIT} digits at 1:1\n")
+
+    def test_longest_literal_parses(self):
+        assert parse_expression("9" * self.LIMIT, 1) == Expr.const(10 ** self.LIMIT - 1)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("source", [
         "n=1; u_t = u_xx",
@@ -260,6 +300,14 @@ class TestCommands:
         assert report == {"schema_version": 1, "n": 1, "r": 0,
                           "tableau_dim": 2, "system_dim": 7,
                           "deprolongation_dim": 5}
+
+    def test_dims_up_to_the_printable_digits(self, monkeypatch):
+        # for n = 2 the tableau dimension is 2r + 5
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        r = (10 ** 4300 - 6) // 2
+        assert cmd_dims(2, r)["tableau_dim"] == 10 ** 4300 - 1
+        with pytest.raises(ValueError, match="have more than 4300 digits$"):
+            cmd_dims(2, r + 1)
 
 
 class TestMainEntry:
@@ -481,9 +529,10 @@ class TestBoundedWork:
     sequence is primitive over Z), the on-shell D_t T over a rational G (a
     content gcd folds the smaller operand through the coefficients, smallest
     first), ansaetze past expr.MAX_TERMS (counted before any monomial is
-    built), tableau dimensions at large r (a closed form) and jet orders far
-    past jets.ORDER_GUARD (refused before the Euler operator's recursive
-    walk)."""
+    built), tableau dimensions at large r (a closed form), tableau
+    dimensions past the digits Python prints (refused, far past them before
+    they are computed) and jet orders far past jets.ORDER_GUARD (refused
+    before the Euler operator's recursive walk)."""
 
     @pytest.mark.parametrize("command, source, code", [
         ("classify", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 0),
@@ -553,6 +602,14 @@ class TestBoundedWork:
         proc = run_paraclaw([args[0], str(f), *args[1:]], timeout=8)
         assert proc.returncode == 1
         assert proc.stderr == stderr
+
+    @pytest.mark.parametrize("n, r", [("20000", "20000"), ("2000000", "2000000")])
+    def test_dims_past_the_printable_digits_is_refused(self, n, r):
+        proc = run_paraclaw(["dims", "-n", n, "-r", r], timeout=8)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: the dimensions for n = {n}, r = {r} have more "
+                               "than 4300 digits\n")
 
     def test_dims_at_large_order(self):
         proc = run_paraclaw(["dims", "-n", "50", "-r", "2000000"], timeout=8)

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from paraclaw import cli, linalg
 from paraclaw.claws import (
-    AnsatzSpec, ConservationLaw, NotParabolicEquation, _determining_expression,
-    _on_shell_dt, assemble_determining_system, combine, cross_validate_ma,
-    find_conservation_laws, generate_ansatz, linear_columns, reconstruct_flux,
-    solve_exact, verify,
+    AnsatzSpec, ConservationLaw, DeterminingSystem, NotParabolicEquation,
+    _determining_expression, _on_shell_dt, assemble_determining_system, combine,
+    cross_validate_ma, find_conservation_laws, generate_ansatz, linear_columns,
+    reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.expr import (
     JET, Expr, ONE, Symbol, ZERO, aux_var, base_var, jet_symbol, jet_var,
@@ -104,7 +104,7 @@ def naive_euler_operator(e: Expr) -> Expr:
         term = e.diff(s)
         for i in s.jet.spatial:
             term = naive_total_derivative(term, i)
-        total = total - term if s.jet.spatial_order % 2 else total + term
+        total = total - term if len(s.jet.spatial) % 2 else total + term
     return total
 
 
@@ -438,7 +438,7 @@ def suite_characteristic_form_corpus() -> int:
         eq = entry.equation()
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
             T, _ = generate_ansatz(eq, spec)
-            assert _determining_expression(eq, T, euler_operator(T)) \
+            assert _determining_expression(eq, euler_operator(T)) \
                 == determining_scale(eq) * naive_determining_expression(eq, T), \
                 f"characteristic form differs on {entry.name} at {spec}"
             checked += 1
@@ -463,7 +463,7 @@ def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
                     * Expr.symbol(rng.choice(jets))
         eq = EvolutionEquation(n, G)
         T = random_poly(rng, syms, terms=4)
-        assert _determining_expression(eq, T, euler_operator(T)) \
+        assert _determining_expression(eq, euler_operator(T)) \
             == determining_scale(eq) * naive_determining_expression(eq, T), \
             f"characteristic form differs for u_t = {G}, T = {T}"
     return cases
@@ -526,14 +526,15 @@ def rational_corpus() -> list[tuple[str, EvolutionEquation]]:
 
 
 def suite_integer_assembly() -> int:
-    """On :func:`rational_corpus` at 2/2/1, the assembled rows are ``int``
-    and equal d times the rows of the on-shell reference
+    """On :func:`rational_corpus` at 2/2/1, the rows assembled from the
+    characteristic of the ansatz, over every unknown of the ansatz, are
+    ``int`` and equal d times the rows of the on-shell reference
     linear_columns(naive_determining_expression(eq, T)), under the same
     keys, in mono_cmp order.  Returns the number of equations checked."""
     checked = 0
     for name, eq in rational_corpus():
         T, unknowns = generate_ansatz(eq, AnsatzSpec(2, 2, 1))
-        system = assemble_determining_system(eq, T)
+        system = full_ansatz_system(eq, euler_operator(T), unknowns)
         d = determining_scale(eq)
         reference: dict = {}
         columns = linear_columns(naive_determining_expression(eq, T), unknowns)
@@ -723,6 +724,20 @@ def suite_solver_soundness(cases: int = 100, seed: int = 19) -> int:
     return done
 
 
+def full_ansatz_system(eq: EvolutionEquation, Q_ansatz: Expr,
+                       unknowns: list[Symbol]) -> DeterminingSystem:
+    """The determining system of the characteristic ansatz Q_ansatz over
+    every unknown of its density ansatz: the assembled system, whose
+    unknowns are those of Q_ansatz, in ansatz order, with a zero column for
+    each ansatz monomial whose characteristic is 0."""
+    system = assemble_determining_system(eq, Q_ansatz)
+    assert system.unknowns == [c for c, Q in zip(unknowns, linear_columns(Q_ansatz, unknowns))
+                               if Q]
+    column = {c: k for k, c in enumerate(unknowns)}
+    rows = [{column[system.unknowns[k]]: v for k, v in row.items()} for row in system.rows]
+    return DeterminingSystem(unknowns, rows, system.keys)
+
+
 def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
                                  force: bool = False) -> list[ConservationLaw]:
     """The law search over the full ansatz: every null vector of the full
@@ -734,9 +749,10 @@ def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
     T_ansatz, unknowns = generate_ansatz(eq, spec)
-    system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
+    Q_ansatz = euler_operator(T_ansatz)
+    system = full_ansatz_system(eq, Q_ansatz, unknowns)
     densities = linear_columns(T_ansatz, unknowns)
-    characteristics = linear_columns(system.Q_ansatz, unknowns)
+    characteristics = linear_columns(Q_ansatz, unknowns)
     kept = linalg.Echelon()
     laws = []
     for vec in solve_exact(system):
@@ -796,10 +812,10 @@ def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
     for entry, spec in problems:
         eq = entry.equation()
         T_ansatz, unknowns = generate_ansatz(eq, spec)
-        system = assemble_determining_system(eq, T_ansatz, spec.max_jet_order)
-        assert system.unknowns == unknowns
+        Q_ansatz = euler_operator(T_ansatz)
+        system = full_ansatz_system(eq, Q_ansatz, unknowns)
         densities = linear_columns(T_ansatz, unknowns)
-        characteristics = linear_columns(euler_operator(T_ansatz), unknowns)
+        characteristics = linear_columns(Q_ansatz, unknowns)
         for vec in solve_exact(system):
             T = T_ansatz.substitute({c: vec.get(k, 0) for k, c in enumerate(unknowns)})
             assert combine(densities, vec) == T, f"density differs on {entry.name}"
