@@ -170,7 +170,7 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list
             k += 1
             c = ansatz_unknown(k)
             unknowns.append(c)
-            mono = tuple(sorted(bm + jm + ((c, 1),), key=lambda p: p[0].key))
+            mono = tuple(sorted(bm + jm + ((c, 1),)))
             terms[mono] = 1
     return Expr._make(Poly(terms), Poly.one()), unknowns
 

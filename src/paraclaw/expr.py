@@ -22,7 +22,7 @@ hence every downstream linear-algebra step) decidable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -105,41 +105,46 @@ class MultiIndex:
         return "".join(map(str, self.spatial)) + "t" * self.time_power or "()"
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A coordinate in the global symbol order; identity ignores the display name."""
+class Symbol(tuple):
+    """A coordinate in the global symbol order.
 
-    kind: str
-    index: int = 0
-    jet: MultiIndex | None = None
-    name: str = field(default="", compare=False, repr=False)
-    key: tuple = field(init=False, compare=False, repr=False)
-    _rkey: tuple = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    The value of a symbol is its order key: ``(1, order, time_power,
+    spatial)`` for a jet, ``(kind rank, index)`` for every other kind.  So
+    hashing, equality and ordering are those of a tuple of ints, run in C
+    and free of the hash seed, and the display ``name`` is not part of
+    identity.  ``kind``, ``index``, ``jet``, ``name`` and ``_rkey`` (the
+    key reversed, for :func:`mono_sort_key`) are read-only attributes.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind == JET:
-            mi = self.jet
-            if mi is None:
+    def __new__(cls, kind: str, index: int = 0, jet: MultiIndex | None = None,
+                name: str = "") -> "Symbol":
+        if kind == JET:
+            if jet is None:
                 raise ValueError("jet symbol needs a MultiIndex")
-            key = (1, mi.order, mi.time_power, mi.spatial)
+            key = (1, jet.order, jet.time_power, jet.spatial)
             # equal order and time power imply equal spatial length, so
             # negating elementwise reverses the order of the keys
-            rkey = (-1, -mi.order, -mi.time_power, tuple(-i for i in mi.spatial))
+            rkey = (-1, -jet.order, -jet.time_power, tuple(-i for i in jet.spatial))
         else:
-            key = (_KIND_RANK[self.kind], self.index)
-            rkey = (-key[0], -self.index)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_rkey", rkey)
-        # symbols key every monomial dict, so hash once; from exactly the
-        # fields equality compares (the kind by rank: no string hash seed)
-        object.__setattr__(
-            self, "_hash", hash((_KIND_RANK[self.kind], self.index, self.jet)))
-        if not self.name:
-            object.__setattr__(self, "name", self._default_name())
+            key = (_KIND_RANK[kind], index)
+            rkey = (-key[0], -index)
+        self = super().__new__(cls, key)
+        attrs = vars(self)
+        attrs.update(kind=kind, index=index, jet=jet, _rkey=rkey)
+        attrs["name"] = name or self._default_name()
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, attr: str, value) -> None:
+        raise AttributeError(f"cannot assign to {attr!r}: symbols are immutable")
+
+    def __reduce__(self):
+        # rebuilt from the constructor arguments, not from the key tuple
+        return Symbol, (self.kind, self.index, self.jet, self.name)
+
+    @property
+    def key(self) -> tuple:
+        """The order key as a plain tuple."""
+        return tuple(self)
 
     def _default_name(self) -> str:
         if self.kind == BASE:
@@ -152,9 +157,6 @@ class Symbol:
         if self.kind == ANSATZ:
             return f"c{self.index}"
         return f"w{self.index}"
-
-    def __lt__(self, other: "Symbol") -> bool:
-        return self.key < other.key
 
     def __str__(self) -> str:
         return self.name
@@ -203,7 +205,7 @@ U = jet_var()
 # Monomials: sorted tuples of (Symbol, positive exponent)
 # ---------------------------------------------------------------------------
 
-Monomial = tuple  # tuple[tuple[Symbol, int], ...], sorted by symbol key
+Monomial = tuple  # tuple[tuple[Symbol, int], ...], sorted by symbol
 
 _ONE_MONO: Monomial = ()
 
@@ -218,11 +220,11 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     while i < len(m1) and j < len(m2):
         s1, e1 = m1[i]
         s2, e2 = m2[j]
-        if s1.key == s2.key:
+        if s1 == s2:
             out.append((s1, e1 + e2))
             i += 1
             j += 1
-        elif s1.key < s2.key:
+        elif s1 < s2:
             out.append(m1[i])
             i += 1
         else:
@@ -248,7 +250,7 @@ def mono_div(m2: Monomial, m1: Monomial) -> Monomial:
     d = dict((s, e) for s, e in m2)
     for s, e in m1:
         d[s] -= e
-    return tuple(sorted(((s, e) for s, e in d.items() if e), key=lambda p: p[0].key))
+    return tuple(sorted((s, e) for s, e in d.items() if e))
 
 
 def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
@@ -267,12 +269,12 @@ def mono_cmp(m1: Monomial, m2: Monomial) -> int:
     while i < len(m1) and j < len(m2):
         s1, e1 = m1[i]
         s2, e2 = m2[j]
-        if s1.key == s2.key:
+        if s1 == s2:
             if e1 != e2:
                 return 1 if e1 > e2 else -1
             i += 1
             j += 1
-        elif s1.key < s2.key:
+        elif s1 < s2:
             return 1
         else:
             return -1

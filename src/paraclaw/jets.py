@@ -90,7 +90,7 @@ def _poly_total_derivative(p: Poly, a: int) -> Poly:
     for m, c in p.terms.items():
         for idx, (s, e) in enumerate(m):
             if s.kind == JET:
-                nm = mono_mul(_lower(m, idx), ((_prolong(s, a), 1),))
+                nm = _lower_prolong(m, idx, _prolong(s, a))
             elif s.kind == BASE and s.index == a:
                 nm = _lower(m, idx)
             else:
@@ -114,6 +114,20 @@ def _lower(m: Monomial, idx: int) -> Monomial:
     if e == 1:
         return m[:idx] + m[idx + 1:]
     return m[:idx] + ((s, e - 1),) + m[idx + 1:]
+
+
+def _lower_prolong(m: Monomial, idx: int, t: Symbol) -> Monomial:
+    """m with the exponent of its idx-th symbol u_J lowered by one and that
+    of t = u_{Ja} raised by one, in one step: t sorts after u_J, so it is
+    found or inserted in the tail of m after idx."""
+    s, e = m[idx]
+    head = m[:idx] + ((s, e - 1),) if e != 1 else m[:idx]
+    k = idx + 1
+    while k < len(m) and m[k][0] < t:
+        k += 1
+    if k < len(m) and m[k][0] == t:
+        return head + m[idx + 1:k] + ((t, m[k][1] + 1),) + m[k + 1:]
+    return head + m[idx + 1:k] + ((t, 1),) + m[k:]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -264,7 +278,7 @@ def bounded_monomials(symbols: Sequence[Symbol], max_degree: int) -> list[Monomi
             counts: dict[Symbol, int] = {}
             for s in combo:
                 counts[s] = counts.get(s, 0) + 1
-            out.append(tuple(sorted(counts.items(), key=lambda p: p[0].key)))
+            out.append(tuple(sorted(counts.items())))
     return out
 
 
@@ -287,7 +301,7 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
         raise TimeJetPresent("divergence inversion needs a purely spatial expression")
     if not R.is_polynomial:
         raise NotPolynomialIn(sorted(R.den.symbols()))
-    for s in R.symbols():
+    for s in sorted(R.symbols()):
         if not (s.kind == BASE and s.index <= n
                 or s.kind == JET and all(i <= n for i in s.jet.spatial)):
             raise ValueError(

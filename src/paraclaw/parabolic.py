@@ -79,7 +79,7 @@ class EvolutionEquation:
                  reference_jet: Mapping[Symbol, Rationalish] | None = None):
         if n < 1:
             raise ValueError("spatial dimension n must be >= 1")
-        for s in G.symbols():
+        for s in sorted(G.symbols()):  # name the lowest bad symbol
             if s.kind == BASE:
                 if s.index > n:
                     raise ValueError(f"base coordinate {s} out of range for n={n}")

@@ -2,17 +2,24 @@
 coefficient extraction, and the algebra properties that make the zero test
 trustworthy."""
 
+import copy
 import functools
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import paraclaw
 from paraclaw.expr import (
-    DivisionByZeroExpr, Expr, NotPolynomialIn, Poly, ZERO, ONE,
-    ansatz_unknown, aux_var, base_var, divexact, jet_var, mono_cmp, mono_sort_key,
-    monomial_expr, poly_coefficients, poly_gcd, substitute, diff,
+    ANSATZ, AUX, BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
+    Symbol, ZERO, ONE, ansatz_unknown, aux_var, base_var, divexact, jet_var,
+    mono_cmp, mono_sort_key, monomial_expr, poly_coefficients, poly_gcd,
+    substitute, diff,
 )
 from util import random_poly, u, u11, u12, u22, ux, uxx, x
 
@@ -256,3 +263,68 @@ class TestSymbolHash:
         assert all(a != b for i, a in enumerate(syms) for b in syms[i + 1:])
         assert base_var(0) != jet_var()
         assert jet_var((1,)) != jet_var((), 1)
+
+
+def _order_key(s: Symbol) -> tuple:
+    """The documented order key, built from the attributes."""
+    if s.kind == JET:
+        return (1, s.jet.order, s.jet.time_power, s.jet.spatial)
+    return ({BASE: 0, ANSATZ: 2, AUX: 3}[s.kind], s.index)
+
+
+class TestSymbolContract:
+    """A symbol hashes, compares and sorts as its order key, in C."""
+
+    SYMBOLS = [base_var(a) for a in range(3)] + [
+        jet_var(spatial, tp) for spatial, tp in
+        [((), 0), ((1,), 0), ((2,), 0), ((), 1), ((1, 1), 0), ((1, 2), 0),
+         ((2,), 1), ((), 2), ((1, 1, 2), 0)]
+    ] + [ansatz_unknown(k) for k in (1, 2, 10)] + [aux_var(k) for k in (1, 2, 10)]
+
+    def test_comparisons_agree_with_order_key(self):
+        for a in self.SYMBOLS:
+            for b in self.SYMBOLS:
+                ka, kb = _order_key(a), _order_key(b)
+                assert (a < b) == (ka < kb) and (a <= b) == (ka <= kb)
+                assert (a > b) == (ka > kb) and (a >= b) == (ka >= kb)
+                assert (a == b) == (ka == kb)
+
+    def test_sorted_and_max_agree_with_order_key(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            syms = rng.sample(self.SYMBOLS, rng.randint(1, len(self.SYMBOLS)))
+            assert sorted(syms) == sorted(syms, key=_order_key)
+            assert max(syms) is max(syms, key=_order_key)
+
+    def test_hash_is_free_of_the_hash_seed(self):
+        package_root = os.path.dirname(os.path.dirname(paraclaw.__file__))
+        code = "from paraclaw.expr import jet_var; print(hash(jet_var((1, 2))))"
+        hashes = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+                 "PYTHONHASHSEED": seed}).stdout for seed in ("1", "2")]
+        assert hashes[0] == hashes[1] == f"{hash(jet_var((1, 2)))}\n"
+
+    def test_hash_equality_and_order_are_the_tuple_slots(self):
+        assert Symbol.__hash__ is tuple.__hash__
+        assert Symbol.__eq__ is tuple.__eq__
+        assert Symbol.__lt__ is tuple.__lt__
+
+    def test_attributes_are_read_only(self):
+        s = jet_var((1,))
+        for attr in ("kind", "index", "jet", "name", "_rkey"):
+            with pytest.raises(AttributeError):
+                setattr(s, attr, getattr(s, attr))
+        assert str(Expr.symbol(jet_var((1,)))) == "u_1"
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda e: pickle.loads(pickle.dumps(e))])
+    def test_copy_and_pickle_keep_equality_and_names(self, clone):
+        xi = Expr.symbol(aux_var(1, "xi1"))
+        e = (xi * u11 + 3 * x * ux ** 2) / (u + Expr.symbol(ansatz_unknown(2)))
+        got = clone(e)
+        assert got == e
+        assert str(got) == str(e) == "(3*x1*u_1^2 + u_11*xi1)/(u + c2)"
+        for s in got.symbols():
+            assert type(s) is Symbol and s in e.symbols()
+        assert {s.name for s in got.symbols()} == {s.name for s in e.symbols()}

@@ -6,7 +6,7 @@ import pytest
 
 from paraclaw.expr import Expr, MultiIndex, ZERO, base_var, jet_var
 from paraclaw.jets import (
-    NotInDivergenceImage, TimeJetPresent, bounded_monomials,
+    NotInDivergenceImage, TimeJetPresent, _lower_prolong, bounded_monomials,
     build_replacement_table, deprolongation_dimension, euler_operator,
     invert_divergence, iterated_total_derivative, parabolic_system_dimension,
     reduce_to_spatial, spatial_jet_vars, tableau_dimension, total_derivative,
@@ -16,7 +16,8 @@ from util import (
     jet, naive_tableau_dimension, suite_commutativity, suite_divergence_decision,
     suite_divergence_roundtrip, suite_divergence_roundtrip_multid,
     suite_euler_equivalence, suite_euler_kills_divergences,
-    suite_total_derivative_equivalence, t, trace_matrix_nullity,
+    suite_lower_prolong_equivalence, suite_total_derivative_equivalence, t,
+    trace_matrix_nullity,
     u, u1, u11, u12, u2, u22, ux, uxx, uxxx, x, x1, x2,
 )
 
@@ -60,6 +61,25 @@ class TestTotalDerivative:
     def test_matches_per_symbol_reference(self):
         # polynomial and rational inputs, n = 1..3, every direction a = 0..n
         assert suite_total_derivative_equivalence(cases=100) == 299
+
+
+class TestLowerProlong:
+    """D_a moves one power of u_J to u_{Ja} in one step."""
+
+    def test_prolonged_jet_already_present(self):
+        s1, s11 = jet_var((1,)), jet_var((1, 1))
+        m = ((s1, 2), (s11, 1))
+        assert _lower_prolong(m, 0, s11) == ((s1, 1), (s11, 2))
+        assert total_derivative(ux ** 2 * uxx, 1) == 2 * ux * uxx ** 2 + ux ** 2 * uxxx
+
+    def test_inserted_between_later_symbols(self):
+        m = ((base_var(1), 1), (jet_var(), 3), (jet_var((2, 2)), 2))
+        assert _lower_prolong(m, 1, jet_var((1,))) == (
+            (base_var(1), 1), (jet_var(), 2), (jet_var((1,)), 1), (jet_var((2, 2)), 2))
+
+    def test_matches_the_general_product_on_random_monomials(self):
+        checked, present = suite_lower_prolong_equivalence()
+        assert checked >= 1000 and present >= 50
 
 
 class TestIteratedTotalDerivative:
@@ -194,6 +214,12 @@ class TestInvertDivergence:
             invert_divergence(x2, 1)
         with pytest.raises(TimeJetPresent):
             invert_divergence(jet(1, tp=1), 1)
+
+    def test_names_the_lowest_out_of_range_symbol(self):
+        with pytest.raises(ValueError, match=r"only, not x2$"):
+            invert_divergence(u2 + x2, 1)
+        with pytest.raises(ValueError, match=r"only, not u_2$"):
+            invert_divergence(jet(2, 2, 2) + u22 + u2, 1)
 
 
 class TestEnumeration:

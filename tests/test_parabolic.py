@@ -46,6 +46,11 @@ class TestEvolutionEquation:
         with pytest.raises(ValueError):
             EvolutionEquation(1, Expr.symbol(jet_var((1, 1, 1))))
 
+    def test_names_the_lowest_bad_symbol(self):
+        # u_t = u_xxx + u_xxxx: both jets are bad, u_111 sorts first
+        with pytest.raises(ValueError, match=r"^G must have jet order <= 2 \(u_111\)$"):
+            EvolutionEquation(1, jet(1, 1, 1) + jet(1, 1, 1, 1))
+
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError):
             EvolutionEquation(1, u22)

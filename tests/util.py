@@ -26,12 +26,13 @@ from paraclaw.claws import (
     reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.expr import (
-    JET, Expr, ONE, Symbol, ZERO, aux_var, base_var, jet_symbol, jet_var,
-    mono_cmp,
+    JET, Expr, Monomial, ONE, Symbol, ZERO, ansatz_unknown, aux_var, base_var,
+    jet_symbol, jet_var, mono_cmp, mono_mul,
 )
 from paraclaw.jets import (
-    NotInDivergenceImage, build_replacement_table, euler_operator,
-    invert_divergence, reduce_to_spatial, spatial_jet_vars, total_derivative,
+    NotInDivergenceImage, _lower, _lower_prolong, _prolong,
+    build_replacement_table, euler_operator, invert_divergence,
+    reduce_to_spatial, spatial_jet_vars, total_derivative,
 )
 from paraclaw.corpus import CORPUS
 from paraclaw.parabolic import (
@@ -95,6 +96,12 @@ def naive_total_derivative(e: Expr, a: int) -> Expr:
         if not d.is_zero:
             out = out + Expr.symbol(jet_symbol(s.jet.append(a))) * d
     return out
+
+
+def naive_lower_prolong(m: Monomial, idx: int, t: Symbol) -> Monomial:
+    """m / u_J * u_{Ja} for u_J the idx-th symbol of m and t = u_{Ja}, by a
+    general monomial product."""
+    return mono_mul(_lower(m, idx), ((t, 1),))
 
 
 def naive_euler_operator(e: Expr) -> Expr:
@@ -413,6 +420,32 @@ def suite_total_derivative_equivalence(cases: int = 100, seed: int = 37) -> int:
                 f"D_{a} differs from the reference on {e}"
             checked += 1
     return checked
+
+
+def suite_lower_prolong_equivalence(cases: int = 300, seed: int = 71) -> tuple[int, int]:
+    """_lower_prolong equals naive_lower_prolong at every jet of random
+    monomials over all four symbol kinds, time jets among them, exponents
+    1..3, in every direction a = 0..3.  Returns the number of steps checked
+    and how many of them met u_{Ja} already in the monomial."""
+    rng = random.Random(seed)
+    syms = [base_var(a) for a in range(4)] + [
+        jet_var(combo, tp) for tp in range(3) for order in range(4 - tp)
+        for combo in itertools.combinations_with_replacement(range(1, 4), order)
+    ] + [ansatz_unknown(k) for k in (1, 5)] + [aux_var(k) for k in (1, 5)]
+    checked = present = 0
+    for _ in range(cases):
+        m = tuple(sorted((s, rng.randint(1, 3))
+                         for s in rng.sample(syms, rng.randint(1, 6))))
+        for idx, (s, _) in enumerate(m):
+            if s.kind != JET:
+                continue
+            for a in range(4):
+                t = _prolong(s, a)
+                assert _lower_prolong(m, idx, t) == naive_lower_prolong(m, idx, t), \
+                    f"lowering {s} and raising {t} in {m}"
+                checked += 1
+                present += any(p == t for p, _ in m)
+    return checked, present
 
 
 def suite_euler_equivalence(cases: int = 100, seed: int = 41) -> int:
