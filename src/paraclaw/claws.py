@@ -29,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
+from typing import Iterator
 
 from . import linalg
 from .expr import (
-    ANSATZ, BASE, JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
+    ANSATZ, JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
     Symbol, ansatz_unknown, base_var, mono_sort_key,
 )
 from .jets import (
@@ -170,8 +171,7 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list
             k += 1
             c = ansatz_unknown(k)
             unknowns.append(c)
-            mono = tuple(sorted(bm + jm + ((c, 1),)))
-            terms[mono] = 1
+            terms[bm + jm + ((c, 1),)] = 1  # base < jet < ansatz: sorted
     return Expr._make(Poly(terms), Poly.one()), unknowns
 
 
@@ -183,13 +183,12 @@ def assemble_determining_system(eq: EvolutionEquation, Q_ansatz: Expr) -> Determ
     docstring).  d, the lcm of the denominators of G's coefficients, keeps
     every step on ``int`` coefficients for an ``int`` ansatz; it changes
     neither the null space nor the reduced rows.  No time jet occurs, so
-    no replacement table is built."""
+    no replacement table is built.  The rows are filled in one pass over
+    the terms."""
     unknowns = sorted(s for s in Q_ansatz.symbols() if s.kind == ANSATZ)
     rows: dict = {}
-    for k, column in enumerate(linear_columns(_determining_expression(eq, Q_ansatz),
-                                              unknowns)):
-        for key, c in column.items():
-            rows.setdefault(key, {})[k] = c
+    for key, k, c in _split_unknowns(_determining_expression(eq, Q_ansatz), unknowns):
+        rows.setdefault(key, {})[k] = c
     keys = sorted(rows, key=mono_sort_key)
     return DeterminingSystem(unknowns, [rows[key] for key in keys], keys)
 
@@ -245,18 +244,32 @@ def check_density_order(T: Expr) -> None:
 def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
     """E, linear homogeneous in the ansatz unknowns, as sparse columns:
     column k maps each monomial in the base and jet variables to its
-    coefficient in E at unknowns[k]."""
+    coefficient in E at unknowns[k].  Each term's unknown is its last pair
+    (:func:`_split_unknowns`); a term that is not one of the unknowns times
+    base and jet variables is an InvariantViolation."""
+    columns: list[dict] = [{} for _ in unknowns]
+    for key, k, c in _split_unknowns(E, unknowns):
+        columns[k][key] = c
+    return columns
+
+
+def _split_unknowns(E: Expr, unknowns: list[Symbol]) -> Iterator[tuple[Monomial, int, object]]:
+    """(key, k, c) for every term c key unknowns[k] of E, key a monomial in
+    the base and jet variables.  ANSATZ sorts after BASE and JET (only AUX
+    sorts later), so the unknown is the term's last pair and the pair before
+    it, if any, is a base or jet variable."""
     if not E.is_polynomial:
         raise NotPolynomialIn(E.den.symbols())
     col = {c: k for k, c in enumerate(unknowns)}
-    columns: list[dict] = [{} for _ in unknowns]
     for mono, c in E.num.terms.items():
-        outside = [p for p in mono if p[0].kind not in (BASE, JET)]
-        if len(outside) != 1 or outside[0][1] != 1 or outside[0][0] not in col:
-            raise InvariantViolation(
-                "expression is not linear homogeneous in the ansatz unknowns")
-        columns[col[outside[0][0]]][tuple(p for p in mono if p is not outside[0])] = c
-    return columns
+        if mono:
+            (s, e), key = mono[-1], mono[:-1]
+            k = col.get(s)
+            if k is not None and e == 1 and not (key and key[-1][0].kind == ANSATZ):
+                yield key, k, c
+                continue
+        raise InvariantViolation(
+            "expression is not linear homogeneous in the ansatz unknowns")
 
 
 def combine(columns: list[dict], vec: dict) -> Expr:
@@ -361,9 +374,9 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     keep = {c: Q for c, Q in zip(unknowns, linear_columns(Q_full, unknowns))
             if pivots.add(Q)}
 
-    def restricted(E: Expr) -> Expr:  # each term of T_full and Q_full holds one unknown
+    def restricted(E: Expr) -> Expr:  # each term of T_full and Q_full ends in its one unknown
         return Expr._make(Poly({m: c for m, c in E.num.terms.items()
-                                if any(p[0] in keep for p in m)}), Poly.one())
+                                if m[-1][0] in keep}), Poly.one())
 
     system = assemble_determining_system(eq, restricted(Q_full))
     basis = solve_exact(system)

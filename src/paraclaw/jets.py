@@ -20,7 +20,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .expr import (
-    BASE, JET, Expr, Monomial, MultiIndex, NotPolynomialIn, Poly, Symbol, ZERO,
+    BASE, JET, Expr, Monomial, MultiIndex, NotPolynomialIn, Poly, Symbol,
     base_var, jet_symbol, jet_var, mono_mul,
 )
 
@@ -71,23 +71,27 @@ def total_derivative(e: Expr, a: int) -> Expr:
 
     Treats jet coordinates as functions of the base coordinates; direction
     a = 0 is time.  Raises the jet order by at most one.  Numerator and
-    denominator are each swept once (:func:`_poly_total_derivative`) and
+    denominator are each swept once (:func:`_add_total_derivative`) and
     joined by the quotient rule with one normalization.
     """
     num, den = e.num, e.den
-    dnum = _poly_total_derivative(num, a)
-    dden = _poly_total_derivative(den, a)
-    if dden.is_zero:
-        return Expr._make(dnum, den)
-    return Expr._make(dnum * den - num * dden, den * den)
+    dnum: dict = {}
+    _add_total_derivative(dnum, num.terms, a)
+    dden: dict = {}
+    _add_total_derivative(dden, den.terms, a)
+    if not dden:
+        return Expr._make(Poly(dnum), den)
+    return Expr._make(Poly(dnum) * den - num * Poly(dden), den * den)
 
 
-def _poly_total_derivative(p: Poly, a: int) -> Poly:
-    """D_a p in one pass over the terms: each power s^e of a monomial
+def _add_total_derivative(out: dict, terms: dict, a: int, sign: int = 1) -> None:
+    """out += sign D_a p in place, for sign = +-1 and the polynomial p with
+    these terms, in one pass over them: each power s^e of a monomial
     contributes e s^(e-1) D_a s, with D_a u_J = u_{Ja}, D_a x^a = 1 and every
     other symbol constant."""
-    out: dict = {}
-    for m, c in p.terms.items():
+    for m, c in terms.items():
+        if sign < 0:
+            c = -c
         for idx, (s, e) in enumerate(m):
             if s.kind == JET:
                 nm = _lower_prolong(m, idx, _prolong(s, a))
@@ -105,7 +109,6 @@ def _poly_total_derivative(p: Poly, a: int) -> Poly:
                     out[nm] = acc
                 else:
                     del out[nm]
-    return Poly(out)
 
 
 def _lower(m: Monomial, idx: int) -> Monomial:
@@ -136,15 +139,16 @@ def _prolong(s: Symbol, a: int) -> Symbol:
     return jet_symbol(s.jet.append(a))
 
 
-def _jet_partials(p: Poly) -> dict[Symbol, Poly]:
-    """Every nonzero dp/du_J, in one pass over the terms of p.  Lowering one
-    exponent of s is injective on monomials, so no two terms collide."""
-    out: dict[Symbol, dict] = {}
-    for m, c in p.terms.items():
+def _jet_partials(terms: dict) -> dict[tuple[int, ...], dict]:
+    """The terms of every nonzero dp/du_J of the purely spatial polynomial p
+    with these terms, by the index word J, in one pass.  Lowering one
+    exponent of u_J is injective on monomials, so no two terms collide."""
+    out: dict = {}
+    for m, c in terms.items():
         for idx, (s, e) in enumerate(m):
             if s.kind == JET:
-                out.setdefault(s, {})[_lower(m, idx)] = c * e if e != 1 else c
-    return {s: Poly(terms) for s, terms in out.items()}
+                out.setdefault(s.jet.spatial, {})[_lower(m, idx)] = c * e if e != 1 else c
+    return out
 
 
 def iterated_total_derivative(e: Expr, index: MultiIndex) -> Expr:
@@ -215,49 +219,78 @@ def euler_operator(e: Expr) -> Expr:
     The sum runs over the spatial multi-indices whose jet variable occurs in
     e, each distinct multi-index counted once (no combinatorial factor).  On
     the polynomial fragment its kernel is exactly the total spatial
-    divergences.  It is evaluated in Horner form (:func:`_horner`).
+    divergences.  It is evaluated in Horner form on raw terms
+    (:func:`_horner`); a quotient N/D, D jet-free, is walked on N and
+    normalized once, at the root.
     """
     if has_time_jets(e):
         raise TimeJetPresent("euler_operator needs a purely spatial expression")
     bad = [s for s in e.den.symbols() if s.kind == JET]
     if bad:
         raise NotPolynomialIn(bad)
-    E = ZERO
-    for _, E in _horner(e):
-        pass  # post-order: the root, S_() = E_u(e), comes last
-    return E
+    den = None if e.is_polynomial else e.den
+    for _, A in _horner(e.num.terms, den):
+        pass  # deepest first: the root, A_() = E_u(e) * den^(R+1), comes last
+    if den is None:
+        return Expr._make(Poly(A), Poly.one())
+    return Expr._make(Poly(A), den ** (spatial_jet_order(e) + 1))
 
 
-def _horner(e: Expr) -> Iterator[tuple[MultiIndex, Expr]]:
-    """(w, S_w) for every node w of the trie of prefixes of the sorted
-    spatial index words of e's jets, children before parents, where
+def _horner(terms: dict, den: Poly | None) -> Iterator[tuple[tuple[int, ...], dict]]:
+    """(w, A_w) for every node w of the trie of prefixes of the sorted
+    spatial index words of the jets of N, the polynomial with these terms,
+    deepest first, where S_w = A_w / D^(R-|w|+1) for e = N/D, R the trie
+    depth (D = 1 when ``den`` is None), and
     S_w = de/du_w - sum_{j >= last(w)} D_j S_{wj}.
 
     Unrolled, S_w = sum_v (-1)^|v| D_v de/du_{wv} over the words wv below w,
-    so S_() = E_u(e) at one total derivative per trie edge.  The walk is
-    depth first, so only the partial sums along one path are held.  e must
-    be purely spatial with a jet-free denominator.
+    so S_() = E_u(e) at one total derivative per trie edge.  Each A_w is a
+    raw term dict, and each node subtracts D_j S_wj into its parent's
+    accumulator in place (:func:`_add_total_derivative`).  For a quotient,
+    D D_j A - k A d_j D = D_j(D A) - (k+1) A d_j D moves S_wj = A_wj / D^k
+    onto the parent's denominator D^(k+1) with the same kernel.  e must be
+    purely spatial with a jet-free denominator; A_w must not be mutated.
     """
-    partials = {s.jet: Expr._make(p, e.den) for s, p in _jet_partials(e.num).items()}
-    nodes = {MultiIndex(mi.spatial[:k]) for mi in partials for k in range(mi.order + 1)}
-    n = max((mi.spatial[-1] for mi in partials if mi.spatial), default=0)
-    return _horner_visit(MultiIndex(), partials, nodes, n)
+    partials = _jet_partials(terms)
+    R = max(map(len, partials), default=0)
+    if den is not None:
+        powers = [Poly.one()]
+        for _ in range(R):
+            powers.append(powers[-1] * den)
+        partials = {w: (Poly(t) * powers[R - len(w)]).terms for w, t in partials.items()}
+    nodes = {w[:k] for w in partials for k in range(len(w) + 1)} | {()}
+    acc: dict = {}
+    for w in sorted(nodes, key=lambda w: (-len(w), w)):
+        A = acc.pop(w) if w in acc else partials.get(w, {})
+        yield w, A
+        if not w:
+            return
+        parent, j = w[:-1], w[-1]
+        target = acc.get(parent)
+        if target is None:
+            target = acc[parent] = partials.get(parent, {})
+        if den is None:
+            _add_total_derivative(target, A, j, -1)
+            continue
+        _add_total_derivative(target, (den * Poly(A)).terms, j, -1)
+        dD = den.diff(base_var(j))
+        if not dD.is_zero:
+            _add_terms(target, (Poly(A) * dD).terms, R - len(w) + 2)
 
 
-def _horner_visit(w: MultiIndex, partials: dict, nodes: set, n: int):
-    """Yield the subtree of w as :func:`_horner` does; return S_w.
-
-    A module-level function, not a closure in _horner: a closure that calls
-    itself is a reference cycle, which would keep ``partials`` alive until
-    the cycle collector runs."""
-    acc = partials.get(w, ZERO)
-    for j in range(w.spatial[-1] if w.spatial else 1, n + 1):
-        child = w.append(j)
-        if child in nodes:
-            below = yield from _horner_visit(child, partials, nodes, n)
-            acc = acc - total_derivative(below, j)
-    yield w, acc
-    return acc
+def _add_terms(out: dict, terms: dict, factor) -> None:
+    """out += factor p in place, for the polynomial p with these terms."""
+    for m, c in terms.items():
+        c = c * factor
+        acc = out.get(m)
+        if acc is None:
+            out[m] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
 
 
 def spatial_jet_vars(n: int, max_order: int) -> list[Symbol]:
@@ -290,10 +323,11 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
     jet degree d.  For d >= 1, d R_d = sum_J u_J dR_d/du_J, and each term is
     integrated by parts down to u with u_{Kj} P = D_j(u_K P) - u_K D_j P.
     Collected on the trie of :func:`_horner`, the D_j part is
-    sum_{wj} u_w S_{wj}; weighted 1/d, these parts are the flux.  The
-    remainder is u S_() = u E_u(R_d), so R is a divergence exactly when
-    E_u(R) = 0, and :class:`NotInDivergenceImage` is raised otherwise.  The
-    jet-free part R_0(t, x) is integrated in x1 and added to X^1.
+    sum_{wj} u_w S_{wj}, added into raw term dicts; weighted 1/d once per
+    part, these parts are the flux.  The remainder is u S_() = u E_u(R_d),
+    so R is a divergence exactly when E_u(R) = 0, and
+    :class:`NotInDivergenceImage` is raised otherwise.  The jet-free part
+    R_0(t, x) is integrated in x1 and added to X^1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -310,34 +344,35 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
     for mono, c in R.num.terms.items():
         d = sum(e for s, e in mono if s.kind == JET)
         by_degree.setdefault(d, {})[mono] = c
-    fluxes = [ZERO] * n
+    fluxes: list[dict] = [{} for _ in range(n)]
     for d, terms in sorted(by_degree.items()):
         if d == 0:
-            fluxes[0] = fluxes[0] + _integrate_x1(terms)
+            fluxes[0] = _integrate_x1(terms)  # d = 0 comes first
             continue
-        parts = [ZERO] * n
-        remainder = ZERO
-        for w, Sw in _horner(Expr._make(Poly(terms), Poly.one())):
-            if w.spatial:
-                rest, j = w.spatial[:-1], w.spatial[-1]
-                parts[j - 1] = parts[j - 1] + Expr.symbol(jet_var(rest)) * Sw
-            else:
-                remainder = Sw
-        if not remainder.is_zero:
-            raise NotInDivergenceImage(
-                f"E_u of the jet-degree-{d} part is {remainder}, not 0")
-        fluxes = [X + P * Fraction(1, d) for X, P in zip(fluxes, parts)]
-    return tuple(fluxes)
+        parts: list[dict] = [{} for _ in range(n)]
+        for w, Sw in _horner(terms, None):
+            if w:
+                u_rest = ((jet_var(w[:-1]), 1),)
+                _add_terms(parts[w[-1] - 1],
+                           {mono_mul(m, u_rest): c for m, c in Sw.items()}, 1)
+            elif Sw:
+                remainder = Expr._make(Poly(Sw), Poly.one())
+                raise NotInDivergenceImage(
+                    f"E_u of the jet-degree-{d} part is {remainder}, not 0")
+        for X, P in zip(fluxes, parts):
+            _add_terms(X, P, Fraction(1, d))
+    return tuple(Expr._make(Poly(X), Poly.one()) for X in fluxes)
 
 
-def _integrate_x1(terms: dict) -> Expr:
-    """Antiderivative in x1 of the jet-free polynomial with these terms."""
+def _integrate_x1(terms: dict) -> dict:
+    """The terms of the antiderivative in x1 of the jet-free polynomial with
+    these terms."""
     x1 = base_var(1)
     out = {}
     for mono, c in terms.items():
         m = mono_mul(mono, ((x1, 1),))
         out[m] = Fraction(c) / dict(m)[x1]
-    return Expr._make(Poly(out), Poly.one())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from paraclaw.claws import (
     solve_exact, verify,
 )
 from paraclaw.corpus import CORPUS, by_name
-from paraclaw.expr import Expr, ansatz_unknown, jet_var, poly_coefficients
+from paraclaw.expr import Expr, ansatz_unknown, aux_var, base_var, jet_var, poly_coefficients
 from paraclaw.jets import (
     ORDER_GUARD, OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
     spatial_jet_order, total_derivative,
@@ -120,6 +120,22 @@ class TestDeterminingSystem:
         # E_u(2c u u_xx) = 4c u_xx: one equation forcing c = 0
         E = euler_operator(2 * Expr.symbol(c) * u * uxx)
         assert E == 4 * Expr.symbol(c) * uxx
+
+    def test_linear_columns_split_off_the_unknown(self):
+        c1, c2 = Expr.symbol(ansatz_unknown(1)), Expr.symbol(ansatz_unknown(2))
+        E = 3 * c1 * x * ux + c2 - c1
+        assert linear_columns(E, [ansatz_unknown(1), ansatz_unknown(2)]) == [
+            {((base_var(1), 1), (jet_var((1,)), 1)): 3, (): -1}, {(): 1}]
+
+    @pytest.mark.parametrize("E", [
+        Expr.symbol(ansatz_unknown(1)) * u + ux,
+        Expr.symbol(ansatz_unknown(1)) * Expr.symbol(ansatz_unknown(2)),
+        Expr.symbol(ansatz_unknown(1)) ** 2 * u,
+        Expr.symbol(ansatz_unknown(1)) * Expr.symbol(aux_var(1)),
+    ], ids=["no-unknown", "c1*c2", "c1^2", "aux"])
+    def test_linear_columns_refuse_a_nonlinear_term(self, E):
+        with pytest.raises(InvariantViolation, match="not linear homogeneous"):
+            linear_columns(E, [ansatz_unknown(1), ansatz_unknown(2)])
 
     def test_rational_equation_escapes_fragment(self):
         from paraclaw.expr import NotPolynomialIn

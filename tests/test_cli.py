@@ -4,6 +4,7 @@ Every grammar production gets at least one accepting and one rejecting
 case; reports are checked for the fixed field order and byte stability.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -532,7 +533,8 @@ class TestBoundedWork:
     built), tableau dimensions at large r (a closed form), tableau
     dimensions past the digits Python prints (refused, far past them before
     they are computed) and jet orders far past jets.ORDER_GUARD (refused
-    before the Euler operator's recursive walk)."""
+    before the Euler operator's walk) and the Euler operator of a
+    quotient density (its numerator walked once, normalized at the root)."""
 
     @pytest.mark.parametrize("command, source, code", [
         ("classify", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 0),
@@ -581,6 +583,20 @@ class TestBoundedWork:
                              "--flux", "0", "--flux", "0", "--flux", "0"], timeout=8)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["verified"] is False
+
+    def test_verifies_quotient_density(self, tmp_path):
+        # E_u of a quotient walks its numerator and normalizes once; the
+        # characteristic (16713 characters) is pinned by its digest
+        f = tmp_path / "problem.pde"
+        f.write_text("n=2; u_t = u_11 + u_22")
+        proc = run_paraclaw(["verify", str(f),
+                             "--density=3/5*u_112^2*u_122*u_2222^2/(t*x1*x2 + 2/5)",
+                             "--flux=0", "--flux=0"], timeout=8)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["verified"] is False
+        assert hashlib.sha256(report["characteristic"].encode()).hexdigest() \
+            == "917d41db3d3762fcb7cfdc250e180ea33533b033845f6c0932b255f8d4be064a"
 
     def test_oversized_ansatz_fails_before_enumerating(self, tmp_path):
         f = tmp_path / "problem.pde"
