@@ -13,24 +13,35 @@ Input grammar (whitespace insignificant)::
     option   := "ref" ident "=" RATIONAL
               | "jet_degree" "=" INT | "base_degree" "=" INT | "order" "=" INT
 
-Implicit multiplication is not supported.  "p/q" rational literals fold to
-exact fractions through the division operator.  Any u_t-like token on the
-right-hand side is rejected with TimeDerivativeOnRHS.  Parentheses nest at
-most MAX_NESTING deep: deeper input is a ParseError, not a RecursionError.
-Each "*", "/" and "^" is charged its term-pair products before it runs
-("^k" is k - 1 multiplications); a parse whose running total would pass
-expr.MAX_TERMS is a ParseError, so no input expands without bound; so is
-a number literal longer than sys.get_int_max_str_digits.
+DIGIT is 0-9 and INT is DIGIT+; names are ASCII letters, digits and "_".
+Whitespace is any character for which str.isspace() is true, and "\n" is
+the one line break; any other character is a ParseError at its line and
+column.  Implicit multiplication is not supported.  "p/q" rational
+literals fold to exact fractions through the division operator.  Any
+u_t-like token on the right-hand side is rejected with TimeDerivativeOnRHS.
+Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
+not a RecursionError.  Each "*", "/" and "^" is charged its term-pair
+products before it runs ("^k" is k - 1 multiplications); a parse whose
+running total would pass expr.MAX_TERMS is a ParseError, so no input
+expands without bound; so is a number literal longer than
+sys.get_int_max_str_digits.
+
+A polynomial is read straight into raw terms, and an integral coefficient
+is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
+``int`` coefficients.  Multi-term factors multiply as Poly; Expr
+arithmetic runs only from a division by a non-constant on.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import (
-    BASE, JET, MAX_TERMS, Expr, Poly, Symbol, base_var, format_expr, jet_var,
+    BASE, JET, MAX_TERMS, Expr, Monomial, Poly, Symbol, base_var, format_expr,
+    jet_var, mono_mul,
 )
 from .parabolic import EvolutionEquation
 
@@ -63,62 +74,71 @@ class TimeDerivativeOnRHS(ParseError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", "op", "end"
-    text: str
-    line: int
-    col: int
+# \s matches exactly the characters for which str.isspace() is true.
+_TOKEN = re.compile(r"(\s+)|([0-9]+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()=;])|(.)",
+                    re.DOTALL)
+_KINDS = (None, None, "num", "name", None)
 
 
-_OPS = set("+-*/^()=;")
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """The tokens as (kind, text, line, column) tuples.  The kind is "num",
+    "name", "end", or the operator character itself."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        group, text = match.lastindex, match.group()
+        if group == 1:
+            newline = text.rfind("\n")
+            if newline >= 0:
+                line += text.count("\n")
+                line_start = match.start() + newline + 1
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(source) and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+        col = match.start() - line_start + 1
+        if group == 5:
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        tokens.append((_KINDS[group] or text, text, line, col))
+    tokens.append(("end", "", line, len(source) - line_start + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+# A parsed value is a polynomial, as a dict of raw terms {monomial: nonzero
+# int or Fraction} that the parser owns and may change in place, or else a
+# rational function, as an Expr.
+
+def _as_expr(value: dict | Expr) -> Expr:
+    """The value as an Expr; an integral coefficient becomes an int."""
+    if type(value) is not dict:
+        return value
+    return Expr(Poly({m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for m, c in value.items()}), Poly.one(), _raw=True)
+
+
+def _sizes(value: dict | Expr | None) -> tuple[int, int]:
+    """The terms of the numerator and of the denominator; None is 1."""
+    if value is None:
+        return 1, 1
+    if type(value) is dict:
+        return len(value), 1
+    return len(value.num.terms), len(value.den.terms)
+
+
+def _product(c, m: Monomial, rest: dict | Expr | None) -> dict | Expr:
+    """c * m * rest, for a coefficient c, a monomial m and rest None (1), a
+    term dict or an Expr."""
+    if not c:
+        return {}
+    if rest is None:
+        return {m: c}
+    if c == 1 and not m:
+        return rest
+    if type(rest) is dict:
+        return {mono_mul(k, m): v * c for k, v in rest.items()}
+    return rest * Expr(Poly({m: c}), Poly.one(), _raw=True)
+
 
 class _Parser:
     def __init__(self, source: str, n: int | None = None):
@@ -128,47 +148,48 @@ class _Parser:
         self.depth = 0
         self.work = 0  # term-pair products so far, bounded by MAX_TERMS
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def expect(self, kind: str, text: str | None = None) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind.upper()
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col, (want,))
-        return self.advance()
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3], (want,))
+        self.pos += 1
+        return tok
 
-    def number(self, tok: _Token) -> int:
+    def number(self, tok: tuple) -> int:
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # past sys.get_int_max_str_digits
             raise ParseError(f"number literal longer than {sys.get_int_max_str_digits()} "
-                             "digits", tok.line, tok.col) from None
+                             "digits", tok[2], tok[3]) from None
 
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> "ProblemFile":
         self.expect("name", "n")
-        self.expect("op", "=")
+        self.expect("=")
         ntok = self.expect("num")
         n = self.number(ntok)
         if not 1 <= n <= 9:
-            raise ParseError("n must be between 1 and 9", ntok.line, ntok.col)
+            raise ParseError("n must be between 1 and 9", ntok[2], ntok[3])
         self.n = n
-        self.expect("op", ";")
+        self.expect(";")
         lhs = self.expect("name")
-        if lhs.text != "u_t":
-            raise ParseError(f"unexpected {lhs.text!r}", lhs.line, lhs.col, ("u_t",))
-        self.expect("op", "=")
-        G = self.parse_expr()
+        if lhs[1] != "u_t":
+            raise ParseError(f"unexpected {lhs[1]!r}", lhs[2], lhs[3], ("u_t",))
+        self.expect("=")
+        G = _as_expr(self.parse_expr())
         ref: dict[Symbol, Fraction] = {}
         options: dict[str, int] = {}
-        while self.peek().kind == "op" and self.peek().text == ";":
+        while self.peek()[0] == ";":
             self.advance()
             self.parse_option(ref, options)
         self.expect("end")
@@ -179,120 +200,176 @@ class _Parser:
 
     def parse_option(self, ref: dict, options: dict) -> None:
         tok = self.expect("name")
-        if tok.text == "ref":
+        if tok[1] == "ref":
             ident = self.expect("name")
             sym = self.symbol_from_name(ident)
-            self.expect("op", "=")
+            self.expect("=")
             ref[sym] = self.parse_rational()
-        elif tok.text in ("jet_degree", "base_degree", "order"):
-            self.expect("op", "=")
+        elif tok[1] in ("jet_degree", "base_degree", "order"):
+            self.expect("=")
             val = self.expect("num")
-            options[tok.text] = self.number(val)
+            options[tok[1]] = self.number(val)
         else:
-            raise ParseError(f"unknown option {tok.text!r}", tok.line, tok.col,
+            raise ParseError(f"unknown option {tok[1]!r}", tok[2], tok[3],
                              ("ref", "jet_degree", "base_degree", "order"))
 
     def parse_rational(self) -> Fraction:
         sign = 1
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.peek()[0] == "-":
             self.advance()
             sign = -1
         p = self.number(self.expect("num"))
-        if self.peek().kind == "op" and self.peek().text == "/":
+        if self.peek()[0] == "/":
             self.advance()
             qtok = self.expect("num")
             q = self.number(qtok)
             if q == 0:
-                raise ParseError("zero denominator", qtok.line, qtok.col)
+                raise ParseError("zero denominator", qtok[2], qtok[3])
             return Fraction(sign * p, q)
         return Fraction(sign * p)
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> dict | Expr:
+        """A sum; polynomial terms are added into the first one in place."""
         acc = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
             rhs = self.parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
-
-    def parse_term(self) -> Expr:
-        acc = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance()
-            rhs = self.parse_unary()
-            if op.text == "*":
-                self.charge(op, (acc.num, rhs.num), (acc.den, rhs.den))
-                acc = acc * rhs
+            if type(acc) is dict and type(rhs) is dict:
+                for m, c in rhs.items():
+                    c = acc.get(m, 0) + c if op == "+" else acc.get(m, 0) - c
+                    if c:
+                        acc[m] = c
+                    else:
+                        del acc[m]
             else:
-                if rhs.is_zero:
-                    raise ParseError("division by zero", op.line, op.col)
-                self.charge(op, (acc.num, rhs.den), (acc.den, rhs.num))
-                acc = acc / rhs
+                acc = _as_expr(acc) + _as_expr(rhs) if op == "+" else \
+                    _as_expr(acc) - _as_expr(rhs)
         return acc
 
-    def charge(self, op: _Token, *products: tuple[Poly, Poly]) -> None:
+    def parse_term(self) -> dict | Expr:
+        """A product, kept as c * m * rest: the single-term factors multiply
+        into the coefficient c and the monomial m as they come, and the
+        product is built once.  rest is the product of the other factors
+        (multi-term polynomials, rational functions), or of everything up
+        to a non-constant divisor.  Each operator is charged the term pairs
+        of the Poly products that multiplying out left to right would run."""
+        c, m, rest = 1, (), None
+        op = None
+        tokens = self.tokens
+        while True:
+            f = self.parse_unary()
+            single = type(f) is dict and len(f) <= 1
+            if op is not None:
+                acc_num, acc_den = _sizes(rest) if c else (0, 1)
+                f_num, f_den = _sizes(f)
+                if op[0] == "/":
+                    if not f_num:
+                        raise ParseError("division by zero", op[2], op[3])
+                    self.charge(op, acc_num * f_den + acc_den * f_num)
+                else:
+                    self.charge(op, acc_num * f_num + acc_den * f_den)
+            if op is None or op[0] == "*":
+                if single:
+                    for fm, fc in f.items():
+                        c *= fc
+                        m = mono_mul(m, fm)
+                    if not f:
+                        c = 0
+                elif c:  # a zero product absorbs every factor after it
+                    if rest is None:
+                        rest = f
+                    elif type(rest) is dict and type(f) is dict:
+                        rest = (Poly(rest) * Poly(f)).terms
+                    else:
+                        rest = _as_expr(rest) * _as_expr(f)
+            elif single and () in f:
+                c = Fraction(c, f[()])
+            elif c:
+                rest = _as_expr(_product(c, m, rest)) / _as_expr(f)
+                c, m = 1, ()
+            op = tokens[self.pos]
+            if op[0] != "*" and op[0] != "/":
+                return _product(c, m, rest)
+            self.pos += 1
+
+    def charge(self, op: tuple, pairs: int) -> None:
         """Add the term pairs of the polynomial products about to run to the
         parse's running count; past MAX_TERMS the input is a ParseError."""
-        self.work += sum(len(p.terms) * len(q.terms) for p, q in products)
+        self.work += pairs
         if self.work > MAX_TERMS:
             raise ParseError(f"expression expands past MAX_TERMS = {MAX_TERMS} "
-                             "term products", op.line, op.col)
+                             "term products", op[2], op[3])
 
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return -self.parse_factor()
+    def parse_unary(self) -> dict | Expr:
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
+            f = self.parse_factor()
+            return {m: -c for m, c in f.items()} if type(f) is dict else -f
         return self.parse_factor()
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self) -> dict | Expr:
         atom = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            op = self.advance()
-            k = self.number(self.expect("num"))
-            num, den = (atom.num, atom.den) if k else (Poly.one(), Poly.one())
-            for _ in range(k - 1):
-                self.charge(op, (num, atom.num), (den, atom.den))
-                num, den = num * atom.num, den * atom.den
-            # coprime parts stay coprime under powers, so no re-reduction
-            return Expr(num, den, _raw=True)
-        return atom
+        op = self.tokens[self.pos]
+        if op[0] != "^":
+            return atom
+        self.pos += 1
+        k = self.number(self.expect("num"))
+        if not k:
+            return {(): 1}
+        if type(atom) is dict and len(atom) <= 1:
+            # each of the k - 1 products pairs the numerators' one term (none
+            # for 0) and the denominators' one term
+            self.charge(op, (k - 1) * (len(atom) + 1))
+            return {tuple((s, e * k) for s, e in am): ac ** k for am, ac in atom.items()}
+        num, den = (Poly(atom), None) if type(atom) is dict else (atom.num, atom.den)
+        p, q = num, den
+        for _ in range(k - 1):
+            self.charge(op, len(p.terms) * len(num.terms)
+                        + (1 if den is None else len(q.terms) * len(den.terms)))
+            p = p * num
+            if den is not None:
+                q = q * den
+        # coprime parts stay coprime under powers, so no re-reduction
+        return p.terms if den is None else Expr(p, q, _raw=True)
 
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Expr.const(self.number(tok))
-        if tok.kind == "name":
-            self.advance()
-            return Expr.symbol(self.symbol_from_name(tok))
-        if tok.kind == "op" and tok.text == "(":
+    def parse_atom(self) -> dict | Expr:
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "num":
+            self.pos += 1
+            c = self.number(tok)
+            return {(): c} if c else {}
+        if kind == "name":
+            self.pos += 1
+            return {((self.symbol_from_name(tok), 1),): 1}
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 tok.line, tok.col)
-            self.advance()
+                                 tok[2], tok[3])
+            self.pos += 1
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
-            self.expect("op", ")")
+            self.expect(")")
             return inner
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
-                         tok.line, tok.col, ("RATIONAL", "ident", "("))
+        raise ParseError(f"unexpected {tok[1] or 'end of input'!r}",
+                         tok[2], tok[3], ("RATIONAL", "ident", "("))
 
-    def symbol_from_name(self, tok: _Token) -> Symbol:
+    def symbol_from_name(self, tok: tuple) -> Symbol:
         n = self.n
-        text = tok.text
+        _, text, line, col = tok
         if text == "t":
             return base_var(0)
         if text == "x":
             if n != 1:
-                raise ParseError("'x' alone is legal only when n = 1",
-                                 tok.line, tok.col)
+                raise ParseError("'x' alone is legal only when n = 1", line, col)
             return base_var(1)
         if text.startswith("x") and len(text) == 2 and text[1].isdigit():
             idx = int(text[1])
             if not 1 <= idx <= n:
                 raise IndexOutOfRange(f"spatial index {idx} out of range 1..{n}",
-                                      tok.line, tok.col)
+                                      line, col)
             return base_var(idx)
         if text == "u":
             return jet_var()
@@ -300,22 +377,20 @@ class _Parser:
             suffix = text[2:]
             if "t" in suffix:
                 raise TimeDerivativeOnRHS(
-                    f"time derivative {text!r} is not allowed here",
-                    tok.line, tok.col)
+                    f"time derivative {text!r} is not allowed here", line, col)
             if suffix and all(c == "x" for c in suffix):
                 if n != 1:
                     raise ParseError("u_x... aliases are legal only when n = 1",
-                                     tok.line, tok.col)
+                                     line, col)
                 return jet_var((1,) * len(suffix))
             if suffix.isdigit():
                 indices = tuple(int(c) for c in suffix)
                 bad = [i for i in indices if not 1 <= i <= n]
                 if bad:
                     raise IndexOutOfRange(
-                        f"spatial index {bad[0]} out of range 1..{n}",
-                        tok.line, tok.col)
+                        f"spatial index {bad[0]} out of range 1..{n}", line, col)
                 return jet_var(indices)
-        raise ParseError(f"unknown identifier {text!r}", tok.line, tok.col,
+        raise ParseError(f"unknown identifier {text!r}", line, col,
                          ("t", "x", "u", "u_<indices>"))
 
 
@@ -348,7 +423,7 @@ def parse(source: str) -> ProblemFile:
 def parse_expression(source: str, n: int) -> Expr:
     """Parse a bare expression in the file grammar (for verify inputs, tests)."""
     p = _Parser(source, n)
-    e = p.parse_expr()
+    e = _as_expr(p.parse_expr())
     p.expect("end")
     return e
 

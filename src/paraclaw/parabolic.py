@@ -140,14 +140,15 @@ def xi_symbols(n: int) -> list[Symbol]:
 
 
 def symbol_form(eq: EvolutionEquation) -> SymbolForm:
-    rows = []
-    for i in range(1, eq.n + 1):
-        row = []
-        for j in range(1, eq.n + 1):
-            d = eq.G.diff(eq.hessian_entry(i, j))
-            row.append(d if i == j else d / 2)
-        rows.append(tuple(row))
-    return SymbolForm(eq.n, tuple(rows))
+    """One derivative of G per Hessian coordinate u_ij, i <= j; the entry
+    (j, i) is the entry (i, j)."""
+    n = eq.n
+    g = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            d = eq.G.diff(eq.hessian_entry(i + 1, j + 1))
+            g[i][j] = g[j][i] = d if i == j else d / 2
+    return SymbolForm(n, tuple(map(tuple, g)))
 
 
 def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:

@@ -67,6 +67,14 @@ class TestGrammarAccepts:
         assert parse_expression("1/2", 1) == Expr.const(Fraction(1, 2))
         assert parse_expression("3/4*u", 1) == Fraction(3, 4) * u
 
+    def test_coefficient_types(self):
+        G = parse("n=1; u_t = 2*u_xx + u*u_x - 3 + 12345678901234567890*t^2").G
+        assert {type(c) for c in G.num.terms.values()} == {int}
+        quarter = parse_expression("3/4*u", 1).num.terms[((jet_var(), 1),)]
+        assert type(quarter) is Fraction and quarter == Fraction(3, 4)
+        two = parse_expression("4/2*u", 1).num.terms[((jet_var(), 1),)]
+        assert type(two) is int and two == 2
+
     def test_idents(self):
         assert parse_expression("t", 1) == t
         assert parse_expression("x", 1) == x
@@ -111,6 +119,9 @@ class TestGrammarRejects:
         "n=2; u_t = u_x",        # x-aliases need n = 1
         "n=1; u_t = u_xx extra", # trailing garbage
         "n=1; u_t = x12",        # x takes a single digit
+        "n=1; u_t = u_xx^\u00b2",      # digits are ASCII: not a superscript two,
+        "n=2; u_t = u_\u0661\u0661 + u_22",  # Arabic-Indic digits in an index
+        "n=1; u_t = u_xx*\u0661\u0662",     # or in a literal
     ])
     def test_rejected(self, source):
         with pytest.raises(ParseError):
@@ -129,6 +140,17 @@ class TestGrammarRejects:
         with pytest.raises(exc):
             parse(source)
 
+    @pytest.mark.parametrize("source, message", [
+        ("n=1; u_t = u_xx^\u00b2", "unexpected character '\u00b2' at 1:17"),
+        ("n=2; u_t = u_\u0661\u0661 + u_22", "unexpected character '\u0661' at 1:14"),
+        ("n=1; u_t = u_xx*\u0661\u0662", "unexpected character '\u0661' at 1:17"),
+    ], ids=["superscript-exponent", "arabic-indic-index", "arabic-indic-literal"])
+    def test_non_ascii_digits(self, tmp_path, capsys, source, message):
+        f = tmp_path / "digits.pde"
+        f.write_text(source, encoding="utf-8")
+        assert main(["classify", str(f)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_division_by_zero_literal(self):
         with pytest.raises(ParseError):
             parse("n=1; u_t = 1/0")
@@ -142,6 +164,17 @@ class TestGrammarRejects:
         with pytest.raises(ParseError) as err:
             parse("n=1; u_t = ;")
         assert "RATIONAL" in err.value.expected
+
+
+class TestParseEquivalence:
+    """The raw-term parser and the regex lexer against the Expr-for-every-
+    atom route and the character-loop lexer of tests/util.py."""
+
+    def test_matches_reference_route(self):
+        from util import suite_parse_equivalence
+        assert suite_parse_equivalence() == {
+            "valid": 300, "parsed": 300, "malformed": 596, "malformed_errors": 401,
+            "budget": 30, "past_max_terms": 8, "past_max_nesting": 6}
 
 
 class TestNestingLimit:

@@ -15,6 +15,8 @@ import json
 import math
 import os
 import random
+import re
+import string
 import tempfile
 from fractions import Fraction
 
@@ -35,6 +37,10 @@ from paraclaw.jets import (
     reduce_to_spatial, spatial_jet_vars, total_derivative,
 )
 from paraclaw.corpus import CORPUS
+from paraclaw.expr import MAX_TERMS, Poly
+from paraclaw.grammar import (
+    MAX_NESTING, ParseError, _as_expr, _Parser, parse, parse_expression,
+)
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
     _residue_decomposition, _trace_with, ma_classify, parabolicity_check,
@@ -871,6 +877,326 @@ def suite_cross_validation() -> int:
         checked += 1
     assert checked >= 10
     return checked
+
+
+# ---------------------------------------------------------------------------
+# Problem-file parsing: the reference route.  The expression half of the
+# grammar with an Expr for every atom and full Expr arithmetic at every
+# operator, and the lexer as a character loop, kept to check the raw-term
+# parser and the regex lexer of paraclaw.grammar
+# ---------------------------------------------------------------------------
+
+def reference_tokenize(source: str) -> list[tuple]:
+    """grammar._tokenize, one character at a time."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        for kind, first, rest in (("num", string.digits, string.digits),
+                                  ("name", string.ascii_letters,
+                                   string.ascii_letters + string.digits + "_")):
+            if ch in first:
+                j = i + 1
+                while j < len(source) and source[j] in rest:
+                    j += 1
+                tokens.append((kind, source[i:j], line, start_col))
+                col += j - i
+                i = j
+                break
+        else:
+            if ch not in "+-*/^()=;":
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+            tokens.append((ch, ch, line, start_col))
+            i += 1
+            col += 1
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+class ReferenceParser(_Parser):
+    """grammar._Parser with the reference lexer and the Expr route for every
+    expression production; files, options and names are the grammar's."""
+
+    def __init__(self, source: str, n: int | None = None):
+        self.tokens = reference_tokenize(source)
+        self.pos = 0
+        self.n = n
+        self.depth = 0
+        self.work = 0
+
+    def parse_expr(self) -> Expr:
+        acc = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.parse_term()
+            acc = acc + rhs if op == "+" else acc - rhs
+        return acc
+
+    def parse_term(self) -> Expr:
+        acc = self.parse_unary()
+        while self.peek()[0] in ("*", "/"):
+            op = self.advance()
+            rhs = self.parse_unary()
+            if op[0] == "*":
+                self.charge_products(op, (acc.num, rhs.num), (acc.den, rhs.den))
+                acc = acc * rhs
+            else:
+                if rhs.is_zero:
+                    raise ParseError("division by zero", op[2], op[3])
+                self.charge_products(op, (acc.num, rhs.den), (acc.den, rhs.num))
+                acc = acc / rhs
+        return acc
+
+    def charge_products(self, op: tuple, *products) -> None:
+        self.charge(op, sum(len(p.terms) * len(q.terms) for p, q in products))
+
+    def parse_unary(self) -> Expr:
+        if self.peek()[0] == "-":
+            self.advance()
+            return -self.parse_factor()
+        return self.parse_factor()
+
+    def parse_factor(self) -> Expr:
+        atom = self.parse_atom()
+        if self.peek()[0] == "^":
+            op = self.advance()
+            k = self.number(self.expect("num"))
+            num, den = (atom.num, atom.den) if k else (Poly.one(), Poly.one())
+            for _ in range(k - 1):
+                self.charge_products(op, (num, atom.num), (den, atom.den))
+                num, den = num * atom.num, den * atom.den
+            return Expr(num, den, _raw=True)
+        return atom
+
+    def parse_atom(self) -> Expr:
+        tok = self.peek()
+        if tok[0] == "num":
+            self.advance()
+            return Expr.const(self.number(tok))
+        if tok[0] == "name":
+            self.advance()
+            return Expr.symbol(self.symbol_from_name(tok))
+        if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok[2], tok[3])
+            self.advance()
+            self.depth += 1
+            inner = self.parse_expr()
+            self.depth -= 1
+            self.expect(")")
+            return inner
+        raise ParseError(f"unexpected {tok[1] or 'end of input'!r}",
+                         tok[2], tok[3], ("RATIONAL", "ident", "("))
+
+
+# whitespace between tokens: str.isspace() characters, "\n" the only line break
+_SPACES = ("", "", "", " ", "  ", "\t", "\n", " \n\t", "\r\n", "\x0b", " ",
+           " ", "　")
+# one-character mutations: the grammar's characters, whitespace, and
+# non-ASCII digits and letters, which are not digits or names
+_MUTATIONS = "0123456789+-*/^()=;_ \t\nuxtnr" + "²١１é "
+
+
+def _source_names(n: int) -> list[str]:
+    if n == 1:
+        return ["t", "x", "u", "u_x", "u_xx"]
+    return (["t", "u"] + [f"x{i}" for i in range(1, n + 1)]
+            + [f"u_{i}" for i in range(1, n + 1)]
+            + [f"u_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
+
+
+def random_expression_source(rng: random.Random, n: int, rational: bool) -> str:
+    """A seeded random expression in the file grammar: integer, long and p/q
+    literals, ^0 and ^k, unary minus, nested parentheses and division by
+    constants, with random whitespace; with ``rational``, also division by
+    monomials and polynomials."""
+    names = _source_names(n)
+
+    def ws() -> str:
+        return rng.choice(_SPACES)
+
+    def atom(depth: int) -> str:
+        r = rng.random()
+        if depth < 2 and r < 0.2:
+            return "(" + ws() + expr(depth + 1) + ws() + ")"
+        if r < 0.24:
+            return str(rng.randrange(10 ** 19, 10 ** 24))
+        if r < 0.45:
+            return str(rng.randint(0, 9))
+        if r < 0.5:
+            return f"{rng.randint(1, 9)}{ws()}/{ws()}{rng.randint(1, 9)}"
+        return rng.choice(names)
+
+    def factor(depth: int) -> str:
+        out = atom(depth)
+        if rng.random() < 0.2:
+            out += ws() + "^" + ws() + str(rng.choice((0, 1, 2, 3)))
+        return out
+
+    def unary(depth: int) -> str:
+        return ("-" + ws() if rng.random() < 0.2 else "") + factor(depth)
+
+    def term(depth: int) -> str:
+        out = unary(depth)
+        for _ in range(rng.randint(0, 2)):
+            r = rng.random()
+            if r < 0.65 or (r >= 0.85 and not rational):
+                out += ws() + "*" + ws() + unary(depth)
+            elif r < 0.85:
+                k = rng.randint(1, 12)
+                out += ws() + "/" + ws() + rng.choice((str(k), f"(-{k})", f"({k}/7)"))
+            elif r < 0.93:
+                out += ws() + "/" + ws() + rng.choice(names)
+            else:  # a polynomial (or zero) divisor with no parentheses inside
+                out += ws() + "/" + ws() + "(" + expr(2) + ")"
+        return out
+
+    def expr(depth: int) -> str:
+        out = term(depth)
+        for _ in range(rng.randint(0, 3 - depth)):
+            out += ws() + rng.choice("+-") + ws() + term(depth)
+        return out
+
+    return expr(0)
+
+
+def _parse_outcome(parser_class, text: str, n: int | None) -> tuple:
+    """The text read as grammar.parse reads it (n None) or as
+    grammar.parse_expression does: ("ok", the ProblemFile or Expr, the term
+    pairs charged) or (error class, message, line, column)."""
+    try:
+        p = parser_class(text, n)
+        if n is None:
+            value = p.parse_file()
+        else:
+            value = _as_expr(p.parse_expr())
+            p.expect("end")
+    except ParseError as exc:
+        return (type(exc), str(exc), exc.line, exc.col)
+    return ("ok", value, p.work)
+
+
+# A mutation that turns a digit of a literal into "^" can leave a power with
+# a five-digit exponent or more.  The reference route multiplies it out one
+# product at a time up to the budget, with coefficients that grow each
+# time: about a second per input.  Such mutations are not checked; the
+# budget draws below test exponents at the edge of the budget.
+_HUGE_POWER = re.compile(r"\^\s*[0-9]{5}")
+
+
+@contextlib.contextmanager
+def _counting_poly_products():
+    """Count the term pairs that Poly products multiply, in a one-item list."""
+    multiplied = [0]
+    real = Poly.__mul__
+
+    def counting(p: Poly, q: Poly) -> Poly:
+        multiplied[0] += len(p.terms) * len(q.terms)
+        return real(p, q)
+
+    Poly.__mul__ = counting
+    try:
+        yield multiplied
+    finally:
+        Poly.__mul__ = real
+
+
+def _budget_source(rng: random.Random) -> str:
+    """An expression (n = 2) whose products or nesting may pass MAX_TERMS or
+    MAX_NESTING."""
+    names = _source_names(2)
+
+    def poly() -> str:
+        return "(" + " + ".join(rng.sample(names, rng.randint(2, 6))) + ")"
+
+    kind = rng.randrange(4)
+    if kind == 0:  # one power
+        return f"{rng.choice(('', '0*', '3/7*', '1/'))}{poly()}^{rng.randint(6, 40)}"
+    if kind == 1:  # a chain of products and powers
+        out = rng.choice(("", "0*", "-")) + poly()
+        for _ in range(rng.randint(3, 12)):
+            out += "*" + poly() + f"^{rng.randint(1, 4)}"
+        return out
+    if kind == 2:  # a single-term power at the edge of the budget
+        base = rng.choice(names + ["0", "(0)", "2", "(3/4)"])
+        # each product pairs the denominators' one term, and the numerators'
+        # one term unless the base is zero
+        edge = MAX_TERMS if "0" in base else MAX_TERMS // 2
+        return f"{base}^{rng.randint(edge - 2, edge + 3)}"
+    depth = rng.randint(MAX_NESTING - 2, MAX_NESTING + 2)
+    return "".join(rng.choice(("(", "-(", "2*(")) for _ in range(depth)) \
+        + rng.choice(names) + ")" * depth
+
+
+def suite_parse_equivalence(cases: int = 300, seed: int = 73) -> dict:
+    """The grammar's parser against the reference route on seeded inputs:
+    random valid expressions (bare, n = 1..3, and as problem files),
+    truncations and one-character mutations of them, and inputs that pass
+    the parse budget or the nesting limit, or come near it.  Each pair of
+    outcomes must be equal: the same Expr or ProblemFile and the same term
+    pairs charged, or the same ParseError class, message, line and column.
+    On inputs with no rational sum, the grammar's parser multiplies no more
+    term pairs than it charged (than MAX_TERMS, when it refuses the input).
+    Returns the draw counts."""
+    rng = random.Random(seed)
+    counts = {"valid": 0, "parsed": 0, "malformed": 0, "malformed_errors": 0,
+              "budget": 0, "past_max_terms": 0, "past_max_nesting": 0}
+
+    def check(text: str, n: int | None, polynomial: bool = False) -> tuple:
+        with _counting_poly_products() as multiplied:
+            got = _parse_outcome(_Parser, text, n)
+        if polynomial:  # no rational sum, whose products go uncharged
+            assert multiplied[0] <= (got[2] if got[0] == "ok" else MAX_TERMS), text
+        want = _parse_outcome(ReferenceParser, text, n)
+        assert got == want, f"{text!r}: {got} != {want}"
+        if got[0] == "ok":
+            assert (parse(text) if n is None else parse_expression(text, n)) == got[1]
+        return got
+
+    for _ in range(cases):
+        n = rng.randint(1, 3)
+        rational = rng.random() < 0.3
+        text = random_expression_source(rng, n, rational)
+        if rng.random() < 0.5:
+            text, n = f"n{rng.choice(_SPACES)}={n};{rng.choice(_SPACES)}u_t = {text}", None
+            if rng.random() < 0.3:
+                text += "; ref u = 1/2; jet_degree = 2"
+        counts["valid"] += 1
+        counts["parsed"] += check(text, n, not rational)[0] == "ok"
+        for _ in range(2):
+            k = rng.randrange(len(text) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                bad = text[:k]
+            elif edit == 1:
+                bad = text[:k] + rng.choice(_MUTATIONS) + text[k:]
+            elif edit == 2:
+                bad = text[:k] + rng.choice(_MUTATIONS) + text[k + 1:]
+            else:
+                bad = text[:k] + text[k + 1:]
+            if _HUGE_POWER.search(bad):
+                continue
+            counts["malformed"] += 1
+            counts["malformed_errors"] += check(bad, n)[0] != "ok"
+    for _ in range(cases // 10):
+        outcome = check(_budget_source(rng), 2, polynomial=True)
+        counts["budget"] += 1
+        if outcome[0] != "ok":
+            counts["past_max_terms"] += "MAX_TERMS" in outcome[1]
+            counts["past_max_nesting"] += "nested deeper" in outcome[1]
+    return counts
 
 
 # ---------------------------------------------------------------------------
