@@ -488,7 +488,7 @@ class Poly:
             for s, e in m:
                 if s not in bindings:
                     raise KeyError(f"no value bound for symbol {s}")
-                v *= Fraction(bindings[s]) ** e
+                v *= bindings[s] if e == 1 else bindings[s] ** e
             total += v
         return total
 
@@ -851,6 +851,8 @@ class Expr:
         return num / self.den.substitute(norm)
 
     def eval_fraction(self, bindings: Mapping[Symbol, Rationalish]) -> Fraction:
+        if self.is_polynomial:
+            return self.num.eval_fraction(bindings)
         d = self.den.eval_fraction(bindings)
         if not d:
             raise DivisionByZeroExpr("denominator vanishes at evaluation point")

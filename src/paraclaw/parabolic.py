@@ -18,24 +18,31 @@ Two Monge-Ampere verdicts are computed and reported side by side:
   pass it while failing the literal minor test).  The verdict is the
   polynomial identity N = 0, where N = c det(g)^2 q0 is built from det(g),
   adj(g) (Faddeev-LeVerrier) and two adjugate Laplacians of q by ring
-  operations alone: no matrix inverse, no linear solve and no gcd.  q0
-  itself, N / (c det(g)^2), is computed only on request
+  operations alone: no matrix inverse, no linear solve and no gcd.  It
+  runs on ``int`` numerators: the denominators of g and q are cleared once
+  on the way in, the Faddeev-LeVerrier division by k is exact over Z, and
+  N and D are divided by their scales once on the way out.  q0 itself,
+  N / (c det(g)^2), is computed only on request
   (MAReport.traceless_residue, ma_traceless_residue).
 
 Parabolicity and the residue are certified at a user-supplied reference
-2-jet; global positivity of a symbolic matrix is not decided here.
+2-jet; global positivity of a symbolic matrix is not decided here.  The
+symbol form and its value at the reference jet are built once per
+EvolutionEquation and shared by both.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .expr import (
-    BASE, JET, Expr, ONE, Rationalish, Symbol, ZERO, aux_var, jet_var,
+    BASE, JET, DivisionByZeroExpr, Expr, Monomial, Poly, Rationalish,
+    Symbol, ZERO, aux_var, divexact, jet_var, mono_mul,
 )
 
 __all__ = [
@@ -105,6 +112,23 @@ class EvolutionEquation:
     def hessian_entry(self, i: int, j: int) -> Symbol:
         return jet_var((i, j) if i <= j else (j, i))
 
+    @cached_property
+    def symbol(self) -> SymbolForm:
+        """symbol_form(self), built once per equation."""
+        return symbol_form(self)
+
+    @cached_property
+    def symbol_at_reference(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The symbol matrix at the reference jet, evaluated once."""
+        try:
+            return tuple(map(tuple, self.symbol.at_reference(self.reference_jet)))
+        except DivisionByZeroExpr:
+            point = ", ".join(f"{s} = {self.reference_jet[s]}"
+                              for s in sorted(self.G.symbols()))
+            raise DivisionByZeroExpr(
+                f"a denominator of the symbol vanishes at the reference jet "
+                f"{point}; choose another with a ref clause") from None
+
     def __repr__(self) -> str:
         return f"EvolutionEquation(n={self.n}, u_t = {self.G})"
 
@@ -130,8 +154,12 @@ class SymbolForm:
         return out
 
     def at_reference(self, reference_jet: Mapping[Symbol, Fraction]) -> list[list[Fraction]]:
-        return [[entry.eval_fraction(reference_jet) for entry in row]
-                for row in self.g]
+        n = self.n
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                out[i][j] = out[j][i] = self.g[i][j].eval_fraction(reference_jet)
+        return out
 
 
 def xi_symbols(n: int) -> list[Symbol]:
@@ -147,7 +175,9 @@ def symbol_form(eq: EvolutionEquation) -> SymbolForm:
     for i in range(n):
         for j in range(i, n):
             d = eq.G.diff(eq.hessian_entry(i + 1, j + 1))
-            g[i][j] = g[j][i] = d if i == j else d / 2
+            if i != j:  # d / 2, with no Poly product
+                d = Expr._make(d.num.scale(Fraction(1, 2)), d.den)
+            g[i][j] = g[j][i] = d
     return SymbolForm(n, tuple(map(tuple, g)))
 
 
@@ -155,7 +185,7 @@ def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
     """Classify the symbol at the reference jet, exactly, by one symmetric
     (LDL^T) elimination: a negative pivot, or a zero pivot whose row is not
     zero, is not parabolic; all pivots positive is strict; else weak."""
-    g = symbol_form(eq).at_reference(eq.reference_jet)
+    g = [list(row) for row in eq.symbol_at_reference]
     n = eq.n
     strict = True
     for k in range(n):
@@ -180,17 +210,22 @@ def quartic_form(eq: EvolutionEquation) -> Expr:
     q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j) at e = 0, a quartic in xi.
 
     Over the Hessian coordinates a = (ij), i <= j, with m_a = xi_i xi_j, this
-    is q = sum_{a <= b} (2 - delta_ab) d^2G/du_a du_b m_a m_b."""
-    xi = [Expr.symbol(s) for s in xi_symbols(eq.n)]
-    coords = [(eq.hessian_entry(i, j), xi[i - 1] * xi[j - 1])
+    is q = sum_{a <= b} (2 - delta_ab) d^2G/du_a du_b m_a m_b; each term is
+    the numerator of d^2G/du_a du_b shifted by m_a m_b."""
+    xi = xi_symbols(eq.n)
+    coords = [(eq.hessian_entry(i, j),
+               ((xi[i - 1], 2),) if i == j else ((xi[i - 1], 1), (xi[j - 1], 1)))
               for i in range(1, eq.n + 1) for j in range(i, eq.n + 1)]
     q = ZERO
     for a, (ua, ma) in enumerate(coords):
         Ga = eq.G.diff(ua)
+        if Ga.is_zero:
+            continue
         for b, (ub, mb) in enumerate(coords[a:], a):
             Gab = Ga.diff(ub)
             if not Gab.is_zero:
-                q = q + (Gab if a == b else 2 * Gab) * ma * mb
+                term = Gab.num.mono_shift(mono_mul(ma, mb))
+                q = q + Expr._make(term if a == b else term.scale(2), Gab.den)
     return q
 
 
@@ -200,35 +235,142 @@ def is_minor_affine(eq: EvolutionEquation) -> bool:
     return quartic_form(eq).is_zero
 
 
-def _det_adjugate(g: Sequence[Sequence[Expr]]) -> tuple[Expr, list[list[Expr]]]:
-    """(det g, adj g) by Faddeev-LeVerrier: ring operations and division by
-    the integers 1..n only, so polynomial entries stay polynomial."""
+# The residue runs on the integral numerators of g and q: a scalar (an entry
+# of g, det g, adj g, L(L(q))) is an ``int`` at the reference jet and a Poly
+# with ``int`` coefficients in the jet when symbolic; a form in xi is a Poly.
+
+def _mul(a, b):
+    """a * b for a and b each an int or a Poly."""
+    if type(a) is int:
+        return a * b if type(b) is int else b.scale(a)
+    return a.scale(b) if type(b) is int else a * b
+
+
+def _shift(a, m: Monomial) -> Poly:
+    """a * m for a an int or a Poly and m a monomial."""
+    if type(a) is int:
+        return Poly({m: a} if a else {})
+    return a.mono_shift(m)
+
+
+def _div_exact(a, k: int):
+    """a / k for an int, or an int-coefficient Poly, that k divides."""
+    if type(a) is not int:
+        return Poly({m: _div_exact(c, k) for m, c in a.terms.items()})
+    quotient, remainder = divmod(a, k)
+    if remainder:
+        raise AssertionError(f"Faddeev-LeVerrier: {k} does not divide {a}")
+    return quotient
+
+
+def _det_adjugate(g: Sequence[Sequence], one) -> tuple:
+    """(det g, adj g) by Faddeev-LeVerrier over Z, for int or Poly entries
+    with ``one`` their unit: every coefficient of the characteristic
+    polynomial of an integral matrix is integral, so the division by k is
+    exact and integral entries stay integral."""
     n = len(g)
-    m = [[ZERO] * n for _ in range(n)]
-    c = ONE
+    zero = one - one
+    adj = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    m = [list(row) for row in g]  # M_1 = I and g M_1 = g
     for k in range(1, n + 1):
+        c = _div_exact(-sum((m[i][i] for i in range(n)), zero), k)
+        if k == n:
+            break
         adj = [[m[i][j] + c if i == j else m[i][j] for j in range(n)]
                for i in range(n)]
-        m = [[sum((g[i][l] * adj[l][j] for l in range(n)), ZERO) for j in range(n)]
+        m = [[sum((g[i][l] * adj[l][j] for l in range(n)), zero) for j in range(n)]
              for i in range(n)]
-        c = -sum((m[i][i] for i in range(n)), ZERO) * Fraction(1, k)
     # c = (-1)^n det g and adj g = (-1)^(n-1) M_n, M_n the last ``adj``
     det = c if n % 2 == 0 else -c
-    if det.is_zero:
+    if det == zero:
         raise SingularSymbol("symbol matrix is singular")
     if n % 2 == 0:
         adj = [[-v for v in row] for row in adj]
     return det, adj
 
 
-def _trace_with(adj: list[list[Expr]], P: Expr, xi: list[Symbol]) -> Expr:
-    out = ZERO
+def _trace_with(adj: list[list], P: Poly, xi: list[Symbol]) -> Poly:
+    """L(P) = sum adj_ij d^2 P / dxi_i dxi_j for a symmetric adj."""
+    out = Poly()
     for i in range(len(xi)):
-        for j in range(len(xi)):
-            if adj[i][j].is_zero:
-                continue
-            out = out + adj[i][j] * P.diff(xi[i]).diff(xi[j])
+        Pi = P.diff(xi[i])
+        for j in range(i, len(xi)):
+            Pij = Pi.diff(xi[j])
+            if not Pij.is_zero:
+                out = out + _mul(adj[i][j], Pij if i == j else Pij.scale(2))
     return out
+
+
+def _cleared(polys: Sequence[Poly]) -> tuple[int, list[Poly]]:
+    """(d, [d p for p in polys]) for d > 0 the lcm of the denominators of
+    the coefficients, so each d p has int coefficients."""
+    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return d, [Poly({m: c.numerator * (d // c.denominator) for m, c in p.terms.items()})
+               for p in polys]
+
+
+def _xi_coefficients_at(q: Expr, xi: list[Symbol], ref: Mapping[Symbol, Fraction]
+                        ) -> dict[Monomial, Fraction]:
+    """The xi-coefficients of q at the jet ``ref``: q(xi) there."""
+    den = q.den.eval_fraction(ref)
+    values = {m: c.eval_fraction(ref)
+              for m, c in q.num.coefficients_in(frozenset(xi)).items()}
+    return {m: v / den for m, v in values.items() if v}
+
+
+def _over(p, d) -> Expr:
+    """The canonical p / d for p and d each an int or a Poly, d nonzero."""
+    if type(p) is int:
+        p = Poly({(): p} if p else {})
+    if type(d) is int:
+        return Expr._make(p if d == 1 else p.scale(Fraction(1, d)), Poly.one())
+    return Expr._make(p, d)
+
+
+def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
+    """_harmonic_split before its scales are divided out: the pairs
+    (integral numerator, scale) of N, D, P and sigma."""
+    if eq.n < 2:
+        raise PreconditionSpatialDim("traceless residue needs n >= 2")
+    n = eq.n
+    xi = xi_symbols(n)
+    if symbolic:
+        entries = [entry for row in eq.symbol.g for entry in row]
+        if eq.G.is_polynomial:
+            d, g = _cleared([e.num for e in entries])
+            s = d
+        else:
+            # dG/du_a = (A_a B - A B_a) / B^2 for G = A / B, and B_a = 0 when
+            # B is free of the Hessian, so s is B or B^2 times an integer
+            B = eq.G.den
+            if any(v.kind == JET and v.jet.order == 2 for v in B.symbols()):
+                B = B * B
+            d, g = _cleared([e.num * (B if e.is_polynomial else divexact(B, e.den))
+                             for e in entries])
+            s = B.scale(d)
+        g = [g[i * n:(i + 1) * n] for i in range(n)]
+        d, (qs,) = _cleared([q.num])
+        s_q = d if q.is_polynomial else q.den.scale(d)
+        one = Poly({(): 1})
+    else:
+        at_ref = eq.symbol_at_reference
+        s = math.lcm(*(v.denominator for row in at_ref for v in row))
+        g = [[v.numerator * (s // v.denominator) for v in row] for row in at_ref]
+        s_q, (qs,) = _cleared([Poly(_xi_coefficients_at(q, xi, eq.reference_jet))])
+        one = 1
+    det, adj = _det_adjugate(g, one)
+    sigma = Poly()
+    for i in range(n):
+        sigma = sigma + _shift(g[i][i], ((xi[i], 2),))
+        for j in range(i + 1, n):
+            sigma = sigma + _shift(_mul(2, g[i][j]), ((xi[i], 1), (xi[j], 1)))
+    Lq = _trace_with(adj, qs, xi)
+    P = _mul(det, Lq.scale(4 * n + 8)) - sigma * _trace_with(adj, Lq, xi)
+    D = _mul((2 * n + 8) * (4 * n + 8), _mul(det, det))
+    N = _mul(D, qs) - sigma * P
+    s_P = s ** (2 * n - 1)
+    s_D = _mul(s_P, s)
+    return (N, _mul(s_D, s_q)), (D, s_D), (P, _mul(s_P, s_q)), (sigma, s)
 
 
 def _harmonic_split(eq: EvolutionEquation, q: Expr, symbolic: bool
@@ -243,23 +385,16 @@ def _harmonic_split(eq: EvolutionEquation, q: Expr, symbolic: bool
     L(q) = det ((2n+8) H2 + (4n+8) sigma H0) and L(L(q)) = det^2 2n(4n+8) H0,
     so with c = (2n+8)(4n+8), D = c det^2 and P = (4n+8) det L(q) -
     sigma L(L(q)), h = H2 + sigma H0 is P / D and N = D q - sigma P is D H4.
-    g and q are taken at the reference jet unless ``symbolic``."""
-    if eq.n < 2:
-        raise PreconditionSpatialDim("traceless residue needs n >= 2")
-    n = eq.n
-    xi = xi_symbols(n)
-    sf = symbol_form(eq)
-    if not symbolic:
-        ref = eq.reference_jet
-        sf = SymbolForm(n, tuple(tuple(Expr.const(entry.eval_fraction(ref))
-                                       for entry in row) for row in sf.g))
-        q = q.substitute(ref)
-    det, adj = _det_adjugate(sf.g)
-    sigma = sf.sigma()
-    Lq = _trace_with(adj, q, xi)
-    P = (4 * n + 8) * det * Lq - sigma * _trace_with(adj, Lq, xi)
-    D = (2 * n + 8) * (4 * n + 8) * det * det
-    return D * q - sigma * P, D, P, sigma
+    g and q are taken at the reference jet unless ``symbolic``.
+
+    All of it runs on g_s = s g and q_s = s_q q, whose entries and
+    coefficients are integral: s and s_q are the lcms of the denominators at
+    the reference jet, and, symbolically, G.den (G.den^2 if it holds a
+    Hessian entry) and q.den times the lcm of the coefficient denominators,
+    taken by exact division with no gcd.  With det, adj and sigma of g_s,
+    N, D and P come out scaled by s^(2n) s_q, s^(2n) and s^(2n-1) s_q, and
+    each is divided out once."""
+    return tuple(_over(p, d) for p, d in _scaled_split(eq, q, symbolic))
 
 
 def _residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
@@ -330,7 +465,8 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
         # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity
         return MAReport(minor, q, minor)
     try:
-        N, D, _P, _sigma = _harmonic_split(eq, q, symbolic)
+        N, D, _P, _sigma = _scaled_split(eq, q, symbolic)
     except SingularSymbol:
         return MAReport(minor, q, None, singular_symbol=True)
-    return MAReport(minor, q, None, residue_numerator=N, residue_denominator=D)
+    return MAReport(minor, q, None, residue_numerator=_over(*N),
+                    residue_denominator=_over(*D))

@@ -368,6 +368,43 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert any("force" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("command", [["classify"], ["classify", "--symbolic"],
+                                         ["claws"]], ids=["classify", "symbolic", "claws"])
+    @pytest.mark.parametrize("source, point", [
+        ("n=1; u_t = u_xx/u_x", "u_1 = 0, u_11 = 0"),
+        ("n=2; u_t = (u_11 + u_22)/u_1", "u_1 = 0, u_11 = 0, u_22 = 0"),
+    ], ids=["n1", "n2"])
+    def test_exit_one_on_denominator_vanishing_at_reference_jet(
+            self, tmp_path, capsys, command, source, point):
+        f = tmp_path / "singular.pde"
+        f.write_text(source)
+        assert main([*command, str(f)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a denominator of the symbol vanishes at the reference jet "
+            f"{point}; choose another with a ref clause\n")
+        # a ref clause moves the jet; claws then refuses the rational G
+        f.write_text(source + "; ref u_1 = 1")
+        assert main([*command, str(f)]) == (1 if command == ["claws"] else 0)
+        assert "reference jet" not in capsys.readouterr().err
+
+    def test_symbol_form_built_once_per_request(self, tmp_path, capsys, monkeypatch):
+        from paraclaw import parabolic
+        calls = []
+
+        def counted(eq):
+            calls.append(eq)
+            return symbol_form(eq)
+        symbol_form = parabolic.symbol_form
+        monkeypatch.setattr(parabolic, "symbol_form", counted)
+        f = tmp_path / "problem.pde"
+        f.write_text("n=2; u_t = u_11 + u_22 + u_11^2")
+        for command in (["classify"], ["classify", "--symbolic"], ["claws"],
+                        ["claws", "--symbolic"]):
+            calls.clear()
+            assert main([*command, str(f)]) == 0
+            assert len(calls) == 1, command
+        capsys.readouterr()
+
     @pytest.mark.parametrize("source", ["n=1; u_t = u_x", "n=1; u_t = 0*u_xx"],
                              ids=["transport", "zero-symbol"])
     def test_claws_on_degenerate_symbol(self, tmp_path, capsys, source):
@@ -599,7 +636,15 @@ class TestBoundedWork:
          {"minor_affine": False, "residue_vanishes": False, "n1_affine": None}),
         ("classify", "n=1; u_t = u_xx + ((1+u)/(2+u))^60",
          {"minor_affine": True, "residue_vanishes": None, "n1_affine": True}),
-    ], ids=["symbolic-2d", "symbolic-3d", "rational-power-60"])
+        ("classify --symbolic",
+         "n=3; u_t = u_11 + u_22 + u_33 + u_11*u_22*u_33 + 2*u_12*u_13*u_23"
+         " - u_11*u_23^2 - u_22*u_13^2 - u_33*u_12^2;"
+         " ref u_11 = 1; ref u_22 = 1; ref u_33 = 1",
+         {"minor_affine": True, "residue_vanishes": True, "n1_affine": None}),
+        ("classify --symbolic", "n=2; u_t = (u_11 + u_22 + u_11^2)/(2 + u_1^2 + u_2^2)",
+         {"minor_affine": False, "residue_vanishes": False, "n1_affine": None}),
+    ], ids=["symbolic-2d", "symbolic-3d", "rational-power-60", "symbolic-det-hessian-3d",
+            "symbolic-rational"])
     def test_classifies(self, tmp_path, command, source, ma):
         f = tmp_path / "problem.pde"
         f.write_text(source)

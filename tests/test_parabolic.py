@@ -17,7 +17,7 @@ from paraclaw.parabolic import (
 )
 from util import (
     jet, random_poly, suite_parabolicity_equivalence, suite_quartic_equivalence,
-    suite_residue_equivalence, u, u11, u12, u22, ux, uxx, x,
+    suite_residue_equivalence, suite_split_equivalence, u, u11, u12, u22, ux, uxx, x,
 )
 
 
@@ -265,7 +265,7 @@ class TestTracelessResidue:
         assert q0.is_zero == (divexact_ok(q, sigma))
 
     def test_postcheck_decomposition_and_trace(self):
-        from paraclaw.parabolic import _trace_with
+        from util import _trace_with
         from util import naive_invert_matrix as _invert_matrix
         for G in (LAPLACIAN + LAPLACIAN ** 2,
                   LAPLACIAN + u11 ** 2,
@@ -298,6 +298,22 @@ class TestTracelessResidue:
 
     def test_matches_inverse_and_trace_equation_reference(self):
         assert suite_residue_equivalence() == 58
+
+    def test_integer_split_matches_expr_route(self):
+        assert suite_split_equivalence() == {
+            ("corpus", "pointwise", "split", "strict"): 5,
+            ("corpus", "symbolic", "split"): 5,
+            ("pointwise", "pointwise", "singular", "not_parabolic"): 6,
+            ("pointwise", "pointwise", "singular", "weak"): 4,
+            ("pointwise", "pointwise", "split", "not_parabolic"): 23,
+            ("pointwise", "pointwise", "split", "strict"): 12,
+            ("rational", "pointwise", "singular", "weak"): 1,
+            ("rational", "pointwise", "split", "not_parabolic"): 4,
+            ("rational", "pointwise", "split", "strict"): 9,
+            ("rational", "pointwise", "vanishing denominator"): 2,
+            ("rational", "symbolic", "split"): 8,
+            ("symbolic", "symbolic", "split"): 20,
+        }
 
     @pytest.mark.parametrize("G, ref, vanishes", [
         (LAP3 + DET_HESS3, {jet_var((i, i)): 1 for i in (1, 2, 3)}, True),

@@ -28,8 +28,8 @@ from paraclaw.claws import (
     reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.expr import (
-    JET, Expr, Monomial, ONE, Symbol, ZERO, ansatz_unknown, aux_var, base_var,
-    jet_symbol, jet_var, mono_cmp, mono_mul,
+    JET, DivisionByZeroExpr, Expr, Monomial, ONE, Symbol, ZERO, ansatz_unknown,
+    aux_var, base_var, jet_symbol, jet_var, mono_cmp, mono_mul,
 )
 from paraclaw.jets import (
     NotInDivergenceImage, _lower, _lower_prolong, _prolong,
@@ -43,7 +43,7 @@ from paraclaw.grammar import (
 )
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
-    _residue_decomposition, _trace_with, ma_classify, parabolicity_check,
+    _harmonic_split, _residue_decomposition, ma_classify, parabolicity_check,
     quartic_form, symbol_form, xi_symbols,
 )
 
@@ -89,9 +89,10 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # derivative quartic form, the Sylvester and principal-minor parabolicity
 # test and the inverse-and-trace-equations residue, kept to check the
 # Hessian-derivative quartic, the LDL^T verdict and the closed-form residue
-# of paraclaw.parabolic; the substitution route to the on-shell D_t T, kept
-# to check the closed form of paraclaw.claws; the sum of traceless
-# dimensions, kept to check the closed-form tableau dimension
+# of paraclaw.parabolic; the closed-form residue over Expr, kept to check
+# its integer route; the substitution route to the on-shell D_t T, kept to
+# check the closed form of paraclaw.claws; the sum of traceless dimensions,
+# kept to check the closed-form tableau dimension
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -286,6 +287,60 @@ def naive_residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
     for (k, l), c in zip(pairs, coeffs):
         h = h + c * Expr.symbol(xi[k]) * Expr.symbol(xi[l])
     return q - sigma * h, h, sigma
+
+
+def reference_det_adjugate(g: list[list[Expr]]) -> tuple[Expr, list[list[Expr]]]:
+    """(det g, adj g) by Faddeev-LeVerrier over the rational functions,
+    with c_k = -tr(g M_k) * (1/k)."""
+    n = len(g)
+    m = [[ZERO] * n for _ in range(n)]
+    c = ONE
+    for k in range(1, n + 1):
+        adj = [[m[i][j] + c if i == j else m[i][j] for j in range(n)]
+               for i in range(n)]
+        m = [[sum((g[i][l] * adj[l][j] for l in range(n)), ZERO) for j in range(n)]
+             for i in range(n)]
+        c = -sum((m[i][i] for i in range(n)), ZERO) * Fraction(1, k)
+    det = c if n % 2 == 0 else -c
+    if det.is_zero:
+        raise SingularSymbol("symbol matrix is singular")
+    if n % 2 == 0:
+        adj = [[-v for v in row] for row in adj]
+    return det, adj
+
+
+def _trace_with(adj: list[list[Expr]], P: Expr, xi: list[Symbol]) -> Expr:
+    """sum adj_ij d^2 P / dxi_i dxi_j over all n^2 index pairs, in Expr."""
+    out = ZERO
+    for i in range(len(xi)):
+        for j in range(len(xi)):
+            if adj[i][j].is_zero:
+                continue
+            out = out + adj[i][j] * P.diff(xi[i]).diff(xi[j])
+    return out
+
+
+def reference_harmonic_split(eq: EvolutionEquation, symbolic: bool = False
+                             ) -> tuple[Expr, Expr, Expr, Expr]:
+    """(N, D, P, sigma) of parabolic._harmonic_split, every step an Expr
+    operation: g and q evaluated by substitution unless ``symbolic``."""
+    if eq.n < 2:
+        raise PreconditionSpatialDim("traceless residue needs n >= 2")
+    n = eq.n
+    xi = xi_symbols(n)
+    q = quartic_form(eq)
+    sf = symbol_form(eq)
+    if not symbolic:
+        ref = eq.reference_jet
+        sf = type(sf)(n, tuple(tuple(Expr.const(entry.eval_fraction(ref))
+                                     for entry in row) for row in sf.g))
+        q = q.substitute(ref)
+    det, adj = reference_det_adjugate([list(row) for row in sf.g])
+    sigma = sf.sigma()
+    Lq = _trace_with(adj, q, xi)
+    P = (4 * n + 8) * det * Lq - sigma * _trace_with(adj, Lq, xi)
+    D = (2 * n + 8) * (4 * n + 8) * det * det
+    return D * q - sigma * P, D, P, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +712,92 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
         assert verdict == (None if want == "singular" else want[0].is_zero), \
             f"residue verdict differs for u_t = {eq.G} (symbolic={symbolic})"
     return len(problems)
+
+
+def _split_outcome(split, eq: EvolutionEquation, symbolic: bool):
+    try:
+        return tuple(split(eq, symbolic))
+    except SingularSymbol:
+        return "singular"
+    except DivisionByZeroExpr:
+        return "vanishing denominator"
+
+
+SPLIT_SYMBOLIC_SOURCES = (
+    "n=2; u_t = u_11 + u_22 + u_11*u_22*u_12",
+    "n=2; u_t = 1/2*u_11 + 3/2*u_22 + 2/3*(u_11*u_22 - u_12^2);"
+    " ref u_11 = 1; ref u_22 = 1",
+    "n=3; u_t = u_11 + u_22 + u_33 + u_11*u_22*u_33 + 2*u_12*u_13*u_23"
+    " - u_11*u_23^2 - u_22*u_13^2 - u_33*u_12^2; ref u_11 = 1; ref u_22 = 1; ref u_33 = 1",
+    "n=3; u_t = u_11 + u_22 + u_33 + u_11*u_22*u_12 + u_33^2",
+    "n=3; u_t = u_11 + 2*u_22 + u_33 + 1/2*u_12*u_23 - u_1*u_13^2",
+)
+SPLIT_RATIONAL_SOURCES = (
+    "n=2; u_t = (u_11 + u_22)/(1 + u_1^2) + u_11*u_22 - u_12^2",
+    "n=2; u_t = (u_11 + u_22 + u_11^2)/(2 + u_1^2 + u_2^2)",
+    "n=2; u_t = (u_11 + u_22)/(2*u_1 + 1)",
+    "n=2; u_t = u_11 + u_22 + u_12^2/(1 + u_1^2)",
+    "n=2; u_t = u_11*u_22/(1 + u_1) + u_22",
+    "n=2; u_t = (u_11 + u_22)/(1 + u_11)",
+    "n=2; u_t = u_11 + u_22 + u_12^2/(3 + u_11)",
+    "n=3; u_t = (u_11 + u_22 + u_33)/(1 + u_1^2)",
+)
+
+
+def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
+    """parabolic._harmonic_split, on int numerators, against the Expr route
+    reference_harmonic_split: equal (N, D, P, sigma), or the same
+    SingularSymbol or vanishing-denominator outcome.  Draws: every corpus
+    entry with n >= 2, pointwise and symbolic; ``cases`` random polynomial
+    G for n = 2..4 pointwise, sum c_i u_ii plus a random polynomial in the
+    Hessian and first-order data with a rational factor, at random
+    rational reference values (c_i = 0 or a negative c_i gives singular and
+    weak or non-parabolic symbols); the symbolic polynomial G of
+    SPLIT_SYMBOLIC_SOURCES and ``cases // 3`` random ones for n = 2 with one
+    term quadratic in the Hessian; the rational G of
+    SPLIT_RATIONAL_SOURCES, with denominators in first-order data and in
+    the Hessian, symbolic and at two reference jets, the default and a
+    random one.  Returns the number of draws of each kind, mode and
+    outcome, with the parabolicity verdict of each pointwise draw."""
+    rng = random.Random(seed)
+    draws = [("corpus", entry.equation(), symbolic) for entry in CORPUS
+             if entry.equation().n >= 2 for symbolic in (False, True)]
+    for k in range(cases):
+        n = 2 + k % 3
+        hess = [s for s in spatial_jet_vars(n, 2) if s.jet.order == 2]
+        lower = [base_var(1), jet_var(), jet_var((1,)), jet_var((n,))]
+        G = random_poly(rng, hess + lower, terms=3, max_exp=2) \
+            * Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        for i in range(1, n + 1):
+            G = G + Fraction(rng.choice((-1, 0, 1, 1, 2, 3)), rng.randint(1, 3)) \
+                * Expr.symbol(jet_var((i, i)))
+        ref = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in G.symbols()}
+        draws.append(("pointwise", EvolutionEquation(n, G, ref), False))
+    symbolic = [parse(source).equation() for source in SPLIT_SYMBOLIC_SOURCES]
+    for _ in range(cases // 3):
+        hess = [s for s in spatial_jet_vars(2, 2) if s.jet.order == 2]
+        extra = Fraction(rng.randint(1, 5), rng.randint(1, 3)) \
+            * Expr.symbol(rng.choice(hess)) * Expr.symbol(rng.choice(hess)) \
+            + rng.randint(-5, 5) * Expr.symbol(jet_var((1,))) * Expr.symbol(rng.choice(hess))
+        symbolic.append(_random_parabolic_like(rng, 2, extra))
+    draws += [("symbolic", eq, True) for eq in symbolic]
+    for source in SPLIT_RATIONAL_SOURCES:
+        eq = parse(source).equation()
+        point = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in eq.G.symbols()}
+        draws += [("rational", eq, True), ("rational", eq, False),
+                  ("rational", EvolutionEquation(eq.n, eq.G, point), False)]
+    counts: dict = {}
+    for kind, eq, symbolic in draws:
+        got = _split_outcome(lambda e, sym: _harmonic_split(e, quartic_form(e), sym),
+                             eq, symbolic)
+        want = _split_outcome(reference_harmonic_split, eq, symbolic)
+        assert got == want, f"split differs for u_t = {eq.G} (symbolic={symbolic})"
+        key = (kind, "symbolic" if symbolic else "pointwise",
+               want if isinstance(want, str) else "split")
+        if not symbolic and want != "vanishing denominator":
+            key += (parabolicity_check(eq).value,)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def suite_quartic_equivalence(cases: int = 60, seed: int = 59) -> int:
