@@ -14,9 +14,14 @@ parts gives reduce(D_t T) = dT/dt + G Q + Div(...) with Q = E_u(T) (Olver,
 GTM 107; Anco & Bluman 2002).  E_u kills divergences and commutes with
 d/dt, so the determining system is dQ/dt + E_u(G Q) = 0, on solutions
 D_t Q + l*_G(Q) = 0 (l_Q is self-adjoint): the auxiliary equation of every
-characteristic, in Q alone.  Flux reconstruction and verification evaluate
-reduce(D_t T) in that closed form, D_J G read off a replacement table, and
-integrate nothing by parts: an independent second route to the identity.
+characteristic, in Q alone.  It is assembled written out, with total
+derivatives and products only: E_u(G Q) = l_Q(G) + l*_G(Q) for a
+characteristic Q (Helmholtz: l*_Q = l_Q), and l*_G(Q) = sum_L A_L D_L Q
+with |L| <= 2 and the A_L built from G alone, so no Euler operator walks
+the product G Q.  G must be a polynomial there.  Flux reconstruction and
+verification evaluate reduce(D_t T) in that closed form, D_J G read off a
+replacement table, and integrate nothing by parts: an independent second
+route to the identity.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -29,18 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import linalg
 from .expr import (
     ANSATZ, JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
-    Symbol, ansatz_unknown, base_var, mono_sort_key,
+    Symbol, ansatz_unknown, base_var, mono_mul, mono_sort_key,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
-    TimeJetPresent, bounded_monomials, build_replacement_table, euler_operator,
-    has_time_jets, invert_divergence, spatial_jet_order, spatial_jet_vars,
-    total_derivative,
+    TimeJetPresent, _add_terms, _add_total_derivative, _jet_partials,
+    bounded_monomials, build_replacement_table, euler_operator, has_time_jets,
+    invert_divergence, spatial_jet_order, spatial_jet_vars, total_derivative,
 )
 from .parabolic import EvolutionEquation, MAReport, Parabolicity, ma_classify, \
     parabolicity_check
@@ -180,11 +185,14 @@ def assemble_determining_system(eq: EvolutionEquation, Q_ansatz: Expr) -> Determ
     Q_ansatz = E_u(T_ansatz), in the ansatz unknowns of Q_ansatz: the
     coefficient of every monomial in the base and jet variables of
     d (dQ/dt + E_u(G Q)) = d E_u(reduce(D_t T_ansatz)) (see the module
-    docstring).  d, the lcm of the denominators of G's coefficients, keeps
-    every step on ``int`` coefficients for an ``int`` ansatz; it changes
-    neither the null space nor the reduced rows.  No time jet occurs, so
-    no replacement table is built.  The rows are filled in one pass over
-    the terms."""
+    docstring).  Q_ansatz must be a characteristic, E_u of a density
+    ansatz: the expression is assembled from the auxiliary equation, which
+    holds only then (:func:`_determining_expression`).  d, the lcm of the
+    denominators of G's coefficients, keeps every step on ``int``
+    coefficients for an ``int`` ansatz; it changes neither the null space
+    nor the reduced rows.  No time jet occurs, so no replacement table is
+    built.  The rows are filled in one pass over the terms.  A
+    rational-function G raises NotPolynomialIn before any assembly."""
     unknowns = sorted(s for s in Q_ansatz.symbols() if s.kind == ANSATZ)
     rows: dict = {}
     for key, k, c in _split_unknowns(_determining_expression(eq, Q_ansatz), unknowns):
@@ -194,15 +202,97 @@ def assemble_determining_system(eq: EvolutionEquation, Q_ansatz: Expr) -> Determ
 
 
 def _determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
-    """d dQ/dt + E_u((d G) Q) for Q = E_u(T), d the lcm of the denominators
-    of G's coefficients, so an ``int`` Q keeps every step on ``int``
-    coefficients.  For a rational-function G, d is read off its numerator
-    and d G keeps G's denominator."""
+    """d dQ/dt + E_u((d G) Q) for a characteristic Q = E_u(T) and a
+    polynomial G, d the lcm of the denominators of G's coefficients, so an
+    ``int`` Q keeps every step on ``int`` coefficients.
+
+    No Euler operator runs: E_u(f g) = l*_f(g) + l*_g(f) for any f and g,
+    and Helmholtz gives l*_Q = l_Q for Q = E_u(T) (Olver, GTM 107), so
+    E_u((d G) Q) = l_Q(d G) + l*_{dG}(Q).  This holds only when Q is a
+    characteristic.  Both parts are added on raw term dicts
+    (:func:`_add_linearization`, :func:`_add_adjoint_linearization`).
+
+    A rational-function G raises NotPolynomialIn before any of this, naming
+    the jets of G.den, or all its symbols when it has none; a zero Q gives
+    0 on any G."""
+    if Q.is_zero:
+        return Q
     G = eq.G
+    if not G.is_polynomial:
+        raise NotPolynomialIn([s for s in G.den.symbols() if s.kind == JET]
+                              or G.den.symbols())
+    if not Q.is_polynomial:
+        raise NotPolynomialIn(Q.den.symbols())
     d = lcm(*(c.denominator for c in G.num.terms.values()))
-    dG = Poly({m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()})
-    dQ = Q.diff(TIME)
-    return Expr._make(dQ.num.scale(d), dQ.den) + euler_operator(Expr._make(dG, G.den) * Q)
+    dG = {m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()}
+    out: dict = {}
+    _add_terms(out, Q.num.diff(TIME).terms, d)
+    _add_linearization(out, Q.num.terms, dG)
+    _add_adjoint_linearization(out, dG, Q.num.terms)
+    return Expr._make(Poly(out), Poly.one())
+
+
+def _add_linearization(out: dict, Q: dict, f: dict) -> None:
+    """out += l_Q(f) = sum_J dQ/du_J D_J f in place, over the jet words J of
+    Q, for the purely spatial polynomials with terms Q and f; each D_J f is
+    built from the one of J's prefix."""
+    D_f = _prolongations(f)
+    for J, Q_J in _jet_partials(Q).items():
+        _add_product(out, Q_J, D_f(J))
+
+
+def _add_adjoint_linearization(out: dict, f: dict, Q: dict) -> None:
+    """out += l*_f(Q) = sum_J (-D)_J(f_J Q), f_J = df/du_J, in place, for
+    the purely spatial polynomials with terms f and Q.  It is taken in
+    non-divergence form sum_L A_L D_L Q by the Leibniz rule: each split of
+    the word J into L and the rest adds (-1)^|J| D_rest(f_J) to A_L.  The
+    A_L come from f alone, and D_L Q is taken only for the L with a nonzero
+    A_L, which have |L| <= 2 when f has jet order <= 2."""
+    A: dict = {}
+    for J, f_J in _jet_partials(f).items():
+        D_f_J = _prolongations(f_J)
+        sign = -1 if len(J) % 2 else 1
+        for split in range(1 << len(J)):
+            L = tuple(a for k, a in enumerate(J) if split >> k & 1)
+            rest = tuple(a for k, a in enumerate(J) if not split >> k & 1)
+            _add_terms(A.setdefault(L, {}), D_f_J(rest), sign)
+    D_Q = _prolongations(Q)
+    for L, A_L in A.items():
+        if A_L:
+            _add_product(out, A_L, D_Q(L))
+
+
+def _prolongations(terms: dict) -> Callable[[tuple[int, ...]], dict]:
+    """word -> the terms of D_word p, for the polynomial p with these terms
+    and sorted spatial index words, each built from its prefix's by one
+    total derivative and kept."""
+    memo = {(): terms}
+
+    def prolonged(word: tuple[int, ...]) -> dict:
+        got = memo.get(word)
+        if got is None:
+            got = memo[word] = {}
+            _add_total_derivative(got, prolonged(word[:-1]), word[-1])
+        return got
+
+    return prolonged
+
+
+def _add_product(out: dict, a: dict, b: dict) -> None:
+    """out += p q in place, for the polynomials p and q with terms a and b."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            c = c1 * c2
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:

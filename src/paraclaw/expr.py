@@ -448,7 +448,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("Poly power must be non-negative")
-        result = Poly.one()
+        result = Poly({_ONE_MONO: 1})  # an int unit keeps int coefficients int
         base = self
         while k:
             if k & 1:

@@ -30,11 +30,15 @@ def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]
 
     Returns (reduced nonzero rows, pivot column per row), in increasing
     pivot order; the rows have ``Fraction`` entries.  Input rows are not
-    mutated.
+    mutated.  Every key is a column below ``ncols``, so once ``ncols``
+    pivots are kept every later row reduces to 0: ``rows`` is consumed only
+    up to full rank.
     """
     echelon = Echelon()
     for row in rows:
         echelon.add(row)
+        if echelon.rank == ncols:
+            break
     reduced = echelon.rows
     pivots = sorted(reduced)
     return [reduced[p] for p in pivots], pivots
@@ -134,6 +138,11 @@ class Echelon:
         with ``Fraction`` entries."""
         return {p: {c: Fraction(v, row[p]) for c, v in row.items()}
                 for p, row in self._rows.items()}
+
+    @property
+    def rank(self) -> int:
+        """The number of kept rows: the rank of the rows added so far."""
+        return len(self._rows)
 
     def add(self, row: SparseRow) -> bool:
         """Keep row and return True when it is linearly independent of the

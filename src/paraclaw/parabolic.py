@@ -211,21 +211,26 @@ def quartic_form(eq: EvolutionEquation) -> Expr:
 
     Over the Hessian coordinates a = (ij), i <= j, with m_a = xi_i xi_j, this
     is q = sum_{a <= b} (2 - delta_ab) d^2G/du_a du_b m_a m_b; each term is
-    the numerator of d^2G/du_a du_b shifted by m_a m_b."""
+    the numerator of d^2G/du_a du_b shifted by m_a m_b.  The first
+    derivatives are read off the symbol, g^ij = w_a dG/du_a with w_a = 1 on
+    the diagonal and 1/2 off it, so the term of (a, b) is
+    (2 - delta_ab) / w_a times dg^ij/du_b."""
     xi = xi_symbols(eq.n)
-    coords = [(eq.hessian_entry(i, j),
+    g = eq.symbol.g
+    coords = [(eq.hessian_entry(i, j), g[i - 1][j - 1],
                ((xi[i - 1], 2),) if i == j else ((xi[i - 1], 1), (xi[j - 1], 1)))
               for i in range(1, eq.n + 1) for j in range(i, eq.n + 1)]
     q = ZERO
-    for a, (ua, ma) in enumerate(coords):
-        Ga = eq.G.diff(ua)
-        if Ga.is_zero:
+    for a, (_, ga, ma) in enumerate(coords):
+        if ga.is_zero:
             continue
-        for b, (ub, mb) in enumerate(coords[a:], a):
-            Gab = Ga.diff(ub)
-            if not Gab.is_zero:
-                term = Gab.num.mono_shift(mono_mul(ma, mb))
-                q = q + Expr._make(term if a == b else term.scale(2), Gab.den)
+        off_diagonal = len(ma) == 2
+        for b, (ub, _, mb) in enumerate(coords[a:], a):
+            gab = ga.diff(ub)
+            if not gab.is_zero:
+                term = gab.num.mono_shift(mono_mul(ma, mb))
+                factor = (1 if a == b else 2) * (2 if off_diagonal else 1)
+                q = q + Expr._make(term if factor == 1 else term.scale(factor), gab.den)
     return q
 
 

@@ -24,7 +24,8 @@ from paraclaw.jets import (
 from paraclaw.parabolic import EvolutionEquation
 from util import (
     GOLDEN_PATH, claws_corpus_reports, expr_coefficient_vector,
-    heat_polynomial_space, in_span, span_equal, suite_characteristic_form_corpus,
+    heat_polynomial_space, in_span, span_equal, suite_auxiliary_form_corpus,
+    suite_auxiliary_form_random, suite_characteristic_form_corpus,
     suite_characteristic_form_random, suite_cross_validation, suite_integer_assembly,
     jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
     suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
@@ -142,6 +143,41 @@ class TestDeterminingSystem:
         eq = EvolutionEquation(1, uxx / u, {jet_var(): 1})
         with pytest.raises(NotPolynomialIn):
             find_conservation_laws(eq, AnsatzSpec(2, 1, 0))
+
+
+class TestAuxiliaryForm:
+    """The determining expression d dQ/dt + l_Q(d G) + l*_{dG}(Q) of a
+    characteristic Q; the Euler walk over the product, d dQ/dt + E_u(d G Q),
+    of tests/util.py is the reference."""
+
+    def test_matches_euler_reference_on_rational_corpus(self):
+        assert suite_auxiliary_form_corpus() == 4 * len(CORPUS)
+
+    def test_matches_euler_reference_on_random_equations(self):
+        assert suite_auxiliary_form_random(cases=100) == 100
+
+    @pytest.mark.parametrize("G, named", [
+        ((u11 + u22) / (1 + x1 ** 2 + x2 ** 2), "{x1, x2}"),
+        ((u11 + u22) / (1 + x1 * u ** 2), "{u}"),
+        (u11 + u22 / (3 + u1), "{u_1}"),
+    ], ids=["base", "base-and-jet", "jet"])
+    def test_rational_equation_refused_before_any_walk(self, monkeypatch, G, named):
+        from paraclaw.expr import NotPolynomialIn
+
+        def no_walk(*args):
+            raise AssertionError("a kernel ran before the refusal")
+
+        monkeypatch.setattr(claws, "_add_total_derivative", no_walk)
+        monkeypatch.setattr(claws, "_jet_partials", no_walk)
+        Q = euler_operator(Expr.symbol(ansatz_unknown(1)) * u ** 2)
+        with pytest.raises(NotPolynomialIn, match=f"^expression is not polynomial in {named}$"):
+            assemble_determining_system(EvolutionEquation(2, G), Q)
+
+    def test_zero_characteristic_on_rational_equation(self):
+        eq = EvolutionEquation(2, (u11 + u22) / (1 + x1 ** 2))
+        system = assemble_determining_system(eq, Expr.const(0))
+        assert system.unknowns == [] and system.rows == []
+        assert find_conservation_laws(eq, AnsatzSpec(2, 0, 1)) == []
 
 
 class TestCharacteristicForm:

@@ -603,27 +603,33 @@ class TestBoundedWork:
     built), tableau dimensions at large r (a closed form), tableau
     dimensions past the digits Python prints (refused, far past them before
     they are computed) and jet orders far past jets.ORDER_GUARD (refused
-    before the Euler operator's walk) and the Euler operator of a
-    quotient density (its numerator walked once, normalized at the root)."""
+    before the Euler operator's walk), the Euler operator of a
+    quotient density (its numerator walked once, normalized at the root)
+    and a law search on a rational G (refused before assembly)."""
 
     @pytest.mark.parametrize("command, source, code", [
         ("classify", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 0),
         ("classify", "n=2; u_t = u_11 + u_22 + u_11^2/(1+u_22^2)", 0),
         ("classify", "n=3; u_t = (u_11+u_22+u_33)/(1+u_12^2+u_13^2)", 0),
         ("claws", "n=2; u_t = (u_11 + u_22)/(1+u_12^2)", 1),
+        ("claws --order 2 --jet-degree 3 --base-degree 1",
+         "n=2; u_t = (u_11 + u_22)/(1+x1^2+x2^2)", 1),
         ("classify", "n=2; u_t = u_11 + u_22 + (u+u_1+u_2+x1+x2+t)^15", 2),
         ("classify", "n=2; u_t = u_11 + u_22 + (u+u_1+u_2+x1+x2+t)^16", 2),
         ("classify", "n=2; u_t = u_11 + u_22 + (u+u_1+u_2+x1+x2+t)^40", 2),
         ("classify", "n=1; u_t = u_xx + (1+u)^100000", 2),
     ], ids=["rational-2d", "rational-reaction", "rational-3d", "claws-rational",
-            "power-15", "power-16", "power-40", "power-100000"])
+            "claws-rational-base-2-3-1", "power-15", "power-16", "power-40",
+            "power-100000"])
     def test_ends_with_documented_exit_code(self, tmp_path, command, source, code):
         f = tmp_path / "problem.pde"
         f.write_text(source)
-        proc = run_paraclaw([command, str(f)], timeout=8)
+        proc = run_paraclaw([*command.split(), str(f)], timeout=8)
         assert proc.returncode == code, proc.stderr
         if code == 1:
-            assert proc.stderr == "error: expression is not polynomial in {u_12}\n"
+            # the jets of G's denominator, or all its symbols when it has none
+            symbols = "{u_12}" if "u_12" in source else "{x1, x2}"
+            assert proc.stderr == f"error: expression is not polynomial in {symbols}\n"
         if code == 2:
             assert proc.stderr.startswith("parse error: expression expands past "
                                           "MAX_TERMS = 20000 term products")

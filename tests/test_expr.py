@@ -198,6 +198,21 @@ class TestAlgebraProperties:
         assert (u / x) ** -2 == x ** 2 / u ** 2
         assert u ** 3 == u * u * u
 
+    def test_power_of_int_polynomial_keeps_int_coefficients(self):
+        rng = random.Random(10)
+        syms = [base_var(1), jet_var(), jet_var((1,))]
+        for k in range(40):
+            p = Poly({m: int(c) for m, c in random_poly(rng, syms).num.terms.items()})
+            e = k % 4
+            power = p ** e
+            product = Poly({(): 1})
+            for _ in range(e):
+                product = product * p
+            assert power == product
+            assert all(type(c) is int for c in power.terms.values())
+        half = Poly({((jet_var(), 1),): Fraction(1, 2)})
+        assert (half ** 3).terms == {((jet_var(), 3),): Fraction(1, 8)}
+
 
 class TestOrdering:
     def test_global_symbol_order(self):

@@ -109,6 +109,49 @@ def test_rref_of_integer_and_mixed_rows(kind):
                 assert _dot(row, vec) == 0
 
 
+def test_rref_stops_at_full_rank():
+    """rref consumes rows only until ncols pivots are kept: a generator of
+    rows is not advanced past the row that completes the rank."""
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3, 2: 1}, {2: 5}, {0: 1}, {1: 1}]
+    consumed = []
+
+    def generate():
+        for k, row in enumerate(rows):
+            consumed.append(k)
+            yield row
+
+    assert linalg.rref(generate(), 3) == naive_rref(rows, 3)
+    assert consumed == [0, 1, 2, 3]
+    assert linalg.rref(iter(rows), 4) == naive_rref(rows, 4)  # never full rank
+
+
+def test_rref_early_exit_equals_full_elimination():
+    """On seeded random systems, full-rank ones (square and tall, where the
+    exit fires before the last row) and rank-deficient ones, rref equals
+    the column-sweep RREF of every row and the echelon of every row."""
+    rng = random.Random(139)
+    full = deficient = 0
+    for k in range(120):
+        ncols = rng.randint(1, 8)
+        nrows = ncols + rng.randint(0, 6)
+        if k % 2:
+            rows = _random_rows(rng, nrows, ncols, ENTRIES["mixed"])
+        else:
+            rows = [{c: _mixed_entry(rng) for c in range(ncols) if rng.random() < 0.6}
+                    for _ in range(nrows)]
+        expected = naive_rref(rows, ncols)
+        echelon = linalg.Echelon()
+        for row in rows:
+            echelon.add(row)
+        assert linalg.rref(rows, ncols) == expected
+        assert [echelon.rows[p] for p in expected[1]] == expected[0]
+        if len(expected[1]) == ncols:
+            full += 1
+        else:
+            deficient += 1
+    assert full >= 30 and deficient >= 30
+
+
 def test_rref_ignores_explicit_zero_entries():
     rng = random.Random(103)
     for rows, ncols in _cases(seed=107, per_shape=5):

@@ -171,6 +171,23 @@ class TestQuarticForm:
     def test_matches_epsilon_derivative_reference(self):
         assert suite_quartic_equivalence() == 75
 
+    def test_reads_first_derivatives_off_the_symbol(self, monkeypatch):
+        # G is differentiated once per Hessian coordinate, by the symbol
+        eq = EvolutionEquation(2, LAPLACIAN + u11 ** 2 + u12 * u22 + u12 ** 3)
+        differentiated = []
+        real_diff = Expr.diff
+
+        def recording_diff(self, s):
+            differentiated.append(self is eq.G)
+            return real_diff(self, s)
+
+        monkeypatch.setattr(Expr, "diff", recording_diff)
+        q = quartic_form(eq)
+        assert differentiated.count(True) == 3
+        differentiated.clear()
+        assert quartic_form(eq) == q
+        assert True not in differentiated
+
 
 def minor_affine_oracle_2d(G: Expr) -> bool:
     """For constant-coefficient G in the Hessian entries only: solve the

@@ -10,8 +10,8 @@ The tracer times the law search's stages by rebinding
 ``claws.generate_ansatz``, ``claws.assemble_determining_system`` and
 ``claws.solve_exact``, so the search must call each of them through its
 module name, once.  The determining system depends on the characteristic
-alone, so the search takes the Euler operator twice: of the ansatz, and of
-G times the kept part of its characteristic.
+alone and is assembled from the auxiliary equation with total derivatives
+only, so the search takes the Euler operator once: of the ansatz.
 
 The package's imports run one way, from the command layer down to the
 kernel; each module's imports are read with ``ast``."""
@@ -66,7 +66,7 @@ def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
     ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
     ("n=1; u_t = u_x", (2, 2, 0)),
 ], ids=["burgers", "heat_2d", "transport"])
-def test_search_takes_two_euler_operators(monkeypatch, source, spec):
+def test_search_takes_one_euler_operator(monkeypatch, source, spec):
     from paraclaw import claws
     from paraclaw.grammar import parse
     calls = []
@@ -79,7 +79,7 @@ def test_search_takes_two_euler_operators(monkeypatch, source, spec):
     monkeypatch.setattr(claws, "euler_operator", counting)
     laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
     assert laws
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # Each paraclaw module and the modules directly below it; a module may import

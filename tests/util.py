@@ -91,8 +91,10 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # Hessian-derivative quartic, the LDL^T verdict and the closed-form residue
 # of paraclaw.parabolic; the closed-form residue over Expr, kept to check
 # its integer route; the substitution route to the on-shell D_t T, kept to
-# check the closed form of paraclaw.claws; the sum of traceless dimensions,
-# kept to check the closed-form tableau dimension
+# check the closed form of paraclaw.claws; the Euler operator of the
+# product d G Q, kept to check the auxiliary-equation assembly of
+# paraclaw.claws; the sum of traceless dimensions, kept to check the
+# closed-form tableau dimension
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -127,6 +129,18 @@ def naive_determining_expression(eq: EvolutionEquation, T: Expr) -> Expr:
     time jet of D_t T eliminated through a replacement table.  Kept to check
     the characteristic form E_u(dT/dt + G E_u(T)) of paraclaw.claws."""
     return euler_operator(naive_on_shell_dt(eq, T))
+
+
+def reference_determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
+    """d dQ/dt + E_u((d G) Q), d the lcm of the denominators of G's
+    coefficients, by one Euler walk over the product (d G) Q.  Kept to check
+    the auxiliary-equation form d dQ/dt + l_Q(d G) + l*_{dG}(Q) of
+    paraclaw.claws._determining_expression."""
+    G = eq.G
+    d = determining_scale(eq)
+    dG = Poly({m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()})
+    dQ = Q.diff(base_var(0))
+    return Expr._make(dQ.num.scale(d), dQ.den) + euler_operator(Expr._make(dG, G.den) * Q)
 
 
 def naive_on_shell_dt(eq: EvolutionEquation, T: Expr) -> Expr:
@@ -560,6 +574,45 @@ def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
         assert _determining_expression(eq, euler_operator(T)) \
             == determining_scale(eq) * naive_determining_expression(eq, T), \
             f"characteristic form differs for u_t = {G}, T = {T}"
+    return cases
+
+
+def suite_auxiliary_form_corpus() -> int:
+    """The determining expression of the characteristic of the density
+    ansatz equals :func:`reference_determining_expression` on every
+    :func:`rational_corpus` equation at 2/2/1 and 2/2/2.  Returns the number
+    of (equation, bounds) pairs checked."""
+    checked = 0
+    for name, eq in rational_corpus():
+        for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
+            Q = euler_operator(generate_ansatz(eq, spec)[0])
+            assert _determining_expression(eq, Q) == reference_determining_expression(eq, Q), \
+                f"auxiliary form differs on {name} at {spec}"
+            checked += 1
+    return checked
+
+
+def suite_auxiliary_form_random(cases: int = 60, seed: int = 89) -> int:
+    """The same identity for the characteristic Q = E_u(T) of a random
+    polynomial density T, on random polynomial equations u_t = G over t, x
+    and spatial jets of order <= 2, for n = 1..3.  Every G has an explicit t
+    term and an explicit x term and rational coefficients, and every T has
+    a term in a second-order jet, so Q may reach order 4."""
+    rng = random.Random(seed)
+    for k in range(cases):
+        n = 1 + k % 3
+        syms = random_spatial_symbols(n)
+        jets = spatial_jet_vars(n, 2)
+        G = random_poly(rng, syms, terms=3) * Fraction(rng.randint(1, 5), rng.randint(1, 4)) \
+            + Fraction(rng.randint(1, 5), 3) * t * Expr.symbol(rng.choice(jets)) \
+            + Fraction(-1, rng.randint(2, 5)) * Expr.symbol(base_var(rng.randint(1, n))) \
+            * Expr.symbol(rng.choice(jets))
+        T = random_poly(rng, syms, terms=4) + Fraction(1, 7) \
+            * Expr.symbol(rng.choice(jets[n + 1:])) * Expr.symbol(rng.choice(syms))
+        eq = EvolutionEquation(n, G)
+        Q = euler_operator(T)
+        assert _determining_expression(eq, Q) == reference_determining_expression(eq, Q), \
+            f"auxiliary form differs for u_t = {G}, T = {T}"
     return cases
 
 
