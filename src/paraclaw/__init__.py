@@ -8,19 +8,18 @@ problem-file grammar.
 
 from .expr import (
     ANSATZ, AUX, BASE, JET, DivisionByZeroExpr, Expr, MultiIndex,
-    NotPolynomialIn, Symbol, ansatz_unknown, aux_var, base_var, diff, jet_var,
-    poly_coefficients, substitute,
+    NotPolynomialIn, Symbol, ansatz_unknown, aux_var, base_var, jet_var,
 )
 from .jets import (
     NotInDivergenceImage, OrderOverflow, ReplacementTable, TimeJetPresent,
     build_replacement_table,
     deprolongation_dimension, euler_operator, invert_divergence,
-    iterated_total_derivative, parabolic_system_dimension, reduce_to_spatial,
-    tableau_dimension, total_derivative,
+    parabolic_system_dimension, reduce_to_spatial, tableau_dimension,
+    total_derivative,
 )
 from .parabolic import (
     EvolutionEquation, MAReport, Parabolicity, PreconditionSpatialDim,
-    SingularSymbol, SymbolForm, is_minor_affine, ma_classify,
+    SingularSymbol, SymbolForm, ma_classify,
     ma_traceless_residue, parabolicity_check, quartic_form, symbol_form,
 )
 from .claws import (

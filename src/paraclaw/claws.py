@@ -367,10 +367,8 @@ def combine(columns: list[dict], vec: dict) -> Expr:
     {k: Fraction}."""
     acc: dict = {}
     for k, v in vec.items():
-        for mono, c in columns[k].items():
-            got = acc.get(mono)
-            acc[mono] = v * c if got is None else got + v * c
-    return Expr._make(Poly({m: c for m, c in acc.items() if c}), Poly.one())
+        _add_terms(acc, columns[k], v)
+    return Expr._make(Poly(acc), Poly.one())
 
 
 def solve_exact(system: DeterminingSystem) -> list[dict]:

@@ -32,10 +32,9 @@ __all__ = [
     "MultiIndex", "Symbol",
     "base_var", "jet_var", "jet_symbol", "ansatz_unknown", "aux_var",
     "TIME", "U",
-    "Monomial", "mono_mul", "mono_degree", "mono_cmp", "mono_sort_key",
+    "Monomial", "mono_mul", "mono_sort_key",
     "Poly", "poly_gcd", "divexact",
     "Expr", "ZERO", "ONE",
-    "diff", "substitute", "poly_coefficients", "monomial_expr",
     "format_poly", "format_expr",
 ]
 
@@ -141,11 +140,6 @@ class Symbol(tuple):
         # rebuilt from the constructor arguments, not from the key tuple
         return Symbol, (self.kind, self.index, self.jet, self.name)
 
-    @property
-    def key(self) -> tuple:
-        """The order key as a plain tuple."""
-        return tuple(self)
-
     def _default_name(self) -> str:
         if self.kind == BASE:
             return "t" if self.index == 0 else f"x{self.index}"
@@ -235,10 +229,6 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out)
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     """True iff m1 divides m2."""
     d2 = dict((s, e) for s, e in m2)
@@ -259,37 +249,11 @@ def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple((s, e) for s, e in out if e)
 
 
-def mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded lexicographic order: total degree first, then the earlier
-    symbol with the larger exponent wins."""
-    d1, d2 = mono_degree(m1), mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1 == s2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif s1 < s2:
-            return 1
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
-
-
 def mono_sort_key(m: Monomial) -> list:
-    """Sort key of the order :func:`mono_cmp` defines: [degree, reversed
-    key of the first symbol, its exponent, ...].  The symbol keys are
-    reversed, so the earlier symbol and then the larger exponent sort
-    higher."""
+    """Sort key of the graded lexicographic order: [degree, reversed key
+    of the first symbol, its exponent, ...].  The symbol keys are
+    reversed, so after the degree the earlier symbol and then the larger
+    exponent sort higher."""
     key = [0]
     degree = 0
     for s, e in m:
@@ -751,10 +715,6 @@ class Expr:
     def symbols(self) -> set[Symbol]:
         return self.num.symbols() | self.den.symbols()
 
-    def canonical_key(self) -> tuple:
-        """Hashable canonical fingerprint (for dedup tables)."""
-        return (tuple(self.num.sorted_terms()), tuple(self.den.sorted_terms()))
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is None:
@@ -858,17 +818,6 @@ class Expr:
             raise DivisionByZeroExpr("denominator vanishes at evaluation point")
         return self.num.eval_fraction(bindings) / d
 
-    def poly_coefficients(self, vars_: Iterable[Symbol]) -> dict[Monomial, "Expr"]:
-        """Coefficient map over monomials in ``vars_``; see :func:`poly_coefficients`."""
-        varset = frozenset(vars_)
-        bad = self.den.symbols() & varset
-        if bad:
-            raise NotPolynomialIn(bad)
-        out: dict[Monomial, Expr] = {}
-        for m, p in self.num.coefficients_in(varset).items():
-            out[m] = Expr._make(p, self.den)
-        return out
-
     def __str__(self) -> str:
         return format_expr(self)
 
@@ -886,38 +835,6 @@ def _coerce(x) -> Expr | None:
     if isinstance(x, (int, Fraction)):
         return Expr.const(x)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Functional surface
-# ---------------------------------------------------------------------------
-
-def diff(e: Expr, s: Symbol) -> Expr:
-    """Partial derivative of e with respect to symbol s (all others constant)."""
-    return e.diff(s)
-
-
-def substitute(e: Expr, bindings: Mapping[Symbol, Expr | Rationalish]) -> Expr:
-    """Simultaneous substitution; raises DivisionByZeroExpr on vanishing denominators."""
-    return e.substitute(bindings)
-
-
-def poly_coefficients(e: Expr, vars_: Iterable[Symbol]) -> dict[Monomial, Expr]:
-    """Decompose e = sum(coefficient * monomial) over monomials in ``vars_``.
-
-    The coefficients contain no symbol from ``vars_``; raises NotPolynomialIn
-    when the denominator of e involves any of them.  The zero expression
-    yields an empty map.
-    """
-    return e.poly_coefficients(vars_)
-
-
-def monomial_expr(m: Monomial) -> Expr:
-    """The monomial m as an expression (for reassembling coefficient maps)."""
-    out = ONE
-    for s, e in m:
-        out = out * Expr.symbol(s) ** e
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The problem-file format: lexer, parser and printer.
+"""The problem-file format: lexer, parser and expression printer.
 
 Input grammar (whitespace insignificant)::
 
@@ -47,7 +47,7 @@ from .parabolic import EvolutionEquation
 
 __all__ = [
     "MAX_NESTING", "ParseError", "IndexOutOfRange", "TimeDerivativeOnRHS",
-    "ProblemFile", "parse", "parse_expression", "print_problem", "expr_to_source",
+    "ProblemFile", "parse", "parse_expression", "expr_to_source",
 ]
 
 MAX_NESTING = 100
@@ -455,17 +455,3 @@ def expr_to_source(e: Expr, n: int) -> str:
     """Render an expression so that parse_expression re-reads it verbatim."""
     return format_expr(e, _source_name(n))
 
-
-def print_problem(pf: ProblemFile) -> str:
-    """Canonical problem-file text; parse(print_problem(pf)) == pf."""
-    parts = [f"n={pf.n}", f"u_t = {expr_to_source(pf.G, pf.n)}"]
-    name = _source_name(pf.n)
-    for sym in sorted(pf.reference_jet):
-        parts.append(f"ref {name(sym)} = {pf.reference_jet[sym]}")
-    if pf.jet_degree is not None:
-        parts.append(f"jet_degree = {pf.jet_degree}")
-    if pf.base_degree is not None:
-        parts.append(f"base_degree = {pf.base_degree}")
-    if pf.max_jet_order is not None:
-        parts.append(f"order = {pf.max_jet_order}")
-    return "; ".join(parts)

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are use
 __all__ = [
     "OrderOverflow", "TimeJetPresent", "NotInDivergenceImage",
     "ORDER_GUARD", "ReplacementTable",
-    "total_derivative", "iterated_total_derivative",
+    "total_derivative",
     "build_replacement_table", "reduce_to_spatial",
     "euler_operator", "invert_divergence",
     "tableau_dimension", "parabolic_system_dimension", "deprolongation_dimension",
@@ -149,19 +149,6 @@ def _jet_partials(terms: dict) -> dict[tuple[int, ...], dict]:
             if s.kind == JET:
                 out.setdefault(s.jet.spatial, {})[_lower(m, idx)] = c * e if e != 1 else c
     return out
-
-
-def iterated_total_derivative(e: Expr, index: MultiIndex) -> Expr:
-    """Composition of total derivatives over all entries of ``index``.
-
-    Total derivatives commute, so the application order (spatial ascending,
-    then time) is a determinism convention only.
-    """
-    for i in index.spatial:
-        e = total_derivative(e, i)
-    for _ in range(index.time_power):
-        e = total_derivative(e, 0)
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,3 @@ def solve_dense(matrix: list[list], rhs: list, zero) -> list | None:
                 continue
             a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
     return [a[r][m] for r in range(m)]
-
-
-def rank(rows: list[SparseRow], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])

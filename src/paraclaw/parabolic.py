@@ -22,8 +22,8 @@ Two Monge-Ampere verdicts are computed and reported side by side:
   runs on ``int`` numerators: the denominators of g and q are cleared once
   on the way in, the Faddeev-LeVerrier division by k is exact over Z, and
   N and D are divided by their scales once on the way out.  q0 itself,
-  N / (c det(g)^2), is computed only on request
-  (MAReport.traceless_residue, ma_traceless_residue).
+  N / (c det(g)^2), is read only through ma_traceless_residue; no report
+  needs it.
 
 Parabolicity and the residue are certified at a user-supplied reference
 2-jet; global positivity of a symbolic matrix is not decided here.  The
@@ -49,7 +49,7 @@ __all__ = [
     "PreconditionSpatialDim", "SingularSymbol",
     "Parabolicity", "EvolutionEquation", "SymbolForm", "MAReport",
     "symbol_form", "parabolicity_check", "quartic_form",
-    "is_minor_affine", "ma_traceless_residue", "ma_classify",
+    "ma_traceless_residue", "ma_classify",
     "xi_symbols",
 ]
 
@@ -144,15 +144,6 @@ class SymbolForm:
     n: int
     g: tuple[tuple[Expr, ...], ...]
 
-    def sigma(self) -> Expr:
-        """The symbol quadratic form sum g^ij xi_i xi_j in the xi auxiliaries."""
-        xi = xi_symbols(self.n)
-        out = ZERO
-        for i in range(self.n):
-            for j in range(self.n):
-                out = out + self.g[i][j] * Expr.symbol(xi[i]) * Expr.symbol(xi[j])
-        return out
-
     def at_reference(self, reference_jet: Mapping[Symbol, Fraction]) -> list[list[Fraction]]:
         n = self.n
         out = [[None] * n for _ in range(n)]
@@ -232,12 +223,6 @@ def quartic_form(eq: EvolutionEquation) -> Expr:
                 factor = (1 if a == b else 2) * (2 if off_diagonal else 1)
                 q = q + Expr._make(term if factor == 1 else term.scale(factor), gab.den)
     return q
-
-
-def is_minor_affine(eq: EvolutionEquation) -> bool:
-    """True iff the quartic form vanishes identically, i.e. G is a
-    combination of Hessian minors with coefficients in first-order data."""
-    return quartic_form(eq).is_zero
 
 
 # The residue runs on the integral numerators of g and q: a scalar (an entry
@@ -429,8 +414,8 @@ class MAReport:
     For n >= 2 and a nonsingular symbol, ``residue_numerator`` is
     N = c det(g)^2 q0 and ``residue_denominator`` is c det(g)^2 (see
     _harmonic_split).  The residue verdict is N = 0; the traceless residue
-    q0 = N / (c det(g)^2) is computed on first read, since that division
-    runs polynomial gcds that the verdict does not need.
+    q0 = N / (c det(g)^2) is not formed, since that division runs
+    polynomial gcds that the verdict does not need.
     """
 
     minor_affine: bool
@@ -448,11 +433,6 @@ class MAReport:
     def residue_vanishes(self) -> bool | None:
         N = self.residue_numerator
         return None if N is None else N.is_zero
-
-    @cached_property
-    def traceless_residue(self) -> Expr | None:
-        N = self.residue_numerator
-        return None if N is None else N / self.residue_denominator
 
 
 def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:

@@ -17,7 +17,7 @@ import paraclaw
 from paraclaw.cli import cmd_claws, cmd_classify, cmd_dims, cmd_verify, main
 from paraclaw.grammar import (
     IndexOutOfRange, ParseError, TimeDerivativeOnRHS, expr_to_source, parse,
-    parse_expression, print_problem,
+    parse_expression,
 )
 from paraclaw.claws import AnsatzSpec
 from paraclaw.expr import Expr, base_var, jet_var
@@ -265,8 +265,9 @@ class TestRoundTrip:
         "n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2",
     ])
     def test_parse_print_parse(self, source):
+        # the report's equation text reads back to the same G
         pf = parse(source)
-        assert parse(print_problem(pf)) == pf
+        assert parse(f"n={pf.n}; {pf.equation_text()}").G == pf.G
 
     def test_expr_to_source_is_reparseable(self):
         e = u * uxx - Fraction(3, 2) * ux ** 2 + x * t - 7
@@ -282,14 +283,8 @@ class TestRoundTrip:
         for _ in range(25):
             n = rng.choice((1, 2))
             G = random_poly(rng, random_spatial_symbols(n))
-            refs = {}
-            for s in G.symbols():
-                if rng.random() < 0.3:
-                    refs[s] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            pf = ProblemFile(n=n, G=G, reference_jet=refs,
-                             jet_degree=rng.choice((None, 1, 2)),
-                             base_degree=rng.choice((None, 0, 2)))
-            assert parse(print_problem(pf)) == pf
+            pf = ProblemFile(n=n, G=G)
+            assert parse(f"n={n}; {pf.equation_text()}").G == G
 
 
 class TestCommands:

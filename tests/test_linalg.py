@@ -171,7 +171,7 @@ def test_nullspace_annihilates_every_row():
             assert next(iter(vec.values())) > 0
             for row in rows:
                 assert _dot(row, vec) == 0
-        assert linalg.rank(basis, ncols) == len(basis)
+        assert len(naive_rref(basis, ncols)[1]) == len(basis)
 
 
 def test_echelon_add_is_true_exactly_when_rank_grows():

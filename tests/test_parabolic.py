@@ -8,16 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from paraclaw import linalg, parabolic
+from paraclaw import parabolic
 from paraclaw.expr import Expr, ZERO, base_var, divexact, jet_var
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
-    _residue_decomposition, is_minor_affine, ma_classify, ma_traceless_residue,
+    _residue_decomposition, ma_classify, ma_traceless_residue,
     parabolicity_check, quartic_form, symbol_form, xi_symbols,
 )
 from util import (
-    jet, random_poly, suite_parabolicity_equivalence, suite_quartic_equivalence,
-    suite_residue_equivalence, suite_split_equivalence, u, u11, u12, u22, ux, uxx, x,
+    jet, random_poly, rank, suite_parabolicity_equivalence, suite_quartic_equivalence,
+    suite_residue_equivalence, suite_split_equivalence, symbol_quadratic, u, u11, u12,
+    u22, ux, uxx, x,
 )
 
 
@@ -75,7 +76,7 @@ class TestSymbolForm:
         assert sf.g[0][0] == u22 and sf.g[1][1] == u11
         assert sf.g[0][1] == sf.g[1][0] == -u12
         ref = det_hess_eq().reference_jet
-        sigma_at_id = sf.sigma().substitute(ref)
+        sigma_at_id = symbol_quadratic(sf.g).substitute(ref)
         assert sigma_at_id == XI1 ** 2 + XI2 ** 2
 
     def test_quasilinear_readoff(self):
@@ -89,7 +90,7 @@ class TestSymbolForm:
         for _ in range(20):
             G = random_poly(rng, hess + [jet_var(), base_var(1)])
             eq = EvolutionEquation(2, G)
-            sigma = symbol_form(eq).sigma()
+            sigma = symbol_quadratic(symbol_form(eq).g)
             expected = ZERO
             for (i, j), s in (((1, 1), hess[0]), ((1, 2), hess[1]), ((2, 2), hess[2])):
                 expected = expected + G.diff(s) \
@@ -201,23 +202,23 @@ def minor_affine_oracle_2d(G: Expr) -> bool:
         return {index[m]: c for m, c in e.num.terms.items()}
 
     rows = [vec(b) for b in basis]
-    without = linalg.rank(rows, len(monos))
-    with_g = linalg.rank(rows + [vec(G)], len(monos))
+    without = rank(rows, len(monos))
+    with_g = rank(rows + [vec(G)], len(monos))
     return with_g == without
 
 
 class TestMinorAffine:
     def test_heat(self):
-        assert is_minor_affine(EvolutionEquation(1, uxx))
+        assert ma_classify(EvolutionEquation(1, uxx)).minor_affine
 
     def test_det_hessian_with_oracle(self):
-        assert is_minor_affine(det_hess_eq())
+        assert ma_classify(det_hess_eq()).minor_affine
         assert minor_affine_oracle_2d(DET_HESS)
 
     def test_laplacian_squared_fails_with_oracle(self):
         G = LAPLACIAN + LAPLACIAN ** 2
         eq = EvolutionEquation(2, G)
-        assert not is_minor_affine(eq)
+        assert not ma_classify(eq).minor_affine
         assert not minor_affine_oracle_2d(G)
         q = quartic_form(eq)
         assert q == 2 * (XI1 ** 2 + XI2 ** 2) ** 2
@@ -227,7 +228,7 @@ class TestMinorAffine:
         hess = [jet_var((1, 1)), jet_var((1, 2)), jet_var((2, 2))]
         for _ in range(25):
             G = random_poly(rng, hess)
-            assert is_minor_affine(EvolutionEquation(2, G)) \
+            assert ma_classify(EvolutionEquation(2, G)).minor_affine \
                 == minor_affine_oracle_2d(G)
 
     def test_congruence_invariance(self):
@@ -249,8 +250,8 @@ class TestMinorAffine:
                         acc = acc + S[k - 1][i - 1] * S[l - 1][j - 1] * hess[(k, l)]
                 transformed[jet_var((i, j))] = acc
             G2 = G.substitute(transformed)
-            assert is_minor_affine(EvolutionEquation(2, G)) \
-                == is_minor_affine(EvolutionEquation(2, G2))
+            assert ma_classify(EvolutionEquation(2, G)).minor_affine \
+                == ma_classify(EvolutionEquation(2, G2)).minor_affine
 
 
 class TestTracelessResidue:
@@ -355,7 +356,7 @@ class TestTracelessResidue:
                 continue
             assert rep.residue_numerator.substitute(point) == at_point.residue_numerator
             checked += 1
-            nonzero += not at_point.traceless_residue.is_zero
+            nonzero += not at_point.residue_vanishes
         assert checked >= 8
         assert (nonzero == 0) == vanishes
 
@@ -372,7 +373,7 @@ class TestMAClassify:
     def test_burgers(self):
         rep = ma_classify(EvolutionEquation(1, uxx + u * ux))
         assert rep.minor_affine and rep.n1_affine
-        assert rep.residue_vanishes is None and rep.traceless_residue is None
+        assert rep.residue_vanishes is None and rep.residue_denominator is None
 
     def test_quadratic_in_uxx(self):
         rep = ma_classify(EvolutionEquation(1, uxx + uxx ** 2))
@@ -413,13 +414,6 @@ class TestMAClassify:
             calls.clear()
             ma_classify(EvolutionEquation(2, LAPLACIAN + u11 ** 2), symbolic)
             assert len(calls) == 1
-
-    def test_traceless_residue_computed_on_read(self):
-        eq = EvolutionEquation(2, LAPLACIAN + u11 ** 2)
-        rep = ma_classify(eq)
-        assert "traceless_residue" not in vars(rep)
-        assert rep.traceless_residue == ma_traceless_residue(eq)
-        assert rep.traceless_residue is rep.traceless_residue
 
     def test_minor_affine_implies_residue_vanishes(self):
         from paraclaw.corpus import CORPUS

@@ -14,7 +14,8 @@ alone and is assembled from the auxiliary equation with total derivatives
 only, so the search takes the Euler operator once: of the ansatz.
 
 The package's imports run one way, from the command layer down to the
-kernel; each module's imports are read with ``ast``."""
+kernel; each module's imports are read with ``ast``.  Every name in a
+module's ``__all__`` exists."""
 
 import ast
 import importlib
@@ -145,3 +146,11 @@ def test_imports_run_one_way():
             continue
         assert imported <= _below(module), \
             f"{module} imports {sorted(imported - _below(module))}, which are not below it"
+
+
+def test_all_names_resolve():
+    # a stale __all__ entry breaks ``from paraclaw.<module> import *``
+    for module in ["paraclaw"] + [f"paraclaw.{name}" for name in sorted(LAYERS)]:
+        target = importlib.import_module(module)
+        missing = [name for name in getattr(target, "__all__", ()) if not hasattr(target, name)]
+        assert not missing, f"{module}.__all__ names {missing}"

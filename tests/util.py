@@ -29,7 +29,7 @@ from paraclaw.claws import (
 )
 from paraclaw.expr import (
     JET, DivisionByZeroExpr, Expr, Monomial, ONE, Symbol, ZERO, ansatz_unknown,
-    aux_var, base_var, jet_symbol, jet_var, mono_cmp, mono_mul,
+    aux_var, base_var, jet_symbol, jet_var, mono_mul,
 )
 from paraclaw.jets import (
     NotInDivergenceImage, _lower, _lower_prolong, _prolong,
@@ -94,7 +94,8 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # check the closed form of paraclaw.claws; the Euler operator of the
 # product d G Q, kept to check the auxiliary-equation assembly of
 # paraclaw.claws; the sum of traceless dimensions, kept to check the
-# closed-form tableau dimension
+# closed-form tableau dimension; the monomial comparison, kept to check
+# mono_sort_key
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -209,6 +210,36 @@ def naive_rref(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
     return reduced, pivots
 
 
+def rank(rows: list[dict], ncols: int) -> int:
+    return len(linalg.rref(rows, ncols)[1])
+
+
+def mono_cmp(m1: Monomial, m2: Monomial) -> int:
+    """Graded lexicographic order: total degree first, then the earlier
+    symbol with the larger exponent wins."""
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        s1, e1 = m1[i]
+        s2, e2 = m2[j]
+        if s1 == s2:
+            if e1 != e2:
+                return 1 if e1 > e2 else -1
+            i += 1
+            j += 1
+        elif s1 < s2:
+            return 1
+        else:
+            return -1
+    if i < len(m1):
+        return 1
+    if j < len(m2):
+        return -1
+    return 0
+
+
 def naive_quartic_form(eq: EvolutionEquation) -> Expr:
     """q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j) at e = 0, by substituting
     the perturbed Hessian into G and differentiating twice in e."""
@@ -282,14 +313,12 @@ def naive_residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
         g = [[Expr.const(entry.eval_fraction(ref)) for entry in row] for row in sf.g]
         q = q.substitute(ref)
     ginv = naive_invert_matrix(g)
-    sigma = ZERO
-    for i in range(n):
-        for j in range(n):
-            sigma = sigma + g[i][j] * Expr.symbol(xi[i]) * Expr.symbol(xi[j])
+    sigma = symbol_quadratic(g)
     pairs = [(k, l) for k in range(n) for l in range(k, n)]
-    target = _trace_with(ginv, q, xi).poly_coefficients(xi)
-    columns = [_trace_with(ginv, sigma * Expr.symbol(xi[k]) * Expr.symbol(xi[l]),
-                           xi).poly_coefficients(xi) for k, l in pairs]
+    target = _xi_coefficients(_trace_with(ginv, q, xi), xi)
+    columns = [_xi_coefficients(_trace_with(ginv, sigma * Expr.symbol(xi[k])
+                                            * Expr.symbol(xi[l]), xi), xi)
+               for k, l in pairs]
     monos = [((xi[k], 2),) if k == l else ((xi[k], 1), (xi[l], 1))
              for k, l in pairs]
     matrix = [[colmap.get(mono, ZERO) for colmap in columns] for mono in monos]
@@ -301,6 +330,22 @@ def naive_residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
     for (k, l), c in zip(pairs, coeffs):
         h = h + c * Expr.symbol(xi[k]) * Expr.symbol(xi[l])
     return q - sigma * h, h, sigma
+
+
+def symbol_quadratic(g) -> Expr:
+    """sigma = sum g^ij xi_i xi_j, the symbol quadratic form of the matrix g."""
+    xi = xi_symbols(len(g))
+    out = ZERO
+    for i in range(len(g)):
+        for j in range(len(g)):
+            out = out + g[i][j] * Expr.symbol(xi[i]) * Expr.symbol(xi[j])
+    return out
+
+
+def _xi_coefficients(e: Expr, xi: list[Symbol]) -> dict[Monomial, Expr]:
+    """The coefficients of e over the monomials in xi, for e.den free of xi."""
+    assert not e.den.symbols() & set(xi)
+    return {m: Expr._make(p, e.den) for m, p in e.num.coefficients_in(frozenset(xi)).items()}
 
 
 def reference_det_adjugate(g: list[list[Expr]]) -> tuple[Expr, list[list[Expr]]]:
@@ -350,7 +395,7 @@ def reference_harmonic_split(eq: EvolutionEquation, symbolic: bool = False
                                      for entry in row) for row in sf.g))
         q = q.substitute(ref)
     det, adj = reference_det_adjugate([list(row) for row in sf.g])
-    sigma = sf.sigma()
+    sigma = symbol_quadratic(sf.g)
     Lq = _trace_with(adj, q, xi)
     P = (4 * n + 8) * det * Lq - sigma * _trace_with(adj, Lq, xi)
     D = (2 * n + 8) * (4 * n + 8) * det * det
@@ -1466,8 +1511,7 @@ def trace_matrix_nullity(n: int, r: int) -> int:
             rowidx = target[tuple(reduced)]
             rows[rowidx][colidx] = rows[rowidx].get(colidx, Fraction(0)) \
                 + Fraction(m * (m - 1))
-    rank = linalg.rank(rows, len(source)) if rows else 0
-    return len(source) - rank
+    return len(source) - (rank(rows, len(source)) if rows else 0)
 
 
 def heat_polynomial_space(n: int, degree: int) -> list[dict]:
@@ -1524,9 +1568,9 @@ def span_equal(vectors_a: list[list[Fraction]], vectors_b: list[list[Fraction]])
     rows_a = [{i: v for i, v in enumerate(vec) if v} for vec in vectors_a]
     rows_b = [{i: v for i, v in enumerate(vec) if v} for vec in vectors_b]
     ncols = max(len(v) for v in vectors_a + vectors_b)
-    ra = linalg.rank(rows_a, ncols)
-    rb = linalg.rank(rows_b, ncols)
-    rab = linalg.rank(rows_a + rows_b, ncols)
+    ra = rank(rows_a, ncols)
+    rb = rank(rows_b, ncols)
+    rab = rank(rows_a + rows_b, ncols)
     return ra == rb == rab
 
 
@@ -1534,4 +1578,4 @@ def in_span(vector: list[Fraction], vectors: list[list[Fraction]]) -> bool:
     rows = [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
     ncols = len(vector)
     extra = {i: v for i, v in enumerate(vector) if v}
-    return linalg.rank(rows + [extra], ncols) == linalg.rank(rows, ncols)
+    return rank(rows + [extra], ncols) == rank(rows, ncols)
