@@ -18,10 +18,14 @@ characteristic, in Q alone.  It is assembled written out, with total
 derivatives and products only: E_u(G Q) = l_Q(G) + l*_G(Q) for a
 characteristic Q (Helmholtz: l*_Q = l_Q), and l*_G(Q) = sum_L A_L D_L Q
 with |L| <= 2 and the A_L built from G alone, so no Euler operator walks
-the product G Q.  G must be a polynomial there.  Flux reconstruction and
-verification evaluate reduce(D_t T) in that closed form, D_J G read off a
-replacement table, and integrate nothing by parts: an independent second
-route to the identity.
+the product G Q.  G must be a polynomial there.  Every other step
+evaluates reduce(D_t T) in that closed form and integrates nothing by
+parts: an independent second route to the identity.  The search extracts
+each law on ``int`` term dicts, as d reduce(D_t T) = d dT/dt + l_T(d G),
+with D_J(d G) built by prefix as in the assembly, and inverts it with the
+integer homotopy core of :mod:`paraclaw.jets`; ``verify`` and
+``reconstruct_flux``, whose T may be rational, read D_J G off a
+replacement table of Exprs.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -44,8 +48,9 @@ from .expr import (
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
     TimeJetPresent, _add_terms, _add_total_derivative, _jet_partials,
-    bounded_monomials, build_replacement_table, euler_operator, has_time_jets,
-    invert_divergence, spatial_jet_order, spatial_jet_vars, total_derivative,
+    _homotopy, bounded_monomials, build_replacement_table, euler_operator,
+    has_time_jets, invert_divergence, spatial_jet_order, spatial_jet_vars,
+    total_derivative,
 )
 from .parabolic import EvolutionEquation, MAReport, Parabolicity, ma_classify, \
     parabolicity_check
@@ -54,7 +59,7 @@ __all__ = [
     "AnsatzTooLarge", "FluxReconstructionFailed", "NotParabolicEquation",
     "InvariantViolation",
     "AnsatzSpec", "ConservationLaw", "DeterminingSystem", "CrossValidation",
-    "generate_ansatz", "assemble_determining_system", "linear_columns", "combine",
+    "generate_ansatz", "assemble_determining_system", "linear_columns",
     "solve_exact", "check_density_order",
     "find_conservation_laws", "verify", "characteristic",
     "jacobi_potential_order", "reconstruct_flux", "cross_validate_ma",
@@ -223,20 +228,25 @@ def _determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
                               or G.den.symbols())
     if not Q.is_polynomial:
         raise NotPolynomialIn(Q.den.symbols())
-    d = lcm(*(c.denominator for c in G.num.terms.values()))
-    dG = {m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()}
+    d, dG = _cleared(G)
     out: dict = {}
     _add_terms(out, Q.num.diff(TIME).terms, d)
-    _add_linearization(out, Q.num.terms, dG)
+    _add_linearization(out, Q.num.terms, _prolongations(dG))
     _add_adjoint_linearization(out, dG, Q.num.terms)
     return Expr._make(Poly(out), Poly.one())
 
 
-def _add_linearization(out: dict, Q: dict, f: dict) -> None:
+def _cleared(G: Expr) -> tuple[int, dict]:
+    """(d, the terms of d G) for the polynomial G, d the lcm of the
+    denominators of its coefficients, so d G has ``int`` coefficients."""
+    d = lcm(*(c.denominator for c in G.num.terms.values()))
+    return d, {m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()}
+
+
+def _add_linearization(out: dict, Q: dict, D_f: Callable[[tuple[int, ...]], dict]) -> None:
     """out += l_Q(f) = sum_J dQ/du_J D_J f in place, over the jet words J of
-    Q, for the purely spatial polynomials with terms Q and f; each D_J f is
-    built from the one of J's prefix."""
-    D_f = _prolongations(f)
+    Q, for the purely spatial polynomials with terms Q and f; D_f is the
+    :func:`_prolongations` memo of f, word -> the terms of D_word f."""
     for J, Q_J in _jet_partials(Q).items():
         _add_product(out, Q_J, D_f(J))
 
@@ -362,15 +372,6 @@ def _split_unknowns(E: Expr, unknowns: list[Symbol]) -> Iterator[tuple[Monomial,
             "expression is not linear homogeneous in the ansatz unknowns")
 
 
-def combine(columns: list[dict], vec: dict) -> Expr:
-    """sum_k vec[k] * columns[k] as a polynomial, for a sparse vector
-    {k: Fraction}."""
-    acc: dict = {}
-    for k, v in vec.items():
-        _add_terms(acc, columns[k], v)
-    return Expr._make(Poly(acc), Poly.one())
-
-
 def solve_exact(system: DeterminingSystem) -> list[dict]:
     """Basis of the null space as sparse vectors {column: Fraction}, by
     exact Gaussian elimination with deterministic pivoting (first nonzero
@@ -394,13 +395,8 @@ def jacobi_potential_order(law: ConservationLaw) -> int:
 
 def reconstruct_flux(eq: EvolutionEquation, T: Expr) -> tuple[Expr, ...]:
     """Fluxes X with D_t T + Div X = 0 on solutions."""
-    return _flux(_on_shell_dt(T, build_replacement_table(eq)), eq.n)
-
-
-def _flux(R: Expr, n: int) -> tuple[Expr, ...]:
-    """Fluxes X with R + Div X = 0, for R = reduce(D_t T)."""
     try:
-        return invert_divergence(-R, n)
+        return invert_divergence(-_on_shell_dt(T, build_replacement_table(eq)), eq.n)
     except NotInDivergenceImage as exc:
         raise FluxReconstructionFailed(str(exc)) from exc
 
@@ -420,6 +416,32 @@ def _balances(R: Expr, X: tuple[Expr, ...]) -> bool:
     for i, Xi in enumerate(X, start=1):
         R = R + total_derivative(Xi, i)
     return R.is_zero
+
+
+def _balanced(R: dict, L: int, LX: list[dict]) -> bool:
+    """L R == sum_i D_i (L X^i), exactly, for the polynomial R and the
+    scaled fluxes L X^i of :func:`jets._homotopy` with these terms: the
+    search's identity check, on raw terms."""
+    residual: dict = {}
+    _add_terms(residual, R, L)
+    for i, LXi in enumerate(LX, start=1):
+        _add_total_derivative(residual, LXi, i, -1)
+    return not residual
+
+
+def _combination(columns: list[dict], vec: dict) -> dict:
+    """The terms of sum_k vec[k] columns[k], for a sparse null vector
+    {k: integral Fraction} and ``int`` columns: an ``int`` polynomial."""
+    acc: dict = {}
+    for k, v in vec.items():
+        _add_terms(acc, columns[k], v.numerator)
+    return acc
+
+
+def _over(terms: dict, den: int) -> Expr:
+    """p / den with ``Fraction`` coefficients, for the ``int`` polynomial p
+    with these terms and an int den != 0."""
+    return Expr._make(Poly({m: Fraction(v, den) for m, v in terms.items()}), Poly.one())
 
 
 def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None,
@@ -449,10 +471,17 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     characteristic of jet order > 2 is an InvariantViolation on a strictly
     parabolic symbol, where the order bound is a theorem; otherwise (a
     weak or, with force, a non-parabolic symbol) the law is kept, and the
-    symbol is classified only when such a law turns up.  Each law's
-    on-shell D_t T is computed once, from the one replacement table, and
-    serves both its flux and its identity check; the table is built only
-    when the first law is kept."""
+    symbol is classified only when such a law turns up.
+
+    Each law is extracted on ``int`` term dicts, and only the finished law
+    becomes an Expr: the null vector's characteristic Q and density T are
+    ``int`` combinations of the kept columns;
+    R = d reduce(D_t T) = d dT/dt + l_T(d G), with each D_J(d G) read off
+    one prolongation memo per search (no replacement table is built); the
+    homotopy core inverts R to (L, L X) and the identity
+    L R = sum_i D_i (L X^i) is checked exactly.  The reported law is T and
+    Q over Q's leading coefficient c, and the fluxes -(L X^i) / (c d L),
+    with ``Fraction`` coefficients."""
     spec = spec or AnsatzSpec()
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
@@ -471,29 +500,32 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     densities = linear_columns(restricted(T_full), system.unknowns)
     characteristics = [keep[c] for c in system.unknowns]
     kept = linalg.Echelon()
-    table: ReplacementTable | None = None
     laws: list[ConservationLaw] = []
+    d, dG = _cleared(eq.G)  # the basis is empty unless G is a polynomial
+    D_G = _prolongations(dG)
     for vec in basis:
-        Q = combine(characteristics, vec)
-        if not kept.add(Q.num.terms):
+        Q = _combination(characteristics, vec)
+        if not kept.add(Q):
             raise InvariantViolation("null vector with zero or dependent characteristic")
-        scale = Fraction(1) / Q.num.leading()[1]
-        T, Q = combine(densities, vec) * scale, Q * scale
-        if table is None:
-            table = build_replacement_table(eq)
-        R = _on_shell_dt(T, table)
+        lead = Poly(Q).leading()[1]
+        T = _combination(densities, vec)
+        R: dict = {}  # d reduce(D_t T) = d dT/dt + l_T(d G)
+        _add_terms(R, Poly(T).diff(TIME).terms, d)
+        _add_linearization(R, T, D_G)
+        T_law = _over(T, lead)
         try:
-            X = _flux(R, eq.n)
-        except FluxReconstructionFailed as exc:
+            L, LX = _homotopy(R, eq.n)
+        except NotInDivergenceImage as exc:
             raise InvariantViolation(
-                f"null-space density has no flux: T = {T}") from exc
-        law = ConservationLaw(T, X, Q)
+                f"null-space density has no flux: T = {T_law}") from exc
+        law = ConservationLaw(T_law, tuple(_over(LXi, -lead * d * L) for LXi in LX),
+                              _over(Q, lead))
         if (jacobi_potential_order(law) > 2
                 and parabolicity_check(eq) is Parabolicity.STRICT):
             raise InvariantViolation(
-                f"characteristic of jet order > 2 found: {Q}")
-        if not _balances(R, X):
-            raise InvariantViolation(f"reconstructed flux fails to verify for T = {T}")
+                f"characteristic of jet order > 2 found: {law.Q}")
+        if not _balanced(R, L, LX):
+            raise InvariantViolation(f"reconstructed flux fails to verify for T = {T_law}")
         laws.append(law)
     return laws
 

@@ -19,6 +19,8 @@ the one line break; any other character is a ParseError at its line and
 column.  Implicit multiplication is not supported.  "p/q" rational
 literals fold to exact fractions through the division operator.  Any
 u_t-like token on the right-hand side is rejected with TimeDerivativeOnRHS.
+Each option clause may appear once (a "ref" clause once per jet, whatever
+alias names it); a repeated one is a ParseError at the repeated clause.
 Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
 not a RecursionError.  Each "*", "/" and "^" is charged its term-pair
 products before it runs ("^k" is k - 1 multiplications); a parse whose
@@ -203,9 +205,13 @@ class _Parser:
         if tok[1] == "ref":
             ident = self.expect("name")
             sym = self.symbol_from_name(ident)
+            if sym in ref:
+                raise ParseError(f"repeated clause 'ref {ident[1]}'", tok[2], tok[3])
             self.expect("=")
             ref[sym] = self.parse_rational()
         elif tok[1] in ("jet_degree", "base_degree", "order"):
+            if tok[1] in options:
+                raise ParseError(f"repeated clause {tok[1]!r}", tok[2], tok[3])
             self.expect("=")
             val = self.expect("num")
             options[tok[1]] = self.number(val)

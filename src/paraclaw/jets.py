@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .expr import (
@@ -304,17 +304,11 @@ def bounded_monomials(symbols: Sequence[Symbol], max_degree: int) -> list[Monomi
 
 def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
     """Fluxes X^1..X^n with sum_i D_i X^i = R, exactly, by the total
-    homotopy operator.
-
-    Total derivatives preserve jet degree, so R splits into parts R_d of
-    jet degree d.  For d >= 1, d R_d = sum_J u_J dR_d/du_J, and each term is
-    integrated by parts down to u with u_{Kj} P = D_j(u_K P) - u_K D_j P.
-    Collected on the trie of :func:`_horner`, the D_j part is
-    sum_{wj} u_w S_{wj}, added into raw term dicts; weighted 1/d once per
-    part, these parts are the flux.  The remainder is u S_() = u E_u(R_d),
-    so R is a divergence exactly when E_u(R) = 0, and
-    :class:`NotInDivergenceImage` is raised otherwise.  The jet-free part
-    R_0(t, x) is integrated in x1 and added to X^1.
+    homotopy operator: the fluxes (L X^i) / L of :func:`_homotopy` on the
+    terms of R, which must be a purely spatial polynomial in t, x1..xn and
+    the jets in directions 1..n.  R is a divergence exactly when E_u(R) = 0;
+    otherwise :class:`NotInDivergenceImage` names E_u of the lowest jet
+    degree part of R that is not 0.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -327,39 +321,54 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
                 or s.kind == JET and all(i <= n for i in s.jet.spatial)):
             raise ValueError(
                 f"R may contain t, x1..x{n} and jets in directions 1..{n} only, not {s}")
+    L, fluxes = _homotopy(R.num.terms, n)
+    inverse = Fraction(1, L)
+    out = []
+    for LX in fluxes:
+        X: dict = {}
+        _add_terms(X, LX, inverse)
+        out.append(Expr._make(Poly(X), Poly.one()))
+    return tuple(out)
+
+
+def _homotopy(terms: dict, n: int) -> tuple[int, list[dict]]:
+    """(L, [L X^1, ..., L X^n]) with sum_i D_i X^i = R, for the purely
+    spatial polynomial R with these terms, in t, x1..xn and the jets in
+    directions 1..n; L is the lcm of the jet degrees of R's terms and of the
+    denominators of the x1-integration, so ``int`` terms give ``int``
+    fluxes L X^i.
+
+    Total derivatives preserve jet degree, so R splits into parts R_d of
+    jet degree d.  For d >= 1, d R_d = sum_J u_J dR_d/du_J, and each term is
+    integrated by parts down to u with u_{Kj} P = D_j(u_K P) - u_K D_j P.
+    Collected on the trie of :func:`_horner`, the D_j part is
+    sum_{wj} u_w S_{wj}, added into raw term dicts; weighted L/d once per
+    part, these parts are L times the flux.  The remainder is
+    u S_() = u E_u(R_d), so R is a divergence exactly when E_u(R) = 0, and
+    :class:`NotInDivergenceImage` is raised otherwise, for the lowest such
+    d.  The jet-free part R_0(t, x) is integrated in x1 and added to X^1.
+    """
     by_degree: dict[int, dict] = {}
-    for mono, c in R.num.terms.items():
+    for mono, c in terms.items():
         d = sum(e for s, e in mono if s.kind == JET)
         by_degree.setdefault(d, {})[mono] = c
+    x1 = base_var(1)
+    jet_free = {mono_mul(m, ((x1, 1),)): c for m, c in by_degree.pop(0, {}).items()}
+    L = lcm(*by_degree, *(dict(m)[x1] for m in jet_free))
     fluxes: list[dict] = [{} for _ in range(n)]
-    for d, terms in sorted(by_degree.items()):
-        if d == 0:
-            fluxes[0] = _integrate_x1(terms)  # d = 0 comes first
-            continue
-        parts: list[dict] = [{} for _ in range(n)]
-        for w, Sw in _horner(terms, None):
+    fluxes[0] = {m: c * (L // dict(m)[x1]) for m, c in jet_free.items()}
+    for d, part in sorted(by_degree.items()):
+        weight = L // d
+        for w, Sw in _horner(part, None):
             if w:
                 u_rest = ((jet_var(w[:-1]), 1),)
-                _add_terms(parts[w[-1] - 1],
-                           {mono_mul(m, u_rest): c for m, c in Sw.items()}, 1)
+                _add_terms(fluxes[w[-1] - 1],
+                           {mono_mul(m, u_rest): c for m, c in Sw.items()}, weight)
             elif Sw:
                 remainder = Expr._make(Poly(Sw), Poly.one())
                 raise NotInDivergenceImage(
                     f"E_u of the jet-degree-{d} part is {remainder}, not 0")
-        for X, P in zip(fluxes, parts):
-            _add_terms(X, P, Fraction(1, d))
-    return tuple(Expr._make(Poly(X), Poly.one()) for X in fluxes)
-
-
-def _integrate_x1(terms: dict) -> dict:
-    """The terms of the antiderivative in x1 of the jet-free polynomial with
-    these terms."""
-    x1 = base_var(1)
-    out = {}
-    for mono, c in terms.items():
-        m = mono_mul(mono, ((x1, 1),))
-        out[m] = Fraction(c) / dict(m)[x1]
-    return out
+    return L, fluxes
 
 
 # ---------------------------------------------------------------------------

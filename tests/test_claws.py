@@ -11,7 +11,7 @@ from paraclaw import claws
 from paraclaw.claws import (
     AnsatzSpec, AnsatzTooLarge, ConservationLaw, FluxReconstructionFailed,
     InvariantViolation, NotParabolicEquation, assemble_determining_system,
-    characteristic, combine, cross_validate_ma, find_conservation_laws,
+    characteristic, cross_validate_ma, find_conservation_laws,
     generate_ansatz, jacobi_potential_order, linear_columns, reconstruct_flux,
     solve_exact, verify,
 )
@@ -23,10 +23,11 @@ from paraclaw.jets import (
 )
 from paraclaw.parabolic import EvolutionEquation
 from util import (
-    GOLDEN_PATH, claws_corpus_reports, expr_coefficient_vector,
+    GOLDEN_PATH, claws_corpus_reports, combine, expr_coefficient_vector,
     heat_polynomial_space, in_span, rank, span_equal, suite_auxiliary_form_corpus,
     suite_auxiliary_form_random, suite_characteristic_form_corpus,
-    suite_characteristic_form_random, suite_cross_validation, suite_integer_assembly,
+    suite_characteristic_form_random, suite_cross_validation, suite_extraction_equivalence,
+    suite_integer_assembly,
     jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
     suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
     suite_solver_soundness, suite_triviality_filter,
@@ -196,40 +197,46 @@ class TestCharacteristicForm:
     def test_reported_coefficients_are_fractions(self):
         assert suite_reported_coefficients_are_fractions() > 2 * len(CORPUS)
 
-    def test_replacement_table_built_only_once_a_law_is_kept(self, monkeypatch):
-        built = []
-        real_build = claws.build_replacement_table
+    def test_search_builds_no_replacement_table(self, monkeypatch):
+        # each law's d reduce(D_t T) is d dT/dt + l_T(d G), with the D_J(d G)
+        # of one prolongation memo per search, so no search, with or
+        # without laws, builds a replacement table or takes the Expr route
+        def no_table(*args):
+            raise AssertionError("a search built a replacement table")
 
-        def counting_build(*args, **kwargs):
-            built.append(args)
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(claws, "build_replacement_table", counting_build)
+        monkeypatch.setattr(claws, "build_replacement_table", no_table)
+        monkeypatch.setattr(claws, "_on_shell_dt", no_table)
         eq = by_name("laplacian_squared").equation()
         assert find_conservation_laws(eq, AnsatzSpec(2, 2, 1)) == []
-        assert built == []
-        laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 1))
-        assert laws and len(built) == 1
+        for eq, spec in ((HEAT, AnsatzSpec(2, 1, 1)), (BURGERS, AnsatzSpec(2, 2, 1)),
+                         (HEAT2, AnsatzSpec(2, 1, 1))):
+            assert find_conservation_laws(eq, spec)
 
     def test_verify_still_eliminates_time_jets(self, monkeypatch):
-        # the identity check reads reduce(D_t T) from _on_shell_dt, computed
-        # once per law and shared with flux reconstruction
-        reduced, checked = [], []
-        real_balances, real_on_shell = claws._balances, claws._on_shell_dt
+        # the identity check reads the on-shell R = d reduce(D_t T), free of
+        # time jets, that the flux was inverted from: the same terms, once
+        # per law
+        inverted, checked = [], []
+        real_homotopy, real_balanced = claws._homotopy, claws._balanced
 
-        def tracking_balances(R, X):
+        def tracking_homotopy(R, n):
+            inverted.append(R)
+            return real_homotopy(R, n)
+
+        def tracking_balanced(R, L, LX):
             checked.append(R)
-            return real_balances(R, X)
+            return real_balanced(R, L, LX)
 
-        def tracking_on_shell(*args):
-            reduced.append(real_on_shell(*args))
-            return reduced[-1]
-
-        monkeypatch.setattr(claws, "_balances", tracking_balances)
-        monkeypatch.setattr(claws, "_on_shell_dt", tracking_on_shell)
+        monkeypatch.setattr(claws, "_homotopy", tracking_homotopy)
+        monkeypatch.setattr(claws, "_balanced", tracking_balanced)
         laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 1))
-        assert laws and len(reduced) == len(checked) == len(laws)
-        assert all(R is got for R, got in zip(checked, reduced))
+        assert laws and len(inverted) == len(checked) == len(laws)
+        assert all(R is got for R, got in zip(checked, inverted))
+        assert all(s.kind != "jet" or s.jet.time_power == 0
+                   for R in checked for m in R for s, _ in m)
+
+    def test_extraction_matches_expr_reference(self):
+        assert suite_extraction_equivalence(cases=60) > 150
 
 
 class TestOnShellDt:
@@ -356,6 +363,22 @@ class TestFindConservationLaws:
             find_conservation_laws(HEAT, spec)
         monic = {str(Q * (1 / Q.num.leading()[1])) for Q in Qs}
         assert len(monic) == 3
+
+    def test_null_vector_without_flux_is_internal_error(self, monkeypatch):
+        # a forged null vector: T = u^2 has an independent characteristic
+        # 2u, but reduce(D_t T) = 2 u u_xx is not a divergence
+        spec = AnsatzSpec(2, 2, 0)
+        T_full, unknowns = generate_ansatz(HEAT, spec)
+        column = next(k for k, m in enumerate(T_full.num.terms)
+                      if m[:-1] == ((jet_var(), 2),))
+
+        def forged_basis(system):
+            return [{system.unknowns.index(unknowns[column]): Fraction(1)}]
+
+        monkeypatch.setattr(claws, "solve_exact", forged_basis)
+        with pytest.raises(InvariantViolation,
+                           match=r"^null-space density has no flux: T = 1/2\*u\^2$"):
+            find_conservation_laws(HEAT, spec)
 
     def test_order_bound_enforced_only_on_strict_symbols(self, monkeypatch):
         monkeypatch.setattr(claws, "jacobi_potential_order", lambda law: 3)

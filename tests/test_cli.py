@@ -151,6 +151,22 @@ class TestGrammarRejects:
         assert main(["classify", str(f)]) == 2
         assert capsys.readouterr().err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize("source, message", [
+        ("n=1; u_t = u_xx; ref u_xx = 1; ref u_xx = -1", "repeated clause 'ref u_xx' at 1:32"),
+        ("n=1; u_t = u_xx; ref u_x = 1; jet_degree = 2; ref u_1 = 2",
+         "repeated clause 'ref u_1' at 1:47"),
+        ("n=1; u_t = u_xx; jet_degree = 1; order = 2; jet_degree = 2",
+         "repeated clause 'jet_degree' at 1:45"),
+    ], ids=["ref", "ref-alias", "option"])
+    def test_repeated_clause(self, tmp_path, capsys, source, message):
+        # a repeated clause used to keep its last value silently
+        f = tmp_path / "repeated.pde"
+        f.write_text(source)
+        assert main(["classify", str(f)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+        with pytest.raises(ParseError, match="^repeated clause "):
+            parse(source)
+
     def test_division_by_zero_literal(self):
         with pytest.raises(ParseError):
             parse("n=1; u_t = 1/0")
@@ -472,7 +488,7 @@ class TestMainEntry:
                                 CrossValidation(False, len(laws), report, "forced"))
             message = "MA cross-validation violated: forced"
         else:
-            monkeypatch.setattr(claws, "_balances", lambda R, X: False)
+            monkeypatch.setattr(claws, "_balanced", lambda R, L, LX: False)
             message = "reconstructed flux fails to verify for T = u"
         f = tmp_path / "heat.pde"
         f.write_text("n=1; u_t = u_xx")

@@ -4,9 +4,9 @@ trace-matrix oracle."""
 
 import pytest
 
-from paraclaw.expr import Expr, MultiIndex, ZERO, base_var, jet_var
+from paraclaw.expr import Expr, MultiIndex, Poly, ZERO, base_var, jet_var
 from paraclaw.jets import (
-    NotInDivergenceImage, TimeJetPresent, _lower_prolong, bounded_monomials,
+    NotInDivergenceImage, TimeJetPresent, _homotopy, _lower_prolong, bounded_monomials,
     build_replacement_table, deprolongation_dimension, euler_operator,
     invert_divergence, parabolic_system_dimension,
     reduce_to_spatial, spatial_jet_vars, tableau_dimension, total_derivative,
@@ -16,7 +16,8 @@ from util import (
     jet, naive_tableau_dimension, suite_commutativity, suite_divergence_decision,
     suite_divergence_roundtrip, suite_divergence_roundtrip_multid,
     suite_euler_equivalence, suite_euler_kills_divergences,
-    suite_lower_prolong_equivalence, suite_total_derivative_equivalence, t,
+    suite_inversion_equivalence, suite_lower_prolong_equivalence,
+    suite_total_derivative_equivalence, t,
     trace_matrix_nullity,
     u, u1, u11, u12, u2, u22, ux, uxx, uxxx, x, x1, x2,
 )
@@ -199,6 +200,21 @@ class TestInvertDivergence:
         inverted, rejected = suite_divergence_decision(cases=100)
         assert inverted + rejected == 100
         assert inverted >= 20 and rejected >= 20
+
+    def test_matches_fraction_reference(self):
+        inverted, rejected = suite_inversion_equivalence()
+        assert inverted + rejected == 260
+        assert rejected >= 20
+
+    def test_integer_core_clears_every_denominator(self):
+        # L = lcm(jet degree 2, x1-integration denominator 3); int terms in,
+        # int terms of L X out
+        R = x1 ** 2 + ux ** 2 + u * uxx
+        L, LX = _homotopy({m: int(c) for m, c in R.num.terms.items()}, 1)
+        assert L == 6
+        assert all(type(c) is int for c in LX[0].values())
+        assert Expr._make(Poly(LX[0]), Poly.one()) == 2 * x1 ** 3 + 6 * u * ux
+        assert invert_divergence(R, 1) == (x1 ** 3 / 3 + u * ux,)
 
     def test_jet_free_part_goes_to_first_flux(self):
         X = invert_divergence(t * x1 * x2, 2)

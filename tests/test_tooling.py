@@ -11,7 +11,10 @@ The tracer times the law search's stages by rebinding
 ``claws.solve_exact``, so the search must call each of them through its
 module name, once.  The determining system depends on the characteristic
 alone and is assembled from the auxiliary equation with total derivatives
-only, so the search takes the Euler operator once: of the ansatz.
+only, so the search takes the Euler operator once: of the ansatz.  The
+package has one divergence inverter: ``invert_divergence`` and the search
+both run the integer homotopy core ``jets._homotopy``, and no search builds
+a replacement table.
 
 The package's imports run one way, from the command layer down to the
 kernel; each module's imports are read with ``ast``.  Every name in a
@@ -81,6 +84,37 @@ def test_search_takes_one_euler_operator(monkeypatch, source, spec):
     laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
     assert laws
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("source, spec", [
+    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
+    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
+    ("n=1; u_t = u_x", (2, 2, 0)),
+], ids=["burgers", "heat_2d", "transport"])
+def test_one_homotopy_core_and_no_replacement_table(monkeypatch, source, spec):
+    from paraclaw import claws, jets
+    from paraclaw.expr import Expr, jet_var
+    from paraclaw.grammar import parse
+    assert claws._homotopy is jets._homotopy
+    calls = []
+    real = jets._homotopy
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def no_table(*args):
+        raise AssertionError("a search built a replacement table")
+
+    for module in (claws, jets):
+        monkeypatch.setattr(module, "_homotopy", counting)
+        monkeypatch.setattr(module, "build_replacement_table", no_table)
+    u = Expr.symbol(jet_var())
+    jets.invert_divergence(u * Expr.symbol(jet_var((1,))), 1)
+    assert len(calls) == 1
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+    assert laws
+    assert len(calls) == 1 + len(laws)
 
 
 # Each paraclaw module and the modules directly below it; a module may import

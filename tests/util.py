@@ -22,19 +22,20 @@ from fractions import Fraction
 
 from paraclaw import cli, linalg
 from paraclaw.claws import (
-    AnsatzSpec, ConservationLaw, DeterminingSystem, NotParabolicEquation,
-    _determining_expression, _on_shell_dt, assemble_determining_system, combine,
-    cross_validate_ma, find_conservation_laws, generate_ansatz, linear_columns,
+    AnsatzSpec, ConservationLaw, DeterminingSystem, InvariantViolation, NotParabolicEquation, _balances, _determining_expression,
+    _on_shell_dt, assemble_determining_system, characteristic, cross_validate_ma,
+    find_conservation_laws, generate_ansatz, jacobi_potential_order, linear_columns,
     reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.expr import (
-    JET, DivisionByZeroExpr, Expr, Monomial, ONE, Symbol, ZERO, ansatz_unknown,
-    aux_var, base_var, jet_symbol, jet_var, mono_mul,
+    BASE, JET, DivisionByZeroExpr, Expr, Monomial, NotPolynomialIn, ONE, Symbol,
+    ZERO, ansatz_unknown, aux_var, base_var, jet_symbol, jet_var, mono_mul,
 )
 from paraclaw.jets import (
-    NotInDivergenceImage, _lower, _lower_prolong, _prolong,
-    build_replacement_table, euler_operator, invert_divergence,
-    reduce_to_spatial, spatial_jet_vars, total_derivative,
+    NotInDivergenceImage, TimeJetPresent, _add_terms, _horner, _lower,
+    _lower_prolong, _prolong, build_replacement_table, euler_operator,
+    has_time_jets, invert_divergence, reduce_to_spatial, spatial_jet_vars,
+    total_derivative,
 )
 from paraclaw.corpus import CORPUS
 from paraclaw.expr import MAX_TERMS, Poly
@@ -93,9 +94,12 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # its integer route; the substitution route to the on-shell D_t T, kept to
 # check the closed form of paraclaw.claws; the Euler operator of the
 # product d G Q, kept to check the auxiliary-equation assembly of
-# paraclaw.claws; the sum of traceless dimensions, kept to check the
-# closed-form tableau dimension; the monomial comparison, kept to check
-# mono_sort_key
+# paraclaw.claws; the Expr-level law extraction (combine, scale, the
+# on-shell D_t T of a replacement table, the Fraction homotopy operator and
+# the Expr identity check), kept to check the integer extraction of
+# paraclaw.claws and the integer homotopy core of paraclaw.jets; the sum of
+# traceless dimensions, kept to check the closed-form tableau dimension;
+# the monomial comparison, kept to check mono_sort_key
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -149,6 +153,110 @@ def naive_on_shell_dt(eq: EvolutionEquation, T: Expr) -> Expr:
     u_{J,t} then substituted by D_J G.  Kept to check the closed form
     dT/dt + sum_J (D_J G) dT/du_J of paraclaw.claws._on_shell_dt."""
     return reduce_to_spatial(total_derivative(T, 0), build_replacement_table(eq))
+
+
+def combine(columns: list[dict], vec: dict) -> Expr:
+    """sum_k vec[k] * columns[k] as a polynomial, for a sparse vector
+    {k: Fraction}."""
+    acc: dict = {}
+    for k, v in vec.items():
+        _add_terms(acc, columns[k], v)
+    return Expr._make(Poly(acc), Poly.one())
+
+
+def reference_invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
+    """Fluxes X^1..X^n with sum_i D_i X^i = R by the total homotopy
+    operator on Fraction coefficients, each jet-degree-d part weighted by
+    Fraction(1, d) and the jet-free part integrated in x1 term by term.
+    Kept to check the integer core _homotopy of paraclaw.jets and its
+    wrapper invert_divergence."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if has_time_jets(R):
+        raise TimeJetPresent("divergence inversion needs a purely spatial expression")
+    if not R.is_polynomial:
+        raise NotPolynomialIn(sorted(R.den.symbols()))
+    for s in sorted(R.symbols()):
+        if not (s.kind == BASE and s.index <= n
+                or s.kind == JET and all(i <= n for i in s.jet.spatial)):
+            raise ValueError(
+                f"R may contain t, x1..x{n} and jets in directions 1..{n} only, not {s}")
+    by_degree: dict[int, dict] = {}
+    for mono, c in R.num.terms.items():
+        d = sum(e for s, e in mono if s.kind == JET)
+        by_degree.setdefault(d, {})[mono] = c
+    fluxes: list[dict] = [{} for _ in range(n)]
+    for d, terms in sorted(by_degree.items()):
+        if d == 0:
+            x1_symbol = base_var(1)
+            for mono, c in terms.items():
+                m = mono_mul(mono, ((x1_symbol, 1),))
+                fluxes[0][m] = Fraction(c) / dict(m)[x1_symbol]
+            continue
+        parts: list[dict] = [{} for _ in range(n)]
+        for w, Sw in _horner(terms, None):
+            if w:
+                u_rest = ((jet_var(w[:-1]), 1),)
+                _add_terms(parts[w[-1] - 1],
+                           {mono_mul(m, u_rest): c for m, c in Sw.items()}, 1)
+            elif Sw:
+                remainder = Expr._make(Poly(Sw), Poly.one())
+                raise NotInDivergenceImage(
+                    f"E_u of the jet-degree-{d} part is {remainder}, not 0")
+        for X, P in zip(fluxes, parts):
+            _add_terms(X, P, Fraction(1, d))
+    return tuple(Expr._make(Poly(X), Poly.one()) for X in fluxes)
+
+
+def reference_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
+                                     force: bool = False) -> list[ConservationLaw]:
+    """find_conservation_laws with every law extracted on the Expr layer:
+    the null vector's characteristic and density by :func:`combine`, both
+    scaled so the characteristic is monic, reduce(D_t T) by _on_shell_dt
+    from one replacement table, the flux by
+    :func:`reference_invert_divergence` of -reduce(D_t T), and the
+    identity checked by _balances; with the same checks, exceptions and
+    messages.  Kept to check the integer extraction of paraclaw.claws."""
+    if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
+        raise NotParabolicEquation()
+    T_full, unknowns = generate_ansatz(eq, spec)
+    Q_full = characteristic(T_full)
+    pivots = linalg.Echelon()
+    keep = {c: Q for c, Q in zip(unknowns, linear_columns(Q_full, unknowns))
+            if pivots.add(Q)}
+
+    def restricted(E: Expr) -> Expr:
+        return Expr._make(Poly({m: c for m, c in E.num.terms.items()
+                                if m[-1][0] in keep}), Poly.one())
+
+    system = assemble_determining_system(eq, restricted(Q_full))
+    densities = linear_columns(restricted(T_full), system.unknowns)
+    characteristics = [keep[c] for c in system.unknowns]
+    kept = linalg.Echelon()
+    table = None
+    laws = []
+    for vec in solve_exact(system):
+        Q = combine(characteristics, vec)
+        if not kept.add(Q.num.terms):
+            raise InvariantViolation("null vector with zero or dependent characteristic")
+        scale = Fraction(1) / Q.num.leading()[1]
+        T, Q = combine(densities, vec) * scale, Q * scale
+        if table is None:
+            table = build_replacement_table(eq)
+        R = _on_shell_dt(T, table)
+        try:
+            X = reference_invert_divergence(-R, eq.n)
+        except NotInDivergenceImage as exc:
+            raise InvariantViolation(
+                f"null-space density has no flux: T = {T}") from exc
+        law = ConservationLaw(T, X, Q)
+        if (jacobi_potential_order(law) > 2
+                and parabolicity_check(eq) is Parabolicity.STRICT):
+            raise InvariantViolation(f"characteristic of jet order > 2 found: {Q}")
+        if not _balances(R, X):
+            raise InvariantViolation(f"reconstructed flux fails to verify for T = {T}")
+        laws.append(law)
+    return laws
 
 
 def naive_tableau_dimension(n: int, r: int) -> int:
@@ -437,10 +545,9 @@ def suite_euler_kills_divergences(cases: int = 100, seed: int = 11) -> int:
     return done
 
 
-def suite_divergence_roundtrip(cases: int = 100, seed: int = 13) -> int:
-    """invert_divergence returns fluxes whose divergence is exactly R."""
+def divergence_roundtrip_draws(cases: int = 100, seed: int = 13):
+    """(R, n) for random divergences R = sum_i D_i F^i, n = 1 or 2."""
     rng = random.Random(seed)
-    done = 0
     for k in range(cases):
         n = 2 if k % 5 == 0 else 1
         order = 1 if n == 2 else rng.choice((1, 2))
@@ -448,20 +555,14 @@ def suite_divergence_roundtrip(cases: int = 100, seed: int = 13) -> int:
         R = ZERO
         for i in range(1, n + 1):
             R = R + total_derivative(random_poly(rng, syms, terms=3), i)
-        X = invert_divergence(R, n)
-        back = ZERO
-        for i, Xi in enumerate(X, start=1):
-            back = back + total_derivative(Xi, i)
-        assert back == R, f"roundtrip failed for R = {R}"
-        done += 1
-    return done
+        yield R, n
 
 
-def suite_divergence_roundtrip_multid(cases: int = 60, seed: int = 23) -> int:
-    """Round trips for n = 2 and n = 3 with jet order 2: every flux has an
-    explicit t/x-dependent term, and R has a jet-free part."""
+def divergence_multid_draws(cases: int = 60, seed: int = 23):
+    """(R, n) for random divergences with n = 2 and n = 3 and jet order 2:
+    every F^i has an explicit t/x-dependent term, and R has a jet-free
+    part."""
     rng = random.Random(seed)
-    done = 0
     for k in range(cases):
         n = 2 + k % 2
         bases = [base_var(a) for a in range(n + 1)]
@@ -471,22 +572,13 @@ def suite_divergence_roundtrip_multid(cases: int = 60, seed: int = 23) -> int:
             flux = random_poly(rng, bases + jets, terms=3) \
                 + Expr.symbol(rng.choice(bases)) * random_poly(rng, jets, terms=2)
             R = R + total_derivative(flux, i)
-        X = invert_divergence(R, n)
-        assert len(X) == n
-        back = ZERO
-        for i, Xi in enumerate(X, start=1):
-            back = back + total_derivative(Xi, i)
-        assert back == R, f"roundtrip failed for n={n}, R = {R}"
-        done += 1
-    return done
+        yield R, n
 
 
-def suite_divergence_decision(cases: int = 100, seed: int = 29) -> tuple[int, int]:
-    """invert_divergence raises NotInDivergenceImage exactly when E_u(R) != 0,
-    and whenever it returns, sum_i D_i X^i == R.  R is a random divergence,
-    half the time plus a random polynomial.  Returns (inverted, rejected)."""
+def divergence_decision_draws(cases: int = 100, seed: int = 29):
+    """(R, n) for random divergences R, n = 1..3, half of them plus a
+    random polynomial."""
     rng = random.Random(seed)
-    inverted = rejected = 0
     for _ in range(cases):
         n = rng.choice((1, 2, 3))
         syms = random_spatial_symbols(n, 2)
@@ -495,6 +587,43 @@ def suite_divergence_decision(cases: int = 100, seed: int = 29) -> tuple[int, in
             R = R + total_derivative(random_poly(rng, syms, terms=2), i)
         if rng.random() < 0.5:
             R = R + random_poly(rng, syms, terms=2)
+        yield R, n
+
+
+def _divergence_of(X: tuple[Expr, ...]) -> Expr:
+    back = ZERO
+    for i, Xi in enumerate(X, start=1):
+        back = back + total_derivative(Xi, i)
+    return back
+
+
+def suite_divergence_roundtrip(cases: int = 100, seed: int = 13) -> int:
+    """invert_divergence returns fluxes whose divergence is exactly R."""
+    done = 0
+    for R, n in divergence_roundtrip_draws(cases, seed):
+        assert _divergence_of(invert_divergence(R, n)) == R, f"roundtrip failed for R = {R}"
+        done += 1
+    return done
+
+
+def suite_divergence_roundtrip_multid(cases: int = 60, seed: int = 23) -> int:
+    """Round trips for n = 2 and n = 3 with jet order 2, on
+    :func:`divergence_multid_draws`."""
+    done = 0
+    for R, n in divergence_multid_draws(cases, seed):
+        X = invert_divergence(R, n)
+        assert len(X) == n
+        assert _divergence_of(X) == R, f"roundtrip failed for n={n}, R = {R}"
+        done += 1
+    return done
+
+
+def suite_divergence_decision(cases: int = 100, seed: int = 29) -> tuple[int, int]:
+    """invert_divergence raises NotInDivergenceImage exactly when E_u(R) != 0,
+    and whenever it returns, sum_i D_i X^i == R, on
+    :func:`divergence_decision_draws`.  Returns (inverted, rejected)."""
+    inverted = rejected = 0
+    for R, n in divergence_decision_draws(cases, seed):
         is_divergence = euler_operator(R).is_zero
         try:
             X = invert_divergence(R, n)
@@ -503,12 +632,38 @@ def suite_divergence_decision(cases: int = 100, seed: int = 29) -> tuple[int, in
             rejected += 1
             continue
         assert is_divergence, f"E_u(R) != 0 but inversion returned: R = {R}"
-        back = ZERO
-        for i, Xi in enumerate(X, start=1):
-            back = back + total_derivative(Xi, i)
-        assert back == R, f"roundtrip failed for R = {R}"
+        assert _divergence_of(X) == R, f"roundtrip failed for R = {R}"
         inverted += 1
     return inverted, rejected
+
+
+def _inversion_outcome(invert, R: Expr, n: int) -> tuple:
+    try:
+        X = invert(R, n)
+    except NotInDivergenceImage as exc:
+        return "rejected", str(exc)
+    return "inverted", X, tuple(_coefficient_types(Xi) for Xi in X)
+
+
+def _coefficient_types(e: Expr) -> tuple:
+    return tuple(sorted({type(c).__name__ for p in (e.num, e.den) for c in p.terms.values()}))
+
+
+def suite_inversion_equivalence() -> tuple[int, int]:
+    """invert_divergence, on the integer homotopy core, equals
+    :func:`reference_invert_divergence` on every draw of the three
+    divergence suites (100 + 60 + 100 at their seeds 13, 23 and 29), with
+    the same coefficient types, and raises NotInDivergenceImage with the
+    same message on the same draws.  Returns (inverted, rejected)."""
+    counts = {"inverted": 0, "rejected": 0}
+    draws = itertools.chain(divergence_roundtrip_draws(), divergence_multid_draws(),
+                            divergence_decision_draws())
+    for R, n in draws:
+        got = _inversion_outcome(invert_divergence, R, n)
+        assert got == _inversion_outcome(reference_invert_divergence, R, n), \
+            f"inversion differs for n={n}, R = {R}"
+        counts[got[0]] += 1
+    return counts["inverted"], counts["rejected"]
 
 
 def _random_input(rng: random.Random, numerator_syms: list[Symbol],
@@ -1073,6 +1228,69 @@ def suite_restricted_search_equivalence(cases: int = 200, seed: int = 67) -> int
 
 def _law_text(law: ConservationLaw) -> tuple:
     return str(law.T), tuple(str(Xi) for Xi in law.X), str(law.Q)
+
+
+def _law_types(law: ConservationLaw) -> tuple:
+    return tuple(_coefficient_types(e) for e in (law.T, law.Q, *law.X))
+
+
+def random_law_equation(rng: random.Random, n: int) -> EvolutionEquation:
+    """A random polynomial equation u_t = G with laws, G = sum_i a_i u_ii
+    with rational a_i > 0 plus either a constant rational drift
+    sum_i b_i u_i and half the time a random source term in t and x, or
+    sum_i D_i F^i for random F^i in t, x and the jets of order <= 1 with
+    rational coefficients.  So u is always a density, and the drift
+    equations have t- and x-weighted laws at larger bounds; a source term
+    gives reduce(D_t T) a jet-free part, integrated in x1."""
+    G = ZERO
+    for i in range(1, n + 1):
+        G = G + Fraction(rng.randint(1, 5), rng.randint(1, 3)) * jet(i, i)
+    if rng.random() < 0.5:
+        for i in range(1, n + 1):
+            G = G + Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * jet(i)
+        if rng.random() < 0.5:
+            G = G + random_poly(rng, [base_var(a) for a in range(n + 1)], terms=2) \
+                * Fraction(1, rng.randint(1, 3))
+    else:
+        syms = random_spatial_symbols(n, 1)
+        for i in range(1, n + 1):
+            F = random_poly(rng, syms, terms=2, coeff=3) * Fraction(1, rng.randint(1, 3))
+            G = G + total_derivative(F, i)
+    return EvolutionEquation(n, G)
+
+
+def suite_extraction_equivalence(cases: int = 60, seed: int = 97) -> int:
+    """find_conservation_laws, extracting each law on integer term dicts,
+    returns the laws of :func:`reference_find_conservation_laws`, in the
+    same order, with the same T, X and Q, printed alike and with the same
+    coefficient types: on every corpus equation at the default bounds and
+    at 2/1/2 (n = 1) or 2/1/1, on :func:`rational_corpus` at 2/2/1 (with
+    force), and on ``cases`` seeded :func:`random_law_equation` draws
+    (n = 1 or 2, with force) at 2/1..2/0..2 (n = 1) or 2/1..2/0..1 (n = 2).
+    Returns the number of laws compared."""
+    rng = random.Random(seed)
+    problems = []
+    for entry in CORPUS:
+        eq = entry.equation()
+        problems.append((entry.name, eq, AnsatzSpec(), False))
+        problems.append((entry.name, eq, AnsatzSpec(2, 1, 2 if eq.n == 1 else 1), False))
+    problems += [(name, eq, AnsatzSpec(2, 2, 1), True) for name, eq in rational_corpus()]
+    for k in range(cases):
+        n = 1 + k % 2
+        eq = random_law_equation(rng, n)
+        spec = AnsatzSpec(2, rng.randint(1, 2), rng.randint(0, 2 if n == 1 else 1))
+        problems.append((f"u_t = {eq.G}", eq, spec, True))
+    compared = 0
+    for name, eq, spec, force in problems:
+        laws = find_conservation_laws(eq, spec, force)
+        reference = reference_find_conservation_laws(eq, spec, force)
+        assert laws == reference, f"laws differ on {name} at {spec}"
+        assert [_law_text(law) for law in laws] == [_law_text(law) for law in reference], \
+            f"laws print differently on {name} at {spec}"
+        assert [_law_types(law) for law in laws] == [_law_types(law) for law in reference], \
+            f"coefficient types differ on {name} at {spec}"
+        compared += len(laws)
+    return compared
 
 
 def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
