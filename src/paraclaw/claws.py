@@ -25,7 +25,9 @@ each law on ``int`` term dicts, as d reduce(D_t T) = d dT/dt + l_T(d G),
 with D_J(d G) built by prefix as in the assembly, and inverts it with the
 integer homotopy core of :mod:`paraclaw.jets`; ``verify`` and
 ``reconstruct_flux``, whose T may be rational, read D_J G off a
-replacement table of Exprs.
+replacement table of Exprs.  On term dicts, every sum and product and the
+clearing of G's denominators run through the raw-term kernel of
+:mod:`paraclaw.expr` (``_add_terms``, ``_add_product``, ``_cleared``).
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -37,23 +39,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Callable, Iterator
 
 from . import linalg
 from .expr import (
     ANSATZ, JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
-    Symbol, ansatz_unknown, base_var, mono_mul, mono_sort_key,
+    Symbol, _add_product, _add_terms, _cleared, ansatz_unknown, base_var,
+    mono_sort_key,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
-    TimeJetPresent, _add_terms, _add_total_derivative, _jet_partials,
-    _homotopy, bounded_monomials, build_replacement_table, euler_operator,
-    has_time_jets, invert_divergence, spatial_jet_order, spatial_jet_vars,
-    total_derivative,
+    TimeJetPresent, _add_total_derivative, _jet_partials, _homotopy,
+    bounded_monomials, build_replacement_table, euler_operator, has_time_jets,
+    invert_divergence, spatial_jet_order, spatial_jet_vars, total_derivative,
 )
-from .parabolic import EvolutionEquation, MAReport, Parabolicity, ma_classify, \
-    parabolicity_check
+from .parabolic import EvolutionEquation, InvariantViolation, MAReport, Parabolicity, \
+    ma_classify, parabolicity_check
 
 __all__ = [
     "AnsatzTooLarge", "FluxReconstructionFailed", "NotParabolicEquation",
@@ -81,10 +83,6 @@ class NotParabolicEquation(ValueError):
     def __init__(self) -> None:
         super().__init__("symbol is not parabolic at the reference jet; "
                          "pass force=True to proceed")
-
-
-class InvariantViolation(RuntimeError):
-    """An output invariant failed; indicates a bug, never accepted output."""
 
 
 @dataclass(frozen=True)
@@ -228,19 +226,12 @@ def _determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
                               or G.den.symbols())
     if not Q.is_polynomial:
         raise NotPolynomialIn(Q.den.symbols())
-    d, dG = _cleared(G)
+    d, (dG,) = _cleared([G.num.terms])
     out: dict = {}
     _add_terms(out, Q.num.diff(TIME).terms, d)
     _add_linearization(out, Q.num.terms, _prolongations(dG))
     _add_adjoint_linearization(out, dG, Q.num.terms)
     return Expr._make(Poly(out), Poly.one())
-
-
-def _cleared(G: Expr) -> tuple[int, dict]:
-    """(d, the terms of d G) for the polynomial G, d the lcm of the
-    denominators of its coefficients, so d G has ``int`` coefficients."""
-    d = lcm(*(c.denominator for c in G.num.terms.values()))
-    return d, {m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()}
 
 
 def _add_linearization(out: dict, Q: dict, D_f: Callable[[tuple[int, ...]], dict]) -> None:
@@ -286,23 +277,6 @@ def _prolongations(terms: dict) -> Callable[[tuple[int, ...]], dict]:
         return got
 
     return prolonged
-
-
-def _add_product(out: dict, a: dict, b: dict) -> None:
-    """out += p q in place, for the polynomials p and q with terms a and b."""
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            c = c1 * c2
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
@@ -501,7 +475,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     characteristics = [keep[c] for c in system.unknowns]
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
-    d, dG = _cleared(eq.G)  # the basis is empty unless G is a polynomial
+    d, (dG,) = _cleared([eq.G.num.terms])  # the basis is empty unless G is a polynomial
     D_G = _prolongations(dG)
     for vec in basis:
         Q = _combination(characteristics, vec)

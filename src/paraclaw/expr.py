@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "BASE", "JET", "ANSATZ", "AUX",
@@ -180,11 +180,20 @@ def jet_var(spatial: Iterable[int] = (), time_power: int = 0) -> Symbol:
 
 
 def jet_symbol(mi: MultiIndex) -> Symbol:
-    return Symbol(JET, 0, mi)
+    """The interned jet coordinate of ``mi``."""
+    return jet_var(mi.spatial, mi.time_power)
+
+
+_ANSATZ_VARS: dict[int, Symbol] = {}
 
 
 def ansatz_unknown(k: int) -> Symbol:
-    return Symbol(ANSATZ, k)
+    """Ansatz unknown c_k.  Interned, like :func:`jet_var`: an ansatz has at
+    most MAX_TERMS unknowns, so the table stays bounded."""
+    s = _ANSATZ_VARS.get(k)
+    if s is None:
+        s = _ANSATZ_VARS[k] = Symbol(ANSATZ, k)
+    return s
 
 
 def aux_var(k: int, name: str = "") -> Symbol:
@@ -229,6 +238,14 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out)
 
 
+def _lower(m: Monomial, idx: int) -> Monomial:
+    """m with the exponent of its idx-th symbol lowered by one."""
+    s, e = m[idx]
+    if e == 1:
+        return m[:idx] + m[idx + 1:]
+    return m[:idx] + ((s, e - 1),) + m[idx + 1:]
+
+
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     """True iff m1 divides m2."""
     d2 = dict((s, e) for s, e in m2)
@@ -261,6 +278,56 @@ def mono_sort_key(m: Monomial) -> list:
         key += (s._rkey, e)
     key[0] = degree
     return key
+
+
+# ---------------------------------------------------------------------------
+# Raw terms: the dicts monomial -> nonzero coefficient that every layer
+# accumulates into in place
+# ---------------------------------------------------------------------------
+
+def _add_terms(out: dict, terms: dict, factor=None) -> None:
+    """out += p, or out += factor p, in place, for the polynomial p with
+    these terms; a coefficient that sums to 0 is deleted.  With a factor
+    every coefficient is multiplied, even by 1, so a ``Fraction`` factor
+    gives ``Fraction`` coefficients."""
+    for m, c in terms.items():
+        if factor is not None:
+            c = c * factor
+        acc = out.get(m)
+        if acc is None:
+            out[m] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+
+
+def _add_product(out: dict, a: dict, b: dict) -> None:
+    """out += p q in place, for the polynomials p and q with terms a and b."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            c = c1 * c2
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+
+
+def _cleared(polys: Sequence[dict]) -> tuple[int, list[dict]]:
+    """(d, [the terms of d p for each p]) for the polynomials p with these
+    terms, d > 0 the lcm of the denominators of all their coefficients, so
+    each d p has ``int`` coefficients."""
+    d = math.lcm(*(c.denominator for p in polys for c in p.values()))
+    return d, [{m: c.numerator * (d // c.denominator) for m, c in p.items()}
+               for p in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +415,7 @@ class Poly:
         if not other.terms:
             return self
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
+        _add_terms(out, other.terms)
         return Poly(out)
 
     def __neg__(self) -> "Poly":
@@ -368,35 +426,12 @@ class Poly:
         if not other.terms:
             return self
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = -c
-            else:
-                acc = acc - c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
+        _add_terms(out, other.terms, -1)
         return Poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
-            return Poly()
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
+        _add_product(out, self.terms, other.terms)
         return Poly(out)
 
     def scale(self, c: Rationalish) -> "Poly":
@@ -424,24 +459,13 @@ class Poly:
     # -- calculus / evaluation ------------------------------------------------
 
     def diff(self, s: Symbol) -> "Poly":
+        """dp/ds; lowering the exponent of s is injective on the monomials
+        that hold s, so no two terms collide."""
         out: dict = {}
         for m, c in self.terms.items():
             for idx, (sym, e) in enumerate(m):
                 if sym == s:
-                    if e == 1:
-                        nm = m[:idx] + m[idx + 1:]
-                    else:
-                        nm = m[:idx] + ((sym, e - 1),) + m[idx + 1:]
-                    nc = c * e
-                    acc = out.get(nm)
-                    if acc is None:
-                        out[nm] = nc
-                    else:
-                        acc = acc + nc
-                        if acc:
-                            out[nm] = acc
-                        else:
-                            del out[nm]
+                    out[_lower(m, idx)] = c * e
                     break
         return Poly(out)
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import (
-    BASE, JET, MAX_TERMS, Expr, Monomial, Poly, Symbol, base_var, format_expr,
-    jet_var, mono_mul,
+    BASE, JET, MAX_TERMS, Expr, Monomial, Poly, Symbol, _add_terms, base_var,
+    format_expr, jet_var, mono_mul,
 )
 from .parabolic import EvolutionEquation
 
@@ -242,12 +242,7 @@ class _Parser:
             self.pos += 1
             rhs = self.parse_term()
             if type(acc) is dict and type(rhs) is dict:
-                for m, c in rhs.items():
-                    c = acc.get(m, 0) + c if op == "+" else acc.get(m, 0) - c
-                    if c:
-                        acc[m] = c
-                    else:
-                        del acc[m]
+                _add_terms(acc, rhs, None if op == "+" else -1)
             else:
                 acc = _as_expr(acc) + _as_expr(rhs) if op == "+" else \
                     _as_expr(acc) - _as_expr(rhs)

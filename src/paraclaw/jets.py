@@ -9,6 +9,10 @@ stored as a :class:`~paraclaw.expr.MultiIndex`.  "Purely spatial" means
 equation u_t = G those are free coordinates on the equation manifold, where
 u_{J,t} = D_J G.  The replacement table below memoizes D_J G, so the
 on-shell time derivative of a spatial T is dT/dt + sum_J (D_J G) dT/du_J.
+
+Sums and exponent lowering on raw term dicts use the kernel of
+:mod:`paraclaw.expr`; only :func:`_add_total_derivative` keeps its own loop,
+fused with the prolongation of each monomial.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .expr import (
     BASE, JET, Expr, Monomial, MultiIndex, NotPolynomialIn, Poly, Symbol,
-    base_var, jet_symbol, jet_var, mono_mul,
+    _add_terms, _lower, base_var, jet_symbol, jet_var, mono_mul,
 )
 
 if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are used here
@@ -109,14 +113,6 @@ def _add_total_derivative(out: dict, terms: dict, a: int, sign: int = 1) -> None
                     out[nm] = acc
                 else:
                     del out[nm]
-
-
-def _lower(m: Monomial, idx: int) -> Monomial:
-    """m with the exponent of its idx-th symbol lowered by one."""
-    s, e = m[idx]
-    if e == 1:
-        return m[:idx] + m[idx + 1:]
-    return m[:idx] + ((s, e - 1),) + m[idx + 1:]
 
 
 def _lower_prolong(m: Monomial, idx: int, t: Symbol) -> Monomial:
@@ -263,21 +259,6 @@ def _horner(terms: dict, den: Poly | None) -> Iterator[tuple[tuple[int, ...], di
         dD = den.diff(base_var(j))
         if not dD.is_zero:
             _add_terms(target, (Poly(A) * dD).terms, R - len(w) + 2)
-
-
-def _add_terms(out: dict, terms: dict, factor) -> None:
-    """out += factor p in place, for the polynomial p with these terms."""
-    for m, c in terms.items():
-        c = c * factor
-        acc = out.get(m)
-        if acc is None:
-            out[m] = c
-        else:
-            acc = acc + c
-            if acc:
-                out[m] = acc
-            else:
-                del out[m]
 
 
 def spatial_jet_vars(n: int, max_order: int) -> list[Symbol]:

@@ -34,7 +34,6 @@ EvolutionEquation and shared by both.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -42,11 +41,11 @@ from typing import Mapping, Sequence
 
 from .expr import (
     BASE, JET, DivisionByZeroExpr, Expr, Monomial, Poly, Rationalish,
-    Symbol, ZERO, aux_var, divexact, jet_var, mono_mul,
+    Symbol, ZERO, _cleared, aux_var, divexact, jet_var, mono_mul,
 )
 
 __all__ = [
-    "PreconditionSpatialDim", "SingularSymbol",
+    "PreconditionSpatialDim", "SingularSymbol", "InvariantViolation",
     "Parabolicity", "EvolutionEquation", "SymbolForm", "MAReport",
     "symbol_form", "parabolicity_check", "quartic_form",
     "ma_traceless_residue", "ma_classify",
@@ -61,6 +60,10 @@ class PreconditionSpatialDim(ValueError):
 class SingularSymbol(ArithmeticError):
     """The symbol matrix is not invertible at the reference jet (or, in the
     symbolic residue test, its determinant vanishes identically)."""
+
+
+class InvariantViolation(RuntimeError):
+    """An output invariant failed; indicates a bug, never accepted output."""
 
 
 class Parabolicity(str, enum.Enum):
@@ -249,7 +252,7 @@ def _div_exact(a, k: int):
         return Poly({m: _div_exact(c, k) for m, c in a.terms.items()})
     quotient, remainder = divmod(a, k)
     if remainder:
-        raise AssertionError(f"Faddeev-LeVerrier: {k} does not divide {a}")
+        raise InvariantViolation(f"Faddeev-LeVerrier: {k} does not divide {a}")
     return quotient
 
 
@@ -291,14 +294,6 @@ def _trace_with(adj: list[list], P: Poly, xi: list[Symbol]) -> Poly:
     return out
 
 
-def _cleared(polys: Sequence[Poly]) -> tuple[int, list[Poly]]:
-    """(d, [d p for p in polys]) for d > 0 the lcm of the denominators of
-    the coefficients, so each d p has int coefficients."""
-    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return d, [Poly({m: c.numerator * (d // c.denominator) for m, c in p.terms.items()})
-               for p in polys]
-
-
 def _xi_coefficients_at(q: Expr, xi: list[Symbol], ref: Mapping[Symbol, Fraction]
                         ) -> dict[Monomial, Fraction]:
     """The xi-coefficients of q at the jet ``ref``: q(xi) there."""
@@ -327,7 +322,7 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     if symbolic:
         entries = [entry for row in eq.symbol.g for entry in row]
         if eq.G.is_polynomial:
-            d, g = _cleared([e.num for e in entries])
+            d, g = _cleared([e.num.terms for e in entries])
             s = d
         else:
             # dG/du_a = (A_a B - A B_a) / B^2 for G = A / B, and B_a = 0 when
@@ -335,19 +330,20 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
             B = eq.G.den
             if any(v.kind == JET and v.jet.order == 2 for v in B.symbols()):
                 B = B * B
-            d, g = _cleared([e.num * (B if e.is_polynomial else divexact(B, e.den))
+            d, g = _cleared([(e.num * (B if e.is_polynomial else divexact(B, e.den))).terms
                              for e in entries])
             s = B.scale(d)
-        g = [g[i * n:(i + 1) * n] for i in range(n)]
-        d, (qs,) = _cleared([q.num])
+        g = [list(map(Poly, g[i * n:(i + 1) * n])) for i in range(n)]
+        d, (qs,) = _cleared([q.num.terms])
         s_q = d if q.is_polynomial else q.den.scale(d)
         one = Poly({(): 1})
     else:
         at_ref = eq.symbol_at_reference
-        s = math.lcm(*(v.denominator for row in at_ref for v in row))
-        g = [[v.numerator * (s // v.denominator) for v in row] for row in at_ref]
-        s_q, (qs,) = _cleared([Poly(_xi_coefficients_at(q, xi, eq.reference_jet))])
+        s, g = _cleared([dict(enumerate(row)) for row in at_ref])
+        g = [list(row.values()) for row in g]
+        s_q, (qs,) = _cleared([_xi_coefficients_at(q, xi, eq.reference_jet)])
         one = 1
+    qs = Poly(qs)
     det, adj = _det_adjugate(g, one)
     sigma = Poly()
     for i in range(n):
@@ -427,7 +423,7 @@ class MAReport:
 
     def __post_init__(self) -> None:
         if self.minor_affine and self.residue_vanishes is False:
-            raise AssertionError("minor-affine equation with nonzero residue")
+            raise InvariantViolation("minor-affine equation with nonzero residue")
 
     @property
     def residue_vanishes(self) -> bool | None:

@@ -479,23 +479,38 @@ class TestMainEntry:
             "the equation prolonged past the order limit 12\n")
         assert main(["verify", str(f), "--density", "u_" + "x" * 11, "--flux", "0"]) == 0
 
-    @pytest.mark.parametrize("broken", ["cross_validation", "flux_check"])
+    @pytest.mark.parametrize("broken", ["cross_validation", "flux_check",
+                                        "faddeev_leverrier", "minor_affine_residue"])
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch, broken):
-        from paraclaw import claws, cli
+        from paraclaw import claws, cli, parabolic
         from paraclaw.claws import CrossValidation
+        source, commands = "n=1; u_t = u_xx", ["claws"]
         if broken == "cross_validation":
             monkeypatch.setattr(cli, "cross_validate_ma", lambda eq, laws, report=None:
                                 CrossValidation(False, len(laws), report, "forced"))
             message = "MA cross-validation violated: forced"
-        else:
+        elif broken == "flux_check":
             monkeypatch.setattr(claws, "_balanced", lambda R, L, LX: False)
             message = "reconstructed flux fails to verify for T = u"
-        f = tmp_path / "heat.pde"
-        f.write_text("n=1; u_t = u_xx")
-        assert main(["claws", str(f)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"internal error: {message}\n"
+        else:
+            # the invariants of the Monge-Ampere residue, in parabolic
+            source, commands = "n=2; u_t = u_11 + u_22", ["classify", "claws"]
+            if broken == "faddeev_leverrier":
+                # an inexact division by k in the real _div_exact
+                monkeypatch.setattr(parabolic, "divmod", lambda a, k: (a // k, 1),
+                                    raising=False)
+                message = "Faddeev-LeVerrier: 1 does not divide -2"
+            else:
+                monkeypatch.setattr(parabolic.MAReport, "residue_vanishes",
+                                    property(lambda self: False))
+                message = "minor-affine equation with nonzero residue"
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        for command in commands:
+            assert main([command, str(f)]) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"internal error: {message}\n"
 
     def test_unsafe_order_flag(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"

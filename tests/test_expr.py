@@ -17,8 +17,8 @@ import pytest
 import paraclaw
 from paraclaw.expr import (
     ANSATZ, AUX, BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
-    Symbol, ZERO, ONE, ansatz_unknown, aux_var, base_var, divexact, jet_var,
-    mono_sort_key, poly_gcd,
+    Symbol, ZERO, ONE, _add_terms, ansatz_unknown, aux_var, base_var, divexact,
+    jet_var, mono_sort_key, poly_gcd,
 )
 from paraclaw.claws import linear_columns
 from util import mono_cmp, random_poly, u, u11, u12, u22, ux, uxx, x
@@ -214,6 +214,80 @@ class TestAlgebraProperties:
             assert all(type(c) is int for c in power.terms.values())
         half = Poly({((jet_var(), 1),): Fraction(1, 2)})
         assert (half ** 3).terms == {((jet_var(), 3),): Fraction(1, 8)}
+
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    def test_raw_term_kernel_random(self, kind):
+        # +, -, *, diff and _add_terms all accumulate through the raw-term
+        # kernel: each result equals a naive dict sum, holds no zero, leaves
+        # its operands alone and keeps exact coefficient types
+        rng = random.Random({"int": 11, "fraction": 12, "mixed": 13}[kind])
+        syms = [base_var(1), jet_var(), jet_var((1,))]
+
+        def coefficient():
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            if kind == "fraction" or kind == "mixed" and rng.random() < 0.5:
+                return Fraction(c, rng.randint(1, 3))
+            return c
+
+        def random_terms():
+            return {tuple(sorted((s, rng.randint(1, 2))
+                                 for s in rng.sample(syms, rng.randint(0, 2)))): coefficient()
+                    for _ in range(rng.randint(0, 6))}
+
+        def times(m1, m2):
+            exponents = dict(m1)
+            for s, e in m2:
+                exponents[s] = exponents.get(s, 0) + e
+            return tuple(sorted(exponents.items()))
+
+        def lowered(m, s):
+            exponents = dict(m)
+            e = exponents.pop(s)
+            if e > 1:
+                exponents[s] = e - 1
+            return tuple(sorted(exponents.items())), e
+
+        def naive(pairs):
+            acc = {}
+            for m, c in pairs:
+                acc[m] = acc.get(m, 0) + Fraction(c)
+            return {m: c for m, c in acc.items() if c}
+
+        for _ in range(200):
+            a, b = random_terms(), random_terms()
+            before = [(dict(p), {m: type(c) for m, c in p.items()}) for p in (a, b)]
+            s = rng.choice(syms)
+            results = {
+                "+": ((Poly(a) + Poly(b)).terms, naive([*a.items(), *b.items()])),
+                "-": ((Poly(a) - Poly(b)).terms,
+                      naive([*a.items(), *((m, -c) for m, c in b.items())])),
+                "*": ((Poly(a) * Poly(b)).terms,
+                      naive((times(m1, m2), c1 * c2)
+                            for m1, c1 in a.items() for m2, c2 in b.items())),
+                "diff": (Poly(a).diff(s).terms,
+                         naive((m2, c * e) for m, c in a.items() if s in dict(m)
+                               for m2, e in [lowered(m, s)])),
+            }
+            for factor in (None, 2, -1, Fraction(1), Fraction(3, 7)):
+                out = dict(b)
+                _add_terms(out, a, factor)
+                scale = 1 if factor is None else factor
+                results[factor] = (out, naive([*b.items(), *((m, c * scale)
+                                                            for m, c in a.items())]))
+            assert (Poly(a) - Poly(a)).is_zero
+            assert [(dict(p), {m: type(c) for m, c in p.items()}) for p in (a, b)] == before
+            for op, (got, want) in results.items():
+                assert got == want, op
+                assert all(got.values()), op
+                types = {type(c) for c in got.values()}
+                assert types <= {int, Fraction}, op
+                if type(op) is Fraction:
+                    assert all(type(got[m]) is Fraction for m in a if m in got), op
+                elif kind == "int":
+                    assert types <= {int}, op
+                elif kind == "fraction":
+                    assert types <= {Fraction}, op
 
 
 class TestOrdering:

@@ -14,7 +14,8 @@ alone and is assembled from the auxiliary equation with total derivatives
 only, so the search takes the Euler operator once: of the ansatz.  The
 package has one divergence inverter: ``invert_divergence`` and the search
 both run the integer homotopy core ``jets._homotopy``, and no search builds
-a replacement table.
+a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
+``_add_terms``, ``_add_product``, ``_lower`` and ``_cleared``.
 
 The package's imports run one way, from the command layer down to the
 kernel; each module's imports are read with ``ast``.  Every name in a
@@ -115,6 +116,23 @@ def test_one_homotopy_core_and_no_replacement_table(monkeypatch, source, spec):
     laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
     assert laws
     assert len(calls) == 1 + len(laws)
+
+
+def test_one_term_kernel():
+    # raw term dicts are summed, multiplied, lowered and cleared by the
+    # kernel of paraclaw.expr alone; the other modules bind its functions
+    from paraclaw import claws, expr, jets
+    assert jets._add_terms is expr._add_terms
+    assert claws._add_product is expr._add_product
+    assert jets._lower is expr._lower
+    kernel = {"_add_terms", "_add_product", "_lower", "_cleared"}
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py") and name != "expr.py":
+            with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            assert not defined & kernel, f"{name} defines {sorted(defined & kernel)}"
 
 
 # Each paraclaw module and the modules directly below it; a module may import
