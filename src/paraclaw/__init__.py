@@ -7,8 +7,8 @@ problem-file grammar.
 """
 
 from .expr import (
-    ANSATZ, AUX, BASE, JET, DivisionByZeroExpr, Expr, MultiIndex,
-    NotPolynomialIn, Symbol, ansatz_unknown, aux_var, base_var, jet_var,
+    AUX, BASE, JET, DivisionByZeroExpr, Expr, MultiIndex,
+    NotPolynomialIn, Symbol, aux_var, base_var, jet_var,
 )
 from .jets import (
     NotInDivergenceImage, OrderOverflow, ReplacementTable, TimeJetPresent,
@@ -25,9 +25,9 @@ from .parabolic import (
 from .claws import (
     AnsatzSpec, AnsatzTooLarge, ConservationLaw, CrossValidation,
     DeterminingSystem, FluxReconstructionFailed, InvariantViolation,
-    NotParabolicEquation, assemble_determining_system, characteristic,
-    cross_validate_ma, find_conservation_laws, generate_ansatz,
-    jacobi_potential_order, solve_exact, verify,
+    NotParabolicEquation, assemble_determining_system, cross_validate_ma,
+    find_conservation_laws, generate_ansatz, jacobi_potential_order,
+    solve_exact, verify,
 )
 from .grammar import (
     IndexOutOfRange, ParseError, ProblemFile, TimeDerivativeOnRHS, parse, parse_expression,

@@ -6,7 +6,10 @@ the structure theory -- characteristics of evolutionary parabolic
 equations depend on at most second derivatives); keep only the monomials
 whose characteristics are independent, so that no trivial law is ever
 solved for; assemble the determining system in characteristic form; solve
-the system exactly; reconstruct fluxes by divergence inversion.
+the system exactly; reconstruct fluxes by divergence inversion.  The
+ansatz is linear in its coefficients, so it is held as columns from start
+to finish: one ``int`` term dict per monomial for its density and one for
+its characteristic, and one determining-system column per kept monomial.
 
 Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
@@ -40,18 +43,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import linalg
 from .expr import (
-    ANSATZ, JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
-    Symbol, _add_product, _add_terms, _cleared, ansatz_unknown, base_var,
-    mono_sort_key,
+    JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
+    _add_product, _add_terms, _cleared, base_var, mono_sort_key,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
-    TimeJetPresent, _add_total_derivative, _jet_partials, _homotopy,
-    bounded_monomials, build_replacement_table, euler_operator, has_time_jets,
+    TimeJetPresent, _add_total_derivative, _euler_terms, _jet_partials, _homotopy,
+    bounded_monomials, build_replacement_table, has_time_jets,
     invert_divergence, spatial_jet_order, spatial_jet_vars, total_derivative,
 )
 from .parabolic import EvolutionEquation, InvariantViolation, MAReport, Parabolicity, \
@@ -61,9 +63,9 @@ __all__ = [
     "AnsatzTooLarge", "FluxReconstructionFailed", "NotParabolicEquation",
     "InvariantViolation",
     "AnsatzSpec", "ConservationLaw", "DeterminingSystem", "CrossValidation",
-    "generate_ansatz", "assemble_determining_system", "linear_columns",
+    "generate_ansatz", "assemble_determining_system",
     "solve_exact", "check_density_order",
-    "find_conservation_laws", "verify", "characteristic",
+    "find_conservation_laws", "verify",
     "jacobi_potential_order", "reconstruct_flux", "cross_validate_ma",
 ]
 
@@ -123,14 +125,15 @@ class ConservationLaw:
 
 @dataclass
 class DeterminingSystem:
-    """Exact homogeneous linear system in the ansatz coefficients.
+    """Exact homogeneous linear system in the coefficients of ``ncols``
+    characteristic columns.
 
-    One row per monomial of dQ/dt + E_u(G Q) in the base and jet variables,
-    for Q = E_u(T_ansatz), scaled by the lcm d of the denominators of G;
-    ``rows`` are sparse {column: coefficient} over ``unknowns``, with
-    ``int`` coefficients for an ``int`` ansatz."""
+    One row per monomial in the base and jet variables of
+    sum_k v_k (dQ_k/dt + E_u(G Q_k)), scaled by the lcm d of the
+    denominators of G; ``rows`` are sparse {column index: coefficient},
+    with ``int`` coefficients for ``int`` columns."""
 
-    unknowns: list[Symbol]
+    ncols: int
     rows: list[dict] = field(default_factory=list)
     keys: list[Monomial] = field(default_factory=list)
 
@@ -153,9 +156,10 @@ class CrossValidation:
 # Ansatz generation and determining system
 # ---------------------------------------------------------------------------
 
-def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list[Symbol]]:
-    """Density ansatz sum_k c_k m_k over all monomials within the bounds,
-    with ``int`` coefficients.
+def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
+    """The density ansatz as two parallel lists of ``int`` term dicts, one
+    column per monomial m_k within the bounds: ``densities[k]`` is m_k and
+    ``characteristics[k]`` is E_u(m_k), one raw Euler walk per monomial.
 
     Monomials are products of a base monomial in {t, x^1..x^n} (joint total
     degree <= base_degree) and a jet monomial in the spatial jets of order
@@ -171,67 +175,51 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list
     jet_syms = spatial_jet_vars(eq.n, spec.max_jet_order)
     base_monos = bounded_monomials(base_syms, spec.base_degree)
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
-    unknowns = []
-    terms = {}
-    k = 0
-    for jm in jet_monos:
-        for bm in base_monos:
-            k += 1
-            c = ansatz_unknown(k)
-            unknowns.append(c)
-            terms[bm + jm + ((c, 1),)] = 1  # base < jet < ansatz: sorted
-    return Expr._make(Poly(terms), Poly.one()), unknowns
+    densities = [{bm + jm: 1} for jm in jet_monos for bm in base_monos]  # base < jet: sorted
+    return densities, [_euler_terms(T) for T in densities]
 
 
-def assemble_determining_system(eq: EvolutionEquation, Q_ansatz: Expr) -> DeterminingSystem:
-    """The linear determining equations of the characteristic ansatz
-    Q_ansatz = E_u(T_ansatz), in the ansatz unknowns of Q_ansatz: the
+def assemble_determining_system(eq: EvolutionEquation,
+                                characteristics: list[dict]) -> DeterminingSystem:
+    """The linear determining equations of the characteristic columns
+    Q_k = E_u(T_k), each the terms of a purely spatial polynomial: the
     coefficient of every monomial in the base and jet variables of
-    d (dQ/dt + E_u(G Q)) = d E_u(reduce(D_t T_ansatz)) (see the module
-    docstring).  Q_ansatz must be a characteristic, E_u of a density
-    ansatz: the expression is assembled from the auxiliary equation, which
-    holds only then (:func:`_determining_expression`).  d, the lcm of the
-    denominators of G's coefficients, keeps every step on ``int``
-    coefficients for an ``int`` ansatz; it changes neither the null space
-    nor the reduced rows.  No time jet occurs, so no replacement table is
-    built.  The rows are filled in one pass over the terms.  A
-    rational-function G raises NotPolynomialIn before any assembly."""
-    unknowns = sorted(s for s in Q_ansatz.symbols() if s.kind == ANSATZ)
-    rows: dict = {}
-    for key, k, c in _split_unknowns(_determining_expression(eq, Q_ansatz), unknowns):
-        rows.setdefault(key, {})[k] = c
-    keys = sorted(rows, key=mono_sort_key)
-    return DeterminingSystem(unknowns, [rows[key] for key in keys], keys)
+    sum_k v_k d (dQ_k/dt + E_u(G Q_k)) = sum_k v_k d E_u(reduce(D_t T_k))
+    (see the module docstring).
 
+    Each column's expression is d dQ/dt + l_Q(d G) + sum_L A_L D_L Q, from
+    the auxiliary equation, which holds only for a characteristic: E_u(f g)
+    = l*_f(g) + l*_g(f) for any f and g, and Helmholtz gives l*_Q = l_Q for
+    Q = E_u(T) (Olver, GTM 107), so E_u((d G) Q) = l_Q(d G) + l*_{dG}(Q).
+    No Euler operator runs.  d, the lcm of the denominators of G's
+    coefficients, keeps every step on ``int`` coefficients for ``int``
+    columns; it changes neither the null space nor the reduced rows.  The
+    D_J(d G) memo and the A_L of l*_{dG} are built once for all columns,
+    no time jet occurs, so no replacement table is built, and each column's
+    terms go straight into the rows at its index.
 
-def _determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
-    """d dQ/dt + E_u((d G) Q) for a characteristic Q = E_u(T) and a
-    polynomial G, d the lcm of the denominators of G's coefficients, so an
-    ``int`` Q keeps every step on ``int`` coefficients.
-
-    No Euler operator runs: E_u(f g) = l*_f(g) + l*_g(f) for any f and g,
-    and Helmholtz gives l*_Q = l_Q for Q = E_u(T) (Olver, GTM 107), so
-    E_u((d G) Q) = l_Q(d G) + l*_{dG}(Q).  This holds only when Q is a
-    characteristic.  Both parts are added on raw term dicts
-    (:func:`_add_linearization`, :func:`_add_adjoint_linearization`).
-
-    A rational-function G raises NotPolynomialIn before any of this, naming
-    the jets of G.den, or all its symbols when it has none; a zero Q gives
-    0 on any G."""
-    if Q.is_zero:
-        return Q
+    With no columns the system is empty on any G.  Otherwise a
+    rational-function G raises NotPolynomialIn before any assembly, naming
+    the jets of G.den, or all its symbols when it has none."""
+    if not characteristics:
+        return DeterminingSystem(0)
     G = eq.G
     if not G.is_polynomial:
         raise NotPolynomialIn([s for s in G.den.symbols() if s.kind == JET]
                               or G.den.symbols())
-    if not Q.is_polynomial:
-        raise NotPolynomialIn(Q.den.symbols())
     d, (dG,) = _cleared([G.num.terms])
-    out: dict = {}
-    _add_terms(out, Q.num.diff(TIME).terms, d)
-    _add_linearization(out, Q.num.terms, _prolongations(dG))
-    _add_adjoint_linearization(out, dG, Q.num.terms)
-    return Expr._make(Poly(out), Poly.one())
+    D_G = _prolongations(dG)
+    A = _adjoint_coefficients(dG)
+    rows: dict = {}
+    for k, Q in enumerate(characteristics):
+        E: dict = {}
+        _add_terms(E, Poly(Q).diff(TIME).terms, d)
+        _add_linearization(E, Q, D_G)
+        _add_adjoint(E, A, Q)
+        for key, c in E.items():
+            rows.setdefault(key, {})[k] = c
+    keys = sorted(rows, key=mono_sort_key)
+    return DeterminingSystem(len(characteristics), [rows[key] for key in keys], keys)
 
 
 def _add_linearization(out: dict, Q: dict, D_f: Callable[[tuple[int, ...]], dict]) -> None:
@@ -242,13 +230,12 @@ def _add_linearization(out: dict, Q: dict, D_f: Callable[[tuple[int, ...]], dict
         _add_product(out, Q_J, D_f(J))
 
 
-def _add_adjoint_linearization(out: dict, f: dict, Q: dict) -> None:
-    """out += l*_f(Q) = sum_J (-D)_J(f_J Q), f_J = df/du_J, in place, for
-    the purely spatial polynomials with terms f and Q.  It is taken in
-    non-divergence form sum_L A_L D_L Q by the Leibniz rule: each split of
-    the word J into L and the rest adds (-1)^|J| D_rest(f_J) to A_L.  The
-    A_L come from f alone, and D_L Q is taken only for the L with a nonzero
-    A_L, which have |L| <= 2 when f has jet order <= 2."""
+def _adjoint_coefficients(f: dict) -> dict[tuple[int, ...], dict]:
+    """The coefficients A_L of l*_f(Q) = sum_J (-D)_J(f_J Q) = sum_L A_L D_L Q,
+    f_J = df/du_J, for the purely spatial polynomial with terms f, by the
+    index word L, zeros dropped.  By the Leibniz rule each split of the word
+    J into L and the rest adds (-1)^|J| D_rest(f_J) to A_L, so the A_L come
+    from f alone and have |L| <= 2 when f has jet order <= 2."""
     A: dict = {}
     for J, f_J in _jet_partials(f).items():
         D_f_J = _prolongations(f_J)
@@ -257,10 +244,15 @@ def _add_adjoint_linearization(out: dict, f: dict, Q: dict) -> None:
             L = tuple(a for k, a in enumerate(J) if split >> k & 1)
             rest = tuple(a for k, a in enumerate(J) if not split >> k & 1)
             _add_terms(A.setdefault(L, {}), D_f_J(rest), sign)
+    return {L: A_L for L, A_L in A.items() if A_L}
+
+
+def _add_adjoint(out: dict, A: dict[tuple[int, ...], dict], Q: dict) -> None:
+    """out += sum_L A_L D_L Q in place, for the :func:`_adjoint_coefficients`
+    A of f and the purely spatial polynomial with terms Q: l*_f(Q)."""
     D_Q = _prolongations(Q)
     for L, A_L in A.items():
-        if A_L:
-            _add_product(out, A_L, D_Q(L))
+        _add_product(out, A_L, D_Q(L))
 
 
 def _prolongations(terms: dict) -> Callable[[tuple[int, ...]], dict]:
@@ -315,52 +307,16 @@ def check_density_order(T: Expr) -> None:
             f"{ORDER_GUARD}")
 
 
-def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
-    """E, linear homogeneous in the ansatz unknowns, as sparse columns:
-    column k maps each monomial in the base and jet variables to its
-    coefficient in E at unknowns[k].  Each term's unknown is its last pair
-    (:func:`_split_unknowns`); a term that is not one of the unknowns times
-    base and jet variables is an InvariantViolation."""
-    columns: list[dict] = [{} for _ in unknowns]
-    for key, k, c in _split_unknowns(E, unknowns):
-        columns[k][key] = c
-    return columns
-
-
-def _split_unknowns(E: Expr, unknowns: list[Symbol]) -> Iterator[tuple[Monomial, int, object]]:
-    """(key, k, c) for every term c key unknowns[k] of E, key a monomial in
-    the base and jet variables.  ANSATZ sorts after BASE and JET (only AUX
-    sorts later), so the unknown is the term's last pair and the pair before
-    it, if any, is a base or jet variable."""
-    if not E.is_polynomial:
-        raise NotPolynomialIn(E.den.symbols())
-    col = {c: k for k, c in enumerate(unknowns)}
-    for mono, c in E.num.terms.items():
-        if mono:
-            (s, e), key = mono[-1], mono[:-1]
-            k = col.get(s)
-            if k is not None and e == 1 and not (key and key[-1][0].kind == ANSATZ):
-                yield key, k, c
-                continue
-        raise InvariantViolation(
-            "expression is not linear homogeneous in the ansatz unknowns")
-
-
 def solve_exact(system: DeterminingSystem) -> list[dict]:
     """Basis of the null space as sparse vectors {column: Fraction}, by
     exact Gaussian elimination with deterministic pivoting (first nonzero
-    column in the unknown order)."""
-    return linalg.nullspace(system.rows, len(system.unknowns))
+    column in column order)."""
+    return linalg.nullspace(system.rows, system.ncols)
 
 
 # ---------------------------------------------------------------------------
 # Laws
 # ---------------------------------------------------------------------------
-
-def characteristic(T: Expr) -> Expr:
-    """Q = E_u(T), the defining function of the law with density T."""
-    return euler_operator(T)
-
 
 def jacobi_potential_order(law: ConservationLaw) -> int:
     """Largest jet order in the (already spatial) characteristic."""
@@ -423,15 +379,14 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     """All conservation laws within the ansatz bounds, up to equivalence.
 
     E_u is linear, so the characteristic of every null vector v is M v,
-    with M = E_u(T_ansatz) read off once as columns over the unknowns, and
-    its density is sum_k v_k m_k.  E_u kills exactly the divergences, so
-    densities with the same characteristic are the same law.  The search
-    therefore first keeps only the ansatz monomials m_k whose
-    characteristic E_u(m_k) is linearly independent of those of the
-    earlier monomials, in unknown order (a monomial with E_u(m_k) = 0 is
-    dropped), and assembles, from the kept columns of M alone, and solves
-    the determining system of that restricted ansatz.  M is injective
-    there, so each null vector is one
+    with M the columns E_u(m_k) of :func:`generate_ansatz`, and its density
+    is sum_k v_k m_k.  E_u kills exactly the divergences, so densities with
+    the same characteristic are the same law.  The search therefore first
+    keeps only the ansatz monomials m_k whose characteristic E_u(m_k) is
+    linearly independent of those of the earlier monomials, in column
+    order (a monomial with E_u(m_k) = 0 is dropped), and assembles, from
+    the kept columns of M alone, and solves the determining system of that
+    restricted ansatz.  M is injective there, so each null vector is one
     law: a vector whose characteristic is 0 or dependent on the kept ones
     is an InvariantViolation.  The laws are those the full ansatz gives
     after dropping trivial and dependent null vectors, in the same order:
@@ -459,20 +414,13 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     spec = spec or AnsatzSpec()
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    T_full, unknowns = generate_ansatz(eq, spec)
-    Q_full = characteristic(T_full)
+    densities, characteristics = generate_ansatz(eq, spec)
     pivots = linalg.Echelon()
-    keep = {c: Q for c, Q in zip(unknowns, linear_columns(Q_full, unknowns))
-            if pivots.add(Q)}
-
-    def restricted(E: Expr) -> Expr:  # each term of T_full and Q_full ends in its one unknown
-        return Expr._make(Poly({m: c for m, c in E.num.terms.items()
-                                if m[-1][0] in keep}), Poly.one())
-
-    system = assemble_determining_system(eq, restricted(Q_full))
+    keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
+    densities = [densities[k] for k in keep]
+    characteristics = [characteristics[k] for k in keep]
+    system = assemble_determining_system(eq, characteristics)
     basis = solve_exact(system)
-    densities = linear_columns(restricted(T_full), system.unknowns)
-    characteristics = [keep[c] for c in system.unknowns]
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
     d, (dG,) = _cleared([eq.G.num.terms])  # the basis is empty unless G is a polynomial

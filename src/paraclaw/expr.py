@@ -7,12 +7,11 @@ monomial order induced by the global symbol order.  Two expressions are
 equal as rational functions iff their canonical forms are identical, so
 the zero test is simply ``numerator == 0``.
 
-Symbols come in four kinds, totally ordered as
+Symbols come in three kinds, totally ordered as
 
     base coordinates (t = x^0, then x^1..x^n)
   < jet coordinates u_{I,t}, ordered by (|I|+t, t, index word)
-  < ansatz unknowns c_k
-  < auxiliary indeterminates (quartic-form xi's, flux unknowns)
+  < auxiliary indeterminates (the quartic form's xi's)
 
 Only +, -, *, / and integer powers are supported; no radicals or
 transcendental functions.  That restriction is what keeps equality (and
@@ -27,10 +26,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
-    "BASE", "JET", "ANSATZ", "AUX",
+    "BASE", "JET", "AUX",
     "DivisionByZeroExpr", "NotPolynomialIn", "MAX_TERMS",
     "MultiIndex", "Symbol",
-    "base_var", "jet_var", "jet_symbol", "ansatz_unknown", "aux_var",
+    "base_var", "jet_var", "jet_symbol", "aux_var",
     "TIME", "U",
     "Monomial", "mono_mul", "mono_sort_key",
     "Poly", "poly_gcd", "divexact",
@@ -64,10 +63,9 @@ class NotPolynomialIn(ValueError):
 
 BASE = "base"
 JET = "jet"
-ANSATZ = "ansatz"
 AUX = "aux"
 
-_KIND_RANK = {BASE: 0, JET: 1, ANSATZ: 2, AUX: 3}
+_KIND_RANK = {BASE: 0, JET: 1, AUX: 2}
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,6 @@ class Symbol(tuple):
             if mi.order == 0:
                 return "u"
             return "u_" + "".join(map(str, mi.spatial)) + "t" * mi.time_power
-        if self.kind == ANSATZ:
-            return f"c{self.index}"
         return f"w{self.index}"
 
     def __str__(self) -> str:
@@ -182,18 +178,6 @@ def jet_var(spatial: Iterable[int] = (), time_power: int = 0) -> Symbol:
 def jet_symbol(mi: MultiIndex) -> Symbol:
     """The interned jet coordinate of ``mi``."""
     return jet_var(mi.spatial, mi.time_power)
-
-
-_ANSATZ_VARS: dict[int, Symbol] = {}
-
-
-def ansatz_unknown(k: int) -> Symbol:
-    """Ansatz unknown c_k.  Interned, like :func:`jet_var`: an ansatz has at
-    most MAX_TERMS unknowns, so the table stays bounded."""
-    s = _ANSATZ_VARS.get(k)
-    if s is None:
-        s = _ANSATZ_VARS[k] = Symbol(ANSATZ, k)
-    return s
 
 
 def aux_var(k: int, name: str = "") -> Symbol:

@@ -211,12 +211,19 @@ def euler_operator(e: Expr) -> Expr:
     bad = [s for s in e.den.symbols() if s.kind == JET]
     if bad:
         raise NotPolynomialIn(bad)
-    den = None if e.is_polynomial else e.den
-    for _, A in _horner(e.num.terms, den):
+    if e.is_polynomial:
+        return Expr._make(Poly(_euler_terms(e.num.terms)), Poly.one())
+    for _, A in _horner(e.num.terms, e.den):
         pass  # deepest first: the root, A_() = E_u(e) * den^(R+1), comes last
-    if den is None:
-        return Expr._make(Poly(A), Poly.one())
-    return Expr._make(Poly(A), den ** (spatial_jet_order(e) + 1))
+    return Expr._make(Poly(A), e.den ** (spatial_jet_order(e) + 1))
+
+
+def _euler_terms(terms: dict) -> dict:
+    """The terms of E_u(p), for the purely spatial polynomial p with these
+    terms: the root of :func:`_horner`, a new dict."""
+    for _, A in _horner(terms, None):
+        pass  # deepest first: the root comes last
+    return A
 
 
 def _horner(terms: dict, den: Poly | None) -> Iterator[tuple[tuple[int, ...], dict]]:
@@ -235,15 +242,15 @@ def _horner(terms: dict, den: Poly | None) -> Iterator[tuple[tuple[int, ...], di
     purely spatial with a jet-free denominator; A_w must not be mutated.
     """
     partials = _jet_partials(terms)
-    R = max(map(len, partials), default=0)
     if den is not None:
+        R = max(map(len, partials), default=0)
         powers = [Poly.one()]
         for _ in range(R):
             powers.append(powers[-1] * den)
         partials = {w: (Poly(t) * powers[R - len(w)]).terms for w, t in partials.items()}
-    nodes = {w[:k] for w in partials for k in range(len(w) + 1)} | {()}
+    nodes = {w[:k] for w in partials for k in range(len(w) + 1)} or {()}
     acc: dict = {}
-    for w in sorted(nodes, key=lambda w: (-len(w), w)):
+    for w in sorted(sorted(nodes), key=len, reverse=True):
         A = acc.pop(w) if w in acc else partials.get(w, {})
         yield w, A
         if not w:

@@ -7,16 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from paraclaw import claws
+from paraclaw import claws, linalg
 from paraclaw.claws import (
     AnsatzSpec, AnsatzTooLarge, ConservationLaw, FluxReconstructionFailed,
     InvariantViolation, NotParabolicEquation, assemble_determining_system,
-    characteristic, cross_validate_ma, find_conservation_laws,
-    generate_ansatz, jacobi_potential_order, linear_columns, reconstruct_flux,
-    solve_exact, verify,
+    cross_validate_ma, find_conservation_laws, generate_ansatz,
+    jacobi_potential_order, reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.corpus import CORPUS, by_name
-from paraclaw.expr import Expr, ansatz_unknown, aux_var, base_var, jet_var
+from paraclaw.expr import Expr, aux_var, base_var, jet_var
 from paraclaw.jets import (
     ORDER_GUARD, OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
     spatial_jet_order, total_derivative,
@@ -24,10 +23,11 @@ from paraclaw.jets import (
 from paraclaw.parabolic import EvolutionEquation
 from util import (
     GOLDEN_PATH, claws_corpus_reports, combine, expr_coefficient_vector,
-    heat_polynomial_space, in_span, rank, span_equal, suite_auxiliary_form_corpus,
-    suite_auxiliary_form_random, suite_characteristic_form_corpus,
-    suite_characteristic_form_random, suite_cross_validation, suite_extraction_equivalence,
-    suite_integer_assembly,
+    heat_polynomial_space, in_span, linear_columns, rank, span_equal,
+    suite_auxiliary_form_corpus, suite_auxiliary_form_random,
+    suite_characteristic_form_corpus, suite_characteristic_form_random,
+    suite_column_route_equivalence, suite_cross_validation,
+    suite_extraction_equivalence, suite_integer_assembly, tag, tagged,
     jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
     suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
     suite_solver_soundness, suite_triviality_filter,
@@ -40,12 +40,12 @@ BURGERS = EvolutionEquation(1, uxx + u * ux)
 HEAT2 = EvolutionEquation(2, u11 + u22)
 
 
-def monomial_set(T, unknowns):
-    """The ansatz monomials (as canonical keys), unknowns stripped."""
+def monomial_set(densities):
+    """The ansatz monomials (as canonical keys), one per density column."""
     out = set()
-    for mono, coeff in T.num.coefficients_in(frozenset(unknowns)).items():
-        assert len(mono) == 1  # linear in each unknown
-        out.add(str(coeff))
+    for T in densities:
+        assert list(T.values()) == [1]
+        out.add(str(combine([T], {0: 1})))
     return out
 
 
@@ -55,20 +55,26 @@ def keys(*exprs):
 
 class TestGenerateAnsatz:
     def test_constant_plus_u(self):
-        T, unknowns = generate_ansatz(HEAT, AnsatzSpec(0, 1, 0))
-        assert len(unknowns) == 2
-        assert monomial_set(T, unknowns) == keys(Expr.const(1), u)
+        densities, characteristics = generate_ansatz(HEAT, AnsatzSpec(0, 1, 0))
+        assert len(densities) == len(characteristics) == 2
+        assert monomial_set(densities) == keys(Expr.const(1), u)
 
     def test_base_degree_one(self):
-        T, unknowns = generate_ansatz(HEAT, AnsatzSpec(0, 1, 1))
-        assert len(unknowns) == 6
-        assert monomial_set(T, unknowns) == keys(Expr.const(1), x, t, u, x * u, t * u)
+        densities, characteristics = generate_ansatz(HEAT, AnsatzSpec(0, 1, 1))
+        assert len(densities) == len(characteristics) == 6
+        assert monomial_set(densities) == keys(Expr.const(1), x, t, u, x * u, t * u)
 
     def test_counting_formula_n2(self):
         # 7 jet monomials (1; u; u_1, u_2; u_11, u_12, u_22) x 10 base
         # monomials of joint degree <= 2 in (t, x1, x2)
-        T, unknowns = generate_ansatz(HEAT2, AnsatzSpec(2, 1, 2))
-        assert len(unknowns) == 7 * 10
+        densities, characteristics = generate_ansatz(HEAT2, AnsatzSpec(2, 1, 2))
+        assert len(densities) == len(characteristics) == 7 * 10
+
+    def test_characteristic_columns_are_int_euler_derivatives(self):
+        densities, characteristics = generate_ansatz(HEAT2, AnsatzSpec(2, 2, 1))
+        for T, Q in zip(densities, characteristics):
+            assert combine([Q], {0: 1}) == euler_operator(combine([T], {0: 1}))
+            assert all(type(c) is int for c in Q.values())
 
     def test_guard(self):
         # 210 jet monomials x 165 base monomials = 34650 > MAX_TERMS
@@ -91,8 +97,8 @@ class TestGenerateAnsatz:
         with pytest.raises(ValueError):
             AnsatzSpec(max_jet_order=3)
         spec = AnsatzSpec(max_jet_order=3, unsafe_order=True)
-        T, _ = generate_ansatz(HEAT, spec)
-        assert spatial_jet_order(T) == 3
+        densities, _ = generate_ansatz(HEAT, spec)
+        assert spatial_jet_order(tagged(densities)) == 3
 
     def test_order_limit_holds_with_unsafe_flag(self):
         AnsatzSpec(max_jet_order=ORDER_GUARD - 1, unsafe_order=True)
@@ -100,44 +106,59 @@ class TestGenerateAnsatz:
             AnsatzSpec(max_jet_order=ORDER_GUARD, unsafe_order=True)
 
 
+def columns(*densities):
+    """The characteristic columns E_u(T) of these densities, as term dicts."""
+    return [euler_operator(T).num.terms for T in densities]
+
+
 class TestDeterminingSystem:
     def test_conserved_density_gives_empty_system(self):
-        T = Expr.symbol(ansatz_unknown(1)) * u
-        system = assemble_determining_system(HEAT, euler_operator(T))
-        assert system.num_equations == 0
+        system = assemble_determining_system(HEAT, columns(u))
+        assert system.ncols == 1 and system.num_equations == 0
         assert solve_exact(system) == [{0: Fraction(1)}]
 
     def test_divergence_density_gives_empty_system(self):
-        T = Expr.symbol(ansatz_unknown(1)) * ux
-        system = assemble_determining_system(HEAT, euler_operator(T))
+        system = assemble_determining_system(HEAT, columns(ux))
         assert system.num_equations == 0
         # ... but the characteristic vanishes: trivial downstream
-        assert characteristic(ux).is_zero
+        assert euler_operator(ux).is_zero
 
     def test_u_squared_is_forced_to_zero(self):
-        c = ansatz_unknown(1)
-        T = Expr.symbol(c) * u ** 2
-        system = assemble_determining_system(HEAT, euler_operator(T))
+        system = assemble_determining_system(HEAT, columns(u ** 2))
         assert solve_exact(system) == []
-        # E_u(2c u u_xx) = 4c u_xx: one equation forcing c = 0
-        E = euler_operator(2 * Expr.symbol(c) * u * uxx)
-        assert E == 4 * Expr.symbol(c) * uxx
+        # E_u(2 u u_xx) = 4 u_xx: one equation forcing the coefficient to 0
+        assert euler_operator(2 * u * uxx) == 4 * uxx
 
+    def test_rows_are_indexed_by_column(self):
+        # E_u(u^2) = 2u gives E_u(2 u u_xx) = 4 u_xx on the heat equation,
+        # and E_u(x u) = x and E_u(u) = 1 give 0
+        system = assemble_determining_system(HEAT, columns(u ** 2, x * u, u))
+        assert system.ncols == 3
+        assert system.keys == [((jet_var((1, 1)), 1),)]
+        assert system.rows == [{0: 4}]
+
+    def test_column_route_matches_tagged_route(self):
+        counts = suite_column_route_equivalence(cases=80)
+        assert counts["problems"] == 4 * len(CORPUS) + 80
+        assert counts["refusals"] >= 10 and counts["laws"] > 80
+
+    # the tagged route of tests/util.py splits an Expr linear in the column
+    # tags c_k back into columns
     def test_linear_columns_split_off_the_unknown(self):
-        c1, c2 = Expr.symbol(ansatz_unknown(1)), Expr.symbol(ansatz_unknown(2))
+        c1, c2 = Expr.symbol(tag(1)), Expr.symbol(tag(2))
         E = 3 * c1 * x * ux + c2 - c1
-        assert linear_columns(E, [ansatz_unknown(1), ansatz_unknown(2)]) == [
+        assert linear_columns(E, [tag(1), tag(2)]) == [
             {((base_var(1), 1), (jet_var((1,)), 1)): 3, (): -1}, {(): 1}]
 
     @pytest.mark.parametrize("E", [
-        Expr.symbol(ansatz_unknown(1)) * u + ux,
-        Expr.symbol(ansatz_unknown(1)) * Expr.symbol(ansatz_unknown(2)),
-        Expr.symbol(ansatz_unknown(1)) ** 2 * u,
-        Expr.symbol(ansatz_unknown(1)) * Expr.symbol(aux_var(1)),
+        Expr.symbol(tag(1)) * u + ux,
+        Expr.symbol(tag(1)) * Expr.symbol(tag(2)),
+        Expr.symbol(tag(1)) ** 2 * u,
+        Expr.symbol(tag(1)) * Expr.symbol(aux_var(9)),
     ], ids=["no-unknown", "c1*c2", "c1^2", "aux"])
     def test_linear_columns_refuse_a_nonlinear_term(self, E):
         with pytest.raises(InvariantViolation, match="not linear homogeneous"):
-            linear_columns(E, [ansatz_unknown(1), ansatz_unknown(2)])
+            linear_columns(E, [tag(1), tag(2)])
 
     def test_rational_equation_escapes_fragment(self):
         from paraclaw.expr import NotPolynomialIn
@@ -168,16 +189,16 @@ class TestAuxiliaryForm:
         def no_walk(*args):
             raise AssertionError("a kernel ran before the refusal")
 
+        Q = columns(u ** 2)
         monkeypatch.setattr(claws, "_add_total_derivative", no_walk)
         monkeypatch.setattr(claws, "_jet_partials", no_walk)
-        Q = euler_operator(Expr.symbol(ansatz_unknown(1)) * u ** 2)
         with pytest.raises(NotPolynomialIn, match=f"^expression is not polynomial in {named}$"):
             assemble_determining_system(EvolutionEquation(2, G), Q)
 
     def test_zero_characteristic_on_rational_equation(self):
         eq = EvolutionEquation(2, (u11 + u22) / (1 + x1 ** 2))
-        system = assemble_determining_system(eq, Expr.const(0))
-        assert system.unknowns == [] and system.rows == []
+        system = assemble_determining_system(eq, [])
+        assert system.ncols == 0 and system.rows == []
         assert find_conservation_laws(eq, AnsatzSpec(2, 0, 1)) == []
 
 
@@ -288,7 +309,14 @@ class TestSolveExact:
 
 def _system(m, rows):
     from paraclaw.claws import DeterminingSystem
-    return DeterminingSystem([ansatz_unknown(k + 1) for k in range(m)], rows)
+    return DeterminingSystem(m, rows)
+
+
+def kept_columns(characteristics):
+    """The indices of the columns the search keeps: those independent of
+    the earlier ones."""
+    pivots = linalg.Echelon()
+    return [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
 
 
 class TestFindConservationLaws:
@@ -346,15 +374,14 @@ class TestFindConservationLaws:
         # restricted search never yields such a vector, so it fails loudly
         # instead of being dropped
         spec = AnsatzSpec(2, 1, 2)
-        T_full, unknowns = generate_ansatz(HEAT, spec)
-        characteristics = dict(zip(unknowns, linear_columns(characteristic(T_full), unknowns)))
+        characteristics = generate_ansatz(HEAT, spec)[1]
+        kept = [characteristics[k] for k in kept_columns(characteristics)]
         Qs = []
 
         def dependent_basis(system):
             va, vb = solve_exact(system)[:2]
             vab = {k: va.get(k, 0) + vb.get(k, 0) for k in sorted(va.keys() | vb.keys())}
-            columns = [characteristics[c] for c in system.unknowns]
-            Qs.extend(combine(columns, v) for v in (va, vb, vab))
+            Qs.extend(combine(kept, v) for v in (va, vb, vab))
             return [va, vb, vab]
 
         monkeypatch.setattr(claws, "solve_exact", dependent_basis)
@@ -368,12 +395,11 @@ class TestFindConservationLaws:
         # a forged null vector: T = u^2 has an independent characteristic
         # 2u, but reduce(D_t T) = 2 u u_xx is not a divergence
         spec = AnsatzSpec(2, 2, 0)
-        T_full, unknowns = generate_ansatz(HEAT, spec)
-        column = next(k for k, m in enumerate(T_full.num.terms)
-                      if m[:-1] == ((jet_var(), 2),))
+        densities, characteristics = generate_ansatz(HEAT, spec)
+        column = densities.index({((jet_var(), 2),): 1})
 
         def forged_basis(system):
-            return [{system.unknowns.index(unknowns[column]): Fraction(1)}]
+            return [{kept_columns(characteristics).index(column): Fraction(1)}]
 
         monkeypatch.setattr(claws, "solve_exact", forged_basis)
         with pytest.raises(InvariantViolation,
@@ -508,16 +534,16 @@ class TestVerify:
 
 class TestCharacteristic:
     def test_mass(self):
-        assert characteristic(u) == Expr.const(1)
-        assert jacobi_potential_order(ConservationLaw(u, None, characteristic(u))) == 0
+        assert euler_operator(u) == Expr.const(1)
+        assert jacobi_potential_order(ConservationLaw(u, None, euler_operator(u))) == 0
 
     def test_backward_heat_multiplier(self):
         T = (x ** 2 - 2 * t) * u
-        assert characteristic(T) == x ** 2 - 2 * t
+        assert euler_operator(T) == x ** 2 - 2 * t
 
     def test_second_order_characteristic(self):
         T = u * uxx
-        Q = characteristic(T)
+        Q = euler_operator(T)
         assert Q == 2 * uxx
         assert jacobi_potential_order(ConservationLaw(T, None, Q)) == 2
 

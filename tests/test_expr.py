@@ -16,12 +16,11 @@ import pytest
 
 import paraclaw
 from paraclaw.expr import (
-    ANSATZ, AUX, BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
-    Symbol, ZERO, ONE, _add_terms, ansatz_unknown, aux_var, base_var, divexact,
+    AUX, BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
+    Symbol, ZERO, ONE, _add_terms, aux_var, base_var, divexact,
     jet_var, mono_sort_key, poly_gcd,
 )
-from paraclaw.claws import linear_columns
-from util import mono_cmp, random_poly, u, u11, u12, u22, ux, uxx, x
+from util import linear_columns, mono_cmp, random_poly, tag, u, u11, u12, u22, ux, uxx, x
 
 
 class TestNormalize:
@@ -102,8 +101,8 @@ class TestSubstitute:
 
 class TestPolyCoefficients:
     def test_linear_ansatz(self):
-        c1 = Expr.symbol(ansatz_unknown(1))
-        c2 = Expr.symbol(ansatz_unknown(2))
+        c1 = Expr.symbol(aux_var(1))
+        c2 = Expr.symbol(aux_var(2))
         e = c1 * ux ** 2 + c2 * x * ux
         got = e.num.coefficients_in(frozenset([jet_var((1,))]))
         assert got == {
@@ -131,10 +130,10 @@ class TestPolyCoefficients:
         assert got == expected
 
     def test_not_polynomial_raises(self):
-        # the coefficients of a quotient in the ansatz unknowns
-        c1 = Expr.symbol(ansatz_unknown(1))
+        # the columns of a quotient in the column tags of tests/util.py
+        c1 = Expr.symbol(tag(1))
         with pytest.raises(NotPolynomialIn):
-            linear_columns(c1 * ux / u, [ansatz_unknown(1)])
+            linear_columns(c1 * ux / u, [tag(1)])
 
     def test_reassembly_random(self):
         rng = random.Random(3)
@@ -292,11 +291,11 @@ class TestAlgebraProperties:
 
 class TestOrdering:
     def test_global_symbol_order(self):
-        syms = [jet_var((1, 1)), ansatz_unknown(1), base_var(0), jet_var((), 1),
+        syms = [jet_var((1, 1)), aux_var(1), base_var(0), jet_var((), 1),
                 jet_var(), base_var(1), jet_var((1,)), jet_var((2,))]
         assert sorted(syms) == [
             base_var(0), base_var(1), jet_var(), jet_var((1,)), jet_var((2,)),
-            jet_var((), 1), jet_var((1, 1)), ansatz_unknown(1),
+            jet_var((), 1), jet_var((1, 1)), aux_var(1),
         ]
 
     def test_jet_order_breaks_ties_by_time_power(self):
@@ -312,11 +311,10 @@ class TestOrdering:
         assert str(e) == "u_11*u_22 - u_12^2 + 3"
 
     def test_sort_key_matches_mono_cmp(self):
-        """mono_sort_key sorts random monomials over all four symbol kinds,
+        """mono_sort_key sorts random monomials over all three symbol kinds,
         time jets among them, exactly as mono_cmp orders them."""
         rng = random.Random(211)
-        symbols = [base_var(a) for a in range(4)] + [ansatz_unknown(k) for k in (1, 2, 9)] \
-            + [aux_var(k) for k in (1, 3)]
+        symbols = [base_var(a) for a in range(4)] + [aux_var(k) for k in (1, 2, 3, 9)]
         for order in range(4):
             for tp in range(order + 1):
                 for spatial in itertools.combinations_with_replacement(
@@ -349,8 +347,8 @@ class TestSymbolHash:
         assert Poly({((s1, 1),): Fraction(1)}) == Poly({((s2, 1),): Fraction(1)})
 
     def test_kinds_with_equal_index_differ(self):
-        syms = [base_var(1), ansatz_unknown(1), aux_var(1)]
-        assert len(set(syms)) == 3
+        syms = [base_var(1), aux_var(1)]
+        assert len(set(syms)) == 2
         assert all(a != b for i, a in enumerate(syms) for b in syms[i + 1:])
         assert base_var(0) != jet_var()
         assert jet_var((1,)) != jet_var((), 1)
@@ -360,7 +358,7 @@ def _order_key(s: Symbol) -> tuple:
     """The documented order key, built from the attributes."""
     if s.kind == JET:
         return (1, s.jet.order, s.jet.time_power, s.jet.spatial)
-    return ({BASE: 0, ANSATZ: 2, AUX: 3}[s.kind], s.index)
+    return ({BASE: 0, AUX: 2}[s.kind], s.index)
 
 
 class TestSymbolContract:
@@ -370,7 +368,7 @@ class TestSymbolContract:
         jet_var(spatial, tp) for spatial, tp in
         [((), 0), ((1,), 0), ((2,), 0), ((), 1), ((1, 1), 0), ((1, 2), 0),
          ((2,), 1), ((), 2), ((1, 1, 2), 0)]
-    ] + [ansatz_unknown(k) for k in (1, 2, 10)] + [aux_var(k) for k in (1, 2, 10)]
+    ] + [aux_var(k) for k in (1, 2, 3, 10)]
 
     def test_comparisons_agree_with_order_key(self):
         for a in self.SYMBOLS:
@@ -412,10 +410,10 @@ class TestSymbolContract:
                                        lambda e: pickle.loads(pickle.dumps(e))])
     def test_copy_and_pickle_keep_equality_and_names(self, clone):
         xi = Expr.symbol(aux_var(1, "xi1"))
-        e = (xi * u11 + 3 * x * ux ** 2) / (u + Expr.symbol(ansatz_unknown(2)))
+        e = (xi * u11 + 3 * x * ux ** 2) / (u + Expr.symbol(aux_var(2)))
         got = clone(e)
         assert got == e
-        assert str(got) == str(e) == "(3*x1*u_1^2 + u_11*xi1)/(u + c2)"
+        assert str(got) == str(e) == "(3*x1*u_1^2 + u_11*xi1)/(u + w2)"
         for s in got.symbols():
             assert type(s) is Symbol and s in e.symbols()
         assert {s.name for s in got.symbols()} == {s.name for s in e.symbols()}

@@ -9,12 +9,15 @@ file is imported, written or edited.
 The tracer times the law search's stages by rebinding
 ``claws.generate_ansatz``, ``claws.assemble_determining_system`` and
 ``claws.solve_exact``, so the search must call each of them through its
-module name, once.  The determining system depends on the characteristic
-alone and is assembled from the auxiliary equation with total derivatives
-only, so the search takes the Euler operator once: of the ansatz.  The
-package has one divergence inverter: ``invert_divergence`` and the search
-both run the integer homotopy core ``jets._homotopy``, and no search builds
-a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
+module name, once, and it sizes them from their results; one search is
+traced under the tracer in a fresh interpreter that writes no bytecode,
+so the tracer's rebinding stays there and perfbench is only read.  The
+determining system depends on the characteristic alone and is assembled
+from the auxiliary equation with total derivatives only, so the search
+takes one raw Euler walk per ansatz monomial, all in ``generate_ansatz``.
+The package has one divergence inverter: ``invert_divergence`` and the
+search both run the integer homotopy core ``jets._homotopy``, and no
+search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
 ``_add_terms``, ``_add_product``, ``_lower`` and ``_cleared``.
 
 The package's imports run one way, from the command layer down to the
@@ -23,12 +26,15 @@ module's ``__all__`` exists."""
 
 import ast
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-TRACING_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "perfbench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING_PATH = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def _traced_names() -> tuple:
@@ -72,19 +78,76 @@ def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
     ("n=1; u_t = u_x", (2, 2, 0)),
 ], ids=["burgers", "heat_2d", "transport"])
 def test_search_takes_one_euler_operator(monkeypatch, source, spec):
-    from paraclaw import claws
+    # one raw Euler walk per ansatz monomial, all inside generate_ansatz;
+    # none in assembly or extraction, and no euler_operator at all
+    from paraclaw import claws, jets
     from paraclaw.grammar import parse
-    calls = []
-    real = claws.euler_operator
+    walks, inside, sizes = [], [], []
+    real_walk, real_generate = jets._euler_terms, claws.generate_ansatz
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def walk(terms):
+        walks.append(bool(inside))
+        return real_walk(terms)
 
-    monkeypatch.setattr(claws, "euler_operator", counting)
+    def generate(*args):
+        inside.append(True)
+        try:
+            densities, characteristics = real_generate(*args)
+        finally:
+            inside.pop()
+        sizes.append(len(densities))
+        return densities, characteristics
+
+    def no_euler_operator(*args):
+        raise AssertionError("the search called euler_operator")
+
+    for module in (claws, jets):
+        monkeypatch.setattr(module, "_euler_terms", walk)
+        monkeypatch.setattr(module, "euler_operator", no_euler_operator, raising=False)
+    monkeypatch.setattr(claws, "generate_ansatz", generate)
     laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
     assert laws
-    assert len(calls) == 1
+    assert sizes and walks == [True] * sizes[0]
+
+
+TRACED_SEARCH = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import paraclaw
+from paraclaw import claws
+from paraclaw.grammar import parse
+from tracing import Tracer, layer_metrics
+tracer = Tracer()
+tracer.install()
+claws.find_conservation_laws(parse(sys.argv[3]).equation(),
+                             claws.AnsatzSpec(*json.loads(sys.argv[4])))
+print(json.dumps(layer_metrics([{"spans": tracer.spans, "scale": 1.0}], tracer.counts, 1)))
+"""
+
+
+@pytest.mark.parametrize("spec, size", [((2, 1, 1), 28), ((2, 0, 0), 1)],
+                         ids=["heat_2d-2/1/1", "one-monomial"])
+def test_tracer_sizes_the_search_stages(spec, size):
+    # the tracer reads the ansatz size as len(r[1]) of generate_ansatz, the
+    # row count as r.num_equations of the assembly and the null dimension
+    # as len(r) of solve_exact; 2/0/0 has one monomial, so a bare list of
+    # columns would break r[1]
+    from paraclaw import claws
+    from paraclaw.grammar import parse
+    from util import recorded_search
+    source = "n=2; u_t = u_11 + u_22"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_SEARCH, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "perfbench"), source, json.dumps(spec)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    calls, outcome = recorded_search(parse(source).equation(), claws.AnsatzSpec(*spec), False)
+    assert len(calls["generate_ansatz"][1][1]) == size
+    assert metrics["claws.ansatz_unknowns"] == size
+    assert metrics["claws.determining_rows"] \
+        == calls["assemble_determining_system"][1].num_equations
+    assert metrics["claws.null_dim"] == len(calls["solve_exact"][1]) == len(outcome[1])
 
 
 @pytest.mark.parametrize("source, spec", [

@@ -21,21 +21,24 @@ import tempfile
 from fractions import Fraction
 
 from paraclaw import cli, linalg
+from paraclaw import claws
 from paraclaw.claws import (
-    AnsatzSpec, ConservationLaw, DeterminingSystem, InvariantViolation, NotParabolicEquation, _balances, _determining_expression,
-    _on_shell_dt, assemble_determining_system, characteristic, cross_validate_ma,
-    find_conservation_laws, generate_ansatz, jacobi_potential_order, linear_columns,
+    AnsatzSpec, ConservationLaw, DeterminingSystem, InvariantViolation,
+    NotParabolicEquation, _add_adjoint, _add_linearization, _adjoint_coefficients,
+    _balances, _on_shell_dt, _prolongations, assemble_determining_system,
+    cross_validate_ma, find_conservation_laws, generate_ansatz, jacobi_potential_order,
     reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.expr import (
-    BASE, JET, DivisionByZeroExpr, Expr, Monomial, NotPolynomialIn, ONE, Symbol,
-    ZERO, ansatz_unknown, aux_var, base_var, jet_symbol, jet_var, mono_mul,
+    AUX, BASE, JET, TIME, DivisionByZeroExpr, Expr, Monomial, NotPolynomialIn, ONE,
+    Symbol, ZERO, _cleared, aux_var, base_var, jet_symbol, jet_var, mono_mul,
+    mono_sort_key,
 )
 from paraclaw.jets import (
     NotInDivergenceImage, TimeJetPresent, _add_terms, _horner, _lower,
-    _lower_prolong, _prolong, build_replacement_table, euler_operator,
-    has_time_jets, invert_divergence, reduce_to_spatial, spatial_jet_vars,
-    total_derivative,
+    _lower_prolong, _prolong, bounded_monomials, build_replacement_table,
+    euler_operator, has_time_jets, invert_divergence, reduce_to_spatial,
+    spatial_jet_vars, total_derivative,
 )
 from paraclaw.corpus import CORPUS
 from paraclaw.expr import MAX_TERMS, Poly
@@ -94,10 +97,13 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # its integer route; the substitution route to the on-shell D_t T, kept to
 # check the closed form of paraclaw.claws; the Euler operator of the
 # product d G Q, kept to check the auxiliary-equation assembly of
-# paraclaw.claws; the Expr-level law extraction (combine, scale, the
-# on-shell D_t T of a replacement table, the Fraction homotopy operator and
-# the Expr identity check), kept to check the integer extraction of
-# paraclaw.claws and the integer homotopy core of paraclaw.jets; the sum of
+# paraclaw.claws; the tagged route (the ansatz as one Expr with a symbol
+# per column, split back into columns by those symbols), kept to check the
+# column route of paraclaw.claws; the Expr-level law extraction (combine,
+# scale, the on-shell D_t T of a replacement table, the Fraction homotopy
+# operator and the Expr identity check), kept to check the integer
+# extraction of paraclaw.claws and the integer homotopy core of
+# paraclaw.jets; the sum of
 # traceless dimensions, kept to check the closed-form tableau dimension;
 # the monomial comparison, kept to check mono_sort_key
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def reference_determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
     """d dQ/dt + E_u((d G) Q), d the lcm of the denominators of G's
     coefficients, by one Euler walk over the product (d G) Q.  Kept to check
     the auxiliary-equation form d dQ/dt + l_Q(d G) + l*_{dG}(Q) of
-    paraclaw.claws._determining_expression."""
+    paraclaw.claws.assemble_determining_system."""
     G = eq.G
     d = determining_scale(eq)
     dG = Poly({m: c.numerator * (d // c.denominator) for m, c in G.num.terms.items()})
@@ -208,34 +214,158 @@ def reference_invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
     return tuple(Expr._make(Poly(X), Poly.one()) for X in fluxes)
 
 
+def tag(k: int) -> Symbol:
+    """c_k, the symbol that tags column k on the tagged route: auxiliary, so
+    it sorts after every base and jet variable."""
+    return aux_var(k, f"c{k}")
+
+
+def tagged(columns: list[dict]) -> Expr:
+    """sum_k c_k p_k, for the polynomials p_k with these terms."""
+    terms = {}
+    for k, column in enumerate(columns):
+        c = ((tag(k), 1),)
+        for m, v in column.items():
+            terms[m + c] = v
+    return Expr._make(Poly(terms), Poly.one())
+
+
+def assembled_expression(eq: EvolutionEquation, characteristics: list[dict]) -> Expr:
+    """sum_k c_k E_k, E_k the determining expression of column k read off
+    the rows of assemble_determining_system(eq, characteristics)."""
+    system = assemble_determining_system(eq, characteristics)
+    assert system.ncols == len(characteristics)
+    terms = {}
+    for key, row in zip(system.keys, system.rows):
+        for k, v in row.items():
+            terms[key + ((tag(k), 1),)] = v
+    return Expr._make(Poly(terms), Poly.one())
+
+
+def tagged_generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list[Symbol]]:
+    """The density ansatz sum_k c_k m_k over all monomials within the
+    bounds, with ``int`` coefficients and the tags c_k, in the column order
+    of generate_ansatz."""
+    base_monos = bounded_monomials([base_var(a) for a in range(eq.n + 1)], spec.base_degree)
+    jet_monos = bounded_monomials(spatial_jet_vars(eq.n, spec.max_jet_order), spec.jet_degree)
+    tags = []
+    terms = {}
+    for jm in jet_monos:
+        for bm in base_monos:
+            c = tag(len(tags))
+            tags.append(c)
+            terms[bm + jm + ((c, 1),)] = 1  # base < jet < tag: sorted
+    return Expr._make(Poly(terms), Poly.one()), tags
+
+
+def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
+    """E, linear homogeneous in the tags ``unknowns``, as sparse columns:
+    column k maps each monomial in the base and jet variables to its
+    coefficient in E at unknowns[k].  Each term's tag is its last pair
+    (:func:`_split_unknowns`); a term that is not one of the tags times
+    base and jet variables is an InvariantViolation."""
+    columns: list[dict] = [{} for _ in unknowns]
+    for key, k, c in _split_unknowns(E, unknowns):
+        columns[k][key] = c
+    return columns
+
+
+def _split_unknowns(E: Expr, unknowns: list[Symbol]):
+    """(key, k, c) for every term c key unknowns[k] of E, key a monomial in
+    the base and jet variables.  Tags are auxiliary symbols and sort after
+    BASE and JET, so the tag is the term's last pair and the pair before
+    it, if any, is a base or jet variable."""
+    if not E.is_polynomial:
+        raise NotPolynomialIn(E.den.symbols())
+    col = {c: k for k, c in enumerate(unknowns)}
+    for mono, c in E.num.terms.items():
+        if mono:
+            (s, e), key = mono[-1], mono[:-1]
+            k = col.get(s)
+            if k is not None and e == 1 and not (key and key[-1][0].kind == AUX):
+                yield key, k, c
+                continue
+        raise InvariantViolation(
+            "expression is not linear homogeneous in the ansatz unknowns")
+
+
+def tagged_determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
+    """d dQ/dt + l_Q(d G) + l*_{dG}(Q) for the tagged characteristic ansatz
+    Q, pushed through the assembly whole: the same refusals as
+    assemble_determining_system, and 0 for a zero Q on any G."""
+    if Q.is_zero:
+        return Q
+    G = eq.G
+    if not G.is_polynomial:
+        raise NotPolynomialIn([s for s in G.den.symbols() if s.kind == JET]
+                              or G.den.symbols())
+    d, (dG,) = _cleared([G.num.terms])
+    out: dict = {}
+    _add_terms(out, Q.num.diff(TIME).terms, d)
+    _add_linearization(out, Q.num.terms, _prolongations(dG))
+    _add_adjoint(out, _adjoint_coefficients(dG), Q.num.terms)
+    return Expr._make(Poly(out), Poly.one())
+
+
+def tagged_stages(eq: EvolutionEquation, spec: AnsatzSpec) -> dict:
+    """The law search up to the null space on the tagged route, stage by
+    stage: the full ansatz T and its characteristic Q = E_u(T), by one
+    Euler walk, with their tags; the indices of the kept tags, those whose
+    column of Q is independent of the earlier ones; the determining system
+    of Q restricted to the kept tags, split into rows by tag; and its null
+    space.  Stops, with the stages so far, at the first refusal, which is
+    kept under "error"."""
+    T, tags = tagged_generate_ansatz(eq, spec)
+    Q = euler_operator(T)
+    pivots = linalg.Echelon()
+    kept = [k for k, column in enumerate(linear_columns(Q, tags)) if pivots.add(column)]
+    stages = {"T": T, "Q": Q, "tags": tags, "kept": kept}
+    keep = {tags[k] for k in kept}
+    restricted = Expr._make(Poly({m: c for m, c in Q.num.terms.items()
+                                  if m[-1][0] in keep}), Poly.one())
+    unknowns = [tags[k] for k in kept]
+    try:
+        E = tagged_determining_expression(eq, restricted)
+    except NotPolynomialIn as exc:
+        stages["error"] = exc
+        return stages
+    rows: dict = {}
+    for key, k, c in _split_unknowns(E, unknowns):
+        rows.setdefault(key, {})[k] = c
+    keys = sorted(rows, key=mono_sort_key)
+    stages["system"] = DeterminingSystem(len(unknowns), [rows[key] for key in keys], keys)
+    stages["basis"] = solve_exact(stages["system"])
+    return stages
+
+
 def reference_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
                                      force: bool = False) -> list[ConservationLaw]:
-    """find_conservation_laws with every law extracted on the Expr layer:
-    the null vector's characteristic and density by :func:`combine`, both
-    scaled so the characteristic is monic, reduce(D_t T) by _on_shell_dt
-    from one replacement table, the flux by
-    :func:`reference_invert_divergence` of -reduce(D_t T), and the
-    identity checked by _balances; with the same checks, exceptions and
-    messages.  Kept to check the integer extraction of paraclaw.claws."""
+    """find_conservation_laws on the tagged route (:func:`tagged_stages`),
+    with every law extracted on the Expr layer: the null vector's
+    characteristic and density by :func:`combine`, both scaled so the
+    characteristic is monic, reduce(D_t T) by _on_shell_dt from one
+    replacement table, the flux by :func:`reference_invert_divergence` of
+    -reduce(D_t T), and the identity checked by _balances; with the same
+    checks, exceptions and messages.  Kept to check the column route and
+    the integer extraction of paraclaw.claws."""
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    T_full, unknowns = generate_ansatz(eq, spec)
-    Q_full = characteristic(T_full)
-    pivots = linalg.Echelon()
-    keep = {c: Q for c, Q in zip(unknowns, linear_columns(Q_full, unknowns))
-            if pivots.add(Q)}
+    stages = tagged_stages(eq, spec)
+    if "error" in stages:
+        raise stages["error"]
+    tags = [stages["tags"][k] for k in stages["kept"]]
+    keep = set(tags)
 
     def restricted(E: Expr) -> Expr:
         return Expr._make(Poly({m: c for m, c in E.num.terms.items()
                                 if m[-1][0] in keep}), Poly.one())
 
-    system = assemble_determining_system(eq, restricted(Q_full))
-    densities = linear_columns(restricted(T_full), system.unknowns)
-    characteristics = [keep[c] for c in system.unknowns]
+    densities = linear_columns(restricted(stages["T"]), tags)
+    characteristics = linear_columns(restricted(stages["Q"]), tags)
     kept = linalg.Echelon()
     table = None
     laws = []
-    for vec in solve_exact(system):
+    for vec in stages["basis"]:
         Q = combine(characteristics, vec)
         if not kept.add(Q.num.terms):
             raise InvariantViolation("null vector with zero or dependent characteristic")
@@ -699,14 +829,14 @@ def suite_total_derivative_equivalence(cases: int = 100, seed: int = 37) -> int:
 
 def suite_lower_prolong_equivalence(cases: int = 300, seed: int = 71) -> tuple[int, int]:
     """_lower_prolong equals naive_lower_prolong at every jet of random
-    monomials over all four symbol kinds, time jets among them, exponents
+    monomials over all three symbol kinds, time jets among them, exponents
     1..3, in every direction a = 0..3.  Returns the number of steps checked
     and how many of them met u_{Ja} already in the monomial."""
     rng = random.Random(seed)
     syms = [base_var(a) for a in range(4)] + [
         jet_var(combo, tp) for tp in range(3) for order in range(4 - tp)
         for combo in itertools.combinations_with_replacement(range(1, 4), order)
-    ] + [ansatz_unknown(k) for k in (1, 5)] + [aux_var(k) for k in (1, 5)]
+    ] + [aux_var(k) for k in (1, 2, 5, 9)]
     checked = present = 0
     for _ in range(cases):
         m = tuple(sorted((s, rng.randint(1, 3))
@@ -738,16 +868,17 @@ def suite_euler_equivalence(cases: int = 100, seed: int = 41) -> int:
 
 
 def suite_characteristic_form_corpus() -> int:
-    """The characteristic-form determining expression equals the on-shell
-    reference on the density ansatz of every corpus entry at 2/2/1 and
-    2/2/2.  Returns the number of (entry, bounds) pairs checked."""
+    """The characteristic-form determining expression of every column
+    equals the on-shell reference on the density ansatz of every corpus
+    entry at 2/2/1 and 2/2/2, each column tagged.  Returns the number of
+    (entry, bounds) pairs checked."""
     checked = 0
     for entry in CORPUS:
         eq = entry.equation()
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
-            T, _ = generate_ansatz(eq, spec)
-            assert _determining_expression(eq, euler_operator(T)) \
-                == determining_scale(eq) * naive_determining_expression(eq, T), \
+            densities, characteristics = generate_ansatz(eq, spec)
+            assert assembled_expression(eq, characteristics) \
+                == determining_scale(eq) * naive_determining_expression(eq, tagged(densities)), \
                 f"characteristic form differs on {entry.name} at {spec}"
             checked += 1
     return checked
@@ -771,22 +902,23 @@ def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
                     * Expr.symbol(rng.choice(jets))
         eq = EvolutionEquation(n, G)
         T = random_poly(rng, syms, terms=4)
-        assert _determining_expression(eq, euler_operator(T)) \
-            == determining_scale(eq) * naive_determining_expression(eq, T), \
+        assert assembled_expression(eq, [euler_operator(T).num.terms]) \
+            == Expr.symbol(tag(0)) * determining_scale(eq) * naive_determining_expression(eq, T), \
             f"characteristic form differs for u_t = {G}, T = {T}"
     return cases
 
 
 def suite_auxiliary_form_corpus() -> int:
-    """The determining expression of the characteristic of the density
-    ansatz equals :func:`reference_determining_expression` on every
-    :func:`rational_corpus` equation at 2/2/1 and 2/2/2.  Returns the number
-    of (equation, bounds) pairs checked."""
+    """The determining expression of every characteristic column of the
+    density ansatz equals :func:`reference_determining_expression` on every
+    :func:`rational_corpus` equation at 2/2/1 and 2/2/2, each column tagged.
+    Returns the number of (equation, bounds) pairs checked."""
     checked = 0
     for name, eq in rational_corpus():
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
-            Q = euler_operator(generate_ansatz(eq, spec)[0])
-            assert _determining_expression(eq, Q) == reference_determining_expression(eq, Q), \
+            characteristics = generate_ansatz(eq, spec)[1]
+            assert assembled_expression(eq, characteristics) \
+                == reference_determining_expression(eq, tagged(characteristics)), \
                 f"auxiliary form differs on {name} at {spec}"
             checked += 1
     return checked
@@ -811,7 +943,8 @@ def suite_auxiliary_form_random(cases: int = 60, seed: int = 89) -> int:
             * Expr.symbol(rng.choice(jets[n + 1:])) * Expr.symbol(rng.choice(syms))
         eq = EvolutionEquation(n, G)
         Q = euler_operator(T)
-        assert _determining_expression(eq, Q) == reference_determining_expression(eq, Q), \
+        assert assembled_expression(eq, [Q.num.terms]) \
+            == Expr.symbol(tag(0)) * reference_determining_expression(eq, Q), \
             f"auxiliary form differs for u_t = {G}, T = {T}"
     return cases
 
@@ -873,18 +1006,20 @@ def rational_corpus() -> list[tuple[str, EvolutionEquation]]:
 
 
 def suite_integer_assembly() -> int:
-    """On :func:`rational_corpus` at 2/2/1, the rows assembled from the
-    characteristic of the ansatz, over every unknown of the ansatz, are
-    ``int`` and equal d times the rows of the on-shell reference
-    linear_columns(naive_determining_expression(eq, T)), under the same
-    keys, in mono_cmp order.  Returns the number of equations checked."""
+    """On :func:`rational_corpus` at 2/2/1, the rows assembled from every
+    characteristic column of the ansatz are ``int`` and equal d times the
+    rows of the on-shell reference
+    linear_columns(naive_determining_expression(eq, T)) of the tagged
+    ansatz T, under the same keys, in mono_cmp order.  Returns the number
+    of equations checked."""
     checked = 0
     for name, eq in rational_corpus():
-        T, unknowns = generate_ansatz(eq, AnsatzSpec(2, 2, 1))
-        system = full_ansatz_system(eq, euler_operator(T), unknowns)
+        densities, characteristics = generate_ansatz(eq, AnsatzSpec(2, 2, 1))
+        system = assemble_determining_system(eq, characteristics)
         d = determining_scale(eq)
         reference: dict = {}
-        columns = linear_columns(naive_determining_expression(eq, T), unknowns)
+        tags = [tag(k) for k in range(len(densities))]
+        columns = linear_columns(naive_determining_expression(eq, tagged(densities)), tags)
         for k, column in enumerate(columns):
             for key, c in column.items():
                 reference.setdefault(key, {})[k] = d * c
@@ -1157,20 +1292,6 @@ def suite_solver_soundness(cases: int = 100, seed: int = 19) -> int:
     return done
 
 
-def full_ansatz_system(eq: EvolutionEquation, Q_ansatz: Expr,
-                       unknowns: list[Symbol]) -> DeterminingSystem:
-    """The determining system of the characteristic ansatz Q_ansatz over
-    every unknown of its density ansatz: the assembled system, whose
-    unknowns are those of Q_ansatz, in ansatz order, with a zero column for
-    each ansatz monomial whose characteristic is 0."""
-    system = assemble_determining_system(eq, Q_ansatz)
-    assert system.unknowns == [c for c, Q in zip(unknowns, linear_columns(Q_ansatz, unknowns))
-                               if Q]
-    column = {c: k for k, c in enumerate(unknowns)}
-    rows = [{column[system.unknowns[k]]: v for k, v in row.items()} for row in system.rows]
-    return DeterminingSystem(unknowns, rows, system.keys)
-
-
 def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
                                  force: bool = False) -> list[ConservationLaw]:
     """The law search over the full ansatz: every null vector of the full
@@ -1181,11 +1302,8 @@ def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
     find_conservation_laws."""
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    T_ansatz, unknowns = generate_ansatz(eq, spec)
-    Q_ansatz = euler_operator(T_ansatz)
-    system = full_ansatz_system(eq, Q_ansatz, unknowns)
-    densities = linear_columns(T_ansatz, unknowns)
-    characteristics = linear_columns(Q_ansatz, unknowns)
+    densities, characteristics = generate_ansatz(eq, spec)
+    system = assemble_determining_system(eq, characteristics)
     kept = linalg.Echelon()
     laws = []
     for vec in solve_exact(system):
@@ -1293,12 +1411,115 @@ def suite_extraction_equivalence(cases: int = 60, seed: int = 97) -> int:
     return compared
 
 
+def _search_outcome(search, eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tuple:
+    """The laws a search returns, with their text and coefficient types, or
+    the type and message of its refusal."""
+    try:
+        laws = search(eq, spec, force)
+    except (NotParabolicEquation, NotPolynomialIn) as exc:
+        return type(exc).__name__, str(exc)
+    return "laws", laws, [_law_text(law) for law in laws], [_law_types(law) for law in laws]
+
+
+def recorded_search(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tuple[dict, tuple]:
+    """(calls, outcome): find_conservation_laws run with the arguments and
+    result of each of its staged calls recorded by name, as [args, result],
+    the result None for a call that raised, and its :func:`_search_outcome`."""
+    names = ("generate_ansatz", "assemble_determining_system", "solve_exact")
+    real = {name: getattr(claws, name) for name in names}
+    calls: dict = {}
+
+    def recording(name):
+        def wrapper(*args):
+            calls[name] = [args, None]
+            calls[name][1] = real[name](*args)
+            return calls[name][1]
+        return wrapper
+
+    for name in names:
+        setattr(claws, name, recording(name))
+    try:
+        outcome = _search_outcome(find_conservation_laws, eq, spec, force)
+    finally:
+        for name, fn in real.items():
+            setattr(claws, name, fn)
+    return calls, outcome
+
+
+def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
+    """The column route of paraclaw.claws gives the results of the tagged
+    route, :func:`tagged_stages`, stage by stage as the search ran them: the
+    density and characteristic columns are those of the tagged T and
+    Q = E_u(T); the search assembles the kept columns; the determining
+    system has the same column count, rows and keys, and the same null
+    space; and the laws are those of :func:`reference_find_conservation_laws`,
+    or the refusal has the same type and message.  On every corpus equation
+    at the default bounds and at 2/2/1, on :func:`rational_corpus` at 2/2/1
+    with force, and on ``cases`` seeded random equations u_t = G (n = 1 or
+    2) at 2/1..2/0..2 (n = 1) or 2/1..2/0..1 (n = 2): a
+    :func:`random_law_equation` with force, the same over 1 + x1^2 (a
+    rational G, refused unless no column is kept) with force, and a random
+    polynomial G with rational coefficients, with and without force (so
+    refused when it is not parabolic).  Returns the number of problems,
+    refusals and laws."""
+    rng = random.Random(seed)
+    problems = []
+    for entry in CORPUS:
+        eq = entry.equation()
+        problems += [(entry.name, eq, AnsatzSpec(), False),
+                     (entry.name, eq, AnsatzSpec(2, 2, 1), False)]
+    problems += [(name, eq, AnsatzSpec(2, 2, 1), True) for name, eq in rational_corpus()]
+    for k in range(cases):
+        n = 1 + k % 2
+        spec = AnsatzSpec(2, rng.randint(1, 2), rng.randint(0, 2 if n == 1 else 1))
+        kind = k // 2 % 4
+        if kind < 2:
+            G = random_law_equation(rng, n).G
+            if kind == 1:
+                G = G / (1 + x1 ** 2)
+        else:
+            syms = random_spatial_symbols(n)
+            G = random_poly(rng, syms, terms=3) * Fraction(rng.randint(1, 5), rng.randint(1, 4)) \
+                + Fraction(rng.randint(1, 5), 3) * Expr.symbol(rng.choice(syms[n + 1:]))
+        problems.append((f"u_t = {G}", EvolutionEquation(n, G), spec, kind != 3))
+    counts = {"problems": 0, "refusals": 0, "laws": 0}
+    for name, eq, spec, force in problems:
+        where = f"{name} at {spec}"
+        calls, outcome = recorded_search(eq, spec, force)
+        assert outcome == _search_outcome(reference_find_conservation_laws, eq, spec, force), \
+            f"outcomes differ on {where}"
+        counts["problems"] += 1
+        if outcome[0] != "laws":
+            counts["refusals"] += 1
+        if outcome[0] == "NotParabolicEquation":
+            assert not calls, where
+            continue
+        stages = tagged_stages(eq, spec)
+        densities, characteristics = calls["generate_ansatz"][1]
+        assert densities == linear_columns(stages["T"], stages["tags"]), where
+        assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
+        index = {id(Q): k for k, Q in enumerate(characteristics)}
+        assembled = calls["assemble_determining_system"][0][1]
+        assert [index[id(Q)] for Q in assembled] == stages["kept"], where
+        if "error" in stages:
+            assert outcome[0] != "laws" and calls["assemble_determining_system"][1] is None, where
+            continue
+        system, reference = calls["assemble_determining_system"][1], stages["system"]
+        assert system.ncols == reference.ncols, where
+        assert system.keys == reference.keys, where
+        assert system.rows == reference.rows, where
+        assert calls["solve_exact"][1] == stages["basis"], where
+        counts["laws"] += len(outcome[1])
+    return counts
+
+
 def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
-    """For every null vector v, trivial ones included, over the corpus at the
-    default bounds and over seeded randomized bounds: the characteristic read
-    off the columns of E_u(T_ansatz) is E_u(T_v), and the density built from
-    the ansatz columns is T_ansatz with v substituted.  Returns the number
-    of vectors checked."""
+    """For every null vector v of the system over every column, trivial ones
+    included, over the corpus at the default bounds and over seeded
+    randomized bounds: the characteristic combined from the columns
+    E_u(m_k) is E_u(T_v), and the density combined from the columns m_k is
+    the tagged ansatz with v substituted, T_v.  Returns the number of
+    vectors checked."""
     rng = random.Random(seed)
     problems = [(entry, AnsatzSpec()) for entry in CORPUS]
     for _ in range(cases):
@@ -1307,13 +1528,11 @@ def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
     checked = 0
     for entry, spec in problems:
         eq = entry.equation()
-        T_ansatz, unknowns = generate_ansatz(eq, spec)
-        Q_ansatz = euler_operator(T_ansatz)
-        system = full_ansatz_system(eq, Q_ansatz, unknowns)
-        densities = linear_columns(T_ansatz, unknowns)
-        characteristics = linear_columns(Q_ansatz, unknowns)
+        densities, characteristics = generate_ansatz(eq, spec)
+        T_ansatz = tagged(densities)
+        system = assemble_determining_system(eq, characteristics)
         for vec in solve_exact(system):
-            T = T_ansatz.substitute({c: vec.get(k, 0) for k, c in enumerate(unknowns)})
+            T = T_ansatz.substitute({tag(k): vec.get(k, 0) for k in range(len(densities))})
             assert combine(densities, vec) == T, f"density differs on {entry.name}"
             assert combine(characteristics, vec) == euler_operator(T), \
                 f"characteristic differs on {entry.name}: T = {T}"
