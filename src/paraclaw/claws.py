@@ -48,7 +48,7 @@ from typing import Callable
 from . import linalg
 from .expr import (
     JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
-    _add_product, _add_terms, _cleared, base_var, mono_sort_key,
+    _add_product, _add_terms, _cleared, base_var,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
@@ -131,7 +131,12 @@ class DeterminingSystem:
     One row per monomial in the base and jet variables of
     sum_k v_k (dQ_k/dt + E_u(G Q_k)), scaled by the lcm d of the
     denominators of G; ``rows`` are sparse {column index: coefficient},
-    with ``int`` coefficients for ``int`` columns."""
+    with ``int`` coefficients for ``int`` columns, and ``keys[i]`` is the
+    monomial of ``rows[i]``.  Rows come in the order their keys are first
+    met, column by column, and are not sorted (the reduced row echelon
+    form, and so the null space, is the same under any row order); so the
+    smallest column of each row is the column that first met its key, and
+    these columns never decrease down the rows."""
 
     ncols: int
     rows: list[dict] = field(default_factory=list)
@@ -159,13 +164,16 @@ class CrossValidation:
 def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     """The density ansatz as two parallel lists of ``int`` term dicts, one
     column per monomial m_k within the bounds: ``densities[k]`` is m_k and
-    ``characteristics[k]`` is E_u(m_k), one raw Euler walk per monomial.
+    ``characteristics[k]`` is E_u(m_k).
 
     Monomials are products of a base monomial in {t, x^1..x^n} (joint total
     degree <= base_degree) and a jet monomial in the spatial jets of order
     <= max_jet_order (total degree <= jet_degree).  The monomials are
     counted before any is built: there are C(n+r, r) jets of order <= r,
-    and C(k+d, d) monomials of degree <= d in k symbols."""
+    and C(k+d, d) monomials of degree <= d in k symbols.  E_u commutes with
+    multiplication by t, so E_u(t^b m) = t^b E_u(m): one raw Euler walk per
+    t-free monomial m gives the characteristics of all its t^b multiples,
+    with (t, b) put first in each key (t sorts first)."""
     jet_count = comb(eq.n + spec.max_jet_order, spec.max_jet_order)
     count = (comb(eq.n + 1 + spec.base_degree, spec.base_degree)
              * comb(jet_count + spec.jet_degree, spec.jet_degree))
@@ -176,7 +184,17 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     base_monos = bounded_monomials(base_syms, spec.base_degree)
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
     densities = [{bm + jm: 1} for jm in jet_monos for bm in base_monos]  # base < jet: sorted
-    return densities, [_euler_terms(T) for T in densities]
+    walked: dict = {}  # t-free monomial -> the terms of its E_u
+    characteristics = []
+    for (m,) in densities:
+        b = m[0][1] if m and m[0][0] == TIME else 0
+        if b:
+            m = m[1:]
+        Q = walked.get(m)
+        if Q is None:
+            Q = walked[m] = _euler_terms({m: 1})
+        characteristics.append(_times_t(Q, b))
+    return densities, characteristics
 
 
 def assemble_determining_system(eq: EvolutionEquation,
@@ -196,7 +214,11 @@ def assemble_determining_system(eq: EvolutionEquation,
     columns; it changes neither the null space nor the reduced rows.  The
     D_J(d G) memo and the A_L of l*_{dG} are built once for all columns,
     no time jet occurs, so no replacement table is built, and each column's
-    terms go straight into the rows at its index.
+    terms go straight into the rows at its index.  Multiplying by t commutes
+    with every D_i, d/du_J and product, so with Q = sum_b t^b Q'_b, Q'_b
+    t-free, l_Q(d G) + sum_L A_L D_L Q = sum_b t^b (the same of Q'_b), for
+    any G: that part is built once per distinct Q'_b, and d dQ/dt is
+    sum_b d b t^(b-1) Q'_b.
 
     With no columns the system is empty on any G.  Otherwise a
     rational-function G raises NotPolynomialIn before any assembly, naming
@@ -210,16 +232,55 @@ def assemble_determining_system(eq: EvolutionEquation,
     d, (dG,) = _cleared([G.num.terms])
     D_G = _prolongations(dG)
     A = _adjoint_coefficients(dG)
+    spatial: dict = {}  # t-free part Q' -> l_Q'(d G) + sum_L A_L D_L Q'
     rows: dict = {}
     for k, Q in enumerate(characteristics):
         E: dict = {}
-        _add_terms(E, Poly(Q).diff(TIME).terms, d)
-        _add_linearization(E, Q, D_G)
-        _add_adjoint(E, A, Q)
+        parts = _time_powers(Q)
+        for b, part in parts.items():
+            memo_key = frozenset(part.items())
+            S = spatial.get(memo_key)
+            if S is None:
+                S = spatial[memo_key] = {}
+                _add_linearization(S, part, D_G)
+                _add_adjoint(S, A, part)
+            if not b and len(parts) == 1:  # a t-free column: E is S, only read
+                E = S
+                break
+            _add_terms(E, _times_t(S, b))
+            if b:  # d d/dt (t^b Q') = d b t^(b-1) Q'
+                _add_terms(E, _times_t(part, b - 1), d * b)
         for key, c in E.items():
             rows.setdefault(key, {})[k] = c
-    keys = sorted(rows, key=mono_sort_key)
-    return DeterminingSystem(len(characteristics), [rows[key] for key in keys], keys)
+    return DeterminingSystem(len(characteristics), list(rows.values()), list(rows))
+
+
+def _times_t(terms: dict, b: int) -> dict:
+    """The terms of t^b p, for the polynomial p with these terms: t sorts
+    first, so its power is the first pair of a key when it occurs.  For
+    b = 0, terms itself."""
+    if not b:
+        return terms
+    out = {}
+    for m, c in terms.items():
+        if m and m[0][0] == TIME:
+            out[((TIME, m[0][1] + b),) + m[1:]] = c
+        else:
+            out[((TIME, b),) + m] = c
+    return out
+
+
+def _time_powers(Q: dict) -> dict[int, dict]:
+    """b -> the terms of Q'_b, for the polynomial Q = sum_b t^b Q'_b with
+    these terms and t-free Q'_b: t sorts first, so it is a monomial's first
+    pair when it occurs."""
+    parts: dict = {}
+    for m, c in Q.items():
+        if m and m[0][0] == TIME:
+            parts.setdefault(m[0][1], {})[m[1:]] = c
+        else:
+            parts.setdefault(0, {})[m] = c
+    return parts
 
 
 def _add_linearization(out: dict, Q: dict, D_f: Callable[[tuple[int, ...]], dict]) -> None:
@@ -310,8 +371,30 @@ def check_density_order(T: Expr) -> None:
 def solve_exact(system: DeterminingSystem) -> list[dict]:
     """Basis of the null space as sparse vectors {column: Fraction}, by
     exact Gaussian elimination with deterministic pivoting (first nonzero
-    column in column order)."""
-    return linalg.nullspace(system.rows, system.ncols)
+    column in column order).
+
+    The null space is the same under any row order, so the rows are fed to
+    the elimination in an order that keeps it cheap.  First, for each
+    distinct smallest column, in decreasing order, its sparsest row: each
+    has its pivot below every kept one, where no kept row holds it, so they
+    are independent and nothing is back-substituted, and a system of full
+    rank stops after them (``linalg.rref`` stops at full rank).  Then the
+    other rows, last-first: in assembly order a row's smallest column is
+    the column that first met its key, so a new pivot again mostly lies
+    below the kept ones.  Zero rows are skipped."""
+    leaders: dict = {}  # smallest column -> its sparsest row
+    rest = []
+    for row in reversed(system.rows):
+        if not row:
+            continue
+        k = min(row)
+        lead = leaders.get(k)
+        if lead is None or len(row) < len(lead):
+            leaders[k], row = row, lead
+        if row is not None:
+            rest.append(row)
+    order = [leaders[k] for k in sorted(leaders, reverse=True)] + rest
+    return linalg.nullspace(order, system.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +498,13 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
     densities, characteristics = generate_ansatz(eq, spec)
-    pivots = linalg.Echelon()
+    pivots = linalg.RankEchelon()
     keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
     densities = [densities[k] for k in keep]
     characteristics = [characteristics[k] for k in keep]
     system = assemble_determining_system(eq, characteristics)
     basis = solve_exact(system)
-    kept = linalg.Echelon()
+    kept = linalg.RankEchelon()
     laws: list[ConservationLaw] = []
     d, (dG,) = _cleared([eq.G.num.terms])  # the basis is empty unless G is a polynomial
     D_G = _prolongations(dG)

@@ -26,7 +26,9 @@ not a RecursionError.  Each "*", "/" and "^" is charged its term-pair
 products before it runs ("^k" is k - 1 multiplications); a parse whose
 running total would pass expr.MAX_TERMS is a ParseError, so no input
 expands without bound; so is a number literal longer than
-sys.get_int_max_str_digits.
+sys.get_int_max_str_digits, and a power of a single term whose coefficient
+would have a numerator or denominator that long (decided from bit lengths
+before the power is built).
 
 A polynomial is read straight into raw terms, and an integral coefficient
 is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
@@ -110,6 +112,22 @@ def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
 # A parsed value is a polynomial, as a dict of raw terms {monomial: nonzero
 # int or Fraction} that the parser owns and may change in place, or else a
 # rational function, as an Expr.
+
+def _power_too_long(a: int, k: int) -> bool:
+    """|a|^k has more than sys.get_int_max_str_digits() decimal digits (0
+    is no limit), decided before the power is built: with b the bit length
+    of |a| > 1, 2^(k(b-1)) <= |a|^k < 2^(kb), and |a|^k is built only when
+    the bit length of 10^limit lies between, so with fewer than twice as
+    many bits as 10^limit."""
+    limit = sys.get_int_max_str_digits()
+    a = abs(a)
+    if not limit or a <= 1:
+        return False
+    bits, bound = a.bit_length(), 10 ** limit
+    if k * (bits - 1) >= bound.bit_length():
+        return True
+    return k * bits >= bound.bit_length() and a ** k >= bound
+
 
 def _as_expr(value: dict | Expr) -> Expr:
     """The value as an Expr; an integral coefficient becomes an int."""
@@ -322,6 +340,10 @@ class _Parser:
             # each of the k - 1 products pairs the numerators' one term (none
             # for 0) and the denominators' one term
             self.charge(op, (k - 1) * (len(atom) + 1))
+            for ac in atom.values():
+                if _power_too_long(ac.numerator, k) or _power_too_long(ac.denominator, k):
+                    raise ParseError(f"power has a coefficient longer than "
+                                     f"{sys.get_int_max_str_digits()} digits", op[2], op[3])
             return {tuple((s, e * k) for s, e in am): ac ** k for am, ac in atom.items()}
         num, den = (Poly(atom), None) if type(atom) is dict else (atom.num, atom.den)
         p, q = num, den

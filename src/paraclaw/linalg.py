@@ -7,7 +7,9 @@ entries.  All sparse elimination is one incremental Gauss-Jordan loop,
 1968): each row is scaled to integers once, eliminated with Python ints,
 and kept primitive by dividing out the gcd of its entries (where Bareiss
 divides exactly by the previous pivot).  ``rref`` divides by the pivots
-once, at the end, and returns ``Fraction`` rows sorted by pivot.  The
+once, at the end, and returns ``Fraction`` rows sorted by pivot.  An
+independence test that reads no reduced row runs forward only, on the same
+cancellation, in :class:`RankEchelon`.  The
 reduced row echelon form is unique for a fixed column order, so the result
 depends neither on the row order nor on the arithmetic.  Everything is exact -- no
 floating point anywhere, which is what keeps determining-system null
@@ -17,6 +19,7 @@ spaces honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Sequence
 
@@ -127,10 +130,13 @@ class Echelon:
     primitive ``int`` row, positive at its pivot (its smallest key) and 0
     at every other pivot, so the kept rows divided by their pivot entries,
     :attr:`rows`, are the reduced row echelon form of the rows added so
-    far."""
+    far.  A new pivot is back-substituted into the kept rows only when it
+    is above the smallest kept pivot: no kept row holds a key below its
+    own pivot."""
 
     def __init__(self) -> None:
         self._rows: dict = {}  # pivot key -> primitive int row
+        self._lowest = None  # the smallest kept pivot
 
     @property
     def rows(self) -> dict:
@@ -155,10 +161,56 @@ class Echelon:
             return False
         pivot = min(rest)
         _make_primitive(rest, pivot)
-        for p, target in kept.items():
-            if target.get(pivot):
-                _cancel(target, pivot, rest)
-                _make_primitive(target, p)
+        if kept and pivot > self._lowest:
+            for p, target in kept.items():
+                if target.get(pivot):
+                    _cancel(target, pivot, rest)
+                    _make_primitive(target, p)
+        else:  # no kept row holds a key below its own pivot: none holds this one
+            self._lowest = pivot
+        kept[pivot] = rest
+        return True
+
+
+class RankEchelon:
+    """Forward-only fraction-free echelon of sparse rows over orderable keys:
+    the independence test of :class:`Echelon` without its reduced rows.
+
+    Every kept row is a primitive ``int`` row, positive at its pivot (its
+    smallest key), and is never touched again.  An incoming row is
+    cancelled at each of its keys that is a kept pivot, smallest first, so
+    each cancellation brings in only larger keys; it is independent exactly
+    when something is left.  :meth:`add` answers as ``Echelon.add`` does,
+    row by row, without scanning the kept rows."""
+
+    def __init__(self) -> None:
+        self._rows: dict = {}  # pivot key -> primitive int row
+
+    @property
+    def rank(self) -> int:
+        """The number of kept rows: the rank of the rows added so far."""
+        return len(self._rows)
+
+    def add(self, row: SparseRow) -> bool:
+        """Keep row and return True when it is linearly independent of the
+        kept rows; return False otherwise.  The input is not mutated."""
+        rest = _integral(row)
+        kept = self._rows
+        heap = [k for k in rest if k in kept]  # the kept pivots in rest
+        heapify(heap)
+        while heap:
+            key = heappop(heap)
+            if key not in rest:  # cancelled on the way
+                continue
+            other = kept[key]
+            new = [c for c in other if c not in rest and c in kept]
+            _cancel(rest, key, other)
+            for c in new:
+                heappush(heap, c)
+        if not rest:
+            return False
+        pivot = min(rest)
+        _make_primitive(rest, pivot)
         kept[pivot] = rest
         return True
 

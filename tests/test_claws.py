@@ -26,7 +26,7 @@ from util import (
     heat_polynomial_space, in_span, linear_columns, rank, span_equal,
     suite_auxiliary_form_corpus, suite_auxiliary_form_random,
     suite_characteristic_form_corpus, suite_characteristic_form_random,
-    suite_column_route_equivalence, suite_cross_validation,
+    suite_column_route_equivalence, suite_cross_validation, suite_time_linearity,
     suite_extraction_equivalence, suite_integer_assembly, tag, tagged,
     jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
     suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
@@ -141,6 +141,31 @@ class TestDeterminingSystem:
         counts = suite_column_route_equivalence(cases=80)
         assert counts["problems"] == 4 * len(CORPUS) + 80
         assert counts["refusals"] >= 10 and counts["laws"] > 80
+
+    def test_elimination_order_keeps_the_null_space(self):
+        # solve_exact feeds the rows in an order of its own; the basis is the
+        # one of the rows as given, on the corpus systems and on seeded
+        # sparse rows with zero, repeated and dependent rows, shuffled
+        import random
+        from util import planted_rows
+        for entry in CORPUS:
+            for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1)):
+                system = assemble_determining_system(
+                    entry.equation(), generate_ansatz(entry.equation(), spec)[1])
+                assert solve_exact(system) == linalg.nullspace(system.rows, system.ncols)
+        rng = random.Random(157)
+        for _ in range(100):
+            ncols = rng.randint(1, 30)
+            rows = planted_rows(rng, rng.randint(0, 40), ncols,
+                                lambda rng: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)))
+            rng.shuffle(rows)
+            system = claws.DeterminingSystem(ncols, rows, list(range(len(rows))))
+            assert solve_exact(system) == linalg.nullspace(rows, ncols)
+
+    def test_time_multiples_share_their_t_free_part(self):
+        counts = suite_time_linearity(cases=12)
+        assert counts["problems"] == 2 * (4 + 12)
+        assert counts["refusals"] >= 2 + 2 * 3 and counts["laws"] > 20
 
     # the tagged route of tests/util.py splits an Expr linear in the column
     # tags c_k back into columns

@@ -271,6 +271,52 @@ class TestLongLiterals:
     def test_longest_literal_parses(self):
         assert parse_expression("9" * self.LIMIT, 1) == Expr.const(10 ** self.LIMIT - 1)
 
+    @pytest.mark.parametrize("source, where", [
+        ("n=1; u_t = 3^10000*u_xx", "1:13"),
+        ("n=1; u_t = {}^9999*u_xx".format("7" * 300), "1:312"),
+        ("n=1; u_t = u_xx + (1/3)^10000*u", "1:24"),
+        ("n=1; u_t = 10^4300*u_xx", "1:14"),
+    ], ids=["base-3", "300-digit-base", "denominator", "one-past"])
+    def test_power_past_the_limit(self, tmp_path, capsys, source, where):
+        # refused at the ^ from bit lengths, before the power is built
+        import time
+        f = tmp_path / "power.pde"
+        f.write_text(source)
+        start = time.perf_counter()
+        assert main(["classify", str(f)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"parse error: power has a coefficient longer than {self.LIMIT} digits "
+            f"at {where}\n")
+
+    def test_power_at_the_limit_parses(self, tmp_path, capsys):
+        # 10^4299 has exactly LIMIT digits
+        f = tmp_path / "power.pde"
+        f.write_text("n=1; u_t = 10^4299*u_xx")
+        assert main(["classify", str(f)]) == 0
+        assert capsys.readouterr().err == ""
+        assert parse_expression("(10/9)^4299", 1) \
+            == Expr.const(Fraction(10 ** 4299, 9 ** 4299))
+
+    def test_power_length_is_exact(self):
+        # the bit-length decision against the digits of the built power,
+        # seeded, around the boundary, for bases from 2 to 60 digits long
+        import random
+        from paraclaw.grammar import _power_too_long
+        rng = random.Random(131)
+        cases = []
+        sys.set_int_max_str_digits(0)  # no limit while the digits are counted
+        for _ in range(300):
+            a = rng.randint(2, 10 ** rng.randint(1, 60)) * rng.choice((1, -1))
+            k0 = self.LIMIT * 10 // (len(str(abs(a))) * 10 - 5)
+            for k in range(max(1, k0 - 3), k0 + 4):
+                cases.append((a, k, len(str(abs(a) ** k)) > self.LIMIT))
+        sys.set_int_max_str_digits(self.LIMIT)
+        assert [_power_too_long(a, k) for a, k, _ in cases] == [long for _, _, long in cases]
+        assert 100 < sum(long for _, _, long in cases) < len(cases) - 100
+        assert not _power_too_long(10, self.LIMIT - 1) and _power_too_long(10, self.LIMIT)
+        assert not any(_power_too_long(a, 10 ** 6) for a in (-1, 0, 1))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("source", [

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from paraclaw import linalg
-from util import naive_rref
+from util import naive_rref, suite_rank_echelon_equivalence
 
 SHAPES = [(1, 1), (3, 3), (8, 8), (12, 5), (20, 6), (4, 15), (6, 24), (0, 4)]
 
@@ -187,6 +187,13 @@ def test_echelon_add_is_true_exactly_when_rank_grows():
         reduced, pivots = naive_rref(rows, ncols)
         assert sorted(kept.rows) == pivots
         assert [kept.rows[p] for p in pivots] == reduced
+
+
+def test_rank_echelon_answers_as_echelon():
+    # planted dependencies over int, Fraction and mixed rows, and the
+    # corpus pivot passes at the default bounds and at 2/2/1
+    counts = suite_rank_echelon_equivalence(cases=120)
+    assert counts["rows"] > 3000 and 0 < counts["kept"] < counts["rows"]
 
 
 def test_echelon_over_orderable_keys():

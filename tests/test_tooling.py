@@ -14,7 +14,8 @@ traced under the tracer in a fresh interpreter that writes no bytecode,
 so the tracer's rebinding stays there and perfbench is only read.  The
 determining system depends on the characteristic alone and is assembled
 from the auxiliary equation with total derivatives only, so the search
-takes one raw Euler walk per ansatz monomial, all in ``generate_ansatz``.
+takes one raw Euler walk per t-free ansatz monomial, all in
+``generate_ansatz``; and its independence tests build no reduced echelon.
 The package has one divergence inverter: ``invert_divergence`` and the
 search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
@@ -78,9 +79,11 @@ def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
     ("n=1; u_t = u_x", (2, 2, 0)),
 ], ids=["burgers", "heat_2d", "transport"])
 def test_search_takes_one_euler_operator(monkeypatch, source, spec):
-    # one raw Euler walk per ansatz monomial, all inside generate_ansatz;
-    # none in assembly or extraction, and no euler_operator at all
+    # one raw Euler walk per t-free ansatz monomial (E_u(t^b m) = t^b E_u(m)),
+    # all inside generate_ansatz; none in assembly or extraction, and no
+    # euler_operator at all
     from paraclaw import claws, jets
+    from paraclaw.expr import TIME
     from paraclaw.grammar import parse
     walks, inside, sizes = [], [], []
     real_walk, real_generate = jets._euler_terms, claws.generate_ansatz
@@ -95,7 +98,7 @@ def test_search_takes_one_euler_operator(monkeypatch, source, spec):
             densities, characteristics = real_generate(*args)
         finally:
             inside.pop()
-        sizes.append(len(densities))
+        sizes.append(sum(1 for (m,) in densities if not (m and m[0][0] == TIME)))
         return densities, characteristics
 
     def no_euler_operator(*args):
@@ -108,6 +111,29 @@ def test_search_takes_one_euler_operator(monkeypatch, source, spec):
     laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
     assert laws
     assert sizes and walks == [True] * sizes[0]
+
+
+@pytest.mark.parametrize("source, spec", [
+    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
+    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
+    ("n=1; u_t = u_x", (2, 2, 0)),
+], ids=["burgers", "heat_2d", "transport"])
+def test_search_builds_echelon_only_in_rref(monkeypatch, source, spec):
+    # the pivot pass and the law loop only test independence, on the
+    # forward-only RankEchelon; the one reduced echelon is the null space's
+    from paraclaw import claws, linalg
+    from paraclaw.grammar import parse
+    builders = []
+
+    class Recording(linalg.Echelon):
+        def __init__(self):
+            builders.append(sys._getframe(1).f_code.co_name)
+            super().__init__()
+
+    monkeypatch.setattr(linalg, "Echelon", Recording)
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+    assert laws
+    assert builders == ["rref"]
 
 
 TRACED_SEARCH = """

@@ -8,7 +8,6 @@ seeded; all assertions are exact.
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import itertools
 import json
@@ -1010,8 +1009,9 @@ def suite_integer_assembly() -> int:
     characteristic column of the ansatz are ``int`` and equal d times the
     rows of the on-shell reference
     linear_columns(naive_determining_expression(eq, T)) of the tagged
-    ansatz T, under the same keys, in mono_cmp order.  Returns the number
-    of equations checked."""
+    ansatz T, key by key; the row order is not compared, since the null
+    space is the same under any row order.  Returns the number of equations
+    checked."""
     checked = 0
     for name, eq in rational_corpus():
         densities, characteristics = generate_ansatz(eq, AnsatzSpec(2, 2, 1))
@@ -1023,8 +1023,8 @@ def suite_integer_assembly() -> int:
         for k, column in enumerate(columns):
             for key, c in column.items():
                 reference.setdefault(key, {})[k] = d * c
-        assert system.keys == sorted(reference, key=functools.cmp_to_key(mono_cmp)), name
-        assert system.rows == [reference[key] for key in system.keys], name
+        assert dict(zip(system.keys, system.rows)) == reference, name
+        assert len(system.keys) == len(system.rows) == len(reference), name
         assert all(type(c) is int for row in system.rows for c in row.values()), name
         checked += 1
     return checked
@@ -1451,7 +1451,8 @@ def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
     route, :func:`tagged_stages`, stage by stage as the search ran them: the
     density and characteristic columns are those of the tagged T and
     Q = E_u(T); the search assembles the kept columns; the determining
-    system has the same column count, rows and keys, and the same null
+    system has the same column count and the same row under each key (in
+    any row order, which the null space does not depend on), and the same null
     space; and the laws are those of :func:`reference_find_conservation_laws`,
     or the refusal has the same type and message.  On every corpus equation
     at the default bounds and at 2/2/1, on :func:`rational_corpus` at 2/2/1
@@ -1484,32 +1485,157 @@ def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
         problems.append((f"u_t = {G}", EvolutionEquation(n, G), spec, kind != 3))
     counts = {"problems": 0, "refusals": 0, "laws": 0}
     for name, eq, spec, force in problems:
-        where = f"{name} at {spec}"
-        calls, outcome = recorded_search(eq, spec, force)
-        assert outcome == _search_outcome(reference_find_conservation_laws, eq, spec, force), \
-            f"outcomes differ on {where}"
-        counts["problems"] += 1
-        if outcome[0] != "laws":
-            counts["refusals"] += 1
-        if outcome[0] == "NotParabolicEquation":
-            assert not calls, where
-            continue
-        stages = tagged_stages(eq, spec)
-        densities, characteristics = calls["generate_ansatz"][1]
-        assert densities == linear_columns(stages["T"], stages["tags"]), where
-        assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
-        index = {id(Q): k for k, Q in enumerate(characteristics)}
-        assembled = calls["assemble_determining_system"][0][1]
-        assert [index[id(Q)] for Q in assembled] == stages["kept"], where
-        if "error" in stages:
-            assert outcome[0] != "laws" and calls["assemble_determining_system"][1] is None, where
-            continue
-        system, reference = calls["assemble_determining_system"][1], stages["system"]
-        assert system.ncols == reference.ncols, where
-        assert system.keys == reference.keys, where
-        assert system.rows == reference.rows, where
-        assert calls["solve_exact"][1] == stages["basis"], where
-        counts["laws"] += len(outcome[1])
+        _compare_column_route(f"{name} at {spec}", eq, spec, force, counts)
+    return counts
+
+
+def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
+                          force: bool, counts: dict) -> None:
+    """One problem of :func:`suite_column_route_equivalence`: the search's
+    staged calls against :func:`tagged_stages`, and its outcome against
+    :func:`reference_find_conservation_laws`; counts the problem, a
+    refusal and the laws."""
+    calls, outcome = recorded_search(eq, spec, force)
+    assert outcome == _search_outcome(reference_find_conservation_laws, eq, spec, force), \
+        f"outcomes differ on {where}"
+    counts["problems"] += 1
+    if outcome[0] != "laws":
+        counts["refusals"] += 1
+    if outcome[0] == "NotParabolicEquation":
+        assert not calls, where
+        return
+    stages = tagged_stages(eq, spec)
+    densities, characteristics = calls["generate_ansatz"][1]
+    assert densities == linear_columns(stages["T"], stages["tags"]), where
+    assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
+    index = {id(Q): k for k, Q in enumerate(characteristics)}
+    assembled = calls["assemble_determining_system"][0][1]
+    assert [index[id(Q)] for Q in assembled] == stages["kept"], where
+    if "error" in stages:
+        assert outcome[0] != "laws" and calls["assemble_determining_system"][1] is None, where
+        return
+    system, reference = calls["assemble_determining_system"][1], stages["system"]
+    assert system.ncols == reference.ncols, where
+    assert len(system.keys) == len(system.rows) == len(reference.rows), where
+    assert dict(zip(system.keys, system.rows)) == dict(zip(reference.keys, reference.rows)), \
+        where
+    assert calls["solve_exact"][1] == stages["basis"], where
+    counts["laws"] += len(outcome[1])
+
+
+def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
+    """E_u(t^b m) = t^b E_u(m), and the assembly's l_Q(d G) + sum_L A_L D_L Q
+    is built once per t-free part Q'_b of Q = sum_b t^b Q'_b, with
+    d dQ/dt = sum_b d b t^(b-1) Q'_b: on equations whose G holds an
+    explicit t, at base degrees 2 and 3, :func:`_compare_column_route`
+    finds the columns, the key -> row mapping, the null space and the
+    laws of the tagged route, or the same refusal.  The equations are
+    u_xx + t u, t u_11 + u_22 + t^2 u_1, a :func:`rational_corpus` entry
+    times (1 + t), the same over 1 + t^2 (a rational G, refused), all with
+    force, and ``cases`` seeded random G = a u_ii + t p, p a polynomial in
+    t, x and the jets of order <= 1, with force, except that every fourth
+    has a < 0 and no force, so it is refused as not parabolic.  The full
+    ansatz of each polynomial G is also assembled with its columns in
+    reverse order, which must give the same key -> row mapping: the memo
+    of t-free parts does not depend on which column meets a part first.
+    Returns the number of problems, refusals and laws."""
+    rng = random.Random(seed)
+    tt = Expr.symbol(TIME)
+    name, rational = rational_corpus()[3]  # burgers (2/3 G + u_1/6)
+    equations = [
+        ("u_xx + t u", 1, uxx + tt * u),
+        ("t u_11 + u_22 + t^2 u_1", 2, tt * u11 + u22 + tt ** 2 * u1),
+        (f"{name} times (1 + t)", 1, rational.G * (1 + tt)),
+        (f"{name} times (1 + t) over 1 + t^2", 1, rational.G * (1 + tt) / (1 + tt ** 2)),
+    ]
+    for k in range(cases):
+        n = 1 + k % 2
+        a = Fraction(rng.randint(1, 5), rng.randint(1, 3)) * (-1 if k % 4 == 3 else 1)
+        G = a * jet(*[rng.randint(1, n)] * 2)
+        G = G + tt * random_poly(rng, random_spatial_symbols(n, 1), terms=2, coeff=3) \
+            * Fraction(1, rng.randint(1, 3))
+        equations.append((f"u_t = {G}", n, G))
+    counts = {"problems": 0, "refusals": 0, "laws": 0}
+    for k, (name, n, G) in enumerate(equations):
+        eq = EvolutionEquation(n, G)
+        for base_degree in (2, 3):
+            spec = AnsatzSpec(2, 1 if n == 2 else 2 - base_degree % 2, base_degree)
+            force = k < 4 or (k - 4) % 4 != 3
+            _compare_column_route(f"{name} at {spec}", eq, spec, force, counts)
+            if G.is_polynomial:
+                _, characteristics = generate_ansatz(eq, spec)
+                forward = assemble_determining_system(eq, characteristics)
+                backward = assemble_determining_system(eq, characteristics[::-1])
+                flipped = [{len(characteristics) - 1 - c: v for c, v in row.items()}
+                           for row in backward.rows]
+                assert dict(zip(forward.keys, forward.rows)) \
+                    == dict(zip(backward.keys, flipped)), name
+    return counts
+
+
+def planted_rows(rng: random.Random, nrows: int, ncols: int, entry) -> list[dict]:
+    """Sparse rows over ncols columns with planted dependencies: zero rows,
+    repeated rows, scaled rows and combinations of two or three earlier
+    rows among fresh sparse ones; ``entry(rng)`` draws a nonzero entry."""
+    rows: list[dict] = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.08:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.3 and rows:
+            f = entry(rng)
+            rows.append({c: f * v for c, v in rng.choice(rows).items()})
+        elif kind < 0.5 and len(rows) >= 3:
+            combo: dict = {}
+            for row in rng.sample(rows, rng.randint(2, 3)):
+                f = entry(rng)
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + f * v
+            rows.append({c: v for c, v in combo.items() if v})
+        else:
+            density = rng.choice([0.05, 0.15, 0.4])
+            rows.append({c: entry(rng) for c in rng.sample(range(ncols), ncols)
+                         if rng.random() < density})
+    return rows
+
+
+def suite_rank_echelon_equivalence(cases: int = 120, seed: int = 149) -> dict:
+    """linalg.RankEchelon.add answers as linalg.Echelon.add, row by row, and
+    leaves its input as it was, and both end at the same rank: on
+    ``cases`` seeded sparse matrices (:func:`planted_rows`, up to 60 rows
+    and 40 columns) with ``int``, ``Fraction`` and mixed entries, and on
+    the pivot pass over the characteristic columns of every corpus
+    equation at the default bounds and at 2/2/1.  Returns the number of
+    rows added and of those kept."""
+    draws = {
+        "int": lambda rng: rng.choice([-1, 1]) * rng.randint(1, 9),
+        "fraction": lambda rng: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                         rng.randint(1, 6)),
+    }
+    draws["mixed"] = lambda rng: draws[rng.choice(["int", "fraction"])](rng)
+    rng = random.Random(seed)
+    matrices = []
+    for k in range(cases):
+        kind = ("int", "fraction", "mixed")[k % 3]
+        matrices.append((f"{kind} case {k}", planted_rows(
+            rng, rng.randint(1, 60), rng.randint(1, 40), draws[kind])))
+    for entry in CORPUS:
+        for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1)):
+            matrices.append((f"{entry.name} at {spec}",
+                             generate_ansatz(entry.equation(), spec)[1]))
+    counts = {"rows": 0, "kept": 0}
+    for where, rows in matrices:
+        rank_only, reference = linalg.RankEchelon(), linalg.Echelon()
+        for row in rows:
+            before = dict(row)
+            got = rank_only.add(row)
+            assert got is reference.add(row), where
+            assert row == before, where
+            counts["rows"] += 1
+            counts["kept"] += got
+        assert rank_only.rank == reference.rank, where
     return counts
 
 
