@@ -7,10 +7,9 @@ identical inputs; elapsed time appears only in --text output.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -187,86 +186,241 @@ def _read_problem(path: str) -> ProblemFile:
         return parse(fh.read())
 
 
-def _ansatz_spec(pf: ProblemFile, args: argparse.Namespace) -> AnsatzSpec:
+def _ansatz_spec(pf: ProblemFile, args: dict) -> AnsatzSpec:
     def pick(flag, file_value, default):
         return flag if flag is not None else (
             file_value if file_value is not None else default)
 
     return AnsatzSpec(
-        max_jet_order=pick(args.order, pf.max_jet_order, 2),
-        jet_degree=pick(args.jet_degree, pf.jet_degree, 1),
-        base_degree=pick(args.base_degree, pf.base_degree, 0),
-        unsafe_order=args.unsafe_order,
+        max_jet_order=pick(args["order"], pf.max_jet_order, 2),
+        jet_degree=pick(args["jet_degree"], pf.jet_degree, 1),
+        base_degree=pick(args["base_degree"], pf.base_degree, 0),
+        unsafe_order=args["unsafe_order"],
     )
 
 
-@functools.cache
-def _build_arg_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused: parsing
-    does not change it."""
-    ap = argparse.ArgumentParser(
-        prog="paraclaw",
-        description="Conservation laws and Monge-Ampere classification for "
-                    "evolutionary parabolic equations u_t = G(x, t, u, Du, Hess u).")
-    sub = ap.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# Arguments
+# ---------------------------------------------------------------------------
 
-    def add_output_flags(p):
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="as_json", action="store_true", default=True,
-                         help="machine-readable report (default)")
-        fmt.add_argument("--text", dest="as_json", action="store_false",
-                         help="human-readable report with timing")
+_DESCRIPTION = ("Conservation laws and Monge-Ampere classification for "
+                "evolutionary parabolic equations u_t = G(x, t, u, Du, Hess u).")
 
-    p_classify = sub.add_parser("classify", help="parabolicity and Monge-Ampere tests")
-    p_classify.add_argument("file", help="problem file, or - for stdin")
-    p_classify.add_argument("--symbolic", action="store_true",
-                            help="compute the traceless residue over the rational "
-                                 "functions of the jet, not at the reference jet")
-    add_output_flags(p_classify)
+# An option string maps to (destination, converter, third, help).  A switch
+# has no converter and stores `third`; switches that share a destination
+# exclude each other.  A value option is converted with int or str, and
+# appends to a list when `third` is true.
+_HELP = {
+    "-h": ("help", None, None, "show this help message and exit"),
+    "--help": ("help", None, None, None),
+}
+_OUTPUT = {
+    "--json": ("as_json", None, True, "machine-readable report (default)"),
+    "--text": ("as_json", None, False, "human-readable report with timing"),
+}
 
-    p_claws = sub.add_parser("claws", help="find conservation laws")
-    p_claws.add_argument("file", help="problem file, or - for stdin")
-    p_claws.add_argument("--jet-degree", type=int, default=None)
-    p_claws.add_argument("--base-degree", type=int, default=None)
-    p_claws.add_argument("--order", type=int, default=None,
-                         help="max jet order of the density ansatz (capped at 2)")
-    p_claws.add_argument("--unsafe-order", action="store_true",
-                         help="allow --order above the proven bound of 2")
-    p_claws.add_argument("--symbolic", action="store_true",
-                         help="report the traceless residue computed over the "
-                              "rational functions of the jet, not at the reference jet")
-    p_claws.add_argument("--force", action="store_true",
-                         help="proceed despite a non-parabolic symbol")
-    add_output_flags(p_claws)
+# command -> (help, takes the problem file, options, defaults, required options)
+_COMMANDS = {
+    "classify": ("parabolicity and Monge-Ampere tests", True,
+                 {**_HELP,
+                  "--symbolic": ("symbolic", None, True,
+                                 "compute the traceless residue over the rational "
+                                 "functions of the jet, not at the reference jet"),
+                  **_OUTPUT},
+                 {"symbolic": False, "as_json": True}, ()),
+    "claws": ("find conservation laws", True, {
+        **_HELP,
+        "--jet-degree": ("jet_degree", int, False, None),
+        "--base-degree": ("base_degree", int, False, None),
+        "--order": ("order", int, False,
+                    "max jet order of the density ansatz (capped at 2)"),
+        "--unsafe-order": ("unsafe_order", None, True,
+                           "allow --order above the proven bound of 2"),
+        "--symbolic": ("symbolic", None, True,
+                       "report the traceless residue computed over the rational "
+                       "functions of the jet, not at the reference jet"),
+        "--force": ("force", None, True, "proceed despite a non-parabolic symbol"),
+        **_OUTPUT,
+    }, {"jet_degree": None, "base_degree": None, "order": None, "unsafe_order": False,
+        "symbolic": False, "force": False, "as_json": True}, ()),
+    "verify": ("check D_t T + Div X = 0 exactly", True, {
+        **_HELP,
+        "--density": ("density", str, False, None),
+        "--flux": ("flux", str, True, "repeat n times, one expression per direction"),
+        **_OUTPUT,
+    }, {"density": None, "flux": None, "as_json": True}, ("--density", "--flux")),
+    "dims": ("tableau and system dimensions", False, {
+        **_HELP, "-n": ("n", int, False, None), "-r": ("r", int, False, None), **_OUTPUT,
+    }, {"n": None, "r": 0, "as_json": True}, ("-n",)),
+}
 
-    p_verify = sub.add_parser("verify", help="check D_t T + Div X = 0 exactly")
-    p_verify.add_argument("file", help="problem file, or - for stdin")
-    p_verify.add_argument("--density", required=True)
-    p_verify.add_argument("--flux", action="append", required=True,
-                          help="repeat n times, one expression per direction")
-    add_output_flags(p_verify)
 
-    p_dims = sub.add_parser("dims", help="tableau and system dimensions")
-    p_dims.add_argument("-n", type=int, required=True, dest="n")
-    p_dims.add_argument("-r", type=int, default=0, dest="r")
-    add_output_flags(p_dims)
-    return ap
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: paraclaw [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, takes_file, options, _, required = _COMMANDS[command]
+    parts, group = ["[-h]"], {}
+    for opt, (dest, convert, _, _) in options.items():
+        if dest == "help":
+            continue
+        text = opt if convert is None else f"{opt} {dest.upper()}"
+        if dest in group:
+            parts[group[dest]] = f"{parts[group[dest]][:-1]} | {text}]"
+        elif opt in required:
+            parts.append(text)
+        else:
+            group[dest] = len(parts)
+            parts.append(f"[{text}]")
+    if takes_file:
+        parts.append("file")
+    return f"usage: paraclaw {command} {' '.join(parts)}"
+
+
+def _help(command: str | None) -> str:
+    def row(name, text):
+        if not text:
+            return f"  {name}"
+        return f"  {name:<22}{text}" if len(name) < 22 else f"  {name}\n{'':24}{text}"
+
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += [_DESCRIPTION, "", "positional arguments:", f"  {{{','.join(_COMMANDS)}}}"]
+        lines += [row(f"  {name}", spec[0]) for name, spec in _COMMANDS.items()]
+        lines += ["", "options:", row("-h, --help", _HELP["-h"][3])]
+        return "\n".join(lines)
+    _, takes_file, options, _, _ = _COMMANDS[command]
+    if takes_file:
+        lines += ["positional arguments:", row("file", "problem file, or - for stdin"), ""]
+    lines += ["options:", row("-h, --help", _HELP["-h"][3])]
+    lines += [row(opt if convert is None else f"{opt} {dest.upper()}", text)
+              for opt, (dest, convert, _, text) in options.items() if dest != "help"]
+    return "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str) -> None:
+    prog = "paraclaw" if command is None else f"paraclaw {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(command: str, options: dict, arg: str) -> tuple:
+    """(option string, the value attached to it or None) for an argument
+    that starts with "-", as argparse finds it: the whole argument, the part
+    before its "=", a unique prefix of a long option, or a short option with
+    its value attached (-n3).  (None, None) is a positional: a negative
+    number, or an argument with a space."""
+    if arg in options:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return name, value
+    if arg[1] == "-":
+        hits = [opt for opt in options if opt.startswith(name)]
+        value = value if eq else None
+    else:
+        hits = [arg[:2]] if arg[:2] in options else []
+        value = arg[2:]
+    if len(hits) == 1:
+        return hits[0], value
+    if hits:
+        _usage_error(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None, None
+    _usage_error(command, f"unrecognized arguments: {arg}")
+
+
+def _read_args(argv: list[str]) -> dict:
+    """The command and its options, keyed by destination, read from argv by
+    the command table with argparse's syntax: options before or after the
+    file, "--opt value", "--opt=value" and unique prefixes of long options,
+    "-n3", "-n 3" and "-n=3", the last value of a repeated option (--flux
+    appends), and "--" next to the file.  A value that follows its option
+    after a space is taken whatever it starts with.  A usage error prints
+    the usage and exits 2; -h and --help print the help and exit 0."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command in ("-h", "--help") or (command and len(command) > 2
+                                           and "--help".startswith(command)):
+            print(_help(None))
+            raise SystemExit(0)
+        _usage_error(None, "the following arguments are required: command"
+                     if command is None or command[:1] == "-" else
+                     f"argument command: invalid choice: {command!r} (choose from "
+                     f"{', '.join(map(repr, _COMMANDS))})")
+    _, takes_file, options, defaults, required = _COMMANDS[command]
+    args = {"command": command, **defaults}
+    seen, switched = set(), {}
+    file_at = dashes = None
+    i, count = 1, len(argv)
+    while i < count:
+        arg = argv[i]
+        i += 1
+        opt = None
+        if arg[:1] == "-" and arg != "-" and dashes is None:
+            if arg == "--":
+                dashes = i - 1
+                continue
+            opt, value = _option(command, options, arg)
+        if opt is None:
+            if not takes_file or file_at is not None:
+                _usage_error(command, f"unrecognized arguments: {arg}")
+            args["file"], file_at = arg, i - 1
+            continue
+        dest, convert, third, _ = options[opt]
+        if convert is None:
+            if value is not None:
+                _usage_error(command, f"argument {opt}: ignored explicit argument {value!r}")
+            if dest == "help":
+                print(_help(command))
+                raise SystemExit(0)
+            if switched.setdefault(dest, opt) != opt:
+                _usage_error(command, f"argument {opt}: not allowed with argument "
+                                      f"{switched[dest]}")
+            args[dest] = third
+        else:
+            if value is None:
+                if i == count:
+                    _usage_error(command, f"argument {opt}: expected one argument")
+                value = argv[i]
+                i += 1
+            if convert is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(command, f"argument {opt}: invalid int value: {value!r}")
+            if not third:
+                args[dest] = value
+            elif args[dest] is None:
+                args[dest] = [value]
+            else:
+                args[dest].append(value)
+        seen.add(opt)
+    # argparse takes "--" only right before or after the file
+    if dashes is not None and file_at not in (dashes - 1, dashes + 1):
+        _usage_error(command, "unrecognized arguments: --")
+    missing = [opt for opt in required if opt not in seen]
+    if takes_file and file_at is None:
+        missing.insert(0, "file")
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else argv)
+    command = args["command"]
     started = time.monotonic()
     try:
-        if args.command == "classify":
-            report = cmd_classify(_read_problem(args.file), symbolic=args.symbolic)
-        elif args.command == "claws":
-            pf = _read_problem(args.file)
+        if command == "classify":
+            report = cmd_classify(_read_problem(args["file"]), symbolic=args["symbolic"])
+        elif command == "claws":
+            pf = _read_problem(args["file"])
             report = cmd_claws(pf, _ansatz_spec(pf, args),
-                               symbolic=args.symbolic, force=args.force)
-        elif args.command == "verify":
-            report = cmd_verify(_read_problem(args.file), args.density, args.flux)
+                               symbolic=args["symbolic"], force=args["force"])
+        elif command == "verify":
+            report = cmd_verify(_read_problem(args["file"]), args["density"], args["flux"])
         else:
-            report = cmd_dims(args.n, args.r)
+            report = cmd_dims(args["n"], args["r"])
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -276,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, DivisionByZeroExpr, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "as_json", True):
+    if args["as_json"]:
         print(json.dumps(report, indent=2))
     else:
         print(_render_text(report, time.monotonic() - started))

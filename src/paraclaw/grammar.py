@@ -26,9 +26,11 @@ not a RecursionError.  Each "*", "/" and "^" is charged its term-pair
 products before it runs ("^k" is k - 1 multiplications); a parse whose
 running total would pass expr.MAX_TERMS is a ParseError, so no input
 expands without bound; so is a number literal longer than
-sys.get_int_max_str_digits, and a power of a single term whose coefficient
-would have a numerator or denominator that long (decided from bit lengths
-before the power is built).
+sys.get_int_max_str_digits, and a power or product of single terms, or a
+quotient by a constant, whose coefficient would have a numerator or
+denominator that long (decided from bit lengths before it is built).  A
+product or power of polynomials is checked right after each product, so
+no coefficient grows to much more than twice the limit.
 
 A polynomial is read straight into raw terms, and an integral coefficient
 is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
@@ -38,6 +40,7 @@ arithmetic runs only from a division by a non-constant on.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -127,6 +130,40 @@ def _power_too_long(a: int, k: int) -> bool:
     if k * (bits - 1) >= bound.bit_length():
         return True
     return k * bits >= bound.bit_length() and a ** k >= bound
+
+
+def _product_too_long(p: int, q: int, r: int, s: int) -> bool:
+    """The numerator or denominator of (p/q)(r/s) has more than
+    sys.get_int_max_str_digits() decimal digits, decided like
+    _power_too_long before the product is built: each part is xy, x and y
+    cross-reduced as Fraction reduces them, and with b the sum of their bit
+    lengths, 2^(b-2) <= |xy| < 2^b, so xy is built only when the bit length
+    of 10^limit lies between."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or not p or not r or (p.bit_length() + r.bit_length() <= 3 * limit
+                                       and q.bit_length() + s.bit_length() <= 3 * limit):
+        return False  # 10^limit >= 2^(3 limit)
+    g, h = math.gcd(p, s), math.gcd(r, q)
+    bound = 10 ** limit
+    for x, y in ((p // g, r // h), (q // h, s // g)):
+        bits = x.bit_length() + y.bit_length()
+        if bits - 2 >= bound.bit_length() or (
+                bits >= bound.bit_length() and abs(x * y) >= bound):
+            return True
+    return False
+
+
+def _coefficients_too_long(terms: dict) -> bool:
+    """A coefficient of the raw terms has a numerator or denominator with
+    more than sys.get_int_max_str_digits() decimal digits."""
+    limit = sys.get_int_max_str_digits()
+    cap = 3 * limit  # 10^limit >= 2^cap
+    long = [c for c in terms.values()
+            if c.numerator.bit_length() > cap or c.denominator.bit_length() > cap]
+    if not limit or not long:
+        return False
+    bound = 10 ** limit
+    return any(abs(c.numerator) >= bound or c.denominator >= bound for c in long)
 
 
 def _as_expr(value: dict | Expr) -> Expr:
@@ -272,9 +309,14 @@ class _Parser:
         product is built once.  rest is the product of the other factors
         (multi-term polynomials, rational functions), or of everything up
         to a non-constant divisor.  Each operator is charged the term pairs
-        of the Poly products that multiplying out left to right would run."""
+        of the Poly products that multiplying out left to right would run.
+        A polynomial coefficient longer than the digit limit is refused at
+        its operator: c is checked before each product from bit lengths,
+        and rest after each product, so no coefficient is built with more
+        than about twice the limit; c * rest is checked at the end, and
+        refused at the operator that last changed either."""
         c, m, rest = 1, (), None
-        op = None
+        op = grown = None
         tokens = self.tokens
         while True:
             f = self.parse_unary()
@@ -291,7 +333,12 @@ class _Parser:
             if op is None or op[0] == "*":
                 if single:
                     for fm, fc in f.items():
-                        c *= fc
+                        if fc != 1:
+                            if op is not None and _product_too_long(
+                                    c.numerator, c.denominator, fc.numerator, fc.denominator):
+                                self.too_long("product", op)
+                            c *= fc
+                            grown = op
                         m = mono_mul(m, fm)
                     if not f:
                         c = 0
@@ -300,16 +347,26 @@ class _Parser:
                         rest = f
                     elif type(rest) is dict and type(f) is dict:
                         rest = (Poly(rest) * Poly(f)).terms
+                        if _coefficients_too_long(rest):
+                            self.too_long("product", op)
                     else:
                         rest = _as_expr(rest) * _as_expr(f)
+                    grown = op
             elif single and () in f:
-                c = Fraction(c, f[()])
+                d = f[()]
+                if _product_too_long(c.numerator, c.denominator, d.denominator, d.numerator):
+                    self.too_long("quotient", op)
+                c = Fraction(c, d)
+                grown = op
             elif c:
                 rest = _as_expr(_product(c, m, rest)) / _as_expr(f)
                 c, m = 1, ()
             op = tokens[self.pos]
             if op[0] != "*" and op[0] != "/":
-                return _product(c, m, rest)
+                value = _product(c, m, rest)
+                if c != 1 and type(rest) is dict and _coefficients_too_long(value):
+                    self.too_long("product", grown)
+                return value
             self.pos += 1
 
     def charge(self, op: tuple, pairs: int) -> None:
@@ -319,6 +376,10 @@ class _Parser:
         if self.work > MAX_TERMS:
             raise ParseError(f"expression expands past MAX_TERMS = {MAX_TERMS} "
                              "term products", op[2], op[3])
+
+    def too_long(self, what: str, op: tuple) -> None:
+        raise ParseError(f"{what} has a coefficient longer than "
+                         f"{sys.get_int_max_str_digits()} digits", op[2], op[3])
 
     def parse_unary(self) -> dict | Expr:
         if self.tokens[self.pos][0] == "-":
@@ -342,8 +403,7 @@ class _Parser:
             self.charge(op, (k - 1) * (len(atom) + 1))
             for ac in atom.values():
                 if _power_too_long(ac.numerator, k) or _power_too_long(ac.denominator, k):
-                    raise ParseError(f"power has a coefficient longer than "
-                                     f"{sys.get_int_max_str_digits()} digits", op[2], op[3])
+                    self.too_long("power", op)
             return {tuple((s, e * k) for s, e in am): ac ** k for am, ac in atom.items()}
         num, den = (Poly(atom), None) if type(atom) is dict else (atom.num, atom.den)
         p, q = num, den
@@ -353,6 +413,8 @@ class _Parser:
             p = p * num
             if den is not None:
                 q = q * den
+            elif _coefficients_too_long(p.terms):
+                self.too_long("power", op)
         # coprime parts stay coprime under powers, so no re-reduction
         return p.terms if den is None else Expr(p, q, _raw=True)
 

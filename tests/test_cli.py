@@ -193,6 +193,105 @@ class TestParseEquivalence:
             "budget": 30, "past_max_terms": 8, "past_max_nesting": 6}
 
 
+class TestArguments:
+    """cli's own argument reader: argparse's syntax and usage errors, with
+    the reference parser of tests/util.py as the oracle."""
+
+    def test_matches_argparse(self):
+        from util import suite_argv_equivalence
+        assert suite_argv_equivalence() == {
+            "valid": 300, "dash": 300, "dash_refused_by_argparse": 141,
+            "space": 215, "equals": 180, "repeat": 231, "negative": 105,
+            "prefix": 166, "dashes": 109, "attached": 47,
+            "unknown": 43, "ambiguous": 34, "missing_value": 28,
+            "missing_required": 43, "bad_int": 39, "json_text": 37,
+            "second_file": 40, "no_command": 36}
+
+    def test_value_may_start_with_a_dash(self):
+        # argparse refused this README example with exit 2
+        from paraclaw.cli import _read_args
+        from util import argv_outcome, reference_arg_parser
+        argv = ["verify", "heat.pde", "--density", "u", "--flux", "-u_x"]
+        assert _read_args(argv) == {"command": "verify", "file": "heat.pde",
+                                    "density": "u", "flux": ["-u_x"], "as_json": True}
+        assert argv_outcome(reference_arg_parser().parse_args, argv)[:2] == ("exit", 2)
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["claws"], "usage: paraclaw claws [-h] [--jet-degree JET_DEGREE] "
+                    "[--base-degree BASE_DEGREE] [--order ORDER] [--unsafe-order] "
+                    "[--symbolic] [--force] [--json | --text] file\n"
+                    "paraclaw claws: error: the following arguments are required: file\n"),
+        (["verify", "f", "--flux", "0"],
+         "usage: paraclaw verify [-h] --density DENSITY --flux FLUX [--json | --text] file\n"
+         "paraclaw verify: error: the following arguments are required: --density\n"),
+        (["dims", "-n", "x"], "usage: paraclaw dims [-h] -n N [-r R] [--json | --text]\n"
+                              "paraclaw dims: error: argument -n: invalid int value: 'x'\n"),
+        (["claws", "f", "--j", "2"],
+         "usage: paraclaw claws [-h] [--jet-degree JET_DEGREE] "
+         "[--base-degree BASE_DEGREE] [--order ORDER] [--unsafe-order] "
+         "[--symbolic] [--force] [--json | --text] file\n"
+         "paraclaw claws: error: ambiguous option: --j could match --jet-degree, --json\n"),
+        ([], "usage: paraclaw [-h] {classify,claws,verify,dims} ...\n"
+             "paraclaw: error: the following arguments are required: command\n"),
+    ], ids=["no-file", "no-density", "bad-int", "ambiguous", "no-command"])
+    def test_usage_error(self, capsys, argv, stderr):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", stderr)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["classify", "-h"],
+                                      ["claws", "f", "--help"], ["verify", "--h"],
+                                      ["dims", "-n", "1", "-h"]])
+    def test_help(self, capsys, argv):
+        import re
+        from util import argv_outcome, reference_arg_parser
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        command = argv[0] if argv[0][0] != "-" else None
+        assert out.startswith(f"usage: paraclaw {command or '[-h]'}")
+        # the same options listed as argparse lists them
+        want = argv_outcome(reference_arg_parser().parse_args, argv)
+        assert want[:2] == ("exit", 0)
+        entries = re.compile(r"(?m)^(?: {2}| {4})(\S+)")
+        assert entries.findall(out) == entries.findall(want[2])
+
+    def test_readme_command_lines_run(self, tmp_path):
+        """Every line of README's command-line usage block exits 0 on the
+        README's heat.pde and burgers.pde, and the claws --text example
+        prints what README shows, up to its elapsed time."""
+        import re
+        import shlex
+        readme = open(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                   "README.md"), encoding="utf-8").read()
+        section = readme[readme.index("## Command line"):readme.index("### Grammar")]
+        (tmp_path / "heat.pde").write_text("n=1; u_t = u_xx")
+        (tmp_path / "burgers.pde").write_text(
+            re.search(r"```\n(n=1; u_t = [^\n]*)\n```", section).group(1))
+
+        def run(line):
+            args = shlex.split(line, comments=True)[1:]
+            return run_paraclaw([str(tmp_path / a) if a.endswith(".pde") else a
+                                 for a in args], timeout=30)
+
+        usage = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines = [line for line in usage.splitlines() if line.startswith("paraclaw ")]
+        assert len(lines) == 4
+        for line in lines:
+            proc = run(line)
+            assert proc.returncode == 0, (line, proc.stderr)
+        example = re.search(r"```sh\n\$ (paraclaw claws [^\n]*)\n(.*?)```", section, re.S)
+        shown = example.group(2).splitlines()
+        proc = run(example.group(1))
+        assert proc.returncode == 0, proc.stderr
+        printed = proc.stdout.splitlines()
+        assert shown[-1].startswith("elapsed: ") and printed[-1].startswith("elapsed: ")
+        assert printed[:-1] == shown[:-1]
+
+
 class TestNestingLimit:
     @staticmethod
     def nested(depth: int) -> str:
@@ -288,6 +387,63 @@ class TestLongLiterals:
         assert capsys.readouterr().err == (
             f"parse error: power has a coefficient longer than {self.LIMIT} digits "
             f"at {where}\n")
+
+    @pytest.mark.parametrize("source, what, where", [
+        ("n=1; u_t = 9^4500*9^4500*u_xx", "product", "1:18"),
+        ("n=1; u_t = u_xx/9^4500/9^4500", "quotient", "1:23"),
+        ("n=1; u_t = (9^4500*u + 1)*(9^4500*u_xx + 1)", "product", "1:26"),
+        ("n=1; u_t = 9^4500*(9^4500*u + 1)*u_xx", "product", "1:18"),
+        ("n=1; u_t = u_xx + (9^4500*u + 1)^2", "power", "1:33"),
+    ], ids=["single-terms", "constant-quotient", "polynomials", "coefficient-polynomial",
+            "polynomial-power"])
+    def test_product_past_the_limit(self, tmp_path, capsys, source, what, where):
+        # each factor is under the limit; the product is refused at its operator
+        import time
+        f = tmp_path / "product.pde"
+        f.write_text(source)
+        start = time.perf_counter()
+        assert main(["classify", str(f)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"parse error: {what} has a coefficient longer than {self.LIMIT} digits "
+            f"at {where}\n")
+
+    def test_product_at_the_limit_parses(self, tmp_path, capsys):
+        # 10^4299 has exactly LIMIT digits
+        f = tmp_path / "product.pde"
+        f.write_text("n=1; u_t = 10^2150*10^2149*u_xx")
+        assert main(["classify", str(f)]) == 0
+        assert capsys.readouterr().err == ""
+        assert parse_expression("u/(1/10)^2150*10^2149", 1) == 10 ** 4299 * u
+        assert parse_expression("u/10^2150/10^2149", 1) == u / 10 ** 4299
+
+    def test_product_length_is_exact(self):
+        # the bit-length decision against the digits of the built product,
+        # seeded, around the boundary, on ints and on fractions that cancel
+        import random
+        from paraclaw.grammar import _product_too_long
+        rng = random.Random(137)
+
+        def digits(k):
+            return rng.randint(10 ** (k - 1), 10 ** k - 1)
+
+        cases = []
+        sys.set_int_max_str_digits(0)  # no limit while the digits are counted
+        for _ in range(200):
+            d = rng.randint(1, self.LIMIT - 1)
+            x = digits(d) * rng.choice((1, -1))
+            y = digits(max(1, self.LIMIT - d + rng.randint(-1, 2)))
+            g = digits(rng.randint(1, 30))
+            for a, b in ((Fraction(x), Fraction(y)), (Fraction(1, abs(x)), Fraction(3, y)),
+                         (Fraction(x * g, 7), Fraction(11, y * g)),
+                         (Fraction(x * g, 7), Fraction(y, 13 * g))):
+                p = a * b
+                long = max(len(str(abs(p.numerator))), len(str(p.denominator))) > self.LIMIT
+                cases.append((a, b, long))
+        sys.set_int_max_str_digits(self.LIMIT)
+        assert [_product_too_long(a.numerator, a.denominator, b.numerator, b.denominator)
+                for a, b, _ in cases] == [long for _, _, long in cases]
+        assert 100 < sum(long for _, _, long in cases) < len(cases) - 100
 
     def test_power_at_the_limit_parses(self, tmp_path, capsys):
         # 10^4299 has exactly LIMIT digits
@@ -594,12 +750,12 @@ class TestMainEntry:
         assert report["ma"] == {"minor_affine": False, "residue_vanishes": True,
                                 "n1_affine": None}
 
-    def test_parser_built_once_and_reused(self, tmp_path, capsys):
-        """Consecutive main calls in one process share one parser and give
-        the stdout and exit code of a call with a freshly built parser."""
+    def test_reader_keeps_no_state_between_calls(self, tmp_path, capsys):
+        """Consecutive main calls in one process give the same stdout and
+        exit codes on a second round, and a usage error in between changes
+        nothing: the argument reader holds no state across calls."""
         import re
 
-        from paraclaw import cli
         f = tmp_path / "heat.pde"
         f.write_text("n=1; u_t = u_xx")
         calls = [
@@ -614,18 +770,13 @@ class TestMainEntry:
             out = capsys.readouterr().out
             return code, re.sub(r"elapsed: \S+", "elapsed: <s>", out)
 
-        reused = [run(argv) for argv in calls]
-        assert [code for code, _ in reused] == [1, 0, 0, 0]
-        fresh = []
-        for argv in calls:
-            cli._build_arg_parser.cache_clear()
-            fresh.append(run(argv))
-        assert reused == fresh
-        assert cli._build_arg_parser() is cli._build_arg_parser()
+        first = [run(argv) for argv in calls]
+        assert [code for code, _ in first] == [1, 0, 0, 0]
+        assert [run(argv) for argv in calls] == first
         with pytest.raises(SystemExit) as usage:
             main(["claws"])
         assert usage.value.code == 2
-        assert run(calls[1]) == fresh[1]
+        assert run(calls[1]) == first[1]
 
     def test_one_parabolicity_check_per_claws_request(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -23,7 +23,8 @@ search builds a replacement table.  Raw term dicts have one kernel: only ``expr`
 
 The package's imports run one way, from the command layer down to the
 kernel; each module's imports are read with ``ast``.  Every name in a
-module's ``__all__`` exists."""
+module's ``__all__`` exists.  The CLI reads its own arguments, so a request
+in a fresh interpreter leaves ``argparse`` unimported."""
 
 import ast
 import importlib
@@ -295,3 +296,14 @@ def test_all_names_resolve():
         target = importlib.import_module(module)
         missing = [name for name in getattr(target, "__all__", ()) if not hasattr(target, name)]
         assert not missing, f"{module}.__all__ names {missing}"
+
+
+def test_cli_runs_without_argparse():
+    # the CLI reads its own arguments: a request imports no argparse
+    code = ("import sys; from paraclaw import cli; rc = cli.main(['dims', '-n', '1']); "
+            "sys.stdout.flush(); sys.exit(rc + 10 * ('argparse' in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.path.dirname(PACKAGE_DIR)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 1

@@ -7,6 +7,7 @@ seeded; all assertions are exact.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -1998,6 +1999,241 @@ def suite_parse_equivalence(cases: int = 300, seed: int = 73) -> dict:
         if outcome[0] != "ok":
             counts["past_max_terms"] += "MAX_TERMS" in outcome[1]
             counts["past_max_nesting"] += "nested deeper" in outcome[1]
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# Command-line arguments: the reader against argparse
+# ---------------------------------------------------------------------------
+
+def reference_arg_parser() -> argparse.ArgumentParser:
+    """The argparse parser that read the command line before cli's own
+    reader, kept as the reference for it."""
+    ap = argparse.ArgumentParser(
+        prog="paraclaw",
+        description="Conservation laws and Monge-Ampere classification for "
+                    "evolutionary parabolic equations u_t = G(x, t, u, Du, Hess u).")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def add_output_flags(p):
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", dest="as_json", action="store_true", default=True,
+                         help="machine-readable report (default)")
+        fmt.add_argument("--text", dest="as_json", action="store_false",
+                         help="human-readable report with timing")
+
+    p_classify = sub.add_parser("classify", help="parabolicity and Monge-Ampere tests")
+    p_classify.add_argument("file", help="problem file, or - for stdin")
+    p_classify.add_argument("--symbolic", action="store_true",
+                            help="compute the traceless residue over the rational "
+                                 "functions of the jet, not at the reference jet")
+    add_output_flags(p_classify)
+
+    p_claws = sub.add_parser("claws", help="find conservation laws")
+    p_claws.add_argument("file", help="problem file, or - for stdin")
+    p_claws.add_argument("--jet-degree", type=int, default=None)
+    p_claws.add_argument("--base-degree", type=int, default=None)
+    p_claws.add_argument("--order", type=int, default=None,
+                         help="max jet order of the density ansatz (capped at 2)")
+    p_claws.add_argument("--unsafe-order", action="store_true",
+                         help="allow --order above the proven bound of 2")
+    p_claws.add_argument("--symbolic", action="store_true",
+                         help="report the traceless residue computed over the "
+                              "rational functions of the jet, not at the reference jet")
+    p_claws.add_argument("--force", action="store_true",
+                         help="proceed despite a non-parabolic symbol")
+    add_output_flags(p_claws)
+
+    p_verify = sub.add_parser("verify", help="check D_t T + Div X = 0 exactly")
+    p_verify.add_argument("file", help="problem file, or - for stdin")
+    p_verify.add_argument("--density", required=True)
+    p_verify.add_argument("--flux", action="append", required=True,
+                          help="repeat n times, one expression per direction")
+    add_output_flags(p_verify)
+
+    p_dims = sub.add_parser("dims", help="tableau and system dimensions")
+    p_dims.add_argument("-n", type=int, required=True, dest="n")
+    p_dims.add_argument("-r", type=int, default=0, dest="r")
+    add_output_flags(p_dims)
+    return ap
+
+
+def argv_outcome(read, argv: list[str]) -> tuple:
+    """("args", the options by destination) or ("exit", code, stdout,
+    stderr) for one reading of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = read(list(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    return ("args", args)
+
+
+_INT_VALUES = ("0", "1", "2", "7", "12", "-1", "-3", "+2", " 4", "5 ", "007", "-02",
+               "1_0", "٣")
+_STR_VALUES = ("u", "0", "u_x", "-", "", "x*u + 1", "=u", "a=b", "u_xx/2")
+_DASH_VALUES = ("-u_x", "-1/2*u", "--flux", "-x", "-u + 1", "-3")
+_FILES = ("p.pde", "-", "dir/x y.pde", "")
+
+
+def _unique_prefixes(options) -> dict:
+    """Each long option's shortest prefix that names it alone."""
+    out = {}
+    for opt in options:
+        if opt.startswith("--"):
+            k = 3
+            while sum(o.startswith(opt[:k]) for o in options) > 1:
+                k += 1
+            out[opt] = opt[:k]
+    return out
+
+
+def random_argv(rng: random.Random, command: str, dash: bool = False,
+                omit: str | None = None) -> tuple:
+    """A valid argv for command drawn from cli's option table: the file
+    and options in random order, each option spelled in full, as a unique
+    prefix or (short) with its value attached, its value after a space or
+    an "=", options repeated, padded and signed ints, and "--" before or
+    after the file.  With dash, one value after a space starts with "-";
+    omit names an option, or "file", left out.
+    Returns (argv, the same argv with every value after a space joined to
+    its option by "=", the forms drawn)."""
+    _, takes_file, options, _, required = cli._COMMANDS[command]
+    prefixes = _unique_prefixes(options)
+    forms = set()
+    items = []  # (tokens, joined tokens)
+    for opt, (dest, convert, third, _) in options.items():
+        if dest in ("help", "as_json") or opt == omit:
+            continue
+        times = rng.choice((0, 1, 1, 2, 3)) if opt not in required else rng.randint(1, 3)
+        for _ in range(times):
+            name = opt
+            if opt in prefixes and rng.random() < 0.4:
+                name = rng.choice((prefixes[opt], opt[:rng.randint(len(prefixes[opt]),
+                                                                    len(opt))]))
+                forms.add("prefix")
+            if convert is None:
+                items.append(([name], [name]))
+                continue
+            value = rng.choice(_INT_VALUES if convert is int else _STR_VALUES)
+            if value[:1] == "-" and value != "-":
+                forms.add("negative")
+            form = rng.choice(("space", "space", "equals")
+                              + (() if opt.startswith("--") else ("attached",)))
+            forms.add(form)
+            if form == "space":
+                items.append(([name, value], [f"{name}={value}"]))
+            else:
+                items.append(([f"{name}={value}" if form == "equals" else name + value],) * 2)
+        if times > 1:
+            forms.add("repeat")
+    if dash:
+        value_options = [(o, spec) for o, spec in options.items() if spec[1] is not None]
+        opt, (_, convert, _, _) = rng.choice(value_options)
+        value = rng.choice(_DASH_VALUES if convert is str else ("-3", "-3_0", "-0"))
+        items.append(([opt, value], [f"{opt}={value}"]))
+    switch = rng.choice(("", "", "--json", "--text"))
+    if switch:
+        items += [([switch], [switch])] * rng.randint(1, 2)
+    rng.shuffle(items)
+    if takes_file and omit != "file":
+        file = rng.choice(_FILES)
+        where = rng.randrange(4)
+        if where == 0:
+            forms.add("dashes")
+            items.append((["--", file],) * 2)
+        elif where == 1:
+            forms.add("dashes")
+            items.append(([file, "--"],) * 2)
+        else:
+            items.insert(rng.randint(0, len(items)), ([file],) * 2)
+    argv = [command] + [tok for toks, _ in items for tok in toks]
+    joined = [command] + [tok for _, toks in items for tok in toks]
+    return argv, joined, forms
+
+
+def malformed_argv(rng: random.Random, kind: str) -> list[str]:
+    """An argv with one usage error of the given kind, built on a valid
+    one: an unknown or ambiguous option, a missing value, a missing
+    required option or file, a bad int, --json with --text, a second file,
+    or no command."""
+    command = rng.choice({"ambiguous": ("claws",), "bad_int": ("claws", "dims"),
+                          "missing_value": ("claws", "verify", "dims")}
+                         .get(kind, tuple(cli._COMMANDS)))
+    _, takes_file, options, _, required = cli._COMMANDS[command]
+    if kind == "missing_required":
+        return random_argv(rng, command, omit=rng.choice(
+            (("file",) if takes_file else ()) + required))[0]
+    argv = [a for a in random_argv(rng, command)[0] if a != "--"]
+    if kind == "unknown":
+        argv.insert(rng.randint(1, len(argv)),
+                    rng.choice(("--bogus", "-x", "--jsonx", "--symbolicx", "-q=1")))
+    elif kind == "ambiguous":
+        argv.insert(rng.randint(1, len(argv)), rng.choice(("--j", "--j=2", "--=2")))
+    elif kind == "missing_value":
+        argv.append(rng.choice([o for o, spec in options.items() if spec[1] is not None]))
+    elif kind == "bad_int":
+        opt = rng.choice([o for o, spec in options.items() if spec[1] is int])
+        argv[1:1] = rng.choice(([opt, rng.choice(("x", "1.5", "", "3e2", "0x10"))],
+                                [f"{opt}=" + rng.choice(("x", "", "2.0"))]))
+    elif kind == "json_text":
+        argv[1:1] = rng.sample(["--json", "--text"], 2)
+    elif kind == "second_file":
+        argv.insert(rng.randint(1, len(argv)), rng.choice(("q.pde", "-")))
+    else:
+        argv = rng.choice(([], ["--json"], ["classfy", "p.pde"], ["--", "classify", "p.pde"],
+                           ["-x", "dims", "-n", "1"]))
+    return argv
+
+
+def suite_argv_equivalence(cases: int = 300, seed: int = 151) -> dict:
+    """cli's argument reader against argparse with the reference parser,
+    on seeded argvs drawn per command from the option table, and on
+    malformed ones with one usage error each.  Both must accept the same
+    argvs with equal values for every destination, and refuse the same
+    ones with exit 2, the reader with an argparse-shaped usage error.  The
+    one exception is a value after a space that starts with "-": the reader
+    takes it, where argparse refuses it unless it reads as a negative number
+    or holds a space; there the reader's values must equal both readers'
+    on the argv with that value joined to its option by "=".  Returns the
+    draw counts."""
+    rng = random.Random(seed)
+    ref = reference_arg_parser()
+    read = cli._read_args
+
+    def reference(argv):
+        return vars(ref.parse_args(argv))
+
+    counts = {"valid": 0, "dash": 0, "dash_refused_by_argparse": 0}
+    for _ in range(cases):
+        command = rng.choice(tuple(cli._COMMANDS))
+        argv, joined, forms = random_argv(rng, command)
+        got, want = argv_outcome(read, argv), argv_outcome(reference, argv)
+        assert got[0] == "args" and got == want, f"{argv}: {got} != {want}"
+        counts["valid"] += 1
+        for form in forms:
+            counts[form] = counts.get(form, 0) + 1
+        argv, joined, _ = random_argv(rng, rng.choice(("claws", "verify", "dims")), dash=True)
+        got = argv_outcome(read, argv)
+        want = argv_outcome(reference, joined)
+        assert got[0] == "args" and got == argv_outcome(read, joined) == want, \
+            f"{argv}: {got} != {want}"
+        plain = argv_outcome(reference, argv)
+        assert plain == got or plain[:2] == ("exit", 2), f"{argv}: {plain}"
+        counts["dash"] += 1
+        counts["dash_refused_by_argparse"] += plain[0] == "exit"
+    kinds = ("unknown", "ambiguous", "missing_value", "missing_required", "bad_int",
+             "json_text", "second_file", "no_command")
+    for _ in range(cases):
+        kind = rng.choice(kinds)
+        argv = malformed_argv(rng, kind)
+        got, want = argv_outcome(read, argv), argv_outcome(reference, argv)
+        assert got[:3] == want[:3] == ("exit", 2, ""), f"{kind} {argv}: {got} != {want}"
+        usage, error = got[3].splitlines()
+        assert usage.startswith("usage: paraclaw ") and error.startswith("paraclaw"), got[3]
+        assert ": error: " in error, got[3]
+        counts[kind] = counts.get(kind, 0) + 1
     return counts
 
 
