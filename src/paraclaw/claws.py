@@ -376,12 +376,13 @@ def solve_exact(system: DeterminingSystem) -> list[dict]:
     The null space is the same under any row order, so the rows are fed to
     the elimination in an order that keeps it cheap.  First, for each
     distinct smallest column, in decreasing order, its sparsest row: each
-    has its pivot below every kept one, where no kept row holds it, so they
-    are independent and nothing is back-substituted, and a system of full
-    rank stops after them (``linalg.rref`` stops at full rank).  Then the
-    other rows, last-first: in assembly order a row's smallest column is
-    the column that first met its key, so a new pivot again mostly lies
-    below the kept ones.  Zero rows are skipped."""
+    has its pivot below every kept one, so they are independent, and a
+    system of full rank stops after them (``linalg.nullspace`` stops at
+    full rank).  Then the other rows, last-first: in assembly order a row's
+    smallest column is the column that first met its key, so a new pivot
+    again mostly lies below the kept ones.  Each row is reduced forward
+    only, and the kept rows are back-substituted once, at the end.  Zero
+    rows are skipped."""
     leaders: dict = {}  # smallest column -> its sparsest row
     rest = []
     for row in reversed(system.rows):
@@ -498,13 +499,13 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
     densities, characteristics = generate_ansatz(eq, spec)
-    pivots = linalg.RankEchelon()
+    pivots = linalg.Echelon()
     keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
     densities = [densities[k] for k in keep]
     characteristics = [characteristics[k] for k in keep]
     system = assemble_determining_system(eq, characteristics)
     basis = solve_exact(system)
-    kept = linalg.RankEchelon()
+    kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
     d, (dG,) = _cleared([eq.G.num.terms])  # the basis is empty unless G is a polynomial
     D_G = _prolongations(dG)

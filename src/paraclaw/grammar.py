@@ -29,8 +29,9 @@ expands without bound; so is a number literal longer than
 sys.get_int_max_str_digits, and a power or product of single terms, or a
 quotient by a constant, whose coefficient would have a numerator or
 denominator that long (decided from bit lengths before it is built).  A
-product or power of polynomials is checked right after each product, so
-no coefficient grows to much more than twice the limit.
+product or power of polynomials is checked right after each product, and a
+sum after each "+" or "-", so no coefficient grows to much more than twice
+the limit.
 
 A polynomial is read straight into raw terms, and an integral coefficient
 is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
@@ -153,12 +154,12 @@ def _product_too_long(p: int, q: int, r: int, s: int) -> bool:
     return False
 
 
-def _coefficients_too_long(terms: dict) -> bool:
-    """A coefficient of the raw terms has a numerator or denominator with
-    more than sys.get_int_max_str_digits() decimal digits."""
+def _coefficients_too_long(coefficients) -> bool:
+    """One of the coefficients has a numerator or denominator with more
+    than sys.get_int_max_str_digits() decimal digits."""
     limit = sys.get_int_max_str_digits()
     cap = 3 * limit  # 10^limit >= 2^cap
-    long = [c for c in terms.values()
+    long = [c for c in coefficients
             if c.numerator.bit_length() > cap or c.denominator.bit_length() > cap]
     if not limit or not long:
         return False
@@ -290,17 +291,27 @@ class _Parser:
         return Fraction(sign * p)
 
     def parse_expr(self) -> dict | Expr:
-        """A sum; polynomial terms are added into the first one in place."""
+        """A sum; polynomial terms are added into the first one in place.  A
+        coefficient longer than the digit limit is refused at its "+" or
+        "-": on terms, only the coefficients that operator added into are
+        checked, so a long sum stays linear; on an Expr, its numerator and
+        denominator."""
         acc = self.parse_term()
         tokens = self.tokens
-        while (op := tokens[self.pos][0]) == "+" or op == "-":
+        while (op := tokens[self.pos])[0] == "+" or op[0] == "-":
             self.pos += 1
             rhs = self.parse_term()
             if type(acc) is dict and type(rhs) is dict:
-                _add_terms(acc, rhs, None if op == "+" else -1)
+                merged = [m for m in rhs if m in acc]  # a new key keeps rhs's checked coefficient
+                _add_terms(acc, rhs, None if op[0] == "+" else -1)
+                long = merged and _coefficients_too_long([acc[m] for m in merged if m in acc])
             else:
-                acc = _as_expr(acc) + _as_expr(rhs) if op == "+" else \
+                acc = _as_expr(acc) + _as_expr(rhs) if op[0] == "+" else \
                     _as_expr(acc) - _as_expr(rhs)
+                long = (_coefficients_too_long(acc.num.terms.values())
+                        or _coefficients_too_long(acc.den.terms.values()))
+            if long:
+                self.too_long("sum", op)
         return acc
 
     def parse_term(self) -> dict | Expr:
@@ -347,7 +358,7 @@ class _Parser:
                         rest = f
                     elif type(rest) is dict and type(f) is dict:
                         rest = (Poly(rest) * Poly(f)).terms
-                        if _coefficients_too_long(rest):
+                        if _coefficients_too_long(rest.values()):
                             self.too_long("product", op)
                     else:
                         rest = _as_expr(rest) * _as_expr(f)
@@ -364,7 +375,7 @@ class _Parser:
             op = tokens[self.pos]
             if op[0] != "*" and op[0] != "/":
                 value = _product(c, m, rest)
-                if c != 1 and type(rest) is dict and _coefficients_too_long(value):
+                if c != 1 and type(rest) is dict and _coefficients_too_long(value.values()):
                     self.too_long("product", grown)
                 return value
             self.pos += 1
@@ -413,7 +424,7 @@ class _Parser:
             p = p * num
             if den is not None:
                 q = q * den
-            elif _coefficients_too_long(p.terms):
+            elif _coefficients_too_long(p.terms.values()):
                 self.too_long("power", op)
         # coprime parts stay coprime under powers, so no re-reduction
         return p.terms if den is None else Expr(p, q, _raw=True)

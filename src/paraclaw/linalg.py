@@ -2,18 +2,19 @@
 tests and particular solutions.
 
 Rows are sparse dicts ``{column: coefficient}`` with ``int`` or ``Fraction``
-entries.  All sparse elimination is one incremental Gauss-Jordan loop,
-:class:`Echelon`, which runs fraction-free, after Bareiss (Math. Comp. 22,
-1968): each row is scaled to integers once, eliminated with Python ints,
-and kept primitive by dividing out the gcd of its entries (where Bareiss
-divides exactly by the previous pivot).  ``rref`` divides by the pivots
-once, at the end, and returns ``Fraction`` rows sorted by pivot.  An
-independence test that reads no reduced row runs forward only, on the same
-cancellation, in :class:`RankEchelon`.  The
-reduced row echelon form is unique for a fixed column order, so the result
-depends neither on the row order nor on the arithmetic.  Everything is exact -- no
-floating point anywhere, which is what keeps determining-system null
-spaces honest.
+entries.  All sparse elimination is one loop, ``_reduce``, run by one
+incremental echelon, :class:`Echelon`, fraction-free, after Bareiss (Math.
+Comp. 22, 1968): each row is scaled to integers once, eliminated with
+Python ints, and kept primitive by dividing out the gcd of its entries
+(where Bareiss divides exactly by the previous pivot).  A row is reduced
+forward only, at its kept pivots, smallest first, which is all that an
+independence test reads; the kept rows are back-substituted once, at the
+end, when a reduced row is read.  ``nullspace`` reads its vectors off
+those ``int`` rows, and ``rref`` divides them by the pivots and returns
+``Fraction`` rows sorted by pivot.  The reduced row echelon form is unique
+for a fixed column order, so the result depends neither on the row order
+nor on the arithmetic.  Everything is exact -- no floating point anywhere,
+which is what keeps determining-system null spaces honest.
 """
 
 from __future__ import annotations
@@ -33,16 +34,9 @@ def rref(rows: list[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]
 
     Returns (reduced nonzero rows, pivot column per row), in increasing
     pivot order; the rows have ``Fraction`` entries.  Input rows are not
-    mutated.  Every key is a column below ``ncols``, so once ``ncols``
-    pivots are kept every later row reduces to 0: ``rows`` is consumed only
-    up to full rank.
+    mutated, and are consumed only up to full rank (:func:`_full_rank`).
     """
-    echelon = Echelon()
-    for row in rows:
-        echelon.add(row)
-        if echelon.rank == ncols:
-            break
-    reduced = echelon.rows
+    reduced = _full_rank(rows, ncols).rows
     pivots = sorted(reduced)
     return [reduced[p] for p in pivots], pivots
 
@@ -53,32 +47,46 @@ def nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     entry.  Vectors are sparse: {column: Fraction} over their nonzero
     entries, in increasing column order.
 
-    The vector of free column f is L e_f - sum_p (n_p L / d_p) e_p over the
-    reduced rows with entry n_p / d_p (in lowest terms) at f, where L is
-    the lcm of the d_p.  It is primitive: a prime dividing L divides some d_p
-    to its full power in L, and then not n_p L / d_p.  Each such pivot p is
-    smaller than f, so the sign of the vector is set by the first of them.
+    Read off the primitive ``int`` rows of the reduced echelon: with
+    a_p / d_p the entry r_p[f] / r_p[p] of the row of pivot p at the free
+    column f, in lowest terms, and L the lcm of the d_p, the vector of f is
+    L e_f - sum_p a_p (L / d_p) e_p.  It is primitive: a prime dividing L
+    divides some d_p to its full power in L, and then not a_p L / d_p.
+    Each such pivot p is smaller than f, so the sign of the vector is set
+    by the first of them.
     """
-    reduced, pivots = rref(rows, ncols)
+    reduced = _full_rank(rows, ncols).reduced()
     by_column: dict[int, list] = {}
-    for row, piv in zip(reduced, pivots):
-        for c, v in row.items():
-            if c != piv:
-                by_column.setdefault(c, []).append((piv, v))
-    pivot_set = set(pivots)
+    for p in sorted(reduced):
+        row = reduced[p]
+        d = row[p]
+        for c, a in row.items():
+            if c != p:
+                g = gcd(a, d)
+                by_column.setdefault(c, []).append((p, a // g, d // g))
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in reduced:
             continue
         entries = by_column.get(free, ())
-        scale = lcm(*(v.denominator for _, v in entries)) if entries else 1
+        scale = lcm(*(d for _, _, d in entries)) if entries else 1
         if entries and entries[0][1] > 0:
             scale = -scale
-        vec = {piv: Fraction(-v.numerator * (scale // v.denominator))
-               for piv, v in entries}
+        vec = {p: Fraction(-a * (scale // d)) for p, a, d in entries}
         vec[free] = Fraction(scale)
         basis.append(vec)
     return basis
+
+
+def _full_rank(rows: list[SparseRow], ncols: int) -> Echelon:
+    """The echelon of rows, added until every one of the ``ncols`` columns
+    is a pivot: every later row would reduce to 0."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+        if echelon.rank == ncols:
+            break
+    return echelon
 
 
 def _integral(row: SparseRow) -> SparseRow:
@@ -91,23 +99,40 @@ def _integral(row: SparseRow) -> SparseRow:
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
-def _cancel(row: SparseRow, key, other: SparseRow) -> None:
-    """row := a row - b other in place, with a, b coprime and a > 0, so that
-    the entry at key cancels; other[key] must be positive."""
-    a, b = other[key], row[key]
-    g = gcd(a, b)
-    if g != 1:
-        a //= g
-        b //= g
-    if a != 1:
-        for c in row:
-            row[c] *= a
-    for c, v in other.items():
-        acc = row.get(c, 0) - b * v
-        if acc:
-            row[c] = acc
-        else:
-            del row[c]
+def _reduce(row: SparseRow, kept: dict, own=None) -> None:
+    """Cancel the ``int`` row in place at each of its keys that is a kept
+    pivot other than own, smallest first: row := a row - b kept[key], with
+    a, b coprime and a > 0.  Each kept row holds no key below its pivot, so
+    a cancellation brings in only larger keys; one that is a kept pivot
+    joins the heap as it enters."""
+    heap = [k for k in row if k in kept and k != own]
+    heapify(heap)
+    while heap:
+        key = heappop(heap)
+        b = row.get(key)
+        if b is None:  # cancelled on the way
+            continue
+        other = kept[key]
+        a = other[key]
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        for c, v in other.items():
+            acc = row.get(c)
+            if acc is None:
+                row[c] = -b * v
+                if c in kept:
+                    heappush(heap, c)
+            else:
+                acc -= b * v
+                if acc:
+                    row[c] = acc
+                else:
+                    del row[c]
 
 
 def _make_primitive(row: SparseRow, pivot) -> None:
@@ -122,28 +147,23 @@ def _make_primitive(row: SparseRow, pivot) -> None:
 
 
 class Echelon:
-    """Incremental fraction-free Gauss-Jordan echelon of sparse rows over
-    orderable keys.
+    """Incremental fraction-free echelon of sparse rows over orderable keys.
 
     Rows with ``int``, ``Fraction`` or mixed entries are accepted; each is
-    scaled to an ``int`` row once, in :meth:`add`.  Every kept row is a
-    primitive ``int`` row, positive at its pivot (its smallest key) and 0
-    at every other pivot, so the kept rows divided by their pivot entries,
-    :attr:`rows`, are the reduced row echelon form of the rows added so
-    far.  A new pivot is back-substituted into the kept rows only when it
-    is above the smallest kept pivot: no kept row holds a key below its
-    own pivot."""
+    scaled to an ``int`` row once, in :meth:`add`, and reduced forward
+    only.  Every kept row is a primitive ``int`` row, positive at its pivot
+    (its smallest key); :meth:`reduced` back-substitutes them once, so
+    that each is also 0 at every other pivot."""
 
     def __init__(self) -> None:
         self._rows: dict = {}  # pivot key -> primitive int row
-        self._lowest = None  # the smallest kept pivot
 
     @property
     def rows(self) -> dict:
-        """pivot key -> reduced row: the kept row divided by its pivot entry,
-        with ``Fraction`` entries."""
+        """pivot key -> reduced row: the :meth:`reduced` row divided by its
+        pivot entry, with ``Fraction`` entries."""
         return {p: {c: Fraction(v, row[p]) for c, v in row.items()}
-                for p, row in self._rows.items()}
+                for p, row in self.reduced().items()}
 
     @property
     def rank(self) -> int:
@@ -154,65 +174,24 @@ class Echelon:
         """Keep row and return True when it is linearly independent of the
         kept rows; return False otherwise.  The input is not mutated."""
         rest = _integral(row)
-        kept = self._rows
-        for key in [k for k in rest if k in kept]:
-            _cancel(rest, key, kept[key])
+        _reduce(rest, self._rows)
         if not rest:
             return False
         pivot = min(rest)
         _make_primitive(rest, pivot)
-        if kept and pivot > self._lowest:
-            for p, target in kept.items():
-                if target.get(pivot):
-                    _cancel(target, pivot, rest)
-                    _make_primitive(target, p)
-        else:  # no kept row holds a key below its own pivot: none holds this one
-            self._lowest = pivot
-        kept[pivot] = rest
+        self._rows[pivot] = rest
         return True
 
-
-class RankEchelon:
-    """Forward-only fraction-free echelon of sparse rows over orderable keys:
-    the independence test of :class:`Echelon` without its reduced rows.
-
-    Every kept row is a primitive ``int`` row, positive at its pivot (its
-    smallest key), and is never touched again.  An incoming row is
-    cancelled at each of its keys that is a kept pivot, smallest first, so
-    each cancellation brings in only larger keys; it is independent exactly
-    when something is left.  :meth:`add` answers as ``Echelon.add`` does,
-    row by row, without scanning the kept rows."""
-
-    def __init__(self) -> None:
-        self._rows: dict = {}  # pivot key -> primitive int row
-
-    @property
-    def rank(self) -> int:
-        """The number of kept rows: the rank of the rows added so far."""
-        return len(self._rows)
-
-    def add(self, row: SparseRow) -> bool:
-        """Keep row and return True when it is linearly independent of the
-        kept rows; return False otherwise.  The input is not mutated."""
-        rest = _integral(row)
+    def reduced(self) -> dict:
+        """pivot key -> kept row, back-substituted in place, largest pivot
+        first, so each row is cancelled only by rows already reduced: the
+        kept rows over their pivot entries are the reduced row echelon form
+        of the rows added so far."""
         kept = self._rows
-        heap = [k for k in rest if k in kept]  # the kept pivots in rest
-        heapify(heap)
-        while heap:
-            key = heappop(heap)
-            if key not in rest:  # cancelled on the way
-                continue
-            other = kept[key]
-            new = [c for c in other if c not in rest and c in kept]
-            _cancel(rest, key, other)
-            for c in new:
-                heappush(heap, c)
-        if not rest:
-            return False
-        pivot = min(rest)
-        _make_primitive(rest, pivot)
-        kept[pivot] = rest
-        return True
+        for p in sorted(kept, reverse=True):
+            _reduce(kept[p], kept, p)
+            _make_primitive(kept[p], p)
+        return kept
 
 
 def solve_particular(rows: list[SparseRow], rhs: Sequence[Fraction],

@@ -417,6 +417,37 @@ class TestLongLiterals:
         assert parse_expression("u/(1/10)^2150*10^2149", 1) == 10 ** 4299 * u
         assert parse_expression("u/10^2150/10^2149", 1) == u / 10 ** 4299
 
+    NINES = "9" * LIMIT
+
+    @pytest.mark.parametrize("source, where", [
+        ("n=1; u_t = u_xx + {0}*u + {0}*u", "1:4322"),
+        ("n=1; u_t = u_xx - {0}*u - {0}*u", "1:4322"),
+        ("n=1; u_t = ({0}*u + {0}*u)*u_x", "1:4316"),
+        ("n=1; u_t = {0}*u/(u_x + 1) + {0}*u/(u_x + 1)", "1:4325"),
+    ], ids=["sum", "difference", "sum-times-factor", "rational"])
+    def test_sum_past_the_limit(self, tmp_path, capsys, source, where):
+        # each term is at the limit; the sum is refused at its + or -
+        import time
+        f = tmp_path / "sum.pde"
+        f.write_text(source.format(self.NINES))
+        start = time.perf_counter()
+        assert main(["classify", str(f)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"parse error: sum has a coefficient longer than {self.LIMIT} digits "
+            f"at {where}\n")
+
+    def test_sum_at_the_limit_parses(self, tmp_path, capsys):
+        # 9*10^4299 has exactly LIMIT digits, 10^4300 one more
+        f = tmp_path / "sum.pde"
+        f.write_text("n=1; u_t = u_xx + 5*10^4299*u + 4*10^4299*u")
+        assert main(["classify", str(f)]) == 0
+        assert capsys.readouterr().err == ""
+        f.write_text("n=1; u_t = u_xx + 5*10^4299*u + 5*10^4299*u")
+        assert main(["classify", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: sum has a coefficient longer than {self.LIMIT} digits at 1:31\n")
+
     def test_product_length_is_exact(self):
         # the bit-length decision against the digits of the built product,
         # seeded, around the boundary, on ints and on fractions that cancel

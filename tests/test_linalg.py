@@ -1,6 +1,7 @@
 """Exact sparse linear algebra: the incremental RREF against the column-sweep
-reference, null spaces, the independence test and particular solutions,
-over seeded random rational, integer and mixed matrices."""
+reference, the forward-only echelon against the eager one, null spaces
+against the Fraction route, the independence test and particular
+solutions, over seeded random rational, integer and mixed matrices."""
 
 import copy
 import random
@@ -9,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from paraclaw import linalg
-from util import naive_rref, suite_rank_echelon_equivalence
+from paraclaw.corpus import CORPUS
+from util import naive_rref, suite_nullspace_equivalence, suite_rank_echelon_equivalence
 
 SHAPES = [(1, 1), (3, 3), (8, 8), (12, 5), (20, 6), (4, 15), (6, 24), (0, 4)]
 
@@ -190,10 +192,22 @@ def test_echelon_add_is_true_exactly_when_rank_grows():
 
 
 def test_rank_echelon_answers_as_echelon():
-    # planted dependencies over int, Fraction and mixed rows, and the
-    # corpus pivot passes at the default bounds and at 2/2/1
+    # the forward-only echelon against the eager reference: planted
+    # dependencies over int, Fraction and mixed rows and string keys, and
+    # the corpus pivot passes at the default bounds and at 2/2/1, with
+    # reduced rows read in the middle of runs
     counts = suite_rank_echelon_equivalence(cases=120)
     assert counts["rows"] > 3000 and 0 < counts["kept"] < counts["rows"]
+    assert counts["reads"] > 100
+
+
+def test_nullspace_matches_fraction_route():
+    # random sparse systems, with empty columns and of full rank, and the
+    # corpus searches and heat_2d at 2/2/2
+    counts = suite_nullspace_equivalence(cases=150)
+    assert counts["systems"] == 150 + 2 * len(CORPUS) + 1
+    assert counts["empty_column"] > 50 and counts["full_rank"] > 20
+    assert counts["vectors"] > 1000
 
 
 def test_echelon_over_orderable_keys():

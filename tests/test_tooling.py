@@ -119,22 +119,22 @@ def test_search_takes_one_euler_operator(monkeypatch, source, spec):
     ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
     ("n=1; u_t = u_x", (2, 2, 0)),
 ], ids=["burgers", "heat_2d", "transport"])
-def test_search_builds_echelon_only_in_rref(monkeypatch, source, spec):
-    # the pivot pass and the law loop only test independence, on the
-    # forward-only RankEchelon; the one reduced echelon is the null space's
+def test_search_back_substitutes_once(monkeypatch, source, spec):
+    # the pivot pass and the law loop only test independence, forward only;
+    # the null space back-substitutes its echelon once
     from paraclaw import claws, linalg
     from paraclaw.grammar import parse
-    builders = []
+    callers = []
+    reduced = linalg.Echelon.reduced
 
-    class Recording(linalg.Echelon):
-        def __init__(self):
-            builders.append(sys._getframe(1).f_code.co_name)
-            super().__init__()
+    def recording(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return reduced(self)
 
-    monkeypatch.setattr(linalg, "Echelon", Recording)
+    monkeypatch.setattr(linalg.Echelon, "reduced", recording)
     laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
     assert laws
-    assert builders == ["rref"]
+    assert callers == ["nullspace"]
 
 
 TRACED_SEARCH = """

@@ -452,6 +452,99 @@ def rank(rows: list[dict], ncols: int) -> int:
     return len(linalg.rref(rows, ncols)[1])
 
 
+def _reference_cancel(row: dict, key, other: dict) -> None:
+    """row := a row - b other in place, with a, b coprime and a > 0, so that
+    the entry at key cancels; other[key] must be positive."""
+    a, b = other[key], row[key]
+    g = math.gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in other.items():
+        acc = row.get(c, 0) - b * v
+        if acc:
+            row[c] = acc
+        else:
+            del row[c]
+
+
+class ReferenceEchelon:
+    """The eager fraction-free Gauss-Jordan echelon: every kept row is a
+    primitive ``int`` row, positive at its pivot (its smallest key) and 0
+    at every other pivot after each :meth:`add`, since a new pivot is
+    back-substituted into the kept rows at once, unless it lies below every
+    kept pivot (no kept row holds a key below its own pivot).  Kept to
+    check the forward-only paraclaw.linalg.Echelon, which back-substitutes
+    once, when its reduced rows are read."""
+
+    def __init__(self) -> None:
+        self._rows: dict = {}  # pivot key -> primitive int row
+        self._lowest = None  # the smallest kept pivot
+
+    @property
+    def rows(self) -> dict:
+        return {p: {c: Fraction(v, row[p]) for c, v in row.items()}
+                for p, row in self._rows.items()}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, row: dict) -> bool:
+        rest = linalg._integral(row)
+        kept = self._rows
+        for key in [k for k in rest if k in kept]:
+            _reference_cancel(rest, key, kept[key])
+        if not rest:
+            return False
+        pivot = min(rest)
+        linalg._make_primitive(rest, pivot)
+        if kept and pivot > self._lowest:
+            for p, target in kept.items():
+                if target.get(pivot):
+                    _reference_cancel(target, pivot, rest)
+                    linalg._make_primitive(target, p)
+        else:
+            self._lowest = pivot
+        kept[pivot] = rest
+        return True
+
+
+def reference_nullspace(rows: list[dict], ncols: int) -> list[dict]:
+    """linalg.nullspace on the Fraction route: the reduced rows of
+    :class:`ReferenceEchelon` divided by their pivots, and the vector of
+    free column f scaled by the lcm L of the denominators d_p of the
+    entries n_p / d_p at f, L e_f - sum_p (n_p L / d_p) e_p, with a
+    positive leading entry."""
+    echelon = ReferenceEchelon()
+    for row in rows:
+        echelon.add(row)
+        if echelon.rank == ncols:
+            break
+    reduced = echelon.rows
+    by_column: dict[int, list] = {}
+    for piv in sorted(reduced):
+        for c, v in reduced[piv].items():
+            if c != piv:
+                by_column.setdefault(c, []).append((piv, v))
+    basis = []
+    for free in range(ncols):
+        if free in reduced:
+            continue
+        entries = by_column.get(free, ())
+        scale = math.lcm(*(v.denominator for _, v in entries)) if entries else 1
+        if entries and entries[0][1] > 0:
+            scale = -scale
+        vec = {piv: Fraction(-v.numerator * (scale // v.denominator))
+               for piv, v in entries}
+        vec[free] = Fraction(scale)
+        basis.append(vec)
+    return basis
+
+
 def mono_cmp(m1: Monomial, m2: Monomial) -> int:
     """Graded lexicographic order: total degree first, then the earlier
     symbol with the larger exponent wins."""
@@ -1602,41 +1695,105 @@ def planted_rows(rng: random.Random, nrows: int, ncols: int, entry) -> list[dict
     return rows
 
 
-def suite_rank_echelon_equivalence(cases: int = 120, seed: int = 149) -> dict:
-    """linalg.RankEchelon.add answers as linalg.Echelon.add, row by row, and
-    leaves its input as it was, and both end at the same rank: on
-    ``cases`` seeded sparse matrices (:func:`planted_rows`, up to 60 rows
-    and 40 columns) with ``int``, ``Fraction`` and mixed entries, and on
-    the pivot pass over the characteristic columns of every corpus
-    equation at the default bounds and at 2/2/1.  Returns the number of
-    rows added and of those kept."""
+def _entry_draws() -> dict:
+    """Seeded draws of a nonzero ``int``, ``Fraction`` or either entry."""
     draws = {
         "int": lambda rng: rng.choice([-1, 1]) * rng.randint(1, 9),
         "fraction": lambda rng: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
                                          rng.randint(1, 6)),
     }
     draws["mixed"] = lambda rng: draws[rng.choice(["int", "fraction"])](rng)
+    return draws
+
+
+def suite_rank_echelon_equivalence(cases: int = 120, seed: int = 149) -> dict:
+    """linalg.Echelon answers as :class:`ReferenceEchelon`, row by row, and
+    leaves its input as it was; both end at the same rank and the same
+    reduced rows, and agree on the reduced rows read in the middle of a
+    run, before more rows are added.  On ``cases`` seeded sparse matrices
+    (:func:`planted_rows`, up to 60 rows and 40 columns) with ``int``,
+    ``Fraction`` and mixed entries, every third one over string keys, and
+    on the pivot pass over the characteristic columns of every corpus
+    equation at the default bounds and at 2/2/1.  Returns the number of
+    rows added, of those kept, and of reads in the middle of a run."""
+    draws = _entry_draws()
     rng = random.Random(seed)
     matrices = []
     for k in range(cases):
         kind = ("int", "fraction", "mixed")[k % 3]
-        matrices.append((f"{kind} case {k}", planted_rows(
-            rng, rng.randint(1, 60), rng.randint(1, 40), draws[kind])))
+        rows = planted_rows(rng, rng.randint(1, 60), rng.randint(1, 40), draws[kind])
+        if k % 3 == 1:
+            rows = [{f"c{c:03d}": v for c, v in row.items()} for row in rows]
+        matrices.append((f"{kind} case {k}", rows))
     for entry in CORPUS:
         for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1)):
             matrices.append((f"{entry.name} at {spec}",
                              generate_ansatz(entry.equation(), spec)[1]))
-    counts = {"rows": 0, "kept": 0}
+    counts = {"rows": 0, "kept": 0, "reads": 0}
     for where, rows in matrices:
-        rank_only, reference = linalg.RankEchelon(), linalg.Echelon()
-        for row in rows:
+        echelon, reference = linalg.Echelon(), ReferenceEchelon()
+        reads = set(rng.sample(range(len(rows)), min(len(rows), rng.randint(0, 3))))
+        for k, row in enumerate(rows):
             before = dict(row)
-            got = rank_only.add(row)
+            got = echelon.add(row)
             assert got is reference.add(row), where
             assert row == before, where
             counts["rows"] += 1
             counts["kept"] += got
-        assert rank_only.rank == reference.rank, where
+            if k in reads:
+                assert echelon.rows == reference.rows, f"{where}, after row {k}"
+                counts["reads"] += 1
+        assert echelon.rank == reference.rank, where
+        assert echelon.rows == reference.rows, where
+    return counts
+
+
+def suite_nullspace_equivalence(cases: int = 150, seed: int = 163) -> dict:
+    """linalg.nullspace returns the vectors of :func:`reference_nullspace`,
+    in the same order, with ``Fraction`` entries of denominator 1: on
+    ``cases`` seeded sparse systems (:func:`planted_rows` with ``int``,
+    ``Fraction`` and mixed entries over a random subset of the columns, so
+    that some columns are empty, and every fifth one square or tall with
+    dense rows, mostly of full rank), and on solve_exact of the law search
+    over every corpus equation at the default bounds and at 2/2/1 and of
+    heat_2d at 2/2/2.  Returns the number of systems, of those with an
+    empty column and of full rank, and of vectors compared."""
+    draws = _entry_draws()
+    rng = random.Random(seed)
+    counts = {"systems": 0, "empty_column": 0, "full_rank": 0, "vectors": 0}
+
+    def compare(where: str, got: list[dict], rows: list[dict], ncols: int) -> None:
+        expected = reference_nullspace(rows, ncols)
+        assert got == expected, where
+        assert all(type(v) is Fraction and v.denominator == 1
+                   for vec in got for v in vec.values()), where
+        used = {c for row in rows for c in row}
+        counts["systems"] += 1
+        counts["empty_column"] += len(used) < ncols
+        counts["full_rank"] += not expected
+        counts["vectors"] += len(got)
+
+    for k in range(cases):
+        entry = draws[("int", "fraction", "mixed")[k % 3]]
+        ncols = rng.randint(1, 40)
+        if k % 5 == 0:
+            rows = [{c: entry(rng) for c in range(ncols) if rng.random() < 0.7}
+                    for _ in range(ncols + rng.randint(0, 4))]
+        else:
+            columns = rng.sample(range(ncols), rng.randint(1, ncols))
+            rows = [{columns[c]: v for c, v in row.items()} for row in planted_rows(
+                rng, rng.randint(0, 50), len(columns), entry)]
+        compare(f"case {k}", linalg.nullspace(rows, ncols), rows, ncols)
+    searches = [(entry.name, entry.equation(), spec) for entry in CORPUS
+                for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1))]
+    heat_2d = next(entry for entry in CORPUS if entry.name == "heat_2d")
+    searches.append(("heat_2d", heat_2d.equation(), AnsatzSpec(2, 2, 2)))
+    for name, eq, spec in searches:
+        characteristics = generate_ansatz(eq, spec)[1]
+        pivots = ReferenceEchelon()
+        system = assemble_determining_system(
+            eq, [Q for Q in characteristics if pivots.add(Q)])
+        compare(f"{name} at {spec}", solve_exact(system), system.rows, system.ncols)
     return counts
 
 
