@@ -32,6 +32,19 @@ replacement table of Exprs.  On term dicts, every sum and product and the
 clearing of G's denominators run through the raw-term kernel of
 :mod:`paraclaw.expr` (``_add_terms``, ``_add_product``, ``_cleared``).
 
+Memos.  The columns E_u(m_k), which of them the pivot pass keeps, and each
+kept column's dQ/du_J and D_L Q depend on n and the ansatz bounds alone,
+not on G; only their products with D_J(d G) and the A_L do.  So three
+process-wide memos, of MEMO_SIZE entries each, hold that half of the
+search: E_u of each t-free ansatz monomial, the kept column indices by
+(n, spec), and the dQ/du_J and D_L Q of each t-free characteristic part,
+built from the part the assembly holds at its first miss, so every dict
+keeps the term order of a cold search.  A second equation at bounds
+already seen then does only the G-dependent products, the solve and the
+extraction; a single search computes what it computed without them, and
+keeps it.  The memoized dicts are only read, and ``generate_ansatz``
+returns copies.
+
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
 divergence share Q) and reported with Q scaled monic under the global
@@ -40,10 +53,11 @@ monomial order.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 from . import linalg
 from .expr import (
@@ -173,7 +187,8 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     and C(k+d, d) monomials of degree <= d in k symbols.  E_u commutes with
     multiplication by t, so E_u(t^b m) = t^b E_u(m): one raw Euler walk per
     t-free monomial m gives the characteristics of all its t^b multiples,
-    with (t, b) put first in each key (t sorts first)."""
+    with (t, b) put first in each key (t sorts first); the walks are
+    memoized for the process, and every returned dict is new."""
     jet_count = comb(eq.n + spec.max_jet_order, spec.max_jet_order)
     count = (comb(eq.n + 1 + spec.base_degree, spec.base_degree)
              * comb(jet_count + spec.jet_degree, spec.jet_degree))
@@ -184,17 +199,41 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     base_monos = bounded_monomials(base_syms, spec.base_degree)
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
     densities = [{bm + jm: 1} for jm in jet_monos for bm in base_monos]  # base < jet: sorted
-    walked: dict = {}  # t-free monomial -> the terms of its E_u
     characteristics = []
     for (m,) in densities:
         b = m[0][1] if m and m[0][0] == TIME else 0
-        if b:
-            m = m[1:]
-        Q = walked.get(m)
-        if Q is None:
-            Q = walked[m] = _euler_terms({m: 1})
-        characteristics.append(_times_t(Q, b))
+        Q = _characteristic(m[1:] if b else m)
+        characteristics.append(_times_t(Q, b) if b else dict(Q))
     return densities, characteristics
+
+
+MEMO_SIZE = 4096  # entries in each memo of the search's G-independent half
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _characteristic(m: Monomial) -> dict:
+    """The terms of E_u(m), for the t-free monomial m."""
+    return _euler_terms({m: 1})
+
+
+class _Memo(dict):
+    """A process-wide memo of a pure function, each key stored once: a
+    store into a full memo first drops the oldest entry.  Only whole values
+    are stored, and stores hold a lock, so threads may share it."""
+
+    maxsize = MEMO_SIZE
+    cache_clear = dict.clear
+    _lock = threading.Lock()
+
+    def __setitem__(self, key, value) -> None:
+        with self._lock:
+            if len(self) >= self.maxsize:
+                del self[next(iter(self))]
+            super().__setitem__(key, value)
+
+
+_KEPT = _Memo()  # (n, spec) -> the indices of the ansatz columns the pivot pass keeps
+_PARTS = _Memo()  # a part's terms and coefficient types -> (dpart/du_J by J, D_L part memo)
 
 
 def assemble_determining_system(eq: EvolutionEquation,
@@ -217,7 +256,8 @@ def assemble_determining_system(eq: EvolutionEquation,
     terms go straight into the rows at its index.  Multiplying by t commutes
     with every D_i, d/du_J and product, so with Q = sum_b t^b Q'_b, Q'_b
     t-free, l_Q(d G) + sum_L A_L D_L Q = sum_b t^b (the same of Q'_b), for
-    any G: that part is built once per distinct Q'_b, and d dQ/dt is
+    any G: that part is built once per distinct Q'_b, from the dQ'_b/du_J
+    and D_L Q'_b memoized for the process, and d dQ/dt is
     sum_b d b t^(b-1) Q'_b.
 
     With no columns the system is empty on any G.  Otherwise a
@@ -238,12 +278,17 @@ def assemble_determining_system(eq: EvolutionEquation,
         E: dict = {}
         parts = _time_powers(Q)
         for b, part in parts.items():
-            memo_key = frozenset(part.items())
+            # 2 == Fraction(2) as dict values: the types are part of the key,
+            # so int columns get int rows whatever was assembled before
+            memo_key = frozenset(part.items()), frozenset(map(type, part.values()))
             S = spatial.get(memo_key)
             if S is None:
+                tables = _PARTS.get(memo_key)
+                if tables is None:
+                    tables = _PARTS[memo_key] = _jet_partials(part), _prolongations(part)
                 S = spatial[memo_key] = {}
-                _add_linearization(S, part, D_G)
-                _add_adjoint(S, A, part)
+                _add_linearization(S, tables[0], D_G)
+                _add_adjoint(S, A, tables[1])
             if not b and len(parts) == 1:  # a t-free column: E is S, only read
                 E = S
                 break
@@ -283,12 +328,12 @@ def _time_powers(Q: dict) -> dict[int, dict]:
     return parts
 
 
-def _add_linearization(out: dict, Q: dict, D_f: Callable[[tuple[int, ...]], dict]) -> None:
-    """out += l_Q(f) = sum_J dQ/du_J D_J f in place, over the jet words J of
-    Q, for the purely spatial polynomials with terms Q and f; D_f is the
-    :func:`_prolongations` memo of f, word -> the terms of D_word f."""
-    for J, Q_J in _jet_partials(Q).items():
-        _add_product(out, Q_J, D_f(J))
+def _add_linearization(out: dict, Q_u: dict, D_f: dict) -> None:
+    """out += l_Q(f) = sum_J dQ/du_J D_J f in place, for the purely spatial
+    polynomials Q and f, with Q_u the :func:`jets._jet_partials` of Q, J ->
+    the terms of dQ/du_J, and D_f the :func:`_prolongations` memo of f."""
+    for J, Q_J in Q_u.items():
+        _add_product(out, Q_J, D_f[J])
 
 
 def _adjoint_coefficients(f: dict) -> dict[tuple[int, ...], dict]:
@@ -304,32 +349,34 @@ def _adjoint_coefficients(f: dict) -> dict[tuple[int, ...], dict]:
         for split in range(1 << len(J)):
             L = tuple(a for k, a in enumerate(J) if split >> k & 1)
             rest = tuple(a for k, a in enumerate(J) if not split >> k & 1)
-            _add_terms(A.setdefault(L, {}), D_f_J(rest), sign)
+            _add_terms(A.setdefault(L, {}), D_f_J[rest], sign)
     return {L: A_L for L, A_L in A.items() if A_L}
 
 
-def _add_adjoint(out: dict, A: dict[tuple[int, ...], dict], Q: dict) -> None:
+def _add_adjoint(out: dict, A: dict[tuple[int, ...], dict], D_Q: dict) -> None:
     """out += sum_L A_L D_L Q in place, for the :func:`_adjoint_coefficients`
-    A of f and the purely spatial polynomial with terms Q: l*_f(Q)."""
-    D_Q = _prolongations(Q)
+    A of f and the :func:`_prolongations` memo D_Q of the purely spatial
+    polynomial Q: l*_f(Q)."""
     for L, A_L in A.items():
-        _add_product(out, A_L, D_Q(L))
+        _add_product(out, A_L, D_Q[L])
 
 
-def _prolongations(terms: dict) -> Callable[[tuple[int, ...]], dict]:
-    """word -> the terms of D_word p, for the polynomial p with these terms
-    and sorted spatial index words, each built from its prefix's by one
-    total derivative and kept."""
-    memo = {(): terms}
+class _Prolonged(dict):
+    """word -> the terms of D_word p, for the polynomial p with the terms
+    at () and sorted spatial index words: a missing word is built from its
+    prefix's by one total derivative and kept once whole, so a memo shared
+    by threads, or left by an interrupted search, holds no partial one."""
 
-    def prolonged(word: tuple[int, ...]) -> dict:
-        got = memo.get(word)
-        if got is None:
-            got = memo[word] = {}
-            _add_total_derivative(got, prolonged(word[:-1]), word[-1])
+    def __missing__(self, word: tuple[int, ...]) -> dict:
+        got: dict = {}
+        _add_total_derivative(got, self[word[:-1]], word[-1])
+        self[word] = got
         return got
 
-    return prolonged
+
+def _prolongations(terms: dict) -> _Prolonged:
+    """The :class:`_Prolonged` memo of the polynomial with these terms."""
+    return _Prolonged({(): terms})
 
 
 def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
@@ -468,7 +515,8 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     the same characteristic are the same law.  The search therefore first
     keeps only the ansatz monomials m_k whose characteristic E_u(m_k) is
     linearly independent of those of the earlier monomials, in column
-    order (a monomial with E_u(m_k) = 0 is dropped), and assembles, from
+    order (a monomial with E_u(m_k) = 0 is dropped; the kept indices
+    depend on n and the bounds alone and are memoized), and assembles, from
     the kept columns of M alone, and solves the determining system of that
     restricted ansatz.  M is injective there, so each null vector is one
     law: a vector whose characteristic is 0 or dependent on the kept ones
@@ -499,8 +547,11 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
     densities, characteristics = generate_ansatz(eq, spec)
-    pivots = linalg.Echelon()
-    keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
+    keep = _KEPT.get((eq.n, spec))
+    if keep is None:
+        pivots = linalg.Echelon()
+        keep = _KEPT[eq.n, spec] = tuple(
+            k for k, Q in enumerate(characteristics) if pivots.add(Q))
     densities = [densities[k] for k in keep]
     characteristics = [characteristics[k] for k in keep]
     system = assemble_determining_system(eq, characteristics)
@@ -517,7 +568,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         T = _combination(densities, vec)
         R: dict = {}  # d reduce(D_t T) = d dT/dt + l_T(d G)
         _add_terms(R, Poly(T).diff(TIME).terms, d)
-        _add_linearization(R, T, D_G)
+        _add_linearization(R, _jet_partials(T), D_G)
         T_law = _over(T, lead)
         try:
             L, LX = _homotopy(R, eq.n)

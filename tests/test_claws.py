@@ -30,6 +30,8 @@ from util import (
     suite_extraction_equivalence, suite_integer_assembly, tag, tagged,
     jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
     suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
+    suite_memos_change_no_result, suite_memos_shared_by_threads,
+    suite_returned_columns_are_fresh,
     suite_solver_soundness, suite_triviality_filter,
     t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
 )
@@ -624,12 +626,52 @@ class TestSolverSoundness:
 
 
 class TestGoldenCorpus:
-    def test_reports_byte_identical(self):
+    @staticmethod
+    def check(got):
         # claws reports recorded before law extraction became linear; a
         # difference is a finding to explain, not a file to re-record
         with open(GOLDEN_PATH, encoding="utf-8") as fh:
             want = json.load(fh)
-        got = claws_corpus_reports()
         assert sorted(got) == sorted(want)
         for key in want:
             assert got[key] == want[key], key
+
+    def test_reports_byte_identical(self):
+        self.check(claws_corpus_reports())
+
+    def test_reports_byte_identical_spec_major(self):
+        # the search memos are warm with other bounds between the requests
+        # of one entry
+        self.check(claws_corpus_reports(spec_major=True))
+
+
+class TestSearchMemos:
+    """The G-independent half of the search (E_u of the ansatz monomials,
+    the kept columns, the tables of each t-free characteristic part) is
+    memoized for the process; the memos change no result."""
+
+    def test_warm_searches_match_cold_ones(self):
+        assert suite_memos_change_no_result() == {"problems": 82, "warm": 186}
+
+    def test_returned_columns_are_fresh(self):
+        assert suite_returned_columns_are_fresh() == 4 * len(CORPUS)
+
+    def test_memos_shared_by_threads(self):
+        assert suite_memos_shared_by_threads() == 4 * 4 * len(CORPUS)
+
+    def test_equal_parts_of_other_types_share_no_tables(self):
+        # Fraction(2) == 2 and hashes alike: a Fraction column assembled
+        # first must not hand its tables to the equal int column
+        eq = EvolutionEquation(1, uxx + u * ux)
+        terms = (2 * u + 3).num.terms  # E_u(u^2 + 3 u)
+        ints = [{m: int(c) for m, c in terms.items()}]
+        fractions = [{m: Fraction(c) for m, c in terms.items()}]
+        assemble_determining_system(eq, fractions)
+        rows = assemble_determining_system(eq, ints).rows
+        assert rows and all(type(c) is int for row in rows for c in row.values())
+
+    def test_memo_drops_oldest_when_full(self):
+        memo = claws._Memo()
+        for k in range(memo.maxsize + 2):
+            memo[k] = k
+        assert len(memo) == memo.maxsize and min(memo) == 2

@@ -74,18 +74,20 @@ def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
                      "solve_exact": 1}
 
 
-@pytest.mark.parametrize("source, spec", [
-    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
-    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
-    ("n=1; u_t = u_x", (2, 2, 0)),
+@pytest.mark.parametrize("source, other, spec", [
+    ("n=1; u_t = u_xx + u*u_x", "n=1; u_t = u_xx + u^2*u_x", (2, 2, 1)),
+    ("n=2; u_t = u_11 + u_22", "n=2; u_t = u_11 + 2*u_22 + u_1", (2, 1, 1)),
+    ("n=1; u_t = u_x", "n=1; u_t = 3*u_x", (2, 2, 0)),
 ], ids=["burgers", "heat_2d", "transport"])
-def test_search_takes_one_euler_operator(monkeypatch, source, spec):
-    # one raw Euler walk per t-free ansatz monomial (E_u(t^b m) = t^b E_u(m)),
-    # all inside generate_ansatz; none in assembly or extraction, and no
-    # euler_operator at all
+def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
+    # from cold memos, one raw Euler walk per t-free ansatz monomial
+    # (E_u(t^b m) = t^b E_u(m)), all inside generate_ansatz; none in
+    # assembly or extraction; none in a second search at the same bounds on
+    # another G, whose columns come from the memo; and no euler_operator
     from paraclaw import claws, jets
     from paraclaw.expr import TIME
     from paraclaw.grammar import parse
+    from util import clear_search_memos
     walks, inside, sizes = [], [], []
     real_walk, real_generate = jets._euler_terms, claws.generate_ansatz
 
@@ -109,9 +111,13 @@ def test_search_takes_one_euler_operator(monkeypatch, source, spec):
         monkeypatch.setattr(module, "_euler_terms", walk)
         monkeypatch.setattr(module, "euler_operator", no_euler_operator, raising=False)
     monkeypatch.setattr(claws, "generate_ansatz", generate)
+    clear_search_memos()
     laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
     assert laws
     assert sizes and walks == [True] * sizes[0]
+    walks.clear()
+    claws.find_conservation_laws(parse(other).equation(), claws.AnsatzSpec(*spec))
+    assert len(sizes) == 2 and walks == []
 
 
 @pytest.mark.parametrize("source, spec", [

@@ -17,7 +17,9 @@ import os
 import random
 import re
 import string
+import sys
 import tempfile
+import threading
 from fractions import Fraction
 
 from paraclaw import cli, linalg
@@ -35,7 +37,7 @@ from paraclaw.expr import (
     mono_sort_key,
 )
 from paraclaw.jets import (
-    NotInDivergenceImage, TimeJetPresent, _add_terms, _horner, _lower,
+    NotInDivergenceImage, TimeJetPresent, _add_terms, _horner, _jet_partials, _lower,
     _lower_prolong, _prolong, bounded_monomials, build_replacement_table,
     euler_operator, has_time_jets, invert_divergence, reduce_to_spatial,
     spatial_jet_vars, total_derivative,
@@ -302,8 +304,8 @@ def tagged_determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
     d, (dG,) = _cleared([G.num.terms])
     out: dict = {}
     _add_terms(out, Q.num.diff(TIME).terms, d)
-    _add_linearization(out, Q.num.terms, _prolongations(dG))
-    _add_adjoint(out, _adjoint_coefficients(dG), Q.num.terms)
+    _add_linearization(out, _jet_partials(Q.num.terms), _prolongations(dG))
+    _add_adjoint(out, _adjoint_coefficients(dG), _prolongations(Q.num.terms))
     return Expr._make(Poly(out), Poly.one())
 
 
@@ -1667,6 +1669,223 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     return counts
 
 
+# ---------------------------------------------------------------------------
+# Process-wide memos of the law search
+# ---------------------------------------------------------------------------
+
+def search_memos() -> dict:
+    """The law search's process-wide memos of its G-independent half, by
+    name: E_u of t-free monomials, the kept column indices by (n, spec) and
+    the tables of each t-free characteristic part."""
+    return {"characteristic": claws._characteristic, "kept": claws._KEPT,
+            "parts": claws._PARTS}
+
+
+def clear_search_memos() -> None:
+    for memo in search_memos().values():
+        memo.cache_clear()
+
+
+def search_memo_sizes() -> dict:
+    """name -> (maxsize, currsize) of each :func:`search_memos` memo."""
+    sizes = {}
+    for name, memo in search_memos().items():
+        if isinstance(memo, dict):
+            sizes[name] = memo.maxsize, len(memo)
+        else:
+            info = memo.cache_info()
+            sizes[name] = info.maxsize, info.currsize
+    return sizes
+
+
+def golden_ansatz_specs() -> list[AnsatzSpec]:
+    """GOLDEN_SPECS as AnsatzSpecs, None as the default bounds."""
+    return [AnsatzSpec(*spec) if spec else AnsatzSpec() for spec in GOLDEN_SPECS]
+
+
+def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tuple:
+    """The search's :func:`_search_outcome`, its determining system (keys,
+    and each row's items in order) and null space, as recorded by
+    :func:`recorded_search`, and the t-free monomials of its ansatz."""
+    calls, outcome = recorded_search(eq, spec, force)
+    system = calls.get("assemble_determining_system", [None, None])[1]
+    staged = None
+    if system is not None:
+        staged = system.keys, [list(row.items()) for row in system.rows], \
+            calls["solve_exact"][1]
+    monomials = set()
+    if "generate_ansatz" in calls:
+        for (m,) in calls["generate_ansatz"][1][0]:
+            monomials.add(m[1:] if m and m[0][0] == TIME else m)
+    return (outcome, staged), monomials
+
+
+def _memo_snapshot(snapshot: dict, monomials) -> None:
+    """Add to ``snapshot``, id -> (object, copy of its contents), every dict
+    and tuple the search memos hold that it lacks: E_u of the given t-free
+    monomials (held already, so reading them stores nothing), the kept
+    indices and each part's tables."""
+    held = [claws._characteristic(m) for m in monomials]
+    held += claws._KEPT.values()
+    for partials, prolonged in claws._PARTS.values():
+        held += [partials, prolonged, *partials.values(), *prolonged.values()]
+    for obj in held:
+        if id(obj) not in snapshot:
+            snapshot[id(obj)] = obj, list(obj.items()) if isinstance(obj, dict) else obj
+
+
+def _assert_snapshot_holds(snapshot: dict, where: str) -> None:
+    """Every memoized object still has the contents it had, in order; a
+    prolongation memo may only have gained words, after the old ones."""
+    for obj, copy in snapshot.values():
+        now = list(obj.items()) if isinstance(obj, dict) else obj
+        if isinstance(obj, claws._Prolonged):
+            now = now[:len(copy)]
+        assert now == copy, f"a memoized value changed in {where}"
+
+
+def random_memo_problems(rng: random.Random, cases: int) -> list:
+    """``cases`` seeded (name, equation, spec, force) problems at mixed n
+    and bounds: :func:`random_law_equation` draws (n = 1, 2) and random
+    polynomial G over t, x and the jets of order <= 2 (n = 1..3, with
+    force), at random bounds that repeat across the problems."""
+    problems = []
+    for k in range(cases):
+        n = 1 + k % 3
+        if n < 3 and k % 2:
+            eq = random_law_equation(rng, n)
+        else:
+            G = random_poly(rng, random_spatial_symbols(n), terms=3) \
+                * Fraction(rng.randint(1, 5), rng.randint(1, 4)) \
+                + Fraction(rng.randint(1, 5), 3) * jet(*[rng.randint(1, n)] * 2)
+            eq = EvolutionEquation(n, G)
+        spec = corpus_specs(rng, n) if n < 3 else AnsatzSpec(2, 1, rng.randint(0, 1))
+        problems.append((f"u_t = {eq.G} (n = {n})", eq, spec, True))
+    return problems
+
+
+def suite_memos_change_no_result(cases: int = 30, seed: int = 167) -> dict:
+    """The process-wide memos change no search: every corpus entry at every
+    golden spec, in entry-major, spec-major and reversed order, and
+    ``cases`` :func:`random_memo_problems`, run after one another with the
+    memos kept warm, give the outcome, determining system (keys and row
+    items in order) and null space of a cold search of the same problem,
+    run with the memos cleared just before it.  After each warm search
+    every value memoized before it is unchanged (:func:`_memo_snapshot`),
+    and after the suite each memo is within its bound.  Returns the number
+    of problems and of warm searches compared."""
+    rng = random.Random(seed)
+    specs = golden_ansatz_specs()
+    equations = [(entry.name, entry.equation()) for entry in CORPUS]
+    corpus = [(name, eq, spec, False) for name, eq in equations for spec in specs]
+    spec_major = [(name, eq, spec, False) for spec in specs for name, eq in equations]
+    problems = corpus + random_memo_problems(rng, cases)
+    reference = {}
+    for name, eq, spec, force in problems:
+        clear_search_memos()
+        reference[name, spec, force] = _search_record(eq, spec, force)[0]
+    warm = corpus + spec_major + corpus[::-1] + problems[len(corpus):]
+    clear_search_memos()
+    snapshot: dict = {}
+    for name, eq, spec, force in warm:
+        where = f"{name} at {spec}"
+        record, monomials = _search_record(eq, spec, force)
+        assert record == reference[name, spec, force], f"a warm search differs on {where}"
+        _assert_snapshot_holds(snapshot, where)
+        _memo_snapshot(snapshot, monomials)
+    for name, (maxsize, currsize) in search_memo_sizes().items():
+        assert isinstance(maxsize, int) and 0 <= currsize <= maxsize, name
+    return {"problems": len(problems), "warm": len(warm)}
+
+
+def suite_returned_columns_are_fresh() -> int:
+    """Emptying every density and characteristic that generate_ansatz
+    returns, and putting a constant in each characteristic, changes no
+    later search: each corpus entry at the golden specs, searched warm
+    after such a mutation, gives the cold outcome.  Returns the number of
+    searches compared."""
+    done = 0
+    for entry in CORPUS:
+        eq = entry.equation()
+        for spec in golden_ansatz_specs():
+            clear_search_memos()
+            want = _search_record(eq, spec, False)[0]
+            densities, characteristics = generate_ansatz(eq, spec)
+            for column in densities + characteristics:
+                column.clear()
+            for Q in characteristics:
+                Q[()] = 1
+            assert _search_record(eq, spec, False)[0] == want, \
+                f"a mutated column changed the search on {entry.name} at {spec}"
+            done += 1
+    return done
+
+
+def _in_threads(work, threads: int) -> list:
+    """Run ``work(k)`` for k < threads in that many threads at once, with a
+    short switch interval; returns what each raised, or None.  Each join
+    has a timeout, and every thread must have finished."""
+    errors: list = [None] * threads
+
+    def run(k):
+        try:
+            work(k)
+        except Exception as exc:  # reported by the caller, with its thread
+            errors[k] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pool = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in pool), "a thread did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    return errors
+
+
+def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
+    """Threads that share the search memos get the results of cold
+    searches: from cleared memos, each of ``threads`` threads runs every
+    corpus entry at every golden spec, in its own seeded order, and each
+    outcome equals the cold one.  And threads storing distinct keys into
+    one memo at once leave it full and at its bound.  Returns the number
+    of searches compared."""
+    problems = [(entry.name, entry.equation(), spec)
+                for entry in CORPUS for spec in golden_ansatz_specs()]
+    reference = []
+    for name, eq, spec in problems:
+        clear_search_memos()
+        reference.append(_search_outcome(find_conservation_laws, eq, spec, False))
+    orders = [random.Random(seed + k).sample(range(len(problems)), len(problems))
+              for k in range(threads)]
+    got: dict = {}
+
+    def search(k):
+        for i in orders[k]:
+            name, eq, spec = problems[i]
+            got[k, i] = _search_outcome(find_conservation_laws, eq, spec, False)
+
+    clear_search_memos()
+    errors = _in_threads(search, threads)
+    assert errors == [None] * threads, errors
+    for (k, i), outcome in got.items():
+        assert outcome == reference[i], f"thread {k} differs on {problems[i][0]} at {problems[i][2]}"
+    memo = claws._Memo()
+
+    def fill(k):
+        for j in range(memo.maxsize):
+            memo[k, j] = j
+
+    errors = _in_threads(fill, threads)
+    assert errors == [None] * threads, errors
+    assert len(memo) == memo.maxsize
+    return len(got)
+
+
 def planted_rows(rng: random.Random, nrows: int, ncols: int, entry) -> list[dict]:
     """Sparse rows over ncols columns with planted dependencies: zero rows,
     repeated rows, scaled rows and combinations of two or three earlier
@@ -2404,30 +2623,36 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "claws_corpus.js
 GOLDEN_SPECS = (None, (2, 2, 1), (2, 3, 1), (2, 2, 2))
 
 
-def claws_corpus_reports() -> dict[str, dict]:
+def claws_corpus_reports(spec_major: bool = False) -> dict[str, dict]:
     """`paraclaw claws` on every corpus entry under every golden spec, keyed
     "<entry> <order>/<jet degree>/<base degree>" ("default" for no flags):
-    exit code, stdout (the JSON report) and stderr."""
+    exit code, stdout (the JSON report) and stderr.  The requests run
+    entry by entry, or spec by spec with ``spec_major``, in one process."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
         for entry in CORPUS:
-            path = os.path.join(tmp, f"{entry.name}.pde")
-            with open(path, "w", encoding="utf-8") as fh:
+            paths[entry.name] = os.path.join(tmp, f"{entry.name}.pde")
+            with open(paths[entry.name], "w", encoding="utf-8") as fh:
                 fh.write(entry.source)
-            for spec in GOLDEN_SPECS:
-                argv = ["claws", path]
-                label = "default"
-                if spec is not None:
-                    argv += ["--order", str(spec[0]), "--jet-degree", str(spec[1]),
-                             "--base-degree", str(spec[2])]
-                    label = "/".join(map(str, spec))
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), \
-                        contextlib.redirect_stderr(stderr):
-                    code = cli.main(argv)
-                out[f"{entry.name} {label}"] = {
-                    "exit": code, "stdout": stdout.getvalue(),
-                    "stderr": stderr.getvalue().replace(path, "<file>")}
+        requests = [(entry, spec) for entry in CORPUS for spec in GOLDEN_SPECS]
+        if spec_major:
+            requests.sort(key=lambda request: GOLDEN_SPECS.index(request[1]))
+        for entry, spec in requests:
+            path = paths[entry.name]
+            argv = ["claws", path]
+            label = "default"
+            if spec is not None:
+                argv += ["--order", str(spec[0]), "--jet-degree", str(spec[1]),
+                         "--base-degree", str(spec[2])]
+                label = "/".join(map(str, spec))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            out[f"{entry.name} {label}"] = {
+                "exit": code, "stdout": stdout.getvalue(),
+                "stderr": stderr.getvalue().replace(path, "<file>")}
     return out
 
 
