@@ -25,13 +25,14 @@ Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
 not a RecursionError.  Each "*", "/" and "^" is charged its term-pair
 products before it runs ("^k" is k - 1 multiplications); a parse whose
 running total would pass expr.MAX_TERMS is a ParseError, so no input
-expands without bound; so is a number literal longer than
-sys.get_int_max_str_digits, and a power or product of single terms, or a
-quotient by a constant, whose coefficient would have a numerator or
-denominator that long (decided from bit lengths before it is built).  A
-product or power of polynomials is checked right after each product, and a
-sum after each "+" or "-", so no coefficient grows to much more than twice
-the limit.
+expands without bound.  So is a number literal longer than the digit
+limit sys.get_int_max_str_digits(), and one digit-limit rule bounds
+coefficients: each "*", "/", "^", "+" and "-" builds its result, and a
+numerator or denominator of it at or past 10^limit is a ParseError at that
+operator, on polynomials and rational functions alike.  Every operand is
+already within the limit, so nothing is built with much more than twice
+its digits; only a power, whose size grows with its exponent, is refused
+before it is built when its bit lengths alone pass the limit.
 
 A polynomial is read straight into raw terms, and an integral coefficient
 is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
@@ -41,7 +42,6 @@ arithmetic runs only from a division by a non-constant on.
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -117,54 +117,39 @@ def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
 # int or Fraction} that the parser owns and may change in place, or else a
 # rational function, as an Expr.
 
-def _power_too_long(a: int, k: int) -> bool:
-    """|a|^k has more than sys.get_int_max_str_digits() decimal digits (0
-    is no limit), decided before the power is built: with b the bit length
-    of |a| > 1, 2^(k(b-1)) <= |a|^k < 2^(kb), and |a|^k is built only when
-    the bit length of 10^limit lies between, so with fewer than twice as
-    many bits as 10^limit."""
+def _too_long(value) -> bool:
+    """Some numerator or denominator in the value -- a coefficient, a term
+    dict or an Expr -- is at least 10^limit, for the digit limit
+    sys.get_int_max_str_digits() (0 is no limit), so Python would refuse
+    to print it.  A coefficient of at most 3 * limit bits is short, since
+    2^(3 limit) <= 10^limit, so 10^limit is built only for a longer one."""
     limit = sys.get_int_max_str_digits()
-    a = abs(a)
-    if not limit or a <= 1:
+    if not limit:
         return False
-    bits, bound = a.bit_length(), 10 ** limit
-    if k * (bits - 1) >= bound.bit_length():
-        return True
-    return k * bits >= bound.bit_length() and a ** k >= bound
-
-
-def _product_too_long(p: int, q: int, r: int, s: int) -> bool:
-    """The numerator or denominator of (p/q)(r/s) has more than
-    sys.get_int_max_str_digits() decimal digits, decided like
-    _power_too_long before the product is built: each part is xy, x and y
-    cross-reduced as Fraction reduces them, and with b the sum of their bit
-    lengths, 2^(b-2) <= |xy| < 2^b, so xy is built only when the bit length
-    of 10^limit lies between."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or not p or not r or (p.bit_length() + r.bit_length() <= 3 * limit
-                                       and q.bit_length() + s.bit_length() <= 3 * limit):
-        return False  # 10^limit >= 2^(3 limit)
-    g, h = math.gcd(p, s), math.gcd(r, q)
-    bound = 10 ** limit
-    for x, y in ((p // g, r // h), (q // h, s // g)):
-        bits = x.bit_length() + y.bit_length()
-        if bits - 2 >= bound.bit_length() or (
-                bits >= bound.bit_length() and abs(x * y) >= bound):
-            return True
-    return False
-
-
-def _coefficients_too_long(coefficients) -> bool:
-    """One of the coefficients has a numerator or denominator with more
-    than sys.get_int_max_str_digits() decimal digits."""
-    limit = sys.get_int_max_str_digits()
-    cap = 3 * limit  # 10^limit >= 2^cap
+    if type(value) is dict:
+        coefficients = value.values()
+    elif type(value) is Expr:
+        coefficients = (*value.num.terms.values(), *value.den.terms.values())
+    else:
+        coefficients = (value,)
+    cap = 3 * limit
     long = [c for c in coefficients
             if c.numerator.bit_length() > cap or c.denominator.bit_length() > cap]
-    if not limit or not long:
+    if not long:
         return False
     bound = 10 ** limit
     return any(abs(c.numerator) >= bound or c.denominator >= bound for c in long)
+
+
+def _power_too_long(c, k: int) -> bool:
+    """The coefficient c^k is too long by bit lengths alone, decided before
+    it is built: with b > 1 the bit length of the longer of c's numerator
+    and denominator, that part of c^k is at least 2^(k(b-1)).  A power that
+    passes has k(b-1) below the bit length of 10^limit, so k b is at most
+    twice that, and _too_long decides it once built."""
+    limit = sys.get_int_max_str_digits()
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    return bool(limit) and bits > 1 and k * (bits - 1) >= (10 ** limit).bit_length()
 
 
 def _as_expr(value: dict | Expr) -> Expr:
@@ -291,25 +276,23 @@ class _Parser:
         return Fraction(sign * p)
 
     def parse_expr(self) -> dict | Expr:
-        """A sum; polynomial terms are added into the first one in place.  A
-        coefficient longer than the digit limit is refused at its "+" or
-        "-": on terms, only the coefficients that operator added into are
-        checked, so a long sum stays linear; on an Expr, its numerator and
-        denominator."""
+        """A sum; polynomial terms are added into the first one in place.
+        Each "+" and "-" is checked by the digit-limit rule once built; on
+        terms only the keys it added into, since a new key keeps the right-
+        hand term's checked coefficient, so a long sum stays linear."""
         acc = self.parse_term()
         tokens = self.tokens
         while (op := tokens[self.pos])[0] == "+" or op[0] == "-":
             self.pos += 1
             rhs = self.parse_term()
             if type(acc) is dict and type(rhs) is dict:
-                merged = [m for m in rhs if m in acc]  # a new key keeps rhs's checked coefficient
+                merged = [m for m in rhs if m in acc]
                 _add_terms(acc, rhs, None if op[0] == "+" else -1)
-                long = merged and _coefficients_too_long([acc[m] for m in merged if m in acc])
+                long = merged and _too_long({m: acc[m] for m in merged if m in acc})
             else:
                 acc = _as_expr(acc) + _as_expr(rhs) if op[0] == "+" else \
                     _as_expr(acc) - _as_expr(rhs)
-                long = (_coefficients_too_long(acc.num.terms.values())
-                        or _coefficients_too_long(acc.den.terms.values()))
+                long = _too_long(acc)
             if long:
                 self.too_long("sum", op)
         return acc
@@ -321,11 +304,10 @@ class _Parser:
         (multi-term polynomials, rational functions), or of everything up
         to a non-constant divisor.  Each operator is charged the term pairs
         of the Poly products that multiplying out left to right would run.
-        A polynomial coefficient longer than the digit limit is refused at
-        its operator: c is checked before each product from bit lengths,
-        and rest after each product, so no coefficient is built with more
-        than about twice the limit; c * rest is checked at the end, and
-        refused at the operator that last changed either."""
+        Each "*" and "/" is checked by the digit-limit rule once built: a
+        new c or rest at its operator, and c * m * rest, when it is built
+        at a non-constant divisor or at the end, at the operator that last
+        changed either."""
         c, m, rest = 1, (), None
         op = grown = None
         tokens = self.tokens
@@ -345,10 +327,9 @@ class _Parser:
                 if single:
                     for fm, fc in f.items():
                         if fc != 1:
-                            if op is not None and _product_too_long(
-                                    c.numerator, c.denominator, fc.numerator, fc.denominator):
-                                self.too_long("product", op)
                             c *= fc
+                            if op is not None and _too_long(c):
+                                self.too_long("product", op)
                             grown = op
                         m = mono_mul(m, fm)
                     if not f:
@@ -356,29 +337,36 @@ class _Parser:
                 elif c:  # a zero product absorbs every factor after it
                     if rest is None:
                         rest = f
-                    elif type(rest) is dict and type(f) is dict:
-                        rest = (Poly(rest) * Poly(f)).terms
-                        if _coefficients_too_long(rest.values()):
-                            self.too_long("product", op)
                     else:
-                        rest = _as_expr(rest) * _as_expr(f)
+                        if type(rest) is dict and type(f) is dict:
+                            rest = (Poly(rest) * Poly(f)).terms
+                        else:
+                            rest = _as_expr(rest) * _as_expr(f)
+                        if _too_long(rest):
+                            self.too_long("product", op)
                     grown = op
             elif single and () in f:
-                d = f[()]
-                if _product_too_long(c.numerator, c.denominator, d.denominator, d.numerator):
+                c = Fraction(c, f[()])
+                if _too_long(c):
                     self.too_long("quotient", op)
-                c = Fraction(c, d)
                 grown = op
             elif c:
-                rest = _as_expr(_product(c, m, rest)) / _as_expr(f)
+                rest = _as_expr(self.product(c, m, rest, grown)) / _as_expr(f)
+                if _too_long(rest):
+                    self.too_long("quotient", op)
                 c, m = 1, ()
             op = tokens[self.pos]
             if op[0] != "*" and op[0] != "/":
-                value = _product(c, m, rest)
-                if c != 1 and type(rest) is dict and _coefficients_too_long(value.values()):
-                    self.too_long("product", grown)
-                return value
+                return self.product(c, m, rest, grown)
             self.pos += 1
+
+    def product(self, c, m: Monomial, rest: dict | Expr | None, grown: tuple) -> dict | Expr:
+        """c * m * rest, refused at grown, the operator that last changed c
+        or rest, if the digit-limit rule fails on it."""
+        value = _product(c, m, rest)
+        if c != 1 and rest is not None and _too_long(value):
+            self.too_long("product", grown)
+        return value
 
     def charge(self, op: tuple, pairs: int) -> None:
         """Add the term pairs of the polynomial products about to run to the
@@ -412,10 +400,14 @@ class _Parser:
             # each of the k - 1 products pairs the numerators' one term (none
             # for 0) and the denominators' one term
             self.charge(op, (k - 1) * (len(atom) + 1))
-            for ac in atom.values():
-                if _power_too_long(ac.numerator, k) or _power_too_long(ac.denominator, k):
+            power = {}
+            for am, ac in atom.items():
+                if ac == 1 or ac == -1:
+                    ac **= k
+                elif _power_too_long(ac, k) or _too_long(ac := ac ** k):
                     self.too_long("power", op)
-            return {tuple((s, e * k) for s, e in am): ac ** k for am, ac in atom.items()}
+                power[tuple((s, e * k) for s, e in am)] = ac
+            return power
         num, den = (Poly(atom), None) if type(atom) is dict else (atom.num, atom.den)
         p, q = num, den
         for _ in range(k - 1):
@@ -424,7 +416,7 @@ class _Parser:
             p = p * num
             if den is not None:
                 q = q * den
-            elif _coefficients_too_long(p.terms.values()):
+            if _too_long(p.terms) or den is not None and _too_long(q.terms):
                 self.too_long("power", op)
         # coprime parts stay coprime under powers, so no re-reduction
         return p.terms if den is None else Expr(p, q, _raw=True)

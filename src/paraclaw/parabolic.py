@@ -415,7 +415,6 @@ class MAReport:
     """
 
     minor_affine: bool
-    quartic: Expr
     n1_affine: bool | None
     singular_symbol: bool = False
     residue_numerator: Expr | None = None
@@ -444,10 +443,10 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
     minor = q.is_zero
     if eq.n == 1:
         # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity
-        return MAReport(minor, q, minor)
+        return MAReport(minor, minor)
     try:
         N, D, _P, _sigma = _scaled_split(eq, q, symbolic)
     except SingularSymbol:
-        return MAReport(minor, q, None, singular_symbol=True)
-    return MAReport(minor, q, None, residue_numerator=_over(*N),
+        return MAReport(minor, None, singular_symbol=True)
+    return MAReport(minor, None, residue_numerator=_over(*N),
                     residue_denominator=_over(*D))

@@ -408,6 +408,33 @@ class TestLongLiterals:
             f"parse error: {what} has a coefficient longer than {self.LIMIT} digits "
             f"at {where}\n")
 
+    @pytest.mark.parametrize("source, what, where", [
+        ("n=1; u_t = (10^4299*u_xx/(u_x+1))*10^4299", "product", "1:34"),
+        ("n=1; u_t = u_xx*(u/(u_x+10^4299))^2", "power", "1:34"),
+        ("n=1; u_t = u_xx*(u/(u_x+10^4299))*(u/(u_x+10^4299))", "product", "1:34"),
+        ("n=1; u_t = u_xx*(u/(u_x+10^2000))^3", "power", "1:34"),
+        ("n=1; u_t = u_xx + (10^4299*u/(u_x+1))*10^4299", "product", "1:38"),
+    ], ids=["coefficient-quotient", "quotient-power", "quotients", "quotient-cube",
+            "coefficient-quotient-in-sum"])
+    def test_rational_past_the_limit(self, tmp_path, capsys, source, what, where):
+        # a rational function's product or power is refused at its operator,
+        # like a polynomial's; these exited 1 with Python's digit-limit error
+        f = tmp_path / "rational.pde"
+        f.write_text(source)
+        assert main(["classify", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: {what} has a coefficient longer than {self.LIMIT} digits "
+            f"at {where}\n")
+
+    def test_verify_density_past_the_limit(self, tmp_path, capsys):
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        assert main(["verify", str(f), "--density", "(10^4299*u/(x+1))*10^4299",
+                     "--flux", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: product has a coefficient longer than {self.LIMIT} digits "
+            "at 1:18\n")
+
     def test_product_at_the_limit_parses(self, tmp_path, capsys):
         # 10^4299 has exactly LIMIT digits
         f = tmp_path / "product.pde"
@@ -448,11 +475,34 @@ class TestLongLiterals:
         assert capsys.readouterr().err == (
             f"parse error: sum has a coefficient longer than {self.LIMIT} digits at 1:31\n")
 
+    @staticmethod
+    def literal(q) -> str:
+        """The rational q as a literal or a quotient of literals."""
+        q = Fraction(q)
+        text = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return f"({text})"
+
+    @staticmethod
+    def digits(q: Fraction) -> int:
+        """The digits of the longer of q's numerator and denominator."""
+        return max(len(str(abs(q.numerator))), len(str(q.denominator)))
+
+    def refused_at(self, source: str, col: int | None, what: str) -> None:
+        """parse_expression refuses source at 1:col for a coefficient past
+        the limit, or, for col None, parses it."""
+        if col is None:
+            parse_expression(source, 1)
+            return
+        with pytest.raises(ParseError) as err:
+            parse_expression(source, 1)
+        assert str(err.value) == (f"{what} has a coefficient longer than {self.LIMIT} "
+                                  f"digits at 1:{col}")
+
     def test_product_length_is_exact(self):
-        # the bit-length decision against the digits of the built product,
-        # seeded, around the boundary, on ints and on fractions that cancel
+        # the digit-limit rule against the digits of the built product,
+        # seeded, around the boundary, on ints and on fractions that cancel,
+        # on the polynomial and the rational route
         import random
-        from paraclaw.grammar import _product_too_long
         rng = random.Random(137)
 
         def digits(k):
@@ -468,12 +518,14 @@ class TestLongLiterals:
             for a, b in ((Fraction(x), Fraction(y)), (Fraction(1, abs(x)), Fraction(3, y)),
                          (Fraction(x * g, 7), Fraction(11, y * g)),
                          (Fraction(x * g, 7), Fraction(y, 13 * g))):
-                p = a * b
-                long = max(len(str(abs(p.numerator))), len(str(p.denominator))) > self.LIMIT
-                cases.append((a, b, long))
+                if self.digits(a) > self.LIMIT or self.digits(b) > self.LIMIT:
+                    continue  # not an operand: a literal that long is refused
+                cases.append((self.literal(a), self.literal(b), self.digits(a * b) > self.LIMIT))
         sys.set_int_max_str_digits(self.LIMIT)
-        assert [_product_too_long(a.numerator, a.denominator, b.numerator, b.denominator)
-                for a, b, _ in cases] == [long for _, _, long in cases]
+        for a, b, long in cases:
+            self.refused_at(f"{a}*{b}*u", len(a) + 1 if long else None, "product")
+            rational = f"({a}*u/(u_x + 1))*{b}"
+            self.refused_at(rational, rational.rindex("*") + 1 if long else None, "product")
         assert 100 < sum(long for _, _, long in cases) < len(cases) - 100
 
     def test_power_at_the_limit_parses(self, tmp_path, capsys):
@@ -486,10 +538,10 @@ class TestLongLiterals:
             == Expr.const(Fraction(10 ** 4299, 9 ** 4299))
 
     def test_power_length_is_exact(self):
-        # the bit-length decision against the digits of the built power,
+        # the digit-limit rule against the digits of the built power,
         # seeded, around the boundary, for bases from 2 to 60 digits long
+        # and their reciprocals
         import random
-        from paraclaw.grammar import _power_too_long
         rng = random.Random(131)
         cases = []
         sys.set_int_max_str_digits(0)  # no limit while the digits are counted
@@ -499,10 +551,70 @@ class TestLongLiterals:
             for k in range(max(1, k0 - 3), k0 + 4):
                 cases.append((a, k, len(str(abs(a) ** k)) > self.LIMIT))
         sys.set_int_max_str_digits(self.LIMIT)
-        assert [_power_too_long(a, k) for a, k, _ in cases] == [long for _, _, long in cases]
+        for a, k, long in cases:
+            base = self.literal(a if k % 2 else Fraction(1, a))
+            self.refused_at(f"{base}^{k}*u", len(base) + 1 if long else None, "power")
         assert 100 < sum(long for _, _, long in cases) < len(cases) - 100
-        assert not _power_too_long(10, self.LIMIT - 1) and _power_too_long(10, self.LIMIT)
-        assert not any(_power_too_long(a, 10 ** 6) for a in (-1, 0, 1))
+        for k, long in ((self.LIMIT - 1, False), (self.LIMIT, True)):
+            self.refused_at(f"10^{k}*u", 3 if long else None, "power")
+            self.refused_at(f"(10*u/u_x)^{k}", 11 if long else None, "power")
+        for a in (-1, 0, 1):  # no bit-length refusal, at the largest k the budget allows
+            assert parse_expression(f"({a})^9999*u", 1) == a * u
+
+    def test_rule_holds_on_random_expressions(self):
+        # seeded fuzzing of the digit-limit rule: every parse returns a value
+        # within the limit that prints, or a ParseError with its position
+        pytest.importorskip("hypothesis")
+        import re
+        from hypothesis import HealthCheck, given, settings, strategies as st
+
+        limit = self.LIMIT
+        literal = st.one_of(
+            st.tuples(st.sampled_from("123456789"), st.integers(limit - 2, limit))
+            .map(lambda t: t[0] * t[1]),
+            st.integers(limit - 3, limit - 1).map(lambda k: "1" + "0" * k),
+            st.integers(limit - 3, limit - 1).map(lambda k: f"10^{k}"),
+            st.sampled_from(["1", "2", "3", "1/3"]))
+        leaf = st.one_of(literal, st.sampled_from(["u", "u_x", "x"]))
+        polynomials = st.recursive(leaf, lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(inner, literal).map(lambda t: f"{t[0]}/{t[1]}"),
+        ), max_leaves=5)
+        divisors = st.recursive(leaf, lambda inner: st.tuples(inner, st.sampled_from("+-*"), inner)
+                                .map(lambda t: f"({t[0]} {t[1]} {t[2]})"), max_leaves=2)
+
+        @st.composite
+        def expressions(draw):
+            # at most two quotients by non-constants, so rational sums stay small
+            source = draw(polynomials)
+            for _ in range(draw(st.integers(0, 2))):
+                quotient = f"({draw(polynomials)})/{draw(divisors)}"
+                if draw(st.booleans()):
+                    quotient = f"({quotient})^{draw(st.integers(1, 3))}"
+                source = f"{source} {draw(st.sampled_from('+-*'))} {quotient}"
+            return source
+
+        seen = {"parsed": 0, "refused": 0}
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=list(HealthCheck))
+        @given(expressions())
+        def check(source):
+            try:
+                e = parse_expression(source, 1)
+            except ParseError as err:
+                assert err.line >= 1 and err.col >= 1 and re.search(r" at \d+:\d+", str(err))
+                seen["refused"] += 1
+                return
+            bound = 10 ** limit
+            assert all(abs(c.numerator) < bound and c.denominator < bound
+                       for c in (*e.num.terms.values(), *e.den.terms.values()))
+            expr_to_source(e, 1)
+            seen["parsed"] += 1
+
+        check()
+        assert seen["parsed"] >= 30 and seen["refused"] >= 30, seen
 
 
 class TestRoundTrip:
