@@ -32,14 +32,13 @@ replacement table of Exprs.  On term dicts, every sum and product and the
 clearing of G's denominators run through the raw-term kernel of
 :mod:`paraclaw.expr` (``_add_terms``, ``_add_product``, ``_cleared``).
 
-Memos.  The columns E_u(m_k), which of them the pivot pass keeps, and each
-kept column's dQ/du_J and D_L Q depend on n and the ansatz bounds alone,
-not on G; only their products with D_J(d G) and the A_L do.  So three
-process-wide memos, of MEMO_SIZE entries each, hold that half of the
-search: E_u of each t-free ansatz monomial, the kept column indices by
-(n, spec), and the dQ/du_J and D_L Q of each t-free characteristic part,
-built from the part the assembly holds at its first miss, so every dict
-keeps the term order of a cold search.  A second equation at bounds
+Memos.  A column is a monomial t^b m with m t-free, and E_u(t^b m) =
+t^b E_u(m), so all of the search that does not depend on G is a function
+of m: E_u(m), and the dQ/du_J and D_L Q of Q = E_u(m); only their products
+with D_J(d G) and the A_L depend on G.  Two ``functools.lru_cache`` memos
+of MEMO_SIZE entries keyed by m hold these for the process, and ``_KEPT``
+holds the column indices the pivot pass keeps, by (n, spec), and is
+emptied when it reaches MEMO_SIZE entries.  A second equation at bounds
 already seen then does only the G-dependent products, the solve and the
 extraction; a single search computes what it computed without them, and
 keeps it.  The memoized dicts are only read, and ``generate_ansatz``
@@ -54,7 +53,6 @@ monomial order.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -140,17 +138,17 @@ class ConservationLaw:
 @dataclass
 class DeterminingSystem:
     """Exact homogeneous linear system in the coefficients of ``ncols``
-    characteristic columns.
+    density columns.
 
     One row per monomial in the base and jet variables of
-    sum_k v_k (dQ_k/dt + E_u(G Q_k)), scaled by the lcm d of the
-    denominators of G; ``rows`` are sparse {column index: coefficient},
-    with ``int`` coefficients for ``int`` columns, and ``keys[i]`` is the
-    monomial of ``rows[i]``.  Rows come in the order their keys are first
-    met, column by column, and are not sorted (the reduced row echelon
-    form, and so the null space, is the same under any row order); so the
-    smallest column of each row is the column that first met its key, and
-    these columns never decrease down the rows."""
+    sum_k v_k (dQ_k/dt + E_u(G Q_k)), Q_k = E_u(T_k), scaled by the lcm d
+    of the denominators of G; ``rows`` are sparse {column index: ``int``
+    coefficient}, and ``keys[i]`` is the monomial of ``rows[i]``.  Rows
+    come in the order their keys are first met, column by column, and are
+    not sorted (the reduced row echelon form, and so the null space, is the
+    same under any row order); so the smallest column of each row is the
+    column that first met its key, and these columns never decrease down
+    the rows."""
 
     ncols: int
     rows: list[dict] = field(default_factory=list)
@@ -216,54 +214,42 @@ def _characteristic(m: Monomial) -> dict:
     return _euler_terms({m: 1})
 
 
-class _Memo(dict):
-    """A process-wide memo of a pure function, each key stored once: a
-    store into a full memo first drops the oldest entry.  Only whole values
-    are stored, and stores hold a lock, so threads may share it."""
-
-    maxsize = MEMO_SIZE
-    cache_clear = dict.clear
-    _lock = threading.Lock()
-
-    def __setitem__(self, key, value) -> None:
-        with self._lock:
-            if len(self) >= self.maxsize:
-                del self[next(iter(self))]
-            super().__setitem__(key, value)
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _tables(m: Monomial) -> tuple[dict, _Prolonged]:
+    """(dQ/du_J by J, the D_L Q memo) of Q = E_u(m), for the t-free
+    monomial m."""
+    Q = _characteristic(m)
+    return _jet_partials(Q), _prolongations(Q)
 
 
-_KEPT = _Memo()  # (n, spec) -> the indices of the ansatz columns the pivot pass keeps
-_PARTS = _Memo()  # a part's terms and coefficient types -> (dpart/du_J by J, D_L part memo)
+_KEPT: dict = {}  # (n, spec) -> the indices of the ansatz columns the pivot pass keeps
 
 
 def assemble_determining_system(eq: EvolutionEquation,
-                                characteristics: list[dict]) -> DeterminingSystem:
-    """The linear determining equations of the characteristic columns
-    Q_k = E_u(T_k), each the terms of a purely spatial polynomial: the
-    coefficient of every monomial in the base and jet variables of
-    sum_k v_k d (dQ_k/dt + E_u(G Q_k)) = sum_k v_k d E_u(reduce(D_t T_k))
-    (see the module docstring).
+                                densities: list[dict]) -> DeterminingSystem:
+    """The linear determining equations of the one-term ``int`` density
+    columns T_k = {t^b m: 1} of :func:`generate_ansatz`: the coefficient of
+    every monomial in the base and jet variables of
+    sum_k v_k d (dQ_k/dt + E_u(G Q_k)) = sum_k v_k d E_u(reduce(D_t T_k)),
+    Q_k = E_u(T_k) (see the module docstring).
 
     Each column's expression is d dQ/dt + l_Q(d G) + sum_L A_L D_L Q, from
     the auxiliary equation, which holds only for a characteristic: E_u(f g)
     = l*_f(g) + l*_g(f) for any f and g, and Helmholtz gives l*_Q = l_Q for
     Q = E_u(T) (Olver, GTM 107), so E_u((d G) Q) = l_Q(d G) + l*_{dG}(Q).
     No Euler operator runs.  d, the lcm of the denominators of G's
-    coefficients, keeps every step on ``int`` coefficients for ``int``
-    columns; it changes neither the null space nor the reduced rows.  The
-    D_J(d G) memo and the A_L of l*_{dG} are built once for all columns,
-    no time jet occurs, so no replacement table is built, and each column's
-    terms go straight into the rows at its index.  Multiplying by t commutes
-    with every D_i, d/du_J and product, so with Q = sum_b t^b Q'_b, Q'_b
-    t-free, l_Q(d G) + sum_L A_L D_L Q = sum_b t^b (the same of Q'_b), for
-    any G: that part is built once per distinct Q'_b, from the dQ'_b/du_J
-    and D_L Q'_b memoized for the process, and d dQ/dt is
-    sum_b d b t^(b-1) Q'_b.
+    coefficients, keeps every step on ``int`` coefficients; it changes
+    neither the null space nor the reduced rows.  The D_J(d G) memo and
+    the A_L of l*_{dG} are built once for all columns, and no replacement
+    table is built.  Multiplying by t commutes with every D_i, d/du_J and
+    product, so for T = t^b m the expression is t^b S_m + d b t^(b-1) E_u(m),
+    with S_m = l_Q(d G) + sum_L A_L D_L Q for Q = E_u(m), for any G: S_m is
+    built once per distinct m, from the :func:`_tables` of m.
 
     With no columns the system is empty on any G.  Otherwise a
     rational-function G raises NotPolynomialIn before any assembly, naming
     the jets of G.den, or all its symbols when it has none."""
-    if not characteristics:
+    if not densities:
         return DeterminingSystem(0)
     G = eq.G
     if not G.is_polynomial:
@@ -272,32 +258,25 @@ def assemble_determining_system(eq: EvolutionEquation,
     d, (dG,) = _cleared([G.num.terms])
     D_G = _prolongations(dG)
     A = _adjoint_coefficients(dG)
-    spatial: dict = {}  # t-free part Q' -> l_Q'(d G) + sum_L A_L D_L Q'
+    spatial: dict = {}  # t-free m -> (S_m, E_u(m))
     rows: dict = {}
-    for k, Q in enumerate(characteristics):
-        E: dict = {}
-        parts = _time_powers(Q)
-        for b, part in parts.items():
-            # 2 == Fraction(2) as dict values: the types are part of the key,
-            # so int columns get int rows whatever was assembled before
-            memo_key = frozenset(part.items()), frozenset(map(type, part.values()))
-            S = spatial.get(memo_key)
-            if S is None:
-                tables = _PARTS.get(memo_key)
-                if tables is None:
-                    tables = _PARTS[memo_key] = _jet_partials(part), _prolongations(part)
-                S = spatial[memo_key] = {}
-                _add_linearization(S, tables[0], D_G)
-                _add_adjoint(S, A, tables[1])
-            if not b and len(parts) == 1:  # a t-free column: E is S, only read
-                E = S
-                break
-            _add_terms(E, _times_t(S, b))
-            if b:  # d d/dt (t^b Q') = d b t^(b-1) Q'
-                _add_terms(E, _times_t(part, b - 1), d * b)
+    for k, (m,) in enumerate(densities):
+        b = m[0][1] if m and m[0][0] == TIME else 0  # t sorts first
+        m = m[1:] if b else m
+        got = spatial.get(m)
+        if got is None:
+            Q_u, D_Q = _tables(m)
+            S: dict = {}
+            _add_linearization(S, Q_u, D_G)
+            _add_adjoint(S, A, D_Q)
+            got = spatial[m] = S, D_Q[()]
+        E, Q = got
+        if b:  # t^b S_m + d d/dt (t^b Q) = t^b S_m + d b t^(b-1) Q
+            E = _times_t(E, b)
+            _add_terms(E, _times_t(Q, b - 1), d * b)
         for key, c in E.items():
             rows.setdefault(key, {})[k] = c
-    return DeterminingSystem(len(characteristics), list(rows.values()), list(rows))
+    return DeterminingSystem(len(densities), list(rows.values()), list(rows))
 
 
 def _times_t(terms: dict, b: int) -> dict:
@@ -313,19 +292,6 @@ def _times_t(terms: dict, b: int) -> dict:
         else:
             out[((TIME, b),) + m] = c
     return out
-
-
-def _time_powers(Q: dict) -> dict[int, dict]:
-    """b -> the terms of Q'_b, for the polynomial Q = sum_b t^b Q'_b with
-    these terms and t-free Q'_b: t sorts first, so it is a monomial's first
-    pair when it occurs."""
-    parts: dict = {}
-    for m, c in Q.items():
-        if m and m[0][0] == TIME:
-            parts.setdefault(m[0][1], {})[m[1:]] = c
-        else:
-            parts.setdefault(0, {})[m] = c
-    return parts
 
 
 def _add_linearization(out: dict, Q_u: dict, D_f: dict) -> None:
@@ -552,9 +518,11 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         pivots = linalg.Echelon()
         keep = _KEPT[eq.n, spec] = tuple(
             k for k, Q in enumerate(characteristics) if pivots.add(Q))
+        if len(_KEPT) >= MEMO_SIZE:  # after the store, so threads leave it within bound
+            _KEPT.clear()
     densities = [densities[k] for k in keep]
     characteristics = [characteristics[k] for k in keep]
-    system = assemble_determining_system(eq, characteristics)
+    system = assemble_determining_system(eq, densities)
     basis = solve_exact(system)
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []

@@ -23,9 +23,10 @@ Each option clause may appear once (a "ref" clause once per jet, whatever
 alias names it); a repeated one is a ParseError at the repeated clause.
 Parentheses nest at most MAX_NESTING deep: deeper input is a ParseError,
 not a RecursionError.  Each "*", "/" and "^" is charged its term-pair
-products before it runs ("^k" is k - 1 multiplications); a parse whose
-running total would pass expr.MAX_TERMS is a ParseError, so no input
-expands without bound.  So is a number literal longer than the digit
+products before it runs ("^k" is k - 1 multiplications, and nothing on a
+constant, whose power the digit limit bounds); a parse whose running total
+would pass expr.MAX_TERMS is a ParseError, so no input expands without
+bound.  So is a number literal longer than the digit
 limit sys.get_int_max_str_digits(), and one digit-limit rule bounds
 coefficients: each "*", "/", "^", "+" and "-" builds its result, and a
 numerator or denominator of it at or past 10^limit is a ParseError at that
@@ -396,10 +397,14 @@ class _Parser:
         k = self.number(self.expect("num"))
         if not k:
             return {(): 1}
+        if type(atom) is Expr and atom.is_polynomial and len(atom.num.terms) <= 1:
+            atom = atom.num.terms  # a single term, such as (u^2/u), has a closed-form power
         if type(atom) is dict and len(atom) <= 1:
-            # each of the k - 1 products pairs the numerators' one term (none
-            # for 0) and the denominators' one term
-            self.charge(op, (k - 1) * (len(atom) + 1))
+            # each of the k - 1 products pairs the numerators' one term and
+            # the denominators' one term; a constant's power is bounded by
+            # the digit-limit rule instead
+            if any(atom):
+                self.charge(op, 2 * (k - 1))
             power = {}
             for am, ac in atom.items():
                 if ac == 1 or ac == -1:

@@ -108,9 +108,10 @@ class TestGenerateAnsatz:
             AnsatzSpec(max_jet_order=ORDER_GUARD, unsafe_order=True)
 
 
-def columns(*densities):
-    """The characteristic columns E_u(T) of these densities, as term dicts."""
-    return [euler_operator(T).num.terms for T in densities]
+def columns(*monomials):
+    """The one-term ``int`` density columns {m: 1} of these monomials, as
+    generate_ansatz returns them."""
+    return [{m: 1} for T in monomials for m in T.num.terms]
 
 
 class TestDeterminingSystem:
@@ -153,7 +154,7 @@ class TestDeterminingSystem:
         for entry in CORPUS:
             for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1)):
                 system = assemble_determining_system(
-                    entry.equation(), generate_ansatz(entry.equation(), spec)[1])
+                    entry.equation(), generate_ansatz(entry.equation(), spec)[0])
                 assert solve_exact(system) == linalg.nullspace(system.rows, system.ncols)
         rng = random.Random(157)
         for _ in range(100):
@@ -659,19 +660,19 @@ class TestSearchMemos:
     def test_memos_shared_by_threads(self):
         assert suite_memos_shared_by_threads() == 4 * 4 * len(CORPUS)
 
-    def test_equal_parts_of_other_types_share_no_tables(self):
-        # Fraction(2) == 2 and hashes alike: a Fraction column assembled
-        # first must not hand its tables to the equal int column
-        eq = EvolutionEquation(1, uxx + u * ux)
-        terms = (2 * u + 3).num.terms  # E_u(u^2 + 3 u)
-        ints = [{m: int(c) for m, c in terms.items()}]
-        fractions = [{m: Fraction(c) for m, c in terms.items()}]
-        assemble_determining_system(eq, fractions)
-        rows = assemble_determining_system(eq, ints).rows
-        assert rows and all(type(c) is int for row in rows for c in row.values())
-
-    def test_memo_drops_oldest_when_full(self):
-        memo = claws._Memo()
-        for k in range(memo.maxsize + 2):
-            memo[k] = k
-        assert len(memo) == memo.maxsize and min(memo) == 2
+    def test_every_memo_is_bounded(self, monkeypatch):
+        # the monomial memos are lru_caches of MEMO_SIZE entries, and _KEPT
+        # is emptied when it reaches MEMO_SIZE, so after MEMO_SIZE + 2
+        # stores it holds the last two; an empty ansatz keeps the searches
+        # cheap at large n
+        from util import clear_search_memos
+        assert claws._characteristic.cache_info().maxsize == claws.MEMO_SIZE
+        assert claws._tables.cache_info().maxsize == claws.MEMO_SIZE
+        monkeypatch.setattr(claws, "generate_ansatz", lambda eq, spec: ([], []))
+        clear_search_memos()
+        try:
+            for n in range(1, claws.MEMO_SIZE + 3):
+                find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
+            assert list(claws._KEPT) == [(n - 1, AnsatzSpec()), (n, AnsatzSpec())]
+        finally:
+            clear_search_memos()

@@ -370,6 +370,17 @@ class TestLongLiterals:
     def test_longest_literal_parses(self):
         assert parse_expression("9" * self.LIMIT, 1) == Expr.const(10 ** self.LIMIT - 1)
 
+    def test_power_of_a_constant_is_not_charged_to_the_budget(self):
+        # 10^4299 expands nothing, so u^9999 may take 19996 of the 20000
+        # term pairs; nor does a constant reached through a rational
+        # function; a power of a monomial is still charged, since no other
+        # rule bounds its exponent
+        assert parse_expression("10^4299*u^9999", 1) == 10 ** 4299 * u ** 9999
+        assert parse_expression("(2*u/u)^12000", 1) == 2 ** 12000
+        with pytest.raises(ParseError, match="^expression expands past MAX_TERMS = 20000 "
+                                             "term products at 1:2$"):
+            parse_expression("u^10002", 1)
+
     @pytest.mark.parametrize("source, where", [
         ("n=1; u_t = 3^10000*u_xx", "1:13"),
         ("n=1; u_t = {}^9999*u_xx".format("7" * 300), "1:312"),
@@ -377,7 +388,9 @@ class TestLongLiterals:
         ("n=1; u_t = 10^4300*u_xx", "1:14"),
     ], ids=["base-3", "300-digit-base", "denominator", "one-past"])
     def test_power_past_the_limit(self, tmp_path, capsys, source, where):
-        # refused at the ^ from bit lengths, before the power is built
+        # the 300-digit base is refused at the ^ from bit lengths, before the
+        # power is built; 3^10000, (1/3)^10000 and 10^4300 pass that bound,
+        # are built, and are then refused by the digit-limit rule
         import time
         f = tmp_path / "power.pde"
         f.write_text(source)

@@ -232,16 +232,26 @@ def tagged(columns: list[dict]) -> Expr:
     return Expr._make(Poly(terms), Poly.one())
 
 
-def assembled_expression(eq: EvolutionEquation, characteristics: list[dict]) -> Expr:
+def assembled_expression(eq: EvolutionEquation, densities: list[dict]) -> Expr:
     """sum_k c_k E_k, E_k the determining expression of column k read off
-    the rows of assemble_determining_system(eq, characteristics)."""
-    system = assemble_determining_system(eq, characteristics)
-    assert system.ncols == len(characteristics)
+    the rows of assemble_determining_system(eq, densities)."""
+    system = assemble_determining_system(eq, densities)
+    assert system.ncols == len(densities)
     terms = {}
     for key, row in zip(system.keys, system.rows):
         for k, v in row.items():
             terms[key + ((tag(k), 1),)] = v
     return Expr._make(Poly(terms), Poly.one())
+
+
+def assembled_for(eq: EvolutionEquation, T: Expr) -> Expr:
+    """The determining expression of the polynomial density
+    T = sum_k a_k m_k, assembled from its one-term columns {m_k: 1} and
+    combined with the a_k."""
+    assert T.is_polynomial
+    terms = T.num.terms
+    E = assembled_expression(eq, [{m: 1} for m in terms])
+    return E.substitute({tag(k): a for k, a in enumerate(terms.values())})
 
 
 def tagged_generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Expr, list[Symbol]]:
@@ -971,8 +981,8 @@ def suite_characteristic_form_corpus() -> int:
     for entry in CORPUS:
         eq = entry.equation()
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
-            densities, characteristics = generate_ansatz(eq, spec)
-            assert assembled_expression(eq, characteristics) \
+            densities = generate_ansatz(eq, spec)[0]
+            assert assembled_expression(eq, densities) \
                 == determining_scale(eq) * naive_determining_expression(eq, tagged(densities)), \
                 f"characteristic form differs on {entry.name} at {spec}"
             checked += 1
@@ -997,8 +1007,7 @@ def suite_characteristic_form_random(cases: int = 60, seed: int = 43) -> int:
                     * Expr.symbol(rng.choice(jets))
         eq = EvolutionEquation(n, G)
         T = random_poly(rng, syms, terms=4)
-        assert assembled_expression(eq, [euler_operator(T).num.terms]) \
-            == Expr.symbol(tag(0)) * determining_scale(eq) * naive_determining_expression(eq, T), \
+        assert assembled_for(eq, T) == determining_scale(eq) * naive_determining_expression(eq, T), \
             f"characteristic form differs for u_t = {G}, T = {T}"
     return cases
 
@@ -1011,8 +1020,8 @@ def suite_auxiliary_form_corpus() -> int:
     checked = 0
     for name, eq in rational_corpus():
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
-            characteristics = generate_ansatz(eq, spec)[1]
-            assert assembled_expression(eq, characteristics) \
+            densities, characteristics = generate_ansatz(eq, spec)
+            assert assembled_expression(eq, densities) \
                 == reference_determining_expression(eq, tagged(characteristics)), \
                 f"auxiliary form differs on {name} at {spec}"
             checked += 1
@@ -1038,8 +1047,7 @@ def suite_auxiliary_form_random(cases: int = 60, seed: int = 89) -> int:
             * Expr.symbol(rng.choice(jets[n + 1:])) * Expr.symbol(rng.choice(syms))
         eq = EvolutionEquation(n, G)
         Q = euler_operator(T)
-        assert assembled_expression(eq, [Q.num.terms]) \
-            == Expr.symbol(tag(0)) * reference_determining_expression(eq, Q), \
+        assert assembled_for(eq, T) == reference_determining_expression(eq, Q), \
             f"auxiliary form differs for u_t = {G}, T = {T}"
     return cases
 
@@ -1110,8 +1118,8 @@ def suite_integer_assembly() -> int:
     checked."""
     checked = 0
     for name, eq in rational_corpus():
-        densities, characteristics = generate_ansatz(eq, AnsatzSpec(2, 2, 1))
-        system = assemble_determining_system(eq, characteristics)
+        densities = generate_ansatz(eq, AnsatzSpec(2, 2, 1))[0]
+        system = assemble_determining_system(eq, densities)
         d = determining_scale(eq)
         reference: dict = {}
         tags = [tag(k) for k in range(len(densities))]
@@ -1399,7 +1407,7 @@ def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
     densities, characteristics = generate_ansatz(eq, spec)
-    system = assemble_determining_system(eq, characteristics)
+    system = assemble_determining_system(eq, densities)
     kept = linalg.Echelon()
     laws = []
     for vec in solve_exact(system):
@@ -1604,9 +1612,9 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     densities, characteristics = calls["generate_ansatz"][1]
     assert densities == linear_columns(stages["T"], stages["tags"]), where
     assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
-    index = {id(Q): k for k, Q in enumerate(characteristics)}
+    index = {id(T): k for k, T in enumerate(densities)}
     assembled = calls["assemble_determining_system"][0][1]
-    assert [index[id(Q)] for Q in assembled] == stages["kept"], where
+    assert [index[id(T)] for T in assembled] == stages["kept"], where
     if "error" in stages:
         assert outcome[0] != "laws" and calls["assemble_determining_system"][1] is None, where
         return
@@ -1621,8 +1629,8 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
 
 def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     """E_u(t^b m) = t^b E_u(m), and the assembly's l_Q(d G) + sum_L A_L D_L Q
-    is built once per t-free part Q'_b of Q = sum_b t^b Q'_b, with
-    d dQ/dt = sum_b d b t^(b-1) Q'_b: on equations whose G holds an
+    is built once per t-free monomial m of the columns t^b m, as S_m of
+    Q = E_u(m), with d dQ/dt = d b t^(b-1) E_u(m): on equations whose G holds an
     explicit t, at base degrees 2 and 3, :func:`_compare_column_route`
     finds the columns, the key -> row mapping, the null space and the
     laws of the tagged route, or the same refusal.  The equations are
@@ -1632,8 +1640,8 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     t, x and the jets of order <= 1, with force, except that every fourth
     has a < 0 and no force, so it is refused as not parabolic.  The full
     ansatz of each polynomial G is also assembled with its columns in
-    reverse order, which must give the same key -> row mapping: the memo
-    of t-free parts does not depend on which column meets a part first.
+    reverse order, which must give the same key -> row mapping: S_m does
+    not depend on which column meets m first.
     Returns the number of problems, refusals and laws."""
     rng = random.Random(seed)
     tt = Expr.symbol(TIME)
@@ -1659,10 +1667,10 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
             force = k < 4 or (k - 4) % 4 != 3
             _compare_column_route(f"{name} at {spec}", eq, spec, force, counts)
             if G.is_polynomial:
-                _, characteristics = generate_ansatz(eq, spec)
-                forward = assemble_determining_system(eq, characteristics)
-                backward = assemble_determining_system(eq, characteristics[::-1])
-                flipped = [{len(characteristics) - 1 - c: v for c, v in row.items()}
+                densities = generate_ansatz(eq, spec)[0]
+                forward = assemble_determining_system(eq, densities)
+                backward = assemble_determining_system(eq, densities[::-1])
+                flipped = [{len(densities) - 1 - c: v for c, v in row.items()}
                            for row in backward.rows]
                 assert dict(zip(forward.keys, forward.rows)) \
                     == dict(zip(backward.keys, flipped)), name
@@ -1673,28 +1681,21 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
 # Process-wide memos of the law search
 # ---------------------------------------------------------------------------
 
-def search_memos() -> dict:
-    """The law search's process-wide memos of its G-independent half, by
-    name: E_u of t-free monomials, the kept column indices by (n, spec) and
-    the tables of each t-free characteristic part."""
-    return {"characteristic": claws._characteristic, "kept": claws._KEPT,
-            "parts": claws._PARTS}
-
-
 def clear_search_memos() -> None:
-    for memo in search_memos().values():
-        memo.cache_clear()
+    """Empty the law search's process-wide memos of its G-independent half:
+    E_u and the tables of t-free monomials, and the kept column indices by
+    (n, spec)."""
+    claws._characteristic.cache_clear()
+    claws._tables.cache_clear()
+    claws._KEPT.clear()
 
 
 def search_memo_sizes() -> dict:
-    """name -> (maxsize, currsize) of each :func:`search_memos` memo."""
-    sizes = {}
-    for name, memo in search_memos().items():
-        if isinstance(memo, dict):
-            sizes[name] = memo.maxsize, len(memo)
-        else:
-            info = memo.cache_info()
-            sizes[name] = info.maxsize, info.currsize
+    """name -> (maxsize, currsize) of each memo of the law search."""
+    sizes = {"kept": (claws.MEMO_SIZE, len(claws._KEPT))}
+    for name, memo in (("characteristic", claws._characteristic), ("tables", claws._tables)):
+        info = memo.cache_info()
+        sizes[name] = info.maxsize, info.currsize
     return sizes
 
 
@@ -1706,28 +1707,35 @@ def golden_ansatz_specs() -> list[AnsatzSpec]:
 def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tuple:
     """The search's :func:`_search_outcome`, its determining system (keys,
     and each row's items in order) and null space, as recorded by
-    :func:`recorded_search`, and the t-free monomials of its ansatz."""
+    :func:`recorded_search`, and the t-free monomials of its ansatz and of
+    the columns it assembled."""
     calls, outcome = recorded_search(eq, spec, force)
     system = calls.get("assemble_determining_system", [None, None])[1]
     staged = None
     if system is not None:
         staged = system.keys, [list(row.items()) for row in system.rows], \
             calls["solve_exact"][1]
-    monomials = set()
-    if "generate_ansatz" in calls:
-        for (m,) in calls["generate_ansatz"][1][0]:
-            monomials.add(m[1:] if m and m[0][0] == TIME else m)
-    return (outcome, staged), monomials
+    ansatz = calls["generate_ansatz"][1][0] if "generate_ansatz" in calls else []
+    assembled = calls["assemble_determining_system"][0][1] if system is not None else []
+    return (outcome, staged), (_t_free(ansatz), _t_free(assembled))
+
+
+def _t_free(densities: list[dict]) -> set:
+    """The t-free monomials m of the one-term density columns {t^b m: 1}."""
+    return {m[1:] if m and m[0][0] == TIME else m for (m,) in densities}
 
 
 def _memo_snapshot(snapshot: dict, monomials) -> None:
     """Add to ``snapshot``, id -> (object, copy of its contents), every dict
-    and tuple the search memos hold that it lacks: E_u of the given t-free
-    monomials (held already, so reading them stores nothing), the kept
-    indices and each part's tables."""
-    held = [claws._characteristic(m) for m in monomials]
+    and tuple the search memos hold that it lacks: E_u of the t-free
+    monomials of an ansatz and the tables of those of its assembled columns
+    (held already, so reading them stores nothing), and the kept
+    indices."""
+    ansatz, assembled = monomials
+    held = [claws._characteristic(m) for m in ansatz]
     held += claws._KEPT.values()
-    for partials, prolonged in claws._PARTS.values():
+    for m in assembled:
+        partials, prolonged = claws._tables(m)
         held += [partials, prolonged, *partials.values(), *prolonged.values()]
     for obj in held:
         if id(obj) not in snapshot:
@@ -1851,8 +1859,9 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
     """Threads that share the search memos get the results of cold
     searches: from cleared memos, each of ``threads`` threads runs every
     corpus entry at every golden spec, in its own seeded order, and each
-    outcome equals the cold one.  And threads storing distinct keys into
-    one memo at once leave it full and at its bound.  Returns the number
+    outcome equals the cold one.  And threads storing MEMO_SIZE + threads
+    distinct keys into ``_KEPT`` at once, by searches of an empty ansatz at
+    n = 1, 2, ..., leave it within its bound.  Returns the number
     of searches compared."""
     problems = [(entry.name, entry.equation(), spec)
                 for entry in CORPUS for spec in golden_ansatz_specs()]
@@ -1874,15 +1883,19 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
     assert errors == [None] * threads, errors
     for (k, i), outcome in got.items():
         assert outcome == reference[i], f"thread {k} differs on {problems[i][0]} at {problems[i][2]}"
-    memo = claws._Memo()
 
     def fill(k):
-        for j in range(memo.maxsize):
-            memo[k, j] = j
+        for n in range(1 + k, claws.MEMO_SIZE + threads + 1, threads):
+            find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
 
-    errors = _in_threads(fill, threads)
+    clear_search_memos()  # the kept columns of the real ansatz index none here
+    generate, claws.generate_ansatz = claws.generate_ansatz, lambda eq, spec: ([], [])
+    try:
+        errors = _in_threads(fill, threads)
+    finally:
+        claws.generate_ansatz = generate
     assert errors == [None] * threads, errors
-    assert len(memo) == memo.maxsize
+    assert len(claws._KEPT) < claws.MEMO_SIZE
     return len(got)
 
 
@@ -2008,10 +2021,10 @@ def suite_nullspace_equivalence(cases: int = 150, seed: int = 163) -> dict:
     heat_2d = next(entry for entry in CORPUS if entry.name == "heat_2d")
     searches.append(("heat_2d", heat_2d.equation(), AnsatzSpec(2, 2, 2)))
     for name, eq, spec in searches:
-        characteristics = generate_ansatz(eq, spec)[1]
+        densities, characteristics = generate_ansatz(eq, spec)
         pivots = ReferenceEchelon()
         system = assemble_determining_system(
-            eq, [Q for Q in characteristics if pivots.add(Q)])
+            eq, [T for T, Q in zip(densities, characteristics) if pivots.add(Q)])
         compare(f"{name} at {spec}", solve_exact(system), system.rows, system.ncols)
     return counts
 
@@ -2033,7 +2046,7 @@ def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
         eq = entry.equation()
         densities, characteristics = generate_ansatz(eq, spec)
         T_ansatz = tagged(densities)
-        system = assemble_determining_system(eq, characteristics)
+        system = assemble_determining_system(eq, densities)
         for vec in solve_exact(system):
             T = T_ansatz.substitute({tag(k): vec.get(k, 0) for k in range(len(densities))})
             assert combine(densities, vec) == T, f"density differs on {entry.name}"
@@ -2153,7 +2166,8 @@ class ReferenceParser(_Parser):
             k = self.number(self.expect("num"))
             num, den = (atom.num, atom.den) if k else (Poly.one(), Poly.one())
             for _ in range(k - 1):
-                self.charge_products(op, (num, atom.num), (den, atom.den))
+                if atom.symbols():  # a constant's power is not charged
+                    self.charge_products(op, (num, atom.num), (den, atom.den))
                 num, den = num * atom.num, den * atom.den
             return Expr(num, den, _raw=True)
         return atom
@@ -2310,8 +2324,9 @@ def _budget_source(rng: random.Random) -> str:
         return out
     if kind == 2:  # a single-term power at the edge of the budget
         base = rng.choice(names + ["0", "(0)", "2", "(3/4)"])
-        # each product pairs the denominators' one term, and the numerators'
-        # one term unless the base is zero
+        # each product pairs the numerators' one term and the denominators'
+        # one term; a constant base is not charged, so its power parses or
+        # meets the digit limit
         edge = MAX_TERMS if "0" in base else MAX_TERMS // 2
         return f"{base}^{rng.randint(edge - 2, edge + 3)}"
     depth = rng.randint(MAX_NESTING - 2, MAX_NESTING + 2)
