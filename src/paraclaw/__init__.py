@@ -7,11 +7,11 @@ problem-file grammar.
 """
 
 from .expr import (
-    AUX, BASE, JET, DivisionByZeroExpr, Expr, MultiIndex,
+    AUX, BASE, JET, DivisionByZeroExpr, Expr,
     NotPolynomialIn, Symbol, aux_var, base_var, jet_var,
 )
 from .jets import (
-    NotInDivergenceImage, OrderOverflow, ReplacementTable, TimeJetPresent,
+    NotInDivergenceImage, OrderOverflow, Prolonged, TimeJetPresent,
     build_replacement_table,
     deprolongation_dimension, euler_operator, invert_divergence,
     parabolic_system_dimension, reduce_to_spatial, tableau_dimension,

@@ -28,9 +28,10 @@ each law on ``int`` term dicts, as d reduce(D_t T) = d dT/dt + l_T(d G),
 with D_J(d G) built by prefix as in the assembly, and inverts it with the
 integer homotopy core of :mod:`paraclaw.jets`; ``verify`` and
 ``reconstruct_flux``, whose T may be rational, read D_J G off a
-replacement table of Exprs.  On term dicts, every sum and product and the
-clearing of G's denominators run through the raw-term kernel of
-:mod:`paraclaw.expr` (``_add_terms``, ``_add_product``, ``_cleared``).
+replacement table of Exprs; both memos are a :class:`~paraclaw.jets.Prolonged`
+by J.  On term dicts, every sum and product and the clearing of G's
+denominators run through the raw-term kernel of :mod:`paraclaw.expr`
+(``_add_terms``, ``_add_product``, ``_cleared``).
 
 Memos.  A column is a monomial t^b m with m t-free, and E_u(t^b m) =
 t^b E_u(m), so all of the search that does not depend on G is a function
@@ -63,8 +64,9 @@ from .expr import (
     _add_product, _add_terms, _cleared, base_var,
 )
 from .jets import (
-    ORDER_GUARD, NotInDivergenceImage, OrderOverflow, ReplacementTable,
-    TimeJetPresent, _add_total_derivative, _euler_terms, _jet_partials, _homotopy,
+    ORDER_GUARD, NotInDivergenceImage, OrderOverflow, Prolonged,
+    TimeJetPresent, _add_total_derivative, _derivative_terms, _euler_terms,
+    _jet_partials, _homotopy,
     bounded_monomials, build_replacement_table, has_time_jets,
     invert_divergence, spatial_jet_order, spatial_jet_vars, total_derivative,
 )
@@ -215,7 +217,7 @@ def _characteristic(m: Monomial) -> dict:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _tables(m: Monomial) -> tuple[dict, _Prolonged]:
+def _tables(m: Monomial) -> tuple[dict, Prolonged]:
     """(dQ/du_J by J, the D_L Q memo) of Q = E_u(m), for the t-free
     monomial m."""
     Q = _characteristic(m)
@@ -327,25 +329,13 @@ def _add_adjoint(out: dict, A: dict[tuple[int, ...], dict], D_Q: dict) -> None:
         _add_product(out, A_L, D_Q[L])
 
 
-class _Prolonged(dict):
-    """word -> the terms of D_word p, for the polynomial p with the terms
-    at () and sorted spatial index words: a missing word is built from its
-    prefix's by one total derivative and kept once whole, so a memo shared
-    by threads, or left by an interrupted search, holds no partial one."""
-
-    def __missing__(self, word: tuple[int, ...]) -> dict:
-        got: dict = {}
-        _add_total_derivative(got, self[word[:-1]], word[-1])
-        self[word] = got
-        return got
+def _prolongations(terms: dict) -> Prolonged:
+    """The memo of the terms of D_J p, by the word J, for the polynomial p
+    with these terms."""
+    return Prolonged(terms, _derivative_terms)
 
 
-def _prolongations(terms: dict) -> _Prolonged:
-    """The :class:`_Prolonged` memo of the polynomial with these terms."""
-    return _Prolonged({(): terms})
-
-
-def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
+def _on_shell_dt(T: Expr, table: Prolonged) -> Expr:
     """reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J: the time derivative of
     the purely spatial density T on the prolonged equation, with each D_J G
     read off the table.
@@ -361,7 +351,7 @@ def _on_shell_dt(T: Expr, table: ReplacementTable) -> Expr:
     def on_shell(p: Expr) -> Expr:
         R = p.diff(TIME)
         for s in sorted(s for s in p.symbols() if s.kind == JET):
-            R = R + p.diff(s) * table.entry(s.jet.append(0))
+            R = R + p.diff(s) * table[s.spatial]
         return R
 
     if T.is_polynomial:

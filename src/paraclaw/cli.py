@@ -187,16 +187,14 @@ def _read_problem(path: str) -> ProblemFile:
 
 
 def _ansatz_spec(pf: ProblemFile, args: dict) -> AnsatzSpec:
-    def pick(flag, file_value, default):
-        return flag if flag is not None else (
-            file_value if file_value is not None else default)
-
-    return AnsatzSpec(
-        max_jet_order=pick(args["order"], pf.max_jet_order, 2),
-        jet_degree=pick(args["jet_degree"], pf.jet_degree, 1),
-        base_degree=pick(args["base_degree"], pf.base_degree, 0),
-        unsafe_order=args["unsafe_order"],
-    )
+    """Each bound from its flag, else from the file, else AnsatzSpec's default."""
+    bounds = {}
+    for field, flag in (("max_jet_order", "order"), ("jet_degree", "jet_degree"),
+                        ("base_degree", "base_degree")):
+        value = args[flag] if args[flag] is not None else getattr(pf, field)
+        if value is not None:
+            bounds[field] = value
+    return AnsatzSpec(**bounds, unsafe_order=args["unsafe_order"])
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,14 @@ hence every downstream linear-algebra step) decidable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "BASE", "JET", "AUX",
     "DivisionByZeroExpr", "NotPolynomialIn", "MAX_TERMS",
-    "MultiIndex", "Symbol",
-    "base_var", "jet_var", "jet_symbol", "aux_var",
+    "Symbol",
+    "base_var", "jet_var", "aux_var",
     "TIME", "U",
     "Monomial", "mono_mul", "mono_sort_key",
     "Poly", "poly_gcd", "divexact",
@@ -68,40 +67,6 @@ AUX = "aux"
 _KIND_RANK = {BASE: 0, JET: 1, AUX: 2}
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Symmetric spatial multi-index plus a time power.
-
-    ``spatial`` is the index word as a sorted tuple -- only multiplicities
-    matter, e.g. (1, 1, 2) is two derivatives in x^1 and one in x^2.
-    ``time_power`` counts derivatives in t.
-    """
-
-    spatial: tuple[int, ...] = ()
-    time_power: int = 0
-
-    def __post_init__(self) -> None:
-        spat = tuple(sorted(self.spatial))
-        if any(i < 1 for i in spat):
-            raise ValueError("spatial indices are 1-based")
-        if self.time_power < 0:
-            raise ValueError("time_power must be non-negative")
-        object.__setattr__(self, "spatial", spat)
-
-    @property
-    def order(self) -> int:
-        return len(self.spatial) + self.time_power
-
-    def append(self, a: int) -> "MultiIndex":
-        """The multi-index Ia: one more derivative in direction a (0 = time)."""
-        if a == 0:
-            return MultiIndex(self.spatial, self.time_power + 1)
-        return MultiIndex(self.spatial + (a,), self.time_power)
-
-    def __str__(self) -> str:
-        return "".join(map(str, self.spatial)) + "t" * self.time_power or "()"
-
-
 class Symbol(tuple):
     """A coordinate in the global symbol order.
 
@@ -109,44 +74,35 @@ class Symbol(tuple):
     spatial)`` for a jet, ``(kind rank, index)`` for every other kind.  So
     hashing, equality and ordering are those of a tuple of ints, run in C
     and free of the hash seed, and the display ``name`` is not part of
-    identity.  ``kind``, ``index``, ``jet``, ``name`` and ``_rkey`` (the
-    key reversed, for :func:`mono_sort_key`) are read-only attributes.
+    identity.  ``kind``, ``index``, ``name`` and ``_rkey`` (the key
+    reversed, for :func:`mono_sort_key`) are read-only attributes; a jet
+    symbol, made only by :func:`jet_var`, also has ``order``,
+    ``time_power`` and ``spatial`` (the sorted index word), read off its
+    key.
     """
 
-    def __new__(cls, kind: str, index: int = 0, jet: MultiIndex | None = None,
-                name: str = "") -> "Symbol":
+    def __new__(cls, kind: str, index: int = 0, name: str = "") -> "Symbol":
         if kind == JET:
-            if jet is None:
-                raise ValueError("jet symbol needs a MultiIndex")
-            key = (1, jet.order, jet.time_power, jet.spatial)
-            # equal order and time power imply equal spatial length, so
-            # negating elementwise reverses the order of the keys
-            rkey = (-1, -jet.order, -jet.time_power, tuple(-i for i in jet.spatial))
-        else:
-            key = (_KIND_RANK[kind], index)
-            rkey = (-key[0], -index)
-        self = super().__new__(cls, key)
-        attrs = vars(self)
-        attrs.update(kind=kind, index=index, jet=jet, _rkey=rkey)
-        attrs["name"] = name or self._default_name()
+            raise ValueError("jet symbols are made by jet_var")
+        key = (_KIND_RANK[kind], index)
+        name = name or (f"w{index}" if kind == AUX else f"x{index}" if index else "t")
+        return cls._build(key, (-key[0], -index), kind=kind, index=index, name=name)
+
+    @classmethod
+    def _build(cls, key: tuple, rkey: tuple, **attrs) -> "Symbol":
+        self = tuple.__new__(cls, key)
+        vars(self).update(attrs, _rkey=rkey)
         return self
 
     def __setattr__(self, attr: str, value) -> None:
         raise AttributeError(f"cannot assign to {attr!r}: symbols are immutable")
 
     def __reduce__(self):
-        # rebuilt from the constructor arguments, not from the key tuple
-        return Symbol, (self.kind, self.index, self.jet, self.name)
-
-    def _default_name(self) -> str:
-        if self.kind == BASE:
-            return "t" if self.index == 0 else f"x{self.index}"
+        # rebuilt by a constructor, not from the key tuple: a jet through
+        # jet_var, so it comes back as the interned symbol
         if self.kind == JET:
-            mi = self.jet
-            if mi.order == 0:
-                return "u"
-            return "u_" + "".join(map(str, mi.spatial)) + "t" * mi.time_power
-        return f"w{self.index}"
+            return jet_var, (self.spatial, self.time_power)
+        return Symbol, (self.kind, self.index, self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -166,22 +122,30 @@ _JET_VARS: dict[tuple, Symbol] = {}
 
 
 def jet_var(spatial: Iterable[int] = (), time_power: int = 0) -> Symbol:
-    """Jet coordinate u_{I,t}; ``jet_var()`` is u itself.  Interned: equal
-    arguments return the same symbol."""
-    key = (tuple(spatial), time_power)
-    s = _JET_VARS.get(key)
+    """Jet coordinate u_{I,t} for D_I D_t^time_power u; ``jet_var()`` is u
+    itself.  Only multiplicities matter in the index word I, e.g. (1, 1, 2)
+    is two derivatives in x^1 and one in x^2: it is sorted, and the symbol
+    interned on the sorted word, so equal words in any order return the
+    same symbol."""
+    word = tuple(sorted(spatial))
+    s = _JET_VARS.get((word, time_power))
     if s is None:
-        s = _JET_VARS[key] = Symbol(JET, 0, MultiIndex(*key))
+        if word and word[0] < 1:
+            raise ValueError("spatial indices are 1-based")
+        if time_power < 0:
+            raise ValueError("time_power must be non-negative")
+        order = len(word) + time_power
+        name = "u_" + "".join(map(str, word)) + "t" * time_power if order else "u"
+        # equal order and time power imply equal word length, so negating
+        # elementwise reverses the order of the keys
+        s = _JET_VARS.setdefault((word, time_power), Symbol._build(
+            (1, order, time_power, word), (-1, -order, -time_power, tuple(-i for i in word)),
+            kind=JET, index=0, name=name, order=order, time_power=time_power, spatial=word))
     return s
 
 
-def jet_symbol(mi: MultiIndex) -> Symbol:
-    """The interned jet coordinate of ``mi``."""
-    return jet_var(mi.spatial, mi.time_power)
-
-
 def aux_var(k: int, name: str = "") -> Symbol:
-    return Symbol(AUX, k, None, name)
+    return Symbol(AUX, k, name)
 
 
 TIME = base_var(0)

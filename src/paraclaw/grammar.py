@@ -532,14 +532,13 @@ def _source_name(n: int):
                 return "t"
             return "x" if n == 1 else f"x{s.index}"
         if s.kind == JET:
-            mi = s.jet
-            if mi.time_power:
+            if s.time_power:
                 raise ValueError(f"cannot print time jet {s} in the file grammar")
-            if mi.order == 0:
+            if s.order == 0:
                 return "u"
             if n == 1:
-                return "u_" + "x" * len(mi.spatial)
-            return "u_" + "".join(map(str, mi.spatial))
+                return "u_" + "x" * len(s.spatial)
+            return "u_" + "".join(map(str, s.spatial))
         raise ValueError(f"cannot print {s.kind} symbol {s} in the file grammar")
     return name
 

@@ -4,11 +4,12 @@ dimension counts.
 
 Conventions.  Direction 0 is time; spatial directions are 1..n.  A jet
 variable u_{I,t} is the coordinate p_{I,t} for the derivative D_I D_0^t u,
-stored as a :class:`~paraclaw.expr.MultiIndex`.  "Purely spatial" means
-``time_power == 0`` for every jet variable in sight; on an evolution
-equation u_t = G those are free coordinates on the equation manifold, where
-u_{J,t} = D_J G.  The replacement table below memoizes D_J G, so the
-on-shell time derivative of a spatial T is dT/dt + sum_J (D_J G) dT/du_J.
+a jet symbol with the sorted index word ``spatial`` I and ``time_power`` t.
+"Purely spatial" means ``time_power == 0`` for every jet variable in sight;
+on an evolution equation u_t = G those are free coordinates on the equation
+manifold, where u_{J,t} = D_J G.  :class:`Prolonged` memoizes D_J G by J,
+so the on-shell time derivative of a spatial T is dT/dt + sum_J (D_J G)
+dT/du_J; the law search keeps the same memo on raw term dicts.
 
 Sums and exponent lowering on raw term dicts use the kernel of
 :mod:`paraclaw.expr`; only :func:`_add_total_derivative` keeps its own loop,
@@ -24,8 +25,8 @@ from math import comb, lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .expr import (
-    BASE, JET, Expr, Monomial, MultiIndex, NotPolynomialIn, Poly, Symbol,
-    _add_terms, _lower, base_var, jet_symbol, jet_var, mono_mul,
+    BASE, JET, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
+    _add_terms, _lower, base_var, jet_var, mono_mul,
 )
 
 if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are used here
@@ -33,7 +34,7 @@ if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are use
 
 __all__ = [
     "OrderOverflow", "TimeJetPresent", "NotInDivergenceImage",
-    "ORDER_GUARD", "ReplacementTable",
+    "ORDER_GUARD", "Prolonged",
     "total_derivative",
     "build_replacement_table", "reduce_to_spatial",
     "euler_operator", "invert_divergence",
@@ -62,12 +63,12 @@ class NotInDivergenceImage(ValueError):
 # ---------------------------------------------------------------------------
 
 def has_time_jets(e: Expr) -> bool:
-    return any(s.kind == JET and s.jet.time_power > 0 for s in e.symbols())
+    return any(s.kind == JET and s.time_power > 0 for s in e.symbols())
 
 
 def spatial_jet_order(e: Expr) -> int:
     """Largest jet order occurring in e (0 when no jet variable occurs)."""
-    return max((s.jet.order for s in e.symbols() if s.kind == JET), default=0)
+    return max((s.order for s in e.symbols() if s.kind == JET), default=0)
 
 
 def total_derivative(e: Expr, a: int) -> Expr:
@@ -131,8 +132,11 @@ def _lower_prolong(m: Monomial, idx: int, t: Symbol) -> Monomial:
 
 @functools.lru_cache(maxsize=4096)
 def _prolong(s: Symbol, a: int) -> Symbol:
-    """u_{Ja} for the jet symbol u_J."""
-    return jet_symbol(s.jet.append(a))
+    """u_{Ja} for the jet symbol u_J: one more derivative in direction a
+    (0 = time)."""
+    if a == 0:
+        return jet_var(s.spatial, s.time_power + 1)
+    return jet_var(s.spatial + (a,), s.time_power)
 
 
 def _jet_partials(terms: dict) -> dict[tuple[int, ...], dict]:
@@ -143,53 +147,54 @@ def _jet_partials(terms: dict) -> dict[tuple[int, ...], dict]:
     for m, c in terms.items():
         for idx, (s, e) in enumerate(m):
             if s.kind == JET:
-                out.setdefault(s.jet.spatial, {})[_lower(m, idx)] = c * e if e != 1 else c
+                out.setdefault(s.spatial, {})[_lower(m, idx)] = c * e if e != 1 else c
+    return out
+
+
+def _derivative_terms(terms: dict, a: int) -> dict:
+    """The terms of D_a p, for the polynomial p with these terms: a new dict."""
+    out: dict = {}
+    _add_total_derivative(out, terms, a)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Replacement table (the equation's spatial prolongations D_J G)
+# Prolongations D_J f, memoized by prefix
 # ---------------------------------------------------------------------------
 
-class ReplacementTable:
-    """Memo of D_J G for one evolution equation u_t = G.
+class Prolonged(dict):
+    """word -> D_word f, for the f at () and the sorted spatial index words.
 
-    ``entry((J, 1))`` is D_J G, the purely spatial value of u_{J,t} on the
-    prolonged equation, built from the entry of J's prefix by one total
-    derivative.  Only first-order time jets have entries: a spatial density
-    T has D_t T = dT/dt + sum_J u_{J,t} dT/du_J.  The table is immutable
-    once an entry is computed and safe to share afterwards.
-    """
+    A missing word is built from its prefix's entry by one step of the
+    instance's ``derivative(entry, a)``, D_a, and kept once whole, so a memo
+    shared by threads, or left by an interrupted search, holds no partial
+    entry.  The entries are only read."""
 
-    def __init__(self, equation: "EvolutionEquation"):
-        self.equation = equation
-        self._cache: dict[MultiIndex, Expr] = {}
+    __slots__ = ("derivative",)
 
-    def entry(self, index: MultiIndex) -> Expr:
-        if index.time_power != 1:
-            raise ValueError("replacement entries need time_power == 1")
-        got = self._cache.get(index)
-        if got is None:
-            if index.spatial:
-                parent = MultiIndex(index.spatial[:-1], 1)
-                got = total_derivative(self.entry(parent), index.spatial[-1])
-            else:
-                got = self.equation.G
-            self._cache[index] = got
+    def __init__(self, root, derivative):
+        super().__init__({(): root})
+        self.derivative = derivative
+
+    def __missing__(self, word: tuple[int, ...]):
+        got = self[word] = self.derivative(self[word[:-1]], word[-1])
         return got
 
 
-def build_replacement_table(equation: "EvolutionEquation") -> ReplacementTable:
-    """An empty memo of the prolongations D_J G of ``equation``."""
-    return ReplacementTable(equation)
+def build_replacement_table(equation: "EvolutionEquation") -> Prolonged:
+    """The memo of the Exprs D_J G of ``equation`` u_t = G: each the purely
+    spatial value of u_{J,t} on the prolonged equation."""
+    return Prolonged(equation.G, total_derivative)
 
 
-def reduce_to_spatial(e: Expr, table: ReplacementTable) -> Expr:
+def reduce_to_spatial(e: Expr, table: Prolonged) -> Expr:
     """e with every first-order time jet u_{J,t} replaced by D_J G
-    (restriction to the prolonged equation manifold)."""
-    bindings = {s: table.entry(s.jet) for s in e.symbols()
-                if s.kind == JET and s.jet.time_power > 0}
-    return e.substitute(bindings) if bindings else e
+    (restriction to the prolonged equation manifold); a jet of higher time
+    power has no value there and raises ValueError."""
+    time_jets = [s for s in e.symbols() if s.kind == JET and s.time_power]
+    if any(s.time_power != 1 for s in time_jets):
+        raise ValueError("only first-order time jets have a value on the prolonged equation")
+    return e.substitute({s: table[s.spatial] for s in time_jets}) if time_jets else e
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +311,7 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
         raise NotPolynomialIn(sorted(R.den.symbols()))
     for s in sorted(R.symbols()):
         if not (s.kind == BASE and s.index <= n
-                or s.kind == JET and all(i <= n for i in s.jet.spatial)):
+                or s.kind == JET and all(i <= n for i in s.spatial)):
             raise ValueError(
                 f"R may contain t, x1..x{n} and jets in directions 1..{n} only, not {s}")
     L, fluxes = _homotopy(R.num.terms, n)

@@ -94,11 +94,11 @@ class EvolutionEquation:
                 if s.index > n:
                     raise ValueError(f"base coordinate {s} out of range for n={n}")
             elif s.kind == JET:
-                if s.jet.time_power > 0:
+                if s.time_power > 0:
                     raise ValueError(f"G must not contain time jets ({s})")
-                if s.jet.order > 2:
+                if s.order > 2:
                     raise ValueError(f"G must have jet order <= 2 ({s})")
-                if any(i > n for i in s.jet.spatial):
+                if any(i > n for i in s.spatial):
                     raise ValueError(f"jet index {s} out of range for n={n}")
             else:
                 raise ValueError(f"G may not contain {s.kind} symbols ({s})")
@@ -313,8 +313,27 @@ def _over(p, d) -> Expr:
 
 
 def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
-    """_harmonic_split before its scales are divided out: the pairs
-    (integral numerator, scale) of N, D, P and sigma."""
+    """The harmonic split of the quartic form q of ``eq``: the pairs
+    (integral numerator, scale) of N, D, P and sigma, each the quotient of
+    its pair, with q = q0 + sigma * P / D, tr_g(q0) = 0 and D q0 = N: a
+    polynomial identity, so q0 vanishes iff N does and the verdict needs no
+    division.
+
+    L = sum adj(g)_ij d_xi_i d_xi_j is det(g) tr_g, and tr_g(sigma p) =
+    sigma tr_g(p) + (2n + 4 deg p) p.  On the harmonic split
+    q = H4 + sigma H2 + sigma^2 H0 (tr_g H4 = tr_g H2 = 0) this gives
+    L(q) = det ((2n+8) H2 + (4n+8) sigma H0) and L(L(q)) = det^2 2n(4n+8) H0,
+    so with c = (2n+8)(4n+8), D = c det^2 and P = (4n+8) det L(q) -
+    sigma L(L(q)), h = H2 + sigma H0 is P / D and N = D q - sigma P is D H4.
+    g and q are taken at the reference jet unless ``symbolic``.
+
+    All of it runs on g_s = s g and q_s = s_q q, whose entries and
+    coefficients are integral: s and s_q are the lcms of the denominators at
+    the reference jet, and, symbolically, G.den (G.den^2 if it holds a
+    Hessian entry) and q.den times the lcm of the coefficient denominators,
+    taken by exact division with no gcd.  With det, adj and sigma of g_s,
+    N, D and P come out scaled by s^(2n) s_q, s^(2n) and s^(2n-1) s_q, the
+    scales returned."""
     if eq.n < 2:
         raise PreconditionSpatialDim("traceless residue needs n >= 2")
     n = eq.n
@@ -328,7 +347,7 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
             # dG/du_a = (A_a B - A B_a) / B^2 for G = A / B, and B_a = 0 when
             # B is free of the Hessian, so s is B or B^2 times an integer
             B = eq.G.den
-            if any(v.kind == JET and v.jet.order == 2 for v in B.symbols()):
+            if any(v.kind == JET and v.order == 2 for v in B.symbols()):
                 B = B * B
             d, g = _cleared([(e.num * (B if e.is_polynomial else divexact(B, e.den))).terms
                              for e in entries])
@@ -359,38 +378,6 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     return (N, _mul(s_D, s_q)), (D, s_D), (P, _mul(s_P, s_q)), (sigma, s)
 
 
-def _harmonic_split(eq: EvolutionEquation, q: Expr, symbolic: bool
-                    ) -> tuple[Expr, Expr, Expr, Expr]:
-    """(N, D, P, sigma) with q = q0 + sigma * P / D, tr_g(q0) = 0 and
-    D q0 = N, for the quartic form q of ``eq``: a polynomial identity, so q0
-    vanishes iff N does and the verdict needs no division.
-
-    L = sum adj(g)_ij d_xi_i d_xi_j is det(g) tr_g, and tr_g(sigma p) =
-    sigma tr_g(p) + (2n + 4 deg p) p.  On the harmonic split
-    q = H4 + sigma H2 + sigma^2 H0 (tr_g H4 = tr_g H2 = 0) this gives
-    L(q) = det ((2n+8) H2 + (4n+8) sigma H0) and L(L(q)) = det^2 2n(4n+8) H0,
-    so with c = (2n+8)(4n+8), D = c det^2 and P = (4n+8) det L(q) -
-    sigma L(L(q)), h = H2 + sigma H0 is P / D and N = D q - sigma P is D H4.
-    g and q are taken at the reference jet unless ``symbolic``.
-
-    All of it runs on g_s = s g and q_s = s_q q, whose entries and
-    coefficients are integral: s and s_q are the lcms of the denominators at
-    the reference jet, and, symbolically, G.den (G.den^2 if it holds a
-    Hessian entry) and q.den times the lcm of the coefficient denominators,
-    taken by exact division with no gcd.  With det, adj and sigma of g_s,
-    N, D and P come out scaled by s^(2n) s_q, s^(2n) and s^(2n-1) s_q, and
-    each is divided out once."""
-    return tuple(_over(p, d) for p, d in _scaled_split(eq, q, symbolic))
-
-
-def _residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
-                           ) -> tuple[Expr, Expr, Expr]:
-    """(q0, h, sigma) with q = q0 + sigma * h and tr_g(q0) = 0, in closed
-    form (see _harmonic_split)."""
-    N, D, P, sigma = _harmonic_split(eq, quartic_form(eq), symbolic)
-    return N / D, P / D, sigma
-
-
 def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
     """The g-traceless part q0 of the quartic form: q = q0 + sigma * h with
     tr_g(q0) = 0.  q0 vanishes iff q is divisible by sigma.
@@ -398,9 +385,11 @@ def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
     By default the symbol and the quartic coefficients are evaluated at the
     reference jet (enough to falsify Monge-Ampere-ness); ``symbolic=True``
     keeps them exact over the rational functions of the jet.  SingularSymbol
-    is raised when det(g) vanishes (identically, when symbolic).
+    is raised when det(g) vanishes (identically, when symbolic).  q0 is
+    N / D of :func:`_scaled_split`.
     """
-    return _residue_decomposition(eq, symbolic)[0]
+    N, D, _P, _sigma = _scaled_split(eq, quartic_form(eq), symbolic)
+    return _over(*N) / _over(*D)
 
 
 @dataclass(frozen=True)
@@ -409,7 +398,7 @@ class MAReport:
 
     For n >= 2 and a nonsingular symbol, ``residue_numerator`` is
     N = c det(g)^2 q0 and ``residue_denominator`` is c det(g)^2 (see
-    _harmonic_split).  The residue verdict is N = 0; the traceless residue
+    _scaled_split).  The residue verdict is N = 0; the traceless residue
     q0 = N / (c det(g)^2) is not formed, since that division runs
     polynomial gcds that the verdict does not need.
     """

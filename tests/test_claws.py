@@ -281,7 +281,7 @@ class TestCharacteristicForm:
         laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 1))
         assert laws and len(inverted) == len(checked) == len(laws)
         assert all(R is got for R, got in zip(checked, inverted))
-        assert all(s.kind != "jet" or s.jet.time_power == 0
+        assert all(s.kind != "jet" or s.time_power == 0
                    for R in checked for m in R for s, _ in m)
 
     def test_extraction_matches_expr_reference(self):

@@ -790,6 +790,27 @@ class TestMainEntry:
             assert main(["verify", str(f), "--density", law["density"], *fluxes]) == 0
             assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    @pytest.mark.parametrize("options, flags, spec", [
+        ("", [], AnsatzSpec()),
+        ("; jet_degree = 2; base_degree = 1; order = 1", [], AnsatzSpec(1, 2, 1)),
+        ("; jet_degree = 2", ["--base-degree", "2"], AnsatzSpec(2, 2, 2)),
+        ("; order = 1", ["--order", "2", "--jet-degree", "0"], AnsatzSpec(2, 0, 0)),
+    ], ids=["defaults", "file", "file-and-flag", "flag-over-file"])
+    def test_claws_bounds_from_flags_then_file_then_defaults(
+            self, tmp_path, capsys, monkeypatch, options, flags, spec):
+        from paraclaw import cli
+        searched = []
+
+        def search(eq, got, force=False):
+            searched.append(got)
+            return []
+        monkeypatch.setattr(cli, "find_conservation_laws", search)
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx" + options)
+        assert main(["claws", str(f), *flags]) == 0
+        assert searched == [spec]
+        capsys.readouterr()
+
     def test_exit_one_on_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/f.pde"]) == 1
 

@@ -339,8 +339,9 @@ class TestSymbolHash:
         assert str(a) != str(b)
 
     def test_separately_built_jets_are_interchangeable_keys(self):
+        # the word is sorted before interning, so any order gives one symbol
         s1, s2 = jet_var((1, 2)), jet_var((2, 1))
-        assert s1 is not s2
+        assert s1 is s2 and s1.spatial == (1, 2)
         assert s1 == s2 and hash(s1) == hash(s2)
         table = {s1: "mixed"}
         assert table[s2] == "mixed"
@@ -357,7 +358,7 @@ class TestSymbolHash:
 def _order_key(s: Symbol) -> tuple:
     """The documented order key, built from the attributes."""
     if s.kind == JET:
-        return (1, s.jet.order, s.jet.time_power, s.jet.spatial)
+        return (1, s.order, s.time_power, s.spatial)
     return ({BASE: 0, AUX: 2}[s.kind], s.index)
 
 
@@ -401,14 +402,23 @@ class TestSymbolContract:
 
     def test_attributes_are_read_only(self):
         s = jet_var((1,))
-        for attr in ("kind", "index", "jet", "name", "_rkey"):
+        for attr in ("kind", "index", "name", "_rkey", "order", "time_power", "spatial"):
             with pytest.raises(AttributeError):
                 setattr(s, attr, getattr(s, attr))
         assert str(Expr.symbol(jet_var((1,)))) == "u_1"
+        # only a jet has an index word
+        assert not hasattr(base_var(1), "spatial") and not hasattr(aux_var(1), "order")
 
     @pytest.mark.parametrize("clone", [copy.deepcopy,
                                        lambda e: pickle.loads(pickle.dumps(e))])
     def test_copy_and_pickle_keep_equality_and_names(self, clone):
+        # every public value type comes back equal and printed the same, and
+        # its jet symbols come back as the interned ones
+        from paraclaw.claws import (
+            AnsatzSpec, assemble_determining_system, find_conservation_laws, generate_ansatz,
+        )
+        from paraclaw.grammar import parse
+        from paraclaw.parabolic import EvolutionEquation, ma_classify
         xi = Expr.symbol(aux_var(1, "xi1"))
         e = (xi * u11 + 3 * x * ux ** 2) / (u + Expr.symbol(aux_var(2)))
         got = clone(e)
@@ -416,4 +426,21 @@ class TestSymbolContract:
         assert str(got) == str(e) == "(3*x1*u_1^2 + u_11*xi1)/(u + w2)"
         for s in got.symbols():
             assert type(s) is Symbol and s in e.symbols()
+            assert s.kind != JET or s is jet_var(s.spatial, s.time_power)
         assert {s.name for s in got.symbols()} == {s.name for s in e.symbols()}
+        pf = parse("n=2; u_t = u_11 + u_22 + u_1*u_12; ref u_1 = 1; jet_degree = 1")
+        eq, spec = pf.equation(), AnsatzSpec(2, 1, 1)
+        densities, _ = generate_ansatz(eq, AnsatzSpec(1, 1, 0))
+        values = [base_var(0), base_var(2), jet_var(), jet_var((2, 1), 1), aux_var(3),
+                  aux_var(1, "xi1"), e, spec, find_conservation_laws(eq, spec)[0],
+                  ma_classify(eq), pf, eq, assemble_determining_system(eq, densities)]
+        for value in values:
+            got = clone(value)
+            assert type(got) is type(value) and repr(got) == repr(value), value
+            if isinstance(value, EvolutionEquation):
+                assert (got.n, got.G, got.reference_jet) == (eq.n, eq.G, eq.reference_jet)
+                assert all(s is jet_var(s.spatial) for s in got.reference_jet)
+            else:
+                assert got == value, value
+        assert clone(jet_var((2, 1), 1)) is jet_var((1, 2), 1)
+        assert clone(aux_var(1, "xi1")).name == "xi1"

@@ -12,11 +12,12 @@ from paraclaw import parabolic
 from paraclaw.expr import Expr, ZERO, base_var, divexact, jet_var
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
-    _residue_decomposition, ma_classify, ma_traceless_residue,
+    ma_classify, ma_traceless_residue,
     parabolicity_check, quartic_form, symbol_form, xi_symbols,
 )
 from util import (
-    jet, random_poly, rank, suite_parabolicity_equivalence, suite_quartic_equivalence,
+    jet, random_poly, rank, residue_decomposition, suite_parabolicity_equivalence,
+    suite_quartic_equivalence,
     suite_residue_equivalence, suite_split_equivalence, symbol_quadratic, u, u11, u12,
     u22, ux, uxx, x,
 )
@@ -260,14 +261,14 @@ class TestTracelessResidue:
 
     def test_laplacian_squared_divisible(self):
         eq = EvolutionEquation(2, LAPLACIAN + LAPLACIAN ** 2)
-        q0, h, sigma = _residue_decomposition(eq)
+        q0, h, sigma = residue_decomposition(eq)
         assert q0.is_zero
         assert h == 2 * (XI1 ** 2 + XI2 ** 2)
         assert sigma == XI1 ** 2 + XI2 ** 2
 
     def test_anisotropic_not_divisible_division_oracle(self):
         eq = EvolutionEquation(2, LAPLACIAN + u11 ** 2)
-        q0, _h, sigma = _residue_decomposition(eq)
+        q0, _h, sigma = residue_decomposition(eq)
         assert not q0.is_zero
         # oracle: polynomial division remainder of q by sigma
         q = quartic_form(eq).substitute(eq.reference_jet)
@@ -277,7 +278,7 @@ class TestTracelessResidue:
     def test_divisibility_iff_zero_residue(self):
         # q = sigma * (arbitrary quadratic) must give residue 0
         eq = EvolutionEquation(2, LAPLACIAN + (u11 + u22) * (u11 + 3 * u22))
-        q0, h, sigma = _residue_decomposition(eq)
+        q0, h, sigma = residue_decomposition(eq)
         q = quartic_form(eq).substitute(eq.reference_jet)
         assert (q - sigma * h).is_zero == q0.is_zero
         assert q0.is_zero == (divexact_ok(q, sigma))
@@ -290,7 +291,7 @@ class TestTracelessResidue:
                   LAPLACIAN + u11 * u22,
                   2 * u11 + 3 * u22 + u12 + (u11 + 2 * u12) ** 2):
             eq = EvolutionEquation(2, G)
-            q0, h, sigma = _residue_decomposition(eq)
+            q0, h, sigma = residue_decomposition(eq)
             q = quartic_form(eq).substitute(eq.reference_jet)
             assert (q - q0 - sigma * h).is_zero
             sf = symbol_form(eq)

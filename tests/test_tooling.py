@@ -19,7 +19,8 @@ takes one raw Euler walk per t-free ansatz monomial, all in
 The package has one divergence inverter: ``invert_divergence`` and the
 search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
-``_add_terms``, ``_add_product``, ``_lower`` and ``_cleared``.
+``_add_terms``, ``_add_product``, ``_lower`` and ``_cleared``.  D_J f has one
+prefix memo, ``jets.Prolonged``: only ``jets`` defines ``__missing__``.
 
 The package's imports run one way, from the command layer down to the
 kernel; each module's imports are read with ``ast``.  Every name in a
@@ -229,6 +230,23 @@ def test_one_term_kernel():
             defined = {node.name for node in ast.walk(tree)
                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
             assert not defined & kernel, f"{name} defines {sorted(defined & kernel)}"
+
+
+def test_one_prolongation_memo():
+    # D_J f is memoized by prefix in one class, jets.Prolonged: the
+    # replacement table of Exprs and the search's memo of term dicts
+    from paraclaw import claws, jets
+    from paraclaw.parabolic import EvolutionEquation
+    from util import uxx
+    assert type(jets.build_replacement_table(EvolutionEquation(1, uxx))) is jets.Prolonged
+    assert type(claws._prolongations({(): 1})) is jets.Prolonged
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py") and name != "jets.py":
+            with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            assert not any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and node.name == "__missing__" for node in ast.walk(tree)), \
+                f"{name} defines __missing__"
 
 
 # Each paraclaw module and the modules directly below it; a module may import

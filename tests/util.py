@@ -33,11 +33,11 @@ from paraclaw.claws import (
 )
 from paraclaw.expr import (
     AUX, BASE, JET, TIME, DivisionByZeroExpr, Expr, Monomial, NotPolynomialIn, ONE,
-    Symbol, ZERO, _cleared, aux_var, base_var, jet_symbol, jet_var, mono_mul,
+    Symbol, ZERO, _cleared, aux_var, base_var, jet_var, mono_mul,
     mono_sort_key,
 )
 from paraclaw.jets import (
-    NotInDivergenceImage, TimeJetPresent, _add_terms, _horner, _jet_partials, _lower,
+    NotInDivergenceImage, Prolonged, TimeJetPresent, _add_terms, _horner, _jet_partials, _lower,
     _lower_prolong, _prolong, bounded_monomials, build_replacement_table,
     euler_operator, has_time_jets, invert_divergence, reduce_to_spatial,
     spatial_jet_vars, total_derivative,
@@ -49,7 +49,7 @@ from paraclaw.grammar import (
 )
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
-    _harmonic_split, _residue_decomposition, ma_classify, parabolicity_check,
+    _over, _scaled_split, ma_classify, parabolicity_check,
     quartic_form, symbol_form, xi_symbols,
 )
 
@@ -116,7 +116,9 @@ def naive_total_derivative(e: Expr, a: int) -> Expr:
     for s in sorted(s for s in e.symbols() if s.kind == JET):
         d = e.diff(s)
         if not d.is_zero:
-            out = out + Expr.symbol(jet_symbol(s.jet.append(a))) * d
+            t = jet_var(s.spatial, s.time_power + 1) if a == 0 \
+                else jet_var(s.spatial + (a,), s.time_power)
+            out = out + Expr.symbol(t) * d
     return out
 
 
@@ -131,9 +133,9 @@ def naive_euler_operator(e: Expr) -> Expr:
     total = ZERO
     for s in sorted(s for s in e.symbols() if s.kind == JET):
         term = e.diff(s)
-        for i in s.jet.spatial:
+        for i in s.spatial:
             term = naive_total_derivative(term, i)
-        total = total - term if len(s.jet.spatial) % 2 else total + term
+        total = total - term if len(s.spatial) % 2 else total + term
     return total
 
 
@@ -186,7 +188,7 @@ def reference_invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
         raise NotPolynomialIn(sorted(R.den.symbols()))
     for s in sorted(R.symbols()):
         if not (s.kind == BASE and s.index <= n
-                or s.kind == JET and all(i <= n for i in s.jet.spatial)):
+                or s.kind == JET and all(i <= n for i in s.spatial)):
             raise ValueError(
                 f"R may contain t, x1..x{n} and jets in directions 1..{n} only, not {s}")
     by_degree: dict[int, dict] = {}
@@ -638,6 +640,20 @@ def naive_invert_matrix(g: list[list[Expr]]) -> list[list[Expr]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def harmonic_split(eq: EvolutionEquation, symbolic: bool = False
+                   ) -> tuple[Expr, Expr, Expr, Expr]:
+    """(N, D, P, sigma) of parabolic._scaled_split, each divided by its scale."""
+    return tuple(_over(p, d) for p, d in _scaled_split(eq, quartic_form(eq), symbolic))
+
+
+def residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
+                          ) -> tuple[Expr, Expr, Expr]:
+    """(q0, h, sigma) = (N / D, P / D, sigma) of :func:`harmonic_split`:
+    q = q0 + sigma * h with tr_g(q0) = 0."""
+    N, D, P, sigma = harmonic_split(eq, symbolic)
+    return N / D, P / D, sigma
+
+
 def naive_residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
                                 ) -> tuple[Expr, Expr, Expr]:
     """(q0, h, sigma) with q = q0 + sigma * h and tr_g(q0) = 0: invert g,
@@ -724,7 +740,7 @@ def _trace_with(adj: list[list[Expr]], P: Expr, xi: list[Symbol]) -> Expr:
 
 def reference_harmonic_split(eq: EvolutionEquation, symbolic: bool = False
                              ) -> tuple[Expr, Expr, Expr, Expr]:
-    """(N, D, P, sigma) of parabolic._harmonic_split, every step an Expr
+    """(N, D, P, sigma) of :func:`harmonic_split`, every step an Expr
     operation: g and q evaluated by substitution unless ``symbolic``."""
     if eq.n < 2:
         raise PreconditionSpatialDim("traceless residue needs n >= 2")
@@ -1168,7 +1184,7 @@ def _random_parabolic_like(rng: random.Random, n: int, extra: Expr) -> Evolution
 
 
 def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
-    """The closed-form (q0, h, sigma) of paraclaw.parabolic equals
+    """The closed-form (q0, h, sigma) of :func:`residue_decomposition` equals
     naive_residue_decomposition, or both raise SingularSymbol, and the
     verdict of ma_classify (N = 0) is whether the naive q0 vanishes: on every
     corpus entry with n >= 2, pointwise and symbolic; on random G for
@@ -1184,7 +1200,7 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
                 if entry.equation().n >= 2 for symbolic in (False, True)]
     for k in range(cases):
         n = 2 + k % 3
-        hess = [s for s in spatial_jet_vars(n, 2) if s.jet.order == 2]
+        hess = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
         lower = [base_var(1), jet_var(), jet_var((1,))]
         extra = random_poly(rng, hess + lower, terms=3, max_exp=2)
         problems.append((_random_parabolic_like(rng, n, extra), False))
@@ -1195,7 +1211,7 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
                 * Expr.symbol(rng.choice(hess))
             problems.append((_random_parabolic_like(rng, n, extra), True))
     for eq, symbolic in problems:
-        got = _residue_outcome(_residue_decomposition, eq, symbolic)
+        got = _residue_outcome(residue_decomposition, eq, symbolic)
         want = _residue_outcome(naive_residue_decomposition, eq, symbolic)
         assert got == want if isinstance(got, str) or isinstance(want, str) \
             else tuple(got) == tuple(want), \
@@ -1237,7 +1253,7 @@ SPLIT_RATIONAL_SOURCES = (
 
 
 def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
-    """parabolic._harmonic_split, on int numerators, against the Expr route
+    """:func:`harmonic_split`, on int numerators, against the Expr route
     reference_harmonic_split: equal (N, D, P, sigma), or the same
     SingularSymbol or vanishing-denominator outcome.  Draws: every corpus
     entry with n >= 2, pointwise and symbolic; ``cases`` random polynomial
@@ -1256,7 +1272,7 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
              if entry.equation().n >= 2 for symbolic in (False, True)]
     for k in range(cases):
         n = 2 + k % 3
-        hess = [s for s in spatial_jet_vars(n, 2) if s.jet.order == 2]
+        hess = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
         lower = [base_var(1), jet_var(), jet_var((1,)), jet_var((n,))]
         G = random_poly(rng, hess + lower, terms=3, max_exp=2) \
             * Fraction(rng.randint(1, 5), rng.randint(1, 4))
@@ -1267,7 +1283,7 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
         draws.append(("pointwise", EvolutionEquation(n, G, ref), False))
     symbolic = [parse(source).equation() for source in SPLIT_SYMBOLIC_SOURCES]
     for _ in range(cases // 3):
-        hess = [s for s in spatial_jet_vars(2, 2) if s.jet.order == 2]
+        hess = [s for s in spatial_jet_vars(2, 2) if s.order == 2]
         extra = Fraction(rng.randint(1, 5), rng.randint(1, 3)) \
             * Expr.symbol(rng.choice(hess)) * Expr.symbol(rng.choice(hess)) \
             + rng.randint(-5, 5) * Expr.symbol(jet_var((1,))) * Expr.symbol(rng.choice(hess))
@@ -1280,8 +1296,7 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
                   ("rational", EvolutionEquation(eq.n, eq.G, point), False)]
     counts: dict = {}
     for kind, eq, symbolic in draws:
-        got = _split_outcome(lambda e, sym: _harmonic_split(e, quartic_form(e), sym),
-                             eq, symbolic)
+        got = _split_outcome(harmonic_split, eq, symbolic)
         want = _split_outcome(reference_harmonic_split, eq, symbolic)
         assert got == want, f"split differs for u_t = {eq.G} (symbolic={symbolic})"
         key = (kind, "symbolic" if symbolic else "pointwise",
@@ -1303,7 +1318,7 @@ def suite_quartic_equivalence(cases: int = 60, seed: int = 59) -> int:
             EvolutionEquation(2, (u11 + u22) / (2 + u1 ** 2) + u11 * u22)]
     for k in range(cases):
         n = 1 + k % 3
-        hess = [s for s in spatial_jet_vars(n, 2) if s.jet.order == 2]
+        hess = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
         lower = [base_var(0), base_var(1), jet_var(), jet_var((1,))]
         G = random_poly(rng, hess + lower, terms=4, max_exp=3)
         for _ in range(rng.randint(1, 2)):
@@ -1747,7 +1762,7 @@ def _assert_snapshot_holds(snapshot: dict, where: str) -> None:
     prolongation memo may only have gained words, after the old ones."""
     for obj, copy in snapshot.values():
         now = list(obj.items()) if isinstance(obj, dict) else obj
-        if isinstance(obj, claws._Prolonged):
+        if isinstance(obj, Prolonged):
             now = now[:len(copy)]
         assert now == copy, f"a memoized value changed in {where}"
 
