@@ -30,15 +30,18 @@ bound.  So is a number literal longer than the digit
 limit sys.get_int_max_str_digits(), and one digit-limit rule bounds
 coefficients: each "*", "/", "^", "+" and "-" builds its result, and a
 numerator or denominator of it at or past 10^limit is a ParseError at that
-operator, on polynomials and rational functions alike.  Every operand is
-already within the limit, so nothing is built with much more than twice
-its digits; only a power, whose size grows with its exponent, is refused
-before it is built when its bit lengths alone pass the limit.
+operator, on polynomials and rational functions alike.  So, at the default
+limit of 4300 digits, "(u + 10^2200)*10^2200*2" is refused at its first
+"*", and "(u + 10^2200)*10^2200/10^2200" too, although the division would
+bring the coefficient back.  Every operand is already within the limit, so
+nothing is built with much more than twice its digits; only a power, whose
+size grows with its exponent, is refused before it is built when its bit
+lengths alone pass the limit.
 
 A polynomial is read straight into raw terms, and an integral coefficient
 is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
-``int`` coefficients.  Multi-term factors multiply as Poly; Expr
-arithmetic runs only from a division by a non-constant on.
+``int`` coefficients.  Term dicts multiply as raw terms, one operator at a
+time; Expr arithmetic runs only from a division by a non-constant on.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import (
-    BASE, JET, MAX_TERMS, Expr, Monomial, Poly, Symbol, _add_terms, base_var,
-    format_expr, jet_var, mono_mul,
+    BASE, JET, MAX_TERMS, Expr, Poly, Symbol, _add_product, _add_terms, base_var,
+    format_expr, jet_var,
 )
 from .parabolic import EvolutionEquation
 
@@ -161,27 +164,11 @@ def _as_expr(value: dict | Expr) -> Expr:
                       for m, c in value.items()}), Poly.one(), _raw=True)
 
 
-def _sizes(value: dict | Expr | None) -> tuple[int, int]:
-    """The terms of the numerator and of the denominator; None is 1."""
-    if value is None:
-        return 1, 1
+def _sizes(value: dict | Expr) -> tuple[int, int]:
+    """The terms of the numerator and of the denominator."""
     if type(value) is dict:
         return len(value), 1
     return len(value.num.terms), len(value.den.terms)
-
-
-def _product(c, m: Monomial, rest: dict | Expr | None) -> dict | Expr:
-    """c * m * rest, for a coefficient c, a monomial m and rest None (1), a
-    term dict or an Expr."""
-    if not c:
-        return {}
-    if rest is None:
-        return {m: c}
-    if c == 1 and not m:
-        return rest
-    if type(rest) is dict:
-        return {mono_mul(k, m): v * c for k, v in rest.items()}
-    return rest * Expr(Poly({m: c}), Poly.one(), _raw=True)
 
 
 class _Parser:
@@ -299,75 +286,40 @@ class _Parser:
         return acc
 
     def parse_term(self) -> dict | Expr:
-        """A product, kept as c * m * rest: the single-term factors multiply
-        into the coefficient c and the monomial m as they come, and the
-        product is built once.  rest is the product of the other factors
-        (multi-term polynomials, rational functions), or of everything up
-        to a non-constant divisor.  Each operator is charged the term pairs
-        of the Poly products that multiplying out left to right would run.
-        Each "*" and "/" is checked by the digit-limit rule once built: a
-        new c or rest at its operator, and c * m * rest, when it is built
-        at a non-constant divisor or at the end, at the operator that last
-        changed either."""
-        c, m, rest = 1, (), None
-        op = grown = None
+        """A product, built at each "*" and "/" in turn: a one-term constant
+        factor or divisor scales the coefficients, two term dicts multiply
+        as raw terms, and any other pair multiplies or divides as Expr.
+        Each operator is charged the term pairs of its Poly products before
+        it runs, and its built result is checked by the digit-limit rule."""
+        acc = self.parse_unary()
         tokens = self.tokens
-        while True:
-            f = self.parse_unary()
-            single = type(f) is dict and len(f) <= 1
-            if op is not None:
-                acc_num, acc_den = _sizes(rest) if c else (0, 1)
-                f_num, f_den = _sizes(f)
-                if op[0] == "/":
-                    if not f_num:
-                        raise ParseError("division by zero", op[2], op[3])
-                    self.charge(op, acc_num * f_den + acc_den * f_num)
-                else:
-                    self.charge(op, acc_num * f_num + acc_den * f_den)
-            if op is None or op[0] == "*":
-                if single:
-                    for fm, fc in f.items():
-                        if fc != 1:
-                            c *= fc
-                            if op is not None and _too_long(c):
-                                self.too_long("product", op)
-                            grown = op
-                        m = mono_mul(m, fm)
-                    if not f:
-                        c = 0
-                elif c:  # a zero product absorbs every factor after it
-                    if rest is None:
-                        rest = f
-                    else:
-                        if type(rest) is dict and type(f) is dict:
-                            rest = (Poly(rest) * Poly(f)).terms
-                        else:
-                            rest = _as_expr(rest) * _as_expr(f)
-                        if _too_long(rest):
-                            self.too_long("product", op)
-                    grown = op
-            elif single and () in f:
-                c = Fraction(c, f[()])
-                if _too_long(c):
-                    self.too_long("quotient", op)
-                grown = op
-            elif c:
-                rest = _as_expr(self.product(c, m, rest, grown)) / _as_expr(f)
-                if _too_long(rest):
-                    self.too_long("quotient", op)
-                c, m = 1, ()
-            op = tokens[self.pos]
-            if op[0] != "*" and op[0] != "/":
-                return self.product(c, m, rest, grown)
+        while (op := tokens[self.pos])[0] == "*" or op[0] == "/":
             self.pos += 1
-
-    def product(self, c, m: Monomial, rest: dict | Expr | None, grown: tuple) -> dict | Expr:
-        """c * m * rest, refused at grown, the operator that last changed c
-        or rest, if the digit-limit rule fails on it."""
-        value = _product(c, m, rest)
-        if c != 1 and rest is not None and _too_long(value):
-            self.too_long("product", grown)
-        return value
+            f = self.parse_unary()
+            acc_num, acc_den = _sizes(acc)
+            f_num, f_den = _sizes(f)
+            if op[0] == "*":
+                self.charge(op, acc_num * f_num + acc_den * f_den)
+            elif f_num:
+                self.charge(op, acc_num * f_den + acc_den * f_num)
+            else:
+                raise ParseError("division by zero", op[2], op[3])
+            if f_num == 1 and type(f) is dict and () in f:
+                # c * q keeps an Expr's parts coprime and its denominator monic
+                q = f[()] if op[0] == "*" else Fraction(1, f[()])
+                acc = {m: c * q for m, c in acc.items()} if type(acc) is dict \
+                    else Expr(acc.num.scale(q), acc.den, _raw=True)
+            elif op[0] == "/":
+                acc = _as_expr(acc) / _as_expr(f)
+            elif type(acc) is dict and type(f) is dict:
+                product = {}
+                _add_product(product, acc, f)
+                acc = product
+            else:
+                acc = _as_expr(acc) * _as_expr(f)
+            if _too_long(acc):
+                self.too_long("product" if op[0] == "*" else "quotient", op)
+        return acc
 
     def charge(self, op: tuple, pairs: int) -> None:
         """Add the term pairs of the polynomial products about to run to the

@@ -20,8 +20,8 @@ Two Monge-Ampere verdicts are computed and reported side by side:
   adj(g) (Faddeev-LeVerrier) and two adjugate Laplacians of q by ring
   operations alone: no matrix inverse, no linear solve and no gcd.  It
   runs on ``int`` numerators: the denominators of g and q are cleared once
-  on the way in, the Faddeev-LeVerrier division by k is exact over Z, and
-  N and D are divided by their scales once on the way out.  q0 itself,
+  on the way in, and the Faddeev-LeVerrier division by k is exact over Z.
+  The verdict reads the scaled N, so it divides by nothing.  q0 itself,
   N / (c det(g)^2), is read only through ma_traceless_residue; no report
   needs it.
 
@@ -131,6 +131,13 @@ class EvolutionEquation:
             raise DivisionByZeroExpr(
                 f"a denominator of the symbol vanishes at the reference jet "
                 f"{point}; choose another with a ref clause") from None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EvolutionEquation):
+            return NotImplemented
+        return (self.n, self.G, self.reference_jet) == (other.n, other.G, other.reference_jet)
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"EvolutionEquation(n={self.n}, u_t = {self.G})"
@@ -396,27 +403,20 @@ def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
 class MAReport:
     """Both Monge-Ampere verdicts, reported without collapsing them.
 
-    For n >= 2 and a nonsingular symbol, ``residue_numerator`` is
-    N = c det(g)^2 q0 and ``residue_denominator`` is c det(g)^2 (see
-    _scaled_split).  The residue verdict is N = 0; the traceless residue
-    q0 = N / (c det(g)^2) is not formed, since that division runs
-    polynomial gcds that the verdict does not need.
+    For n >= 2 and a nonsingular symbol, ``residue_vanishes`` is the
+    verdict N = 0, for N = c det(g)^2 q0 (see _scaled_split); else it is
+    None.  The traceless residue q0 = N / (c det(g)^2) is not formed, since
+    that division runs polynomial gcds that the verdict does not need.
     """
 
     minor_affine: bool
     n1_affine: bool | None
     singular_symbol: bool = False
-    residue_numerator: Expr | None = None
-    residue_denominator: Expr | None = None
+    residue_vanishes: bool | None = None
 
     def __post_init__(self) -> None:
         if self.minor_affine and self.residue_vanishes is False:
             raise InvariantViolation("minor-affine equation with nonzero residue")
-
-    @property
-    def residue_vanishes(self) -> bool | None:
-        N = self.residue_numerator
-        return None if N is None else N.is_zero
 
 
 def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
@@ -434,8 +434,7 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
         # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity
         return MAReport(minor, minor)
     try:
-        N, D, _P, _sigma = _scaled_split(eq, q, symbolic)
+        N, _scale = _scaled_split(eq, q, symbolic)[0]
     except SingularSymbol:
         return MAReport(minor, None, singular_symbol=True)
-    return MAReport(minor, None, residue_numerator=_over(*N),
-                    residue_denominator=_over(*D))
+    return MAReport(minor, None, residue_vanishes=N.is_zero)

@@ -190,7 +190,8 @@ class TestParseEquivalence:
         from util import suite_parse_equivalence
         assert suite_parse_equivalence() == {
             "valid": 300, "parsed": 300, "malformed": 596, "malformed_errors": 401,
-            "budget": 30, "past_max_terms": 8, "past_max_nesting": 6}
+            "budget": 30, "past_max_terms": 8, "past_max_nesting": 6,
+            "near_limit": 100, "past_limit": 66}
 
 
 class TestArguments:
@@ -510,6 +511,19 @@ class TestLongLiterals:
             parse_expression(source, 1)
         assert str(err.value) == (f"{what} has a coefficient longer than {self.LIMIT} "
                                   f"digits at 1:{col}")
+
+    @pytest.mark.parametrize("source, col, what", [
+        ("(u + 10^2200)*10^2200*2", 14, "product"),
+        ("10^2200*(u + 10^2200)*3", 8, "product"),
+        ("(u + 10^2200)*10^2200", 14, "product"),
+        ("(u + 10^2200)*10^2200/10^2200", 14, "product"),
+        ("(u + 10^2200)/(1/10^2200)", 14, "quotient"),
+    ], ids=["later-factor", "coefficient-first", "last-operator", "later-division",
+            "constant-quotient"])
+    def test_refused_at_the_operator_that_builds_it(self, source, col, what):
+        # each "*" and "/" builds its result, and the digit-limit rule
+        # refuses it there, whatever operators follow in the same term
+        self.refused_at(source, col, what)
 
     def test_product_length_is_exact(self):
         # the digit-limit rule against the digits of the built product,
@@ -880,8 +894,11 @@ class TestMainEntry:
                                     raising=False)
                 message = "Faddeev-LeVerrier: 1 does not divide -2"
             else:
-                monkeypatch.setattr(parabolic.MAReport, "residue_vanishes",
-                                    property(lambda self: False))
+                # a nonzero N from the real _scaled_split
+                from paraclaw.expr import Poly
+                split = parabolic._scaled_split
+                monkeypatch.setattr(parabolic, "_scaled_split", lambda eq, q, symbolic: (
+                    (Poly({(): 1}), 1), *split(eq, q, symbolic)[1:]))
                 message = "minor-affine equation with nonzero residue"
         f = tmp_path / "problem.pde"
         f.write_text(source)

@@ -16,7 +16,8 @@ from paraclaw.parabolic import (
     parabolicity_check, quartic_form, symbol_form, xi_symbols,
 )
 from util import (
-    jet, random_poly, rank, residue_decomposition, suite_parabolicity_equivalence,
+    harmonic_split, jet, random_poly, rank, residue_decomposition,
+    suite_parabolicity_equivalence,
     suite_quartic_equivalence,
     suite_residue_equivalence, suite_split_equivalence, symbol_quadratic, u, u11, u12,
     u22, ux, uxx, x,
@@ -345,17 +346,19 @@ class TestTracelessResidue:
         # alone, so the symbolic N must specialize to the pointwise one, and
         # the pointwise residue must vanish at every point exactly when the
         # symbolic verdict says it vanishes
-        rep = ma_classify(EvolutionEquation(3, G, ref), symbolic=True)
-        assert rep.residue_vanishes is vanishes
+        eq = EvolutionEquation(3, G, ref)
+        assert ma_classify(eq, symbolic=True).residue_vanishes is vanishes
+        N = harmonic_split(eq, symbolic=True)[0]
         rng = random.Random(53)
         checked = nonzero = 0
         for _ in range(12):
             point = {s: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                      for s in G.symbols()}
-            at_point = ma_classify(EvolutionEquation(3, G, point))
+            eq_at_point = EvolutionEquation(3, G, point)
+            at_point = ma_classify(eq_at_point)
             if at_point.singular_symbol:
                 continue
-            assert rep.residue_numerator.substitute(point) == at_point.residue_numerator
+            assert N.substitute(point) == harmonic_split(eq_at_point)[0]
             checked += 1
             nonzero += not at_point.residue_vanishes
         assert checked >= 8
@@ -374,7 +377,7 @@ class TestMAClassify:
     def test_burgers(self):
         rep = ma_classify(EvolutionEquation(1, uxx + u * ux))
         assert rep.minor_affine and rep.n1_affine
-        assert rep.residue_vanishes is None and rep.residue_denominator is None
+        assert rep.residue_vanishes is None
 
     def test_quadratic_in_uxx(self):
         rep = ma_classify(EvolutionEquation(1, uxx + uxx ** 2))

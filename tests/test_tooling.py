@@ -23,7 +23,8 @@ search builds a replacement table.  Raw term dicts have one kernel: only ``expr`
 prefix memo, ``jets.Prolonged``: only ``jets`` defines ``__missing__``.
 
 The package's imports run one way, from the command layer down to the
-kernel; each module's imports are read with ``ast``.  Every name in a
+kernel, and every name a module imports is used; each module's imports
+are read with ``ast``.  Every name in a
 module's ``__all__`` exists.  The CLI reads its own arguments, so a request
 in a fresh interpreter leaves ``argparse`` unimported."""
 
@@ -312,6 +313,41 @@ def test_imports_run_one_way():
             continue
         assert imported <= _below(module), \
             f"{module} imports {sorted(imported - _below(module))}, which are not below it"
+
+
+def _names_read(tree: ast.AST) -> set:
+    """The names a module reads: in its code, in its string annotations and
+    in its ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotation = getattr(node, "returns" if isinstance(node, ast.FunctionDef)
+                             else "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                      if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            names |= {item.value for item in node.value.elts}
+    return names
+
+
+def test_imports_are_used():
+    # an import that a deletion left behind is caught; __init__ imports only
+    # to re-export, so it is not checked
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        unused = imported - _names_read(tree)
+        assert not unused, f"{name} imports {sorted(unused)} and never uses them"
 
 
 def test_all_names_resolve():

@@ -45,7 +45,7 @@ from paraclaw.jets import (
 from paraclaw.corpus import CORPUS
 from paraclaw.expr import MAX_TERMS, Poly
 from paraclaw.grammar import (
-    MAX_NESTING, ParseError, _as_expr, _Parser, parse, parse_expression,
+    MAX_NESTING, ParseError, _as_expr, _Parser, _too_long, parse, parse_expression,
 )
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
@@ -2133,7 +2133,9 @@ def reference_tokenize(source: str) -> list[tuple]:
 
 class ReferenceParser(_Parser):
     """grammar._Parser with the reference lexer and the Expr route for every
-    expression production; files, options and names are the grammar's."""
+    expression production; files, options and names are the grammar's.
+    Every "+", "-", "*", "/" and "^" builds its Expr, each product of a
+    power in turn, and the digit-limit rule checks it at that operator."""
 
     def __init__(self, source: str, n: int | None = None):
         self.tokens = reference_tokenize(source)
@@ -2145,9 +2147,10 @@ class ReferenceParser(_Parser):
     def parse_expr(self) -> Expr:
         acc = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op = self.advance()
             rhs = self.parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            acc = acc + rhs if op[0] == "+" else acc - rhs
+            self.check("sum", op, acc)
         return acc
 
     def parse_term(self) -> Expr:
@@ -2158,15 +2161,21 @@ class ReferenceParser(_Parser):
             if op[0] == "*":
                 self.charge_products(op, (acc.num, rhs.num), (acc.den, rhs.den))
                 acc = acc * rhs
+                self.check("product", op, acc)
             else:
                 if rhs.is_zero:
                     raise ParseError("division by zero", op[2], op[3])
                 self.charge_products(op, (acc.num, rhs.den), (acc.den, rhs.num))
                 acc = acc / rhs
+                self.check("quotient", op, acc)
         return acc
 
     def charge_products(self, op: tuple, *products) -> None:
         self.charge(op, sum(len(p.terms) * len(q.terms) for p, q in products))
+
+    def check(self, what: str, op: tuple, value: Expr) -> None:
+        if _too_long(value):
+            self.too_long(what, op)
 
     def parse_unary(self) -> Expr:
         if self.peek()[0] == "-":
@@ -2184,6 +2193,7 @@ class ReferenceParser(_Parser):
                 if atom.symbols():  # a constant's power is not charged
                     self.charge_products(op, (num, atom.num), (den, atom.den))
                 num, den = num * atom.num, den * atom.den
+                self.check("power", op, Expr(num, den, _raw=True))
             return Expr(num, den, _raw=True)
         return atom
 
@@ -2349,6 +2359,48 @@ def _budget_source(rng: random.Random) -> str:
         + rng.choice(names) + ")" * depth
 
 
+def _near_limit_source(rng: random.Random, limit: int) -> str:
+    """An expression (n = 1) of number literals at or near the digit limit
+    and their powers, whose products, quotients, sums and powers may pass
+    it; some quotients are by polynomials."""
+    half = limit // 2
+
+    def literal() -> str:
+        r = rng.random()
+        if r < 0.2:
+            return f"10^{rng.choice((half - 1, half, half + 1, limit - 1))}"
+        if r < 0.3:
+            return rng.choice("123456789") * rng.randint(limit - 2, limit)
+        if r < 0.4:
+            return f"(1/10^{rng.choice((half, half + 1))})"
+        return rng.choice(("1", "2", "3", "(1/3)", "(-2)"))
+
+    def factor(depth: int) -> str:
+        r = rng.random()
+        if depth < 2 and r < 0.25:
+            out = "(" + expr(depth + 1) + ")"
+        elif r < 0.65:
+            out = literal()
+        else:
+            out = rng.choice(("u", "u_x", "x", "(u + 1)", "(u_x - x)"))
+        return f"({out})^{rng.randint(2, 3)}" if rng.random() < 0.1 else out
+
+    def term(depth: int) -> str:
+        out = factor(depth)
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice("**/")
+            out += op + (literal() if op == "/" and rng.random() < 0.6 else factor(depth))
+        return out
+
+    def expr(depth: int) -> str:
+        out = term(depth)
+        for _ in range(rng.randint(0, 2)):
+            out += rng.choice((" + ", " - ")) + term(depth)
+        return out
+
+    return expr(0)
+
+
 def suite_parse_equivalence(cases: int = 300, seed: int = 73) -> dict:
     """The grammar's parser against the reference route on seeded inputs:
     random valid expressions (bare, n = 1..3, and as problem files),
@@ -2356,12 +2408,15 @@ def suite_parse_equivalence(cases: int = 300, seed: int = 73) -> dict:
     the parse budget or the nesting limit, or come near it.  Each pair of
     outcomes must be equal: the same Expr or ProblemFile and the same term
     pairs charged, or the same ParseError class, message, line and column.
-    On inputs with no rational sum, the grammar's parser multiplies no more
+    The last draws, at the least digit limit Python allows, hold literals
+    near it, so the digit-limit rule refuses some at an operator.  On
+    inputs with no rational sum, the grammar's parser multiplies no more
     term pairs than it charged (than MAX_TERMS, when it refuses the input).
     Returns the draw counts."""
     rng = random.Random(seed)
     counts = {"valid": 0, "parsed": 0, "malformed": 0, "malformed_errors": 0,
-              "budget": 0, "past_max_terms": 0, "past_max_nesting": 0}
+              "budget": 0, "past_max_terms": 0, "past_max_nesting": 0,
+              "near_limit": 0, "past_limit": 0}
 
     def check(text: str, n: int | None, polynomial: bool = False) -> tuple:
         with _counting_poly_products() as multiplied:
@@ -2405,6 +2460,16 @@ def suite_parse_equivalence(cases: int = 300, seed: int = 73) -> dict:
         if outcome[0] != "ok":
             counts["past_max_terms"] += "MAX_TERMS" in outcome[1]
             counts["past_max_nesting"] += "nested deeper" in outcome[1]
+    old_limit = sys.get_int_max_str_digits()
+    limit = sys.int_info.str_digits_check_threshold  # the least limit allowed
+    sys.set_int_max_str_digits(limit)
+    try:
+        for _ in range(cases // 3):
+            outcome = check(_near_limit_source(rng, limit), 1)
+            counts["near_limit"] += 1
+            counts["past_limit"] += outcome[0] != "ok" and f"longer than {limit}" in outcome[1]
+    finally:
+        sys.set_int_max_str_digits(old_limit)
     return counts
 
 
