@@ -35,15 +35,17 @@ denominators run through the raw-term kernel of :mod:`paraclaw.expr`
 
 Memos.  A column is a monomial t^b m with m t-free, and E_u(t^b m) =
 t^b E_u(m), so all of the search that does not depend on G is a function
-of m: E_u(m), and the dQ/du_J and D_L Q of Q = E_u(m); only their products
-with D_J(d G) and the A_L depend on G.  Two ``functools.lru_cache`` memos
-of MEMO_SIZE entries keyed by m hold these for the process, and ``_KEPT``
-holds the column indices the pivot pass keeps, by (n, spec), and is
-emptied when it reaches MEMO_SIZE entries.  A second equation at bounds
-already seen then does only the G-dependent products, the solve and the
-extraction; a single search computes what it computed without them, and
-keeps it.  The memoized dicts are only read, and ``generate_ansatz``
-returns copies.
+of m: the D_L Q of Q = E_u(m), and Q itself at L = (); only their products
+with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
+by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
+memo of D_L E_u(m) for the process, and ``_KEPT`` holds the column indices
+the pivot pass keeps, by (n, spec), and is emptied when it reaches
+MAX_TERMS entries.  The memo is bounded by MAX_TERMS too, which also
+bounds the columns of one ansatz, so no search evicts what it built.  A
+second equation at bounds already seen then does only the G-dependent
+products, the solve and the extraction; a single search computes what it
+computed without them, and keeps it.  The memoized dicts are only read,
+and ``generate_ansatz`` returns copies.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import linalg
@@ -66,7 +67,7 @@ from .expr import (
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, Prolonged,
     TimeJetPresent, _add_total_derivative, _derivative_terms, _euler_terms,
-    _jet_partials, _homotopy,
+    _jet_partials, _homotopy, _over,
     bounded_monomials, build_replacement_table, has_time_jets,
     invert_divergence, spatial_jet_order, spatial_jet_vars, total_derivative,
 )
@@ -202,26 +203,16 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     characteristics = []
     for (m,) in densities:
         b = m[0][1] if m and m[0][0] == TIME else 0
-        Q = _characteristic(m[1:] if b else m)
+        Q = _prolonged_euler(m[1:] if b else m)[()]
         characteristics.append(_times_t(Q, b) if b else dict(Q))
     return densities, characteristics
 
 
-MEMO_SIZE = 4096  # entries in each memo of the search's G-independent half
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _characteristic(m: Monomial) -> dict:
-    """The terms of E_u(m), for the t-free monomial m."""
-    return _euler_terms({m: 1})
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _tables(m: Monomial) -> tuple[dict, Prolonged]:
-    """(dQ/du_J by J, the D_L Q memo) of Q = E_u(m), for the t-free
-    monomial m."""
-    Q = _characteristic(m)
-    return _jet_partials(Q), _prolongations(Q)
+@functools.lru_cache(maxsize=MAX_TERMS)
+def _prolonged_euler(m: Monomial) -> Prolonged:
+    """The memo of the terms of D_L E_u(m), by the word L, for the t-free
+    monomial m: E_u(m) itself is the entry at ()."""
+    return _prolongations(_euler_terms({m: 1}))
 
 
 _KEPT: dict = {}  # (n, spec) -> the indices of the ansatz columns the pivot pass keeps
@@ -246,7 +237,8 @@ def assemble_determining_system(eq: EvolutionEquation,
     table is built.  Multiplying by t commutes with every D_i, d/du_J and
     product, so for T = t^b m the expression is t^b S_m + d b t^(b-1) E_u(m),
     with S_m = l_Q(d G) + sum_L A_L D_L Q for Q = E_u(m), for any G: S_m is
-    built once per distinct m, from the :func:`_tables` of m.
+    built once per distinct m, from the :func:`_prolonged_euler` memo of m
+    and one pass for the dQ/du_J.
 
     With no columns the system is empty on any G.  Otherwise a
     rational-function G raises NotPolynomialIn before any assembly, naming
@@ -267,11 +259,12 @@ def assemble_determining_system(eq: EvolutionEquation,
         m = m[1:] if b else m
         got = spatial.get(m)
         if got is None:
-            Q_u, D_Q = _tables(m)
+            D_Q = _prolonged_euler(m)
+            Q = D_Q[()]
             S: dict = {}
-            _add_linearization(S, Q_u, D_G)
-            _add_adjoint(S, A, D_Q)
-            got = spatial[m] = S, D_Q[()]
+            _add_contraction(S, _jet_partials(Q), D_G)
+            _add_contraction(S, A, D_Q)
+            got = spatial[m] = S, Q
         E, Q = got
         if b:  # t^b S_m + d d/dt (t^b Q) = t^b S_m + d b t^(b-1) Q
             E = _times_t(E, b)
@@ -296,12 +289,14 @@ def _times_t(terms: dict, b: int) -> dict:
     return out
 
 
-def _add_linearization(out: dict, Q_u: dict, D_f: dict) -> None:
-    """out += l_Q(f) = sum_J dQ/du_J D_J f in place, for the purely spatial
-    polynomials Q and f, with Q_u the :func:`jets._jet_partials` of Q, J ->
-    the terms of dQ/du_J, and D_f the :func:`_prolongations` memo of f."""
-    for J, Q_J in Q_u.items():
-        _add_product(out, Q_J, D_f[J])
+def _add_contraction(out: dict, a: dict[tuple[int, ...], dict], D_b: dict) -> None:
+    """out += sum_J a_J D_J b in place, for the terms a_J of polynomials by
+    the index word J and the :func:`_prolongations` memo D_b of the purely
+    spatial polynomial b.  With a_J = dQ/du_J (:func:`jets._jet_partials`
+    of Q) this is the linearization l_Q(b); with the
+    :func:`_adjoint_coefficients` A_L of f it is the adjoint l*_f(b)."""
+    for J, a_J in a.items():
+        _add_product(out, a_J, D_b[J])
 
 
 def _adjoint_coefficients(f: dict) -> dict[tuple[int, ...], dict]:
@@ -319,14 +314,6 @@ def _adjoint_coefficients(f: dict) -> dict[tuple[int, ...], dict]:
             rest = tuple(a for k, a in enumerate(J) if not split >> k & 1)
             _add_terms(A.setdefault(L, {}), D_f_J[rest], sign)
     return {L: A_L for L, A_L in A.items() if A_L}
-
-
-def _add_adjoint(out: dict, A: dict[tuple[int, ...], dict], D_Q: dict) -> None:
-    """out += sum_L A_L D_L Q in place, for the :func:`_adjoint_coefficients`
-    A of f and the :func:`_prolongations` memo D_Q of the purely spatial
-    polynomial Q: l*_f(Q)."""
-    for L, A_L in A.items():
-        _add_product(out, A_L, D_Q[L])
 
 
 def _prolongations(terms: dict) -> Prolonged:
@@ -455,12 +442,6 @@ def _combination(columns: list[dict], vec: dict) -> dict:
     return acc
 
 
-def _over(terms: dict, den: int) -> Expr:
-    """p / den with ``Fraction`` coefficients, for the ``int`` polynomial p
-    with these terms and an int den != 0."""
-    return Expr._make(Poly({m: Fraction(v, den) for m, v in terms.items()}), Poly.one())
-
-
 def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None,
                            force: bool = False) -> list[ConservationLaw]:
     """All conservation laws within the ansatz bounds, up to equivalence.
@@ -508,7 +489,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         pivots = linalg.Echelon()
         keep = _KEPT[eq.n, spec] = tuple(
             k for k, Q in enumerate(characteristics) if pivots.add(Q))
-        if len(_KEPT) >= MEMO_SIZE:  # after the store, so threads leave it within bound
+        if len(_KEPT) >= MAX_TERMS:  # after the store, so threads leave it within bound
             _KEPT.clear()
     densities = [densities[k] for k in keep]
     characteristics = [characteristics[k] for k in keep]
@@ -526,7 +507,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         T = _combination(densities, vec)
         R: dict = {}  # d reduce(D_t T) = d dT/dt + l_T(d G)
         _add_terms(R, Poly(T).diff(TIME).terms, d)
-        _add_linearization(R, _jet_partials(T), D_G)
+        _add_contraction(R, _jet_partials(T), D_G)
         T_law = _over(T, lead)
         try:
             L, LX = _homotopy(R, eq.n)

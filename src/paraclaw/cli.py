@@ -105,7 +105,7 @@ def cmd_verify(pf: ProblemFile, density: str, fluxes: list[str]) -> dict:
         raise ValueError(f"expected {eq.n} flux expression(s), got {len(fluxes)}")
     T = parse_expression(density, eq.n)
     X = tuple(parse_expression(f, eq.n) for f in fluxes)
-    check_density_order(T)  # before E_u, whose walk recurses once per order
+    check_density_order(T)  # bounds the work of E_u and of the on-shell D_t T
     law = ConservationLaw(T, X, euler_operator(T))
     report = _report_skeleton(pf)
     report["density"] = expr_to_source(T, eq.n)

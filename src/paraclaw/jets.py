@@ -25,7 +25,7 @@ from math import comb, lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .expr import (
-    BASE, JET, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
+    BASE, JET, MAX_TERMS, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
     _add_terms, _lower, base_var, jet_var, mono_mul,
 )
 
@@ -130,7 +130,7 @@ def _lower_prolong(m: Monomial, idx: int, t: Symbol) -> Monomial:
     return head + m[idx + 1:k] + ((t, 1),) + m[k:]
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=MAX_TERMS)
 def _prolong(s: Symbol, a: int) -> Symbol:
     """u_{Ja} for the jet symbol u_J: one more derivative in direction a
     (0 = time)."""
@@ -165,10 +165,11 @@ def _derivative_terms(terms: dict, a: int) -> dict:
 class Prolonged(dict):
     """word -> D_word f, for the f at () and the sorted spatial index words.
 
-    A missing word is built from its prefix's entry by one step of the
-    instance's ``derivative(entry, a)``, D_a, and kept once whole, so a memo
-    shared by threads, or left by an interrupted search, holds no partial
-    entry.  The entries are only read."""
+    A missing word is built forward from its longest stored prefix, one
+    step of the instance's ``derivative(entry, a)``, D_a, per letter, and
+    each prefix on the way is kept once whole, so a memo shared by threads,
+    or left by an interrupted search, holds no partial entry, and a long
+    word takes no recursion.  The entries are only read."""
 
     __slots__ = ("derivative",)
 
@@ -177,7 +178,12 @@ class Prolonged(dict):
         self.derivative = derivative
 
     def __missing__(self, word: tuple[int, ...]):
-        got = self[word] = self.derivative(self[word[:-1]], word[-1])
+        k = len(word) - 1
+        while word[:k] not in self:
+            k -= 1
+        got = self[word[:k]]
+        for j in range(k, len(word)):
+            got = self[word[:j + 1]] = self.derivative(got, word[j])
         return got
 
 
@@ -315,13 +321,7 @@ def invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
             raise ValueError(
                 f"R may contain t, x1..x{n} and jets in directions 1..{n} only, not {s}")
     L, fluxes = _homotopy(R.num.terms, n)
-    inverse = Fraction(1, L)
-    out = []
-    for LX in fluxes:
-        X: dict = {}
-        _add_terms(X, LX, inverse)
-        out.append(Expr._make(Poly(X), Poly.one()))
-    return tuple(out)
+    return tuple(_over(LX, L) for LX in fluxes)
 
 
 def _homotopy(terms: dict, n: int) -> tuple[int, list[dict]]:
@@ -362,6 +362,13 @@ def _homotopy(terms: dict, n: int) -> tuple[int, list[dict]]:
                 raise NotInDivergenceImage(
                     f"E_u of the jet-degree-{d} part is {remainder}, not 0")
     return L, fluxes
+
+
+def _over(terms: dict, den: int) -> Expr:
+    """p / den with ``Fraction`` coefficients, for the ``int`` polynomial p
+    with these terms and an int den != 0: a result of :func:`_homotopy` as
+    an Expr."""
+    return Expr._make(Poly({m: Fraction(v, den) for m, v in terms.items()}), Poly.one())
 
 
 # ---------------------------------------------------------------------------

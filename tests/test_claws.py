@@ -15,7 +15,7 @@ from paraclaw.claws import (
     jacobi_potential_order, reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.corpus import CORPUS, by_name
-from paraclaw.expr import Expr, aux_var, base_var, jet_var
+from paraclaw.expr import MAX_TERMS, Expr, aux_var, base_var, jet_var
 from paraclaw.jets import (
     ORDER_GUARD, OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
     spatial_jet_order, total_derivative,
@@ -661,17 +661,16 @@ class TestSearchMemos:
         assert suite_memos_shared_by_threads() == 4 * 4 * len(CORPUS)
 
     def test_every_memo_is_bounded(self, monkeypatch):
-        # the monomial memos are lru_caches of MEMO_SIZE entries, and _KEPT
-        # is emptied when it reaches MEMO_SIZE, so after MEMO_SIZE + 2
+        # the monomial memo is an lru_cache of MAX_TERMS entries, and _KEPT
+        # is emptied when it reaches MAX_TERMS, so after MAX_TERMS + 2
         # stores it holds the last two; an empty ansatz keeps the searches
         # cheap at large n
         from util import clear_search_memos
-        assert claws._characteristic.cache_info().maxsize == claws.MEMO_SIZE
-        assert claws._tables.cache_info().maxsize == claws.MEMO_SIZE
+        assert claws._prolonged_euler.cache_info().maxsize == MAX_TERMS
         monkeypatch.setattr(claws, "generate_ansatz", lambda eq, spec: ([], []))
         clear_search_memos()
         try:
-            for n in range(1, claws.MEMO_SIZE + 3):
+            for n in range(1, MAX_TERMS + 3):
                 find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
             assert list(claws._KEPT) == [(n - 1, AnsatzSpec()), (n, AnsatzSpec())]
         finally:

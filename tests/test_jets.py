@@ -116,6 +116,14 @@ class TestReplacementTable:
         via_space = total_derivative(total_derivative(eq.G, 1), 1)
         assert e_prefix == via_reduce == via_space
 
+    def test_long_word_is_built_forward(self, heat):
+        # a missing word is built from its longest stored prefix, one
+        # derivative per letter and no recursion, and every prefix is kept
+        table = build_replacement_table(heat)
+        assert table[(1, 1)] == jet(1, 1, 1, 1)
+        assert table[(1,) * 1500] == jet(*[1] * 1502)
+        assert len(table) == 1501
+
     def test_requires_time_power(self, heat_table):
         # only first-order time jets have a value on the prolonged equation
         with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
 ``_add_terms``, ``_add_product``, ``_lower`` and ``_cleared``.  D_J f has one
 prefix memo, ``jets.Prolonged``: only ``jets`` defines ``__missing__``.
+Every memo has one size budget: each ``functools.lru_cache`` is bounded by
+``MAX_TERMS``, and no unbounded ``functools.cache`` is used.
 
 The package's imports run one way, from the command layer down to the
 kernel, and every name a module imports is used; each module's imports
@@ -248,6 +250,53 @@ def test_one_prolongation_memo():
             assert not any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                            and node.name == "__missing__" for node in ast.walk(tree)), \
                 f"{name} defines __missing__"
+
+
+
+def _functools_memo(node: ast.AST, module_names: set, imported: dict) -> str | None:
+    """"cache" or "lru_cache" when the node names that function of
+    functools, through the module (``module_names`` are its aliases) or a
+    ``from functools import`` (``imported`` maps alias to name)."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id in module_names:
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = imported.get(node.id)
+    else:
+        return None
+    return name if name in ("cache", "lru_cache") else None
+
+
+def _is_max_terms(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "MAX_TERMS" \
+        or isinstance(node, ast.Attribute) and node.attr == "MAX_TERMS"
+
+
+def test_every_memo_is_bounded_by_max_terms():
+    # one size budget: every functools.lru_cache in the package is called
+    # with maxsize MAX_TERMS, and the unbounded functools.cache is not used
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module_names = {alias.asname or alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.Import)
+                        for alias in node.names if alias.name == "functools"}
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    for alias in node.names}
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                maxsize = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if len(maxsize) == 1 and _is_max_terms(maxsize[0]):
+                    bounded.add(id(node.func))
+        for node in ast.walk(tree):
+            memo = _functools_memo(node, module_names, imported)
+            assert memo != "cache", f"{name}:{node.lineno} uses the unbounded functools.cache"
+            assert memo != "lru_cache" or id(node) in bounded, \
+                f"{name}:{node.lineno} has an lru_cache whose maxsize is not MAX_TERMS"
 
 
 # Each paraclaw module and the modules directly below it; a module may import

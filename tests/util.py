@@ -26,7 +26,7 @@ from paraclaw import cli, linalg
 from paraclaw import claws
 from paraclaw.claws import (
     AnsatzSpec, ConservationLaw, DeterminingSystem, InvariantViolation,
-    NotParabolicEquation, _add_adjoint, _add_linearization, _adjoint_coefficients,
+    NotParabolicEquation, _add_contraction, _adjoint_coefficients,
     _balances, _on_shell_dt, _prolongations, assemble_determining_system,
     cross_validate_ma, find_conservation_laws, generate_ansatz, jacobi_potential_order,
     reconstruct_flux, solve_exact, verify,
@@ -316,8 +316,8 @@ def tagged_determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
     d, (dG,) = _cleared([G.num.terms])
     out: dict = {}
     _add_terms(out, Q.num.diff(TIME).terms, d)
-    _add_linearization(out, _jet_partials(Q.num.terms), _prolongations(dG))
-    _add_adjoint(out, _adjoint_coefficients(dG), _prolongations(Q.num.terms))
+    _add_contraction(out, _jet_partials(Q.num.terms), _prolongations(dG))
+    _add_contraction(out, _adjoint_coefficients(dG), _prolongations(Q.num.terms))
     return Expr._make(Poly(out), Poly.one())
 
 
@@ -1698,20 +1698,17 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
 
 def clear_search_memos() -> None:
     """Empty the law search's process-wide memos of its G-independent half:
-    E_u and the tables of t-free monomials, and the kept column indices by
+    the prolonged E_u of t-free monomials, and the kept column indices by
     (n, spec)."""
-    claws._characteristic.cache_clear()
-    claws._tables.cache_clear()
+    claws._prolonged_euler.cache_clear()
     claws._KEPT.clear()
 
 
 def search_memo_sizes() -> dict:
     """name -> (maxsize, currsize) of each memo of the law search."""
-    sizes = {"kept": (claws.MEMO_SIZE, len(claws._KEPT))}
-    for name, memo in (("characteristic", claws._characteristic), ("tables", claws._tables)):
-        info = memo.cache_info()
-        sizes[name] = info.maxsize, info.currsize
-    return sizes
+    info = claws._prolonged_euler.cache_info()
+    return {"kept": (MAX_TERMS, len(claws._KEPT)),
+            "prolonged_euler": (info.maxsize, info.currsize)}
 
 
 def golden_ansatz_specs() -> list[AnsatzSpec]:
@@ -1722,8 +1719,7 @@ def golden_ansatz_specs() -> list[AnsatzSpec]:
 def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tuple:
     """The search's :func:`_search_outcome`, its determining system (keys,
     and each row's items in order) and null space, as recorded by
-    :func:`recorded_search`, and the t-free monomials of its ansatz and of
-    the columns it assembled."""
+    :func:`recorded_search`, and the t-free monomials of its ansatz."""
     calls, outcome = recorded_search(eq, spec, force)
     system = calls.get("assemble_determining_system", [None, None])[1]
     staged = None
@@ -1731,8 +1727,7 @@ def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tupl
         staged = system.keys, [list(row.items()) for row in system.rows], \
             calls["solve_exact"][1]
     ansatz = calls["generate_ansatz"][1][0] if "generate_ansatz" in calls else []
-    assembled = calls["assemble_determining_system"][0][1] if system is not None else []
-    return (outcome, staged), (_t_free(ansatz), _t_free(assembled))
+    return (outcome, staged), _t_free(ansatz)
 
 
 def _t_free(densities: list[dict]) -> set:
@@ -1742,16 +1737,13 @@ def _t_free(densities: list[dict]) -> set:
 
 def _memo_snapshot(snapshot: dict, monomials) -> None:
     """Add to ``snapshot``, id -> (object, copy of its contents), every dict
-    and tuple the search memos hold that it lacks: E_u of the t-free
-    monomials of an ansatz and the tables of those of its assembled columns
-    (held already, so reading them stores nothing), and the kept
-    indices."""
-    ansatz, assembled = monomials
-    held = [claws._characteristic(m) for m in ansatz]
-    held += claws._KEPT.values()
-    for m in assembled:
-        partials, prolonged = claws._tables(m)
-        held += [partials, prolonged, *partials.values(), *prolonged.values()]
+    and tuple the search memos hold that it lacks: the prolonged E_u of the
+    t-free ansatz ``monomials`` and each of its entries (held already, so
+    reading them stores nothing), and the kept indices."""
+    held = list(claws._KEPT.values())
+    for m in monomials:
+        prolonged = claws._prolonged_euler(m)
+        held += [prolonged, *prolonged.values()]
     for obj in held:
         if id(obj) not in snapshot:
             snapshot[id(obj)] = obj, list(obj.items()) if isinstance(obj, dict) else obj
@@ -1874,7 +1866,7 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
     """Threads that share the search memos get the results of cold
     searches: from cleared memos, each of ``threads`` threads runs every
     corpus entry at every golden spec, in its own seeded order, and each
-    outcome equals the cold one.  And threads storing MEMO_SIZE + threads
+    outcome equals the cold one.  And threads storing MAX_TERMS + threads
     distinct keys into ``_KEPT`` at once, by searches of an empty ansatz at
     n = 1, 2, ..., leave it within its bound.  Returns the number
     of searches compared."""
@@ -1900,7 +1892,7 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
         assert outcome == reference[i], f"thread {k} differs on {problems[i][0]} at {problems[i][2]}"
 
     def fill(k):
-        for n in range(1 + k, claws.MEMO_SIZE + threads + 1, threads):
+        for n in range(1 + k, MAX_TERMS + threads + 1, threads):
             find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
 
     clear_search_memos()  # the kept columns of the real ansatz index none here
@@ -1910,7 +1902,7 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
     finally:
         claws.generate_ansatz = generate
     assert errors == [None] * threads, errors
-    assert len(claws._KEPT) < claws.MEMO_SIZE
+    assert len(claws._KEPT) < MAX_TERMS
     return len(got)
 
 
