@@ -23,8 +23,8 @@ from .parabolic import (
     ma_traceless_residue, parabolicity_check, quartic_form, symbol_form,
 )
 from .claws import (
-    AnsatzSpec, AnsatzTooLarge, ConservationLaw, CrossValidation,
-    DeterminingSystem, FluxReconstructionFailed, InvariantViolation,
+    AnsatzSpec, AnsatzTooLarge, ConservationLaw, DeterminingSystem,
+    FluxReconstructionFailed, InvariantViolation,
     NotParabolicEquation, assemble_determining_system, cross_validate_ma,
     find_conservation_laws, generate_ansatz, jacobi_potential_order,
     solve_exact, verify,

@@ -77,7 +77,7 @@ from .parabolic import EvolutionEquation, InvariantViolation, MAReport, Paraboli
 __all__ = [
     "AnsatzTooLarge", "FluxReconstructionFailed", "NotParabolicEquation",
     "InvariantViolation",
-    "AnsatzSpec", "ConservationLaw", "DeterminingSystem", "CrossValidation",
+    "AnsatzSpec", "ConservationLaw", "DeterminingSystem",
     "generate_ansatz", "assemble_determining_system",
     "solve_exact", "check_density_order",
     "find_conservation_laws", "verify",
@@ -99,7 +99,7 @@ class NotParabolicEquation(ValueError):
 
     def __init__(self) -> None:
         super().__init__("symbol is not parabolic at the reference jet; "
-                         "pass force=True to proceed")
+                         "pass --force (force=True in the API) to proceed")
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,6 @@ class DeterminingSystem:
     @property
     def num_equations(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class CrossValidation:
-    """Consistency of found laws with the Monge-Ampere classifier."""
-
-    consistent: bool
-    law_count: int
-    report: MAReport
-    detail: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -527,25 +517,22 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
 
 
 def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw],
-                      report: MAReport | None = None) -> CrossValidation:
+                      report: MAReport | None = None) -> None:
     """Check the structural implication: a nontrivial conservation law forces
     the Monge-Ampere verdict (n1_affine for n = 1, vanishing traceless
-    residue for n >= 2).  A violation is an implementation bug.
+    residue for n >= 2).  A violation is an implementation bug, raised as
+    InvariantViolation; an undecided verdict (singular symbol) passes.
 
     ``report`` is the pointwise ``ma_classify(eq)``, computed here when not
     given."""
+    if not laws:
+        return
     if report is None:
         report = ma_classify(eq)
-    if not laws:
-        return CrossValidation(True, 0, report, "no laws, nothing to check")
     if eq.n == 1:
         ok, which = report.n1_affine, "n1_affine"
     else:
         ok, which = report.residue_vanishes, "residue_vanishes"
-    if ok is None:
-        return CrossValidation(True, len(laws), report,
-                               f"{which} undecided (singular symbol)")
-    if ok:
-        return CrossValidation(True, len(laws), report, f"{which} holds")
-    return CrossValidation(False, len(laws), report,
-                           f"{len(laws)} nontrivial law(s) but {which} is false")
+    if ok is False:
+        raise InvariantViolation(f"MA cross-validation violated: {len(laws)} nontrivial "
+                                 f"law(s) but {which} is false")

@@ -29,7 +29,7 @@ __all__ = [
     "DivisionByZeroExpr", "NotPolynomialIn", "MAX_TERMS",
     "Symbol",
     "base_var", "jet_var", "aux_var",
-    "TIME", "U",
+    "TIME",
     "Monomial", "mono_mul", "mono_sort_key",
     "Poly", "poly_gcd", "divexact",
     "Expr", "ZERO", "ONE",
@@ -149,7 +149,6 @@ def aux_var(k: int, name: str = "") -> Symbol:
 
 
 TIME = base_var(0)
-U = jet_var()
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +301,6 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def one() -> "Poly":
         return Poly({_ONE_MONO: _F1})
 
@@ -351,9 +346,9 @@ class Poly:
         m = max(self.terms, key=mono_sort_key)
         return m, self.terms[m]
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return [(m, self.terms[m]) for m in
-                sorted(self.terms, key=mono_sort_key, reverse=reverse)]
+                sorted(self.terms, key=mono_sort_key, reverse=True)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -797,7 +792,7 @@ class Expr:
         return f"Expr({format_expr(self)})"
 
 
-ZERO = Expr(Poly.zero(), Poly.one(), _raw=True)
+ZERO = Expr(Poly(), Poly.one(), _raw=True)
 ONE = Expr(Poly.one(), Poly.one(), _raw=True)
 
 

@@ -449,7 +449,6 @@ class ProblemFile:
     jet_degree: int | None = None
     base_degree: int | None = None
     max_jet_order: int | None = None
-    source: str = field(default="", compare=False)
 
     def equation(self) -> EvolutionEquation:
         return EvolutionEquation(self.n, self.G, self.reference_jet)
@@ -460,9 +459,7 @@ class ProblemFile:
 
 def parse(source: str) -> ProblemFile:
     """Parse a problem file; raises ParseError (or a subclass) with position."""
-    pf = _Parser(source).parse_file()
-    pf.source = source
-    return pf
+    return _Parser(source).parse_file()
 
 
 def parse_expression(source: str, n: int) -> Expr:

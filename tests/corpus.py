@@ -1,13 +1,13 @@
-"""Built-in corpus of evolution equations, used by the cross-validation and
-property suites.  Sources are in the problem-file grammar, so the corpus
-also exercises the parser."""
+"""Corpus of evolution equations, used by the cross-validation and property
+suites.  Sources are in the problem-file grammar, so the corpus also
+exercises the parser."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import ProblemFile, parse
-from .parabolic import EvolutionEquation
+from paraclaw.grammar import ProblemFile, parse
+from paraclaw.parabolic import EvolutionEquation
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ import pytest
 from paraclaw.claws import (
     AnsatzSpec, find_conservation_laws, jacobi_potential_order, verify,
 )
-from paraclaw.corpus import CORPUS, by_name
 from paraclaw.expr import Expr
 from paraclaw.jets import (
     deprolongation_dimension, parabolic_system_dimension, tableau_dimension,
 )
 from paraclaw.parabolic import ma_classify
+from corpus import CORPUS, by_name
 from util import (
     expr_coefficient_vector, heat_polynomial_space, in_span, span_equal,
     suite_commutativity, suite_cross_validation, suite_divergence_roundtrip,

@@ -14,13 +14,13 @@ from paraclaw.claws import (
     cross_validate_ma, find_conservation_laws, generate_ansatz,
     jacobi_potential_order, reconstruct_flux, solve_exact, verify,
 )
-from paraclaw.corpus import CORPUS, by_name
 from paraclaw.expr import MAX_TERMS, Expr, aux_var, base_var, jet_var
 from paraclaw.jets import (
     ORDER_GUARD, OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
     spatial_jet_order, total_derivative,
 )
-from paraclaw.parabolic import EvolutionEquation
+from paraclaw.parabolic import EvolutionEquation, ma_classify
+from corpus import CORPUS, by_name
 from util import (
     GOLDEN_PATH, claws_corpus_reports, combine, expr_coefficient_vector,
     heat_polynomial_space, in_span, linear_columns, rank, span_equal,
@@ -33,7 +33,7 @@ from util import (
     suite_memos_change_no_result, suite_memos_shared_by_threads,
     suite_returned_columns_are_fresh,
     suite_solver_soundness, suite_triviality_filter,
-    t, u, u1, u11, u2, u22, ux, uxx, x, x1, x2,
+    t, u, u1, u11, u12, u2, u22, ux, uxx, x, x1, x2,
 )
 
 
@@ -596,12 +596,12 @@ class TestFluxReconstruction:
 class TestCrossValidation:
     def test_heat_consistent(self):
         laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 2))
-        assert cross_validate_ma(HEAT, laws).consistent
+        assert cross_validate_ma(HEAT, laws) is None
 
     def test_burgers_consistent(self):
         laws = find_conservation_laws(BURGERS, AnsatzSpec(2, 2, 0))
-        result = cross_validate_ma(BURGERS, laws)
-        assert result.consistent and result.law_count == 1
+        assert len(laws) == 1
+        assert cross_validate_ma(BURGERS, laws) is None
 
     def test_heat_plus_det_hessian(self):
         # det Hess = D_1(u_1 u_22) - D_2(u_1 u_12): T = u has a flux
@@ -610,11 +610,41 @@ class TestCrossValidation:
         assert any(law.Q == Expr.const(1) for law in laws)
         for law in laws:
             assert verify(eq, law)
-        assert cross_validate_ma(eq, laws).consistent
+        assert cross_validate_ma(eq, laws) is None
 
     def test_empty_laws_always_consistent(self):
         nonma = by_name("quadratic_diffusion").equation()
-        assert cross_validate_ma(nonma, []).consistent
+        assert cross_validate_ma(nonma, []) is None
+
+    def test_laws_on_non_affine_n1_equation_raise(self):
+        # the 3 laws of the heat equation, held against u_t = u_xx + u_xx^2
+        laws = find_conservation_laws(HEAT, AnsatzSpec(2, 1, 2))
+        assert len(laws) == 3
+        nonma = by_name("quadratic_diffusion").equation()
+        with pytest.raises(InvariantViolation) as info:
+            cross_validate_ma(nonma, laws)
+        assert str(info.value) == ("MA cross-validation violated: 3 nontrivial law(s) "
+                                   "but n1_affine is false")
+
+    def test_law_on_nonvanishing_residue_raises(self):
+        # the law T = u of heat_2d, held against u_t = u_11 + u_22 + u_11^2
+        laws = find_conservation_laws(HEAT2, AnsatzSpec(2, 1, 0))
+        assert len(laws) == 1
+        nonma = by_name("anisotropic_quartic").equation()
+        with pytest.raises(InvariantViolation) as info:
+            cross_validate_ma(nonma, laws)
+        assert str(info.value) == ("MA cross-validation violated: 1 nontrivial law(s) "
+                                   "but residue_vanishes is false")
+
+    def test_undecided_residue_passes(self):
+        # det Hess u at its default reference jet 0 has a singular symbol, so
+        # the residue test is undecided and the check passes
+        laws = find_conservation_laws(HEAT2, AnsatzSpec(2, 1, 0))
+        eq = EvolutionEquation(2, u11 * u22 - u12 ** 2)
+        report = ma_classify(eq)
+        assert report.singular_symbol and report.residue_vanishes is None
+        assert cross_validate_ma(eq, laws, report) is None
+        assert cross_validate_ma(eq, laws) is None
 
     def test_corpus_suite(self):
         assert suite_cross_validation() >= 10

@@ -751,6 +751,37 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert any("force" in w for w in report["warnings"])
 
+    @pytest.mark.parametrize("source, argv, shown", [
+        ("n=2; u_t = u_11 + u_22",
+         ["verify", "--density", "(x1^2 + x2^2 - 4*t)*u",
+          "--flux", "-((x1^2 + x2^2 - 4*t)*u_1 - 2*x1*u)",
+          "--flux", "-((x1^2 + x2^2 - 4*t)*u_2 - 2*x2*u)"],
+         ["u_t = u_11 + u_22   (n = 2)",
+          "density: x1^2*u + x2^2*u - 4*t*u",
+          "flux: ['-x1^2*u_1 - x2^2*u_1 + 4*t*u_1 + 2*x1*u', "
+          "'-x1^2*u_2 - x2^2*u_2 + 4*t*u_2 + 2*x2*u']",
+          "verified: True",
+          "characteristic: x1^2 + x2^2 - 4*t (order 0)"]),
+        (None, ["dims", "-n", "2", "-r", "1"],
+         ["tableau_dim(n=2, r=1) = 7", "system_dim = 12", "deprolongation_dim = 7"]),
+        ("n=2; u_t = u_11*u_22 - u_12^2", ["classify"],
+         ["u_t = u_11*u_22 - u_12^2   (n = 2)",
+          "parabolicity: weak",
+          "monge-ampere: minor_affine = True, residue_vanishes = n/a, n1_affine = n/a",
+          "laws: 0",
+          "warning: weakly parabolic symbol at the reference jet",
+          "warning: singular symbol at the reference jet; residue test skipped"]),
+    ], ids=["verify", "dims", "warnings"])
+    def test_text_report(self, tmp_path, capsys, source, argv, shown):
+        if source is not None:
+            f = tmp_path / "problem.pde"
+            f.write_text(source)
+            argv = [argv[0], str(f), *argv[1:]]
+        assert main([*argv, "--text"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1].startswith("elapsed: ")
+        assert printed[:-1] == shown
+
     @pytest.mark.parametrize("command", [["classify"], ["classify", "--symbolic"],
                                          ["claws"]], ids=["classify", "symbolic", "claws"])
     @pytest.mark.parametrize("source, point", [
@@ -876,11 +907,12 @@ class TestMainEntry:
                                         "faddeev_leverrier", "minor_affine_residue"])
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch, broken):
         from paraclaw import claws, cli, parabolic
-        from paraclaw.claws import CrossValidation
+        from paraclaw.claws import InvariantViolation
         source, commands = "n=1; u_t = u_xx", ["claws"]
         if broken == "cross_validation":
-            monkeypatch.setattr(cli, "cross_validate_ma", lambda eq, laws, report=None:
-                                CrossValidation(False, len(laws), report, "forced"))
+            def violated(eq, laws, report=None):
+                raise InvariantViolation("MA cross-validation violated: forced")
+            monkeypatch.setattr(cli, "cross_validate_ma", violated)
             message = "MA cross-validation violated: forced"
         elif broken == "flux_check":
             monkeypatch.setattr(claws, "_balanced", lambda R, L, LX: False)
@@ -996,7 +1028,7 @@ class TestMainEntry:
         assert main(["claws", str(f)]) == 1
         assert capsys.readouterr().err == (
             "error: symbol is not parabolic at the reference jet; "
-            "pass force=True to proceed\n")
+            "pass --force (force=True in the API) to proceed\n")
         assert len(calls) == 1 and classified == []
 
     def test_file_options_feed_claws_defaults(self, tmp_path, capsys):

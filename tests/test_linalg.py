@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from paraclaw import linalg
-from paraclaw.corpus import CORPUS
+from corpus import CORPUS
 from util import naive_rref, suite_nullspace_equivalence, suite_rank_echelon_equivalence
 
 SHAPES = [(1, 1), (3, 3), (8, 8), (12, 5), (20, 6), (4, 15), (6, 24), (0, 4)]

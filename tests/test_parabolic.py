@@ -420,7 +420,7 @@ class TestMAClassify:
             assert len(calls) == 1
 
     def test_minor_affine_implies_residue_vanishes(self):
-        from paraclaw.corpus import CORPUS
+        from corpus import CORPUS
         for entry in CORPUS:
             rep = ma_classify(entry.equation())
             if rep.minor_affine and rep.residue_vanishes is not None:

@@ -26,14 +26,18 @@ Every memo has one size budget: each ``functools.lru_cache`` is bounded by
 
 The package's imports run one way, from the command layer down to the
 kernel, and every name a module imports is used; each module's imports
-are read with ``ast``.  Every name in a
-module's ``__all__`` exists.  The CLI reads its own arguments, so a request
-in a fresh interpreter leaves ``argparse`` unimported."""
+are read with ``ast``.  The package ships only what a caller reads: every
+module is imported from ``paraclaw/__init__.py``, directly or through
+others, and every name in a module's ``__all__`` exists and is read
+somewhere in ``src/``, ``tests/`` or ``perfbench/``.  The CLI reads its own
+arguments, so a request in a fresh interpreter leaves ``argparse``
+unimported."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -308,7 +312,6 @@ LAYERS = {
     "parabolic": ("jets",),
     "claws": ("parabolic",),
     "grammar": ("parabolic",),
-    "corpus": ("grammar",),
     "cli": ("grammar", "claws"),
 }
 PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -364,6 +367,69 @@ def test_imports_run_one_way():
             f"{module} imports {sorted(imported - _below(module))}, which are not below it"
 
 
+def test_every_module_is_imported_by_the_package():
+    # a module that only tests import belongs in tests/
+    imports = {}
+    for name in os.listdir(PACKAGE_DIR):
+        if name.endswith(".py") and name != "__main__.py":
+            with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+                imports[name[:-3]] = _paraclaw_imports(ast.parse(fh.read()))
+    reached, stack = set(), ["__init__"]
+    while stack:
+        for module in imports[stack.pop()] - reached:
+            reached.add(module)
+            stack.append(module)
+    assert set(imports) - {"__init__"} <= reached, \
+        f"{sorted(set(imports) - {'__init__'} - reached)} not imported by paraclaw"
+
+
+def _is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+
+
+def _references(tree: ast.AST) -> set:
+    """The names a file refers to, outside any ``__all__``: loaded names,
+    attributes, and the parts of string constants that are dotted names
+    (``monkeypatch.setattr`` targets, the tracer's tables)."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if _is_all(node):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            found |= set(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_exported_name_is_read():
+    # a name in __all__ that no module, test or benchmark reads is dead
+    # surface; __init__ only re-exports, so its imports are not reads
+    read, exported = set(), {}
+    for folder in ("src", "tests", "perfbench"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, folder)):
+            for name in files:
+                path = os.path.join(dirpath, name)
+                if not name.endswith(".py") or path == os.path.join(PACKAGE_DIR, "__init__.py"):
+                    continue
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                read |= _references(tree)
+                if dirpath == PACKAGE_DIR:
+                    for node in ast.walk(tree):
+                        if _is_all(node):
+                            exported[name[:-3]] = [item.value for item in node.value.elts]
+    unread = [f"{module}.{name}" for module, names in sorted(exported.items())
+              for name in names if name not in read]
+    assert not unread, f"exported and never read: {unread}"
+
+
 def _names_read(tree: ast.AST) -> set:
     """The names a module reads: in its code, in its string annotations and
     in its ``__all__``."""
@@ -374,9 +440,7 @@ def _names_read(tree: ast.AST) -> set:
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
             names |= {n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
                       if isinstance(n, ast.Name)}
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
+        if _is_all(node):
             names |= {item.value for item in node.value.elts}
     return names
 
