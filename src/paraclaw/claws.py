@@ -62,7 +62,7 @@ from math import comb
 from . import linalg
 from .expr import (
     JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
-    _add_product, _add_terms, _cleared, base_var,
+    _add_product, _add_terms, _cleared, _exponent, _shifted, base_var,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, Prolonged,
@@ -178,8 +178,8 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     and C(k+d, d) monomials of degree <= d in k symbols.  E_u commutes with
     multiplication by t, so E_u(t^b m) = t^b E_u(m): one raw Euler walk per
     t-free monomial m gives the characteristics of all its t^b multiples,
-    with (t, b) put first in each key (t sorts first); the walks are
-    memoized for the process, and every returned dict is new."""
+    each key shifted by t^b; the walks are memoized for the process, and
+    every returned dict is new."""
     jet_count = comb(eq.n + spec.max_jet_order, spec.max_jet_order)
     count = (comb(eq.n + 1 + spec.base_degree, spec.base_degree)
              * comb(jet_count + spec.jet_degree, spec.jet_degree))
@@ -189,11 +189,11 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     jet_syms = spatial_jet_vars(eq.n, spec.max_jet_order)
     base_monos = bounded_monomials(base_syms, spec.base_degree)
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
-    densities = [{bm + jm: 1} for jm in jet_monos for bm in base_monos]  # base < jet: sorted
+    densities = [{bm + jm: 1} for jm in jet_monos for bm in base_monos]
     characteristics = []
     for (m,) in densities:
-        b = m[0][1] if m and m[0][0] == TIME else 0
-        Q = _prolonged_euler(m[1:] if b else m)[()]
+        b = _exponent(m, TIME)
+        Q = _prolonged_euler(m - b * TIME.unit)[()]
         characteristics.append(_times_t(Q, b) if b else dict(Q))
     return densities, characteristics
 
@@ -245,8 +245,8 @@ def assemble_determining_system(eq: EvolutionEquation,
     spatial: dict = {}  # t-free m -> (S_m, E_u(m))
     rows: dict = {}
     for k, (m,) in enumerate(densities):
-        b = m[0][1] if m and m[0][0] == TIME else 0  # t sorts first
-        m = m[1:] if b else m
+        b = _exponent(m, TIME)
+        m -= b * TIME.unit
         got = spatial.get(m)
         if got is None:
             D_Q = _prolonged_euler(m)
@@ -265,18 +265,9 @@ def assemble_determining_system(eq: EvolutionEquation,
 
 
 def _times_t(terms: dict, b: int) -> dict:
-    """The terms of t^b p, for the polynomial p with these terms: t sorts
-    first, so its power is the first pair of a key when it occurs.  For
+    """The terms of t^b p, for the polynomial p with these terms.  For
     b = 0, terms itself."""
-    if not b:
-        return terms
-    out = {}
-    for m, c in terms.items():
-        if m and m[0][0] == TIME:
-            out[((TIME, m[0][1] + b),) + m[1:]] = c
-        else:
-            out[((TIME, b),) + m] = c
-    return out
+    return _shifted(terms, b * TIME.unit) if b else terms
 
 
 def _add_contraction(out: dict, a: dict[tuple[int, ...], dict], D_b: dict) -> None:

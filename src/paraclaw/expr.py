@@ -13,6 +13,13 @@ Symbols come in three kinds, totally ordered as
   < jet coordinates u_{I,t}, ordered by (|I|+t, t, index word)
   < auxiliary indeterminates (the quartic form's xi's)
 
+A monomial is one int, its exponent vector packed as sum e_s 2^(32 slot(s)),
+where a symbol takes the next slot when it is interned: a product of
+monomials is one integer add.  Slots follow the order in which the process
+interns its symbols, so no order is read off the int: every walk over a
+monomial's symbols decodes it (:func:`mono_decode`), and the graded order
+(:func:`mono_sort_key`) compares the decoded symbols.
+
 Only +, -, *, / and integer powers are supported; no radicals or
 transcendental functions.  That restriction is what keeps equality (and
 hence every downstream linear-algebra step) decidable.
@@ -21,6 +28,7 @@ hence every downstream linear-algebra step) decidable.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -30,7 +38,8 @@ __all__ = [
     "Symbol",
     "base_var", "jet_var", "aux_var",
     "TIME",
-    "Monomial", "mono_mul", "mono_sort_key",
+    "MAX_EXPONENT", "ExponentOverflow",
+    "Monomial", "mono_encode", "mono_decode", "mono_sort_key",
     "Poly", "poly_gcd", "divexact",
     "Expr", "ZERO", "ONE",
     "format_poly", "format_expr",
@@ -66,6 +75,25 @@ AUX = "aux"
 
 _KIND_RANK = {BASE: 0, JET: 1, AUX: 2}
 
+# A monomial packs the exponent of each symbol into a field of _WIDTH bits
+# at the symbol's slot (see below).  A field's top bit is its guard, so an
+# exponent is at most MAX_EXPONENT.
+_WIDTH = 32
+_TOP = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+MAX_EXPONENT = _TOP - 1
+
+# The slot registry.  Every symbol is interned, on its order key (jets and
+# base coordinates) or on its index and name (auxiliary symbols), and takes
+# the next slot when it is, under one lock: _SYMBOLS[slot] is the symbol,
+# and _GUARD has the guard bit of every slot taken so far.  Slots follow
+# the order in which a process interns its symbols, so no order is read
+# off them.
+_INTERNED: dict[tuple, "Symbol"] = {}
+_SYMBOLS: list["Symbol"] = []
+_GUARD = 0
+_INTERNING = threading.Lock()
+
 
 class Symbol(tuple):
     """A coordinate in the global symbol order.
@@ -74,32 +102,32 @@ class Symbol(tuple):
     spatial)`` for a jet, ``(kind rank, index)`` for every other kind.  So
     hashing, equality and ordering are those of a tuple of ints, run in C
     and free of the hash seed, and the display ``name`` is not part of
-    identity.  ``kind``, ``index``, ``name`` and ``_rkey`` (the key
-    reversed, for :func:`mono_sort_key`) are read-only attributes; a jet
-    symbol, made only by :func:`jet_var`, also has ``order``,
-    ``time_power`` and ``spatial`` (the sorted index word), read off its
-    key.
+    identity.  ``kind``, ``index``, ``name``, ``_rkey`` (the key reversed,
+    for :func:`mono_sort_key`), ``slot`` and ``unit`` (the monomial of the
+    symbol itself, 2^(32 slot)) are read-only attributes; a jet symbol,
+    made only by :func:`jet_var`, also has ``order``, ``time_power`` and
+    ``spatial`` (the sorted index word), read off its key.  Every symbol is
+    interned: the constructor returns the one symbol of a kind, index and
+    name.
     """
 
     def __new__(cls, kind: str, index: int = 0, name: str = "") -> "Symbol":
         if kind == JET:
             raise ValueError("jet symbols are made by jet_var")
-        key = (_KIND_RANK[kind], index)
         name = name or (f"w{index}" if kind == AUX else f"x{index}" if index else "t")
-        return cls._build(key, (-key[0], -index), kind=kind, index=index, name=name)
-
-    @classmethod
-    def _build(cls, key: tuple, rkey: tuple, **attrs) -> "Symbol":
-        self = tuple.__new__(cls, key)
-        vars(self).update(attrs, _rkey=rkey)
-        return self
+        s = _INTERNED.get((kind, index, name))
+        if s is None:
+            key = (_KIND_RANK[kind], index)
+            s = _intern((kind, index, name), key, (-key[0], -index),
+                        kind=kind, index=index, name=name)
+        return s
 
     def __setattr__(self, attr: str, value) -> None:
         raise AttributeError(f"cannot assign to {attr!r}: symbols are immutable")
 
     def __reduce__(self):
-        # rebuilt by a constructor, not from the key tuple: a jet through
-        # jet_var, so it comes back as the interned symbol
+        # rebuilt by a constructor, not from the key tuple, so it comes back
+        # as the interned symbol
         if self.kind == JET:
             return jet_var, (self.spatial, self.time_power)
         return Symbol, (self.kind, self.index, self.name)
@@ -111,14 +139,27 @@ class Symbol(tuple):
         return self.name
 
 
+def _intern(ident: tuple, key: tuple, rkey: tuple, **attrs) -> Symbol:
+    """The symbol interned on ident, built with this order key and these
+    attributes, and given the next slot, if it is not interned yet."""
+    global _GUARD
+    with _INTERNING:
+        s = _INTERNED.get(ident)
+        if s is None:
+            slot = len(_SYMBOLS)
+            s = tuple.__new__(Symbol, key)
+            vars(s).update(attrs, _rkey=rkey, slot=slot, unit=1 << (_WIDTH * slot))
+            _SYMBOLS.append(s)
+            _GUARD |= _TOP << (_WIDTH * slot)
+            _INTERNED[ident] = s
+    return s
+
+
 def base_var(a: int) -> Symbol:
     """Base coordinate x^a; a = 0 is time."""
     if a < 0:
         raise ValueError("base index must be >= 0")
     return Symbol(BASE, a)
-
-
-_JET_VARS: dict[tuple, Symbol] = {}
 
 
 def jet_var(spatial: Iterable[int] = (), time_power: int = 0) -> Symbol:
@@ -128,7 +169,7 @@ def jet_var(spatial: Iterable[int] = (), time_power: int = 0) -> Symbol:
     interned on the sorted word, so equal words in any order return the
     same symbol."""
     word = tuple(sorted(spatial))
-    s = _JET_VARS.get((word, time_power))
+    s = _INTERNED.get((word, time_power))
     if s is None:
         if word and word[0] < 1:
             raise ValueError("spatial indices are 1-based")
@@ -138,13 +179,16 @@ def jet_var(spatial: Iterable[int] = (), time_power: int = 0) -> Symbol:
         name = "u_" + "".join(map(str, word)) + "t" * time_power if order else "u"
         # equal order and time power imply equal word length, so negating
         # elementwise reverses the order of the keys
-        s = _JET_VARS.setdefault((word, time_power), Symbol._build(
-            (1, order, time_power, word), (-1, -order, -time_power, tuple(-i for i in word)),
-            kind=JET, index=0, name=name, order=order, time_power=time_power, spatial=word))
+        s = _intern((word, time_power), (1, order, time_power, word),
+                    (-1, -order, -time_power, tuple(-i for i in word)),
+                    kind=JET, index=0, name=name, order=order, time_power=time_power,
+                    spatial=word)
     return s
 
 
 def aux_var(k: int, name: str = "") -> Symbol:
+    """Auxiliary indeterminate k, printed as ``name`` (default w<k>);
+    interned on k and the name."""
     return Symbol(AUX, k, name)
 
 
@@ -152,77 +196,108 @@ TIME = base_var(0)
 
 
 # ---------------------------------------------------------------------------
-# Monomials: sorted tuples of (Symbol, positive exponent)
+# Monomials: packed exponent vectors, one int each
 # ---------------------------------------------------------------------------
 
-Monomial = tuple  # tuple[tuple[Symbol, int], ...], sorted by symbol
+Monomial = int  # sum of e * s.unit over the factors s^e, so 0 is the monomial 1
 
-_ONE_MONO: Monomial = ()
-
-
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1 == s2:
-            out.append((s1, e1 + e2))
-            i += 1
-            j += 1
-        elif s1 < s2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+_ONE_MONO: Monomial = 0
 
 
-def _lower(m: Monomial, idx: int) -> Monomial:
-    """m with the exponent of its idx-th symbol lowered by one."""
-    s, e = m[idx]
-    if e == 1:
-        return m[:idx] + m[idx + 1:]
-    return m[:idx] + ((s, e - 1),) + m[idx + 1:]
+class ExponentOverflow(ValueError):
+    """A monomial exponent would pass MAX_EXPONENT, into the guard bit of its
+    field."""
+
+    def __init__(self) -> None:
+        super().__init__(f"a monomial exponent would pass {MAX_EXPONENT} = 2^31 - 1")
+
+
+def mono_encode(factors: Iterable[tuple[Symbol, int]]) -> Monomial:
+    """The monomial of these (symbol, exponent) factors, each exponent
+    positive; a repeated symbol's exponents add, and a total past
+    MAX_EXPONENT raises ExponentOverflow."""
+    m = 0
+    for s, e in factors:
+        if e < 1:
+            raise ValueError(f"exponent {e} of {s} is not positive")
+        if e > MAX_EXPONENT:
+            raise ExponentOverflow()
+        m += e * s.unit
+        if m & _GUARD:
+            raise ExponentOverflow()
+    return m
+
+
+_FIELDS: dict[Monomial, tuple] = {}  # m -> _fields(m); emptied at MAX_TERMS entries
+
+
+def _fields(m: Monomial) -> tuple[tuple[int, int], ...]:
+    """The (slot, exponent) pairs of the factors of m, in the order of their
+    symbols, not of the slots, which depends on the process: the one
+    decoding of a monomial, which every walk over its symbols runs,
+    memoized by m.  The pairs hold only ints, so the collector does not
+    track them."""
+    got = _FIELDS.get(m)
+    if got is None:
+        fields = []
+        rest = m
+        while rest:  # the lowest nonzero field, one at a time
+            slot = ((rest & -rest).bit_length() - 1) // _WIDTH
+            e = rest >> (_WIDTH * slot) & _FIELD
+            fields.append((slot, e))
+            rest -= e << (_WIDTH * slot)
+        if len(fields) > 1:
+            fields.sort(key=lambda field: _SYMBOLS[field[0]])
+        got = tuple(fields)
+        if len(_FIELDS) >= MAX_TERMS:
+            _FIELDS.clear()
+        _FIELDS[m] = got
+    return got
+
+
+def mono_decode(m: Monomial) -> tuple[tuple[Symbol, int], ...]:
+    """The (symbol, exponent) factors of m, in symbol order: the inverse of
+    :func:`mono_encode`."""
+    return tuple([(_SYMBOLS[slot], e) for slot, e in _fields(m)])
+
+
+def _exponent(m: Monomial, s: Symbol) -> int:
+    """The exponent of s in m."""
+    return m >> (_WIDTH * s.slot) & _FIELD
+
+
+def _shifted(terms: dict, m: Monomial) -> dict:
+    """The terms of m p, for the polynomial p with these terms: a new dict.
+    Raises ExponentOverflow rather than carry into the next field."""
+    out = {}
+    for k, c in terms.items():
+        k += m
+        if k & _GUARD:
+            raise ExponentOverflow()
+        out[k] = c
+    return out
 
 
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     """True iff m1 divides m2."""
-    d2 = dict((s, e) for s, e in m2)
-    return all(d2.get(s, 0) >= e for s, e in m1)
-
-
-def mono_div(m2: Monomial, m1: Monomial) -> Monomial:
-    """m2 / m1, assuming m1 divides m2."""
-    d = dict((s, e) for s, e in m2)
-    for s, e in m1:
-        d[s] -= e
-    return tuple(sorted((s, e) for s, e in d.items() if e))
+    return all(m2 >> (_WIDTH * slot) & _FIELD >= e for slot, e in _fields(m1))
 
 
 def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
-    d2 = dict((s, e) for s, e in m2)
-    out = [(s, min(e, d2[s])) for s, e in m1 if s in d2]
-    return tuple((s, e) for s, e in out if e)
+    return sum(min(e, m2 >> (_WIDTH * slot) & _FIELD) << (_WIDTH * slot)
+               for slot, e in _fields(m1))
 
 
 def mono_sort_key(m: Monomial) -> list:
     """Sort key of the graded lexicographic order: [degree, reversed key
-    of the first symbol, its exponent, ...].  The symbol keys are
-    reversed, so after the degree the earlier symbol and then the larger
-    exponent sort higher."""
+    of the first symbol, its exponent, ...], over the decoded factors, so
+    it is free of the slots.  The symbol keys are reversed, so after the
+    degree the earlier symbol and then the larger exponent sort higher."""
     key = [0]
     degree = 0
-    for s, e in m:
+    for slot, e in _fields(m):
         degree += e
-        key += (s._rkey, e)
+        key += (_SYMBOLS[slot]._rkey, e)
     key[0] = degree
     return key
 
@@ -252,13 +327,18 @@ def _add_terms(out: dict, terms: dict, factor=None) -> None:
 
 
 def _add_product(out: dict, a: dict, b: dict) -> None:
-    """out += p q in place, for the polynomials p and q with terms a and b."""
+    """out += p q in place, for the polynomials p and q with terms a and b.
+    A product of monomials is the sum of their ints; a new key is checked
+    against the guard bits, and raises ExponentOverflow rather than carry
+    into the next field (a key already in out is guard-free)."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             c = c1 * c2
             acc = out.get(m)
             if acc is None:
+                if m & _GUARD:
+                    raise ExponentOverflow()
                 out[m] = c
             else:
                 acc = acc + c
@@ -311,7 +391,7 @@ class Poly:
 
     @staticmethod
     def variable(s: Symbol) -> "Poly":
-        return Poly({((s, 1),): _F1})
+        return Poly({s.unit: _F1})
 
     # -- queries -------------------------------------------------------------
 
@@ -324,20 +404,16 @@ class Poly:
 
     __hash__ = None  # mutable dict inside
 
+    def __reduce__(self):
+        # an int monomial is read through the slots of this process, so a
+        # polynomial is pickled by its decoded factors
+        return _poly_of, ([(mono_decode(m), c) for m, c in self.terms.items()],)
+
     def symbols(self) -> set[Symbol]:
-        out: set[Symbol] = set()
-        for m in self.terms:
-            for s, _ in m:
-                out.add(s)
-        return out
+        return {_SYMBOLS[slot] for m in self.terms for slot, _ in _fields(m)}
 
     def degree_of(self, s: Symbol) -> int:
-        best = 0
-        for m in self.terms:
-            for sym, e in m:
-                if sym == s and e > best:
-                    best = e
-        return best
+        return max((_exponent(m, s) for m in self.terms), default=0)
 
     def leading(self) -> tuple[Monomial, Fraction]:
         """Leading (monomial, coefficient) under the graded-lex order."""
@@ -385,7 +461,7 @@ class Poly:
     def mono_shift(self, m: Monomial) -> "Poly":
         if not m:
             return self
-        return Poly({mono_mul(k, m): c for k, c in self.terms.items()})
+        return Poly(_shifted(self.terms, m))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -405,18 +481,18 @@ class Poly:
         """dp/ds; lowering the exponent of s is injective on the monomials
         that hold s, so no two terms collide."""
         out: dict = {}
+        shift, unit = _WIDTH * s.slot, s.unit
         for m, c in self.terms.items():
-            for idx, (sym, e) in enumerate(m):
-                if sym == s:
-                    out[_lower(m, idx)] = c * e
-                    break
+            e = m >> shift & _FIELD
+            if e:
+                out[m - unit] = c * e
         return Poly(out)
 
     def eval_fraction(self, bindings: Mapping[Symbol, Rationalish]) -> Fraction:
         total = _F0
         for m, c in self.terms.items():
             v = c
-            for s, e in m:
+            for s, e in mono_decode(m):
                 if s not in bindings:
                     raise KeyError(f"no value bound for symbol {s}")
                 v *= bindings[s] if e == 1 else bindings[s] ** e
@@ -441,16 +517,17 @@ class Poly:
         total = ZERO
         for m, c in self.terms.items():
             term = Expr.const(c)
-            for s, e in m:
+            for s, e in mono_decode(m):
                 term = term * power(s, e)
             total = total + term
         return total
 
     def coefficients_in(self, varset: frozenset) -> dict[Monomial, "Poly"]:
+        mask = sum(s.unit for s in varset) * _FIELD  # the fields of varset
         out: dict[Monomial, dict] = {}
         for m, c in self.terms.items():
-            inside = tuple(p for p in m if p[0] in varset)
-            out.setdefault(inside, {})[tuple(p for p in m if p[0] not in varset)] = c
+            inside = m & mask
+            out.setdefault(inside, {})[m - inside] = c
         return {k: Poly(v) for k, v in out.items()}
 
     def __str__(self) -> str:
@@ -458,6 +535,11 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"
+
+
+def _poly_of(items: list) -> Poly:
+    """The Poly of (factors, coefficient) pairs: unpickling."""
+    return Poly({mono_encode(factors): c for factors, c in items})
 
 
 _ONE_POLY = Poly.one()
@@ -481,7 +563,7 @@ def divexact(p: Poly, q: Poly) -> Poly:
         pm, pc = r.leading()
         if not mono_divides(qm, pm):
             raise ValueError("inexact polynomial division")
-        m = mono_div(pm, qm)
+        m = pm - qm
         c = Fraction(pc, qc) if type(pc) is type(qc) is int else pc / qc
         out[m] = c
         rest = (r - q.mono_shift(m).scale(c)).terms
@@ -508,14 +590,8 @@ def _monic(p: Poly) -> Poly:
 def _univariate_view(p: Poly, v: Symbol) -> dict[int, Poly]:
     out: dict[int, dict] = {}
     for m, c in p.terms.items():
-        deg = 0
-        rest = m
-        for idx, (s, e) in enumerate(m):
-            if s == v:
-                deg = e
-                rest = m[:idx] + m[idx + 1:]
-                break
-        out.setdefault(deg, {})[rest] = c
+        deg = _exponent(m, v)
+        out.setdefault(deg, {})[m - deg * v.unit] = c
     return {d: Poly(t) for d, t in out.items()}
 
 
@@ -544,7 +620,7 @@ def _prem(a: Poly, b: Poly, v: Symbol) -> Poly:
         if dr < db:
             break
         lcr = rview[dr]
-        shift = Poly({((v, dr - db),): _F1}) if dr > db else _ONE_POLY
+        shift = Poly({(dr - db) * v.unit: _F1}) if dr > db else _ONE_POLY
         r = r * lcb - b * lcr * shift
     return r
 
@@ -611,8 +687,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _monic(p)
     mp, mq = _mono_content(p), _mono_content(q)
     common = mono_gcd(mp, mq)
-    p1 = Poly({mono_div(m, mp): c for m, c in p.terms.items()}) if mp else p
-    q1 = Poly({mono_div(m, mq): c for m, c in q.terms.items()}) if mq else q
+    p1 = Poly({m - mp: c for m, c in p.terms.items()}) if mp else p
+    q1 = Poly({m - mq: c for m, c in q.terms.items()}) if mq else q
     g = _gcd_primitive(p1, q1)
     if common:
         g = g.mono_shift(common)
@@ -809,7 +885,7 @@ def _coerce(x) -> Expr | None:
 # ---------------------------------------------------------------------------
 
 def _format_mono(m: Monomial, name: Callable[[Symbol], str]) -> str:
-    return "*".join(f"{name(s)}^{e}" if e > 1 else name(s) for s, e in m)
+    return "*".join(f"{name(s)}^{e}" if e > 1 else name(s) for s, e in mono_decode(m))
 
 
 def format_poly(p: Poly, name: Callable[[Symbol], str] = str) -> str:

@@ -36,7 +36,10 @@ limit of 4300 digits, "(u + 10^2200)*10^2200*2" is refused at its first
 bring the coefficient back.  Every operand is already within the limit, so
 nothing is built with much more than twice its digits; only a power, whose
 size grows with its exponent, is refused before it is built when its bit
-lengths alone pass the limit.
+lengths alone pass the limit.  Exponents are bounded by the monomial
+fields of paraclaw.expr: an exponent past expr.MAX_EXPONENT = 2^31 - 1 is a
+ParseError at the operator that would build it, so "((u^99)^99)^99" is
+u^970299 but "((u^2048)^1024)^1024" is refused at its last "^".
 
 A polynomial is read straight into raw terms, and an integral coefficient
 is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
@@ -52,8 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import (
-    BASE, JET, MAX_TERMS, Expr, Poly, Symbol, _add_product, _add_terms, base_var,
-    format_expr, jet_var,
+    BASE, JET, MAX_EXPONENT, MAX_TERMS, ExponentOverflow, Expr, Poly, Symbol, _add_product,
+    _add_terms, _fields, base_var, format_expr, jet_var,
 )
 from .parabolic import EvolutionEquation
 
@@ -278,8 +281,11 @@ class _Parser:
                 _add_terms(acc, rhs, None if op[0] == "+" else -1)
                 long = merged and _too_long({m: acc[m] for m in merged if m in acc})
             else:
-                acc = _as_expr(acc) + _as_expr(rhs) if op[0] == "+" else \
-                    _as_expr(acc) - _as_expr(rhs)
+                try:  # a sum of quotients multiplies their parts
+                    acc = _as_expr(acc) + _as_expr(rhs) if op[0] == "+" else \
+                        _as_expr(acc) - _as_expr(rhs)
+                except ExponentOverflow:
+                    self.exponent_too_large("sum", op)
                 long = _too_long(acc)
             if long:
                 self.too_long("sum", op)
@@ -304,19 +310,23 @@ class _Parser:
                 self.charge(op, acc_num * f_den + acc_den * f_num)
             else:
                 raise ParseError("division by zero", op[2], op[3])
-            if f_num == 1 and type(f) is dict and () in f:
+            if f_num == 1 and type(f) is dict and 0 in f:
                 # c * q keeps an Expr's parts coprime and its denominator monic
-                q = f[()] if op[0] == "*" else Fraction(1, f[()])
+                q = f[0] if op[0] == "*" else Fraction(1, f[0])
                 acc = {m: c * q for m, c in acc.items()} if type(acc) is dict \
                     else Expr(acc.num.scale(q), acc.den, _raw=True)
-            elif op[0] == "/":
-                acc = _as_expr(acc) / _as_expr(f)
-            elif type(acc) is dict and type(f) is dict:
-                product = {}
-                _add_product(product, acc, f)
-                acc = product
             else:
-                acc = _as_expr(acc) * _as_expr(f)
+                try:
+                    if op[0] == "/":
+                        acc = _as_expr(acc) / _as_expr(f)
+                    elif type(acc) is dict and type(f) is dict:
+                        product = {}
+                        _add_product(product, acc, f)
+                        acc = product
+                    else:
+                        acc = _as_expr(acc) * _as_expr(f)
+                except ExponentOverflow:
+                    self.exponent_too_large("product" if op[0] == "*" else "quotient", op)
             if _too_long(acc):
                 self.too_long("product" if op[0] == "*" else "quotient", op)
         return acc
@@ -333,6 +343,10 @@ class _Parser:
         raise ParseError(f"{what} has a coefficient longer than "
                          f"{sys.get_int_max_str_digits()} digits", op[2], op[3])
 
+    def exponent_too_large(self, what: str, op: tuple) -> None:
+        raise ParseError(f"{what} has an exponent past {MAX_EXPONENT} = 2^31 - 1",
+                         op[2], op[3]) from None
+
     def parse_unary(self) -> dict | Expr:
         if self.tokens[self.pos][0] == "-":
             self.pos += 1
@@ -348,7 +362,7 @@ class _Parser:
         self.pos += 1
         k = self.number(self.expect("num"))
         if not k:
-            return {(): 1}
+            return {0: 1}
         if type(atom) is Expr and atom.is_polynomial and len(atom.num.terms) <= 1:
             atom = atom.num.terms  # a single term, such as (u^2/u), has a closed-form power
         if type(atom) is dict and len(atom) <= 1:
@@ -359,20 +373,26 @@ class _Parser:
                 self.charge(op, 2 * (k - 1))
             power = {}
             for am, ac in atom.items():
+                # k times each exponent, each field checked before any carries
+                if any(e * k > MAX_EXPONENT for _, e in _fields(am)):
+                    self.exponent_too_large("power", op)
                 if ac == 1 or ac == -1:
                     ac **= k
                 elif _power_too_long(ac, k) or _too_long(ac := ac ** k):
                     self.too_long("power", op)
-                power[tuple((s, e * k) for s, e in am)] = ac
+                power[am * k] = ac
             return power
         num, den = (Poly(atom), None) if type(atom) is dict else (atom.num, atom.den)
         p, q = num, den
         for _ in range(k - 1):
             self.charge(op, len(p.terms) * len(num.terms)
                         + (1 if den is None else len(q.terms) * len(den.terms)))
-            p = p * num
-            if den is not None:
-                q = q * den
+            try:
+                p = p * num
+                if den is not None:
+                    q = q * den
+            except ExponentOverflow:
+                self.exponent_too_large("power", op)
             if _too_long(p.terms) or den is not None and _too_long(q.terms):
                 self.too_long("power", op)
         # coprime parts stay coprime under powers, so no re-reduction
@@ -384,10 +404,10 @@ class _Parser:
         if kind == "num":
             self.pos += 1
             c = self.number(tok)
-            return {(): c} if c else {}
+            return {0: c} if c else {}
         if kind == "name":
             self.pos += 1
-            return {((self.symbol_from_name(tok), 1),): 1}
+            return {self.symbol_from_name(tok).unit: 1}
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",

@@ -11,9 +11,9 @@ manifold, where u_{J,t} = D_J G.  :class:`Prolonged` memoizes D_J G by J,
 so the on-shell time derivative of a spatial T is dT/dt + sum_J (D_J G)
 dT/du_J; the law search keeps the same memo on raw term dicts.
 
-Sums and exponent lowering on raw term dicts use the kernel of
+Sums, shifts and monomial decoding on raw term dicts use the kernel of
 :mod:`paraclaw.expr`; only :func:`_add_total_derivative` keeps its own loop,
-fused with the prolongation of each monomial.
+fused with the prolongation of each monomial: one integer add per power.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from . import expr
 from .expr import (
-    BASE, JET, MAX_TERMS, Expr, Monomial, NotPolynomialIn, Poly, Symbol,
-    _add_terms, _lower, base_var, jet_var, mono_mul,
+    BASE, JET, MAX_TERMS, Expr, ExponentOverflow, Monomial, NotPolynomialIn, Poly, Symbol,
+    _SYMBOLS, _add_terms, _exponent, _fields, _shifted, base_var, jet_var,
 )
 
 if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are used here
@@ -91,22 +92,24 @@ def total_derivative(e: Expr, a: int) -> Expr:
 
 def _add_total_derivative(out: dict, terms: dict, a: int, sign: int = 1) -> None:
     """out += sign D_a p in place, for sign = +-1 and the polynomial p with
-    these terms, in one pass over them: each power s^e of a monomial
+    these terms, in one pass over them: each power s^e of a monomial m
     contributes e s^(e-1) D_a s, with D_a u_J = u_{Ja}, D_a x^a = 1 and every
-    other symbol constant."""
+    other symbol constant, so its monomial is m plus the :func:`_step` of s
+    in direction a.  A new key is checked against the guard bits, as in
+    expr._add_product."""
     for m, c in terms.items():
         if sign < 0:
             c = -c
-        for idx, (s, e) in enumerate(m):
-            if s.kind == JET:
-                nm = _lower_prolong(m, idx, _prolong(s, a))
-            elif s.kind == BASE and s.index == a:
-                nm = _lower(m, idx)
-            else:
+        for slot, e in _fields(m):
+            step = _step(slot, a)
+            if not step:
                 continue
+            nm = m + step
             nc = c * e if e != 1 else c
             acc = out.get(nm)
             if acc is None:
+                if nm & expr._GUARD:
+                    raise ExponentOverflow()
                 out[nm] = nc
             else:
                 acc = acc + nc
@@ -116,27 +119,17 @@ def _add_total_derivative(out: dict, terms: dict, a: int, sign: int = 1) -> None
                     del out[nm]
 
 
-def _lower_prolong(m: Monomial, idx: int, t: Symbol) -> Monomial:
-    """m with the exponent of its idx-th symbol u_J lowered by one and that
-    of t = u_{Ja} raised by one, in one step: t sorts after u_J, so it is
-    found or inserted in the tail of m after idx."""
-    s, e = m[idx]
-    head = m[:idx] + ((s, e - 1),) if e != 1 else m[:idx]
-    k = idx + 1
-    while k < len(m) and m[k][0] < t:
-        k += 1
-    if k < len(m) and m[k][0] == t:
-        return head + m[idx + 1:k] + ((t, m[k][1] + 1),) + m[k + 1:]
-    return head + m[idx + 1:k] + ((t, 1),) + m[k:]
-
-
 @functools.lru_cache(maxsize=MAX_TERMS)
-def _prolong(s: Symbol, a: int) -> Symbol:
-    """u_{Ja} for the jet symbol u_J: one more derivative in direction a
-    (0 = time)."""
-    if a == 0:
-        return jet_var(s.spatial, s.time_power + 1)
-    return jet_var(s.spatial + (a,), s.time_power)
+def _step(slot: int, a: int) -> int:
+    """What D_a adds to a monomial for one power of the symbol s at this
+    slot: unit(u_{Ja}) - unit(u_J) for the jet s = u_J (a = 0 is time),
+    -unit(s) for s = x^a, and 0 for every other symbol."""
+    s = _SYMBOLS[slot]
+    if s.kind == JET:
+        up = jet_var(s.spatial, s.time_power + 1) if a == 0 else \
+            jet_var(s.spatial + (a,), s.time_power)
+        return up.unit - s.unit
+    return -s.unit if s.kind == BASE and s.index == a else 0
 
 
 def _jet_partials(terms: dict) -> dict[tuple[int, ...], dict]:
@@ -145,9 +138,10 @@ def _jet_partials(terms: dict) -> dict[tuple[int, ...], dict]:
     exponent of u_J is injective on monomials, so no two terms collide."""
     out: dict = {}
     for m, c in terms.items():
-        for idx, (s, e) in enumerate(m):
+        for slot, e in _fields(m):
+            s = _SYMBOLS[slot]
             if s.kind == JET:
-                out.setdefault(s.spatial, {})[_lower(m, idx)] = c * e if e != 1 else c
+                out.setdefault(s.spatial, {})[m - s.unit] = c * e if e != 1 else c
     return out
 
 
@@ -291,13 +285,10 @@ def spatial_jet_vars(n: int, max_order: int) -> list[Symbol]:
 def bounded_monomials(symbols: Sequence[Symbol], max_degree: int) -> list[Monomial]:
     """All monomials over ``symbols`` of total degree <= max_degree,
     ascending degree then lexicographic."""
-    out: list[Monomial] = [()]
+    out: list[Monomial] = [0]
     for deg in range(1, max_degree + 1):
         for combo in itertools.combinations_with_replacement(symbols, deg):
-            counts: dict[Symbol, int] = {}
-            for s in combo:
-                counts[s] = counts.get(s, 0) + 1
-            out.append(tuple(sorted(counts.items())))
+            out.append(sum(s.unit for s in combo))
     return out
 
 
@@ -343,20 +334,18 @@ def _homotopy(terms: dict, n: int) -> tuple[int, list[dict]]:
     """
     by_degree: dict[int, dict] = {}
     for mono, c in terms.items():
-        d = sum(e for s, e in mono if s.kind == JET)
+        d = sum(e for slot, e in _fields(mono) if _SYMBOLS[slot].kind == JET)
         by_degree.setdefault(d, {})[mono] = c
     x1 = base_var(1)
-    jet_free = {mono_mul(m, ((x1, 1),)): c for m, c in by_degree.pop(0, {}).items()}
-    L = lcm(*by_degree, *(dict(m)[x1] for m in jet_free))
+    jet_free = _shifted(by_degree.pop(0, {}), x1.unit)
+    L = lcm(*by_degree, *(_exponent(m, x1) for m in jet_free))
     fluxes: list[dict] = [{} for _ in range(n)]
-    fluxes[0] = {m: c * (L // dict(m)[x1]) for m, c in jet_free.items()}
+    fluxes[0] = {m: c * (L // _exponent(m, x1)) for m, c in jet_free.items()}
     for d, part in sorted(by_degree.items()):
         weight = L // d
         for w, Sw in _horner(part, None):
             if w:
-                u_rest = ((jet_var(w[:-1]), 1),)
-                _add_terms(fluxes[w[-1] - 1],
-                           {mono_mul(m, u_rest): c for m, c in Sw.items()}, weight)
+                _add_terms(fluxes[w[-1] - 1], _shifted(Sw, jet_var(w[:-1]).unit), weight)
             elif Sw:
                 remainder = Expr._make(Poly(Sw), Poly.one())
                 raise NotInDivergenceImage(

@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .expr import (
     BASE, JET, DivisionByZeroExpr, Expr, Monomial, Poly, Rationalish,
-    Symbol, ZERO, _cleared, aux_var, divexact, jet_var, mono_mul,
+    Symbol, ZERO, _cleared, aux_var, divexact, jet_var,
 )
 
 __all__ = [
@@ -218,18 +218,16 @@ def quartic_form(eq: EvolutionEquation) -> Expr:
     (2 - delta_ab) / w_a times dg^ij/du_b."""
     xi = xi_symbols(eq.n)
     g = eq.symbol.g
-    coords = [(eq.hessian_entry(i, j), g[i - 1][j - 1],
-               ((xi[i - 1], 2),) if i == j else ((xi[i - 1], 1), (xi[j - 1], 1)))
+    coords = [(eq.hessian_entry(i, j), g[i - 1][j - 1], xi[i - 1].unit + xi[j - 1].unit, i != j)
               for i in range(1, eq.n + 1) for j in range(i, eq.n + 1)]
     q = ZERO
-    for a, (_, ga, ma) in enumerate(coords):
+    for a, (_, ga, ma, off_diagonal) in enumerate(coords):
         if ga.is_zero:
             continue
-        off_diagonal = len(ma) == 2
-        for b, (ub, _, mb) in enumerate(coords[a:], a):
+        for b, (ub, _, mb, _) in enumerate(coords[a:], a):
             gab = ga.diff(ub)
             if not gab.is_zero:
-                term = gab.num.mono_shift(mono_mul(ma, mb))
+                term = gab.num.mono_shift(ma + mb)
                 factor = (1 if a == b else 2) * (2 if off_diagonal else 1)
                 q = q + Expr._make(term if factor == 1 else term.scale(factor), gab.den)
     return q
@@ -313,7 +311,7 @@ def _xi_coefficients_at(q: Expr, xi: list[Symbol], ref: Mapping[Symbol, Fraction
 def _over(p, d) -> Expr:
     """The canonical p / d for p and d each an int or a Poly, d nonzero."""
     if type(p) is int:
-        p = Poly({(): p} if p else {})
+        p = Poly({0: p} if p else {})
     if type(d) is int:
         return Expr._make(p if d == 1 else p.scale(Fraction(1, d)), Poly.one())
     return Expr._make(p, d)
@@ -362,7 +360,7 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
         g = [list(map(Poly, g[i * n:(i + 1) * n])) for i in range(n)]
         d, (qs,) = _cleared([q.num.terms])
         s_q = d if q.is_polynomial else q.den.scale(d)
-        one = Poly({(): 1})
+        one = Poly({0: 1})
     else:
         at_ref = eq.symbol_at_reference
         s, g = _cleared([dict(enumerate(row)) for row in at_ref])
@@ -373,9 +371,9 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     det, adj = _det_adjugate(g, one)
     sigma = Poly()
     for i in range(n):
-        sigma = sigma + _shift(g[i][i], ((xi[i], 2),))
+        sigma = sigma + _shift(g[i][i], 2 * xi[i].unit)
         for j in range(i + 1, n):
-            sigma = sigma + _shift(_mul(2, g[i][j]), ((xi[i], 1), (xi[j], 1)))
+            sigma = sigma + _shift(_mul(2, g[i][j]), xi[i].unit + xi[j].unit)
     Lq = _trace_with(adj, qs, xi)
     P = _mul(det, Lq.scale(4 * n + 8)) - sigma * _trace_with(adj, Lq, xi)
     D = _mul((2 * n + 8) * (4 * n + 8), _mul(det, det))

@@ -7,6 +7,7 @@ case; reports are checked for the fixed field order and byte stability.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from paraclaw.grammar import (
     parse_expression,
 )
 from paraclaw.claws import AnsatzSpec
-from paraclaw.expr import Expr, base_var, jet_var
+from paraclaw.expr import Expr, base_var, jet_var, mono_encode
 from util import t, u, u11, u12, u22, ux, uxx, x
 
 
@@ -70,9 +71,9 @@ class TestGrammarAccepts:
     def test_coefficient_types(self):
         G = parse("n=1; u_t = 2*u_xx + u*u_x - 3 + 12345678901234567890*t^2").G
         assert {type(c) for c in G.num.terms.values()} == {int}
-        quarter = parse_expression("3/4*u", 1).num.terms[((jet_var(), 1),)]
+        quarter = parse_expression("3/4*u", 1).num.terms[jet_var().unit]
         assert type(quarter) is Fraction and quarter == Fraction(3, 4)
-        two = parse_expression("4/2*u", 1).num.terms[((jet_var(), 1),)]
+        two = parse_expression("4/2*u", 1).num.terms[jet_var().unit]
         assert type(two) is int and two == 2
 
     def test_idents(self):
@@ -330,6 +331,50 @@ class TestParseBudget:
     def test_past_the_budget_is_a_parse_error(self, source):
         with pytest.raises(ParseError, match="MAX_TERMS = 20000"):
             parse_expression(source, 2)
+
+
+class TestExponentLimit:
+    """A monomial exponent lives in a 32-bit field whose top bit is a guard:
+    a parsed exponent that reaches 2^31 is a parse error at its operator,
+    and a search product that would is an error, never a wrapped field."""
+
+    PAST = "exponent past 2147483647 = 2^31 - 1"
+
+    def test_nested_powers_multiply_the_exponent(self):
+        assert parse_expression("((u^99)^99)^99", 1).num.terms == {
+            mono_encode([(jet_var(), 970299)]): 1}
+        assert parse_expression("((u^2048)^1024)^1023*(u^2047)^1024*u^1023*x", 1).num.terms == {
+            mono_encode([(base_var(1), 1), (jet_var(), 2 ** 31 - 1)]): 1}
+
+    @pytest.mark.parametrize("source, what, where", [
+        ("((u^2048)^1024)^1024", "power", "1:16"),
+        ("((((u^99)^99)^99)^99)^99", "power", "1:22"),
+        ("(((u^2048)^1024)^1023)*(((u^2048)^1024)^1023)", "product", "1:23"),
+        ("(((u^2048)^1024)^1023 + 1)^3", "power", "1:27"),
+        ("1/((u^2048)^1024)^1023 + 1/(((u^2048)^1024)^1023 + 1)", "sum", "1:24"),
+    ], ids=["first-power-past", "99^5", "product", "binomial-power", "sum-of-quotients"])
+    def test_exponent_past_the_field(self, tmp_path, capsys, source, what, where):
+        with pytest.raises(ParseError, match=f"^{what} has an {re.escape(self.PAST)} "
+                                             f"at {where}$"):
+            parse_expression(source, 1)
+        f = tmp_path / "power.pde"
+        f.write_text(f"n=1; u_t = u_xx + {source}")
+        assert main(["classify", str(f)]) == 2
+        line, col = map(int, where.split(":"))
+        assert capsys.readouterr().err == \
+            f"parse error: {what} has an {self.PAST} at {line}:{col + 18}\n"
+
+    def test_search_product_past_the_field(self, tmp_path, capsys):
+        # G holds u^(2^31 - 1); at jet degree 3 the assembly multiplies a
+        # u^(2^31 - 2) of l*_G by the u^2 of Q = E_u(u^3)
+        f = tmp_path / "top.pde"
+        f.write_text("n=1; u_t = u_xx + ((u^2048)^1024)^1023*(u^2047)^1024*u^1023; "
+                     "jet_degree = 3")
+        assert main(["classify", str(f)]) == 0
+        capsys.readouterr()
+        assert main(["claws", str(f)]) == 1
+        assert capsys.readouterr().err == \
+            "error: a monomial exponent would pass 2147483647 = 2^31 - 1\n"
 
 
 class TestLongLiterals:
@@ -930,7 +975,7 @@ class TestMainEntry:
                 from paraclaw.expr import Poly
                 split = parabolic._scaled_split
                 monkeypatch.setattr(parabolic, "_scaled_split", lambda eq, q, symbolic: (
-                    (Poly({(): 1}), 1), *split(eq, q, symbolic)[1:]))
+                    (Poly({0: 1}), 1), *split(eq, q, symbolic)[1:]))
                 message = "minor-affine equation with nonzero residue"
         f = tmp_path / "problem.pde"
         f.write_text(source)

@@ -18,8 +18,10 @@ import paraclaw
 from paraclaw.expr import (
     AUX, BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
     Symbol, ZERO, ONE, _add_terms, aux_var, base_var, divexact,
-    jet_var, mono_sort_key, poly_gcd,
+    jet_var, mono_decode, mono_encode, mono_sort_key, poly_gcd,
+    MAX_EXPONENT, TIME, ExponentOverflow, _add_product,
 )
+from paraclaw.jets import _derivative_terms
 from util import linear_columns, mono_cmp, random_poly, tag, u, u11, u12, u22, ux, uxx, x
 
 
@@ -106,8 +108,8 @@ class TestPolyCoefficients:
         e = c1 * ux ** 2 + c2 * x * ux
         got = e.num.coefficients_in(frozenset([jet_var((1,))]))
         assert got == {
-            ((jet_var((1,)), 2),): c1.num,
-            ((jet_var((1,)), 1),): (c2 * x).num,
+            mono_encode([(jet_var((1,)), 2)]): c1.num,
+            mono_encode([(jet_var((1,)), 1)]): (c2 * x).num,
         }
 
     def test_zero_expression(self):
@@ -123,7 +125,7 @@ class TestPolyCoefficients:
         for k in range(3):
             coeff = work.substitute({jet_var(): 0}) / fact
             if not coeff.is_zero:
-                key = ((jet_var(), k),) if k else ()
+                key = mono_encode([(jet_var(), k)]) if k else 0
                 expected[key] = coeff.num
             work = work.diff(jet_var())
             fact *= k + 1
@@ -206,13 +208,13 @@ class TestAlgebraProperties:
             p = Poly({m: int(c) for m, c in random_poly(rng, syms).num.terms.items()})
             e = k % 4
             power = p ** e
-            product = Poly({(): 1})
+            product = Poly({0: 1})
             for _ in range(e):
                 product = product * p
             assert power == product
             assert all(type(c) is int for c in power.terms.values())
-        half = Poly({((jet_var(), 1),): Fraction(1, 2)})
-        assert (half ** 3).terms == {((jet_var(), 3),): Fraction(1, 8)}
+        half = Poly({mono_encode([(jet_var(), 1)]): Fraction(1, 2)})
+        assert (half ** 3).terms == {mono_encode([(jet_var(), 3)]): Fraction(1, 8)}
 
 
     @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
@@ -230,22 +232,19 @@ class TestAlgebraProperties:
             return c
 
         def random_terms():
-            return {tuple(sorted((s, rng.randint(1, 2))
-                                 for s in rng.sample(syms, rng.randint(0, 2)))): coefficient()
+            return {mono_encode((s, rng.randint(1, 2))
+                                for s in rng.sample(syms, rng.randint(0, 2))): coefficient()
                     for _ in range(rng.randint(0, 6))}
 
         def times(m1, m2):
-            exponents = dict(m1)
-            for s, e in m2:
-                exponents[s] = exponents.get(s, 0) + e
-            return tuple(sorted(exponents.items()))
+            return mono_encode((*mono_decode(m1), *mono_decode(m2)))
 
         def lowered(m, s):
-            exponents = dict(m)
+            exponents = dict(mono_decode(m))
             e = exponents.pop(s)
             if e > 1:
                 exponents[s] = e - 1
-            return tuple(sorted(exponents.items())), e
+            return mono_encode(exponents.items()), e
 
         def naive(pairs):
             acc = {}
@@ -265,7 +264,7 @@ class TestAlgebraProperties:
                       naive((times(m1, m2), c1 * c2)
                             for m1, c1 in a.items() for m2, c2 in b.items())),
                 "diff": (Poly(a).diff(s).terms,
-                         naive((m2, c * e) for m, c in a.items() if s in dict(m)
+                         naive((m2, c * e) for m, c in a.items() if s in dict(mono_decode(m))
                                for m2, e in [lowered(m, s)])),
             }
             for factor in (None, 2, -1, Fraction(1), Fraction(3, 7)):
@@ -304,7 +303,7 @@ class TestOrdering:
 
     def test_monomial_order_is_graded(self):
         lead = (x ** 2 + x * u + u).num.leading()[0]
-        assert lead == ((base_var(1), 2),)
+        assert mono_decode(lead) == ((base_var(1), 2),)
 
     def test_deterministic_printing(self):
         e = u22 * u11 - u12 * u12 + 3
@@ -324,8 +323,7 @@ class TestOrdering:
             monos = set()
             for _ in range(rng.randint(0, 60)):
                 chosen = rng.sample(symbols, rng.randint(0, 4))
-                monos.add(tuple(sorted(((s, rng.randint(1, 3)) for s in chosen),
-                                       key=lambda p: p[0])))
+                monos.add(mono_encode((s, rng.randint(1, 3)) for s in chosen))
             monos = list(monos)
             rng.shuffle(monos)
             assert sorted(monos, key=mono_sort_key) == \
@@ -345,7 +343,7 @@ class TestSymbolHash:
         assert s1 == s2 and hash(s1) == hash(s2)
         table = {s1: "mixed"}
         assert table[s2] == "mixed"
-        assert Poly({((s1, 1),): Fraction(1)}) == Poly({((s2, 1),): Fraction(1)})
+        assert Poly({s1.unit: Fraction(1)}) == Poly({s2.unit: Fraction(1)})
 
     def test_kinds_with_equal_index_differ(self):
         syms = [base_var(1), aux_var(1)]
@@ -441,3 +439,77 @@ class TestSymbolContract:
         assert all(s is jet_var(s.spatial) for s in clone(eq).reference_jet)
         assert clone(jet_var((2, 1), 1)) is jet_var((1, 2), 1)
         assert clone(aux_var(1, "xi1")).name == "xi1"
+        # base and auxiliary symbols are interned too, aux on index and name
+        assert base_var(0) is TIME and clone(base_var(0)) is TIME
+        assert clone(base_var(2)) is base_var(2) is Symbol(BASE, 2)
+        assert clone(aux_var(1, "xi1")) is aux_var(1, "xi1") is not aux_var(1)
+        assert clone(aux_var(3)) is aux_var(3, "w3")
+        assert all(s is base_var(s.index) for s in clone(x * Expr.symbol(base_var(2))).symbols())
+
+
+class TestMonomialEncoding:
+    """A monomial is one int, sum e_s 2^(32 slot(s)); decoding is its inverse."""
+
+    def test_round_trip(self):
+        # seeded random factors over base, auxiliary and high-order jet
+        # symbols, exponents up to the field limit
+        rng = random.Random(37)
+        symbols = [base_var(a) for a in range(4)] + [aux_var(k, f"r{k}") for k in (1, 7)]
+        symbols += [jet_var(tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 9))),
+                            rng.randint(0, 2)) for _ in range(30)]
+        symbols = list(dict.fromkeys(symbols))  # distinct, so no exponents add
+        for _ in range(300):
+            chosen = rng.sample(symbols, rng.randint(0, 6))
+            factors = tuple(sorted((s, rng.choice([1, 2, rng.randint(1, MAX_EXPONENT),
+                                                   MAX_EXPONENT]))
+                                   for s in chosen))
+            m = mono_encode(factors)
+            assert mono_decode(m) == factors
+            assert m == sum(e << (32 * s.slot) for s, e in factors)
+            assert mono_encode(reversed(factors)) == m
+
+    def test_repeated_symbols_add(self):
+        assert mono_encode([(jet_var(), 2), (jet_var(), 3)]) == 5 * jet_var().unit
+        assert mono_encode([]) == 0 and mono_decode(0) == ()
+
+    def test_exponent_past_the_field_raises(self):
+        s = jet_var((1, 2))
+        with pytest.raises(ExponentOverflow):
+            mono_encode([(s, MAX_EXPONENT + 1)])
+        with pytest.raises(ExponentOverflow):
+            mono_encode([(s, MAX_EXPONENT), (s, 1)])
+        with pytest.raises(ValueError):
+            mono_encode([(s, 0)])
+
+    def test_kernel_results_raise_instead_of_carrying(self):
+        u_, x_ = jet_var(), base_var(1)
+        top = {mono_encode([(u_, MAX_EXPONENT), (x_, 1)]): 1}
+        out = {}
+        _add_product(out, top, {x_.unit: 1, 0: 2})
+        assert out == {mono_encode([(u_, MAX_EXPONENT), (x_, 2)]): 1,
+                       mono_encode([(u_, MAX_EXPONENT), (x_, 1)]): 2}
+        with pytest.raises(ExponentOverflow):
+            _add_product({}, top, {u_.unit: 1})
+        with pytest.raises(ExponentOverflow):
+            Poly(top) * Poly({u_.unit: 1})
+        with pytest.raises(ExponentOverflow):
+            Poly(top).mono_shift(u_.unit)
+        # D_x u_1^(2^31 - 1) * u: the u_1 of D_x u is one power too many
+        with pytest.raises(ExponentOverflow):
+            _derivative_terms({mono_encode([(u_, 1), (jet_var((1,)), MAX_EXPONENT)]): 1}, 1)
+        # the largest exponent itself is kept, and lowered by d/du
+        assert Poly(top).diff(u_).terms == {mono_encode([(u_, MAX_EXPONENT - 1),
+                                                         (x_, 1)]): MAX_EXPONENT}
+
+    def test_pickled_polynomial_is_free_of_slots(self):
+        # unpickled in a process that interns its symbols in another order
+        e = (x * Expr.symbol(base_var(2)) * u11 + 3 * ux ** 2) / (u + 2)
+        package_root = os.path.dirname(os.path.dirname(paraclaw.__file__))
+        code = ("import pickle, sys\n"
+                "from paraclaw.expr import aux_var, jet_var\n"
+                "aux_var(5), jet_var((2, 2, 1)), jet_var((1,)), jet_var()\n"
+                "print(pickle.loads(sys.stdin.buffer.read()))")
+        proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(e),
+                              capture_output=True, check=True,
+                              env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+        assert proc.stdout.decode() == f"{e}\n"

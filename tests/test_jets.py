@@ -4,9 +4,9 @@ trace-matrix oracle."""
 
 import pytest
 
-from paraclaw.expr import Expr, Poly, ZERO, base_var, jet_var
+from paraclaw.expr import Expr, Poly, ZERO, base_var, jet_var, mono_decode, mono_encode
 from paraclaw.jets import (
-    NotInDivergenceImage, TimeJetPresent, _homotopy, _lower_prolong, bounded_monomials,
+    NotInDivergenceImage, TimeJetPresent, _homotopy, _step, bounded_monomials,
     build_replacement_table, deprolongation_dimension, euler_operator,
     invert_divergence, parabolic_system_dimension,
     reduce_to_spatial, spatial_jet_vars, tableau_dimension, total_derivative,
@@ -69,13 +69,13 @@ class TestLowerProlong:
 
     def test_prolonged_jet_already_present(self):
         s1, s11 = jet_var((1,)), jet_var((1, 1))
-        m = ((s1, 2), (s11, 1))
-        assert _lower_prolong(m, 0, s11) == ((s1, 1), (s11, 2))
+        m = mono_encode(((s1, 2), (s11, 1)))
+        assert m + _step(s1.slot, 1) == mono_encode(((s1, 1), (s11, 2)))
         assert total_derivative(ux ** 2 * uxx, 1) == 2 * ux * uxx ** 2 + ux ** 2 * uxxx
 
     def test_inserted_between_later_symbols(self):
-        m = ((base_var(1), 1), (jet_var(), 3), (jet_var((2, 2)), 2))
-        assert _lower_prolong(m, 1, jet_var((1,))) == (
+        m = mono_encode(((base_var(1), 1), (jet_var(), 3), (jet_var((2, 2)), 2)))
+        assert mono_decode(m + _step(jet_var().slot, 1)) == (
             (base_var(1), 1), (jet_var(), 2), (jet_var((1,)), 1), (jet_var((2, 2)), 2))
 
     def test_matches_the_general_product_on_random_monomials(self):

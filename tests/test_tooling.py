@@ -19,7 +19,8 @@ takes one raw Euler walk per t-free ansatz monomial, all in
 The package has one divergence inverter: ``invert_divergence`` and the
 search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
-``_add_terms``, ``_add_product``, ``_lower`` and ``_cleared``.  D_J f has one
+``_add_terms``, ``_add_product``, ``_fields`` (the one decoding of a
+monomial), ``_shifted`` and ``_cleared``.  D_J f has one
 prefix memo, ``jets.Prolonged``: only ``jets`` defines ``__missing__``.
 Every memo has one size budget: each ``functools.lru_cache`` is bounded by
 ``MAX_TERMS``, and no unbounded ``functools.cache`` is used.
@@ -93,7 +94,7 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
     # assembly or extraction; none in a second search at the same bounds on
     # another G, whose columns come from the memo; and no euler_operator
     from paraclaw import claws, jets
-    from paraclaw.expr import TIME
+    from paraclaw.expr import TIME, mono_decode
     from paraclaw.grammar import parse
     from util import clear_search_memos
     walks, inside, sizes = [], [], []
@@ -109,7 +110,7 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
             densities, characteristics = real_generate(*args)
         finally:
             inside.pop()
-        sizes.append(sum(1 for (m,) in densities if not (m and m[0][0] == TIME)))
+        sizes.append(sum(1 for (m,) in densities if TIME not in dict(mono_decode(m))))
         return densities, characteristics
 
     def no_euler_operator(*args):
@@ -191,6 +192,53 @@ def test_tracer_sizes_the_search_stages(spec, size):
     assert metrics["claws.null_dim"] == len(calls["solve_exact"][1]) == len(outcome[1])
 
 
+def test_search_memos_and_rows_are_untracked():
+    # a monomial is an int and the search's term dicts hold int
+    # coefficients, so the collector tracks none of the _prolonged_euler
+    # memo's keys or term dicts and no row or key of the determining system
+    import gc
+    from paraclaw import claws
+    from paraclaw.grammar import parse
+    from util import _t_free
+    eq, spec = parse("n=2; u_t = u_11 + u_22 + u*u_1").equation(), claws.AnsatzSpec(2, 2, 1)
+    densities, _ = claws.generate_ansatz(eq, spec)
+    system = claws.assemble_determining_system(eq, densities)
+    assert claws.find_conservation_laws(eq, spec)
+    gc.collect()
+    monomials = _t_free(densities)
+    assert len(monomials) == 84 and not any(map(gc.is_tracked, monomials))
+    for m in monomials:
+        memo = claws._prolonged_euler(m)
+        assert len(memo) > 1 and not any(map(gc.is_tracked, memo.values()))
+    assert system.rows and not any(map(gc.is_tracked, system.rows))
+    assert not any(map(gc.is_tracked, system.keys))
+
+
+TRACKED_AFTER_SEARCH = """
+import gc, sys
+sys.path[:0] = sys.argv[1:2]
+from paraclaw import claws
+from paraclaw.grammar import parse
+eq = parse("n=2; u_t = u_11 + u_22").equation()
+gc.collect()
+before = len(gc.get_objects())
+assert len(claws.find_conservation_laws(eq, claws.AnsatzSpec(2, 4, 3))) == 10
+gc.collect()
+print(len(gc.get_objects()) - before)
+"""
+
+
+def test_cold_search_leaves_few_tracked_objects():
+    # a cold heat_2d 2/4/3 search left 268 k objects for the collector to
+    # walk when monomials were tuples of (Symbol, exponent) pairs; ints are
+    # never tracked, so less than a tenth of that remains
+    proc = subprocess.run([sys.executable, "-B", "-c", TRACKED_AFTER_SEARCH,
+                           os.path.join(ROOT, "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10_000
+
+
 @pytest.mark.parametrize("source, spec", [
     ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
     ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
@@ -223,13 +271,14 @@ def test_one_homotopy_core_and_no_replacement_table(monkeypatch, source, spec):
 
 
 def test_one_term_kernel():
-    # raw term dicts are summed, multiplied, lowered and cleared by the
-    # kernel of paraclaw.expr alone; the other modules bind its functions
+    # raw term dicts are summed, multiplied, shifted and cleared, and
+    # monomials decoded, by the kernel of paraclaw.expr alone; the other
+    # modules bind its functions
     from paraclaw import claws, expr, jets
     assert jets._add_terms is expr._add_terms
     assert claws._add_product is expr._add_product
-    assert jets._lower is expr._lower
-    kernel = {"_add_terms", "_add_product", "_lower", "_cleared"}
+    assert jets._fields is expr._fields and claws._shifted is expr._shifted
+    kernel = {"_add_terms", "_add_product", "_fields", "_shifted", "_cleared"}
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if name.endswith(".py") and name != "expr.py":
             with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
@@ -246,7 +295,7 @@ def test_one_prolongation_memo():
     from paraclaw.parabolic import EvolutionEquation
     from util import uxx
     assert type(jets.build_replacement_table(EvolutionEquation(1, uxx))) is jets.Prolonged
-    assert type(claws._prolongations({(): 1})) is jets.Prolonged
+    assert type(claws._prolongations({0: 1})) is jets.Prolonged
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if name.endswith(".py") and name != "jets.py":
             with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:

@@ -33,12 +33,12 @@ from paraclaw.claws import (
 )
 from paraclaw.expr import (
     AUX, BASE, JET, TIME, DivisionByZeroExpr, Expr, Monomial, NotPolynomialIn, ONE,
-    Symbol, ZERO, _cleared, aux_var, base_var, jet_var, mono_mul,
+    Symbol, ZERO, _cleared, aux_var, base_var, jet_var, mono_decode, mono_encode,
     mono_sort_key,
 )
 from paraclaw.jets import (
-    NotInDivergenceImage, Prolonged, TimeJetPresent, _add_terms, _horner, _jet_partials, _lower,
-    _lower_prolong, _prolong, bounded_monomials, build_replacement_table,
+    NotInDivergenceImage, Prolonged, TimeJetPresent, _add_terms, _horner, _jet_partials,
+    _step, bounded_monomials, build_replacement_table,
     euler_operator, has_time_jets, invert_divergence, reduce_to_spatial,
     spatial_jet_vars, total_derivative,
 )
@@ -122,10 +122,13 @@ def naive_total_derivative(e: Expr, a: int) -> Expr:
     return out
 
 
-def naive_lower_prolong(m: Monomial, idx: int, t: Symbol) -> Monomial:
-    """m / u_J * u_{Ja} for u_J the idx-th symbol of m and t = u_{Ja}, by a
-    general monomial product."""
-    return mono_mul(_lower(m, idx), ((t, 1),))
+def naive_lower_prolong(m: Monomial, s: Symbol, t: Symbol) -> Monomial:
+    """m / s * t, for a symbol s of m, encoded again from the decoded
+    factors of m with the exponent of s lowered and that of t raised."""
+    factors = dict(mono_decode(m))
+    factors[s] -= 1
+    factors[t] = factors.get(t, 0) + 1
+    return mono_encode((p, e) for p, e in factors.items() if e)
 
 
 def naive_euler_operator(e: Expr) -> Expr:
@@ -193,22 +196,22 @@ def reference_invert_divergence(R: Expr, n: int) -> tuple[Expr, ...]:
                 f"R may contain t, x1..x{n} and jets in directions 1..{n} only, not {s}")
     by_degree: dict[int, dict] = {}
     for mono, c in R.num.terms.items():
-        d = sum(e for s, e in mono if s.kind == JET)
+        d = sum(e for s, e in mono_decode(mono) if s.kind == JET)
         by_degree.setdefault(d, {})[mono] = c
     fluxes: list[dict] = [{} for _ in range(n)]
     for d, terms in sorted(by_degree.items()):
         if d == 0:
             x1_symbol = base_var(1)
             for mono, c in terms.items():
-                m = mono_mul(mono, ((x1_symbol, 1),))
-                fluxes[0][m] = Fraction(c) / dict(m)[x1_symbol]
+                m = mono_encode((*mono_decode(mono), (x1_symbol, 1)))
+                fluxes[0][m] = Fraction(c) / dict(mono_decode(m))[x1_symbol]
             continue
         parts: list[dict] = [{} for _ in range(n)]
         for w, Sw in _horner(terms, None):
             if w:
-                u_rest = ((jet_var(w[:-1]), 1),)
+                u_rest = (jet_var(w[:-1]), 1)
                 _add_terms(parts[w[-1] - 1],
-                           {mono_mul(m, u_rest): c for m, c in Sw.items()}, 1)
+                           {mono_encode((*mono_decode(m), u_rest)): c for m, c in Sw.items()}, 1)
             elif Sw:
                 remainder = Expr._make(Poly(Sw), Poly.one())
                 raise NotInDivergenceImage(
@@ -228,9 +231,8 @@ def tagged(columns: list[dict]) -> Expr:
     """sum_k c_k p_k, for the polynomials p_k with these terms."""
     terms = {}
     for k, column in enumerate(columns):
-        c = ((tag(k), 1),)
         for m, v in column.items():
-            terms[m + c] = v
+            terms[mono_encode((*mono_decode(m), (tag(k), 1)))] = v
     return Expr._make(Poly(terms), Poly.one())
 
 
@@ -242,7 +244,7 @@ def assembled_expression(eq: EvolutionEquation, densities: list[dict]) -> Expr:
     terms = {}
     for key, row in zip(system.keys, system.rows):
         for k, v in row.items():
-            terms[key + ((tag(k), 1),)] = v
+            terms[mono_encode((*mono_decode(key), (tag(k), 1)))] = v
     return Expr._make(Poly(terms), Poly.one())
 
 
@@ -268,7 +270,7 @@ def tagged_generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Exp
         for bm in base_monos:
             c = tag(len(tags))
             tags.append(c)
-            terms[bm + jm + ((c, 1),)] = 1  # base < jet < tag: sorted
+            terms[mono_encode((*mono_decode(bm), *mono_decode(jm), (c, 1)))] = 1
     return Expr._make(Poly(terms), Poly.one()), tags
 
 
@@ -287,16 +289,17 @@ def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
 def _split_unknowns(E: Expr, unknowns: list[Symbol]):
     """(key, k, c) for every term c key unknowns[k] of E, key a monomial in
     the base and jet variables.  Tags are auxiliary symbols and sort after
-    BASE and JET, so the tag is the term's last pair and the pair before
-    it, if any, is a base or jet variable."""
+    BASE and JET, so the tag is the last decoded factor of the term and the
+    factor before it, if any, is a base or jet variable."""
     if not E.is_polynomial:
         raise NotPolynomialIn(E.den.symbols())
     col = {c: k for k, c in enumerate(unknowns)}
     for mono, c in E.num.terms.items():
-        if mono:
-            (s, e), key = mono[-1], mono[:-1]
+        factors = mono_decode(mono)
+        if factors:
+            (s, e), key = factors[-1], mono_encode(factors[:-1])
             k = col.get(s)
-            if k is not None and e == 1 and not (key and key[-1][0].kind == AUX):
+            if k is not None and e == 1 and not (key and factors[-2][0].kind == AUX):
                 yield key, k, c
                 continue
         raise InvariantViolation(
@@ -336,7 +339,7 @@ def tagged_stages(eq: EvolutionEquation, spec: AnsatzSpec) -> dict:
     stages = {"T": T, "Q": Q, "tags": tags, "kept": kept}
     keep = {tags[k] for k in kept}
     restricted = Expr._make(Poly({m: c for m, c in Q.num.terms.items()
-                                  if m[-1][0] in keep}), Poly.one())
+                                  if mono_decode(m)[-1][0] in keep}), Poly.one())
     unknowns = [tags[k] for k in kept]
     try:
         E = tagged_determining_expression(eq, restricted)
@@ -372,7 +375,7 @@ def reference_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
 
     def restricted(E: Expr) -> Expr:
         return Expr._make(Poly({m: c for m, c in E.num.terms.items()
-                                if m[-1][0] in keep}), Poly.one())
+                                if mono_decode(m)[-1][0] in keep}), Poly.one())
 
     densities = linear_columns(restricted(stages["T"]), tags)
     characteristics = linear_columns(restricted(stages["Q"]), tags)
@@ -561,7 +564,8 @@ def reference_nullspace(rows: list[dict], ncols: int) -> list[dict]:
 
 def mono_cmp(m1: Monomial, m2: Monomial) -> int:
     """Graded lexicographic order: total degree first, then the earlier
-    symbol with the larger exponent wins."""
+    symbol with the larger exponent wins, over the decoded factors."""
+    m1, m2 = mono_decode(m1), mono_decode(m2)
     d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
     if d1 != d2:
         return -1 if d1 < d2 else 1
@@ -678,8 +682,7 @@ def naive_residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
     columns = [_xi_coefficients(_trace_with(ginv, sigma * Expr.symbol(xi[k])
                                             * Expr.symbol(xi[l]), xi), xi)
                for k, l in pairs]
-    monos = [((xi[k], 2),) if k == l else ((xi[k], 1), (xi[l], 1))
-             for k, l in pairs]
+    monos = [mono_encode(((xi[k], 1), (xi[l], 1))) for k, l in pairs]
     matrix = [[colmap.get(mono, ZERO) for colmap in columns] for mono in monos]
     rhs = [target.get(mono, ZERO) for mono in monos]
     coeffs = linalg.solve_dense(matrix, rhs, ZERO)
@@ -949,10 +952,11 @@ def suite_total_derivative_equivalence(cases: int = 100, seed: int = 37) -> int:
 
 
 def suite_lower_prolong_equivalence(cases: int = 300, seed: int = 71) -> tuple[int, int]:
-    """_lower_prolong equals naive_lower_prolong at every jet of random
-    monomials over all three symbol kinds, time jets among them, exponents
-    1..3, in every direction a = 0..3.  Returns the number of steps checked
-    and how many of them met u_{Ja} already in the monomial."""
+    """One D_a step of the kernel, m + _step(slot of u_J, a), equals
+    naive_lower_prolong at every jet u_J of random monomials over all three
+    symbol kinds, time jets among them, exponents 1..3, in every direction
+    a = 0..3.  Returns the number of steps checked and how many of them met
+    u_{Ja} already in the monomial."""
     rng = random.Random(seed)
     syms = [base_var(a) for a in range(4)] + [
         jet_var(combo, tp) for tp in range(3) for order in range(4 - tp)
@@ -960,17 +964,18 @@ def suite_lower_prolong_equivalence(cases: int = 300, seed: int = 71) -> tuple[i
     ] + [aux_var(k) for k in (1, 2, 5, 9)]
     checked = present = 0
     for _ in range(cases):
-        m = tuple(sorted((s, rng.randint(1, 3))
-                         for s in rng.sample(syms, rng.randint(1, 6))))
-        for idx, (s, _) in enumerate(m):
+        factors = [(s, rng.randint(1, 3)) for s in rng.sample(syms, rng.randint(1, 6))]
+        m = mono_encode(factors)
+        for s, _ in factors:
             if s.kind != JET:
                 continue
             for a in range(4):
-                t = _prolong(s, a)
-                assert _lower_prolong(m, idx, t) == naive_lower_prolong(m, idx, t), \
-                    f"lowering {s} and raising {t} in {m}"
+                t = jet_var(s.spatial, s.time_power + 1) if a == 0 \
+                    else jet_var(s.spatial + (a,), s.time_power)
+                assert m + _step(s.slot, a) == naive_lower_prolong(m, s, t), \
+                    f"lowering {s} and raising {t} in {mono_decode(m)}"
                 checked += 1
-                present += any(p == t for p, _ in m)
+                present += any(p == t for p, _ in factors)
     return checked, present
 
 
@@ -1732,7 +1737,7 @@ def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tupl
 
 def _t_free(densities: list[dict]) -> set:
     """The t-free monomials m of the one-term density columns {t^b m: 1}."""
-    return {m[1:] if m and m[0][0] == TIME else m for (m,) in densities}
+    return {mono_encode((s, e) for s, e in mono_decode(m) if s != TIME) for (m,) in densities}
 
 
 def _memo_snapshot(snapshot: dict, monomials) -> None:
@@ -2824,7 +2829,7 @@ def expr_coefficient_vector(e: Expr, n: int, degree: int) -> list[Fraction]:
     assert e.is_polynomial
     for mono, c in e.num.terms.items():
         exps = [0] * (n + 1)
-        for s, p in mono:
+        for s, p in mono_decode(mono):
             assert s.kind == "base", f"non-base symbol {s} in characteristic"
             exps[s.index] = p
         vec[index[tuple(exps)]] = c
