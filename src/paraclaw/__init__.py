@@ -19,7 +19,7 @@ from .jets import (
 )
 from .parabolic import (
     EvolutionEquation, MAReport, Parabolicity, PreconditionSpatialDim,
-    SingularSymbol, SymbolForm, ma_classify,
+    SingularSymbol, ma_classify,
     ma_traceless_residue, parabolicity_check, quartic_form, symbol_form,
 )
 from .claws import (

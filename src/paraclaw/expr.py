@@ -453,6 +453,10 @@ class Poly:
         _add_product(out, self.terms, other.terms)
         return Poly(out)
 
+    def __rmul__(self, c: int) -> "Poly":
+        """c p for an int c, which is written on the left."""
+        return self.scale(c)
+
     def scale(self, c: Rationalish) -> "Poly":
         if not c:
             return Poly()
@@ -836,10 +840,7 @@ class Expr:
 
     def diff(self, s: Symbol) -> "Expr":
         """Formal partial derivative with respect to one symbol."""
-        if self.is_polynomial:
-            return Expr._make(self.num.diff(s), _ONE_POLY)
-        n, d = self.num, self.den
-        return Expr._make(n.diff(s) * d - n * d.diff(s), d * d)
+        return _derived(self, lambda p: p.diff(s))
 
     def substitute(self, bindings: Mapping[Symbol, "Expr | Rationalish"]) -> "Expr":
         """Simultaneous substitution of symbols by expressions."""
@@ -870,6 +871,20 @@ class Expr:
 
 ZERO = Expr(Poly(), Poly.one(), _raw=True)
 ONE = Expr(Poly.one(), Poly.one(), _raw=True)
+
+
+def _derived(e: Expr, derive: Callable[[Poly], Poly]) -> Expr:
+    """D e for the derivation D of polynomials that ``derive`` computes,
+    extended to the quotient e by the quotient rule: the package's one
+    quotient rule.  A denominator that D sends to 0 is kept as it is."""
+    dn = derive(e.num)
+    if e.is_polynomial:
+        return Expr._make(dn, _ONE_POLY)
+    num, den = e.num, e.den
+    dd = derive(den)
+    if dd.is_zero:
+        return Expr._make(dn, den)
+    return Expr._make(dn * den - num * dd, den * den)
 
 
 def _coerce(x) -> Expr | None:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from . import expr
 from .expr import (
     BASE, JET, MAX_TERMS, Expr, ExponentOverflow, Monomial, NotPolynomialIn, Poly, Symbol,
-    _SYMBOLS, _add_terms, _exponent, _fields, _shifted, base_var, jet_var,
+    _SYMBOLS, _add_terms, _derived, _exponent, _fields, _shifted, base_var, jet_var,
 )
 
 if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are used here
@@ -78,16 +78,9 @@ def total_derivative(e: Expr, a: int) -> Expr:
     Treats jet coordinates as functions of the base coordinates; direction
     a = 0 is time.  Raises the jet order by at most one.  Numerator and
     denominator are each swept once (:func:`_add_total_derivative`) and
-    joined by the quotient rule with one normalization.
+    joined by expr's one quotient rule, :func:`expr._derived`.
     """
-    num, den = e.num, e.den
-    dnum: dict = {}
-    _add_total_derivative(dnum, num.terms, a)
-    dden: dict = {}
-    _add_total_derivative(dden, den.terms, a)
-    if not dden:
-        return Expr._make(Poly(dnum), den)
-    return Expr._make(Poly(dnum) * den - num * Poly(dden), den * den)
+    return _derived(e, lambda p: Poly(_derivative_terms(p.terms, a)))
 
 
 def _add_total_derivative(out: dict, terms: dict, a: int, sign: int = 1) -> None:

@@ -1,10 +1,12 @@
 """Symbol extraction, parabolicity, and the two Monge-Ampere tests.
 
-The symbol of u_t = G(x, t, u, grad u, Hess u) is the quadratic form
-sigma(xi) = sum dG/du_I * xi^I over the second-order jet coordinates; it is
-assembled into a symmetric matrix with the 1/2 factor on off-diagonal
-entries (unordered-pair Hessian coordinates) so that sigma agrees with the
-epsilon-derivative definition below.
+Both forms of u_t = G(x, t, u, grad u, Hess u) that the classification
+reads come from one derivation, D_xi = sum_{i <= j} xi_i xi_j d/du_ij, the
+derivative of G(..., u_ij + e xi_i xi_j) in e at e = 0: the symbol is the
+quadratic form sigma = D_xi G and the quartic form is q = D_xi sigma, each
+one quotient rule (expr._derived) away from G.  The symbol matrix g, with
+g^ii the xi_i^2 coefficient of sigma and g^ij half its xi_i xi_j
+coefficient, is read off sigma.
 
 Two Monge-Ampere verdicts are computed and reported side by side:
 
@@ -19,15 +21,16 @@ Two Monge-Ampere verdicts are computed and reported side by side:
   polynomial identity N = 0, where N = c det(g)^2 q0 is built from det(g),
   adj(g) (Faddeev-LeVerrier) and two adjugate Laplacians of q by ring
   operations alone: no matrix inverse, no linear solve and no gcd.  It
-  runs on ``int`` numerators: the denominators of g and q are cleared once
-  on the way in, and the Faddeev-LeVerrier division by k is exact over Z.
+  runs on ``int`` numerators: the denominators of sigma and q are cleared
+  once on the way in, and the Faddeev-LeVerrier division by k is exact
+  over Z.
   The verdict reads the scaled N, so it divides by nothing.  q0 itself,
   N / (c det(g)^2), is read only through ma_traceless_residue; no report
   needs it.
 
 Parabolicity and the residue are certified at a user-supplied reference
 2-jet; global positivity of a symbolic matrix is not decided here.  The
-symbol form and its value at the reference jet are built once per
+symbol and its matrix at the reference jet are built once per
 EvolutionEquation and shared by both.
 """
 
@@ -35,18 +38,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    BASE, JET, DivisionByZeroExpr, Expr, Monomial, Poly, Rationalish,
-    Symbol, ZERO, _cleared, aux_var, divexact, jet_var,
+    AUX, BASE, JET, MAX_TERMS, DivisionByZeroExpr, Expr, Monomial, Poly, Rationalish,
+    Symbol, _add_terms, _cleared, _derived, _shifted, aux_var, jet_var, mono_decode,
 )
 
 __all__ = [
     "PreconditionSpatialDim", "SingularSymbol", "InvariantViolation",
-    "Parabolicity", "EvolutionEquation", "SymbolForm", "MAReport",
+    "Parabolicity", "EvolutionEquation", "MAReport",
     "symbol_form", "parabolicity_check", "quartic_form",
     "ma_traceless_residue", "ma_classify",
     "xi_symbols",
@@ -112,25 +115,33 @@ class EvolutionEquation:
             ref[s] = Fraction(v)  # harmless extra bindings
         self.reference_jet = ref
 
-    def hessian_entry(self, i: int, j: int) -> Symbol:
-        return jet_var((i, j) if i <= j else (j, i))
-
     @cached_property
-    def symbol(self) -> SymbolForm:
+    def symbol(self) -> Expr:
         """symbol_form(self), built once per equation."""
         return symbol_form(self)
 
     @cached_property
     def symbol_at_reference(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The symbol matrix at the reference jet, evaluated once."""
+        """The symbol matrix g at the reference jet, evaluated once: g^ii is
+        the xi_i^2 coefficient of sigma there and g^ij half its xi_i xi_j
+        coefficient.  sigma's denominator is the lcm of those of the
+        entries, since distinct xi-coefficients cannot cancel, so it
+        vanishes where one of theirs does."""
         try:
-            return tuple(map(tuple, self.symbol.at_reference(self.reference_jet)))
+            at = _xi_coefficients_at(self.symbol, self.reference_jet)
         except DivisionByZeroExpr:
             point = ", ".join(f"{s} = {self.reference_jet[s]}"
                               for s in sorted(self.G.symbols()))
             raise DivisionByZeroExpr(
                 f"a denominator of the symbol vanishes at the reference jet "
                 f"{point}; choose another with a ref clause") from None
+        n = self.n
+        g = [[None] * n for _ in range(n)]
+        zero = Fraction(0)
+        for i, j, _u, m in _hessian_directions(n):
+            c = at.get(m, zero)
+            g[i][j] = g[j][i] = c if i == j else c / 2
+        return tuple(map(tuple, g))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvolutionEquation):
@@ -144,42 +155,48 @@ class EvolutionEquation:
 
 
 # ---------------------------------------------------------------------------
-# Symbol form and parabolicity
+# The symbol, the quartic form and parabolicity
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymbolForm:
-    """Symmetric symbol matrix g with g^ii = dG/du_ii, g^ij = (1/2) dG/du_ij."""
-
-    n: int
-    g: tuple[tuple[Expr, ...], ...]
-
-    def at_reference(self, reference_jet: Mapping[Symbol, Fraction]) -> list[list[Fraction]]:
-        n = self.n
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                out[i][j] = out[j][i] = self.g[i][j].eval_fraction(reference_jet)
-        return out
-
 
 def xi_symbols(n: int) -> list[Symbol]:
     """The auxiliary indeterminates xi_1..xi_n of the quartic and symbol forms."""
     return [aux_var(i, f"xi{i}") for i in range(1, n + 1)]
 
 
-def symbol_form(eq: EvolutionEquation) -> SymbolForm:
-    """One derivative of G per Hessian coordinate u_ij, i <= j; the entry
-    (j, i) is the entry (i, j)."""
-    n = eq.n
-    g = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            d = eq.G.diff(eq.hessian_entry(i + 1, j + 1))
-            if i != j:  # d / 2, with no Poly product
-                d = Expr._make(d.num.scale(Fraction(1, 2)), d.den)
-            g[i][j] = g[j][i] = d
-    return SymbolForm(n, tuple(map(tuple, g)))
+@lru_cache(maxsize=MAX_TERMS)
+def _hessian_directions(n: int) -> tuple[tuple[int, int, Symbol, Monomial], ...]:
+    """(i, j, u_(i+1)(j+1), xi_(i+1) xi_(j+1)) for 0 <= i <= j < n: each
+    Hessian coordinate with its monomial in xi, built once per n."""
+    xi = xi_symbols(n)
+    return tuple((i, j, jet_var((i + 1, j + 1)), xi[i].unit + xi[j].unit)
+                 for i in range(n) for j in range(i, n))
+
+
+def _xi_derivation(n: int) -> Callable[[Poly], Poly]:
+    """D_xi = sum_{i <= j} xi_i xi_j d/du_ij on polynomials, for n spatial
+    dimensions: the derivative of p(..., u_ij + e xi_i xi_j) in e at e = 0."""
+    directions = _hessian_directions(n)
+
+    def derive(p: Poly) -> Poly:
+        out: dict = {}
+        for _i, _j, u_ij, m in directions:
+            d = p.diff(u_ij)
+            if d.terms:
+                _add_terms(out, _shifted(d.terms, m))
+        return Poly(out)
+    return derive
+
+
+def symbol_form(eq: EvolutionEquation) -> Expr:
+    """The symbol sigma(xi) = D_xi G = sum_{i <= j} dG/du_ij xi_i xi_j, a
+    quadratic form in xi over the rational functions of the jet."""
+    return _derived(eq.G, _xi_derivation(eq.n))
+
+
+def quartic_form(eq: EvolutionEquation) -> Expr:
+    """The quartic form q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j) at e = 0,
+    which is D_xi sigma for the symbol sigma = D_xi G."""
+    return _derived(eq.symbol, _xi_derivation(eq.n))
 
 
 def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
@@ -206,50 +223,11 @@ def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
 # Monge-Ampere tests
 # ---------------------------------------------------------------------------
 
-def quartic_form(eq: EvolutionEquation) -> Expr:
-    """Second derivative of G along the rank-one Hessian direction xi xi^T,
-    q(xi) = d^2/de^2 G(..., u_ij + e xi_i xi_j) at e = 0, a quartic in xi.
-
-    Over the Hessian coordinates a = (ij), i <= j, with m_a = xi_i xi_j, this
-    is q = sum_{a <= b} (2 - delta_ab) d^2G/du_a du_b m_a m_b; each term is
-    the numerator of d^2G/du_a du_b shifted by m_a m_b.  The first
-    derivatives are read off the symbol, g^ij = w_a dG/du_a with w_a = 1 on
-    the diagonal and 1/2 off it, so the term of (a, b) is
-    (2 - delta_ab) / w_a times dg^ij/du_b."""
-    xi = xi_symbols(eq.n)
-    g = eq.symbol.g
-    coords = [(eq.hessian_entry(i, j), g[i - 1][j - 1], xi[i - 1].unit + xi[j - 1].unit, i != j)
-              for i in range(1, eq.n + 1) for j in range(i, eq.n + 1)]
-    q = ZERO
-    for a, (_, ga, ma, off_diagonal) in enumerate(coords):
-        if ga.is_zero:
-            continue
-        for b, (ub, _, mb, _) in enumerate(coords[a:], a):
-            gab = ga.diff(ub)
-            if not gab.is_zero:
-                term = gab.num.mono_shift(ma + mb)
-                factor = (1 if a == b else 2) * (2 if off_diagonal else 1)
-                q = q + Expr._make(term if factor == 1 else term.scale(factor), gab.den)
-    return q
-
-
 # The residue runs on the integral numerators of g and q: a scalar (an entry
 # of g, det g, adj g, L(L(q))) is an ``int`` at the reference jet and a Poly
 # with ``int`` coefficients in the jet when symbolic; a form in xi is a Poly.
-
-def _mul(a, b):
-    """a * b for a and b each an int or a Poly."""
-    if type(a) is int:
-        return a * b if type(b) is int else b.scale(a)
-    return a.scale(b) if type(b) is int else a * b
-
-
-def _shift(a, m: Monomial) -> Poly:
-    """a * m for a an int or a Poly and m a monomial."""
-    if type(a) is int:
-        return Poly({m: a} if a else {})
-    return a.mono_shift(m)
-
+# An int scalar is written on the left of a product, so int * Poly runs
+# Poly.__rmul__.
 
 def _div_exact(a, k: int):
     """a / k for an int, or an int-coefficient Poly, that k divides."""
@@ -295,17 +273,32 @@ def _trace_with(adj: list[list], P: Poly, xi: list[Symbol]) -> Poly:
         for j in range(i, len(xi)):
             Pij = Pi.diff(xi[j])
             if not Pij.is_zero:
-                out = out + _mul(adj[i][j], Pij if i == j else Pij.scale(2))
+                out = out + adj[i][j] * (Pij if i == j else 2 * Pij)
     return out
 
 
-def _xi_coefficients_at(q: Expr, xi: list[Symbol], ref: Mapping[Symbol, Fraction]
-                        ) -> dict[Monomial, Fraction]:
-    """The xi-coefficients of q at the jet ``ref``: q(xi) there."""
-    den = q.den.eval_fraction(ref)
-    values = {m: c.eval_fraction(ref)
-              for m, c in q.num.coefficients_in(frozenset(xi)).items()}
-    return {m: v / den for m, v in values.items() if v}
+def _xi_coefficients_at(e: Expr, ref: Mapping[Symbol, Fraction]) -> dict[Monomial, Fraction]:
+    """The nonzero xi-coefficients of the symbol or quartic form e at the
+    jet ``ref``, in one pass over e's numerator: each factor of a monomial
+    is a xi, since G holds no auxiliary symbol, or is bound in ref.  The
+    denominator, free of xi, is evaluated only when e is not a polynomial,
+    and raises DivisionByZeroExpr where it vanishes."""
+    den = Fraction(1)
+    if not e.is_polynomial:
+        den = e.den.eval_fraction(ref)
+        if not den:
+            raise DivisionByZeroExpr("denominator vanishes at evaluation point")
+    at: dict[Monomial, Fraction] = {}
+    for m, c in e.num.terms.items():
+        xi_part = 0
+        for s, k in mono_decode(m):
+            if s.kind == AUX:
+                xi_part += k * s.unit
+            else:
+                c *= ref[s] if k == 1 else ref[s] ** k
+        if c:
+            at[xi_part] = at.get(xi_part, 0) + c
+    return {m: c / den for m, c in at.items() if c}
 
 
 def _over(p, d) -> Expr:
@@ -333,54 +326,47 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     g and q are taken at the reference jet unless ``symbolic``.
 
     All of it runs on g_s = s g and q_s = s_q q, whose entries and
-    coefficients are integral: s and s_q are the lcms of the denominators at
-    the reference jet, and, symbolically, G.den (G.den^2 if it holds a
-    Hessian entry) and q.den times the lcm of the coefficient denominators,
-    taken by exact division with no gcd.  With det, adj and sigma of g_s,
-    N, D and P come out scaled by s^(2n) s_q, s^(2n) and s^(2n-1) s_q, the
-    scales returned."""
+    coefficients are integral.  At the reference jet s and s_q are the lcms
+    of the denominators there.  Symbolically sigma clears itself: with d
+    the lcm of the coefficient denominators of sigma.num, s = 2 d sigma.den
+    and g_s is the xi-coefficients of d sigma.num, doubled on the diagonal;
+    s_q is q.den times the lcm of the coefficient denominators of q.num.
+    With det, adj and sigma of g_s, N, D and P come out scaled by
+    s^(2n) s_q, s^(2n) and s^(2n-1) s_q, the scales returned."""
     if eq.n < 2:
         raise PreconditionSpatialDim("traceless residue needs n >= 2")
     n = eq.n
     xi = xi_symbols(n)
+    directions = _hessian_directions(n)
     if symbolic:
-        entries = [entry for row in eq.symbol.g for entry in row]
-        if eq.G.is_polynomial:
-            d, g = _cleared([e.num.terms for e in entries])
-            s = d
-        else:
-            # dG/du_a = (A_a B - A B_a) / B^2 for G = A / B, and B_a = 0 when
-            # B is free of the Hessian, so s is B or B^2 times an integer
-            B = eq.G.den
-            if any(v.kind == JET and v.order == 2 for v in B.symbols()):
-                B = B * B
-            d, g = _cleared([(e.num * (B if e.is_polynomial else divexact(B, e.den))).terms
-                             for e in entries])
-            s = B.scale(d)
-        g = [list(map(Poly, g[i * n:(i + 1) * n])) for i in range(n)]
+        d, (num,) = _cleared([eq.symbol.num.terms])
+        s = eq.symbol.den.scale(2 * d)
+        coefficients = Poly(num).coefficients_in(frozenset(xi))
+        g = [[None] * n for _ in range(n)]
+        for i, j, _u, m in directions:
+            c = coefficients.get(m, Poly())
+            g[i][j] = g[j][i] = 2 * c if i == j else c
         d, (qs,) = _cleared([q.num.terms])
-        s_q = d if q.is_polynomial else q.den.scale(d)
+        s_q = q.den.scale(d)
         one = Poly({0: 1})
     else:
         at_ref = eq.symbol_at_reference
         s, g = _cleared([dict(enumerate(row)) for row in at_ref])
         g = [list(row.values()) for row in g]
-        s_q, (qs,) = _cleared([_xi_coefficients_at(q, xi, eq.reference_jet)])
+        s_q, (qs,) = _cleared([_xi_coefficients_at(q, eq.reference_jet)])
         one = 1
     qs = Poly(qs)
     det, adj = _det_adjugate(g, one)
     sigma = Poly()
-    for i in range(n):
-        sigma = sigma + _shift(g[i][i], 2 * xi[i].unit)
-        for j in range(i + 1, n):
-            sigma = sigma + _shift(_mul(2, g[i][j]), xi[i].unit + xi[j].unit)
+    for i, j, _u, m in directions:
+        sigma = sigma + g[i][j] * Poly({m: 1 if i == j else 2})
     Lq = _trace_with(adj, qs, xi)
-    P = _mul(det, Lq.scale(4 * n + 8)) - sigma * _trace_with(adj, Lq, xi)
-    D = _mul((2 * n + 8) * (4 * n + 8), _mul(det, det))
-    N = _mul(D, qs) - sigma * P
+    P = (4 * n + 8) * det * Lq - sigma * _trace_with(adj, Lq, xi)
+    D = (2 * n + 8) * (4 * n + 8) * det * det
+    N = D * qs - sigma * P
     s_P = s ** (2 * n - 1)
-    s_D = _mul(s_P, s)
-    return (N, _mul(s_D, s_q)), (D, s_D), (P, _mul(s_P, s_q)), (sigma, s)
+    s_D = s_P * s
+    return (N, s_D * s_q), (D, s_D), (P, s_P * s_q), (sigma, s)
 
 
 def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:

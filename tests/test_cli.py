@@ -832,7 +832,9 @@ class TestMainEntry:
     @pytest.mark.parametrize("source, point", [
         ("n=1; u_t = u_xx/u_x", "u_1 = 0, u_11 = 0"),
         ("n=2; u_t = (u_11 + u_22)/u_1", "u_1 = 0, u_11 = 0, u_22 = 0"),
-    ], ids=["n1", "n2"])
+        # only the entry u_11/u_1 has a denominator that vanishes there
+        ("n=2; u_t = u_11/u_1 + u_22/(1 + u_2)", "u_1 = 0, u_2 = 0, u_11 = 0, u_22 = 0"),
+    ], ids=["n1", "n2", "n2-one-entry"])
     def test_exit_one_on_denominator_vanishing_at_reference_jet(
             self, tmp_path, capsys, command, source, point):
         f = tmp_path / "singular.pde"
@@ -845,6 +847,20 @@ class TestMainEntry:
         f.write_text(source + "; ref u_1 = 1")
         assert main([*command, str(f)]) == (1 if command == ["claws"] else 0)
         assert "reference jet" not in capsys.readouterr().err
+
+    def test_polynomial_symbol_of_a_rational_g(self, tmp_path, capsys):
+        # G's denominator u vanishes at the default jet, but the symbol
+        # sigma = xi_1^2 + xi_2^2 is a polynomial, so both classifications
+        # go through; claws refuses the rational G
+        f = tmp_path / "rational.pde"
+        f.write_text("n=2; u_t = u_11 + u_22 + 1/u")
+        for command in (["classify"], ["classify", "--symbolic"]):
+            assert main([*command, str(f)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["parabolicity"] == "strict"
+            assert report["ma"]["residue_vanishes"] is True
+        assert main(["claws", str(f)]) == 1
+        assert capsys.readouterr().err == "error: expression is not polynomial in {u}\n"
 
     def test_symbol_form_built_once_per_request(self, tmp_path, capsys, monkeypatch):
         from paraclaw import parabolic

@@ -19,7 +19,7 @@ from paraclaw.expr import (
     AUX, BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
     Symbol, ZERO, ONE, _add_terms, aux_var, base_var, divexact,
     jet_var, mono_decode, mono_encode, mono_sort_key, poly_gcd,
-    MAX_EXPONENT, TIME, ExponentOverflow, _add_product,
+    MAX_EXPONENT, TIME, ExponentOverflow, _add_product, format_poly,
 )
 from paraclaw.jets import _derivative_terms
 from util import linear_columns, mono_cmp, random_poly, tag, u, u11, u12, u22, ux, uxx, x
@@ -70,6 +70,29 @@ class TestDiff:
     def test_quotient_rule(self):
         assert (ux / u).diff(jet_var()) == -ux / u ** 2
 
+    def test_every_derivative_goes_through_one_quotient_rule(self, monkeypatch):
+        from paraclaw import expr, jets, parabolic
+        seen = []
+        real = expr._derived
+
+        def recording(e, derive):
+            seen.append(e)
+            return real(e, derive)
+
+        for module in (expr, jets, parabolic):
+            monkeypatch.setattr(module, "_derived", recording)
+        e = ux * uxx / (1 + u)
+        eq = parabolic.EvolutionEquation(1, e)
+        sigma = eq.symbol
+        for call, arg, want in (
+                (lambda: e.diff(jet_var()), e, -ux * uxx / (1 + u) ** 2),
+                (lambda: jets.total_derivative(e, 1), e, _derivative_by_hand(e)),
+                (lambda: parabolic.symbol_form(eq), eq.G, sigma),
+                (lambda: parabolic.quartic_form(eq), sigma, ZERO)):
+            seen.clear()
+            assert call() == want
+            assert len(seen) == 1 and seen[0] is arg
+
     def test_derivation_property_random(self):
         rng = random.Random(2)
         syms = [base_var(1), jet_var(), jet_var((1,))]
@@ -78,6 +101,12 @@ class TestDiff:
             e2 = random_poly(rng, syms)
             s = rng.choice(syms)
             assert (e1 * e2).diff(s) == e1.diff(s) * e2 + e1 * e2.diff(s)
+
+
+def _derivative_by_hand(e: Expr) -> Expr:
+    """D_1 e = de/dx1 + sum_J u_J1 de/du_J for e in x1, u, u_1 and u_11."""
+    return e.diff(base_var(1)) + ux * e.diff(jet_var()) + uxx * e.diff(jet_var((1,))) \
+        + Expr.symbol(jet_var((1, 1, 1))) * e.diff(jet_var((1, 1)))
 
 
 class TestSubstitute:
@@ -308,6 +337,18 @@ class TestOrdering:
     def test_deterministic_printing(self):
         e = u22 * u11 - u12 * u12 + 3
         assert str(e) == "u_11*u_22 - u_12^2 + 3"
+
+    def test_leading_term_follows_the_symbols_not_the_slots(self):
+        # x1 sorts before every auxiliary symbol, but a fresh one takes a
+        # later slot, so a larger packed int: an order read off the int
+        # would put it first
+        x1 = base_var(1)
+        w = aux_var(9001, "w_fresh_for_leading")
+        assert w.slot > x1.slot
+        p = Poly({x1.unit: 3, w.unit: 2})
+        assert p.leading() == (x1.unit, 3)
+        assert p.sorted_terms()[0] == (x1.unit, 3)
+        assert format_poly(p) == "3*x1 + 2*w_fresh_for_leading"
 
     def test_sort_key_matches_mono_cmp(self):
         """mono_sort_key sorts random monomials over all three symbol kinds,

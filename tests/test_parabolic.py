@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from paraclaw import parabolic
-from paraclaw.expr import Expr, ZERO, base_var, divexact, jet_var
+from paraclaw.expr import Expr, Poly, ZERO, base_var, divexact, jet_var
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
     ma_classify, ma_traceless_residue,
@@ -19,8 +19,8 @@ from util import (
     harmonic_split, jet, random_poly, rank, residue_decomposition,
     suite_parabolicity_equivalence,
     suite_quartic_equivalence,
-    suite_residue_equivalence, suite_split_equivalence, symbol_quadratic, u, u11, u12,
-    u22, ux, uxx, x,
+    suite_residue_equivalence, suite_split_equivalence, symbol_matrix, symbol_matrix_at,
+    symbol_quadratic, u, u11, u12, u22, ux, uxx, x,
 )
 
 
@@ -69,21 +69,30 @@ class TestEvolutionEquation:
 
 
 class TestSymbolForm:
+    # sigma = D_xi G against the matrix of util.symbol_matrix, built entry
+    # by entry from G.diff(u_ij)
+
     def test_heat(self):
-        sf = symbol_form(EvolutionEquation(1, uxx))
-        assert sf.g == ((Expr.const(1),),)
+        eq = EvolutionEquation(1, uxx)
+        assert symbol_matrix(eq) == [[Expr.const(1)]]
+        assert symbol_form(eq) == symbol_quadratic(symbol_matrix(eq)) == XI1 ** 2
+        assert eq.symbol_at_reference == ((1,),)
 
     def test_det_hessian_is_adjugate(self):
-        sf = symbol_form(det_hess_eq())
-        assert sf.g[0][0] == u22 and sf.g[1][1] == u11
-        assert sf.g[0][1] == sf.g[1][0] == -u12
-        ref = det_hess_eq().reference_jet
-        sigma_at_id = symbol_quadratic(sf.g).substitute(ref)
-        assert sigma_at_id == XI1 ** 2 + XI2 ** 2
+        eq = det_hess_eq()
+        g = symbol_matrix(eq)
+        assert g[0][0] == u22 and g[1][1] == u11
+        assert g[0][1] == g[1][0] == -u12
+        sigma = symbol_form(eq)
+        assert sigma == symbol_quadratic(g) == u22 * XI1 ** 2 - 2 * u12 * XI1 * XI2 + u11 * XI2 ** 2
+        assert sigma.substitute(eq.reference_jet) == XI1 ** 2 + XI2 ** 2
+        assert eq.symbol_at_reference == ((1, 0), (0, 1))
 
     def test_quasilinear_readoff(self):
-        sf = symbol_form(EvolutionEquation(1, u * uxx))
-        assert sf.g == ((u,),)
+        eq = EvolutionEquation(1, u * uxx, {jet_var(): 3})
+        assert symbol_matrix(eq) == [[u]]
+        assert symbol_form(eq) == symbol_quadratic(symbol_matrix(eq)) == u * XI1 ** 2
+        assert eq.symbol_at_reference == ((3,),)
 
     def test_sigma_matches_derivative_definition(self):
         rng = random.Random(23)
@@ -92,7 +101,8 @@ class TestSymbolForm:
         for _ in range(20):
             G = random_poly(rng, hess + [jet_var(), base_var(1)])
             eq = EvolutionEquation(2, G)
-            sigma = symbol_quadratic(symbol_form(eq).g)
+            sigma = symbol_form(eq)
+            assert sigma == symbol_quadratic(symbol_matrix(eq))
             expected = ZERO
             for (i, j), s in (((1, 1), hess[0]), ((1, 2), hess[1]), ((2, 2), hess[2])):
                 expected = expected + G.diff(s) \
@@ -175,21 +185,22 @@ class TestQuarticForm:
         assert suite_quartic_equivalence() == 75
 
     def test_reads_first_derivatives_off_the_symbol(self, monkeypatch):
-        # G is differentiated once per Hessian coordinate, by the symbol
+        # G's numerator is differentiated once per Hessian coordinate, by the
+        # symbol sigma = D_xi G, and q = D_xi sigma reads sigma, not G
         eq = EvolutionEquation(2, LAPLACIAN + u11 ** 2 + u12 * u22 + u12 ** 3)
         differentiated = []
-        real_diff = Expr.diff
+        real_diff = Poly.diff
 
         def recording_diff(self, s):
-            differentiated.append(self is eq.G)
+            differentiated.append(self is eq.G.num)
             return real_diff(self, s)
 
-        monkeypatch.setattr(Expr, "diff", recording_diff)
+        monkeypatch.setattr(Poly, "diff", recording_diff)
         q = quartic_form(eq)
         assert differentiated.count(True) == 3
         differentiated.clear()
         assert quartic_form(eq) == q
-        assert True not in differentiated
+        assert differentiated and True not in differentiated
 
 
 def minor_affine_oracle_2d(G: Expr) -> bool:
@@ -295,9 +306,7 @@ class TestTracelessResidue:
             q0, h, sigma = residue_decomposition(eq)
             q = quartic_form(eq).substitute(eq.reference_jet)
             assert (q - q0 - sigma * h).is_zero
-            sf = symbol_form(eq)
-            ref = eq.reference_jet
-            g = [[Expr.const(e.eval_fraction(ref)) for e in row] for row in sf.g]
+            g = [[Expr.const(v) for v in row] for row in symbol_matrix_at(eq)]
             ginv = _invert_matrix(g)
             assert _trace_with(ginv, q0, xi_symbols(2)).is_zero
 

@@ -49,7 +49,7 @@ from paraclaw.grammar import (
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
     _over, _scaled_split, ma_classify, parabolicity_check,
-    quartic_form, symbol_form, xi_symbols,
+    quartic_form, xi_symbols,
 )
 from corpus import CORPUS
 
@@ -597,7 +597,7 @@ def naive_quartic_form(eq: EvolutionEquation) -> Expr:
     bindings = {}
     for i in range(1, eq.n + 1):
         for j in range(i, eq.n + 1):
-            s = eq.hessian_entry(i, j)
+            s = jet_var((i, j))
             bindings[s] = Expr.symbol(s) + Expr.symbol(eps) \
                 * Expr.symbol(xi[i - 1]) * Expr.symbol(xi[j - 1])
     perturbed = eq.G.substitute(bindings)
@@ -617,10 +617,28 @@ def leibniz_det(m: list[list[Fraction]]) -> Fraction:
     return total
 
 
+def symbol_matrix(eq: EvolutionEquation) -> list[list[Expr]]:
+    """The symbol matrix of eq entry by entry, g^ii = dG/du_ii and
+    g^ij = g^ji = (1/2) dG/du_ij, apart from parabolic's sigma = D_xi G."""
+    n = eq.n
+    g = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            d = eq.G.diff(jet_var((i + 1, j + 1)))
+            g[i][j] = g[j][i] = d if i == j else d * Fraction(1, 2)
+    return g
+
+
+def symbol_matrix_at(eq: EvolutionEquation) -> list[list[Fraction]]:
+    """:func:`symbol_matrix` at the reference jet, entry by entry."""
+    return [[entry.eval_fraction(eq.reference_jet) for entry in row]
+            for row in symbol_matrix(eq)]
+
+
 def naive_parabolicity(eq: EvolutionEquation) -> Parabolicity:
     """Strict iff every leading principal minor of the reference symbol is
     positive (Sylvester); weak iff every principal minor is >= 0."""
-    g = symbol_form(eq).at_reference(eq.reference_jet)
+    g = symbol_matrix_at(eq)
     n = eq.n
     if all(leibniz_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1)):
         return Parabolicity.STRICT
@@ -668,13 +686,11 @@ def naive_residue_decomposition(eq: EvolutionEquation, symbolic: bool = False
     n = eq.n
     xi = xi_symbols(n)
     q = quartic_form(eq)
-    sf = symbol_form(eq)
     if symbolic:
-        g = [list(row) for row in sf.g]
+        g = symbol_matrix(eq)
     else:
-        ref = eq.reference_jet
-        g = [[Expr.const(entry.eval_fraction(ref)) for entry in row] for row in sf.g]
-        q = q.substitute(ref)
+        g = [[Expr.const(v) for v in row] for row in symbol_matrix_at(eq)]
+        q = q.substitute(eq.reference_jet)
     ginv = naive_invert_matrix(g)
     sigma = symbol_quadratic(g)
     pairs = [(k, l) for k in range(n) for l in range(k, n)]
@@ -750,14 +766,13 @@ def reference_harmonic_split(eq: EvolutionEquation, symbolic: bool = False
     n = eq.n
     xi = xi_symbols(n)
     q = quartic_form(eq)
-    sf = symbol_form(eq)
-    if not symbolic:
-        ref = eq.reference_jet
-        sf = type(sf)(n, tuple(tuple(Expr.const(entry.eval_fraction(ref))
-                                     for entry in row) for row in sf.g))
-        q = q.substitute(ref)
-    det, adj = reference_det_adjugate([list(row) for row in sf.g])
-    sigma = symbol_quadratic(sf.g)
+    if symbolic:
+        g = symbol_matrix(eq)
+    else:
+        g = [[Expr.const(v) for v in row] for row in symbol_matrix_at(eq)]
+        q = q.substitute(eq.reference_jet)
+    det, adj = reference_det_adjugate(g)
+    sigma = symbol_quadratic(g)
     Lq = _trace_with(adj, q, xi)
     P = (4 * n + 8) * det * Lq - sigma * _trace_with(adj, Lq, xi)
     D = (2 * n + 8) * (4 * n + 8) * det * det
