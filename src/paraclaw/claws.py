@@ -10,6 +10,10 @@ the system exactly; reconstruct fluxes by divergence inversion.  The
 ansatz is linear in its coefficients, so it is held as columns from start
 to finish: one ``int`` term dict per monomial for its density and one for
 its characteristic, and one determining-system column per kept monomial.
+``paraclaw claws`` runs the search only where the paper's corollary does
+not decide: on a strictly parabolic polynomial G whose Monge-Ampere
+verdict excludes every nontrivial law (:func:`excluding_verdict`), it
+reports no laws after the search's size check (:func:`check_ansatz_size`).
 
 Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
@@ -79,9 +83,10 @@ __all__ = [
     "InvariantViolation",
     "AnsatzSpec", "ConservationLaw", "DeterminingSystem",
     "generate_ansatz", "assemble_determining_system",
-    "solve_exact", "check_density_order",
+    "solve_exact", "check_ansatz_size", "check_density_order",
     "find_conservation_laws", "verify",
     "jacobi_potential_order", "reconstruct_flux", "cross_validate_ma",
+    "excluding_verdict",
 ]
 
 
@@ -174,17 +179,12 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     Monomials are products of a base monomial in {t, x^1..x^n} (joint total
     degree <= base_degree) and a jet monomial in the spatial jets of order
     <= max_jet_order (total degree <= jet_degree).  The monomials are
-    counted before any is built: there are C(n+r, r) jets of order <= r,
-    and C(k+d, d) monomials of degree <= d in k symbols.  E_u commutes with
-    multiplication by t, so E_u(t^b m) = t^b E_u(m): one raw Euler walk per
-    t-free monomial m gives the characteristics of all its t^b multiples,
+    counted before any is built (:func:`check_ansatz_size`).  E_u commutes
+    with multiplication by t, so E_u(t^b m) = t^b E_u(m): one raw Euler walk
+    per t-free monomial m gives the characteristics of all its t^b multiples,
     each key shifted by t^b; the walks are memoized for the process, and
     every returned dict is new."""
-    jet_count = comb(eq.n + spec.max_jet_order, spec.max_jet_order)
-    count = (comb(eq.n + 1 + spec.base_degree, spec.base_degree)
-             * comb(jet_count + spec.jet_degree, spec.jet_degree))
-    if count > MAX_TERMS:
-        raise AnsatzTooLarge(f"{count} monomials exceed MAX_TERMS = {MAX_TERMS}")
+    check_ansatz_size(eq.n, spec)
     base_syms = [base_var(a) for a in range(eq.n + 1)]
     jet_syms = spatial_jet_vars(eq.n, spec.max_jet_order)
     base_monos = bounded_monomials(base_syms, spec.base_degree)
@@ -196,6 +196,18 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
         Q = _prolonged_euler(m - b * TIME.unit)[()]
         characteristics.append(_times_t(Q, b) if b else dict(Q))
     return densities, characteristics
+
+
+def check_ansatz_size(n: int, spec: AnsatzSpec) -> None:
+    """Raise AnsatzTooLarge when the ansatz of these bounds in n space
+    dimensions has more than MAX_TERMS monomials, counted, not built: there
+    are C(n+r, r) jets of order <= r, and C(k+d, d) monomials of degree
+    <= d in k symbols."""
+    jet_count = comb(n + spec.max_jet_order, spec.max_jet_order)
+    count = (comb(n + 1 + spec.base_degree, spec.base_degree)
+             * comb(jet_count + spec.jet_degree, spec.jet_degree))
+    if count > MAX_TERMS:
+        raise AnsatzTooLarge(f"{count} monomials exceed MAX_TERMS = {MAX_TERMS}")
 
 
 @functools.lru_cache(maxsize=MAX_TERMS)
@@ -507,12 +519,26 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     return laws
 
 
+def excluding_verdict(n: int, report: MAReport) -> str | None:
+    """The name of the Monge-Ampere verdict of ``report`` that excludes
+    every nontrivial conservation law, or None when it excludes none.
+
+    The paper's corollary: only equations of Monge-Ampere type have a
+    nontrivial law, so a law forces n1_affine for n = 1 and a vanishing
+    traceless residue for n >= 2.  That verdict, when False, is named; when
+    True or undecided (None, a singular symbol), it excludes nothing."""
+    which = "n1_affine" if n == 1 else "residue_vanishes"
+    return which if getattr(report, which) is False else None
+
+
 def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw],
                       report: MAReport | None = None) -> None:
-    """Check the structural implication: a nontrivial conservation law forces
-    the Monge-Ampere verdict (n1_affine for n = 1, vanishing traceless
-    residue for n >= 2).  A violation is an implementation bug, raised as
-    InvariantViolation; an undecided verdict (singular symbol) passes.
+    """Check the structural implication of :func:`excluding_verdict` on
+    the laws of a search: a nontrivial law on an equation whose verdict
+    excludes every law is an implementation bug, raised as
+    InvariantViolation.  It guards what the search decides; ``cli``
+    answers a strictly parabolic polynomial G with an excluding verdict by
+    the corollary and does not search.
 
     ``report`` is the pointwise ``ma_classify(eq)``, computed here when not
     given."""
@@ -520,10 +546,7 @@ def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw],
         return
     if report is None:
         report = ma_classify(eq)
-    if eq.n == 1:
-        ok, which = report.n1_affine, "n1_affine"
-    else:
-        ok, which = report.residue_vanishes, "residue_vanishes"
-    if ok is False:
+    which = excluding_verdict(eq.n, report)
+    if which:
         raise InvariantViolation(f"MA cross-validation violated: {len(laws)} nontrivial "
                                  f"law(s) but {which} is false")

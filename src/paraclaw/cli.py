@@ -15,8 +15,8 @@ import time
 
 from .claws import (
     AnsatzSpec, ConservationLaw, InvariantViolation, NotParabolicEquation,
-    check_density_order, cross_validate_ma, find_conservation_laws,
-    jacobi_potential_order, verify,
+    check_ansatz_size, check_density_order, cross_validate_ma, excluding_verdict,
+    find_conservation_laws, jacobi_potential_order, verify,
 )
 from .expr import DivisionByZeroExpr
 from .grammar import ParseError, ProblemFile, expr_to_source, parse, parse_expression
@@ -89,7 +89,18 @@ def cmd_classify(pf: ProblemFile, symbolic: bool = False) -> dict:
 
 def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
               force: bool = False) -> dict:
+    """The claws report.  A strictly parabolic polynomial G whose reported
+    Monge-Ampere verdict (symbolic with ``symbolic``) excludes every
+    nontrivial law is answered by the paper's corollary: no laws, after
+    the search's size check and with no search.  The verdict is False on
+    an open set of strictly parabolic jets, where no nonzero polynomial
+    characteristic vanishes, so the search could only return none.  Any
+    other equation is searched, and its laws are cross-checked."""
     eq, report, ma = _classified(pf, symbolic, force)
+    if (report["parabolicity"] == Parabolicity.STRICT and eq.G.is_polynomial
+            and excluding_verdict(eq.n, ma)):
+        check_ansatz_size(eq.n, spec)
+        return report
     laws = find_conservation_laws(eq, spec, force=True)
     # the cross-check uses the pointwise verdict, so a --symbolic one is not reused
     cross_validate_ma(eq, laws, None if symbolic else ma)

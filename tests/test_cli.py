@@ -10,19 +10,26 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import paraclaw
+from paraclaw import cli
 from paraclaw.cli import cmd_claws, cmd_classify, cmd_dims, cmd_verify, main
 from paraclaw.grammar import (
     IndexOutOfRange, ParseError, TimeDerivativeOnRHS, expr_to_source, parse,
     parse_expression,
 )
-from paraclaw.claws import AnsatzSpec
+from paraclaw.claws import AnsatzSpec, find_conservation_laws
 from paraclaw.expr import Expr, base_var, jet_var, mono_encode
-from util import t, u, u11, u12, u22, ux, uxx, x
+from corpus import CORPUS
+from util import (
+    GOLDEN_PATH, claws_corpus_reports, corollary_decides, golden_ansatz_specs,
+    random_non_ma_problems, search_refused, searched_claws_output,
+    suite_corollary_routes_agree, t, u, u11, u12, u22, ux, uxx, x,
+)
 
 
 def run_paraclaw(args: list[str], timeout: float | None = None,
@@ -366,7 +373,8 @@ class TestExponentLimit:
 
     def test_search_product_past_the_field(self, tmp_path, capsys):
         # G holds u^(2^31 - 1); at jet degree 3 the assembly multiplies a
-        # u^(2^31 - 2) of l*_G by the u^2 of Q = E_u(u^3)
+        # u^(2^31 - 2) of l*_G by the u^2 of Q = E_u(u^3).  G is affine in
+        # u_xx, so the corollary does not decide it and it is searched
         f = tmp_path / "top.pde"
         f.write_text("n=1; u_t = u_xx + ((u^2048)^1024)^1023*(u^2047)^1024*u^1023; "
                      "jet_degree = 3")
@@ -375,6 +383,21 @@ class TestExponentLimit:
         assert main(["claws", str(f)]) == 1
         assert capsys.readouterr().err == \
             "error: a monomial exponent would pass 2147483647 = 2^31 - 1\n"
+
+
+    def test_corollary_answers_before_a_product_past_the_field(self, tmp_path, capsys):
+        # with u_xx^2 in G the search would overflow as above, but G is not
+        # affine in u_xx and strictly parabolic, so no law exists and none
+        # is searched for
+        f = tmp_path / "top.pde"
+        f.write_text("n=1; u_t = u_xx + u_xx^2 + ((u^2048)^1024)^1023*(u^2047)^1024*u^1023; "
+                     "jet_degree = 3")
+        assert main(["claws", str(f)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert (report["parabolicity"], report["ma"]["n1_affine"], report["laws"]) == \
+            ("strict", False, [])
 
 
 class TestLongLiterals:
@@ -437,7 +460,6 @@ class TestLongLiterals:
         # the 300-digit base is refused at the ^ from bit lengths, before the
         # power is built; 3^10000, (1/3)^10000 and 10^4300 pass that bound,
         # are built, and are then refused by the digit-limit rule
-        import time
         f = tmp_path / "power.pde"
         f.write_text(source)
         start = time.perf_counter()
@@ -457,7 +479,6 @@ class TestLongLiterals:
             "polynomial-power"])
     def test_product_past_the_limit(self, tmp_path, capsys, source, what, where):
         # each factor is under the limit; the product is refused at its operator
-        import time
         f = tmp_path / "product.pde"
         f.write_text(source)
         start = time.perf_counter()
@@ -513,7 +534,6 @@ class TestLongLiterals:
     ], ids=["sum", "difference", "sum-times-factor", "rational"])
     def test_sum_past_the_limit(self, tmp_path, capsys, source, where):
         # each term is at the limit; the sum is refused at its + or -
-        import time
         f = tmp_path / "sum.pde"
         f.write_text(source.format(self.NINES))
         start = time.perf_counter()
@@ -1100,6 +1120,86 @@ class TestMainEntry:
         assert any(law["characteristic"] == "x^2 - 2*t" for law in report["laws"])
 
 
+class TestCorollary:
+    """Only equations of Monge-Ampere type have a nontrivial conservation
+    law, so `claws` answers a strictly parabolic polynomial G whose reported
+    verdict (n1_affine for n = 1, residue_vanishes for n >= 2) is False with
+    no laws and no search; the search, the independent route, finds none
+    there either.  Every other equation is searched."""
+
+    def test_corpus_reports_match_the_search(self):
+        decided = [entry for entry in CORPUS if corollary_decides(entry.equation())]
+        assert [entry.name for entry in decided] == ["quadratic_diffusion",
+                                                     "anisotropic_quartic"]
+        for entry in decided:
+            for spec in golden_ansatz_specs():
+                assert find_conservation_laws(entry.equation(), spec) == [], entry.name
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        with search_refused():
+            got = claws_corpus_reports(entries=decided)
+        assert len(got) == 2 * len(golden_ansatz_specs())
+        for key, outcome in got.items():
+            assert outcome == golden[key], key
+
+    def test_random_reports_match_the_search(self):
+        assert suite_corollary_routes_agree(random_non_ma_problems()) == 48
+
+    def test_symbolic_verdict_decides_symbolic_requests(self, tmp_path, capsys, monkeypatch):
+        # the residue of u*u_11^2 vanishes at the reference jet u = 0 but
+        # not identically: the pointwise verdict leaves the search to
+        # decide, the symbolic one decides
+        source = "n=2; u_t = u_11 + u_22 + u*u_11^2"
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        calls = []
+        real = cli.find_conservation_laws
+        monkeypatch.setattr(cli, "find_conservation_laws",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        for flags, residue, searched in (([], True, 1), (["--symbolic"], False, 0)):
+            calls.clear()
+            assert main(["claws", str(f), *flags]) == 0
+            out = capsys.readouterr().out
+            assert out == searched_claws_output(parse(source), AnsatzSpec(), bool(flags))
+            report = json.loads(out)
+            assert report["laws"] == [] and report["ma"]["residue_vanishes"] is residue
+            assert len(calls) == searched, flags
+
+    @pytest.mark.parametrize("source, flags, laws", [
+        ("n=2; u_t = u_11 + u_22 + u_11^2; ref u_11 = -1/2", [], 0),
+        ("n=1; u_t = u_xx + u_xx^2; ref u_xx = -1/2", [], 0),
+        ("n=1; u_t = -u_xx - u_xx^2", ["--force"], 0),
+        ("n=2; u_t = u_11*u_22 - u_12^2", [], 1),
+        ("n=1; u_t = u_xx", [], 1),
+        ("n=2; u_t = (u_11 + u_22 + u_11^2)/(1+u^2)", ["--jet-degree", "0"], 0),
+    ], ids=["weak-singular", "weak-not-affine", "forced", "det-hessian", "heat",
+            "rational-empty-ansatz"])
+    def test_searched(self, tmp_path, capsys, monkeypatch, source, flags, laws):
+        # a weak, forced or singular symbol, a True or undecided verdict
+        # and a rational G leave the answer to the search
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        calls = []
+        real = cli.find_conservation_laws
+        monkeypatch.setattr(cli, "find_conservation_laws",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        assert main(["claws", str(f), *flags]) == 0
+        assert len(json.loads(capsys.readouterr().out)["laws"]) == laws
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("source, flags, stderr", [
+        ("n=2; u_t = (u_11 + u_22 + u_11^2)/(1+u^2)", [],
+         "error: expression is not polynomial in {u}\n"),
+        ("n=2; u_t = u_11 + u_22 + u_11^2", ["--jet-degree", "9", "--base-degree", "3"],
+         "error: 100100 monomials exceed MAX_TERMS = 20000\n"),
+    ], ids=["rational", "ansatz-too-large"])
+    def test_search_refusals_kept(self, tmp_path, capsys, source, flags, stderr):
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        assert main(["claws", str(f), *flags]) == 1
+        assert capsys.readouterr().err == stderr
+
+
 class TestBoundedWork:
     """Inputs that once ran for minutes end within seconds with their
     documented exit code: rational G in the Hessian (the quartic form is
@@ -1191,6 +1291,17 @@ class TestBoundedWork:
         assert report["verified"] is False
         assert hashlib.sha256(report["characteristic"].encode()).hexdigest() \
             == "917d41db3d3762fcb7cfdc250e180ea33533b033845f6c0932b255f8d4be064a"
+
+    def test_non_ma_claws_is_answered_without_a_search(self, tmp_path):
+        # the search at these bounds took 20 s and 750 MiB
+        f = tmp_path / "problem.pde"
+        f.write_text("n=2; u_t = u_11 + u_22 + u_11^2")
+        started = time.monotonic()
+        proc = run_paraclaw(["claws", str(f), "--order", "2", "--jet-degree", "6",
+                             "--base-degree", "3"], timeout=8)
+        assert time.monotonic() - started < 2
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["laws"] == []
 
     def test_oversized_ansatz_fails_before_enumerating(self, tmp_path):
         f = tmp_path / "problem.pde"

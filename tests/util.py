@@ -44,7 +44,8 @@ from paraclaw.jets import (
 )
 from paraclaw.expr import MAX_TERMS, Poly
 from paraclaw.grammar import (
-    MAX_NESTING, ParseError, _as_expr, _Parser, _too_long, parse, parse_expression,
+    MAX_NESTING, ParseError, ProblemFile, _as_expr, _Parser, _too_long, expr_to_source,
+    parse, parse_expression,
 )
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
@@ -2097,6 +2098,95 @@ def suite_cross_validation() -> int:
     return checked
 
 
+@contextlib.contextmanager
+def search_refused():
+    """Within the block, ``cli.find_conservation_laws`` raises
+    AssertionError, which ``cli.main`` does not catch."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("claws searched an equation the corollary decides")
+
+    real, cli.find_conservation_laws = cli.find_conservation_laws, refuse
+    try:
+        yield
+    finally:
+        cli.find_conservation_laws = real
+
+
+def searched_claws_output(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False) -> str:
+    """What ``paraclaw claws`` prints for a request that ends in a report when
+    it searches every equation: the classified report, the laws of
+    find_conservation_laws cross-checked against the pointwise verdict,
+    as JSON.  The search route that the corollary replaces."""
+    eq, report, ma = cli._classified(pf, symbolic, False)
+    laws = find_conservation_laws(eq, spec, force=True)
+    cross_validate_ma(eq, laws, None if symbolic else ma)
+    report["laws"] = [cli._law_section(law, eq.n) for law in laws]
+    return json.dumps(report, indent=2) + "\n"
+
+
+def corollary_decides(eq: EvolutionEquation, symbolic: bool = False) -> bool:
+    """A strictly parabolic polynomial G whose Monge-Ampere verdict excludes
+    every nontrivial law (naming the verdict as the README does)."""
+    ma = ma_classify(eq, symbolic)
+    verdict = ma.n1_affine if eq.n == 1 else ma.residue_vanishes
+    return (eq.G.is_polynomial and verdict is False
+            and parabolicity_check(eq) is Parabolicity.STRICT)
+
+
+def random_non_ma_problems(draws: int = 150, seed: int = 39) -> list[tuple[str, AnsatzSpec]]:
+    """Seeded random problem files u_t = sum_i a_i u_ii + P + R, with P a
+    random polynomial in the second-order jets (so most G are not affine in
+    them), R one in the base coordinates and jets of order <= 1, and random
+    rational reference values for some jets of G, for n = 1, 2, 3 in turn;
+    kept when the corollary decides them, each with bounds up to 2/3/2
+    (n = 1), 2/2/2 (n = 2) or 2/2/1 (n = 3)."""
+    rng = random.Random(seed)
+    kept = []
+    for k in range(draws):
+        n = k % 3 + 1
+        second = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
+        G = sum((rng.randint(1, 3) * Expr.symbol(s) for s in second
+                 if len(set(s.spatial)) == 1), ZERO)
+        G = G + random_poly(rng, second, terms=2) \
+            + random_poly(rng, random_spatial_symbols(n, 1), terms=2, max_exp=1)
+        jets = sorted(s for s in G.symbols() if s.kind == JET)
+        refs = "".join(f"; ref {expr_to_source(Expr.symbol(s), n)} = "
+                       f"{Fraction(rng.randint(-2, 2), rng.randint(1, 3))}"
+                       for s in rng.sample(jets, rng.randint(0, len(jets))))
+        source = f"n={n}; u_t = {expr_to_source(G, n)}{refs}"
+        if not corollary_decides(parse(source).equation()):
+            continue
+        spec = AnsatzSpec(2, rng.randint(1, 3 if n == 1 else 2),
+                          rng.randint(0, 2 if n < 3 else 1))
+        kept.append((source, spec))
+    return kept
+
+
+def suite_corollary_routes_agree(problems: list[tuple[str, AnsatzSpec]]) -> int:
+    """On each (problem source, bounds) the corollary decides, the search
+    finds no law, and ``paraclaw claws`` with the search refused prints the
+    report of :func:`searched_claws_output`, with exit 0 and no stderr.
+    Returns the number of problems."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.pde")
+        for source, spec in problems:
+            pf = parse(source)
+            assert corollary_decides(pf.equation()), source
+            assert find_conservation_laws(pf.equation(), spec) == [], source
+            want = searched_claws_output(pf, spec)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(source)
+            argv = ["claws", path, "--order", str(spec.max_jet_order),
+                    "--jet-degree", str(spec.jet_degree),
+                    "--base-degree", str(spec.base_degree)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with search_refused(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (0, want, ""), source
+    return len(problems)
+
+
 # ---------------------------------------------------------------------------
 # Problem-file parsing: the reference route.  The expression half of the
 # grammar with an Expr for every atom and full Expr arithmetic at every
@@ -2729,19 +2819,20 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "claws_corpus.js
 GOLDEN_SPECS = (None, (2, 2, 1), (2, 3, 1), (2, 2, 2))
 
 
-def claws_corpus_reports(spec_major: bool = False) -> dict[str, dict]:
-    """`paraclaw claws` on every corpus entry under every golden spec, keyed
+def claws_corpus_reports(spec_major: bool = False, entries=CORPUS) -> dict[str, dict]:
+    """`paraclaw claws` on every corpus entry (or every one of ``entries``)
+    under every golden spec, keyed
     "<entry> <order>/<jet degree>/<base degree>" ("default" for no flags):
     exit code, stdout (the JSON report) and stderr.  The requests run
     entry by entry, or spec by spec with ``spec_major``, in one process."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for entry in CORPUS:
+        for entry in entries:
             paths[entry.name] = os.path.join(tmp, f"{entry.name}.pde")
             with open(paths[entry.name], "w", encoding="utf-8") as fh:
                 fh.write(entry.source)
-        requests = [(entry, spec) for entry in CORPUS for spec in GOLDEN_SPECS]
+        requests = [(entry, spec) for entry in entries for spec in GOLDEN_SPECS]
         if spec_major:
             requests.sort(key=lambda request: GOLDEN_SPECS.index(request[1]))
         for entry, spec in requests:
