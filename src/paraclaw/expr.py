@@ -689,6 +689,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _monic(q)
     if q.is_zero:
         return _monic(p)
+    if len(p.terms) == 1 or len(q.terms) == 1:  # a term shares only a monomial
+        return Poly({mono_gcd(_mono_content(p), _mono_content(q)): _F1})
     mp, mq = _mono_content(p), _mono_content(q)
     common = mono_gcd(mp, mq)
     p1 = Poly({m - mp: c for m, c in p.terms.items()}) if mp else p
@@ -697,6 +699,16 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if common:
         g = g.mono_shift(common)
     return _monic(g)
+
+
+def _cancelled(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """p and q divided by their gcd, for a nonzero q; no gcd is taken when
+    q is 1."""
+    if q.terms != _ONE_POLY.terms:
+        g = poly_gcd(p, q)
+        if g.terms != _ONE_POLY.terms:
+            return divexact(p, g), divexact(q, g)
+    return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -728,14 +740,15 @@ class Expr:
             raise DivisionByZeroExpr("denominator is identically zero")
         if num.is_zero:
             return ZERO
+        return Expr._canonical(*_cancelled(num, den))
+
+    @staticmethod
+    def _canonical(num: Poly, den: Poly) -> "Expr":
+        """num / den for coprime parts, scaled to a monic denominator."""
         if den.terms != _ONE_POLY.terms:
-            g = poly_gcd(num, den)
-            if g.terms != _ONE_POLY.terms:
-                num, den = divexact(num, g), divexact(den, g)
-            if den.terms != _ONE_POLY.terms:
-                _, lc = den.leading()
-                if lc != 1:
-                    num, den = num.scale(_F1 / lc), den.scale(_F1 / lc)
+            _, lc = den.leading()
+            if lc != 1:
+                num, den = num.scale(_F1 / lc), den.scale(_F1 / lc)
         return Expr(num, den, _raw=True)
 
     @staticmethod
@@ -808,7 +821,13 @@ class Expr:
             return NotImplemented
         if self.is_polynomial and other.is_polynomial:
             return Expr._make(self.num * other.num, _ONE_POLY)
-        return Expr._make(self.num * other.num, self.den * other.den)
+        if self.is_zero or other.is_zero:
+            return ZERO
+        # (a/b)(c/d) with coprime parts: gcd(a c, b d) = gcd(a, d) gcd(c, b),
+        # two smaller gcds, and none against a denominator 1
+        a, d = _cancelled(self.num, other.den)
+        c, b = _cancelled(other.num, self.den)
+        return Expr._canonical(a * c, b * d)
 
     __rmul__ = __mul__
 

@@ -4,9 +4,8 @@ Input grammar (whitespace insignificant)::
 
     file     := "n" "=" INT ";" "u_t" "=" expr (";" option)*
     expr     := term (("+"|"-") term)*
-    term     := unary (("*"|"/") unary)*
-    unary    := ["-"] factor
-    factor   := atom ["^" INT]
+    term     := operand (("*"|"/") operand)*
+    operand  := ["-"] atom ["^" INT]
     atom     := RATIONAL | ident | "(" expr ")"
     ident    := "t" | "x" | "x"DIGIT | "u" | "u_" indices
     indices  := DIGIT+ | "x"+          # u_12 for n>=2; u_x, u_xx aliases for n=1
@@ -45,6 +44,11 @@ A polynomial is read straight into raw terms, and an integral coefficient
 is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
 ``int`` coefficients.  Term dicts multiply as raw terms, one operator at a
 time; Expr arithmetic runs only from a division by a non-constant on.
+
+A valid input pays only for building its value: a token keeps its offset,
+and a ParseError finds its line and column from it only when raised; a
+name is resolved once per (name, n) per process, by one memo bounded by
+expr.MAX_TERMS, which keeps no illegal name.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .expr import (
     BASE, JET, MAX_EXPONENT, MAX_TERMS, ExponentOverflow, Expr, Poly, Symbol, _add_product,
-    _add_terms, _fields, base_var, format_expr, jet_var,
+    _add_terms, _fields, _shifted, base_var, format_expr, jet_var,
 )
 from .parabolic import EvolutionEquation
 
@@ -71,7 +76,7 @@ MAX_NESTING = 100
 class ParseError(ValueError):
     def __init__(self, message: str, line: int = 0, col: int = 0,
                  expected: tuple[str, ...] = ()):
-        self.line, self.col, self.expected = line, col, expected
+        self.message, self.line, self.col, self.expected = message, line, col, expected
         where = f" at {line}:{col}" if line else ""
         hint = f" (expected {', '.join(expected)})" if expected else ""
         super().__init__(f"{message}{where}{hint}")
@@ -89,31 +94,63 @@ class TimeDerivativeOnRHS(ParseError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-# \s matches exactly the characters for which str.isspace() is true.
-_TOKEN = re.compile(r"(\s+)|([0-9]+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()=;])|(.)",
-                    re.DOTALL)
-_KINDS = (None, None, "num", "name", None)
+# One match is the whitespace (\s: exactly the str.isspace() characters) and
+# the token: an operator, a name, a number, or another character, refused.
+_TOKEN = re.compile(r"\s*(?:([-+*/^()=;])|([A-Za-z][A-Za-z0-9_]*)|([0-9]+)|(\S))")
+_KINDS = (None, None, "name", "num")
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
-    """The tokens as (kind, text, line, column) tuples.  The kind is "num",
-    "name", "end", or the operator character itself."""
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """The line and column of an offset into the source ("\\n" breaks lines)."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens, the last one "end" at the end of the
+    source; the kind is "num", "name", "end" or the operator character."""
     tokens = []
-    line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
-        group, text = match.lastindex, match.group()
-        if group == 1:
-            newline = text.rfind("\n")
-            if newline >= 0:
-                line += text.count("\n")
-                line_start = match.start() + newline + 1
-            continue
-        col = match.start() - line_start + 1
-        if group == 5:
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        tokens.append((_KINDS[group] or text, text, line, col))
-    tokens.append(("end", "", line, len(source) - line_start + 1))
+        group = match.lastindex
+        text, offset = match[group], match.start(group)
+        if group == 4:
+            raise ParseError(f"unexpected character {text!r}", *_position(source, offset))
+        tokens.append((text if group == 1 else _KINDS[group], text, offset))
+    tokens.append(("end", "", len(source)))
     return tokens
+
+
+@lru_cache(maxsize=MAX_TERMS)
+def _symbol(text: str, n: int | None) -> Symbol:
+    """The symbol that a name denotes in dimension n, resolved once per
+    (text, n) per process.  An illegal name raises a ParseError with no
+    position, which is not cached; the parser raises it again at the name."""
+    if text == "t":
+        return base_var(0)
+    if text == "x":
+        if n != 1:
+            raise ParseError("'x' alone is legal only when n = 1")
+        return base_var(1)
+    if text.startswith("x") and len(text) == 2 and text[1].isdigit():
+        idx = int(text[1])
+        if not 1 <= idx <= n:
+            raise IndexOutOfRange(f"spatial index {idx} out of range 1..{n}")
+        return base_var(idx)
+    if text == "u":
+        return jet_var()
+    if text.startswith("u_"):
+        suffix = text[2:]
+        if "t" in suffix:
+            raise TimeDerivativeOnRHS(f"time derivative {text!r} is not allowed here")
+        if suffix and all(c == "x" for c in suffix):
+            if n != 1:
+                raise ParseError("u_x... aliases are legal only when n = 1")
+            return jet_var((1,) * len(suffix))
+        if suffix.isdigit():
+            for i in map(int, suffix):
+                if not 1 <= i <= n:
+                    raise IndexOutOfRange(f"spatial index {i} out of range 1..{n}")
+            return jet_var(map(int, suffix))
+    raise ParseError(f"unknown identifier {text!r}", expected=("t", "x", "u", "u_<indices>"))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +166,8 @@ def _too_long(value) -> bool:
     dict or an Expr -- is at least 10^limit, for the digit limit
     sys.get_int_max_str_digits() (0 is no limit), so Python would refuse
     to print it.  A coefficient of at most 3 * limit bits is short, since
-    2^(3 limit) <= 10^limit, so 10^limit is built only for a longer one."""
+    2^(3 limit) <= 10^limit, so 10^limit is built only when one pass finds
+    a longer one."""
     limit = sys.get_int_max_str_digits()
     if not limit:
         return False
@@ -140,12 +178,16 @@ def _too_long(value) -> bool:
     else:
         coefficients = (value,)
     cap = 3 * limit
-    long = [c for c in coefficients
-            if c.numerator.bit_length() > cap or c.denominator.bit_length() > cap]
-    if not long:
+    for c in coefficients:
+        if type(c) is int:
+            if c.bit_length() > cap:
+                break
+        elif c.numerator.bit_length() > cap or c.denominator.bit_length() > cap:
+            break
+    else:
         return False
     bound = 10 ** limit
-    return any(abs(c.numerator) >= bound or c.denominator >= bound for c in long)
+    return any(abs(c.numerator) >= bound or c.denominator >= bound for c in coefficients)
 
 
 def _power_too_long(c, k: int) -> bool:
@@ -176,25 +218,20 @@ def _sizes(value: dict | Expr) -> tuple[int, int]:
 
 class _Parser:
     def __init__(self, source: str, n: int | None = None):
-        self.tokens = _tokenize(source)
-        self.pos = 0
+        self.source, self.tokens = source, _tokenize(source)
+        self.pos = self.depth = 0
         self.n = n
-        self.depth = 0
         self.work = 0  # term-pair products so far, bounded by MAX_TERMS
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, message: str, tok: tuple, expected: tuple[str, ...] = (),
+             error: type = ParseError):
+        """Raise the error at the token's line:col, found from its offset only here."""
+        raise error(message, *_position(self.source, tok[2]), expected) from None
 
     def expect(self, kind: str, text: str | None = None) -> tuple:
         tok = self.tokens[self.pos]
         if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind.upper()
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3], (want,))
+            self.fail(f"unexpected {tok[1]!r}", tok, (text if text is not None else kind.upper(),))
         self.pos += 1
         return tok
 
@@ -202,10 +239,13 @@ class _Parser:
         try:
             return int(tok[1])
         except ValueError:  # past sys.get_int_max_str_digits
-            raise ParseError(f"number literal longer than {sys.get_int_max_str_digits()} "
-                             "digits", tok[2], tok[3]) from None
+            self.fail(f"number literal longer than {sys.get_int_max_str_digits()} digits", tok)
 
-    # -- grammar ------------------------------------------------------------
+    def symbol_from_name(self, tok: tuple) -> Symbol:
+        try:
+            return _symbol(tok[1], self.n)
+        except ParseError as exc:
+            self.fail(exc.message, tok, exc.expected, type(exc))
 
     def parse_file(self) -> "ProblemFile":
         self.expect("name", "n")
@@ -213,18 +253,17 @@ class _Parser:
         ntok = self.expect("num")
         n = self.number(ntok)
         if not 1 <= n <= 9:
-            raise ParseError("n must be between 1 and 9", ntok[2], ntok[3])
+            self.fail("n must be between 1 and 9", ntok)
         self.n = n
         self.expect(";")
         lhs = self.expect("name")
         if lhs[1] != "u_t":
-            raise ParseError(f"unexpected {lhs[1]!r}", lhs[2], lhs[3], ("u_t",))
+            self.fail(f"unexpected {lhs[1]!r}", lhs, ("u_t",))
         self.expect("=")
         G = _as_expr(self.parse_expr())
-        ref: dict[Symbol, Fraction] = {}
-        options: dict[str, int] = {}
-        while self.peek()[0] == ";":
-            self.advance()
+        ref, options = {}, {}  # {Symbol: Fraction}, {str: int}
+        while self.tokens[self.pos][0] == ";":
+            self.pos += 1
             self.parse_option(ref, options)
         self.expect("end")
         return ProblemFile(n=n, G=G, reference_jet=ref,
@@ -238,39 +277,37 @@ class _Parser:
             ident = self.expect("name")
             sym = self.symbol_from_name(ident)
             if sym in ref:
-                raise ParseError(f"repeated clause 'ref {ident[1]}'", tok[2], tok[3])
+                self.fail(f"repeated clause 'ref {ident[1]}'", tok)
             self.expect("=")
             ref[sym] = self.parse_rational()
         elif tok[1] in ("jet_degree", "base_degree", "order"):
             if tok[1] in options:
-                raise ParseError(f"repeated clause {tok[1]!r}", tok[2], tok[3])
+                self.fail(f"repeated clause {tok[1]!r}", tok)
             self.expect("=")
-            val = self.expect("num")
-            options[tok[1]] = self.number(val)
+            options[tok[1]] = self.number(self.expect("num"))
         else:
-            raise ParseError(f"unknown option {tok[1]!r}", tok[2], tok[3],
-                             ("ref", "jet_degree", "base_degree", "order"))
+            self.fail(f"unknown option {tok[1]!r}", tok,
+                      ("ref", "jet_degree", "base_degree", "order"))
 
     def parse_rational(self) -> Fraction:
         sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
             sign = -1
         p = self.number(self.expect("num"))
-        if self.peek()[0] == "/":
-            self.advance()
-            qtok = self.expect("num")
-            q = self.number(qtok)
-            if q == 0:
-                raise ParseError("zero denominator", qtok[2], qtok[3])
-            return Fraction(sign * p, q)
-        return Fraction(sign * p)
+        if self.tokens[self.pos][0] != "/":
+            return Fraction(sign * p)
+        self.pos += 1
+        qtok = self.expect("num")
+        q = self.number(qtok)
+        if q == 0:
+            self.fail("zero denominator", qtok)
+        return Fraction(sign * p, q)
 
     def parse_expr(self) -> dict | Expr:
         """A sum; polynomial terms are added into the first one in place.
-        Each "+" and "-" is checked by the digit-limit rule once built; on
-        terms only the keys it added into, since a new key keeps the right-
-        hand term's checked coefficient, so a long sum stays linear."""
+        The digit-limit rule checks each "+" and "-" once built, on terms
+        only the keys added into (a new key keeps a checked coefficient)."""
         acc = self.parse_term()
         tokens = self.tokens
         while (op := tokens[self.pos])[0] == "+" or op[0] == "-":
@@ -293,72 +330,99 @@ class _Parser:
 
     def parse_term(self) -> dict | Expr:
         """A product, built at each "*" and "/" in turn: a one-term constant
-        factor or divisor scales the coefficients, two term dicts multiply
-        as raw terms, and any other pair multiplies or divides as Expr.
-        Each operator is charged the term pairs of its Poly products before
-        it runs, and its built result is checked by the digit-limit rule."""
-        acc = self.parse_unary()
+        factor or divisor scales the coefficients, a monomial factor (with
+        the int 1) shifts their keys, two term dicts multiply as raw terms,
+        and any other pair multiplies or divides as Expr.  Each operator is
+        charged the term pairs of its Poly products before it runs, and the
+        digit-limit rule checks what it built, but for a shift's unchanged
+        coefficients."""
+        acc = self.parse_operand()
         tokens = self.tokens
         while (op := tokens[self.pos])[0] == "*" or op[0] == "/":
             self.pos += 1
-            f = self.parse_unary()
+            f = self.parse_operand()
+            times = op[0] == "*"
             acc_num, acc_den = _sizes(acc)
             f_num, f_den = _sizes(f)
-            if op[0] == "*":
+            if times:
                 self.charge(op, acc_num * f_num + acc_den * f_den)
             elif f_num:
                 self.charge(op, acc_num * f_den + acc_den * f_num)
             else:
-                raise ParseError("division by zero", op[2], op[3])
-            if f_num == 1 and type(f) is dict and 0 in f:
-                # c * q keeps an Expr's parts coprime and its denominator monic
-                q = f[0] if op[0] == "*" else Fraction(1, f[0])
-                acc = {m: c * q for m, c in acc.items()} if type(acc) is dict \
-                    else Expr(acc.num.scale(q), acc.den, _raw=True)
-            else:
-                try:
-                    if op[0] == "/":
-                        acc = _as_expr(acc) / _as_expr(f)
-                    elif type(acc) is dict and type(f) is dict:
-                        product = {}
-                        _add_product(product, acc, f)
-                        acc = product
+                self.fail("division by zero", op)
+            m, q = next(iter(f.items())) if f_num == 1 and type(f) is dict else (None, None)
+            try:
+                if m == 0:  # c * q keeps an Expr's parts coprime and its denominator monic
+                    if type(acc) is not dict:
+                        acc = Expr(acc.num.scale(q if times else Fraction(1, q)), acc.den,
+                                   _raw=True)
                     else:
-                        acc = _as_expr(acc) * _as_expr(f)
-                except ExponentOverflow:
-                    self.exponent_too_large("product" if op[0] == "*" else "quotient", op)
+                        acc = {k: c * q if times else Fraction(c, q) for k, c in acc.items()}
+                elif times and type(acc) is dict and type(f) is dict:
+                    if type(q) is int and q == 1:
+                        acc = _shifted(acc, m)
+                        continue
+                    product = {}
+                    _add_product(product, acc, f)
+                    acc = product
+                else:
+                    acc = _as_expr(acc) * _as_expr(f) if times else _as_expr(acc) / _as_expr(f)
+            except ExponentOverflow:
+                self.exponent_too_large("product" if times else "quotient", op)
             if _too_long(acc):
-                self.too_long("product" if op[0] == "*" else "quotient", op)
+                self.too_long("product" if times else "quotient", op)
         return acc
 
     def charge(self, op: tuple, pairs: int) -> None:
-        """Add the term pairs of the polynomial products about to run to the
-        parse's running count; past MAX_TERMS the input is a ParseError."""
+        """Count the term pairs of the Poly products about to run, up to MAX_TERMS."""
         self.work += pairs
         if self.work > MAX_TERMS:
-            raise ParseError(f"expression expands past MAX_TERMS = {MAX_TERMS} "
-                             "term products", op[2], op[3])
+            self.fail(f"expression expands past MAX_TERMS = {MAX_TERMS} term products", op)
 
     def too_long(self, what: str, op: tuple) -> None:
-        raise ParseError(f"{what} has a coefficient longer than "
-                         f"{sys.get_int_max_str_digits()} digits", op[2], op[3])
+        self.fail(f"{what} has a coefficient longer than "
+                  f"{sys.get_int_max_str_digits()} digits", op)
 
     def exponent_too_large(self, what: str, op: tuple) -> None:
-        raise ParseError(f"{what} has an exponent past {MAX_EXPONENT} = 2^31 - 1",
-                         op[2], op[3]) from None
+        self.fail(f"{what} has an exponent past {MAX_EXPONENT} = 2^31 - 1", op)
 
-    def parse_unary(self) -> dict | Expr:
-        if self.tokens[self.pos][0] == "-":
+    def parse_operand(self) -> dict | Expr:
+        """["-"] atom ["^" INT], in one routine: the atom is a number, a name
+        or a sum in parentheses, and its power is taken before the sign."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        negative = tok[0] == "-"
+        if negative:
             self.pos += 1
-            f = self.parse_factor()
-            return {m: -c for m, c in f.items()} if type(f) is dict else -f
-        return self.parse_factor()
+            tok = tokens[self.pos]
+        kind = tok[0]
+        if kind == "name":
+            self.pos += 1
+            value = {self.symbol_from_name(tok).unit: 1}
+        elif kind == "num":
+            self.pos += 1
+            c = self.number(tok)
+            value = {0: c} if c else {}
+        elif kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", tok)
+            self.pos += 1
+            self.depth += 1
+            value = self.parse_expr()
+            self.depth -= 1
+            self.expect(")")
+        else:
+            self.fail(f"unexpected {tok[1] or 'end of input'!r}", tok,
+                      ("RATIONAL", "ident", "("))
+        if tokens[self.pos][0] == "^":
+            value = self.power(value)
+        if negative:
+            return {m: -c for m, c in value.items()} if type(value) is dict else -value
+        return value
 
-    def parse_factor(self) -> dict | Expr:
-        atom = self.parse_atom()
+    def power(self, atom: dict | Expr) -> dict | Expr:
+        """The atom to the power INT, read from the "^" on."""
         op = self.tokens[self.pos]
-        if op[0] != "^":
-            return atom
         self.pos += 1
         k = self.number(self.expect("num"))
         if not k:
@@ -397,66 +461,6 @@ class _Parser:
                 self.too_long("power", op)
         # coprime parts stay coprime under powers, so no re-reduction
         return p.terms if den is None else Expr(p, q, _raw=True)
-
-    def parse_atom(self) -> dict | Expr:
-        tok = self.tokens[self.pos]
-        kind = tok[0]
-        if kind == "num":
-            self.pos += 1
-            c = self.number(tok)
-            return {0: c} if c else {}
-        if kind == "name":
-            self.pos += 1
-            return {self.symbol_from_name(tok).unit: 1}
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 tok[2], tok[3])
-            self.pos += 1
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        raise ParseError(f"unexpected {tok[1] or 'end of input'!r}",
-                         tok[2], tok[3], ("RATIONAL", "ident", "("))
-
-    def symbol_from_name(self, tok: tuple) -> Symbol:
-        n = self.n
-        _, text, line, col = tok
-        if text == "t":
-            return base_var(0)
-        if text == "x":
-            if n != 1:
-                raise ParseError("'x' alone is legal only when n = 1", line, col)
-            return base_var(1)
-        if text.startswith("x") and len(text) == 2 and text[1].isdigit():
-            idx = int(text[1])
-            if not 1 <= idx <= n:
-                raise IndexOutOfRange(f"spatial index {idx} out of range 1..{n}",
-                                      line, col)
-            return base_var(idx)
-        if text == "u":
-            return jet_var()
-        if text.startswith("u_"):
-            suffix = text[2:]
-            if "t" in suffix:
-                raise TimeDerivativeOnRHS(
-                    f"time derivative {text!r} is not allowed here", line, col)
-            if suffix and all(c == "x" for c in suffix):
-                if n != 1:
-                    raise ParseError("u_x... aliases are legal only when n = 1",
-                                     line, col)
-                return jet_var((1,) * len(suffix))
-            if suffix.isdigit():
-                indices = tuple(int(c) for c in suffix)
-                bad = [i for i in indices if not 1 <= i <= n]
-                if bad:
-                    raise IndexOutOfRange(
-                        f"spatial index {bad[0]} out of range 1..{n}", line, col)
-                return jet_var(indices)
-        raise ParseError(f"unknown identifier {text!r}", line, col,
-                         ("t", "x", "u", "u_<indices>"))
 
 
 @dataclass
@@ -497,17 +501,13 @@ def parse_expression(source: str, n: int) -> Expr:
 def _source_name(n: int):
     def name(s: Symbol) -> str:
         if s.kind == BASE:
-            if s.index == 0:
-                return "t"
-            return "x" if n == 1 else f"x{s.index}"
+            return "t" if s.index == 0 else "x" if n == 1 else f"x{s.index}"
         if s.kind == JET:
             if s.time_power:
                 raise ValueError(f"cannot print time jet {s} in the file grammar")
             if s.order == 0:
                 return "u"
-            if n == 1:
-                return "u_" + "x" * len(s.spatial)
-            return "u_" + "".join(map(str, s.spatial))
+            return "u_" + ("x" * len(s.spatial) if n == 1 else "".join(map(str, s.spatial)))
         raise ValueError(f"cannot print {s.kind} symbol {s} in the file grammar")
     return name
 

@@ -202,6 +202,76 @@ class TestParseEquivalence:
             "near_limit": 100, "past_limit": 66}
 
 
+class TestLazyPositions:
+    """The lexer keeps each token's offset, and a ParseError finds its line
+    and column from it only when raised: each position equals the one the
+    character-loop lexer of tests/util.py counts."""
+
+    @pytest.mark.parametrize("source, line, col", [
+        ("n=1;\r\nu_t = u_xx\r\n  + u $ 2", 3, 7),
+        ("n=1; u_t = u_xx +\n", 2, 1),
+        ("n=2; u_t = u_11 +\t\u3000u_13", 1, 20),
+        ("n=1; u_t = u_xx; ref u = 1\n; ref u = 2", 2, 3),
+        ("n=1; u_t = u_xx\n  + {digits}*u", 2, 5),
+    ], ids=["character-after-crlf", "end-after-newline", "name-after-tab-and-u3000",
+            "repeated-ref-on-line-2", "long-literal-on-line-2"])
+    def test_position_matches_reference(self, source, line, col):
+        from paraclaw.grammar import _Parser
+        from util import ReferenceParser, _parse_outcome
+        source = source.format(digits="9" * (sys.get_int_max_str_digits() + 1))
+        got = _parse_outcome(_Parser, source, None)
+        assert got == _parse_outcome(ReferenceParser, source, None)
+        assert got[2:] == (line, col) and f" at {line}:{col}" in got[1]
+
+
+class TestParseWork:
+    """Counts, not timings: what a parse does besides building its value."""
+
+    def test_each_name_resolves_once(self, monkeypatch):
+        from paraclaw import grammar
+        resolved = []
+        for name in ("base_var", "jet_var"):
+            real = getattr(grammar, name)
+            monkeypatch.setattr(grammar, name,
+                                lambda *args, real=real: resolved.append(args) or real(*args))
+        grammar._symbol.cache_clear()
+        text = "n=2; u_t = u_11 + u_22 + x1*u_1*u_11 - t*u_1^2 + u_11*u_22; ref u_1 = 1/2"
+        assert parse(text) == parse(text)
+        # u_11, u_22, x1, u_1 and t, read 20 times in the two parses
+        assert len(resolved) == grammar._symbol.cache_info().misses == 5
+        for _ in range(2):  # an illegal name is refused at its token each time, and not kept
+            with pytest.raises(IndexOutOfRange, match="out of range 1..2 at 1:19$"):
+                parse("n=2; u_t = u_11 + u_13")
+        assert grammar._symbol.cache_info().currsize == 5
+
+    def test_valid_parses_find_no_position(self, monkeypatch):
+        import importlib.util
+        from paraclaw import grammar
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "problems.py")
+        spec = importlib.util.spec_from_file_location("perfbench_problems", path)
+        problems = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(problems)
+
+        def refuse(source, offset):
+            raise AssertionError("a valid input read a position")
+
+        monkeypatch.setattr(grammar, "_position", refuse)
+        files = expressions = 0
+        for workload in problems.WORKLOADS:
+            for pass_index in range(3):
+                for req in problems.generate(workload, 1, pass_index):
+                    pf = parse(req["source"] + "\n")
+                    files += 1
+                    for arg in req["args"]:
+                        if arg.startswith(("--density=", "--flux=")):
+                            parse_expression(arg.split("=", 1)[1], pf.n)
+                            expressions += 1
+        assert (files, expressions) == (330, 473)
+        with pytest.raises(AssertionError, match="read a position"):
+            parse("n=1; u_t = u_xx +")
+
+
 class TestArguments:
     """cli's own argument reader: argparse's syntax and usage errors, with
     the reference parser of tests/util.py as the oracle."""

@@ -225,6 +225,49 @@ class TestAlgebraProperties:
             monic_r = r.num.scale(1 / r.num.leading()[1])
             divexact(g, monic_r)  # raises if r does not divide the gcd
 
+    def test_gcd_with_one_term_is_the_common_monomial(self):
+        rng = random.Random(12)
+        syms = [base_var(1), jet_var(), jet_var((1,))]
+        for _ in range(60):
+            p = random_poly(rng, syms, terms=4).num
+            t = random_poly(rng, syms, terms=1, max_exp=3).num
+            # each symbol to the least exponent it has in any term of either
+            least = [(s, min(dict(mono_decode(m)).get(s, 0) for m in (*p.terms, *t.terms)))
+                     for s in syms]
+            want = Poly({mono_encode([(s, e) for s, e in least if e]): Fraction(1)})
+            assert poly_gcd(t, p) == want and poly_gcd(p, t) == want
+
+    def test_product_cancels_crosswise(self, monkeypatch):
+        # (a/b)(c/d) takes gcd(a, d) and gcd(c, b), not gcd(a c, b d); the
+        # canonical form is unique, so it is _make's, coefficient types too
+        from paraclaw import expr
+        rng = random.Random(11)
+        syms = [base_var(1), jet_var(), jet_var((1,))]
+        for _ in range(60):
+            p, q, r, s = (random_poly(rng, syms, terms=3) for _ in range(4))
+            for e1, e2 in ((p / q, q * r / p), (p / (q * r), s * r), (r / s, p),
+                           (p / q, r / s), (-p / q, q / p), (0 * p, r / s)):
+                got, want = e1 * e2, Expr._make(e1.num * e2.num, e1.den * e2.den)
+                for part in ("num", "den"):
+                    assert {m: (type(c), c) for m, c in getattr(got, part).terms.items()} \
+                        == {m: (type(c), c) for m, c in getattr(want, part).terms.items()}
+        calls, depth = [], [0]
+
+        def counting(a, b):  # the outermost calls; poly_gcd recurses through itself
+            if not depth[0]:
+                calls.append((a, b))
+            depth[0] += 1
+            try:
+                return poly_gcd(a, b)
+            finally:
+                depth[0] -= 1
+
+        e = p / q
+        monkeypatch.setattr(expr, "poly_gcd", counting)
+        assert e * r == r * e
+        # gcd(r, q) each way, and none against r's denominator 1
+        assert calls == [(r.num, e.den), (r.num, e.den)]
+
     def test_powers(self):
         assert (u / x) ** 0 == ONE
         assert (u / x) ** -2 == x ** 2 / u ** 2

@@ -2195,7 +2195,8 @@ def suite_corollary_routes_agree(problems: list[tuple[str, AnsatzSpec]]) -> int:
 # ---------------------------------------------------------------------------
 
 def reference_tokenize(source: str) -> list[tuple]:
-    """grammar._tokenize, one character at a time."""
+    """grammar._tokenize, one character at a time, each token with its line
+    and column in place of its offset."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -2233,8 +2234,9 @@ def reference_tokenize(source: str) -> list[tuple]:
 
 
 class ReferenceParser(_Parser):
-    """grammar._Parser with the reference lexer and the Expr route for every
-    expression production; files, options and names are the grammar's.
+    """grammar._Parser with the reference lexer, whose tokens carry their line
+    and column, and the Expr route for every expression production; files,
+    options and names are the grammar's.
     Every "+", "-", "*", "/" and "^" builds its Expr, each product of a
     power in turn, and the digit-limit rule checks it at that operator."""
 
@@ -2244,6 +2246,18 @@ class ReferenceParser(_Parser):
         self.n = n
         self.depth = 0
         self.work = 0
+
+    def fail(self, message: str, tok: tuple, expected: tuple[str, ...] = (),
+             error: type = ParseError):
+        raise error(message, tok[2], tok[3], expected) from None
+
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
 
     def parse_expr(self) -> Expr:
         acc = self.parse_term()
