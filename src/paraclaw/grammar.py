@@ -96,6 +96,8 @@ class TimeDerivativeOnRHS(ParseError):
 
 # One match is the whitespace (\s: exactly the str.isspace() characters) and
 # the token: an operator, a name, a number, or another character, refused.
+# Trailing whitespace is not searched: each start in it would scan the rest
+# of the run, so a long run would take quadratic time.
 _TOKEN = re.compile(r"\s*(?:([-+*/^()=;])|([A-Za-z][A-Za-z0-9_]*)|([0-9]+)|(\S))")
 _KINDS = (None, None, "name", "num")
 
@@ -109,7 +111,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     """The (kind, text, offset) tokens, the last one "end" at the end of the
     source; the kind is "num", "name", "end" or the operator character."""
     tokens = []
-    for match in _TOKEN.finditer(source):
+    for match in _TOKEN.finditer(source, 0, len(source.rstrip())):
         group = match.lastindex
         text, offset = match[group], match.start(group)
         if group == 4:
@@ -166,8 +168,7 @@ def _too_long(value) -> bool:
     dict or an Expr -- is at least 10^limit, for the digit limit
     sys.get_int_max_str_digits() (0 is no limit), so Python would refuse
     to print it.  A coefficient of at most 3 * limit bits is short, since
-    2^(3 limit) <= 10^limit, so 10^limit is built only when one pass finds
-    a longer one."""
+    2^(3 limit) <= 10^limit, so 10^limit is built only for a longer one."""
     limit = sys.get_int_max_str_digits()
     if not limit:
         return False
@@ -218,9 +219,11 @@ def _sizes(value: dict | Expr) -> tuple[int, int]:
 
 class _Parser:
     def __init__(self, source: str, n: int | None = None):
-        self.source, self.tokens = source, _tokenize(source)
-        self.pos = self.depth = 0
+        self.source = source
+        self.tokens = _tokenize(source)
+        self.pos = 0
         self.n = n
+        self.depth = 0
         self.work = 0  # term-pair products so far, bounded by MAX_TERMS
 
     def fail(self, message: str, tok: tuple, expected: tuple[str, ...] = (),
@@ -231,7 +234,8 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None) -> tuple:
         tok = self.tokens[self.pos]
         if tok[0] != kind or (text is not None and tok[1] != text):
-            self.fail(f"unexpected {tok[1]!r}", tok, (text if text is not None else kind.upper(),))
+            want = text if text is not None else kind.upper()
+            self.fail(f"unexpected {tok[1]!r}", tok, (want,))
         self.pos += 1
         return tok
 
@@ -241,11 +245,7 @@ class _Parser:
         except ValueError:  # past sys.get_int_max_str_digits
             self.fail(f"number literal longer than {sys.get_int_max_str_digits()} digits", tok)
 
-    def symbol_from_name(self, tok: tuple) -> Symbol:
-        try:
-            return _symbol(tok[1], self.n)
-        except ParseError as exc:
-            self.fail(exc.message, tok, exc.expected, type(exc))
+    # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> "ProblemFile":
         self.expect("name", "n")
@@ -261,7 +261,8 @@ class _Parser:
             self.fail(f"unexpected {lhs[1]!r}", lhs, ("u_t",))
         self.expect("=")
         G = _as_expr(self.parse_expr())
-        ref, options = {}, {}  # {Symbol: Fraction}, {str: int}
+        ref: dict[Symbol, Fraction] = {}
+        options: dict[str, int] = {}
         while self.tokens[self.pos][0] == ";":
             self.pos += 1
             self.parse_option(ref, options)
@@ -284,7 +285,8 @@ class _Parser:
             if tok[1] in options:
                 self.fail(f"repeated clause {tok[1]!r}", tok)
             self.expect("=")
-            options[tok[1]] = self.number(self.expect("num"))
+            val = self.expect("num")
+            options[tok[1]] = self.number(val)
         else:
             self.fail(f"unknown option {tok[1]!r}", tok,
                       ("ref", "jet_degree", "base_degree", "order"))
@@ -295,19 +297,20 @@ class _Parser:
             self.pos += 1
             sign = -1
         p = self.number(self.expect("num"))
-        if self.tokens[self.pos][0] != "/":
-            return Fraction(sign * p)
-        self.pos += 1
-        qtok = self.expect("num")
-        q = self.number(qtok)
-        if q == 0:
-            self.fail("zero denominator", qtok)
-        return Fraction(sign * p, q)
+        if self.tokens[self.pos][0] == "/":
+            self.pos += 1
+            qtok = self.expect("num")
+            q = self.number(qtok)
+            if q == 0:
+                self.fail("zero denominator", qtok)
+            return Fraction(sign * p, q)
+        return Fraction(sign * p)
 
     def parse_expr(self) -> dict | Expr:
         """A sum; polynomial terms are added into the first one in place.
-        The digit-limit rule checks each "+" and "-" once built, on terms
-        only the keys added into (a new key keeps a checked coefficient)."""
+        Each "+" and "-" is checked by the digit-limit rule once built; on
+        terms only the keys it added into, since a new key keeps the right-
+        hand term's checked coefficient, so a long sum stays linear."""
         acc = self.parse_term()
         tokens = self.tokens
         while (op := tokens[self.pos])[0] == "+" or op[0] == "-":
@@ -330,12 +333,11 @@ class _Parser:
 
     def parse_term(self) -> dict | Expr:
         """A product, built at each "*" and "/" in turn: a one-term constant
-        factor or divisor scales the coefficients, a monomial factor (with
-        the int 1) shifts their keys, two term dicts multiply as raw terms,
-        and any other pair multiplies or divides as Expr.  Each operator is
-        charged the term pairs of its Poly products before it runs, and the
-        digit-limit rule checks what it built, but for a shift's unchanged
-        coefficients."""
+        factor or divisor scales the coefficients, a monomial factor shifts
+        the keys, two term dicts multiply as raw terms, and any other pair
+        multiplies or divides as Expr.  Each operator is charged the term
+        pairs of its Poly products before it runs, and its built result is
+        checked by the digit-limit rule (a shift keeps checked coefficients)."""
         acc = self.parse_operand()
         tokens = self.tokens
         while (op := tokens[self.pos])[0] == "*" or op[0] == "/":
@@ -359,7 +361,7 @@ class _Parser:
                     else:
                         acc = {k: c * q if times else Fraction(c, q) for k, c in acc.items()}
                 elif times and type(acc) is dict and type(f) is dict:
-                    if type(q) is int and q == 1:
+                    if type(q) is int and q == 1:  # m p keeps p's checked coefficients
                         acc = _shifted(acc, m)
                         continue
                     product = {}
@@ -374,10 +376,12 @@ class _Parser:
         return acc
 
     def charge(self, op: tuple, pairs: int) -> None:
-        """Count the term pairs of the Poly products about to run, up to MAX_TERMS."""
+        """Add the term pairs of the polynomial products about to run to the
+        parse's running count; past MAX_TERMS the input is a ParseError."""
         self.work += pairs
         if self.work > MAX_TERMS:
-            self.fail(f"expression expands past MAX_TERMS = {MAX_TERMS} term products", op)
+            self.fail(f"expression expands past MAX_TERMS = {MAX_TERMS} "
+                      "term products", op)
 
     def too_long(self, what: str, op: tuple) -> None:
         self.fail(f"{what} has a coefficient longer than "
@@ -396,17 +400,15 @@ class _Parser:
             self.pos += 1
             tok = tokens[self.pos]
         kind = tok[0]
+        self.pos += 1  # an error raises at tok, and the parse ends there
         if kind == "name":
-            self.pos += 1
             value = {self.symbol_from_name(tok).unit: 1}
         elif kind == "num":
-            self.pos += 1
             c = self.number(tok)
             value = {0: c} if c else {}
         elif kind == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {MAX_NESTING}", tok)
-            self.pos += 1
             self.depth += 1
             value = self.parse_expr()
             self.depth -= 1
@@ -462,6 +464,12 @@ class _Parser:
         # coprime parts stay coprime under powers, so no re-reduction
         return p.terms if den is None else Expr(p, q, _raw=True)
 
+    def symbol_from_name(self, tok: tuple) -> Symbol:
+        try:
+            return _symbol(tok[1], self.n)
+        except ParseError as exc:
+            self.fail(exc.message, tok, exc.expected, type(exc))
+
 
 @dataclass
 class ProblemFile:
@@ -501,13 +509,17 @@ def parse_expression(source: str, n: int) -> Expr:
 def _source_name(n: int):
     def name(s: Symbol) -> str:
         if s.kind == BASE:
-            return "t" if s.index == 0 else "x" if n == 1 else f"x{s.index}"
+            if s.index == 0:
+                return "t"
+            return "x" if n == 1 else f"x{s.index}"
         if s.kind == JET:
             if s.time_power:
                 raise ValueError(f"cannot print time jet {s} in the file grammar")
             if s.order == 0:
                 return "u"
-            return "u_" + ("x" * len(s.spatial) if n == 1 else "".join(map(str, s.spatial)))
+            if n == 1:
+                return "u_" + "x" * len(s.spatial)
+            return "u_" + "".join(map(str, s.spatial))
         raise ValueError(f"cannot print {s.kind} symbol {s} in the file grammar")
     return name
 

@@ -271,6 +271,48 @@ class TestParseWork:
         with pytest.raises(AssertionError, match="read a position"):
             parse("n=1; u_t = u_xx +")
 
+    def test_monomial_factor_builds_the_raw_product(self, monkeypatch):
+        # a factor m with the int coefficient 1 shifts the keys: the terms,
+        # key order and coefficient types that _add_product would build
+        from paraclaw import grammar
+        from paraclaw.expr import _add_product
+        texts = ["3/2*x1*x2*u", "(u_1 + 2*u)*u_2*x1 - u*u_1", "(1/3*u - u_2)*u^2*t",
+                 "2*u/3*u_1*u_1", "x1*(u + 1/2*u_1)*(u_2)", "(2/2*u)*x2 + u*(2/2) + x2*(2/2*u)"]
+
+        def read(text):
+            value = grammar._Parser(text, 2).parse_expr()
+            return [(m, type(c), c) for m, c in value.items()]
+
+        shifts = []
+        real = grammar._shifted
+        monkeypatch.setattr(grammar, "_shifted",
+                            lambda terms, m: shifts.append(m) or real(terms, m))
+        got = [read(text) for text in texts]
+        assert len(shifts) == 18
+
+        def via_product(terms, m):
+            out = {}
+            _add_product(out, terms, {m: 1})
+            return out
+
+        monkeypatch.setattr(grammar, "_shifted", via_product)
+        assert got == [read(text) for text in texts]
+
+    def test_long_whitespace_runs_lex_in_linear_time(self):
+        # 2 * 10^5 characters of whitespace: a lexer that rescans a trailing
+        # run from each start in it takes minutes, a linear one milliseconds
+        from paraclaw.grammar import _Parser
+        from util import ReferenceParser, _parse_outcome
+        run = " \n" * 10**5
+        start = time.perf_counter()
+        assert parse("n=1; u_t = u_xx" + run).G == parse("n=1; u_t = u_xx").G
+        assert parse("n=1; u_t = u_xx" + run + "+ u").G == parse("n=1; u_t = u_xx + u").G
+        truncated = "n=1; u_t = u_xx +" + run
+        got = _parse_outcome(_Parser, truncated, None)
+        assert time.perf_counter() - start < 2
+        assert got == _parse_outcome(ReferenceParser, truncated, None)
+        assert got[2:] == (10**5 + 1, 1)
+
 
 class TestArguments:
     """cli's own argument reader: argparse's syntax and usage errors, with
