@@ -7,11 +7,11 @@ identical inputs; elapsed time appears only in --text output.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .claws import (
     AnsatzSpec, ConservationLaw, InvariantViolation, NotParabolicEquation,
@@ -186,6 +186,33 @@ def _render_text(report: dict, elapsed: float) -> str:
         lines.append(f"warning: {w}")
     lines.append(f"elapsed: {elapsed:.3f}s")
     return "\n".join(lines)
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the types a report
+    holds: dict (with str keys), list, str, bool, None and int.  dumps
+    runs the pure-Python encoder whenever it indents."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + ",".join([f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                               for k, v in value.items()]) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _json(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 def _read_problem(path: str) -> ProblemFile:
@@ -438,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args["as_json"]:
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     else:
         print(_render_text(report, time.monotonic() - started))
     return 0

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -231,6 +233,17 @@ def mono_encode(factors: Iterable[tuple[Symbol, int]]) -> Monomial:
 _FIELDS: dict[Monomial, tuple] = {}  # m -> _fields(m); emptied at MAX_TERMS entries
 
 
+def _slot_fields(m: Monomial):
+    """The (slot, exponent) pairs of the nonzero fields of m, lowest slot
+    first."""
+    rest = m
+    while rest:  # the lowest nonzero field, one at a time
+        slot = ((rest & -rest).bit_length() - 1) // _WIDTH
+        e = rest >> (_WIDTH * slot) & _FIELD
+        yield slot, e
+        rest -= e << (_WIDTH * slot)
+
+
 def _fields(m: Monomial) -> tuple[tuple[int, int], ...]:
     """The (slot, exponent) pairs of the factors of m, in the order of their
     symbols, not of the slots, which depends on the process: the one
@@ -239,13 +252,7 @@ def _fields(m: Monomial) -> tuple[tuple[int, int], ...]:
     track them."""
     got = _FIELDS.get(m)
     if got is None:
-        fields = []
-        rest = m
-        while rest:  # the lowest nonzero field, one at a time
-            slot = ((rest & -rest).bit_length() - 1) // _WIDTH
-            e = rest >> (_WIDTH * slot) & _FIELD
-            fields.append((slot, e))
-            rest -= e << (_WIDTH * slot)
+        fields = list(_slot_fields(m))
         if len(fields) > 1:
             fields.sort(key=lambda field: _SYMBOLS[field[0]])
         got = tuple(fields)
@@ -288,18 +295,37 @@ def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
                for slot, e in _fields(m1))
 
 
-def mono_sort_key(m: Monomial) -> list:
-    """Sort key of the graded lexicographic order: [degree, reversed key
-    of the first symbol, its exponent, ...], over the decoded factors, so
-    it is free of the slots.  The symbol keys are reversed, so after the
-    degree the earlier symbol and then the larger exponent sort higher."""
-    key = [0]
-    degree = 0
-    for slot, e in _fields(m):
-        degree += e
-        key += (_SYMBOLS[slot]._rkey, e)
-    key[0] = degree
-    return key
+_PRINTED: dict[tuple, tuple] = {}  # (m, name) -> _printed(m, name); emptied at MAX_TERMS
+
+
+def _printed(m: Monomial, name: Callable[[Symbol], str] = str) -> tuple:
+    """The graded lexicographic sort key of m, (degree, reversed key of the
+    first symbol, its exponent, ...) over the decoded factors, so free of
+    the slots, with m's text under the namer appended; memoized by m and
+    the namer.  Distinct monomials of one degree differ before either key
+    ends, so the text never decides.  A symbol's text is that of its own
+    monomial, so a namer names each symbol once; one that raises leaves no
+    entry."""
+    got = _PRINTED.get((m, name))
+    if got is None:
+        key, texts = [0], []
+        for slot, e in _fields(m):
+            s = _SYMBOLS[slot]
+            key[0] += e
+            key += (s._rkey, e)
+            text = name(s) if m == s.unit else _printed(s.unit, name)[-1]
+            texts.append(f"{text}^{e}" if e > 1 else text)
+        key.append("*".join(texts))
+        got = tuple(key)
+        if len(_PRINTED) >= MAX_TERMS:
+            _PRINTED.clear()
+        _PRINTED[(m, name)] = got
+    return got
+
+
+def mono_sort_key(m: Monomial) -> tuple:
+    """Sort key of the graded lexicographic order (see :func:`_printed`)."""
+    return _printed(m)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +436,8 @@ class Poly:
         return _poly_of, ([(mono_decode(m), c) for m, c in self.terms.items()],)
 
     def symbols(self) -> set[Symbol]:
-        return {_SYMBOLS[slot] for m in self.terms for slot, _ in _fields(m)}
+        # a field of the monomials' bitwise OR is nonzero iff one of them holds its symbol
+        return {_SYMBOLS[slot] for slot, _ in _slot_fields(reduce(or_, self.terms, 0))}
 
     def degree_of(self, s: Symbol) -> int:
         return max((_exponent(m, s) for m in self.terms), default=0)
@@ -835,7 +862,13 @@ class Expr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Expr._make(self.num * other.den, self.den * other.num)
+        if other.is_zero:
+            raise DivisionByZeroExpr("denominator is identically zero")
+        # (a/b)/(c/d) = (a d)/(b c) with coprime parts: gcd(a d, b c) =
+        # gcd(a, c) gcd(d, b), as in __mul__
+        a, c = _cancelled(self.num, other.num)
+        d, b = _cancelled(other.den, self.den)
+        return Expr._canonical(a * d, b * c)
 
     def __rtruediv__(self, other) -> "Expr":
         other = _coerce(other)
@@ -918,30 +951,21 @@ def _coerce(x) -> Expr | None:
 # Printing
 # ---------------------------------------------------------------------------
 
-def _format_mono(m: Monomial, name: Callable[[Symbol], str]) -> str:
-    return "*".join(f"{name(s)}^{e}" if e > 1 else name(s) for s, e in mono_decode(m))
-
-
 def format_poly(p: Poly, name: Callable[[Symbol], str] = str) -> str:
     if p.is_zero:
         return "0"
-    pieces = []
-    for m, c in p.sorted_terms():
-        if not m:
-            pieces.append(str(c))
-        elif c == 1:
-            pieces.append(_format_mono(m, name))
-        elif c == -1:
-            pieces.append("-" + _format_mono(m, name))
-        else:
-            pieces.append(f"{c}*{_format_mono(m, name)}")
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    # distinct monomials have distinct keys, so the rows sort by key alone
+    rows = [(_printed(m, name), c) for m, c in p.terms.items()]
+    rows.sort(reverse=True)
+    out = []
+    for key, c in rows:
+        text, coeff = key[-1], str(c)  # "1" and "-1" exactly for an int or Fraction 1, -1
+        piece = (coeff if not key[0] else text if coeff == "1"
+                 else "-" + text if coeff == "-1" else f"{coeff}*{text}")
+        if out:
+            piece = " - " + piece[1:] if piece[:1] == "-" else " + " + piece
+        out.append(piece)
+    return "".join(out)
 
 
 def format_expr(e: Expr, name: Callable[[Symbol], str] = str) -> str:

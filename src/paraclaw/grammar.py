@@ -506,7 +506,10 @@ def parse_expression(source: str, n: int) -> Expr:
 # Printing (grammar-conformant)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=MAX_TERMS)
 def _source_name(n: int):
+    """The namer of the file grammar in dimension n: one object per n, so
+    the printed monomials of expr are memoized per n."""
     def name(s: Symbol) -> str:
         if s.kind == BASE:
             if s.index == 0:

@@ -92,7 +92,8 @@ class EvolutionEquation:
                  reference_jet: Mapping[Symbol, Rationalish] | None = None):
         if n < 1:
             raise ValueError("spatial dimension n must be >= 1")
-        for s in sorted(G.symbols()):  # name the lowest bad symbol
+        symbols = sorted(G.symbols())
+        for s in symbols:  # name the lowest bad symbol
             if s.kind == BASE:
                 if s.index > n:
                     raise ValueError(f"base coordinate {s} out of range for n={n}")
@@ -109,7 +110,7 @@ class EvolutionEquation:
         self.G = G
         ref: dict[Symbol, Fraction] = {}
         provided = dict(reference_jet or {})
-        for s in sorted(G.symbols()):
+        for s in symbols:
             ref[s] = Fraction(provided.pop(s, 0))
         for s, v in provided.items():
             ref[s] = Fraction(v)  # harmless extra bindings

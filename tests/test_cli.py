@@ -27,7 +27,7 @@ from paraclaw.expr import Expr, base_var, jet_var, mono_encode
 from corpus import CORPUS
 from util import (
     GOLDEN_PATH, claws_corpus_reports, corollary_decides, golden_ansatz_specs,
-    random_non_ma_problems, search_refused, searched_claws_output,
+    perfbench_problems, random_non_ma_problems, search_refused, searched_claws_output,
     suite_corollary_routes_agree, t, u, u11, u12, u22, ux, uxx, x,
 )
 
@@ -245,13 +245,8 @@ class TestParseWork:
         assert grammar._symbol.cache_info().currsize == 5
 
     def test_valid_parses_find_no_position(self, monkeypatch):
-        import importlib.util
         from paraclaw import grammar
-        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "perfbench", "problems.py")
-        spec = importlib.util.spec_from_file_location("perfbench_problems", path)
-        problems = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(problems)
+        problems = perfbench_problems()
 
         def refuse(source, offset):
             raise AssertionError("a valid input read a position")
@@ -902,6 +897,58 @@ class TestCommands:
         assert cmd_dims(2, r)["tableau_dim"] == 10 ** 4300 - 1
         with pytest.raises(ValueError, match="have more than 4300 digits$"):
             cmd_dims(2, r + 1)
+
+
+class TestReportWriter:
+    """main prints cli._json(report), which must be json.dumps(report,
+    indent=2) byte for byte."""
+
+    @staticmethod
+    def check(report) -> None:
+        assert cli._json(report) == json.dumps(report, indent=2)
+
+    def test_golden_reports(self):
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert len(golden) == 52
+        for outcome in golden.values():
+            report = json.loads(outcome["stdout"])
+            self.check(report)
+            assert cli._json(report) + "\n" == outcome["stdout"]
+
+    def test_benchmark_reports(self, tmp_path, capsys):
+        # the 330 seed-1 requests of the three benchmark workloads, run by main
+        problems = perfbench_problems()
+        count = 0
+        for workload in problems.WORKLOADS:
+            for pass_index in range(3):
+                requests = problems.generate(workload, 1, pass_index)
+                paths = problems.write_files(requests, str(tmp_path))
+                for req, file in zip(requests, paths):
+                    assert main(problems.argv(req, file)) == 0
+                    out = capsys.readouterr().out
+                    report = json.loads(out)
+                    self.check(report)
+                    assert out == json.dumps(report, indent=2) + "\n"
+                    count += 1
+        assert count == 330
+
+    def test_report_shapes(self):
+        classified = cmd_classify(parse("n=2; u_t = u_11 + u_22"))
+        assert classified["ma"]["n1_affine"] is None
+        assert classified["laws"] == [] and classified["warnings"] == []
+        self.check(classified)
+        self.check(cmd_classify(parse("n=1; u_t = u*u_xx")))  # a warning
+        self.check(cmd_verify(parse("n=1; u_t = u_xx"), "u", ["-u_x"]))
+        big = cmd_dims(60, 400)
+        assert big["tableau_dim"] > 2 ** 200
+        self.check(big)
+        self.check(cmd_dims(1, 0))
+        for value in ({}, [], {"a": {}, "b": [[], {}]}, [None, True, False, 0, -12, 10 ** 40],
+                      {"q\"uote\\": "caf\u00e9 \u2211 \U0001d54f\n\t\x00\x7f", "": ""}):
+            self.check(value)
+        with pytest.raises(TypeError):
+            cli._json({"a": 1.5})
 
 
 class TestMainEntry:

@@ -19,8 +19,9 @@ from paraclaw.expr import (
     AUX, BASE, JET, DivisionByZeroExpr, Expr, NotPolynomialIn, Poly,
     Symbol, ZERO, ONE, _add_terms, aux_var, base_var, divexact,
     jet_var, mono_decode, mono_encode, mono_sort_key, poly_gcd,
-    MAX_EXPONENT, TIME, ExponentOverflow, _add_product, format_poly,
+    MAX_EXPONENT, MAX_TERMS, TIME, ExponentOverflow, _add_product, format_poly,
 )
+from paraclaw.grammar import expr_to_source
 from paraclaw.jets import _derivative_terms
 from util import linear_columns, mono_cmp, random_poly, tag, u, u11, u12, u22, ux, uxx, x
 
@@ -268,6 +269,26 @@ class TestAlgebraProperties:
         # gcd(r, q) each way, and none against r's denominator 1
         assert calls == [(r.num, e.den), (r.num, e.den)]
 
+    def test_quotient_cancels_crosswise(self):
+        # (a/b)/(c/d) takes gcd(a, c) and gcd(d, b), not gcd(a d, b c); the
+        # canonical form is unique, so it is _make's, coefficient types too
+        rng = random.Random(13)
+        syms = [base_var(1), jet_var(), jet_var((1,))]
+        for _ in range(60):
+            p, q, r, s = (random_poly(rng, syms, terms=3) for _ in range(4))
+            for e1, e2 in ((p / q, r / p), (p * r / q, r), (r / s, p / (q * s)),
+                           (p / q, r / s), (-p / q, q / p), (0 * p, r / s),
+                           (p, Expr.const(Fraction(-3, 2))), (Expr.const(2), q / p)):
+                got, want = e1 / e2, Expr._make(e1.num * e2.den, e1.den * e2.num)
+                for part in ("num", "den"):
+                    assert {m: (type(c), c) for m, c in getattr(got, part).terms.items()} \
+                        == {m: (type(c), c) for m, c in getattr(want, part).terms.items()}
+        for numerator in (p / q, ZERO, 3):
+            with pytest.raises(DivisionByZeroExpr):
+                numerator / (0 * p)
+        with pytest.raises(DivisionByZeroExpr):
+            p / 0
+
     def test_powers(self):
         assert (u / x) ** 0 == ONE
         assert (u / x) ** -2 == x ** 2 / u ** 2
@@ -412,6 +433,101 @@ class TestOrdering:
             rng.shuffle(monos)
             assert sorted(monos, key=mono_sort_key) == \
                 sorted(monos, key=functools.cmp_to_key(mono_cmp))
+
+
+class TestPrintingMemo:
+    """format_poly, sorted_terms and leading read one memo of each
+    monomial's sort key and text; the per-call printer of util is the
+    reference."""
+
+    @staticmethod
+    def scrambled_symbols(rng: random.Random) -> list:
+        """Fresh base, jet and aux symbols for n = 1-3, interned in a
+        shuffled order, so that their slots do not follow their order."""
+        makers = [functools.partial(base_var, a) for a in range(20, 26)]
+        makers += [functools.partial(aux_var, k, f"s{k}") for k in range(7100, 7106)]
+        makers += [functools.partial(jet_var, [rng.randint(1, 3) for _ in range(k)], tp)
+                   for k in (3, 4, 5) for tp in (0, 1)]
+        rng.shuffle(makers)
+        return [make() for make in makers]
+
+    def random_poly(self, rng: random.Random, symbols: list) -> Poly:
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            chosen = rng.sample(symbols, rng.randint(0, 4))
+            m = mono_encode((s, rng.choice([1, 1, 2, 3, 17])) for s in chosen)
+            terms[m] = rng.choice([1, -1, rng.randint(-9, 9) or 5, Fraction(1), Fraction(-1),
+                                   Fraction(4), Fraction(rng.randint(1, 9), rng.randint(2, 7)),
+                                   Fraction(rng.randint(-9, -1), rng.randint(2, 7))])
+        return Poly(terms)
+
+    def test_printer_matches_the_reference(self):
+        from paraclaw.grammar import _source_name
+        from util import reference_format_poly, reference_mono_sort_key
+        rng = random.Random(401)
+        extra = self.scrambled_symbols(rng)
+        assert sorted(extra) != sorted(extra, key=lambda s: s.slot)
+        for n in (1, 2, 3):
+            spatial = [base_var(a) for a in range(n + 1)]
+            for order in range(3):
+                for tp in range(order + 1):
+                    words = itertools.combinations_with_replacement(range(1, n + 1), order - tp)
+                    spatial += [jet_var(word, tp) for word in words]
+            spatial += [s for s in extra if s.kind != JET or max(s.spatial, default=1) <= n]
+            printable = [s for s in spatial if s.kind == BASE
+                         or (s.kind == JET and not s.time_power)]
+            for _ in range(150):
+                p = self.random_poly(rng, spatial)
+                assert format_poly(p) == reference_format_poly(p)
+                assert [m for m, _ in p.sorted_terms()] == \
+                    sorted(p.terms, key=reference_mono_sort_key, reverse=True)
+                assert p.leading()[0] == max(p.terms, key=reference_mono_sort_key)
+                q = self.random_poly(rng, printable)
+                assert format_poly(q, _source_name(n)) == reference_format_poly(q, _source_name(n))
+                e = Expr._make(q, Poly({0: 1}))
+                assert expr_to_source(e, n) == reference_format_poly(e.num, _source_name(n))
+        assert format_poly(Poly()) == reference_format_poly(Poly()) == "0"
+        assert format_poly(Poly({0: Fraction(-7, 3)})) == "-7/3"
+
+    def test_one_namer_per_dimension(self):
+        from paraclaw.grammar import _source_name
+        assert _source_name(2) is _source_name(2) and _source_name(1) is not _source_name(2)
+        assert _source_name.cache_info().maxsize == MAX_TERMS
+
+    def test_each_symbol_named_once_per_namer(self):
+        named = []
+
+        def name(s):
+            named.append(s)
+            return s.name.upper()
+
+        a, b, c = aux_var(7250, "a"), aux_var(7251, "b"), aux_var(7252, "c")
+        p = Poly({mono_encode([(a, 2), (b, 1)]): 3, mono_encode([(b, 3)]): -1, c.unit: 1})
+        q = Poly({mono_encode([(a, 1), (c, 4)]): Fraction(1, 2), mono_encode([(a, 2), (b, 1)]): 1})
+        assert format_poly(p, name) == "3*A^2*B - B^3 + C"
+        assert format_poly(q, name) == "1/2*A*C^4 + A^2*B"
+        assert format_poly(p, name) == "3*A^2*B - B^3 + C"
+        assert sorted(named) == [a, b, c]
+
+    def test_refused_symbol_printed_first_by_str(self):
+        # the memo is keyed by the namer, so str's text of a time jet or an
+        # aux symbol does not reach the file grammar, which refuses them
+        for s in (jet_var((1,), 1), jet_var((), 2), aux_var(7200, "refused")):
+            for e in (Expr.symbol(s), Expr.symbol(s) ** 2 * u - 3 * x, u / (Expr.symbol(s) + 1)):
+                assert str(e)
+                for _ in range(2):  # a namer that raised left no entry
+                    with pytest.raises(ValueError, match="cannot print"):
+                        expr_to_source(e, 1)
+
+    def test_memo_never_holds_more_than_max_terms(self):
+        from paraclaw import expr
+        s = aux_var(7300, "bounded")
+        sizes = []
+        for k in range(1, MAX_TERMS + 50):
+            format_poly(Poly({mono_encode([(s, k)]): 1}))
+            sizes.append(len(expr._PRINTED))
+        assert max(sizes) <= MAX_TERMS and min(sizes[1:]) < MAX_TERMS // 2
+        assert format_poly(Poly({mono_encode([(s, 5)]): 2})) == "2*bounded^5"
 
 
 class TestSymbolHash:
@@ -584,6 +700,29 @@ class TestMonomialEncoding:
         # the largest exponent itself is kept, and lowered by d/du
         assert Poly(top).diff(u_).terms == {mono_encode([(u_, MAX_EXPONENT - 1),
                                                          (x_, 1)]): MAX_EXPONENT}
+
+    def test_symbols_decode_the_or_of_the_monomials(self):
+        # Poly.symbols and Expr.symbols against the decode of each monomial,
+        # over late-interned (high) slots and exponents up to the field limit
+        rng = random.Random(41)
+        symbols = [base_var(a) for a in range(3)] + [jet_var((1,)), jet_var()]
+        symbols += [aux_var(k, f"h{k}") for k in range(7400, 7440)]
+        for _ in range(200):
+            polys = []
+            for _ in range(2):
+                terms = {}
+                for _ in range(rng.randint(0, 5)):
+                    chosen = rng.sample(symbols, rng.randint(0, 4))
+                    terms[mono_encode((s, rng.choice([1, 2, MAX_EXPONENT - 1, MAX_EXPONENT]))
+                                      for s in chosen)] = rng.randint(1, 4)
+                polys.append(Poly(terms))
+            decoded = [{s for m in p.terms for s, _ in mono_decode(m)} for p in polys]
+            assert [p.symbols() for p in polys] == decoded
+            if polys[1].terms:
+                assert Expr(*polys, _raw=True).symbols() == decoded[0] | decoded[1]
+        assert Poly().symbols() == set() == Poly({0: 3}).symbols()
+        top = aux_var(7439, "h7439")
+        assert Poly({mono_encode([(top, MAX_EXPONENT)]): 1}).symbols() == {top}
 
     def test_pickled_polynomial_is_free_of_slots(self):
         # unpickled in a process that interns its symbols in another order

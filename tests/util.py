@@ -108,7 +108,9 @@ def random_spatial_symbols(n: int, max_order: int = 2) -> list[Symbol]:
 # extraction of paraclaw.claws and the integer homotopy core of
 # paraclaw.jets; the sum of
 # traceless dimensions, kept to check the closed-form tableau dimension;
-# the monomial comparison, kept to check mono_sort_key
+# the monomial comparison, kept to check mono_sort_key; the sort key and
+# printer that decode and name every monomial on each call, kept to check
+# the printing memo of paraclaw.expr
 # ---------------------------------------------------------------------------
 
 def naive_total_derivative(e: Expr, a: int) -> Expr:
@@ -588,6 +590,46 @@ def mono_cmp(m1: Monomial, m2: Monomial) -> int:
     if j < len(m2):
         return -1
     return 0
+
+
+def reference_mono_sort_key(m: Monomial) -> list:
+    """Sort key of the graded lexicographic order, built on each call:
+    [degree, reversed key of the first symbol, its exponent, ...]."""
+    key = [0]
+    degree = 0
+    for s, e in mono_decode(m):
+        degree += e
+        key += (s._rkey, e)
+    key[0] = degree
+    return key
+
+
+def _reference_format_mono(m: Monomial, name) -> str:
+    return "*".join(f"{name(s)}^{e}" if e > 1 else name(s) for s, e in mono_decode(m))
+
+
+def reference_format_poly(p: Poly, name=str) -> str:
+    """p printed term by term, highest first, each monomial named anew."""
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for m in sorted(p.terms, key=reference_mono_sort_key, reverse=True):
+        c = p.terms[m]
+        if not m:
+            pieces.append(str(c))
+        elif c == 1:
+            pieces.append(_reference_format_mono(m, name))
+        elif c == -1:
+            pieces.append("-" + _reference_format_mono(m, name))
+        else:
+            pieces.append(f"{c}*{_reference_format_mono(m, name)}")
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
 
 
 def naive_quartic_form(eq: EvolutionEquation) -> Expr:
@@ -2828,6 +2870,18 @@ def suite_argv_equivalence(cases: int = 300, seed: int = 151) -> dict:
 # ---------------------------------------------------------------------------
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "claws_corpus.json")
+
+
+def perfbench_problems():
+    """The benchmark's problem generator, perfbench/problems.py, loaded from
+    the checkout as a module."""
+    import importlib.util
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "problems.py")
+    spec = importlib.util.spec_from_file_location("perfbench_problems", path)
+    problems = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(problems)
+    return problems
 
 # (order, jet degree, base degree) flags; None runs with the default bounds.
 GOLDEN_SPECS = (None, (2, 2, 1), (2, 3, 1), (2, 2, 2))
