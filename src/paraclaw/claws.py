@@ -42,14 +42,13 @@ t^b E_u(m), so all of the search that does not depend on G is a function
 of m: the D_L Q of Q = E_u(m), and Q itself at L = (); only their products
 with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
 by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
-memo of D_L E_u(m) for the process, and ``_KEPT`` holds the column indices
-the pivot pass keeps, by (n, spec), and is emptied when it reaches
-MAX_TERMS entries.  The memo is bounded by MAX_TERMS too, which also
-bounds the columns of one ansatz, so no search evicts what it built.  A
-second equation at bounds already seen then does only the G-dependent
-products, the solve and the extraction; a single search computes what it
-computed without them, and keeps it.  The memoized dicts are only read,
-and ``generate_ansatz`` returns copies.
+memo of D_L E_u(m) for the process, and a second, :func:`_plan`, keyed by
+(n, spec), holds the columns the pivot pass keeps.  Both are bounded by
+MAX_TERMS, which also bounds the columns of one ansatz, so no search evicts
+what it built.  A second equation at bounds already seen then does only
+the G-dependent products, the solve and the extraction; a single search
+computes what it computed without them, and keeps it.  The memoized dicts
+are only read, and ``generate_ansatz`` returns copies.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -60,6 +59,7 @@ monomial order.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import comb
 
@@ -171,10 +171,10 @@ class DeterminingSystem:
 # Ansatz generation and determining system
 # ---------------------------------------------------------------------------
 
-def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
+def generate_ansatz(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     """The density ansatz as two parallel lists of ``int`` term dicts, one
-    column per monomial m_k within the bounds: ``densities[k]`` is m_k and
-    ``characteristics[k]`` is E_u(m_k).
+    column per monomial m_k within the bounds in n space dimensions:
+    ``densities[k]`` is m_k and ``characteristics[k]`` is E_u(m_k).
 
     Monomials are products of a base monomial in {t, x^1..x^n} (joint total
     degree <= base_degree) and a jet monomial in the spatial jets of order
@@ -184,9 +184,9 @@ def generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[list[dict]
     per t-free monomial m gives the characteristics of all its t^b multiples,
     each key shifted by t^b; the walks are memoized for the process, and
     every returned dict is new."""
-    check_ansatz_size(eq.n, spec)
-    base_syms = [base_var(a) for a in range(eq.n + 1)]
-    jet_syms = spatial_jet_vars(eq.n, spec.max_jet_order)
+    check_ansatz_size(n, spec)
+    base_syms = [base_var(a) for a in range(n + 1)]
+    jet_syms = spatial_jet_vars(n, spec.max_jet_order)
     base_monos = bounded_monomials(base_syms, spec.base_degree)
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
     densities = [{bm + jm: 1} for jm in jet_monos for bm in base_monos]
@@ -217,11 +217,21 @@ def _prolonged_euler(m: Monomial) -> Prolonged:
     return _prolongations(_euler_terms({m: 1}))
 
 
-_KEPT: dict = {}  # (n, spec) -> the indices of the ansatz columns the pivot pass keeps
+@functools.lru_cache(maxsize=MAX_TERMS)
+def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+    """The (densities, characteristics) of the ansatz columns of these
+    bounds in n space dimensions whose characteristic is independent of
+    those of the earlier columns, in column order: the columns the search
+    keeps, which depend on n and the bounds alone.  Memoized for the
+    process; the dicts are only read."""
+    densities, characteristics = generate_ansatz(n, spec)
+    pivots = linalg.Echelon()
+    keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
+    return tuple(densities[k] for k in keep), tuple(characteristics[k] for k in keep)
 
 
 def assemble_determining_system(eq: EvolutionEquation,
-                                densities: list[dict]) -> DeterminingSystem:
+                                densities: Sequence[dict]) -> DeterminingSystem:
     """The linear determining equations of the one-term ``int`` density
     columns T_k = {t^b m: 1} of :func:`generate_ansatz`: the coefficient of
     every monomial in the base and jet variables of
@@ -426,7 +436,7 @@ def _balanced(R: dict, L: int, LX: list[dict]) -> bool:
     return not residual
 
 
-def _combination(columns: list[dict], vec: dict) -> dict:
+def _combination(columns: Sequence[dict], vec: dict) -> dict:
     """The terms of sum_k vec[k] columns[k], for a sparse null vector
     {k: integral Fraction} and ``int`` columns: an ``int`` polynomial."""
     acc: dict = {}
@@ -445,12 +455,12 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     the same characteristic are the same law.  The search therefore first
     keeps only the ansatz monomials m_k whose characteristic E_u(m_k) is
     linearly independent of those of the earlier monomials, in column
-    order (a monomial with E_u(m_k) = 0 is dropped; the kept indices
-    depend on n and the bounds alone and are memoized), and assembles, from
-    the kept columns of M alone, and solves the determining system of that
-    restricted ansatz.  M is injective there, so each null vector is one
-    law: a vector whose characteristic is 0 or dependent on the kept ones
-    is an InvariantViolation.  The laws are those the full ansatz gives
+    order (a monomial with E_u(m_k) = 0 is dropped; the kept columns
+    depend on n and the bounds alone and are memoized, :func:`_plan`), and
+    assembles, from the kept columns of M alone, and solves the
+    determining system of that restricted ansatz.  M is injective there,
+    so each null vector is one law: a vector whose characteristic is 0 or
+    dependent on the kept ones is an InvariantViolation.  The laws are those the full ansatz gives
     after dropping trivial and dependent null vectors, in the same order:
     E_u(dT/dt) = d/dt E_u(T), so ker M lies in the null space, and the
     null vector of each free column that is not a pivot of M has a
@@ -476,16 +486,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     spec = spec or AnsatzSpec()
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    densities, characteristics = generate_ansatz(eq, spec)
-    keep = _KEPT.get((eq.n, spec))
-    if keep is None:
-        pivots = linalg.Echelon()
-        keep = _KEPT[eq.n, spec] = tuple(
-            k for k, Q in enumerate(characteristics) if pivots.add(Q))
-        if len(_KEPT) >= MAX_TERMS:  # after the store, so threads leave it within bound
-            _KEPT.clear()
-    densities = [densities[k] for k in keep]
-    characteristics = [characteristics[k] for k in keep]
+    densities, characteristics = _plan(eq.n, spec)
     system = assemble_determining_system(eq, densities)
     basis = solve_exact(system)
     kept = linalg.Echelon()

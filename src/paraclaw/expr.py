@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -230,9 +230,6 @@ def mono_encode(factors: Iterable[tuple[Symbol, int]]) -> Monomial:
     return m
 
 
-_FIELDS: dict[Monomial, tuple] = {}  # m -> _fields(m); emptied at MAX_TERMS entries
-
-
 def _slot_fields(m: Monomial):
     """The (slot, exponent) pairs of the nonzero fields of m, lowest slot
     first."""
@@ -244,22 +241,17 @@ def _slot_fields(m: Monomial):
         rest -= e << (_WIDTH * slot)
 
 
+@lru_cache(maxsize=MAX_TERMS)
 def _fields(m: Monomial) -> tuple[tuple[int, int], ...]:
     """The (slot, exponent) pairs of the factors of m, in the order of their
     symbols, not of the slots, which depends on the process: the one
     decoding of a monomial, which every walk over its symbols runs,
     memoized by m.  The pairs hold only ints, so the collector does not
     track them."""
-    got = _FIELDS.get(m)
-    if got is None:
-        fields = list(_slot_fields(m))
-        if len(fields) > 1:
-            fields.sort(key=lambda field: _SYMBOLS[field[0]])
-        got = tuple(fields)
-        if len(_FIELDS) >= MAX_TERMS:
-            _FIELDS.clear()
-        _FIELDS[m] = got
-    return got
+    fields = list(_slot_fields(m))
+    if len(fields) > 1:
+        fields.sort(key=lambda field: _SYMBOLS[field[0]])
+    return tuple(fields)
 
 
 def mono_decode(m: Monomial) -> tuple[tuple[Symbol, int], ...]:
@@ -295,10 +287,8 @@ def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
                for slot, e in _fields(m1))
 
 
-_PRINTED: dict[tuple, tuple] = {}  # (m, name) -> _printed(m, name); emptied at MAX_TERMS
-
-
-def _printed(m: Monomial, name: Callable[[Symbol], str] = str) -> tuple:
+@lru_cache(maxsize=MAX_TERMS)
+def _printed(m: Monomial, name: Callable[[Symbol], str]) -> tuple:
     """The graded lexicographic sort key of m, (degree, reversed key of the
     first symbol, its exponent, ...) over the decoded factors, so free of
     the slots, with m's text under the namer appended; memoized by m and
@@ -306,26 +296,20 @@ def _printed(m: Monomial, name: Callable[[Symbol], str] = str) -> tuple:
     ends, so the text never decides.  A symbol's text is that of its own
     monomial, so a namer names each symbol once; one that raises leaves no
     entry."""
-    got = _PRINTED.get((m, name))
-    if got is None:
-        key, texts = [0], []
-        for slot, e in _fields(m):
-            s = _SYMBOLS[slot]
-            key[0] += e
-            key += (s._rkey, e)
-            text = name(s) if m == s.unit else _printed(s.unit, name)[-1]
-            texts.append(f"{text}^{e}" if e > 1 else text)
-        key.append("*".join(texts))
-        got = tuple(key)
-        if len(_PRINTED) >= MAX_TERMS:
-            _PRINTED.clear()
-        _PRINTED[(m, name)] = got
-    return got
+    key, texts = [0], []
+    for slot, e in _fields(m):
+        s = _SYMBOLS[slot]
+        key[0] += e
+        key += (s._rkey, e)
+        text = name(s) if m == s.unit else _printed(s.unit, name)[-1]
+        texts.append(f"{text}^{e}" if e > 1 else text)
+    key.append("*".join(texts))
+    return tuple(key)
 
 
 def mono_sort_key(m: Monomial) -> tuple:
     """Sort key of the graded lexicographic order (see :func:`_printed`)."""
-    return _printed(m)
+    return _printed(m, str)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +432,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=mono_sort_key)
         return m, self.terms[m]
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return [(m, self.terms[m]) for m in
-                sorted(self.terms, key=mono_sort_key, reverse=True)]
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -62,23 +62,23 @@ def keys(*exprs):
 
 class TestGenerateAnsatz:
     def test_constant_plus_u(self):
-        densities, characteristics = generate_ansatz(HEAT, AnsatzSpec(0, 1, 0))
+        densities, characteristics = generate_ansatz(HEAT.n, AnsatzSpec(0, 1, 0))
         assert len(densities) == len(characteristics) == 2
         assert monomial_set(densities) == keys(Expr.const(1), u)
 
     def test_base_degree_one(self):
-        densities, characteristics = generate_ansatz(HEAT, AnsatzSpec(0, 1, 1))
+        densities, characteristics = generate_ansatz(HEAT.n, AnsatzSpec(0, 1, 1))
         assert len(densities) == len(characteristics) == 6
         assert monomial_set(densities) == keys(Expr.const(1), x, t, u, x * u, t * u)
 
     def test_counting_formula_n2(self):
         # 7 jet monomials (1; u; u_1, u_2; u_11, u_12, u_22) x 10 base
         # monomials of joint degree <= 2 in (t, x1, x2)
-        densities, characteristics = generate_ansatz(HEAT2, AnsatzSpec(2, 1, 2))
+        densities, characteristics = generate_ansatz(HEAT2.n, AnsatzSpec(2, 1, 2))
         assert len(densities) == len(characteristics) == 7 * 10
 
     def test_characteristic_columns_are_int_euler_derivatives(self):
-        densities, characteristics = generate_ansatz(HEAT2, AnsatzSpec(2, 2, 1))
+        densities, characteristics = generate_ansatz(HEAT2.n, AnsatzSpec(2, 2, 1))
         for T, Q in zip(densities, characteristics):
             assert combine([Q], {0: 1}) == euler_operator(combine([T], {0: 1}))
             assert all(type(c) is int for c in Q.values())
@@ -86,7 +86,7 @@ class TestGenerateAnsatz:
     def test_guard(self):
         # 210 jet monomials x 165 base monomials = 34650 > MAX_TERMS
         with pytest.raises(AnsatzTooLarge, match="MAX_TERMS = 20000"):
-            generate_ansatz(HEAT2, AnsatzSpec(2, 4, 8))
+            generate_ansatz(HEAT2.n, AnsatzSpec(2, 4, 8))
 
     def test_guard_counts_before_enumerating(self, monkeypatch):
         def enumerate_nothing(*args):
@@ -96,15 +96,15 @@ class TestGenerateAnsatz:
         monkeypatch.setattr(claws, "bounded_monomials", enumerate_nothing)
         with pytest.raises(AnsatzTooLarge,
                            match="^230230 monomials exceed MAX_TERMS = 20000$"):
-            generate_ansatz(HEAT2, AnsatzSpec(2, 20, 0))
+            generate_ansatz(HEAT2.n, AnsatzSpec(2, 20, 0))
         with pytest.raises(AnsatzTooLarge):
-            generate_ansatz(EvolutionEquation(9, u11), AnsatzSpec(10, 1, 0, True))
+            generate_ansatz(9, AnsatzSpec(10, 1, 0, True))
 
     def test_order_cap_needs_unsafe_flag(self):
         with pytest.raises(ValueError):
             AnsatzSpec(max_jet_order=3)
         spec = AnsatzSpec(max_jet_order=3, unsafe_order=True)
-        densities, _ = generate_ansatz(HEAT, spec)
+        densities, _ = generate_ansatz(HEAT.n, spec)
         assert spatial_jet_order(tagged(densities)) == 3
 
     def test_order_limit_holds_with_unsafe_flag(self):
@@ -159,7 +159,7 @@ class TestDeterminingSystem:
         for entry in CORPUS:
             for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1)):
                 system = assemble_determining_system(
-                    entry.equation(), generate_ansatz(entry.equation(), spec)[0])
+                    entry.equation(), generate_ansatz(entry.equation().n, spec)[0])
                 assert solve_exact(system) == linalg.nullspace(system.rows, system.ncols)
         rng = random.Random(157)
         for _ in range(100):
@@ -407,7 +407,7 @@ class TestFindConservationLaws:
         # restricted search never yields such a vector, so it fails loudly
         # instead of being dropped
         spec = AnsatzSpec(2, 1, 2)
-        characteristics = generate_ansatz(HEAT, spec)[1]
+        characteristics = generate_ansatz(HEAT.n, spec)[1]
         kept = [characteristics[k] for k in kept_columns(characteristics)]
         Qs = []
 
@@ -428,7 +428,7 @@ class TestFindConservationLaws:
         # a forged null vector: T = u^2 has an independent characteristic
         # 2u, but reduce(D_t T) = 2 u u_xx is not a divergence
         spec = AnsatzSpec(2, 2, 0)
-        densities, characteristics = generate_ansatz(HEAT, spec)
+        densities, characteristics = generate_ansatz(HEAT.n, spec)
         column = densities.index({mono_encode([(jet_var(), 2)]): 1})
 
         def forged_basis(system):
@@ -737,18 +737,54 @@ class TestSearchMemos:
     def test_memos_shared_by_threads(self):
         assert suite_memos_shared_by_threads() == 4 * 4 * len(CORPUS)
 
+    def test_plan_generates_the_ansatz_once_per_bounds(self, monkeypatch):
+        # a cold search generates the ansatz once; a warm one at the same
+        # (n, spec) on another G reads the plan and generates none; the plan
+        # is the columns whose characteristics the pivot pass keeps
+        from util import clear_search_memos
+        calls = []
+        real = claws.generate_ansatz
+
+        def counting(n, spec):
+            calls.append((n, spec))
+            return real(n, spec)
+
+        monkeypatch.setattr(claws, "generate_ansatz", counting)
+        spec = AnsatzSpec(2, 1, 1)
+        clear_search_memos()
+        assert find_conservation_laws(HEAT2, spec)
+        assert calls == [(2, spec)]
+        find_conservation_laws(EvolutionEquation(2, u11 + 2 * u22 + ux), spec)
+        assert calls == [(2, spec)]
+        find_conservation_laws(HEAT, spec)
+        assert calls == [(2, spec), (1, spec)]
+        densities, characteristics = real(2, spec)
+        pivots = linalg.Echelon()
+        keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
+        assert 0 < len(keep) < len(densities)
+        assert claws._plan(2, spec) == (tuple(densities[k] for k in keep),
+                                        tuple(characteristics[k] for k in keep))
+        assert calls == [(2, spec), (1, spec)]
+
     def test_every_memo_is_bounded(self, monkeypatch):
-        # the monomial memo is an lru_cache of MAX_TERMS entries, and _KEPT
-        # is emptied when it reaches MAX_TERMS, so after MAX_TERMS + 2
-        # stores it holds the last two; an empty ansatz keeps the searches
-        # cheap at large n
+        # both memos are lru_caches of MAX_TERMS entries, so after
+        # MAX_TERMS + 2 plans the memo holds the last MAX_TERMS and has
+        # evicted the first two; an empty ansatz keeps the searches cheap at
+        # large n
         from util import clear_search_memos
         assert claws._prolonged_euler.cache_info().maxsize == MAX_TERMS
-        monkeypatch.setattr(claws, "generate_ansatz", lambda eq, spec: ([], []))
+        assert claws._plan.cache_info().maxsize == MAX_TERMS
+        monkeypatch.setattr(claws, "generate_ansatz", lambda n, spec: ([], []))
         clear_search_memos()
         try:
             for n in range(1, MAX_TERMS + 3):
                 find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
-            assert list(claws._KEPT) == [(n - 1, AnsatzSpec()), (n, AnsatzSpec())]
+            info = claws._plan.cache_info()
+            assert info.misses == MAX_TERMS + 2 and info.currsize == MAX_TERMS
+            claws._plan(n, AnsatzSpec())
+            claws._plan(3, AnsatzSpec())
+            assert claws._plan.cache_info().hits == info.hits + 2
+            claws._plan(1, AnsatzSpec())
+            assert claws._plan.cache_info().misses == info.misses + 1
         finally:
             clear_search_memos()

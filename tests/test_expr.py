@@ -411,7 +411,7 @@ class TestOrdering:
         assert w.slot > x1.slot
         p = Poly({x1.unit: 3, w.unit: 2})
         assert p.leading() == (x1.unit, 3)
-        assert p.sorted_terms()[0] == (x1.unit, 3)
+        assert max(p.terms, key=mono_sort_key) == x1.unit
         assert format_poly(p) == "3*x1 + 2*w_fresh_for_leading"
 
     def test_sort_key_matches_mono_cmp(self):
@@ -436,7 +436,7 @@ class TestOrdering:
 
 
 class TestPrintingMemo:
-    """format_poly, sorted_terms and leading read one memo of each
+    """format_poly, mono_sort_key and leading read one memo of each
     monomial's sort key and text; the per-call printer of util is the
     reference."""
 
@@ -479,7 +479,7 @@ class TestPrintingMemo:
             for _ in range(150):
                 p = self.random_poly(rng, spatial)
                 assert format_poly(p) == reference_format_poly(p)
-                assert [m for m, _ in p.sorted_terms()] == \
+                assert sorted(p.terms, key=mono_sort_key, reverse=True) == \
                     sorted(p.terms, key=reference_mono_sort_key, reverse=True)
                 assert p.leading()[0] == max(p.terms, key=reference_mono_sort_key)
                 q = self.random_poly(rng, printable)
@@ -520,14 +520,21 @@ class TestPrintingMemo:
                         expr_to_source(e, 1)
 
     def test_memo_never_holds_more_than_max_terms(self):
+        # the memo is an lru_cache of MAX_TERMS entries: once full it evicts
+        # the least recently read entry, here the oldest power of s, and
+        # keeps the text of s, which every power reads
         from paraclaw import expr
         s = aux_var(7300, "bounded")
         sizes = []
         for k in range(1, MAX_TERMS + 50):
             format_poly(Poly({mono_encode([(s, k)]): 1}))
-            sizes.append(len(expr._PRINTED))
-        assert max(sizes) <= MAX_TERMS and min(sizes[1:]) < MAX_TERMS // 2
+            sizes.append(expr._printed.cache_info().currsize)
+        info = expr._printed.cache_info()
+        assert info.maxsize == MAX_TERMS and max(sizes) == sizes[-1] == MAX_TERMS
+        assert format_poly(Poly({s.unit: 3})) == "3*bounded"
+        assert expr._printed.cache_info().misses == info.misses
         assert format_poly(Poly({mono_encode([(s, 5)]): 2})) == "2*bounded^5"
+        assert expr._printed.cache_info().misses == info.misses + 1
 
 
 class TestSymbolHash:
@@ -628,7 +635,7 @@ class TestSymbolContract:
         assert {s.name for s in got.symbols()} == {s.name for s in e.symbols()}
         pf = parse("n=2; u_t = u_11 + u_22 + u_1*u_12; ref u_1 = 1; jet_degree = 1")
         eq, spec = pf.equation(), AnsatzSpec(2, 1, 1)
-        densities, _ = generate_ansatz(eq, AnsatzSpec(1, 1, 0))
+        densities, _ = generate_ansatz(eq.n, AnsatzSpec(1, 1, 0))
         values = [base_var(0), base_var(2), jet_var(), jet_var((2, 1), 1), aux_var(3),
                   aux_var(1, "xi1"), e, spec, find_conservation_laws(eq, spec)[0],
                   ma_classify(eq), pf, eq, assemble_determining_system(eq, densities)]

@@ -23,7 +23,9 @@ search builds a replacement table.  Raw term dicts have one kernel: only ``expr`
 monomial), ``_shifted`` and ``_cleared``.  D_J f has one
 prefix memo, ``jets.Prolonged``: only ``jets`` defines ``__missing__``.
 Every memo has one size budget: each ``functools.lru_cache`` is bounded by
-``MAX_TERMS``, and no unbounded ``functools.cache`` is used.
+``MAX_TERMS``, no unbounded ``functools.cache`` is used, and no function
+empties a module-level name, so a memo cannot be a dict cleared at a bound
+of its own.
 
 The package's imports run one way, from the command layer down to the
 kernel, and every name a module imports is used; each module's imports
@@ -69,8 +71,11 @@ def test_traced_name_resolves(modname, attr):
     ("n=1; u_t = u_x", (2, 2, 0)),
 ], ids=["burgers", "heat_2d", "transport"])
 def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
+    # from cold memos: a warm plan generates no ansatz
     from paraclaw import claws
     from paraclaw.grammar import parse
+    from util import clear_search_memos
+    clear_search_memos()
     calls = {}
     for name in ("generate_ansatz", "assemble_determining_system", "solve_exact"):
         def counting(*args, _name=name, _real=getattr(claws, name), **kwargs):
@@ -91,8 +96,9 @@ def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
 def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
     # from cold memos, one raw Euler walk per t-free ansatz monomial
     # (E_u(t^b m) = t^b E_u(m)), all inside generate_ansatz; none in
-    # assembly or extraction; none in a second search at the same bounds on
-    # another G, whose columns come from the memo; and no euler_operator
+    # assembly or extraction; no generate_ansatz call and no walk in a
+    # second search at the same bounds on another G, whose columns come
+    # from the plan memo; and no euler_operator
     from paraclaw import claws, jets
     from paraclaw.expr import TIME, mono_decode
     from paraclaw.grammar import parse
@@ -126,7 +132,7 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
     assert sizes and walks == [True] * sizes[0]
     walks.clear()
     claws.find_conservation_laws(parse(other).equation(), claws.AnsatzSpec(*spec))
-    assert len(sizes) == 2 and walks == []
+    assert len(sizes) == 1 and walks == []
 
 
 @pytest.mark.parametrize("source, spec", [
@@ -173,10 +179,11 @@ def test_tracer_sizes_the_search_stages(spec, size):
     # the tracer reads the ansatz size as len(r[1]) of generate_ansatz, the
     # row count as r.num_equations of the assembly and the null dimension
     # as len(r) of solve_exact; 2/0/0 has one monomial, so a bare list of
-    # columns would break r[1]
+    # columns would break r[1]; the recorded search runs cold, as the
+    # traced one in a fresh interpreter does
     from paraclaw import claws
     from paraclaw.grammar import parse
-    from util import recorded_search
+    from util import clear_search_memos, recorded_search
     source = "n=2; u_t = u_11 + u_22"
     proc = subprocess.run(
         [sys.executable, "-B", "-c", TRACED_SEARCH, os.path.join(ROOT, "src"),
@@ -184,6 +191,7 @@ def test_tracer_sizes_the_search_stages(spec, size):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
+    clear_search_memos()
     calls, outcome = recorded_search(parse(source).equation(), claws.AnsatzSpec(*spec), False)
     assert len(calls["generate_ansatz"][1][1]) == size
     assert metrics["claws.ansatz_unknowns"] == size
@@ -201,7 +209,7 @@ def test_search_memos_and_rows_are_untracked():
     from paraclaw.grammar import parse
     from util import _t_free
     eq, spec = parse("n=2; u_t = u_11 + u_22 + u*u_1").equation(), claws.AnsatzSpec(2, 2, 1)
-    densities, _ = claws.generate_ansatz(eq, spec)
+    densities, _ = claws.generate_ansatz(eq.n, spec)
     system = claws.assemble_determining_system(eq, densities)
     assert claws.find_conservation_laws(eq, spec)
     gc.collect()
@@ -350,6 +358,31 @@ def test_every_memo_is_bounded_by_max_terms():
             assert memo != "cache", f"{name}:{node.lineno} uses the unbounded functools.cache"
             assert memo != "lru_cache" or id(node) in bounded, \
                 f"{name}:{node.lineno} has an lru_cache whose maxsize is not MAX_TERMS"
+
+
+def test_no_function_clears_a_module_level_name():
+    # a process-wide memo is an lru_cache, which the bound check above
+    # reads, not a module-level dict that a function empties at a bound
+    cleared = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module_level = {target.id for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for target in (node.targets if isinstance(node, ast.Assign)
+                                       else [node.target])
+                        if isinstance(target, ast.Name)}
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cleared += [f"{name}:{node.lineno} {node.func.value.id}.clear()"
+                        for node in ast.walk(function)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "clear" and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id in module_level]
+    assert cleared == []
 
 
 # Each paraclaw module and the modules directly below it; a module may import

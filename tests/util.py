@@ -1060,7 +1060,7 @@ def suite_characteristic_form_corpus() -> int:
     for entry in CORPUS:
         eq = entry.equation()
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
-            densities = generate_ansatz(eq, spec)[0]
+            densities = generate_ansatz(eq.n, spec)[0]
             assert assembled_expression(eq, densities) \
                 == determining_scale(eq) * naive_determining_expression(eq, tagged(densities)), \
                 f"characteristic form differs on {entry.name} at {spec}"
@@ -1099,7 +1099,7 @@ def suite_auxiliary_form_corpus() -> int:
     checked = 0
     for name, eq in rational_corpus():
         for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 2)):
-            densities, characteristics = generate_ansatz(eq, spec)
+            densities, characteristics = generate_ansatz(eq.n, spec)
             assert assembled_expression(eq, densities) \
                 == reference_determining_expression(eq, tagged(characteristics)), \
                 f"auxiliary form differs on {name} at {spec}"
@@ -1197,7 +1197,7 @@ def suite_integer_assembly() -> int:
     checked."""
     checked = 0
     for name, eq in rational_corpus():
-        densities = generate_ansatz(eq, AnsatzSpec(2, 2, 1))[0]
+        densities = generate_ansatz(eq.n, AnsatzSpec(2, 2, 1))[0]
         system = assemble_determining_system(eq, densities)
         d = determining_scale(eq)
         reference: dict = {}
@@ -1328,8 +1328,10 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
     term quadratic in the Hessian; the rational G of
     SPLIT_RATIONAL_SOURCES, with denominators in first-order data and in
     the Hessian, symbolic and at two reference jets, the default and a
-    random one.  Returns the number of draws of each kind, mode and
-    outcome, with the parabolicity verdict of each pointwise draw."""
+    random one.  Each random reference value is drawn over G's symbols in
+    symbol order, so the draws do not depend on set order.  Returns the
+    number of draws of each kind, mode and outcome, with the parabolicity
+    verdict of each pointwise draw."""
     rng = random.Random(seed)
     draws = [("corpus", entry.equation(), symbolic) for entry in CORPUS
              if entry.equation().n >= 2 for symbolic in (False, True)]
@@ -1342,7 +1344,7 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
         for i in range(1, n + 1):
             G = G + Fraction(rng.choice((-1, 0, 1, 1, 2, 3)), rng.randint(1, 3)) \
                 * Expr.symbol(jet_var((i, i)))
-        ref = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in G.symbols()}
+        ref = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in sorted(G.symbols())}
         draws.append(("pointwise", EvolutionEquation(n, G, ref), False))
     symbolic = [parse(source).equation() for source in SPLIT_SYMBOLIC_SOURCES]
     for _ in range(cases // 3):
@@ -1354,7 +1356,8 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
     draws += [("symbolic", eq, True) for eq in symbolic]
     for source in SPLIT_RATIONAL_SOURCES:
         eq = parse(source).equation()
-        point = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in eq.G.symbols()}
+        point = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for s in sorted(eq.G.symbols())}
         draws += [("rational", eq, True), ("rational", eq, False),
                   ("rational", EvolutionEquation(eq.n, eq.G, point), False)]
     counts: dict = {}
@@ -1484,7 +1487,7 @@ def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
     find_conservation_laws."""
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    densities, characteristics = generate_ansatz(eq, spec)
+    densities, characteristics = generate_ansatz(eq.n, spec)
     system = assemble_determining_system(eq, densities)
     kept = linalg.Echelon()
     laws = []
@@ -1676,7 +1679,9 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     """One problem of :func:`suite_column_route_equivalence`: the search's
     staged calls against :func:`tagged_stages`, and its outcome against
     :func:`reference_find_conservation_laws`; counts the problem, a
-    refusal and the laws."""
+    refusal and the laws.  The plan memo is emptied first, so the search
+    generates its ansatz."""
+    claws._plan.cache_clear()
     calls, outcome = recorded_search(eq, spec, force)
     assert outcome == _search_outcome(reference_find_conservation_laws, eq, spec, force), \
         f"outcomes differ on {where}"
@@ -1745,7 +1750,7 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
             force = k < 4 or (k - 4) % 4 != 3
             _compare_column_route(f"{name} at {spec}", eq, spec, force, counts)
             if G.is_polynomial:
-                densities = generate_ansatz(eq, spec)[0]
+                densities = generate_ansatz(eq.n, spec)[0]
                 forward = assemble_determining_system(eq, densities)
                 backward = assemble_determining_system(eq, densities[::-1])
                 flipped = [{len(densities) - 1 - c: v for c, v in row.items()}
@@ -1761,17 +1766,16 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
 
 def clear_search_memos() -> None:
     """Empty the law search's process-wide memos of its G-independent half:
-    the prolonged E_u of t-free monomials, and the kept column indices by
-    (n, spec)."""
+    the prolonged E_u of t-free monomials, and the plans (the kept columns)
+    by (n, spec)."""
     claws._prolonged_euler.cache_clear()
-    claws._KEPT.clear()
+    claws._plan.cache_clear()
 
 
 def search_memo_sizes() -> dict:
     """name -> (maxsize, currsize) of each memo of the law search."""
-    info = claws._prolonged_euler.cache_info()
-    return {"kept": (MAX_TERMS, len(claws._KEPT)),
-            "prolonged_euler": (info.maxsize, info.currsize)}
+    infos = {memo.__name__: memo.cache_info() for memo in (claws._plan, claws._prolonged_euler)}
+    return {name: (info.maxsize, info.currsize) for name, info in infos.items()}
 
 
 def golden_ansatz_specs() -> list[AnsatzSpec]:
@@ -1782,7 +1786,8 @@ def golden_ansatz_specs() -> list[AnsatzSpec]:
 def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tuple:
     """The search's :func:`_search_outcome`, its determining system (keys,
     and each row's items in order) and null space, as recorded by
-    :func:`recorded_search`, and the t-free monomials of its ansatz."""
+    :func:`recorded_search`; the t-free monomials of the ansatz it
+    generated, if its plan was cold; and the plan it read, or None."""
     calls, outcome = recorded_search(eq, spec, force)
     system = calls.get("assemble_determining_system", [None, None])[1]
     staged = None
@@ -1790,7 +1795,8 @@ def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tupl
         staged = system.keys, [list(row.items()) for row in system.rows], \
             calls["solve_exact"][1]
     ansatz = calls["generate_ansatz"][1][0] if "generate_ansatz" in calls else []
-    return (outcome, staged), _t_free(ansatz)
+    plan = claws._plan(eq.n, spec) if "assemble_determining_system" in calls else None
+    return (outcome, staged), _t_free(ansatz), plan
 
 
 def _t_free(densities: list[dict]) -> set:
@@ -1798,12 +1804,13 @@ def _t_free(densities: list[dict]) -> set:
     return {mono_encode((s, e) for s, e in mono_decode(m) if s != TIME) for (m,) in densities}
 
 
-def _memo_snapshot(snapshot: dict, monomials) -> None:
+def _memo_snapshot(snapshot: dict, monomials, plan) -> None:
     """Add to ``snapshot``, id -> (object, copy of its contents), every dict
     and tuple the search memos hold that it lacks: the prolonged E_u of the
     t-free ansatz ``monomials`` and each of its entries (held already, so
-    reading them stores nothing), and the kept indices."""
-    held = list(claws._KEPT.values())
+    reading them stores nothing), and the ``plan`` a search read, if any:
+    its two tuples and each density and characteristic in them."""
+    held = [plan, *plan, *plan[0], *plan[1]] if plan else []
     for m in monomials:
         prolonged = claws._prolonged_euler(m)
         held += [prolonged, *prolonged.values()]
@@ -1867,10 +1874,10 @@ def suite_memos_change_no_result(cases: int = 30, seed: int = 167) -> dict:
     snapshot: dict = {}
     for name, eq, spec, force in warm:
         where = f"{name} at {spec}"
-        record, monomials = _search_record(eq, spec, force)
+        record, monomials, plan = _search_record(eq, spec, force)
         assert record == reference[name, spec, force], f"a warm search differs on {where}"
         _assert_snapshot_holds(snapshot, where)
-        _memo_snapshot(snapshot, monomials)
+        _memo_snapshot(snapshot, monomials, plan)
     for name, (maxsize, currsize) in search_memo_sizes().items():
         assert isinstance(maxsize, int) and 0 <= currsize <= maxsize, name
     return {"problems": len(problems), "warm": len(warm)}
@@ -1888,7 +1895,7 @@ def suite_returned_columns_are_fresh() -> int:
         for spec in golden_ansatz_specs():
             clear_search_memos()
             want = _search_record(eq, spec, False)[0]
-            densities, characteristics = generate_ansatz(eq, spec)
+            densities, characteristics = generate_ansatz(eq.n, spec)
             for column in densities + characteristics:
                 column.clear()
             for Q in characteristics:
@@ -1930,9 +1937,9 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
     searches: from cleared memos, each of ``threads`` threads runs every
     corpus entry at every golden spec, in its own seeded order, and each
     outcome equals the cold one.  And threads storing MAX_TERMS + threads
-    distinct keys into ``_KEPT`` at once, by searches of an empty ansatz at
-    n = 1, 2, ..., leave it within its bound.  Returns the number
-    of searches compared."""
+    distinct plans at once, by searches of an empty ansatz at n = 1, 2,
+    ..., leave the plan memo within its bound.  Returns the number of
+    searches compared."""
     problems = [(entry.name, entry.equation(), spec)
                 for entry in CORPUS for spec in golden_ansatz_specs()]
     reference = []
@@ -1958,14 +1965,16 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
         for n in range(1 + k, MAX_TERMS + threads + 1, threads):
             find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
 
-    clear_search_memos()  # the kept columns of the real ansatz index none here
-    generate, claws.generate_ansatz = claws.generate_ansatz, lambda eq, spec: ([], [])
+    clear_search_memos()  # no plan of the real ansatz is kept here
+    generate, claws.generate_ansatz = claws.generate_ansatz, lambda n, spec: ([], [])
     try:
         errors = _in_threads(fill, threads)
     finally:
         claws.generate_ansatz = generate
     assert errors == [None] * threads, errors
-    assert len(claws._KEPT) < MAX_TERMS
+    info = claws._plan.cache_info()
+    assert info.misses == MAX_TERMS + threads and info.currsize == MAX_TERMS, info
+    clear_search_memos()  # the empty plans hold no real ansatz
     return len(got)
 
 
@@ -2030,7 +2039,7 @@ def suite_rank_echelon_equivalence(cases: int = 120, seed: int = 149) -> dict:
     for entry in CORPUS:
         for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1)):
             matrices.append((f"{entry.name} at {spec}",
-                             generate_ansatz(entry.equation(), spec)[1]))
+                             generate_ansatz(entry.equation().n, spec)[1]))
     counts = {"rows": 0, "kept": 0, "reads": 0}
     for where, rows in matrices:
         echelon, reference = linalg.Echelon(), ReferenceEchelon()
@@ -2091,7 +2100,7 @@ def suite_nullspace_equivalence(cases: int = 150, seed: int = 163) -> dict:
     heat_2d = next(entry for entry in CORPUS if entry.name == "heat_2d")
     searches.append(("heat_2d", heat_2d.equation(), AnsatzSpec(2, 2, 2)))
     for name, eq, spec in searches:
-        densities, characteristics = generate_ansatz(eq, spec)
+        densities, characteristics = generate_ansatz(eq.n, spec)
         pivots = ReferenceEchelon()
         system = assemble_determining_system(
             eq, [T for T, Q in zip(densities, characteristics) if pivots.add(Q)])
@@ -2114,7 +2123,7 @@ def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
     checked = 0
     for entry, spec in problems:
         eq = entry.equation()
-        densities, characteristics = generate_ansatz(eq, spec)
+        densities, characteristics = generate_ansatz(eq.n, spec)
         T_ansatz = tagged(densities)
         system = assemble_determining_system(eq, densities)
         for vec in solve_exact(system):
