@@ -5,8 +5,11 @@ coordinates and spatial jets of order <= 2 (the order bound is licensed by
 the structure theory -- characteristics of evolutionary parabolic
 equations depend on at most second derivatives); keep only the monomials
 whose characteristics are independent, so that no trivial law is ever
-solved for; assemble the determining system in characteristic form; solve
-the system exactly; reconstruct fluxes by divergence inversion.  The
+solved for; on a strictly parabolic symbol, where the bound is a theorem,
+search only the combinations whose characteristic has jet order <= 2
+(:func:`find_conservation_laws`); assemble the determining system in
+characteristic form; solve the system exactly; reconstruct fluxes by
+divergence inversion.  The
 ansatz is linear in its coefficients, so it is held as columns from start
 to finish: one ``int`` term dict per monomial for its density and one for
 its characteristic, and one determining-system column per kept monomial.
@@ -43,12 +46,14 @@ of m: the D_L Q of Q = E_u(m), and Q itself at L = (); only their products
 with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
 by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
 memo of D_L E_u(m) for the process, and a second, :func:`_plan`, keyed by
-(n, spec), holds the columns the pivot pass keeps.  Both are bounded by
-MAX_TERMS, which also bounds the columns of one ansatz, so no search evicts
-what it built.  A second equation at bounds already seen then does only
-the G-dependent products, the solve and the extraction; a single search
-computes what it computed without them, and keeps it.  The memoized dicts
-are only read, and ``generate_ansatz`` returns copies.
+(n, spec), holds the columns the pivot pass keeps, with the support and
+rows of the order bound.  Both are bounded by MAX_TERMS, which also bounds
+the columns of one ansatz, so no search evicts what it built.  A second
+equation at bounds already seen then does only the G-dependent products,
+the solve and the extraction; a single search computes what it computed
+without them, and keeps it.  The memoized dicts are only read: the
+characteristic of a t-free column is the memo's own E_u(m), which the
+plan holds, not a copy.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -65,8 +70,8 @@ from math import comb
 
 from . import linalg
 from .expr import (
-    JET, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
-    _add_product, _add_terms, _cleared, _exponent, _shifted, base_var,
+    JET, MAX_EXPONENT, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
+    _add_product, _add_terms, _cleared, _exponent, _shifted, base_var, mono_decode,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, Prolonged,
@@ -76,7 +81,7 @@ from .jets import (
     invert_divergence, spatial_jet_order, spatial_jet_vars, total_derivative,
 )
 from .parabolic import EvolutionEquation, InvariantViolation, MAReport, Parabolicity, \
-    ma_classify, parabolicity_check
+    ma_classify
 
 __all__ = [
     "AnsatzTooLarge", "FluxReconstructionFailed", "NotParabolicEquation",
@@ -156,7 +161,11 @@ class DeterminingSystem:
     not sorted (the reduced row echelon form, and so the null space, is the
     same under any row order); so the smallest column of each row is the
     column that first met its key, and these columns never decrease down
-    the rows."""
+    the rows.
+
+    A search restricted by the order bound appends the rows H_S of
+    :func:`_plan` after the assembled ones, each under the monomial of the
+    characteristic whose coefficient it is."""
 
     ncols: int
     rows: list[dict] = field(default_factory=list)
@@ -182,8 +191,9 @@ def generate_ansatz(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     counted before any is built (:func:`check_ansatz_size`).  E_u commutes
     with multiplication by t, so E_u(t^b m) = t^b E_u(m): one raw Euler walk
     per t-free monomial m gives the characteristics of all its t^b multiples,
-    each key shifted by t^b; the walks are memoized for the process, and
-    every returned dict is new."""
+    each key shifted by t^b.  The walks are memoized for the process: the
+    characteristic of a t-free monomial is the memo's own E_u(m), to be
+    read only, and every other returned dict is new."""
     check_ansatz_size(n, spec)
     base_syms = [base_var(a) for a in range(n + 1)]
     jet_syms = spatial_jet_vars(n, spec.max_jet_order)
@@ -193,8 +203,7 @@ def generate_ansatz(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     characteristics = []
     for (m,) in densities:
         b = _exponent(m, TIME)
-        Q = _prolonged_euler(m - b * TIME.unit)[()]
-        characteristics.append(_times_t(Q, b) if b else dict(Q))
+        characteristics.append(_times_t(_prolonged_euler(m - b * TIME.unit)[()], b))
     return densities, characteristics
 
 
@@ -218,16 +227,61 @@ def _prolonged_euler(m: Monomial) -> Prolonged:
 
 
 @functools.lru_cache(maxsize=MAX_TERMS)
-def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
-    """The (densities, characteristics) of the ansatz columns of these
-    bounds in n space dimensions whose characteristic is independent of
-    those of the earlier columns, in column order: the columns the search
-    keeps, which depend on n and the bounds alone.  Memoized for the
-    process; the dicts are only read."""
+def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...],
+                                             tuple[int, ...], dict[Monomial, dict]]:
+    """(densities, characteristics, support, bound) for the ansatz of these
+    bounds in n space dimensions, which depend on n and the bounds alone.
+    Memoized for the process; the dicts are only read.
+
+    The densities and characteristics are those of the columns whose
+    characteristic is independent of those of the earlier columns, in
+    column order: the columns the search keeps.  The combinations of kept
+    columns whose characteristic holds no jet of order >= 3 form a space V,
+    the null space of the rows H of :func:`_order_rows`; ``support`` is the
+    kept columns on which some vector of V's basis is not 0, in column
+    order, and ``bound`` is the rows H_S of H restricted to them,
+    renumbered by their place in ``support``, by monomial, empty rows
+    dropped.  So a combination of the support columns lies in V exactly
+    when H_S annihilates it.  Under ``unsafe_order``, whose purpose is to
+    test the order bound, the support is every kept column and H_S is
+    empty."""
     densities, characteristics = generate_ansatz(n, spec)
     pivots = linalg.Echelon()
     keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
-    return tuple(densities[k] for k in keep), tuple(characteristics[k] for k in keep)
+    densities = tuple(densities[k] for k in keep)
+    characteristics = tuple(characteristics[k] for k in keep)
+    if spec.unsafe_order:
+        return densities, characteristics, tuple(range(len(keep))), {}
+    rows = _order_rows(characteristics)
+    V = linalg.nullspace(list(rows.values()), len(keep))
+    support = tuple(sorted({k for v in V for k in v}))
+    place = {k: i for i, k in enumerate(support)}
+    bound = {}
+    for m, row in rows.items():
+        restricted = {place[k]: c for k, c in row.items() if k in place}
+        if restricted:
+            bound[m] = restricted
+    return densities, characteristics, support, bound
+
+
+def _order_rows(characteristics: Sequence[dict]) -> dict[Monomial, dict]:
+    """The rows {k: c} of the coefficients c of the monomial m in each
+    characteristics[k], by each monomial m that holds a jet of order >= 3.
+    A monomial is tested against one mask of the fields of those jets,
+    built from the bitwise OR of every monomial, whose fields are nonzero
+    exactly at the symbols some monomial holds."""
+    held = 0
+    for Q in characteristics:
+        for m in Q:
+            held |= m
+    mask = MAX_EXPONENT * sum(s.unit for s, _ in mono_decode(held)
+                              if s.kind == JET and s.order > 2)
+    rows: dict = {}
+    for k, Q in enumerate(characteristics):
+        for m, c in Q.items():
+            if m & mask:
+                rows.setdefault(m, {})[k] = c
+    return rows
 
 
 def assemble_determining_system(eq: EvolutionEquation,
@@ -466,13 +520,29 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     null vector of each free column that is not a pivot of M has a
     characteristic that depends on those of earlier null vectors.
 
+    On a strictly parabolic polynomial G the paper's order bound restricts
+    the search further: the characteristic of every conservation law has
+    jet order <= 2, so the null space N lies in the space V of kept-column
+    combinations whose characteristic holds no jet of order >= 3.  V
+    depends on n and the bounds alone (:func:`_plan`).  The search
+    assembles only the columns of V's support S and appends the rows H_S,
+    which cut V out of span(S); N lies in V, which lies in span(S), so the
+    null space of that system is N, and ``linalg.nullspace``'s basis, which
+    depends only on the space and the column order, is the same.  A weak
+    or, with force, a non-parabolic symbol, a rational G, ``unsafe_order``
+    and a plan whose S is every kept column search every kept column with
+    no rows added.  The symbol's class is read off the equation, which
+    computes it once (``EvolutionEquation.parabolicity``), and only where S
+    is smaller than the kept columns.
+
     Each law is scaled so its characteristic is monic.  Every null-space
     density has a flux, reconstructed by exact divergence inversion.
     Every returned law satisfies the conservation identity exactly.  A
     characteristic of jet order > 2 is an InvariantViolation on a strictly
-    parabolic symbol, where the order bound is a theorem; otherwise (a
-    weak or, with force, a non-parabolic symbol) the law is kept, and the
-    symbol is classified only when such a law turns up.
+    parabolic symbol, where the order bound is a theorem; a restricted
+    search cannot return one, so only ``unsafe_order`` reaches that check.
+    Otherwise (a weak or, with force, a non-parabolic symbol) the law is
+    kept.
 
     Each law is extracted on ``int`` term dicts, and only the finished law
     becomes an Expr: the null vector's characteristic Q and density T are
@@ -484,10 +554,19 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     Q over Q's leading coefficient c, and the fluxes -(L X^i) / (c d L),
     with ``Fraction`` coefficients."""
     spec = spec or AnsatzSpec()
-    if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
+    if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    densities, characteristics = _plan(eq.n, spec)
+    densities, characteristics, support, bound = _plan(eq.n, spec)
+    if (eq.G.is_polynomial and len(support) < len(densities)
+            and eq.parabolicity is Parabolicity.STRICT):
+        densities = [densities[k] for k in support]
+        characteristics = [characteristics[k] for k in support]
+    else:
+        bound = {}
     system = assemble_determining_system(eq, densities)
+    if bound:
+        system = DeterminingSystem(system.ncols, system.rows + list(bound.values()),
+                                   system.keys + list(bound))
     basis = solve_exact(system)
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
@@ -510,8 +589,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
                 f"null-space density has no flux: T = {T_law}") from exc
         law = ConservationLaw(T_law, tuple(_over(LXi, -lead * d * L) for LXi in LX),
                               _over(Q, lead))
-        if (jacobi_potential_order(law) > 2
-                and parabolicity_check(eq) is Parabolicity.STRICT):
+        if jacobi_potential_order(law) > 2 and eq.parabolicity is Parabolicity.STRICT:
             raise InvariantViolation(
                 f"characteristic of jet order > 2 found: {law.Q}")
         if not _balanced(R, L, LX):

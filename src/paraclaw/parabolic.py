@@ -144,6 +144,27 @@ class EvolutionEquation:
             g[i][j] = g[j][i] = c if i == j else c / 2
         return tuple(map(tuple, g))
 
+    @cached_property
+    def parabolicity(self) -> Parabolicity:
+        """The symbol at the reference jet classified once, exactly, by one
+        symmetric (LDL^T) elimination: a negative pivot, or a zero pivot
+        whose row is not zero, is not parabolic; all pivots positive is
+        strict; else weak."""
+        g = [list(row) for row in self.symbol_at_reference]
+        n = self.n
+        strict = True
+        for k in range(n):
+            pivot = g[k][k]
+            if pivot < 0 or (pivot == 0 and any(g[k][k + 1:])):
+                return Parabolicity.NOT_PARABOLIC
+            strict = strict and pivot > 0
+            for i in range(k + 1, n):
+                if g[i][k]:  # never under a zero pivot, whose row is zero
+                    factor = g[i][k] / pivot
+                    for j in range(k + 1, n):
+                        g[i][j] -= factor * g[k][j]
+        return Parabolicity.STRICT if strict else Parabolicity.WEAK
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvolutionEquation):
             return NotImplemented
@@ -201,23 +222,9 @@ def quartic_form(eq: EvolutionEquation) -> Expr:
 
 
 def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
-    """Classify the symbol at the reference jet, exactly, by one symmetric
-    (LDL^T) elimination: a negative pivot, or a zero pivot whose row is not
-    zero, is not parabolic; all pivots positive is strict; else weak."""
-    g = [list(row) for row in eq.symbol_at_reference]
-    n = eq.n
-    strict = True
-    for k in range(n):
-        pivot = g[k][k]
-        if pivot < 0 or (pivot == 0 and any(g[k][k + 1:])):
-            return Parabolicity.NOT_PARABOLIC
-        strict = strict and pivot > 0
-        for i in range(k + 1, n):
-            if g[i][k]:  # never under a zero pivot, whose row is zero
-                factor = g[i][k] / pivot
-                for j in range(k + 1, n):
-                    g[i][j] -= factor * g[k][j]
-    return Parabolicity.STRICT if strict else Parabolicity.WEAK
+    """The class of the symbol at the reference jet: the equation's
+    :attr:`~EvolutionEquation.parabolicity`, computed once per equation."""
+    return eq.parabolicity
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from util import (
     suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
     suite_memos_change_no_result, suite_memos_shared_by_threads,
     suite_returned_columns_are_fresh,
+    suite_order_bound, reference_order_bound,
     suite_solver_soundness, suite_triviality_filter,
     t, u, u1, u11, u12, u2, u22, ux, uxx, x, x1, x2,
 )
@@ -149,6 +150,7 @@ class TestDeterminingSystem:
         counts = suite_column_route_equivalence(cases=80)
         assert counts["problems"] == 4 * len(CORPUS) + 80
         assert counts["refusals"] >= 10 and counts["laws"] > 80
+        assert counts["restricted"] > 0  # the order bound restricts some searches
 
     def test_elimination_order_keeps_the_null_space(self):
         # solve_exact feeds the rows in an order of its own; the basis is the
@@ -174,6 +176,67 @@ class TestDeterminingSystem:
         counts = suite_time_linearity(cases=12)
         assert counts["problems"] == 2 * (4 + 12)
         assert counts["refusals"] >= 2 + 2 * 3 and counts["laws"] > 20
+        assert counts["restricted"] > 0
+
+    def test_order_bound_matches_reference_route(self):
+        counts = suite_order_bound(cases=6)
+        assert counts == {"problems": 7, "refusals": 0, "laws": 18,
+                          "restricted": 7, "bounded": 3}
+        # heat_plus_det at 2/3/3, the first problem: dim V = 280 and S holds
+        # 300 of the 880 kept columns
+        characteristics = generate_ansatz(2, AnsatzSpec(2, 3, 3))[1]
+        pivots = linalg.Echelon()
+        kept = [Q for Q in characteristics if pivots.add(Q)]
+        support, bound = reference_order_bound(kept)
+        assert (len(kept), len(support)) == (880, 300)
+        assert len(support) - rank(list(bound.values()), len(support)) == 280
+
+    @pytest.mark.parametrize("eq, spec, force, restricted", [
+        (HEAT2, AnsatzSpec(2, 3, 0), False, True),
+        (EvolutionEquation(2, u11), AnsatzSpec(2, 3, 0), False, False),
+        (EvolutionEquation(2, -u11 - u22), AnsatzSpec(2, 3, 0), True, False),
+        (HEAT2, AnsatzSpec(2, 3, 0, unsafe_order=True), False, False),
+    ], ids=["strict", "weak", "forced", "unsafe-order"])
+    def test_only_a_strict_search_is_restricted(self, eq, spec, force, restricted):
+        # the order bound restricts a strictly parabolic search to S and
+        # appends H_S; a weak, a forced non-parabolic and an unsafe_order
+        # search assemble every kept column and append nothing
+        from util import recorded_search
+        calls, outcome = recorded_search(eq, spec, force)
+        assert outcome[0] == "laws"
+        densities, _, support, bound = claws._plan(2, AnsatzSpec(2, 3, 0))
+        assert 0 < len(support) < len(densities) and bound
+        assembled = list(calls["assemble_determining_system"][0][1])
+        system = calls["assemble_determining_system"][1]
+        solved = calls["solve_exact"][0][0]
+        if restricted:
+            assert assembled == [densities[k] for k in support]
+            assert solved.rows == system.rows + list(bound.values())
+        else:
+            assert assembled == list(densities)
+            assert solved is system
+
+    def test_rational_refusals_are_unchanged(self):
+        # every rational_corpus equation, and the same over 1 + x1^2 (a
+        # rational G), searched with force where the order bound would
+        # restrict the search (2/2/1) and where nothing is kept, so S is
+        # empty (2/0/1), has the outcome of the reference route: a rational
+        # G is refused unless nothing is kept, and is refused as not
+        # polynomial even where its symbol cannot be classified
+        from util import _search_outcome, rational_corpus, reference_find_conservation_laws
+        refused = 0
+        corpus = rational_corpus()
+        problems = corpus + [(f"{name} over 1 + x1^2", EvolutionEquation(eq.n, eq.G / (1 + x1 ** 2)))
+                             for name, eq in corpus]
+        problems.append(("u_xx/u at u = 0", EvolutionEquation(1, uxx / u)))
+        for name, eq in problems:
+            for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 0, 1)):
+                got = _search_outcome(find_conservation_laws, eq, spec, True)
+                assert got == _search_outcome(reference_find_conservation_laws, eq, spec, True), \
+                    f"{name} at {spec}"
+                refused += got[0] == "NotPolynomialIn"
+                assert got[0] == "laws" or spec.jet_degree
+        assert refused == len(corpus) + 1
 
     # the tagged route of tests/util.py splits an Expr linear in the column
     # tags c_k back into columns
@@ -740,8 +803,11 @@ class TestSearchMemos:
     def test_plan_generates_the_ansatz_once_per_bounds(self, monkeypatch):
         # a cold search generates the ansatz once; a warm one at the same
         # (n, spec) on another G reads the plan and generates none; the plan
-        # is the columns whose characteristics the pivot pass keeps
-        from util import clear_search_memos
+        # is the columns whose characteristics the pivot pass keeps, with
+        # the support S of the order bound's space V and its rows H_S
+        # (neither empty nor everything at 2/3/0), computed by the test's
+        # own route; under unsafe_order S is every kept column
+        from util import clear_search_memos, reference_order_bound
         calls = []
         real = claws.generate_ansatz
 
@@ -750,7 +816,7 @@ class TestSearchMemos:
             return real(n, spec)
 
         monkeypatch.setattr(claws, "generate_ansatz", counting)
-        spec = AnsatzSpec(2, 1, 1)
+        spec = AnsatzSpec(2, 3, 0)
         clear_search_memos()
         assert find_conservation_laws(HEAT2, spec)
         assert calls == [(2, spec)]
@@ -762,9 +828,15 @@ class TestSearchMemos:
         pivots = linalg.Echelon()
         keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
         assert 0 < len(keep) < len(densities)
-        assert claws._plan(2, spec) == (tuple(densities[k] for k in keep),
-                                        tuple(characteristics[k] for k in keep))
+        kept = [characteristics[k] for k in keep]
+        support, bound = reference_order_bound(kept)
+        assert 0 < len(support) < len(keep) and bound
+        assert claws._plan(2, spec) == (tuple(densities[k] for k in keep), tuple(kept),
+                                        tuple(support), bound)
         assert calls == [(2, spec), (1, spec)]
+        unsafe = AnsatzSpec(2, 3, 0, unsafe_order=True)
+        assert claws._plan(2, unsafe) == (tuple(densities[k] for k in keep), tuple(kept),
+                                          tuple(range(len(keep))), {})
 
     def test_every_memo_is_bounded(self, monkeypatch):
         # both memos are lru_caches of MAX_TERMS entries, so after

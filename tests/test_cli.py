@@ -1246,20 +1246,33 @@ class TestMainEntry:
 
     def test_one_parabolicity_check_per_claws_request(self, tmp_path, capsys,
                                                       monkeypatch):
-        from paraclaw import claws, cli
+        # cli classifies once; the search reads the class cached on the
+        # equation, also at 2/2/0, where the order bound restricts it
+        from paraclaw import cli, parabolic
         calls = []
+        computed = []
         real = cli.parabolicity_check
+        prop = parabolic.EvolutionEquation.parabolicity
+        real_class = prop.func
 
         def counting(eq):
             calls.append(eq)
             return real(eq)
 
+        def classifying(eq):
+            computed.append(eq)
+            return real_class(eq)
+
         monkeypatch.setattr(cli, "parabolicity_check", counting)
-        monkeypatch.setattr(claws, "parabolicity_check", counting)
+        monkeypatch.setattr(prop, "func", classifying)
         f = tmp_path / "heat.pde"
         f.write_text("n=1; u_t = u_xx")
         assert main(["claws", str(f)]) == 0
-        assert len(calls) == 1
+        assert len(calls) == len(computed) == 1
+        calls.clear()
+        computed.clear()
+        assert main(["claws", str(f), "--jet-degree", "2"]) == 0
+        assert len(calls) == len(computed) == 1
         f.write_text("n=1; u_t = -u_xx")
         calls.clear()
         classified = []

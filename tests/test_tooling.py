@@ -142,20 +142,25 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
 ], ids=["burgers", "heat_2d", "transport"])
 def test_search_back_substitutes_once(monkeypatch, source, spec):
     # the pivot pass and the law loop only test independence, forward only;
-    # the null space back-substitutes its echelon once
+    # each null space back-substitutes its echelon once: V of the order
+    # bound in a cold plan, and the determining system's in every search
     from paraclaw import claws, linalg
     from paraclaw.grammar import parse
+    from util import clear_search_memos
     callers = []
     reduced = linalg.Echelon.reduced
 
     def recording(self):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
         return reduced(self)
 
     monkeypatch.setattr(linalg.Echelon, "reduced", recording)
-    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
-    assert laws
-    assert callers == ["nullspace"]
+    clear_search_memos()
+    for plan in (["_plan"], []):
+        callers.clear()
+        laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+        assert laws
+        assert callers == [("nullspace", caller) for caller in plan + ["solve_exact"]]
 
 
 TRACED_SEARCH = """
@@ -234,6 +239,20 @@ assert len(claws.find_conservation_laws(eq, claws.AnsatzSpec(2, 4, 3))) == 10
 gc.collect()
 print(len(gc.get_objects()) - before)
 """
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "123"])
+def test_benchmark_reports_match_the_pinned_digest(hash_seed):
+    # the exit code, stdout and stderr of the 990 benchmark requests (3
+    # workloads x seeds 1, 2, 1000003 x passes 0-2) hash to the digest
+    # pinned in tests/golden/report_digest.txt, under either hash seed; a
+    # change that alters a report byte re-pins it on purpose
+    proc = subprocess.run(
+        [sys.executable, "-B", os.path.join(ROOT, "tests", "report_digest.py"),
+         "--expect", os.path.join(ROOT, "tests", "golden", "report_digest.txt")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_cold_search_leaves_few_tracked_objects():

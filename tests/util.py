@@ -52,7 +52,7 @@ from paraclaw.parabolic import (
     _over, _scaled_split, ma_classify, parabolicity_check,
     quartic_form, xi_symbols,
 )
-from corpus import CORPUS
+from corpus import CORPUS, by_name
 
 t = Expr.symbol(base_var(0))
 x = Expr.symbol(base_var(1))
@@ -359,8 +359,10 @@ def tagged_stages(eq: EvolutionEquation, spec: AnsatzSpec) -> dict:
 
 
 def reference_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
-                                     force: bool = False) -> list[ConservationLaw]:
-    """find_conservation_laws on the tagged route (:func:`tagged_stages`),
+                                     force: bool = False,
+                                     stages: dict | None = None) -> list[ConservationLaw]:
+    """find_conservation_laws on the tagged route (:func:`tagged_stages`,
+    or its result ``stages`` when the caller has it already),
     with every law extracted on the Expr layer: the null vector's
     characteristic and density by :func:`combine`, both scaled so the
     characteristic is monic, reduce(D_t T) by _on_shell_dt from one
@@ -370,7 +372,7 @@ def reference_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
     the integer extraction of paraclaw.claws."""
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    stages = tagged_stages(eq, spec)
+    stages = stages or tagged_stages(eq, spec)
     if "error" in stages:
         raise stages["error"]
     tags = [stages["tags"][k] for k in stages["kept"]]
@@ -1646,8 +1648,8 @@ def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
     :func:`random_law_equation` with force, the same over 1 + x1^2 (a
     rational G, refused unless no column is kept) with force, and a random
     polynomial G with rational coefficients, with and without force (so
-    refused when it is not parabolic).  Returns the number of problems,
-    refusals and laws."""
+    refused when it is not parabolic).  Returns the counts of
+    :func:`_compare_column_route`."""
     rng = random.Random(seed)
     problems = []
     for entry in CORPUS:
@@ -1668,10 +1670,51 @@ def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
             G = random_poly(rng, syms, terms=3) * Fraction(rng.randint(1, 5), rng.randint(1, 4)) \
                 + Fraction(rng.randint(1, 5), 3) * Expr.symbol(rng.choice(syms[n + 1:]))
         problems.append((f"u_t = {G}", EvolutionEquation(n, G), spec, kind != 3))
-    counts = {"problems": 0, "refusals": 0, "laws": 0}
+    counts = dict.fromkeys(ROUTE_COUNTS, 0)
     for name, eq, spec, force in problems:
         _compare_column_route(f"{name} at {spec}", eq, spec, force, counts)
     return counts
+
+
+def random_strict_law_equation(rng: random.Random, n: int) -> EvolutionEquation:
+    """A :func:`random_law_equation` draw plus, for n >= 2, c times the sum
+    of the 2x2 principal minors of the Hessian, a random rational c != 0:
+    a divergence, so u stays a density, and a Monge-Ampere term, so that
+    the principal part is nonlinear; drawn again until the symbol is
+    strictly parabolic at the reference jet."""
+    while True:
+        G = random_law_equation(rng, n).G
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                G = G + c * (jet(i, i) * jet(j, j) - jet(i, j) ** 2)
+        eq = EvolutionEquation(n, G)
+        if parabolicity_check(eq) is Parabolicity.STRICT:
+            return eq
+
+
+def suite_order_bound(cases: int = 6, seed: int = 163) -> dict:
+    """The search restricted by the order bound: :func:`_compare_column_route`
+    on heat_plus_det (u_t = u_11 + u_22 + u_11 u_22 - u_12^2) at 2/3/3,
+    where dim V = 280, S has 300 of the 880 kept columns and H_S is not
+    empty, and on ``cases`` seeded :func:`random_strict_law_equation`
+    draws, n = 1, 2, 3 in turn, at 2/4/1 (n = 1), 2/3/1 (n = 2, where H_S
+    is not empty) and 2/2/1 (n = 3).  Returns the counts of
+    :func:`_compare_column_route`."""
+    rng = random.Random(seed)
+    problems = [("heat_plus_det", by_name("heat_plus_det").equation(), AnsatzSpec(2, 3, 3))]
+    for k in range(cases):
+        n = 1 + k % 3
+        eq = random_strict_law_equation(rng, n)
+        problems.append((f"u_t = {eq.G}", eq, AnsatzSpec(2, (4, 3, 2)[n - 1], 1)))
+    counts = dict.fromkeys(ROUTE_COUNTS, 0)
+    for name, eq, spec in problems:
+        _compare_column_route(f"{name} at {spec}", eq, spec, False, counts)
+    return counts
+
+
+# what :func:`_compare_column_route` counts
+ROUTE_COUNTS = ("problems", "refusals", "laws", "restricted", "bounded")
 
 
 def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
@@ -1679,35 +1722,99 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     """One problem of :func:`suite_column_route_equivalence`: the search's
     staged calls against :func:`tagged_stages`, and its outcome against
     :func:`reference_find_conservation_laws`; counts the problem, a
-    refusal and the laws.  The plan memo is emptied first, so the search
-    generates its ansatz."""
+    refusal and the laws.  The search assembles the kept columns that
+    :func:`searched_columns` names and appends its rows H_S, so its
+    system is the tagged one restricted to those columns, and its null
+    space the tagged one, each vector of which lies on them.  The plan
+    memo is emptied first, so the search generates its ansatz.  Counts
+    the searches where S is smaller than the kept columns, and those
+    with H_S not empty, too."""
     claws._plan.cache_clear()
     calls, outcome = recorded_search(eq, spec, force)
-    assert outcome == _search_outcome(reference_find_conservation_laws, eq, spec, force), \
-        f"outcomes differ on {where}"
+    stages = tagged_stages(eq, spec)
+
+    def reference(eq, spec, force):
+        return reference_find_conservation_laws(eq, spec, force, stages)
+
+    assert outcome == _search_outcome(reference, eq, spec, force), f"outcomes differ on {where}"
     counts["problems"] += 1
     if outcome[0] != "laws":
         counts["refusals"] += 1
     if outcome[0] == "NotParabolicEquation":
         assert not calls, where
         return
-    stages = tagged_stages(eq, spec)
     densities, characteristics = calls["generate_ansatz"][1]
     assert densities == linear_columns(stages["T"], stages["tags"]), where
     assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
+    kept = stages["kept"]
+    support, bound = searched_columns(eq, spec, [characteristics[k] for k in kept])
+    counts["restricted"] += len(support) < len(kept)
+    counts["bounded"] += bool(bound)
     index = {id(T): k for k, T in enumerate(densities)}
     assembled = calls["assemble_determining_system"][0][1]
-    assert [index[id(T)] for T in assembled] == stages["kept"], where
+    assert [index[id(T)] for T in assembled] == [kept[i] for i in support], where
     if "error" in stages:
         assert outcome[0] != "laws" and calls["assemble_determining_system"][1] is None, where
         return
     system, reference = calls["assemble_determining_system"][1], stages["system"]
-    assert system.ncols == reference.ncols, where
-    assert len(system.keys) == len(system.rows) == len(reference.rows), where
-    assert dict(zip(system.keys, system.rows)) == dict(zip(reference.keys, reference.rows)), \
-        where
-    assert calls["solve_exact"][1] == stages["basis"], where
+    place = {k: i for i, k in enumerate(support)}
+    restricted = {}
+    for key, row in zip(reference.keys, reference.rows):
+        row = {place[k]: c for k, c in row.items() if k in place}
+        if row:
+            restricted[key] = row
+    assert system.ncols == len(support), where
+    assert len(system.keys) == len(system.rows) == len(restricted), where
+    assert dict(zip(system.keys, system.rows)) == restricted, where
+    solved, size = calls["solve_exact"][0][0], len(system.rows)
+    assert solved.ncols == system.ncols, where
+    assert solved.keys[:size] == system.keys and solved.rows[:size] == system.rows, where
+    assert len(solved.keys) == len(solved.rows) == size + len(bound), where
+    assert dict(zip(solved.keys[size:], solved.rows[size:])) == bound, where
+    assert all(k in place for vec in stages["basis"] for k in vec), where
+    assert calls["solve_exact"][1] == [{place[k]: c for k, c in vec.items()}
+                                       for vec in stages["basis"]], where
     counts["laws"] += len(outcome[1])
+
+
+def reference_order_bound(characteristics: list[dict]) -> tuple[list[int], dict]:
+    """(S, H_S) for these characteristic columns: H holds, for each
+    monomial with a jet factor of order >= 3 (each monomial decoded), the
+    row {k: coefficient in characteristics[k]}; V is the null space of H,
+    by :func:`naive_rref`; S is the columns where some vector of V's
+    reduced basis is not 0, the free columns and each pivot whose reduced
+    row is not 0 at one of them, in column order; and H_S, by monomial, is
+    H restricted to S and renumbered by place in S, empty rows dropped.
+    Kept to check the plan of paraclaw.claws, with none of its code."""
+    rows: dict = {}
+    for k, Q in enumerate(characteristics):
+        for m, c in Q.items():
+            if any(s.kind == JET and s.order >= 3 for s, _ in mono_decode(m)):
+                rows.setdefault(m, {})[k] = c
+    reduced, pivots = naive_rref(list(rows.values()), len(characteristics))
+    free = set(range(len(characteristics))) - set(pivots)
+    support = sorted(free | {p for p, row in zip(pivots, reduced) if free & row.keys()})
+    place = {k: i for i, k in enumerate(support)}
+    bound = {}
+    for m, row in rows.items():
+        row = {place[k]: c for k, c in row.items() if k in place}
+        if row:
+            bound[m] = row
+    return support, bound
+
+
+def searched_columns(eq: EvolutionEquation, spec: AnsatzSpec,
+                     characteristics: list[dict]) -> tuple[list[int], dict]:
+    """The places, among these kept characteristic columns, of the columns
+    the search assembles, and the rows it appends, by monomial: S and H_S
+    of :func:`reference_order_bound` on a polynomial G with a strictly
+    parabolic symbol (:func:`naive_parabolicity`), without unsafe_order,
+    where S is not every column; else every column and no rows."""
+    support, bound = reference_order_bound(characteristics)
+    if (spec.unsafe_order or not eq.G.is_polynomial or len(support) == len(characteristics)
+            or naive_parabolicity(eq) is not Parabolicity.STRICT):
+        return list(range(len(characteristics))), {}
+    return support, bound
 
 
 def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
@@ -1725,7 +1832,7 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     ansatz of each polynomial G is also assembled with its columns in
     reverse order, which must give the same key -> row mapping: S_m does
     not depend on which column meets m first.
-    Returns the number of problems, refusals and laws."""
+    Returns the counts of :func:`_compare_column_route`."""
     rng = random.Random(seed)
     tt = Expr.symbol(TIME)
     name, rational = rational_corpus()[3]  # burgers (2/3 G + u_1/6)
@@ -1742,7 +1849,7 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
         G = G + tt * random_poly(rng, random_spatial_symbols(n, 1), terms=2, coeff=3) \
             * Fraction(1, rng.randint(1, 3))
         equations.append((f"u_t = {G}", n, G))
-    counts = {"problems": 0, "refusals": 0, "laws": 0}
+    counts = dict.fromkeys(ROUTE_COUNTS, 0)
     for k, (name, n, G) in enumerate(equations):
         eq = EvolutionEquation(n, G)
         for base_degree in (2, 3):
@@ -1809,8 +1916,9 @@ def _memo_snapshot(snapshot: dict, monomials, plan) -> None:
     and tuple the search memos hold that it lacks: the prolonged E_u of the
     t-free ansatz ``monomials`` and each of its entries (held already, so
     reading them stores nothing), and the ``plan`` a search read, if any:
-    its two tuples and each density and characteristic in them."""
-    held = [plan, *plan, *plan[0], *plan[1]] if plan else []
+    its four parts and each density, characteristic and row of H_S in
+    them."""
+    held = [plan, *plan, *plan[0], *plan[1], *plan[3].values()] if plan else []
     for m in monomials:
         prolonged = claws._prolonged_euler(m)
         held += [prolonged, *prolonged.values()]
@@ -1884,11 +1992,13 @@ def suite_memos_change_no_result(cases: int = 30, seed: int = 167) -> dict:
 
 
 def suite_returned_columns_are_fresh() -> int:
-    """Emptying every density and characteristic that generate_ansatz
-    returns, and putting a constant in each characteristic, changes no
-    later search: each corpus entry at the golden specs, searched warm
-    after such a mutation, gives the cold outcome.  Returns the number of
-    searches compared."""
+    """generate_ansatz returns the memo's own E_u(m) as the characteristic
+    of each t-free column m, and a new dict for every other column:
+    emptying every density and every characteristic of a column t^b m,
+    b > 0, and putting a constant in each of those characteristics,
+    changes no later search.  Each corpus entry at the golden specs,
+    searched warm after such a mutation, gives the cold outcome.  Returns
+    the number of searches compared."""
     done = 0
     for entry in CORPUS:
         eq = entry.equation()
@@ -1896,9 +2006,15 @@ def suite_returned_columns_are_fresh() -> int:
             clear_search_memos()
             want = _search_record(eq, spec, False)[0]
             densities, characteristics = generate_ansatz(eq.n, spec)
-            for column in densities + characteristics:
+            fresh = []
+            for (m,), Q in zip(densities, characteristics):
+                if all(s != TIME for s, _ in mono_decode(m)):
+                    assert Q is claws._prolonged_euler(m)[()], entry.name
+                else:
+                    fresh.append(Q)
+            for column in densities + fresh:
                 column.clear()
-            for Q in characteristics:
+            for Q in fresh:
                 Q[()] = 1
             assert _search_record(eq, spec, False)[0] == want, \
                 f"a mutated column changed the search on {entry.name} at {spec}"
