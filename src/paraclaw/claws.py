@@ -6,13 +6,13 @@ the structure theory -- characteristics of evolutionary parabolic
 equations depend on at most second derivatives); keep only the monomials
 whose characteristics are independent, so that no trivial law is ever
 solved for; on a strictly parabolic symbol, where the bound is a theorem,
-search only the combinations whose characteristic has jet order <= 2
-(:func:`find_conservation_laws`); assemble the determining system in
-characteristic form; solve the system exactly; reconstruct fluxes by
-divergence inversion.  The
-ansatz is linear in its coefficients, so it is held as columns from start
-to finish: one ``int`` term dict per monomial for its density and one for
-its characteristic, and one determining-system column per kept monomial.
+keep only the columns that some combination whose characteristic has jet
+order <= 2 uses (:func:`find_conservation_laws`); assemble the
+determining system in characteristic form; solve the system exactly;
+reconstruct fluxes by divergence inversion.  The ansatz is linear in its
+coefficients, so it is held as columns from start to finish: one ``int``
+term dict per monomial for its density and one for its characteristic,
+and one determining-system column per kept monomial.
 ``paraclaw claws`` runs the search only where the paper's corollary does
 not decide: on a strictly parabolic polynomial G whose Monge-Ampere
 verdict excludes every nontrivial law (:func:`excluding_verdict`), it
@@ -46,8 +46,8 @@ of m: the D_L Q of Q = E_u(m), and Q itself at L = (); only their products
 with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
 by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
 memo of D_L E_u(m) for the process, and a second, :func:`_plan`, keyed by
-(n, spec), holds the columns the pivot pass keeps, with the support and
-rows of the order bound.  Both are bounded by MAX_TERMS, which also bounds
+(n, spec), holds the columns the pivot pass keeps and the support of the
+order bound.  Both are bounded by MAX_TERMS, which also bounds
 the columns of one ansatz, so no search evicts what it built.  A second
 equation at bounds already seen then does only the G-dependent products,
 the solve and the extraction; a single search computes what it computed
@@ -161,11 +161,7 @@ class DeterminingSystem:
     not sorted (the reduced row echelon form, and so the null space, is the
     same under any row order); so the smallest column of each row is the
     column that first met its key, and these columns never decrease down
-    the rows.
-
-    A search restricted by the order bound appends the rows H_S of
-    :func:`_plan` after the assembled ones, each under the monomial of the
-    characteristic whose coefficient it is."""
+    the rows."""
 
     ncols: int
     rows: list[dict] = field(default_factory=list)
@@ -228,9 +224,9 @@ def _prolonged_euler(m: Monomial) -> Prolonged:
 
 @functools.lru_cache(maxsize=MAX_TERMS)
 def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...],
-                                             tuple[int, ...], dict[Monomial, dict]]:
-    """(densities, characteristics, support, bound) for the ansatz of these
-    bounds in n space dimensions, which depend on n and the bounds alone.
+                                             tuple[int, ...]]:
+    """(densities, characteristics, support) for the ansatz of these bounds
+    in n space dimensions, which depend on n and the bounds alone.
     Memoized for the process; the dicts are only read.
 
     The densities and characteristics are those of the columns whose
@@ -239,29 +235,18 @@ def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...],
     columns whose characteristic holds no jet of order >= 3 form a space V,
     the null space of the rows H of :func:`_order_rows`; ``support`` is the
     kept columns on which some vector of V's basis is not 0, in column
-    order, and ``bound`` is the rows H_S of H restricted to them,
-    renumbered by their place in ``support``, by monomial, empty rows
-    dropped.  So a combination of the support columns lies in V exactly
-    when H_S annihilates it.  Under ``unsafe_order``, whose purpose is to
-    test the order bound, the support is every kept column and H_S is
-    empty."""
+    order, the columns a search restricted by the order bound assembles.
+    Under ``unsafe_order``, whose purpose is to test the order bound, the
+    support is every kept column."""
     densities, characteristics = generate_ansatz(n, spec)
     pivots = linalg.Echelon()
     keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
     densities = tuple(densities[k] for k in keep)
     characteristics = tuple(characteristics[k] for k in keep)
     if spec.unsafe_order:
-        return densities, characteristics, tuple(range(len(keep))), {}
-    rows = _order_rows(characteristics)
-    V = linalg.nullspace(list(rows.values()), len(keep))
-    support = tuple(sorted({k for v in V for k in v}))
-    place = {k: i for i, k in enumerate(support)}
-    bound = {}
-    for m, row in rows.items():
-        restricted = {place[k]: c for k, c in row.items() if k in place}
-        if restricted:
-            bound[m] = restricted
-    return densities, characteristics, support, bound
+        return densities, characteristics, tuple(range(len(keep)))
+    V = linalg.nullspace(list(_order_rows(characteristics).values()), len(keep))
+    return densities, characteristics, tuple(sorted({k for v in V for k in v}))
 
 
 def _order_rows(characteristics: Sequence[dict]) -> dict[Monomial, dict]:
@@ -524,25 +509,25 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     the search further: the characteristic of every conservation law has
     jet order <= 2, so the null space N lies in the space V of kept-column
     combinations whose characteristic holds no jet of order >= 3.  V
-    depends on n and the bounds alone (:func:`_plan`).  The search
-    assembles only the columns of V's support S and appends the rows H_S,
-    which cut V out of span(S); N lies in V, which lies in span(S), so the
-    null space of that system is N, and ``linalg.nullspace``'s basis, which
-    depends only on the space and the column order, is the same.  A weak
-    or, with force, a non-parabolic symbol, a rational G, ``unsafe_order``
-    and a plan whose S is every kept column search every kept column with
-    no rows added.  The symbol's class is read off the equation, which
-    computes it once (``EvolutionEquation.parabolicity``), and only where S
-    is smaller than the kept columns.
+    depends on n and the bounds alone (:func:`_plan`).  The bound restricts
+    columns only: the search assembles the columns of V's support S and
+    adds no row.  The null space of that system is N restricted to span(S),
+    and N lies in V, which lies in span(S), so it is N itself, and
+    ``linalg.nullspace``'s basis, which depends only on the space and the
+    column order, is the same.  A weak or, with force, a non-parabolic
+    symbol, a rational G, ``unsafe_order`` and a plan whose S is every kept
+    column search every kept column.  The symbol's class is read off the
+    equation, which computes it once (``EvolutionEquation.parabolicity``),
+    and only where S is smaller than the kept columns.
 
     Each law is scaled so its characteristic is monic.  Every null-space
     density has a flux, reconstructed by exact divergence inversion.
     Every returned law satisfies the conservation identity exactly.  A
     characteristic of jet order > 2 is an InvariantViolation on a strictly
     parabolic symbol, where the order bound is a theorem; a restricted
-    search cannot return one, so only ``unsafe_order`` reaches that check.
-    Otherwise (a weak or, with force, a non-parabolic symbol) the law is
-    kept.
+    search reaches that check too, since no row cuts its null space down to
+    V.  Otherwise (a weak or, with force, a non-parabolic symbol) the law
+    is kept.
 
     Each law is extracted on ``int`` term dicts, and only the finished law
     becomes an Expr: the null vector's characteristic Q and density T are
@@ -556,18 +541,12 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     spec = spec or AnsatzSpec()
     if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    densities, characteristics, support, bound = _plan(eq.n, spec)
+    densities, characteristics, support = _plan(eq.n, spec)
     if (eq.G.is_polynomial and len(support) < len(densities)
             and eq.parabolicity is Parabolicity.STRICT):
         densities = [densities[k] for k in support]
         characteristics = [characteristics[k] for k in support]
-    else:
-        bound = {}
-    system = assemble_determining_system(eq, densities)
-    if bound:
-        system = DeterminingSystem(system.ncols, system.rows + list(bound.values()),
-                                   system.keys + list(bound))
-    basis = solve_exact(system)
+    basis = solve_exact(assemble_determining_system(eq, densities))
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
     d, (dG,) = _cleared([eq.G.num.terms])  # the basis is empty unless G is a polynomial

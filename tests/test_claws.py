@@ -191,6 +191,27 @@ class TestDeterminingSystem:
         assert (len(kept), len(support)) == (880, 300)
         assert len(support) - rank(list(bound.values()), len(support)) == 280
 
+    @pytest.mark.parametrize("eq, spec, extra", [
+        (HEAT2, AnsatzSpec(2, 4, 3), 80),
+        (by_name("heat_plus_det").equation(), AnsatzSpec(2, 3, 3), 20),
+    ], ids=["heat_2d-2/4/3", "heat_plus_det-2/3/3"])
+    def test_restricted_search_matches_every_kept_column(self, monkeypatch, eq, spec, extra):
+        # where V is not spanned by single columns (|S| - dim V = extra),
+        # the search on S alone, with no row for the order bound, returns
+        # the laws of the search on every kept column, in the same order
+        # and printed alike: the plan's support patched to every kept column
+        from util import _law_text, clear_search_memos
+        clear_search_memos()
+        densities, characteristics, support = claws._plan(eq.n, spec)
+        V = linalg.nullspace(list(claws._order_rows(characteristics).values()), len(densities))
+        assert len(support) - len(V) == extra
+        restricted = find_conservation_laws(eq, spec)
+        plan = densities, characteristics, tuple(range(len(densities)))
+        monkeypatch.setattr(claws, "_plan", lambda n, spec: plan)
+        full = find_conservation_laws(eq, spec)
+        assert restricted
+        assert [_law_text(law) for law in restricted] == [_law_text(law) for law in full]
+
     @pytest.mark.parametrize("eq, spec, force, restricted", [
         (HEAT2, AnsatzSpec(2, 3, 0), False, True),
         (EvolutionEquation(2, u11), AnsatzSpec(2, 3, 0), False, False),
@@ -198,23 +219,21 @@ class TestDeterminingSystem:
         (HEAT2, AnsatzSpec(2, 3, 0, unsafe_order=True), False, False),
     ], ids=["strict", "weak", "forced", "unsafe-order"])
     def test_only_a_strict_search_is_restricted(self, eq, spec, force, restricted):
-        # the order bound restricts a strictly parabolic search to S and
-        # appends H_S; a weak, a forced non-parabolic and an unsafe_order
-        # search assemble every kept column and append nothing
-        from util import recorded_search
+        # the order bound restricts a strictly parabolic search to the
+        # columns S, where V is not spanned by single columns (H_S is not
+        # empty); a weak, a forced non-parabolic and an unsafe_order search
+        # assemble every kept column; every search solves the assembled
+        # system itself, with no row added
+        from util import recorded_search, reference_order_bound
         calls, outcome = recorded_search(eq, spec, force)
         assert outcome[0] == "laws"
-        densities, _, support, bound = claws._plan(2, AnsatzSpec(2, 3, 0))
-        assert 0 < len(support) < len(densities) and bound
+        densities, characteristics, support = claws._plan(2, AnsatzSpec(2, 3, 0))
+        assert 0 < len(support) < len(densities)
+        reference_support, bound = reference_order_bound(list(characteristics))
+        assert reference_support == list(support) and bound
         assembled = list(calls["assemble_determining_system"][0][1])
-        system = calls["assemble_determining_system"][1]
-        solved = calls["solve_exact"][0][0]
-        if restricted:
-            assert assembled == [densities[k] for k in support]
-            assert solved.rows == system.rows + list(bound.values())
-        else:
-            assert assembled == list(densities)
-            assert solved is system
+        assert assembled == ([densities[k] for k in support] if restricted else list(densities))
+        assert calls["solve_exact"][0][0] is calls["assemble_determining_system"][1]
 
     def test_rational_refusals_are_unchanged(self):
         # every rational_corpus equation, and the same over 1 + x1^2 (a
@@ -251,7 +270,8 @@ class TestDeterminingSystem:
         Expr.symbol(tag(1)) * Expr.symbol(tag(2)),
         Expr.symbol(tag(1)) ** 2 * u,
         Expr.symbol(tag(1)) * Expr.symbol(aux_var(9)),
-    ], ids=["no-unknown", "c1*c2", "c1^2", "aux"])
+        Expr.symbol(tag(3)) * u,
+    ], ids=["no-unknown", "c1*c2", "c1^2", "aux", "other-tag"])
     def test_linear_columns_refuse_a_nonlinear_term(self, E):
         with pytest.raises(InvariantViolation, match="not linear homogeneous"):
             linear_columns(E, [tag(1), tag(2)])
@@ -804,9 +824,10 @@ class TestSearchMemos:
         # a cold search generates the ansatz once; a warm one at the same
         # (n, spec) on another G reads the plan and generates none; the plan
         # is the columns whose characteristics the pivot pass keeps, with
-        # the support S of the order bound's space V and its rows H_S
-        # (neither empty nor everything at 2/3/0), computed by the test's
-        # own route; under unsafe_order S is every kept column
+        # the support S of the order bound's space V (neither empty nor
+        # everything at 2/3/0, and V not spanned by single columns: its
+        # rows H_S are not empty), computed by the test's own route; under
+        # unsafe_order S is every kept column
         from util import clear_search_memos, reference_order_bound
         calls = []
         real = claws.generate_ansatz
@@ -832,11 +853,11 @@ class TestSearchMemos:
         support, bound = reference_order_bound(kept)
         assert 0 < len(support) < len(keep) and bound
         assert claws._plan(2, spec) == (tuple(densities[k] for k in keep), tuple(kept),
-                                        tuple(support), bound)
+                                        tuple(support))
         assert calls == [(2, spec), (1, spec)]
         unsafe = AnsatzSpec(2, 3, 0, unsafe_order=True)
         assert claws._plan(2, unsafe) == (tuple(densities[k] for k in keep), tuple(kept),
-                                          tuple(range(len(keep))), {})
+                                          tuple(range(len(keep))))
 
     def test_every_memo_is_bounded(self, monkeypatch):
         # both memos are lru_caches of MAX_TERMS entries, so after

@@ -332,6 +332,16 @@ class TestArguments:
                                     "density": "u", "flux": ["-u_x"], "as_json": True}
         assert argv_outcome(reference_arg_parser().parse_args, argv)[:2] == ("exit", 2)
 
+    def test_negative_number_is_the_file(self):
+        # no option looks like a negative number, so argparse reads "-5" as
+        # the file, and so does the reader
+        from paraclaw.cli import _read_args
+        from util import reference_arg_parser
+        argv = ["classify", "-5"]
+        assert _read_args(argv) == {"command": "classify", "file": "-5", "symbolic": False,
+                                    "as_json": True}
+        assert vars(reference_arg_parser().parse_args(argv)) == _read_args(argv)
+
     @pytest.mark.parametrize("argv, stderr", [
         (["claws"], "usage: paraclaw claws [-h] [--jet-degree JET_DEGREE] "
                     "[--base-degree BASE_DEGREE] [--order ORDER] [--unsafe-order] "
@@ -349,12 +359,25 @@ class TestArguments:
          "paraclaw claws: error: ambiguous option: --j could match --jet-degree, --json\n"),
         ([], "usage: paraclaw [-h] {classify,claws,verify,dims} ...\n"
              "paraclaw: error: the following arguments are required: command\n"),
-    ], ids=["no-file", "no-density", "bad-int", "ambiguous", "no-command"])
+        (["classify", "f", "--json=1"],
+         "usage: paraclaw classify [-h] [--symbolic] [--json | --text] file\n"
+         "paraclaw classify: error: argument --json: ignored explicit argument '1'\n"),
+        (["classify", "f", "--text", "--"],
+         "usage: paraclaw classify [-h] [--symbolic] [--json | --text] file\n"
+         "paraclaw classify: error: unrecognized arguments: --\n"),
+    ], ids=["no-file", "no-density", "bad-int", "ambiguous", "no-command", "switch-value",
+            "stray-dashes"])
     def test_usage_error(self, capsys, argv, stderr):
+        # the error is argparse's, whose usage lines wrap and which reports
+        # an unrecognized argument under the top-level usage
+        from util import argv_outcome, reference_arg_parser
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", stderr)
+        want = argv_outcome(reference_arg_parser().parse_args, argv)
+        assert want[:3] == ("exit", 2, "")
+        assert want[3].rpartition(": error: ")[2] == stderr.rpartition(": error: ")[2]
 
     @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["classify", "-h"],
                                       ["claws", "f", "--help"], ["verify", "--h"],
@@ -1027,6 +1050,18 @@ class TestMainEntry:
         assert main([*command, str(f)]) == (1 if command == ["claws"] else 0)
         assert "reference jet" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["classify"], ["classify", "--symbolic"],
+                                         ["claws"]], ids=["classify", "symbolic", "claws"])
+    def test_ref_of_a_jet_absent_from_g_changes_no_report(self, tmp_path, capsys, command):
+        # the reference jet is read only at the jets G holds
+        reports = []
+        for source in ("n=2; u_t = u_11 + u_22", "n=2; u_t = u_11 + u_22; ref u_1 = 1"):
+            f = tmp_path / "problem.pde"
+            f.write_text(source)
+            assert main([*command, str(f)]) == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1] and reports[0].err == ""
+
     def test_polynomial_symbol_of_a_rational_g(self, tmp_path, capsys):
         # G's denominator u vanishes at the default jet, but the symbol
         # sigma = xi_1^2 + xi_2^2 is a polynomial, so both classifications
@@ -1142,6 +1177,14 @@ class TestMainEntry:
             "error: density has jet order 12 > 11: its time derivative needs "
             "the equation prolonged past the order limit 12\n")
         assert main(["verify", str(f), "--density", "u_" + "x" * 11, "--flux", "0"]) == 0
+
+    def test_verify_rational_density_exits_one(self, tmp_path, capsys):
+        # the Euler operator of the characteristic refuses a density whose
+        # denominator holds a jet
+        f = tmp_path / "heat.pde"
+        f.write_text("n=1; u_t = u_xx")
+        assert main(["verify", str(f), "--density", "u_1/u", "--flux", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: expression is not polynomial in {u}\n")
 
     @pytest.mark.parametrize("broken", ["cross_validation", "flux_check",
                                         "faddeev_leverrier", "minor_affine_residue"])

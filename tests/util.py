@@ -32,9 +32,9 @@ from paraclaw.claws import (
     reconstruct_flux, solve_exact, verify,
 )
 from paraclaw.expr import (
-    AUX, BASE, JET, TIME, DivisionByZeroExpr, Expr, Monomial, NotPolynomialIn, ONE,
-    Symbol, ZERO, _cleared, aux_var, base_var, jet_var, mono_decode, mono_encode,
-    mono_sort_key,
+    AUX, BASE, JET, MAX_EXPONENT, TIME, DivisionByZeroExpr, Expr, Monomial,
+    NotPolynomialIn, ONE, Symbol, ZERO, _cleared, aux_var, base_var, jet_var,
+    mono_decode, mono_encode, mono_sort_key,
 )
 from paraclaw.jets import (
     NotInDivergenceImage, Prolonged, TimeJetPresent, _add_terms, _horner, _jet_partials,
@@ -280,9 +280,9 @@ def tagged_generate_ansatz(eq: EvolutionEquation, spec: AnsatzSpec) -> tuple[Exp
 def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
     """E, linear homogeneous in the tags ``unknowns``, as sparse columns:
     column k maps each monomial in the base and jet variables to its
-    coefficient in E at unknowns[k].  Each term's tag is its last pair
-    (:func:`_split_unknowns`); a term that is not one of the tags times
-    base and jet variables is an InvariantViolation."""
+    coefficient in E at unknowns[k].  Each term's tag is its auxiliary
+    part (:func:`_split_unknowns`); a term that is not one of the tags
+    times base and jet variables is an InvariantViolation."""
     columns: list[dict] = [{} for _ in unknowns]
     for key, k, c in _split_unknowns(E, unknowns):
         columns[k][key] = c
@@ -291,22 +291,41 @@ def linear_columns(E: Expr, unknowns: list[Symbol]) -> list[dict]:
 
 def _split_unknowns(E: Expr, unknowns: list[Symbol]):
     """(key, k, c) for every term c key unknowns[k] of E, key a monomial in
-    the base and jet variables.  Tags are auxiliary symbols and sort after
-    BASE and JET, so the tag is the last decoded factor of the term and the
-    factor before it, if any, is a base or jet variable."""
+    the base and jet variables.  Tags are auxiliary symbols, and each term
+    is split by one mask of the fields of every auxiliary symbol E holds
+    (:func:`aux_fields`), with no monomial decoded: the masked part must be
+    exactly the monomial of one tag, so one tag, to the power 1, and no
+    other auxiliary factor, and the rest is the key."""
     if not E.is_polynomial:
         raise NotPolynomialIn(E.den.symbols())
-    col = {c: k for k, c in enumerate(unknowns)}
+    mask = aux_fields(E.num.terms)
+    col = {c.unit: k for k, c in enumerate(unknowns)}
     for mono, c in E.num.terms.items():
-        factors = mono_decode(mono)
-        if factors:
-            (s, e), key = factors[-1], mono_encode(factors[:-1])
-            k = col.get(s)
-            if k is not None and e == 1 and not (key and factors[-2][0].kind == AUX):
-                yield key, k, c
-                continue
-        raise InvariantViolation(
-            "expression is not linear homogeneous in the ansatz unknowns")
+        tagged = mono & mask
+        k = col.get(tagged)
+        if k is None:
+            raise InvariantViolation(
+                "expression is not linear homogeneous in the ansatz unknowns")
+        yield mono - tagged, k, c
+
+
+def aux_fields(terms: dict) -> Monomial:
+    """The mask of the fields of every auxiliary symbol that some monomial
+    of these terms holds: one decoding, of the bitwise OR of the monomials,
+    whose fields are nonzero exactly at the symbols some monomial holds."""
+    held = 0
+    for m in terms:
+        held |= m
+    return MAX_EXPONENT * sum(s.unit for s, _ in mono_decode(held) if s.kind == AUX)
+
+
+def with_tags(E: Expr, tags: list[Symbol]) -> Expr:
+    """The terms of the polynomial E whose auxiliary part (:func:`aux_fields`)
+    is one of these tags."""
+    mask = aux_fields(E.num.terms)
+    units = {c.unit for c in tags}
+    return Expr._make(Poly({m: c for m, c in E.num.terms.items() if m & mask in units}),
+                      Poly.one())
 
 
 def tagged_determining_expression(eq: EvolutionEquation, Q: Expr) -> Expr:
@@ -340,12 +359,9 @@ def tagged_stages(eq: EvolutionEquation, spec: AnsatzSpec) -> dict:
     pivots = linalg.Echelon()
     kept = [k for k, column in enumerate(linear_columns(Q, tags)) if pivots.add(column)]
     stages = {"T": T, "Q": Q, "tags": tags, "kept": kept}
-    keep = {tags[k] for k in kept}
-    restricted = Expr._make(Poly({m: c for m, c in Q.num.terms.items()
-                                  if mono_decode(m)[-1][0] in keep}), Poly.one())
     unknowns = [tags[k] for k in kept]
     try:
-        E = tagged_determining_expression(eq, restricted)
+        E = tagged_determining_expression(eq, with_tags(Q, unknowns))
     except NotPolynomialIn as exc:
         stages["error"] = exc
         return stages
@@ -376,14 +392,8 @@ def reference_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
     if "error" in stages:
         raise stages["error"]
     tags = [stages["tags"][k] for k in stages["kept"]]
-    keep = set(tags)
-
-    def restricted(E: Expr) -> Expr:
-        return Expr._make(Poly({m: c for m, c in E.num.terms.items()
-                                if mono_decode(m)[-1][0] in keep}), Poly.one())
-
-    densities = linear_columns(restricted(stages["T"]), tags)
-    characteristics = linear_columns(restricted(stages["Q"]), tags)
+    densities = linear_columns(with_tags(stages["T"], tags), tags)
+    characteristics = linear_columns(with_tags(stages["Q"], tags), tags)
     kept = linalg.Echelon()
     table = None
     laws = []
@@ -1723,12 +1733,13 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     staged calls against :func:`tagged_stages`, and its outcome against
     :func:`reference_find_conservation_laws`; counts the problem, a
     refusal and the laws.  The search assembles the kept columns that
-    :func:`searched_columns` names and appends its rows H_S, so its
-    system is the tagged one restricted to those columns, and its null
-    space the tagged one, each vector of which lies on them.  The plan
+    :func:`searched_columns` names and solves that system as it is, with
+    no row added, so its system is the tagged one restricted to those
+    columns, and its null space the tagged one, each vector of which lies
+    on them and is annihilated by the reference's rows H_S.  The plan
     memo is emptied first, so the search generates its ansatz.  Counts
     the searches where S is smaller than the kept columns, and those
-    with H_S not empty, too."""
+    with H_S not empty (where V is not spanned by single columns), too."""
     claws._plan.cache_clear()
     calls, outcome = recorded_search(eq, spec, force)
     stages = tagged_stages(eq, spec)
@@ -1766,14 +1777,12 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     assert system.ncols == len(support), where
     assert len(system.keys) == len(system.rows) == len(restricted), where
     assert dict(zip(system.keys, system.rows)) == restricted, where
-    solved, size = calls["solve_exact"][0][0], len(system.rows)
-    assert solved.ncols == system.ncols, where
-    assert solved.keys[:size] == system.keys and solved.rows[:size] == system.rows, where
-    assert len(solved.keys) == len(solved.rows) == size + len(bound), where
-    assert dict(zip(solved.keys[size:], solved.rows[size:])) == bound, where
+    assert calls["solve_exact"][0][0] is system, where
     assert all(k in place for vec in stages["basis"] for k in vec), where
-    assert calls["solve_exact"][1] == [{place[k]: c for k, c in vec.items()}
-                                       for vec in stages["basis"]], where
+    basis = calls["solve_exact"][1]
+    assert basis == [{place[k]: c for k, c in vec.items()} for vec in stages["basis"]], where
+    assert all(sum(c * vec.get(k, 0) for k, c in row.items()) == 0
+               for vec in basis for row in bound.values()), where
     counts["laws"] += len(outcome[1])
 
 
@@ -1806,10 +1815,12 @@ def reference_order_bound(characteristics: list[dict]) -> tuple[list[int], dict]
 def searched_columns(eq: EvolutionEquation, spec: AnsatzSpec,
                      characteristics: list[dict]) -> tuple[list[int], dict]:
     """The places, among these kept characteristic columns, of the columns
-    the search assembles, and the rows it appends, by monomial: S and H_S
-    of :func:`reference_order_bound` on a polynomial G with a strictly
-    parabolic symbol (:func:`naive_parabolicity`), without unsafe_order,
-    where S is not every column; else every column and no rows."""
+    the search assembles, and the rows that cut V out of their span, by
+    monomial: S and H_S of :func:`reference_order_bound` on a polynomial G
+    with a strictly parabolic symbol (:func:`naive_parabolicity`), without
+    unsafe_order, where S is not every column; else every column and no
+    rows.  The search adds no row: H_S only tells where V is not spanned
+    by single columns, and checks that the null space lies in V."""
     support, bound = reference_order_bound(characteristics)
     if (spec.unsafe_order or not eq.G.is_polynomial or len(support) == len(characteristics)
             or naive_parabolicity(eq) is not Parabolicity.STRICT):
@@ -1916,9 +1927,8 @@ def _memo_snapshot(snapshot: dict, monomials, plan) -> None:
     and tuple the search memos hold that it lacks: the prolonged E_u of the
     t-free ansatz ``monomials`` and each of its entries (held already, so
     reading them stores nothing), and the ``plan`` a search read, if any:
-    its four parts and each density, characteristic and row of H_S in
-    them."""
-    held = [plan, *plan, *plan[0], *plan[1], *plan[3].values()] if plan else []
+    its three parts and each density and characteristic in them."""
+    held = [plan, *plan, *plan[0], *plan[1]] if plan else []
     for m in monomials:
         prolonged = claws._prolonged_euler(m)
         held += [prolonged, *prolonged.values()]
