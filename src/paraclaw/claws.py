@@ -65,12 +65,12 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from math import comb
 
 from . import linalg
 from .expr import (
-    JET, MAX_EXPONENT, MAX_TERMS, TIME, Expr, Monomial, NotPolynomialIn, Poly,
+    JET, MAX_EXPONENT, MAX_TERMS, TIME, Expr, FrozenValue, Monomial, NotPolynomialIn, Poly,
+    Value,
     _add_product, _add_terms, _cleared, _exponent, _shifted, base_var, mono_decode,
 )
 from .jets import (
@@ -112,8 +112,7 @@ class NotParabolicEquation(ValueError):
                          "pass --force (force=True in the API) to proceed")
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
+class AnsatzSpec(FrozenValue):
     """Bounds for the density ansatz.
 
     ``max_jet_order`` is capped at 2 -- the proven search space -- unless
@@ -122,34 +121,32 @@ class AnsatzSpec:
     on-shell time derivative of a kept law is refused from that order on.
     """
 
-    max_jet_order: int = 2
-    jet_degree: int = 1
-    base_degree: int = 0
-    unsafe_order: bool = False
+    __slots__ = ("max_jet_order", "jet_degree", "base_degree", "unsafe_order")
 
-    def __post_init__(self) -> None:
-        if min(self.max_jet_order, self.jet_degree, self.base_degree) < 0:
+    def __init__(self, max_jet_order: int = 2, jet_degree: int = 1, base_degree: int = 0,
+                 unsafe_order: bool = False) -> None:
+        if min(max_jet_order, jet_degree, base_degree) < 0:
             raise ValueError("ansatz bounds must be non-negative")
-        if self.max_jet_order > 2 and not self.unsafe_order:
+        if max_jet_order > 2 and not unsafe_order:
             raise ValueError(
                 "max_jet_order > 2 needs unsafe_order=True (--unsafe-order)")
-        if self.max_jet_order >= ORDER_GUARD:
-            raise ValueError(f"max_jet_order {self.max_jet_order} reaches the order "
+        if max_jet_order >= ORDER_GUARD:
+            raise ValueError(f"max_jet_order {max_jet_order} reaches the order "
                              f"limit ORDER_GUARD = {ORDER_GUARD}")
+        self._set(max_jet_order, jet_degree, base_degree, unsafe_order)
 
 
-@dataclass(frozen=True)
-class ConservationLaw:
+class ConservationLaw(FrozenValue):
     """Density T, spatial fluxes X, and characteristic Q = E_u(T); all
     purely spatial."""
 
-    T: Expr
-    X: tuple[Expr, ...]
-    Q: Expr
+    __slots__ = ("T", "X", "Q")
+
+    def __init__(self, T: Expr, X: tuple[Expr, ...], Q: Expr) -> None:
+        self._set(T, X, Q)
 
 
-@dataclass
-class DeterminingSystem:
+class DeterminingSystem(Value):
     """Exact homogeneous linear system in the coefficients of ``ncols``
     density columns.
 
@@ -163,9 +160,11 @@ class DeterminingSystem:
     column that first met its key, and these columns never decrease down
     the rows."""
 
-    ncols: int
-    rows: list[dict] = field(default_factory=list)
-    keys: list[Monomial] = field(default_factory=list)
+    __slots__ = ("ncols", "rows", "keys")
+
+    def __init__(self, ncols: int, rows: list[dict] | None = None,
+                 keys: list[Monomial] | None = None) -> None:
+        self._set(ncols, [] if rows is None else rows, [] if keys is None else keys)
 
     @property
     def num_equations(self) -> int:

@@ -337,12 +337,12 @@ def _usage_error(command: str | None, message: str) -> None:
     raise SystemExit(2)
 
 
-def _option(command: str, options: dict, arg: str) -> tuple:
+def _option(command: str | None, options: dict, arg: str) -> tuple:
     """(option string, the value attached to it or None) for an argument
     that starts with "-", as argparse finds it: the whole argument, the part
     before its "=", a unique prefix of a long option, or a short option with
     its value attached (-n3).  (None, None) is a positional: a negative
-    number, or an argument with a space."""
+    number, or an argument with a space; (arg, None) is an unknown option."""
     if arg in options:
         return arg, None
     name, eq, value = arg.partition("=")
@@ -360,7 +360,18 @@ def _option(command: str, options: dict, arg: str) -> tuple:
         _usage_error(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
     if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
         return None, None
-    _usage_error(command, f"unrecognized arguments: {arg}")
+    return arg, None
+
+
+def _switch(command: str | None, opt: str, value: str | None) -> None:
+    """Refuse a value attached to a switch; -h and --help print the help and
+    exit 0."""
+    name = "-h/--help" if opt in _HELP else opt
+    if value is not None:
+        _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+    if opt in _HELP:
+        print(_help(command))
+        raise SystemExit(0)
 
 
 def _read_args(argv: list[str]) -> dict:
@@ -370,22 +381,32 @@ def _read_args(argv: list[str]) -> dict:
     "-n3", "-n 3" and "-n=3", the last value of a repeated option (--flux
     appends), and "--" next to the file.  A value that follows its option
     after a space is taken whatever it starts with.  A usage error prints
-    the usage and exits 2; -h and --help print the help and exit 0."""
-    command = argv[0] if argv else None
+    the usage and exits 2; -h and --help print the help and exit 0.  The
+    arguments that nothing reads (an unknown option, a second file, "--"
+    away from the file) are, as argparse reports them, one usage error
+    that names them all, in order, under the top-level usage, after the
+    command's own usage errors."""
+    stray = []  # the indices of the arguments that nothing reads
+    k = 0
+    while k < len(argv) and argv[k][:1] == "-" and argv[k] not in ("-", "--"):
+        opt, value = _option(None, _HELP, argv[k])
+        if opt is None:
+            break
+        if opt in _HELP:
+            _switch(None, opt, value)  # prints the help, or refuses the value
+        stray.append(k)
+        k += 1
+    command = argv[k] if k < len(argv) else None
     if command not in _COMMANDS:
-        if command in ("-h", "--help") or (command and len(command) > 2
-                                           and "--help".startswith(command)):
-            print(_help(None))
-            raise SystemExit(0)
         _usage_error(None, "the following arguments are required: command"
-                     if command is None or command[:1] == "-" else
+                     if command is None or argv[k:] == ["--"] else
                      f"argument command: invalid choice: {command!r} (choose from "
                      f"{', '.join(map(repr, _COMMANDS))})")
     _, takes_file, options, defaults, required = _COMMANDS[command]
     args = {"command": command, **defaults}
     seen, switched = set(), {}
     file_at = dashes = None
-    i, count = 1, len(argv)
+    i, count = k + 1, len(argv)
     while i < count:
         arg = argv[i]
         i += 1
@@ -395,18 +416,15 @@ def _read_args(argv: list[str]) -> dict:
                 dashes = i - 1
                 continue
             opt, value = _option(command, options, arg)
-        if opt is None:
-            if not takes_file or file_at is not None:
-                _usage_error(command, f"unrecognized arguments: {arg}")
+        if opt is None and takes_file and file_at is None:
             args["file"], file_at = arg, i - 1
+            continue
+        if opt not in options:  # a positional after the file, or an unknown option
+            stray.append(i - 1)
             continue
         dest, convert, third, _ = options[opt]
         if convert is None:
-            if value is not None:
-                _usage_error(command, f"argument {opt}: ignored explicit argument {value!r}")
-            if dest == "help":
-                print(_help(command))
-                raise SystemExit(0)
+            _switch(command, opt, value)
             if switched.setdefault(dest, opt) != opt:
                 _usage_error(command, f"argument {opt}: not allowed with argument "
                                       f"{switched[dest]}")
@@ -431,12 +449,15 @@ def _read_args(argv: list[str]) -> dict:
         seen.add(opt)
     # argparse takes "--" only right before or after the file
     if dashes is not None and file_at not in (dashes - 1, dashes + 1):
-        _usage_error(command, "unrecognized arguments: --")
+        stray.append(dashes)
     missing = [opt for opt in required if opt not in seen]
     if takes_file and file_at is None:
         missing.insert(0, "file")
     if missing:
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        _usage_error(None, "unrecognized arguments: "
+                     + " ".join([argv[j] for j in sorted(stray)]))
     return args
 
 

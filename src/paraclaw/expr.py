@@ -28,11 +28,11 @@ hence every downstream linear-algebra step) decidable.
 from __future__ import annotations
 
 import math
-import threading
+from _thread import allocate_lock
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "BASE", "JET", "AUX",
@@ -47,7 +47,7 @@ __all__ = [
     "format_poly", "format_expr",
 ]
 
-Rationalish = Union[int, Fraction]
+Rationalish = int | Fraction
 
 # The one size budget: the term-pair products a parse may perform, and the
 # monomials a density ansatz may have.
@@ -65,6 +65,50 @@ class NotPolynomialIn(ValueError):
         self.vars = tuple(sorted(vars_))
         names = ", ".join(str(s) for s in self.vars)
         super().__init__(f"expression is not polynomial in {{{names}}}")
+
+
+class Value:
+    """A value class: its fields are its ``__slots__``, in constructor
+    order, which a subclass's ``__init__`` sets with :meth:`_set`.  ``==``
+    compares the fields of two instances of one class, ``repr`` prints them
+    as a dataclass does, and copy and pickle call the constructor again."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenValue(Value):
+    """A :class:`Value` whose fields are set once: assignment and deletion
+    raise AttributeError, and equal instances hash equal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +138,7 @@ MAX_EXPONENT = _TOP - 1
 _INTERNED: dict[tuple, "Symbol"] = {}
 _SYMBOLS: list["Symbol"] = []
 _GUARD = 0
-_INTERNING = threading.Lock()
+_INTERNING = allocate_lock()
 
 
 class Symbol(tuple):

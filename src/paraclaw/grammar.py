@@ -55,13 +55,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .expr import (
-    BASE, JET, MAX_EXPONENT, MAX_TERMS, ExponentOverflow, Expr, Poly, Symbol, _add_product,
-    _add_terms, _fields, _shifted, base_var, format_expr, jet_var,
+    BASE, JET, MAX_EXPONENT, MAX_TERMS, ExponentOverflow, Expr, Poly, Symbol, Value,
+    _add_product, _add_terms, _fields, _shifted, base_var, format_expr, jet_var,
 )
 from .parabolic import EvolutionEquation
 
@@ -471,16 +470,16 @@ class _Parser:
             self.fail(exc.message, tok, exc.expected, type(exc))
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Value):
     """Parsed problem: dimension, right-hand side, reference jet, bounds."""
 
-    n: int
-    G: Expr
-    reference_jet: dict[Symbol, Fraction] = field(default_factory=dict)
-    jet_degree: int | None = None
-    base_degree: int | None = None
-    max_jet_order: int | None = None
+    __slots__ = ("n", "G", "reference_jet", "jet_degree", "base_degree", "max_jet_order")
+
+    def __init__(self, n: int, G: Expr, reference_jet: dict[Symbol, Fraction] | None = None,
+                 jet_degree: int | None = None, base_degree: int | None = None,
+                 max_jet_order: int | None = None) -> None:
+        self._set(n, G, {} if reference_jet is None else reference_jet,
+                  jet_degree, base_degree, max_jet_order)
 
     def equation(self) -> EvolutionEquation:
         return EvolutionEquation(self.n, self.G, self.reference_jet)

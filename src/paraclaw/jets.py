@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, lcm
-from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import expr
 from .expr import (
@@ -30,6 +30,7 @@ from .expr import (
     _SYMBOLS, _add_terms, _derived, _exponent, _fields, _shifted, base_var, jet_var,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, read by type checkers; typing is not imported
 if TYPE_CHECKING:  # EvolutionEquation lives in .parabolic; only n and G are used here
     from .parabolic import EvolutionEquation
 

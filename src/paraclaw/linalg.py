@@ -19,10 +19,10 @@ which is what keeps determining-system null spaces honest.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Sequence
 
 SparseRow = dict  # dict[key, int | Fraction]
 

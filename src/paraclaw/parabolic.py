@@ -37,14 +37,13 @@ EvolutionEquation and shared by both.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    AUX, BASE, JET, MAX_TERMS, DivisionByZeroExpr, Expr, Monomial, Poly, Rationalish,
-    Symbol, _add_terms, _cleared, _derived, _shifted, aux_var, jet_var, mono_decode,
+    AUX, BASE, JET, MAX_TERMS, DivisionByZeroExpr, Expr, FrozenValue, Monomial, Poly,
+    Rationalish, Symbol, _add_terms, _cleared, _derived, _shifted, aux_var, jet_var, mono_decode,
 )
 
 __all__ = [
@@ -391,8 +390,7 @@ def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
     return _over(*N) / _over(*D)
 
 
-@dataclass(frozen=True)
-class MAReport:
+class MAReport(FrozenValue):
     """Both Monge-Ampere verdicts, reported without collapsing them.
 
     For n >= 2 and a nonsingular symbol, ``residue_vanishes`` is the
@@ -401,14 +399,13 @@ class MAReport:
     that division runs polynomial gcds that the verdict does not need.
     """
 
-    minor_affine: bool
-    n1_affine: bool | None
-    singular_symbol: bool = False
-    residue_vanishes: bool | None = None
+    __slots__ = ("minor_affine", "n1_affine", "singular_symbol", "residue_vanishes")
 
-    def __post_init__(self) -> None:
-        if self.minor_affine and self.residue_vanishes is False:
+    def __init__(self, minor_affine: bool, n1_affine: bool | None,
+                 singular_symbol: bool = False, residue_vanishes: bool | None = None) -> None:
+        if minor_affine and residue_vanishes is False:
             raise InvariantViolation("minor-affine equation with nonzero residue")
+        self._set(minor_affine, n1_affine, singular_symbol, residue_vanishes)
 
 
 def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:

@@ -27,7 +27,7 @@ from paraclaw.jets import (
 from paraclaw.parabolic import EvolutionEquation, ma_classify
 from corpus import CORPUS, by_name
 from util import (
-    GOLDEN_PATH, claws_corpus_reports, combine, expr_coefficient_vector,
+    GOLDEN_PATH, GOLDEN_SPECS, claws_corpus_reports, combine, expr_coefficient_vector,
     heat_polynomial_space, in_span, linear_columns, rank, span_equal,
     suite_auxiliary_form_corpus, suite_auxiliary_form_random,
     suite_characteristic_form_corpus, suite_characteristic_form_random,
@@ -211,6 +211,30 @@ class TestDeterminingSystem:
         full = find_conservation_laws(eq, spec)
         assert restricted
         assert [_law_text(law) for law in restricted] == [_law_text(law) for law in full]
+
+    @pytest.mark.parametrize("n, spec", [
+        *((n, AnsatzSpec(*bounds) if bounds else AnsatzSpec())
+          for n in (1, 2) for bounds in GOLDEN_SPECS),
+        (2, AnsatzSpec(2, 4, 3)), (3, AnsatzSpec(2, 3, 2)), (1, AnsatzSpec(2, 6, 4)),
+        (2, AnsatzSpec(2, 3, 3)),
+    ], ids=[f"n{n}-{'/'.join(map(str, bounds)) if bounds else 'default'}"
+            for n in (1, 2) for bounds in GOLDEN_SPECS]
+       + ["heat_2d-2/4/3", "heat_3d-2/3/2", "burgers-2/6/4", "det_hessian-2/3/3"])
+    def test_order_four_rows_cut_out_v(self, n, spec):
+        # a combination of characteristics is E_u of the same combination of
+        # densities, whose linearization is self-adjoint and so of even
+        # order; one of order <= 4 with no term of order 4 has order <= 2.
+        # So the rows of the monomials with a jet of order >= 4 alone cut
+        # out V: their null space has the dimension of that of the plan's
+        # rows of order >= 3, and the plan's support S
+        from util import jet_order_rows
+        _, characteristics, support = claws._plan(n, spec)
+        ncols = len(characteristics)
+        V = linalg.nullspace(list(claws._order_rows(characteristics).values()), ncols)
+        rows = jet_order_rows(list(characteristics), 4)
+        V4 = linalg.nullspace(list(rows.values()), ncols)
+        assert len(V4) == len(V)
+        assert sorted({k for v in V4 for k in v}) == list(support)
 
     @pytest.mark.parametrize("eq, spec, force, restricted", [
         (HEAT2, AnsatzSpec(2, 3, 0), False, True),

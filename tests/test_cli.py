@@ -321,7 +321,9 @@ class TestArguments:
             "prefix": 166, "dashes": 109, "attached": 47,
             "unknown": 43, "ambiguous": 34, "missing_value": 28,
             "missing_required": 43, "bad_int": 39, "json_text": 37,
-            "second_file": 40, "no_command": 36}
+            "second_file": 40, "no_command": 36, "unrecognized_reported": 78,
+            "strays": 300, "strays_read": 3, "strays_reported": 236,
+            "strays_after_command_error": 61}
 
     def test_value_may_start_with_a_dash(self):
         # argparse refused this README example with exit 2
@@ -363,13 +365,30 @@ class TestArguments:
          "usage: paraclaw classify [-h] [--symbolic] [--json | --text] file\n"
          "paraclaw classify: error: argument --json: ignored explicit argument '1'\n"),
         (["classify", "f", "--text", "--"],
+         "usage: paraclaw [-h] {classify,claws,verify,dims} ...\n"
+         "paraclaw: error: unrecognized arguments: --\n"),
+        (["classify", "f", "g", "--json", "h"],
+         "usage: paraclaw [-h] {classify,claws,verify,dims} ...\n"
+         "paraclaw: error: unrecognized arguments: g h\n"),
+        (["--bogus", "claws", "-q=1", "f", "--", "g"],
+         "usage: paraclaw [-h] {classify,claws,verify,dims} ...\n"
+         "paraclaw: error: unrecognized arguments: --bogus -q=1 g\n"),
+        (["dims", "-n", "1", "x", "--"],
+         "usage: paraclaw [-h] {classify,claws,verify,dims} ...\n"
+         "paraclaw: error: unrecognized arguments: x --\n"),
+        (["verify", "f", "g", "--flux", "0"],
+         "usage: paraclaw verify [-h] --density DENSITY --flux FLUX [--json | --text] file\n"
+         "paraclaw verify: error: the following arguments are required: --density\n"),
+        (["classify", "f", "-h=1"],
          "usage: paraclaw classify [-h] [--symbolic] [--json | --text] file\n"
-         "paraclaw classify: error: unrecognized arguments: --\n"),
+         "paraclaw classify: error: argument -h/--help: ignored explicit argument '1'\n"),
     ], ids=["no-file", "no-density", "bad-int", "ambiguous", "no-command", "switch-value",
-            "stray-dashes"])
+            "stray-dashes", "second-and-third-file", "unknown-options", "dims-positional",
+            "stray-after-missing-option", "help-value"])
     def test_usage_error(self, capsys, argv, stderr):
         # the error is argparse's, whose usage lines wrap and which reports
-        # an unrecognized argument under the top-level usage
+        # every unrecognized argument under the top-level usage, after the
+        # command's own errors
         from util import argv_outcome, reference_arg_parser
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -378,6 +397,7 @@ class TestArguments:
         want = argv_outcome(reference_arg_parser().parse_args, argv)
         assert want[:3] == ("exit", 2, "")
         assert want[3].rpartition(": error: ")[2] == stderr.rpartition(": error: ")[2]
+        assert want[3].split() == stderr.split()
 
     @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["classify", "-h"],
                                       ["claws", "f", "--help"], ["verify", "--h"],

@@ -654,6 +654,107 @@ class TestSymbolContract:
         assert all(s is base_var(s.index) for s in clone(x * Expr.symbol(base_var(2))).symbols())
 
 
+class TestValueClasses:
+    """AnsatzSpec, ConservationLaw, DeterminingSystem, ProblemFile and
+    MAReport are plain classes whose fields are their slots: built by
+    position or keyword, equal on equal fields, printed as dataclasses
+    print, and the frozen ones refuse assignment and hash their fields."""
+
+    def _fresh(self):
+        # each value built twice, once by position and once by keyword
+        from paraclaw.claws import AnsatzSpec, ConservationLaw, DeterminingSystem
+        from paraclaw.grammar import ProblemFile
+        from paraclaw.parabolic import MAReport
+        half = {jet_var((1,)): Fraction(1, 2)}
+        return [
+            (AnsatzSpec(2, 2, 1), AnsatzSpec(max_jet_order=2, jet_degree=2, base_degree=1),
+             AnsatzSpec(2, 2, 2),
+             "AnsatzSpec(max_jet_order=2, jet_degree=2, base_degree=1, unsafe_order=False)"),
+            (ConservationLaw(u, (-ux,), ONE), ConservationLaw(T=u, X=(-ux,), Q=ONE),
+             ConservationLaw(u, (ux,), ONE),
+             "ConservationLaw(T=Expr(u), X=(Expr(-u_1),), Q=Expr(1))"),
+            (DeterminingSystem(2, [{0: 1, 1: -3}], [TIME.unit]),
+             DeterminingSystem(ncols=2, rows=[{0: 1, 1: -3}], keys=[TIME.unit]),
+             DeterminingSystem(2),
+             f"DeterminingSystem(ncols=2, rows=[{{0: 1, 1: -3}}], keys=[{TIME.unit}])"),
+            (ProblemFile(1, uxx, half, 2), ProblemFile(n=1, G=uxx, reference_jet=half,
+                                                      jet_degree=2),
+             ProblemFile(1, uxx, half),
+             "ProblemFile(n=1, G=Expr(u_11), reference_jet={u_1: Fraction(1, 2)}, "
+             "jet_degree=2, base_degree=None, max_jet_order=None)"),
+            (MAReport(True, None, residue_vanishes=True),
+             MAReport(minor_affine=True, n1_affine=None, singular_symbol=False,
+                      residue_vanishes=True),
+             MAReport(False, None, residue_vanishes=True),
+             "MAReport(minor_affine=True, n1_affine=None, singular_symbol=False, "
+             "residue_vanishes=True)"),
+        ]
+
+    def test_equality_and_repr(self):
+        values = self._fresh()
+        for a, b, other, text in values:
+            assert a == b and not a != b and a is not b, text
+            assert a != other and not a == other, text
+            assert repr(a) == repr(b) == text
+        # instances of two classes are never equal, whatever their fields
+        assert all(a != c for a, *_ in values for c, *_ in values if type(a) is not type(c))
+        from paraclaw.claws import ConservationLaw, DeterminingSystem
+        fields = (2, [{0: 1}], [7])
+        assert ConservationLaw(*fields) != DeterminingSystem(*fields)
+        assert values[0][0] != (2, 2, 1, False)
+
+    def test_frozen_values_refuse_assignment_and_hash_their_fields(self):
+        from paraclaw.claws import AnsatzSpec, ConservationLaw, DeterminingSystem
+        from paraclaw.grammar import ProblemFile
+        from paraclaw.parabolic import MAReport
+        for a, b, other, _ in self._fresh():
+            field = type(a).__slots__[0]
+            if type(a) in (AnsatzSpec, ConservationLaw, MAReport):
+                with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                    setattr(a, field, getattr(other, field))
+                with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                    delattr(a, field)
+                assert a == b
+            else:
+                assert type(a) in (DeterminingSystem, ProblemFile)
+                with pytest.raises(TypeError):
+                    hash(a)
+                setattr(a, field, getattr(other, field))
+                assert getattr(a, field) == getattr(other, field)
+        assert hash(MAReport(False, True)) == hash(MAReport(False, True))
+        assert DeterminingSystem(0).rows is not DeterminingSystem(0).rows
+        assert ProblemFile(1, u).reference_jet is not ProblemFile(1, u).reference_jet
+
+    def test_equal_ansatz_specs_share_one_plan(self):
+        from paraclaw import claws
+        from paraclaw.claws import AnsatzSpec
+        a, b = AnsatzSpec(2, 2, 1), AnsatzSpec(max_jet_order=2, jet_degree=2, base_degree=1)
+        assert hash(a) == hash(b) == hash((2, 2, 1, False))
+        claws._plan.cache_clear()
+        plan = claws._plan(1, a)
+        assert claws._plan(1, b) is plan
+        assert claws._plan.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    @pytest.mark.parametrize("bounds, message", [
+        ((-1,), "ansatz bounds must be non-negative"),
+        ((2, 1, -1), "ansatz bounds must be non-negative"),
+        ((3,), "max_jet_order > 2 needs unsafe_order=True (--unsafe-order)"),
+        ((12, 1, 0, True), "max_jet_order 12 reaches the order limit ORDER_GUARD = 12"),
+    ])
+    def test_ansatz_spec_bounds(self, bounds, message):
+        from paraclaw.claws import AnsatzSpec
+        with pytest.raises(ValueError) as exc:
+            AnsatzSpec(*bounds)
+        assert str(exc.value) == message
+
+    def test_ma_report_invariant(self):
+        from paraclaw.parabolic import InvariantViolation, MAReport
+        with pytest.raises(InvariantViolation) as exc:
+            MAReport(True, None, residue_vanishes=False)
+        assert str(exc.value) == "minor-affine equation with nonzero residue"
+        assert MAReport(False, None, residue_vanishes=False).residue_vanishes is False
+
+
 class TestMonomialEncoding:
     """A monomial is one int, sum e_s 2^(32 slot(s)); decoding is its inverse."""
 

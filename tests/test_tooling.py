@@ -34,7 +34,10 @@ module is imported from ``paraclaw/__init__.py``, directly or through
 others, and every name in a module's ``__all__`` exists and is read
 somewhere in ``src/``, ``tests/`` or ``perfbench/``.  The CLI reads its own
 arguments, so a request in a fresh interpreter leaves ``argparse``
-unimported."""
+unimported, and the package imports only the standard modules it calls:
+``import paraclaw.cli`` under ``python -S`` loads neither ``dataclasses``
+(nor ``inspect``, ``ast``, ``dis``, ``tokenize``, ``linecache`` or ``copy``,
+which it pulls in) nor ``typing``."""
 
 import ast
 import importlib
@@ -570,6 +573,21 @@ def test_all_names_resolve():
         target = importlib.import_module(module)
         missing = [name for name in getattr(target, "__all__", ()) if not hasattr(target, name)]
         assert not missing, f"{module}.__all__ names {missing}"
+
+
+def test_import_loads_only_what_the_package_runs():
+    # a bare interpreter (-S: no site hooks) that imports the CLI loads no
+    # dataclasses, typing or what dataclasses pulls in; a module the
+    # interpreter loads before (linecache, from CPython 3.13) is not counted
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy",
+                "typing")
+    code = ("import sys; before = set(sys.modules); import paraclaw.cli; "
+            f"print([m for m in {unwanted!r} if m in sys.modules and m not in before])")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.path.dirname(PACKAGE_DIR)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_runs_without_argparse():

@@ -1786,6 +1786,17 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     counts["laws"] += len(outcome[1])
 
 
+def jet_order_rows(characteristics: list[dict], order: int) -> dict:
+    """The rows {k: coefficient in characteristics[k]}, by each monomial
+    (decoded) with a jet factor of order >= order."""
+    rows: dict = {}
+    for k, Q in enumerate(characteristics):
+        for m, c in Q.items():
+            if any(s.kind == JET and s.order >= order for s, _ in mono_decode(m)):
+                rows.setdefault(m, {})[k] = c
+    return rows
+
+
 def reference_order_bound(characteristics: list[dict]) -> tuple[list[int], dict]:
     """(S, H_S) for these characteristic columns: H holds, for each
     monomial with a jet factor of order >= 3 (each monomial decoded), the
@@ -1795,11 +1806,7 @@ def reference_order_bound(characteristics: list[dict]) -> tuple[list[int], dict]
     row is not 0 at one of them, in column order; and H_S, by monomial, is
     H restricted to S and renumbered by place in S, empty rows dropped.
     Kept to check the plan of paraclaw.claws, with none of its code."""
-    rows: dict = {}
-    for k, Q in enumerate(characteristics):
-        for m, c in Q.items():
-            if any(s.kind == JET and s.order >= 3 for s, _ in mono_decode(m)):
-                rows.setdefault(m, {})[k] = c
+    rows = jet_order_rows(characteristics, 3)
     reduced, pivots = naive_rref(list(rows.values()), len(characteristics))
     free = set(range(len(characteristics))) - set(pivots)
     support = sorted(free | {p for p, row in zip(pivots, reduced) if free & row.keys()})
@@ -2838,6 +2845,9 @@ _INT_VALUES = ("0", "1", "2", "7", "12", "-1", "-3", "+2", " 4", "5 ", "007", "-
 _STR_VALUES = ("u", "0", "u_x", "-", "", "x*u + 1", "=u", "a=b", "u_xx/2")
 _DASH_VALUES = ("-u_x", "-1/2*u", "--flux", "-x", "-u + 1", "-3")
 _FILES = ("p.pde", "-", "dir/x y.pde", "")
+# arguments that no command reads where they stand: a second file, a dims
+# positional, unknown options and "--" away from the file
+_STRAYS = ("q.pde", "r.pde", "-", "--bogus", "-x", "--jsonx", "-q=1", "--")
 
 
 def _unique_prefixes(options) -> dict:
@@ -2853,13 +2863,14 @@ def _unique_prefixes(options) -> dict:
 
 
 def random_argv(rng: random.Random, command: str, dash: bool = False,
-                omit: str | None = None) -> tuple:
+                omit: str | None = None, strays: int = 0) -> tuple:
     """A valid argv for command drawn from cli's option table: the file
     and options in random order, each option spelled in full, as a unique
     prefix or (short) with its value attached, its value after a space or
     an "=", options repeated, padded and signed ints, and "--" before or
     after the file.  With dash, one value after a space starts with "-";
-    omit names an option, or "file", left out.
+    omit names an option, or "file", left out; strays adds that many
+    arguments drawn from _STRAYS, each where an option could stand.
     Returns (argv, the same argv with every value after a space joined to
     its option by "=", the forms drawn)."""
     _, takes_file, options, _, required = cli._COMMANDS[command]
@@ -2896,6 +2907,7 @@ def random_argv(rng: random.Random, command: str, dash: bool = False,
         opt, (_, convert, _, _) = rng.choice(value_options)
         value = rng.choice(_DASH_VALUES if convert is str else ("-3", "-3_0", "-0"))
         items.append(([opt, value], [f"{opt}={value}"]))
+    items += [([rng.choice(_STRAYS)],) * 2 for _ in range(strays)]
     switch = rng.choice(("", "", "--json", "--text"))
     if switch:
         items += [([switch], [switch])] * rng.randint(1, 2)
@@ -2952,15 +2964,20 @@ def malformed_argv(rng: random.Random, kind: str) -> list[str]:
 
 def suite_argv_equivalence(cases: int = 300, seed: int = 151) -> dict:
     """cli's argument reader against argparse with the reference parser,
-    on seeded argvs drawn per command from the option table, and on
-    malformed ones with one usage error each.  Both must accept the same
+    on seeded argvs drawn per command from the option table, on malformed
+    ones with one usage error each, and on valid ones with one to three
+    strays (a second or third file, a dims positional, an unknown option,
+    "--" away from the file; sometimes an unknown option before the
+    command, or a required argument left out).  Both must accept the same
     argvs with equal values for every destination, and refuse the same
-    ones with exit 2, the reader with an argparse-shaped usage error.  The
-    one exception is a value after a space that starts with "-": the reader
-    takes it, where argparse refuses it unless it reads as a negative number
-    or holds a space; there the reader's values must equal both readers'
-    on the argv with that value joined to its option by "=".  Returns the
-    draw counts."""
+    ones with exit 2, the reader with an argparse-shaped usage error; where
+    argparse names unrecognized arguments, the reader's whole stderr is
+    argparse's, and on every stray draw it is argparse's up to the wrapping
+    of the usage lines.  The one exception is a value after a space that
+    starts with "-": the reader takes it, where argparse refuses it unless
+    it reads as a negative number or holds a space; there the reader's
+    values must equal both readers' on the argv with that value joined to
+    its option by "=".  Returns the draw counts."""
     rng = random.Random(seed)
     ref = reference_arg_parser()
     read = cli._read_args
@@ -2988,6 +3005,7 @@ def suite_argv_equivalence(cases: int = 300, seed: int = 151) -> dict:
         counts["dash_refused_by_argparse"] += plain[0] == "exit"
     kinds = ("unknown", "ambiguous", "missing_value", "missing_required", "bad_int",
              "json_text", "second_file", "no_command")
+    counts["unrecognized_reported"] = 0
     for _ in range(cases):
         kind = rng.choice(kinds)
         argv = malformed_argv(rng, kind)
@@ -2996,7 +3014,30 @@ def suite_argv_equivalence(cases: int = 300, seed: int = 151) -> dict:
         usage, error = got[3].splitlines()
         assert usage.startswith("usage: paraclaw ") and error.startswith("paraclaw"), got[3]
         assert ": error: " in error, got[3]
+        if "unrecognized arguments: " in want[3]:
+            assert got == want, f"{kind} {argv}: {got} != {want}"
+            counts["unrecognized_reported"] += 1
         counts[kind] = counts.get(kind, 0) + 1
+    counts.update(strays=0, strays_read=0, strays_reported=0, strays_after_command_error=0)
+    for _ in range(cases):
+        command = rng.choice(tuple(cli._COMMANDS))
+        _, takes_file, _, _, required = cli._COMMANDS[command]
+        omit = rng.choice((None, None, None) + (("file",) if takes_file else ()) + required)
+        argv = random_argv(rng, command, omit=omit, strays=rng.randint(1, 3))[0]
+        if rng.random() < 0.2:
+            argv.insert(0, rng.choice(("--bogus", "-x", "-q=1")))
+        got, want = argv_outcome(read, argv), argv_outcome(reference, argv)
+        counts["strays"] += 1
+        if want[0] == "args":  # "-" in place of the file, or "--" next to it
+            assert got == want, f"{argv}: {got} != {want}"
+            counts["strays_read"] += 1
+            continue
+        assert got[:3] == want[:3] == ("exit", 2, ""), f"{argv}: {got} != {want}"
+        assert got[3].split() == want[3].split(), f"{argv}: {got} != {want}"
+        reported = "unrecognized arguments: " in want[3]
+        assert got == want or not reported, f"{argv}: {got} != {want}"
+        counts["strays_reported"] += reported
+        counts["strays_after_command_error"] += not reported
     return counts
 
 
