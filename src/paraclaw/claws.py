@@ -9,10 +9,13 @@ solved for; on a strictly parabolic symbol, where the bound is a theorem,
 keep only the columns that some combination whose characteristic has jet
 order <= 2 uses (:func:`find_conservation_laws`); assemble the
 determining system in characteristic form; solve the system exactly;
-reconstruct fluxes by divergence inversion.  The ansatz is linear in its
-coefficients, so it is held as columns from start to finish: one ``int``
-term dict per monomial for its density and one for its characteristic,
-and one determining-system column per kept monomial.
+reconstruct fluxes by divergence inversion.  Where the symbol's quartic
+form is 0 too, the auxiliary equation's top-order term forces every
+characteristic to be a function of (t, x, u), and the search keeps only
+the pure-u columns t^b x^a u^k, read off with no plan.  The ansatz is
+linear in its coefficients, so it is held as columns from start to
+finish: one ``int`` term dict per monomial for its density and one for
+its characteristic, and one determining-system column per kept monomial.
 ``paraclaw claws`` runs the search only where the paper's corollary does
 not decide: on a strictly parabolic polynomial G whose Monge-Ampere
 verdict excludes every nontrivial law (:func:`excluding_verdict`), it
@@ -47,13 +50,13 @@ with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
 by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
 memo of D_L E_u(m) for the process, and a second, :func:`_plan`, keyed by
 (n, spec), holds the columns the pivot pass keeps and the support of the
-order bound.  Both are bounded by MAX_TERMS, which also bounds
-the columns of one ansatz, so no search evicts what it built.  A second
-equation at bounds already seen then does only the G-dependent products,
-the solve and the extraction; a single search computes what it computed
-without them, and keeps it.  The memoized dicts are only read: the
-characteristic of a t-free column is the memo's own E_u(m), which the
-plan holds, not a copy.
+order bound; a search on pure-u columns reads no plan.  Both are bounded
+by MAX_TERMS, which also bounds the columns of one ansatz, so no search
+evicts what it built.  A second equation at bounds already seen then does
+only the G-dependent products, the solve and the extraction; a single
+search computes what it computed without them, and keeps it.  The
+memoized dicts are only read: the characteristic of a t-free column is
+the memo's own E_u(m), which the plan holds, not a copy.
 
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
@@ -71,7 +74,7 @@ from . import linalg
 from .expr import (
     JET, MAX_EXPONENT, MAX_TERMS, TIME, Expr, FrozenValue, Monomial, NotPolynomialIn, Poly,
     Value,
-    _add_product, _add_terms, _cleared, _exponent, _shifted, base_var, mono_decode,
+    _add_product, _add_terms, _cleared, _exponent, _shifted, base_var, jet_var, mono_decode,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, Prolonged,
@@ -214,6 +217,21 @@ def check_ansatz_size(n: int, spec: AnsatzSpec) -> None:
         raise AnsatzTooLarge(f"{count} monomials exceed MAX_TERMS = {MAX_TERMS}")
 
 
+def _pure_u_columns(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
+    """The density and characteristic columns of the pure-u monomials
+    t^b x^a u^k of the ansatz of these bounds in n space dimensions,
+    1 <= k <= jet_degree and deg(t^b x^a) <= base_degree, in column order:
+    k first, then the base monomials as :func:`generate_ansatz` orders
+    them.  Each characteristic E_u(t^b x^a u^k) = k t^b x^a u^(k-1) is
+    read off.  The size check runs first, as in :func:`generate_ansatz`."""
+    check_ansatz_size(n, spec)
+    base_monos = bounded_monomials([base_var(a) for a in range(n + 1)], spec.base_degree)
+    u = jet_var().unit
+    powers = range(1, spec.jet_degree + 1)
+    return ([{bm + k * u: 1} for k in powers for bm in base_monos],
+            [{bm + (k - 1) * u: k} for k in powers for bm in base_monos])
+
+
 @functools.lru_cache(maxsize=MAX_TERMS)
 def _prolonged_euler(m: Monomial) -> Prolonged:
     """The memo of the terms of D_L E_u(m), by the word L, for the t-free
@@ -232,11 +250,12 @@ def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...],
     characteristic is independent of those of the earlier columns, in
     column order: the columns the search keeps.  The combinations of kept
     columns whose characteristic holds no jet of order >= 3 form a space V,
-    the null space of the rows H of :func:`_order_rows`; ``support`` is the
-    kept columns on which some vector of V's basis is not 0, in column
-    order, the columns a search restricted by the order bound assembles.
-    Under ``unsafe_order``, whose purpose is to test the order bound, the
-    support is every kept column."""
+    the null space of the order-4 rows of :func:`_order_rows`; ``support``
+    is the kept columns on which some vector of V's basis is not 0, in
+    column order, the columns a search restricted by the order bound
+    assembles.  Under ``unsafe_order``, whose purpose is to test the order
+    bound, the support is every kept column.  A minor-affine search needs
+    no plan (:func:`find_conservation_laws`)."""
     densities, characteristics = generate_ansatz(n, spec)
     pivots = linalg.Echelon()
     keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
@@ -250,16 +269,25 @@ def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...],
 
 def _order_rows(characteristics: Sequence[dict]) -> dict[Monomial, dict]:
     """The rows {k: c} of the coefficients c of the monomial m in each
-    characteristics[k], by each monomial m that holds a jet of order >= 3.
-    A monomial is tested against one mask of the fields of those jets,
-    built from the bitwise OR of every monomial, whose fields are nonzero
-    exactly at the symbols some monomial holds."""
+    characteristics[k], by each monomial m that holds a jet of order 4.
+
+    Their null space is V, the combinations whose characteristic holds no
+    jet of order >= 3, for characteristics of order <= 4 (E_u of densities
+    of order <= 2).  A combination of characteristics is E_u of the same
+    combination of densities, an Euler-Lagrange expression, so its
+    linearization is self-adjoint (the Helmholtz conditions; Olver, GTM 107,
+    ch. 5).  The principal symbol of the adjoint of a scalar operator of
+    order r is (-1)^r times its own, so a self-adjoint operator has even
+    order: a characteristic of order <= 4 with no term of order 4 has order
+    <= 2.  A monomial is tested against one mask of the fields of those
+    jets, built from the bitwise OR of every monomial, whose fields are
+    nonzero exactly at the symbols some monomial holds."""
     held = 0
     for Q in characteristics:
         for m in Q:
             held |= m
     mask = MAX_EXPONENT * sum(s.unit for s, _ in mono_decode(held)
-                              if s.kind == JET and s.order > 2)
+                              if s.kind == JET and s.order > 3)
     rows: dict = {}
     for k, Q in enumerate(characteristics):
         for m, c in Q.items():
@@ -498,11 +526,12 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     assembles, from the kept columns of M alone, and solves the
     determining system of that restricted ansatz.  M is injective there,
     so each null vector is one law: a vector whose characteristic is 0 or
-    dependent on the kept ones is an InvariantViolation.  The laws are those the full ansatz gives
-    after dropping trivial and dependent null vectors, in the same order:
-    E_u(dT/dt) = d/dt E_u(T), so ker M lies in the null space, and the
-    null vector of each free column that is not a pivot of M has a
-    characteristic that depends on those of earlier null vectors.
+    dependent on the kept ones is an InvariantViolation.  The laws are
+    those the full ansatz gives after dropping trivial and dependent null
+    vectors, in the same order: E_u(dT/dt) = d/dt E_u(T), so ker M lies in
+    the null space, and the null vector of each free column that is not a
+    pivot of M has a characteristic that depends on those of earlier null
+    vectors.
 
     On a strictly parabolic polynomial G the paper's order bound restricts
     the search further: the characteristic of every conservation law has
@@ -513,11 +542,57 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     adds no row.  The null space of that system is N restricted to span(S),
     and N lies in V, which lies in span(S), so it is N itself, and
     ``linalg.nullspace``'s basis, which depends only on the space and the
-    column order, is the same.  A weak or, with force, a non-parabolic
-    symbol, a rational G, ``unsafe_order`` and a plan whose S is every kept
-    column search every kept column.  The symbol's class is read off the
-    equation, which computes it once (``EvolutionEquation.parabolicity``),
-    and only where S is smaller than the kept columns.
+    column order, is the same.
+
+    Where moreover the quartic form q = D_xi sigma of the symbol
+    sigma = D_xi G is 0 (``MAReport.minor_affine``), N lies in the span of
+    the pure-u columns t^b x^a u^k, and the search assembles those alone
+    (:func:`_pure_u_columns`), with no plan:
+
+    1. The top-order term.  For a characteristic Q of order <= 2, the
+       order-4 part of dQ/dt + l_Q(G) + l*_G(Q) comes only from
+       Q_{u_ij} D_i D_j G, G_{u_kl} D_k D_l Q and Q D_k D_l(G_{u_kl}), and
+       it is 2 sigma D_xi Q + q Q, read with xi^a <-> u_a.  On a null
+       vector it is 0.  With q = 0 and sigma != 0 (sigma is not 0 where
+       the symbol is strict) this gives D_xi Q = 0, so Q holds no u_ij and
+       has order <= 1.  l_Q is self-adjoint (Helmholtz), so Q has even
+       order (:func:`_order_rows`): Q = Q(t, x, u).
+    2. The density.  E_u maps the part of jet degree k to jet degree k - 1
+       and does not raise the degree in (t, x), so T' = integral of Q du
+       lies in the span of the pure-u columns, and E_u(T - T') = 0.
+    3. The same basis.  u^k is the first jet monomial of its degree, so
+       every pure-u column is kept, and T' is M v' for a v' on them.  M is
+       injective on the kept columns, so the null vector v of T is v', and
+       N lies in the span of the pure-u columns: the null space of their
+       system is N, with the basis of the search on S, as above.
+
+    The size check runs first on both routes, so AnsatzTooLarge is raised
+    at the same bounds.  The route's cheap tests come first: G a
+    polynomial, then ``unsafe_order``; only then are the symbol's class
+    and q read off the equation, which computes each once
+    (``EvolutionEquation.parabolicity`` and ``quartic``).  A weak or, with
+    force, a non-parabolic symbol, a rational G and ``unsafe_order``
+    search every kept column; a strict symbol with q != 0 searches S.
+    :func:`_laws_of_columns` extracts the laws."""
+    spec = spec or AnsatzSpec()
+    if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
+        raise NotParabolicEquation()
+    strict = (eq.G.is_polynomial and not spec.unsafe_order
+              and eq.parabolicity is Parabolicity.STRICT)
+    if strict and eq.quartic.is_zero:
+        return _laws_of_columns(eq, *_pure_u_columns(eq.n, spec))
+    densities, characteristics, support = _plan(eq.n, spec)
+    if strict:
+        densities = [densities[k] for k in support]
+        characteristics = [characteristics[k] for k in support]
+    return _laws_of_columns(eq, densities, characteristics)
+
+
+def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
+                     characteristics: Sequence[dict]) -> list[ConservationLaw]:
+    """The laws of the determining system of these kept density columns
+    and their characteristics, one per null vector, in the null space's
+    order (see :func:`find_conservation_laws`).
 
     Each law is scaled so its characteristic is monic.  Every null-space
     density has a flux, reconstructed by exact divergence inversion.
@@ -537,14 +612,6 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     L R = sum_i D_i (L X^i) is checked exactly.  The reported law is T and
     Q over Q's leading coefficient c, and the fluxes -(L X^i) / (c d L),
     with ``Fraction`` coefficients."""
-    spec = spec or AnsatzSpec()
-    if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
-        raise NotParabolicEquation()
-    densities, characteristics, support = _plan(eq.n, spec)
-    if (eq.G.is_polynomial and len(support) < len(densities)
-            and eq.parabolicity is Parabolicity.STRICT):
-        densities = [densities[k] for k in support]
-        characteristics = [characteristics[k] for k in support]
     basis = solve_exact(assemble_determining_system(eq, densities))
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []

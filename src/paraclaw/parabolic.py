@@ -31,7 +31,8 @@ Two Monge-Ampere verdicts are computed and reported side by side:
 Parabolicity and the residue are certified at a user-supplied reference
 2-jet; global positivity of a symbolic matrix is not decided here.  The
 symbol and its matrix at the reference jet are built once per
-EvolutionEquation and shared by both.
+EvolutionEquation and shared by both, as is the quartic form, which the
+law search reads too.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ class EvolutionEquation:
     def symbol(self) -> Expr:
         """symbol_form(self), built once per equation."""
         return symbol_form(self)
+
+    @cached_property
+    def quartic(self) -> Expr:
+        """quartic_form(self), built once per equation."""
+        return quartic_form(self)
 
     @cached_property
     def symbol_at_reference(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -386,7 +392,7 @@ def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
     is raised when det(g) vanishes (identically, when symbolic).  q0 is
     N / D of :func:`_scaled_split`.
     """
-    N, D, _P, _sigma = _scaled_split(eq, quartic_form(eq), symbolic)
+    N, D, _P, _sigma = _scaled_split(eq, eq.quartic, symbolic)
     return _over(*N) / _over(*D)
 
 
@@ -417,7 +423,7 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
     traceless-residue test run.  A singular symbol at the reference jet is
     reported as a flag, not an error.
     """
-    q = quartic_form(eq)
+    q = eq.quartic
     minor = q.is_zero
     if eq.n == 1:
         # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity

@@ -179,11 +179,13 @@ class TestDeterminingSystem:
         assert counts["restricted"] > 0
 
     def test_order_bound_matches_reference_route(self):
+        # every problem has a quartic form that is not 0, so the search is
+        # restricted to S, and no law (the pure-u route takes those with laws)
         counts = suite_order_bound(cases=6)
-        assert counts == {"problems": 7, "refusals": 0, "laws": 18,
+        assert counts == {"problems": 7, "refusals": 0, "laws": 0,
                           "restricted": 7, "bounded": 3}
-        # heat_plus_det at 2/3/3, the first problem: dim V = 280 and S holds
-        # 300 of the 880 kept columns
+        # laplacian_squared at 2/3/3, the first problem: dim V = 280 and S
+        # holds 300 of the 880 kept columns
         characteristics = generate_ansatz(2, AnsatzSpec(2, 3, 3))[1]
         pivots = linalg.Echelon()
         kept = [Q for Q in characteristics if pivots.add(Q)]
@@ -195,22 +197,24 @@ class TestDeterminingSystem:
         (HEAT2, AnsatzSpec(2, 4, 3), 80),
         (by_name("heat_plus_det").equation(), AnsatzSpec(2, 3, 3), 20),
     ], ids=["heat_2d-2/4/3", "heat_plus_det-2/3/3"])
-    def test_restricted_search_matches_every_kept_column(self, monkeypatch, eq, spec, extra):
+    def test_restricted_search_matches_every_kept_column(self, eq, spec, extra):
         # where V is not spanned by single columns (|S| - dim V = extra),
-        # the search on S alone, with no row for the order bound, returns
-        # the laws of the search on every kept column, in the same order
-        # and printed alike: the plan's support patched to every kept column
+        # the search (on the pure-u columns, these G being minor-affine),
+        # the plan route forced through on S alone, with no row for the
+        # order bound, and the search on every kept column return the same
+        # laws, in the same order and printed alike
         from util import _law_text, clear_search_memos
         clear_search_memos()
         densities, characteristics, support = claws._plan(eq.n, spec)
         V = linalg.nullspace(list(claws._order_rows(characteristics).values()), len(densities))
         assert len(support) - len(V) == extra
-        restricted = find_conservation_laws(eq, spec)
-        plan = densities, characteristics, tuple(range(len(densities)))
-        monkeypatch.setattr(claws, "_plan", lambda n, spec: plan)
-        full = find_conservation_laws(eq, spec)
+        restricted = claws._laws_of_columns(eq, [densities[k] for k in support],
+                                            [characteristics[k] for k in support])
+        full = claws._laws_of_columns(eq, densities, characteristics)
+        searched = find_conservation_laws(eq, spec)
         assert restricted
-        assert [_law_text(law) for law in restricted] == [_law_text(law) for law in full]
+        assert [_law_text(law) for law in restricted] == [_law_text(law) for law in full] \
+            == [_law_text(law) for law in searched]
 
     @pytest.mark.parametrize("n, spec", [
         *((n, AnsatzSpec(*bounds) if bounds else AnsatzSpec())
@@ -224,28 +228,30 @@ class TestDeterminingSystem:
         # a combination of characteristics is E_u of the same combination of
         # densities, whose linearization is self-adjoint and so of even
         # order; one of order <= 4 with no term of order 4 has order <= 2.
-        # So the rows of the monomials with a jet of order >= 4 alone cut
-        # out V: their null space has the dimension of that of the plan's
-        # rows of order >= 3, and the plan's support S
+        # So the plan's rows, those of the monomials with a jet of order 4,
+        # cut out V: their null space has the dimension of that of the
+        # rows of order >= 3, and its support is the plan's S
         from util import jet_order_rows
         _, characteristics, support = claws._plan(n, spec)
         ncols = len(characteristics)
-        V = linalg.nullspace(list(claws._order_rows(characteristics).values()), ncols)
-        rows = jet_order_rows(list(characteristics), 4)
+        rows = claws._order_rows(characteristics)
+        assert rows == jet_order_rows(list(characteristics), 4)
         V4 = linalg.nullspace(list(rows.values()), ncols)
+        V = linalg.nullspace(list(jet_order_rows(list(characteristics), 3).values()), ncols)
         assert len(V4) == len(V)
         assert sorted({k for v in V4 for k in v}) == list(support)
 
     @pytest.mark.parametrize("eq, spec, force, restricted", [
-        (HEAT2, AnsatzSpec(2, 3, 0), False, True),
+        (by_name("laplacian_squared").equation(), AnsatzSpec(2, 3, 0), False, True),
         (EvolutionEquation(2, u11), AnsatzSpec(2, 3, 0), False, False),
         (EvolutionEquation(2, -u11 - u22), AnsatzSpec(2, 3, 0), True, False),
         (HEAT2, AnsatzSpec(2, 3, 0, unsafe_order=True), False, False),
     ], ids=["strict", "weak", "forced", "unsafe-order"])
     def test_only_a_strict_search_is_restricted(self, eq, spec, force, restricted):
-        # the order bound restricts a strictly parabolic search to the
-        # columns S, where V is not spanned by single columns (H_S is not
-        # empty); a weak, a forced non-parabolic and an unsafe_order search
+        # the order bound restricts a strictly parabolic search whose
+        # quartic form is not 0 to the columns S, where V is not spanned by
+        # single columns (H_S is not empty); a weak, a forced
+        # non-parabolic and an unsafe_order search
         # assemble every kept column; every search solves the assembled
         # system itself, with no row added
         from util import recorded_search, reference_order_bound
@@ -305,6 +311,99 @@ class TestDeterminingSystem:
         eq = EvolutionEquation(1, uxx / u, {jet_var(): 1})
         with pytest.raises(NotPolynomialIn):
             find_conservation_laws(eq, AnsatzSpec(2, 1, 0))
+
+
+class TestPureURoute:
+    """A strictly parabolic polynomial G whose quartic form is 0 is searched
+    on its pure-u columns t^b x^a u^k, with no plan: the auxiliary
+    equation's top-order term 2 sigma D_xi Q + q Q forces Q = Q(t, x, u)."""
+
+    def test_top_order_identity(self):
+        # on seeded G with and without a quartic form, n = 1-3, both terms
+        # of the identity are seen
+        from util import suite_top_order_identity
+        assert suite_top_order_identity() == {
+            "characteristics": 220, "sigma_terms": 144, "quartic_terms": 110}
+
+    def test_matches_the_plan_route_on_corpus_and_seeded_equations(self):
+        # every minor-affine strict corpus entry (heat, burgers, heat_2d,
+        # det_hessian_flow, heat_plus_det, porous_medium u*u_xx, ...) and
+        # seeded ones, n = 1-3, at every golden spec
+        import random
+        from util import compare_pure_u_route, golden_ansatz_specs, \
+            random_strict_law_equation, takes_pure_u_route
+        rng = random.Random(197)
+        equations = [entry.equation() for entry in CORPUS]
+        equations = [eq for eq in equations if takes_pure_u_route(eq, AnsatzSpec())]
+        assert len(equations) == 10
+        equations += [random_strict_law_equation(rng, 1 + k % 3) for k in range(6)]
+        laws = sum(compare_pure_u_route(eq, spec)
+                   for eq in equations for spec in golden_ansatz_specs())
+        assert laws == 114
+
+    @pytest.mark.parametrize("source, spec, count", [
+        ("n=2; u_t = u_11 + u_22", (2, 4, 3), 10),
+        ("n=3; u_t = u_11 + 2*u_22 + 3*u_33", (2, 3, 2), 10),
+        ("n=1; u_t = u_xx + u*u_x", (2, 6, 4), 1),
+        ("n=2; u_t = u_11*u_22 - u_12^2; ref u_11 = 1; ref u_22 = 1", (2, 3, 3), 3),
+    ], ids=["heat_2d-2/4/3", "heat_3d-2/3/2", "burgers-2/6/4", "det_hessian-2/3/3"])
+    def test_matches_the_plan_route_at_gate_bounds(self, source, spec, count):
+        from paraclaw.grammar import parse
+        from util import compare_pure_u_route
+        assert compare_pure_u_route(parse(source).equation(), AnsatzSpec(*spec)) == count
+
+    def test_minor_affine_laws_hold_no_jet_but_u(self):
+        # every law of a golden-corpus or benchmark report on a strictly
+        # parabolic minor-affine G has a characteristic in t, x and u alone
+        from paraclaw.grammar import parse_expression
+        from paraclaw.expr import BASE
+        from util import minor_affine_reports
+        reports = laws = 0
+        for name, report in minor_affine_reports():
+            reports += 1
+            for law in report["laws"]:
+                Q = parse_expression(law["characteristic"], report["n"])
+                assert all(s.kind == BASE or s == jet_var() for s in Q.symbols()), name
+                laws += 1
+        assert (reports, laws) == (103, 241)
+
+    def test_size_check_comes_first_on_both_routes(self):
+        # 2/7/3 at n = 2 has 34 320 monomials; the cap 2/6/3 has 18 480
+        laplacian_squared = by_name("laplacian_squared").equation()
+        for eq in (HEAT2, laplacian_squared):
+            with pytest.raises(AnsatzTooLarge, match="34320 monomials"):
+                find_conservation_laws(eq, AnsatzSpec(2, 7, 3))
+        assert len(find_conservation_laws(HEAT2, AnsatzSpec(2, 6, 3))) == 10
+
+    def test_route_reads_cheap_tests_first(self):
+        # a rational G or unsafe_order takes the plan route without building
+        # the symbol or the quartic form; a polynomial G reads each once
+        from util import clear_search_memos
+        clear_search_memos()
+        rational = EvolutionEquation(1, uxx / (1 + x ** 2))
+        unsafe = EvolutionEquation(1, uxx)
+        find_conservation_laws(rational, AnsatzSpec(2, 0, 1), True)
+        find_conservation_laws(unsafe, AnsatzSpec(2, 1, 0, unsafe_order=True), True)
+        for eq in (rational, unsafe):
+            assert not {"symbol", "parabolicity", "quartic"} & vars(eq).keys()
+        eq = EvolutionEquation(2, u11 + u22)
+        find_conservation_laws(eq, AnsatzSpec(2, 1, 0))
+        assert {"symbol", "parabolicity", "quartic"} <= vars(eq).keys()
+
+    def test_claws_builds_the_quartic_form_once(self, monkeypatch, tmp_path, capsys):
+        from paraclaw import parabolic
+        calls = []
+        real = parabolic.quartic_form
+
+        def counting(eq):
+            calls.append(eq)
+            return real(eq)
+
+        monkeypatch.setattr(parabolic, "quartic_form", counting)
+        path = tmp_path / "heat2.pde"
+        path.write_text("n=2; u_t = u_11 + u_22")
+        assert cli.main(["claws", str(path)]) == 0
+        assert len(calls) == 1 and json.loads(capsys.readouterr().out)["laws"]
 
 
 class TestAuxiliaryForm:
@@ -845,8 +944,9 @@ class TestSearchMemos:
         assert suite_memos_shared_by_threads() == 4 * 4 * len(CORPUS)
 
     def test_plan_generates_the_ansatz_once_per_bounds(self, monkeypatch):
-        # a cold search generates the ansatz once; a warm one at the same
-        # (n, spec) on another G reads the plan and generates none; the plan
+        # a cold plan-route search (weak symbols here) generates the ansatz
+        # once; a warm one at the same (n, spec) on another G reads the plan
+        # and generates none; the plan
         # is the columns whose characteristics the pivot pass keeps, with
         # the support S of the order bound's space V (neither empty nor
         # everything at 2/3/0, and V not spanned by single columns: its
@@ -863,11 +963,11 @@ class TestSearchMemos:
         monkeypatch.setattr(claws, "generate_ansatz", counting)
         spec = AnsatzSpec(2, 3, 0)
         clear_search_memos()
-        assert find_conservation_laws(HEAT2, spec)
+        assert find_conservation_laws(EvolutionEquation(2, u11), spec)
         assert calls == [(2, spec)]
-        find_conservation_laws(EvolutionEquation(2, u11 + 2 * u22 + ux), spec)
+        find_conservation_laws(EvolutionEquation(2, 2 * u22 + ux), spec)
         assert calls == [(2, spec)]
-        find_conservation_laws(HEAT, spec)
+        find_conservation_laws(EvolutionEquation(1, ux), spec)
         assert calls == [(2, spec), (1, spec)]
         densities, characteristics = real(2, spec)
         pivots = linalg.Echelon()
@@ -887,21 +987,25 @@ class TestSearchMemos:
         # both memos are lru_caches of MAX_TERMS entries, so after
         # MAX_TERMS + 2 plans the memo holds the last MAX_TERMS and has
         # evicted the first two; an empty ansatz keeps the searches cheap at
-        # large n
+        # large n, and unsafe_order takes the plan route without building
+        # a symbol, whose n(n + 1)/2 directions would not be cheap
         from util import clear_search_memos
         assert claws._prolonged_euler.cache_info().maxsize == MAX_TERMS
         assert claws._plan.cache_info().maxsize == MAX_TERMS
         monkeypatch.setattr(claws, "generate_ansatz", lambda n, spec: ([], []))
+        spec = AnsatzSpec(unsafe_order=True)
         clear_search_memos()
         try:
             for n in range(1, MAX_TERMS + 3):
-                find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
+                eq = EvolutionEquation(n, u11)
+                find_conservation_laws(eq, spec, True)
+                assert "symbol" not in vars(eq)
             info = claws._plan.cache_info()
             assert info.misses == MAX_TERMS + 2 and info.currsize == MAX_TERMS
-            claws._plan(n, AnsatzSpec())
-            claws._plan(3, AnsatzSpec())
+            claws._plan(n, spec)
+            claws._plan(3, spec)
             assert claws._plan.cache_info().hits == info.hits + 2
-            claws._plan(1, AnsatzSpec())
+            claws._plan(1, spec)
             assert claws._plan.cache_info().misses == info.misses + 1
         finally:
             clear_search_memos()

@@ -13,9 +13,11 @@ module name, once, and it sizes them from their results; one search is
 traced under the tracer in a fresh interpreter that writes no bytecode,
 so the tracer's rebinding stays there and perfbench is only read.  The
 determining system depends on the characteristic alone and is assembled
-from the auxiliary equation with total derivatives only, so the search
-takes one raw Euler walk per t-free ansatz monomial, all in
-``generate_ansatz``; and its independence tests build no reduced echelon.
+from the auxiliary equation with total derivatives only, so a search on
+the plan route takes one raw Euler walk per t-free ansatz monomial, all
+in ``generate_ansatz``; and its independence tests build no reduced
+echelon.  A strictly parabolic minor-affine search reads its pure-u
+columns off, with neither ``generate_ansatz`` nor the plan.
 The package has one divergence inverter: ``invert_divergence`` and the
 search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
@@ -68,11 +70,17 @@ def test_traced_name_resolves(modname, attr):
     assert callable(target)
 
 
-@pytest.mark.parametrize("source, spec", [
-    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
-    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
+# backward Burgers and heat_2d, searched with force, and the weakly
+# parabolic transport equation take the plan route
+PLAN_ROUTE = [
+    ("n=1; u_t = -u_xx - u*u_x", (2, 2, 1)),
+    ("n=2; u_t = -u_11 - u_22", (2, 1, 1)),
     ("n=1; u_t = u_x", (2, 2, 0)),
-], ids=["burgers", "heat_2d", "transport"])
+]
+PLAN_ROUTE_IDS = ["burgers", "heat_2d", "transport"]
+
+
+@pytest.mark.parametrize("source, spec", PLAN_ROUTE, ids=PLAN_ROUTE_IDS)
 def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
     # from cold memos: a warm plan generates no ansatz
     from paraclaw import claws
@@ -85,17 +93,56 @@ def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(claws, name, counting)
-    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
+                                        force=True)
     assert laws
     assert calls == {"generate_ansatz": 1, "assemble_determining_system": 1,
                      "solve_exact": 1}
 
 
+@pytest.mark.parametrize("source, spec", [
+    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
+    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
+], ids=["burgers", "heat_2d"])
+def test_minor_affine_search_reads_no_plan(monkeypatch, source, spec):
+    # a strictly parabolic minor-affine search reads its pure-u columns off:
+    # from cold memos it calls neither generate_ansatz nor _plan, the traced
+    # assembly and solve once each, and back-substitutes only the
+    # determining system's echelon
+    from paraclaw import claws, linalg
+    from paraclaw.grammar import parse
+    from util import clear_search_memos
+    calls, callers = {}, []
+    for name in ("assemble_determining_system", "solve_exact"):
+        def counting(*args, _name=name, _real=getattr(claws, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(claws, name, counting)
+
+    def no_plan(*args):
+        raise AssertionError("a minor-affine search read the plan")
+
+    reduced = linalg.Echelon.reduced
+
+    def recording(self):
+        callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
+        return reduced(self)
+
+    clear_search_memos()
+    monkeypatch.setattr(claws, "generate_ansatz", no_plan)
+    monkeypatch.setattr(claws, "_plan", no_plan)
+    monkeypatch.setattr(linalg.Echelon, "reduced", recording)
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+    assert laws
+    assert calls == {"assemble_determining_system": 1, "solve_exact": 1}
+    assert callers == [("nullspace", "solve_exact")]
+
+
 @pytest.mark.parametrize("source, other, spec", [
-    ("n=1; u_t = u_xx + u*u_x", "n=1; u_t = u_xx + u^2*u_x", (2, 2, 1)),
-    ("n=2; u_t = u_11 + u_22", "n=2; u_t = u_11 + 2*u_22 + u_1", (2, 1, 1)),
-    ("n=1; u_t = u_x", "n=1; u_t = 3*u_x", (2, 2, 0)),
-], ids=["burgers", "heat_2d", "transport"])
+    (*PLAN_ROUTE[0][:1], "n=1; u_t = -u_xx - u^2*u_x", PLAN_ROUTE[0][1]),
+    (*PLAN_ROUTE[1][:1], "n=2; u_t = -u_11 - 2*u_22 - u_1", PLAN_ROUTE[1][1]),
+    (*PLAN_ROUTE[2][:1], "n=1; u_t = 3*u_x", PLAN_ROUTE[2][1]),
+], ids=PLAN_ROUTE_IDS)
 def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
     # from cold memos, one raw Euler walk per t-free ansatz monomial
     # (E_u(t^b m) = t^b E_u(m)), all inside generate_ansatz; none in
@@ -130,19 +177,16 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
         monkeypatch.setattr(module, "euler_operator", no_euler_operator, raising=False)
     monkeypatch.setattr(claws, "generate_ansatz", generate)
     clear_search_memos()
-    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
+                                        force=True)
     assert laws
     assert sizes and walks == [True] * sizes[0]
     walks.clear()
-    claws.find_conservation_laws(parse(other).equation(), claws.AnsatzSpec(*spec))
+    claws.find_conservation_laws(parse(other).equation(), claws.AnsatzSpec(*spec), force=True)
     assert len(sizes) == 1 and walks == []
 
 
-@pytest.mark.parametrize("source, spec", [
-    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
-    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
-    ("n=1; u_t = u_x", (2, 2, 0)),
-], ids=["burgers", "heat_2d", "transport"])
+@pytest.mark.parametrize("source, spec", PLAN_ROUTE, ids=PLAN_ROUTE_IDS)
 def test_search_back_substitutes_once(monkeypatch, source, spec):
     # the pivot pass and the law loop only test independence, forward only;
     # each null space back-substitutes its echelon once: V of the order
@@ -161,7 +205,8 @@ def test_search_back_substitutes_once(monkeypatch, source, spec):
     clear_search_memos()
     for plan in (["_plan"], []):
         callers.clear()
-        laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+        laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
+                                            force=True)
         assert laws
         assert callers == [("nullspace", caller) for caller in plan + ["solve_exact"]]
 
@@ -176,7 +221,7 @@ from tracing import Tracer, layer_metrics
 tracer = Tracer()
 tracer.install()
 claws.find_conservation_laws(parse(sys.argv[3]).equation(),
-                             claws.AnsatzSpec(*json.loads(sys.argv[4])))
+                             claws.AnsatzSpec(*json.loads(sys.argv[4])), force=True)
 print(json.dumps(layer_metrics([{"spans": tracer.spans, "scale": 1.0}], tracer.counts, 1)))
 """
 
@@ -188,11 +233,12 @@ def test_tracer_sizes_the_search_stages(spec, size):
     # row count as r.num_equations of the assembly and the null dimension
     # as len(r) of solve_exact; 2/0/0 has one monomial, so a bare list of
     # columns would break r[1]; the recorded search runs cold, as the
-    # traced one in a fresh interpreter does
+    # traced one in a fresh interpreter does, on the backward heat_2d
+    # equation with force, which takes the plan route
     from paraclaw import claws
     from paraclaw.grammar import parse
     from util import clear_search_memos, recorded_search
-    source = "n=2; u_t = u_11 + u_22"
+    source = "n=2; u_t = -u_11 - u_22"
     proc = subprocess.run(
         [sys.executable, "-B", "-c", TRACED_SEARCH, os.path.join(ROOT, "src"),
          os.path.join(ROOT, "perfbench"), source, json.dumps(spec)],
@@ -200,7 +246,7 @@ def test_tracer_sizes_the_search_stages(spec, size):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
     clear_search_memos()
-    calls, outcome = recorded_search(parse(source).equation(), claws.AnsatzSpec(*spec), False)
+    calls, outcome = recorded_search(parse(source).equation(), claws.AnsatzSpec(*spec), True)
     assert len(calls["generate_ansatz"][1][1]) == size
     assert metrics["claws.ansatz_unknowns"] == size
     assert metrics["claws.determining_rows"] \

@@ -50,7 +50,7 @@ from paraclaw.grammar import (
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
     _over, _scaled_split, ma_classify, parabolicity_check,
-    quartic_form, xi_symbols,
+    quartic_form, symbol_form, xi_symbols,
 )
 from corpus import CORPUS, by_name
 
@@ -1658,7 +1658,9 @@ def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
     :func:`random_law_equation` with force, the same over 1 + x1^2 (a
     rational G, refused unless no column is kept) with force, and a random
     polynomial G with rational coefficients, with and without force (so
-    refused when it is not parabolic).  Returns the counts of
+    refused when it is not parabolic).  Each equation the search would
+    answer on its pure-u columns is searched backward, with force
+    (:func:`plan_route_problem`).  Returns the counts of
     :func:`_compare_column_route`."""
     rng = random.Random(seed)
     problems = []
@@ -1703,24 +1705,191 @@ def random_strict_law_equation(rng: random.Random, n: int) -> EvolutionEquation:
             return eq
 
 
+def random_strict_quartic_equation(rng: random.Random, n: int) -> EvolutionEquation:
+    """A :func:`random_strict_law_equation` draw plus c u_11^2, a random
+    rational c != 0: its quartic form 2 c xi_1^4 is not 0, so the search
+    restricted by the order bound runs on it, and its symbol at the
+    reference jet, where u_11 = 0, is the draw's, so strictly parabolic."""
+    eq = random_strict_law_equation(rng, n)
+    c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return EvolutionEquation(n, eq.G + c * jet(1, 1) ** 2)
+
+
 def suite_order_bound(cases: int = 6, seed: int = 163) -> dict:
     """The search restricted by the order bound: :func:`_compare_column_route`
-    on heat_plus_det (u_t = u_11 + u_22 + u_11 u_22 - u_12^2) at 2/3/3,
+    on laplacian_squared (u_t = u_11 + u_22 + (u_11 + u_22)^2) at 2/3/3,
     where dim V = 280, S has 300 of the 880 kept columns and H_S is not
-    empty, and on ``cases`` seeded :func:`random_strict_law_equation`
+    empty, and on ``cases`` seeded :func:`random_strict_quartic_equation`
     draws, n = 1, 2, 3 in turn, at 2/4/1 (n = 1), 2/3/1 (n = 2, where H_S
-    is not empty) and 2/2/1 (n = 3).  Returns the counts of
-    :func:`_compare_column_route`."""
+    is not empty) and 2/2/1 (n = 3).  Each has a strictly parabolic symbol
+    whose quartic form is not 0, so the search restricts the plan's kept
+    columns to S.  Returns the counts of :func:`_compare_column_route`."""
     rng = random.Random(seed)
-    problems = [("heat_plus_det", by_name("heat_plus_det").equation(), AnsatzSpec(2, 3, 3))]
+    problems = [("laplacian_squared", by_name("laplacian_squared").equation(),
+                 AnsatzSpec(2, 3, 3))]
     for k in range(cases):
         n = 1 + k % 3
-        eq = random_strict_law_equation(rng, n)
+        eq = random_strict_quartic_equation(rng, n)
         problems.append((f"u_t = {eq.G}", eq, AnsatzSpec(2, (4, 3, 2)[n - 1], 1)))
     counts = dict.fromkeys(ROUTE_COUNTS, 0)
     for name, eq, spec in problems:
         _compare_column_route(f"{name} at {spec}", eq, spec, False, counts)
     return counts
+
+
+def xi_to_jets(F: Expr, n: int) -> Expr:
+    """The polynomial F in the jets and xi_1..xi_n with each xi^a read as
+    the jet u_a: every term's xi factors, of any degree, become one jet
+    factor, indexed by the xi's indices in order."""
+    assert F.is_polynomial
+    index = {s: i for i, s in enumerate(xi_symbols(n), start=1)}
+    terms: dict = {}
+    for m, c in F.num.terms.items():
+        word, rest = [], []
+        for s, k in mono_decode(m):
+            if s in index:
+                word += [index[s]] * k
+            else:
+                rest.append((s, k))
+        key = mono_encode(rest + [(jet_var(tuple(word)), 1)] if word else rest)
+        terms[key] = terms.get(key, 0) + c
+    return Expr._make(Poly({m: c for m, c in terms.items() if c}), Poly.one())
+
+
+def top_order_term(eq: EvolutionEquation, Q: Expr) -> Expr:
+    """2 sigma D_xi Q + q Q, read with xi^a <-> u_a (:func:`xi_to_jets`),
+    for the symbol sigma = symbol_form(eq) and the quartic form
+    q = quartic_form(eq), with D_xi = sum_{i <= j} xi_i xi_j d/du_ij."""
+    xi = [Expr.symbol(s) for s in xi_symbols(eq.n)]
+    D_Q = ZERO
+    for i in range(1, eq.n + 1):
+        for j in range(i, eq.n + 1):
+            D_Q = D_Q + xi[i - 1] * xi[j - 1] * Q.diff(jet_var((i, j)))
+    return xi_to_jets(2 * symbol_form(eq) * D_Q + quartic_form(eq) * Q, eq.n)
+
+
+def order_four_part(E: Expr) -> Expr:
+    """The terms of the polynomial E that hold a jet of order 4."""
+    return Expr._make(Poly({m: c for m, c in E.num.terms.items()
+                            if any(s.kind == JET and s.order == 4 for s, _ in mono_decode(m))}),
+                      Poly.one())
+
+
+def suite_top_order_identity(cases: int = 12, seed: int = 191) -> dict:
+    """The auxiliary equation at top order: for a characteristic Q of order
+    <= 2, the terms of the assembled determining expression of its density
+    T that hold a jet of order 4 (:func:`assembled_for`, d times the
+    expression, d the lcm of G's denominators) are d times
+    :func:`top_order_term`.  On ``cases`` seeded G, n = 1, 2, 3 in turn,
+    alternately a :func:`random_strict_law_equation` (quartic form 0) and
+    a :func:`random_strict_quartic_equation` (not 0), at 2/3/1 (n = 1),
+    2/2/1 (n = 2) or 2/2/0 (n = 3); the densities are every plan column
+    whose characteristic holds no jet of order >= 3 and three seeded
+    combinations of the plan's V basis.  Returns the counts of
+    characteristics checked, of those with 2 sigma D_xi Q != 0 and of
+    those with q Q != 0."""
+    rng = random.Random(seed)
+    counts = {"characteristics": 0, "sigma_terms": 0, "quartic_terms": 0}
+    for k in range(cases):
+        n = 1 + k % 3
+        draw = random_strict_quartic_equation if k % 2 else random_strict_law_equation
+        eq = draw(rng, n)
+        spec = (AnsatzSpec(2, 3, 1), AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 0))[n - 1]
+        densities, characteristics, _ = claws._plan(n, spec)
+        high = jet_order_rows(list(characteristics), 3)
+        V = reference_nullspace(list(high.values()), len(characteristics))
+        bounded = set(range(len(characteristics))) - {k for row in high.values() for k in row}
+        vectors = [{k: Fraction(1)} for k in sorted(bounded)]
+        for _ in range(3):
+            vec: dict = {}
+            for v in rng.sample(V, min(3, len(V))):
+                c = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                for j, a in v.items():
+                    vec[j] = vec.get(j, 0) + c * a
+            vectors.append({j: a for j, a in vec.items() if a})
+        scale = determining_scale(eq)
+        q = quartic_form(eq)
+        for vec in vectors:
+            T, Q = combine(list(densities), vec), combine(list(characteristics), vec)
+            want = top_order_term(eq, Q)
+            assert order_four_part(assembled_for(eq, T)) == scale * want, \
+                f"u_t = {eq.G} at {spec}: T = {T}"
+            counts["characteristics"] += 1
+            counts["sigma_terms"] += not (want - xi_to_jets(q * Q, n)).is_zero
+            counts["quartic_terms"] += not (q * Q).is_zero
+    return counts
+
+
+def pure_u_places(densities) -> list[int]:
+    """The places of the pure-u columns t^b x^a u^k among these one-term
+    density columns."""
+    return [k for k, (m,) in enumerate(densities)
+            if all(s.kind == BASE or s == jet_var() for s, _ in mono_decode(m))]
+
+
+def compare_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> int:
+    """The search of a strictly parabolic minor-affine polynomial G, which
+    reads its pure-u columns off, against the plan route forced through,
+    its kept columns in S searched by ``claws._laws_of_columns``: the same
+    laws, printed alike (T, every flux and Q).  W, the null space of the
+    rows of every monomial holding a jet other than u over the plan's kept
+    columns, is spanned by the pure-u kept columns, one vector each, and
+    those are the columns the search reads off, in the same order.  The
+    search runs with ``generate_ansatz`` and ``_plan`` replaced by a
+    function that fails, so it calls neither.  Returns the number of
+    laws."""
+    assert takes_pure_u_route(eq, spec)
+    real = claws.generate_ansatz, claws._plan
+
+    def no_plan(*args):
+        raise AssertionError("a minor-affine search read the plan")
+
+    claws.generate_ansatz = claws._plan = no_plan
+    try:
+        laws = find_conservation_laws(eq, spec)
+    finally:
+        claws.generate_ansatz, claws._plan = real
+    densities, characteristics, support = claws._plan(eq.n, spec)
+    planned = claws._laws_of_columns(eq, [densities[k] for k in support],
+                                     [characteristics[k] for k in support])
+    where = f"u_t = {eq.G} at {spec}"
+    assert [_law_text(law) for law in laws] == [_law_text(law) for law in planned], where
+    places = pure_u_places(densities)
+    W = linalg.nullspace(list(jet_order_rows(list(characteristics), 1).values()),
+                         len(characteristics))
+    assert W == [{k: 1} for k in places], where
+    assert claws._pure_u_columns(eq.n, spec) \
+        == ([densities[k] for k in places], [characteristics[k] for k in places]), where
+    return len(laws)
+
+
+def minor_affine_reports():
+    """(name, report) of every `paraclaw claws` report on a strictly
+    parabolic polynomial G whose quartic form is 0: the golden corpus
+    (tests/golden/claws_corpus.json) and the claws requests of the
+    wide-ansatz and flux-heavy benchmark workloads at seeds 1, 2 and
+    1000003, passes 0-2, run here."""
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    requests = []
+    for key, record in golden.items():
+        requests.append((key, by_name(key.split()[0]).equation(), record["stdout"]))
+    problems = perfbench_problems()
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload in ("wide-ansatz", "flux-heavy"):
+            for seed in (1, 2, 1000003):
+                for pass_index in (0, 1, 2):
+                    batch = problems.generate(workload, seed, pass_index)
+                    for req, path in zip(batch, problems.write_files(batch, workdir)):
+                        assert req["command"] == "claws" and "--unsafe-order" not in req["args"]
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out):
+                            cli.main(problems.argv(req, path))
+                        name = f"{workload} seed {seed} pass {pass_index}: {req['source']}"
+                        requests.append((name, parse(req["source"]).equation(), out.getvalue()))
+    for name, eq, stdout in requests:
+        if takes_pure_u_route(eq, AnsatzSpec()):
+            yield name, json.loads(stdout)
 
 
 # what :func:`_compare_column_route` counts
@@ -1739,7 +1908,10 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     on them and is annihilated by the reference's rows H_S.  The plan
     memo is emptied first, so the search generates its ansatz.  Counts
     the searches where S is smaller than the kept columns, and those
-    with H_S not empty (where V is not spanned by single columns), too."""
+    with H_S not empty (where V is not spanned by single columns), too.
+    A problem the search would answer on the pure-u columns is replaced
+    by its :func:`plan_route_problem`, so the plan route is compared."""
+    eq, force = plan_route_problem(eq, spec, force)
     claws._plan.cache_clear()
     calls, outcome = recorded_search(eq, spec, force)
     stages = tagged_stages(eq, spec)
@@ -1835,6 +2007,28 @@ def searched_columns(eq: EvolutionEquation, spec: AnsatzSpec,
     return support, bound
 
 
+def takes_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> bool:
+    """Whether find_conservation_laws searches the pure-u columns
+    t^b x^a u^k with no plan: on a polynomial G with a strictly parabolic
+    symbol (:func:`naive_parabolicity`) and a quartic form
+    (:func:`naive_quartic_form`) of 0, without unsafe_order."""
+    return (eq.G.is_polynomial and not spec.unsafe_order
+            and naive_parabolicity(eq) is Parabolicity.STRICT
+            and naive_quartic_form(eq).is_zero)
+
+
+def plan_route_problem(eq: EvolutionEquation, spec: AnsatzSpec,
+                       force: bool) -> tuple[EvolutionEquation, bool]:
+    """(eq, force) where the search takes the plan route; where it would
+    search the pure-u columns (:func:`takes_pure_u_route`), the backward
+    equation u_t = -G, searched with force.  Its symbol is not parabolic,
+    so it searches every kept column, and its laws are those of u_t = G
+    with t -> -t, which maps the ansatz to itself."""
+    if takes_pure_u_route(eq, spec):
+        return EvolutionEquation(eq.n, -eq.G, eq.reference_jet), True
+    return eq, force
+
+
 def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     """E_u(t^b m) = t^b E_u(m), and the assembly's l_Q(d G) + sum_L A_L D_L Q
     is built once per t-free monomial m of the columns t^b m, as S_m of
@@ -1842,11 +2036,14 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     explicit t, at base degrees 2 and 3, :func:`_compare_column_route`
     finds the columns, the key -> row mapping, the null space and the
     laws of the tagged route, or the same refusal.  The equations are
-    u_xx + t u, t u_11 + u_22 + t^2 u_1, a :func:`rational_corpus` entry
-    times (1 + t), the same over 1 + t^2 (a rational G, refused), all with
-    force, and ``cases`` seeded random G = a u_ii + t p, p a polynomial in
-    t, x and the jets of order <= 1, with force, except that every fourth
-    has a < 0 and no force, so it is refused as not parabolic.  The full
+    u_xx + t u_xx^2 + t u (strict, with the quartic form 2 t xi^4, so the
+    order bound restricts it), t u_11 + u_22 + t^2 u_1, a
+    :func:`rational_corpus` entry times (1 + t), the same over 1 + t^2 (a
+    rational G, refused), all with force, and ``cases`` seeded random
+    G = a u_ii + t p, p a polynomial in t, x and the jets of order <= 1,
+    with force, except that every fourth has a < 0 and no force, so it is
+    refused as not parabolic; the strict ones are searched backward
+    (:func:`plan_route_problem`).  The full
     ansatz of each polynomial G is also assembled with its columns in
     reverse order, which must give the same key -> row mapping: S_m does
     not depend on which column meets m first.
@@ -1855,7 +2052,7 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     tt = Expr.symbol(TIME)
     name, rational = rational_corpus()[3]  # burgers (2/3 G + u_1/6)
     equations = [
-        ("u_xx + t u", 1, uxx + tt * u),
+        ("u_xx + t u_xx^2 + t u", 1, uxx + tt * uxx ** 2 + tt * u),
         ("t u_11 + u_22 + t^2 u_1", 2, tt * u11 + u22 + tt ** 2 * u1),
         (f"{name} times (1 + t)", 1, rational.G * (1 + tt)),
         (f"{name} times (1 + t) over 1 + t^2", 1, rational.G * (1 + tt) / (1 + tt ** 2)),
@@ -2070,8 +2267,8 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
     searches: from cleared memos, each of ``threads`` threads runs every
     corpus entry at every golden spec, in its own seeded order, and each
     outcome equals the cold one.  And threads storing MAX_TERMS + threads
-    distinct plans at once, by searches of an empty ansatz at n = 1, 2,
-    ..., leave the plan memo within its bound.  Returns the number of
+    distinct plans at once, by ``unsafe_order`` searches of an empty ansatz
+    at n = 1, 2, ..., leave the plan memo within its bound.  Returns the number of
     searches compared."""
     problems = [(entry.name, entry.equation(), spec)
                 for entry in CORPUS for spec in golden_ansatz_specs()]
@@ -2094,9 +2291,10 @@ def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
     for (k, i), outcome in got.items():
         assert outcome == reference[i], f"thread {k} differs on {problems[i][0]} at {problems[i][2]}"
 
-    def fill(k):
+    def fill(k):  # unsafe_order takes the plan route and builds no symbol
         for n in range(1 + k, MAX_TERMS + threads + 1, threads):
-            find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(), True)
+            find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(unsafe_order=True),
+                                   True)
 
     clear_search_memos()  # no plan of the real ansatz is kept here
     generate, claws.generate_ansatz = claws.generate_ansatz, lambda n, spec: ([], [])
