@@ -5,19 +5,19 @@ coordinates and spatial jets of order <= 2 (the order bound is licensed by
 the structure theory -- characteristics of evolutionary parabolic
 equations depend on at most second derivatives); keep only the monomials
 whose characteristics are independent, so that no trivial law is ever
-solved for; on a strictly parabolic symbol, where the bound is a theorem,
-keep only the columns that some combination whose characteristic has jet
-order <= 2 uses (:func:`find_conservation_laws`); assemble the
-determining system in characteristic form; solve the system exactly;
-reconstruct fluxes by divergence inversion.  Where the symbol's quartic
-form is 0 too, the auxiliary equation's top-order term forces every
-characteristic to be a function of (t, x, u), and the search keeps only
-the pure-u columns t^b x^a u^k, read off with no plan.  The ansatz is
-linear in its coefficients, so it is held as columns from start to
-finish: one ``int`` term dict per monomial for its density and one for
-its characteristic, and one determining-system column per kept monomial.
-``paraclaw claws`` runs the search only where the paper's corollary does
-not decide: on a strictly parabolic polynomial G whose Monge-Ampere
+solved for; assemble the determining system in characteristic form; solve
+the system exactly; reconstruct fluxes by divergence inversion.  On a
+strictly parabolic symbol, where the bound is a theorem, the auxiliary
+equation's top-order term 2 sigma D_xi Q + q Q decides the search
+(:func:`find_conservation_laws`): where the symbol's quartic form q is 0 it
+forces every characteristic to be a function of (t, x, u), and the search
+keeps only the pure-u columns t^b x^a u^k, read off with no plan; where q
+is not 0 it forces every characteristic to be 0, and there is no law and
+no search.  The ansatz is linear in its coefficients, so it is held as
+columns from start to finish: one ``int`` term dict per monomial for its
+density and one for its characteristic, and one determining-system column
+per kept monomial.  ``paraclaw claws`` answers by the paper's corollary
+where it decides: on a strictly parabolic polynomial G whose Monge-Ampere
 verdict excludes every nontrivial law (:func:`excluding_verdict`), it
 reports no laws after the search's size check (:func:`check_ansatz_size`).
 
@@ -49,9 +49,9 @@ of m: the D_L Q of Q = E_u(m), and Q itself at L = (); only their products
 with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
 by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
 memo of D_L E_u(m) for the process, and a second, :func:`_plan`, keyed by
-(n, spec), holds the columns the pivot pass keeps and the support of the
-order bound; a search on pure-u columns reads no plan.  Both are bounded
-by MAX_TERMS, which also bounds the columns of one ansatz, so no search
+(n, spec), holds the columns the pivot pass keeps, which only a weak,
+forced, rational or ``unsafe_order`` search reads.  Both are bounded by
+MAX_TERMS, which also bounds the columns of one ansatz, so no search
 evicts what it built.  A second equation at bounds already seen then does
 only the G-dependent products, the solve and the extraction; a single
 search computes what it computed without them, and keeps it.  The
@@ -72,9 +72,8 @@ from math import comb
 
 from . import linalg
 from .expr import (
-    JET, MAX_EXPONENT, MAX_TERMS, TIME, Expr, FrozenValue, Monomial, NotPolynomialIn, Poly,
-    Value,
-    _add_product, _add_terms, _cleared, _exponent, _shifted, base_var, jet_var, mono_decode,
+    JET, MAX_TERMS, TIME, Expr, FrozenValue, Monomial, NotPolynomialIn, Poly, Value,
+    _add_product, _add_terms, _cleared, _exponent, _shifted, base_var, jet_var,
 )
 from .jets import (
     ORDER_GUARD, NotInDivergenceImage, OrderOverflow, Prolonged,
@@ -240,60 +239,17 @@ def _prolonged_euler(m: Monomial) -> Prolonged:
 
 
 @functools.lru_cache(maxsize=MAX_TERMS)
-def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...],
-                                             tuple[int, ...]]:
-    """(densities, characteristics, support) for the ansatz of these bounds
-    in n space dimensions, which depend on n and the bounds alone.
-    Memoized for the process; the dicts are only read.
-
-    The densities and characteristics are those of the columns whose
+def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+    """(densities, characteristics) of the columns the search keeps, for
+    the ansatz of these bounds in n space dimensions: those whose
     characteristic is independent of those of the earlier columns, in
-    column order: the columns the search keeps.  The combinations of kept
-    columns whose characteristic holds no jet of order >= 3 form a space V,
-    the null space of the order-4 rows of :func:`_order_rows`; ``support``
-    is the kept columns on which some vector of V's basis is not 0, in
-    column order, the columns a search restricted by the order bound
-    assembles.  Under ``unsafe_order``, whose purpose is to test the order
-    bound, the support is every kept column.  A minor-affine search needs
-    no plan (:func:`find_conservation_laws`)."""
+    column order.  They depend on n and the bounds alone; memoized for the
+    process, and the dicts are only read.  Only a weak, forced, rational or
+    ``unsafe_order`` search reads the plan (:func:`find_conservation_laws`)."""
     densities, characteristics = generate_ansatz(n, spec)
     pivots = linalg.Echelon()
     keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
-    densities = tuple(densities[k] for k in keep)
-    characteristics = tuple(characteristics[k] for k in keep)
-    if spec.unsafe_order:
-        return densities, characteristics, tuple(range(len(keep)))
-    V = linalg.nullspace(list(_order_rows(characteristics).values()), len(keep))
-    return densities, characteristics, tuple(sorted({k for v in V for k in v}))
-
-
-def _order_rows(characteristics: Sequence[dict]) -> dict[Monomial, dict]:
-    """The rows {k: c} of the coefficients c of the monomial m in each
-    characteristics[k], by each monomial m that holds a jet of order 4.
-
-    Their null space is V, the combinations whose characteristic holds no
-    jet of order >= 3, for characteristics of order <= 4 (E_u of densities
-    of order <= 2).  A combination of characteristics is E_u of the same
-    combination of densities, an Euler-Lagrange expression, so its
-    linearization is self-adjoint (the Helmholtz conditions; Olver, GTM 107,
-    ch. 5).  The principal symbol of the adjoint of a scalar operator of
-    order r is (-1)^r times its own, so a self-adjoint operator has even
-    order: a characteristic of order <= 4 with no term of order 4 has order
-    <= 2.  A monomial is tested against one mask of the fields of those
-    jets, built from the bitwise OR of every monomial, whose fields are
-    nonzero exactly at the symbols some monomial holds."""
-    held = 0
-    for Q in characteristics:
-        for m in Q:
-            held |= m
-    mask = MAX_EXPONENT * sum(s.unit for s, _ in mono_decode(held)
-                              if s.kind == JET and s.order > 3)
-    rows: dict = {}
-    for k, Q in enumerate(characteristics):
-        for m, c in Q.items():
-            if m & mask:
-                rows.setdefault(m, {})[k] = c
-    return rows
+    return tuple(densities[k] for k in keep), tuple(characteristics[k] for k in keep)
 
 
 def assemble_determining_system(eq: EvolutionEquation,
@@ -533,21 +489,14 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     pivot of M has a characteristic that depends on those of earlier null
     vectors.
 
-    On a strictly parabolic polynomial G the paper's order bound restricts
-    the search further: the characteristic of every conservation law has
-    jet order <= 2, so the null space N lies in the space V of kept-column
-    combinations whose characteristic holds no jet of order >= 3.  V
-    depends on n and the bounds alone (:func:`_plan`).  The bound restricts
-    columns only: the search assembles the columns of V's support S and
-    adds no row.  The null space of that system is N restricted to span(S),
-    and N lies in V, which lies in span(S), so it is N itself, and
-    ``linalg.nullspace``'s basis, which depends only on the space and the
-    column order, is the same.
-
-    Where moreover the quartic form q = D_xi sigma of the symbol
-    sigma = D_xi G is 0 (``MAReport.minor_affine``), N lies in the span of
-    the pure-u columns t^b x^a u^k, and the search assembles those alone
-    (:func:`_pure_u_columns`), with no plan:
+    On a strictly parabolic polynomial G the paper's order bound holds:
+    the characteristic of every conservation law has jet order <= 2, and
+    the auxiliary equation's top-order term then decides the search with
+    no plan.  Let N be the null space and sigma = D_xi G and q = D_xi sigma
+    the symbol and its quartic form, D_xi = sum_{i <= j} xi_i xi_j d/du_ij.
+    Where q = 0 (``MAReport.minor_affine``), N lies in the span of the
+    pure-u columns t^b x^a u^k, and the search assembles those alone
+    (:func:`_pure_u_columns`):
 
     1. The top-order term.  For a characteristic Q of order <= 2, the
        order-4 part of dQ/dt + l_Q(G) + l*_G(Q) comes only from
@@ -555,37 +504,54 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
        it is 2 sigma D_xi Q + q Q, read with xi^a <-> u_a.  On a null
        vector it is 0.  With q = 0 and sigma != 0 (sigma is not 0 where
        the symbol is strict) this gives D_xi Q = 0, so Q holds no u_ij and
-       has order <= 1.  l_Q is self-adjoint (Helmholtz), so Q has even
-       order (:func:`_order_rows`): Q = Q(t, x, u).
+       has order <= 1.  Q is E_u of a density, so its linearization l_Q is
+       self-adjoint (the Helmholtz conditions; Olver, GTM 107, ch. 5); the
+       principal symbol of the adjoint of a scalar operator of order r is
+       (-1)^r times its own, so Q has even order: Q = Q(t, x, u).
     2. The density.  E_u maps the part of jet degree k to jet degree k - 1
        and does not raise the degree in (t, x), so T' = integral of Q du
        lies in the span of the pure-u columns, and E_u(T - T') = 0.
     3. The same basis.  u^k is the first jet monomial of its degree, so
        every pure-u column is kept, and T' is M v' for a v' on them.  M is
        injective on the kept columns, so the null vector v of T is v', and
-       N lies in the span of the pure-u columns: the null space of their
-       system is N, with the basis of the search on S, as above.
+       N lies in the span of the pure-u columns.  The null space of their
+       system is N restricted to that span, so N itself, and
+       ``linalg.nullspace``'s basis, which depends only on the space and
+       the column order, is that of the search on every kept column.
 
-    The size check runs first on both routes, so AnsatzTooLarge is raised
-    at the same bounds.  The route's cheap tests come first: G a
+    Where q != 0, N = 0, and the search returns no law with no system:
+
+    4. No characteristic.  Fix a jet point U and a direction xi, and let
+       g(s) = G(U + s xi xi^T), moving each u_ij by s xi_i xi_j.  Along
+       that line d/ds = D_xi, so g' = sigma and g'' = q there, and the
+       top-order term of step 1 reads 2 g' Q' + g'' Q = 0, which times Q
+       is (g' Q^2)' = 0: g' Q^2 is constant in s.  G is a polynomial, and
+       where q(U, xi) != 0, g' is a polynomial in s of degree >= 1, so the
+       polynomial Q must vanish on the whole line, at U too.  q is a
+       nonzero polynomial, so it is not 0 on an open set of (U, xi), and
+       Q vanishes at every U of that set, an open set of jet points:
+       Q = 0.  M is injective on the kept columns, so v = 0.  On a G that
+       is not of Monge-Ampere type q != 0, so this decides every input of
+       the paper's corollary (:func:`excluding_verdict`) too.
+
+    The size check runs first on every route, so AnsatzTooLarge is raised
+    at the same bounds.  The routes' cheap tests come first: G a
     polynomial, then ``unsafe_order``; only then are the symbol's class
     and q read off the equation, which computes each once
     (``EvolutionEquation.parabolicity`` and ``quartic``).  A weak or, with
-    force, a non-parabolic symbol, a rational G and ``unsafe_order``
-    search every kept column; a strict symbol with q != 0 searches S.
-    :func:`_laws_of_columns` extracts the laws."""
+    force, a non-parabolic symbol, a rational G and ``unsafe_order``, where
+    the order bound is not a theorem or is under test, search every kept
+    column of the plan.  :func:`_laws_of_columns` extracts the laws."""
     spec = spec or AnsatzSpec()
     if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    strict = (eq.G.is_polynomial and not spec.unsafe_order
-              and eq.parabolicity is Parabolicity.STRICT)
-    if strict and eq.quartic.is_zero:
-        return _laws_of_columns(eq, *_pure_u_columns(eq.n, spec))
-    densities, characteristics, support = _plan(eq.n, spec)
-    if strict:
-        densities = [densities[k] for k in support]
-        characteristics = [characteristics[k] for k in support]
-    return _laws_of_columns(eq, densities, characteristics)
+    if (eq.G.is_polynomial and not spec.unsafe_order
+            and eq.parabolicity is Parabolicity.STRICT):
+        if eq.quartic.is_zero:
+            return _laws_of_columns(eq, *_pure_u_columns(eq.n, spec))
+        check_ansatz_size(eq.n, spec)
+        return []
+    return _laws_of_columns(eq, *_plan(eq.n, spec))
 
 
 def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
@@ -598,10 +564,10 @@ def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
     density has a flux, reconstructed by exact divergence inversion.
     Every returned law satisfies the conservation identity exactly.  A
     characteristic of jet order > 2 is an InvariantViolation on a strictly
-    parabolic symbol, where the order bound is a theorem; a restricted
-    search reaches that check too, since no row cuts its null space down to
-    V.  Otherwise (a weak or, with force, a non-parabolic symbol) the law
-    is kept.
+    parabolic symbol, where the order bound is a theorem: an
+    ``unsafe_order`` search, which tests the bound, and the pure-u route
+    reach it.  Otherwise (a weak or, with force, a non-parabolic symbol)
+    the law is kept.
 
     Each law is extracted on ``int`` term dicts, and only the finished law
     becomes an Expr: the null vector's characteristic Q and density T are

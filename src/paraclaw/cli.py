@@ -95,7 +95,11 @@ def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
     the search's size check and with no search.  The verdict is False on
     an open set of strictly parabolic jets, where no nonzero polynomial
     characteristic vanishes, so the search could only return none.  Any
-    other equation is searched, and its laws are cross-checked."""
+    other equation is searched, and its laws are cross-checked.  Without
+    ``--unsafe-order`` the search answers such a G with no search too (its
+    quartic form is not 0, :func:`~paraclaw.claws.find_conservation_laws`);
+    the corollary is kept for ``--unsafe-order`` requests, which the search
+    runs on every kept column, and for the verdict it names."""
     eq, report, ma = _classified(pf, symbolic, force)
     if (report["parabolicity"] == Parabolicity.STRICT and eq.G.is_polynomial
             and excluding_verdict(eq.n, ma)):

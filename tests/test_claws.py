@@ -150,7 +150,9 @@ class TestDeterminingSystem:
         counts = suite_column_route_equivalence(cases=80)
         assert counts["problems"] == 4 * len(CORPUS) + 80
         assert counts["refusals"] >= 10 and counts["laws"] > 80
-        assert counts["restricted"] > 0  # the order bound restricts some searches
+        # the order bound would cut the columns of some searches moved off
+        # the no-plan routes, whose null spaces lie in V
+        assert counts["restricted"] > 0
 
     def test_elimination_order_keeps_the_null_space(self):
         # solve_exact feeds the rows in an order of its own; the basis is the
@@ -179,8 +181,9 @@ class TestDeterminingSystem:
         assert counts["restricted"] > 0
 
     def test_order_bound_matches_reference_route(self):
-        # every problem has a quartic form that is not 0, so the search is
-        # restricted to S, and no law (the pure-u route takes those with laws)
+        # every problem has a quartic form that is not 0, so it has no law
+        # and is searched backward, on every kept column; S is smaller than
+        # the kept columns in each
         counts = suite_order_bound(cases=6)
         assert counts == {"problems": 7, "refusals": 0, "laws": 0,
                           "restricted": 7, "bounded": 3}
@@ -200,13 +203,15 @@ class TestDeterminingSystem:
     def test_restricted_search_matches_every_kept_column(self, eq, spec, extra):
         # where V is not spanned by single columns (|S| - dim V = extra),
         # the search (on the pure-u columns, these G being minor-affine),
-        # the plan route forced through on S alone, with no row for the
-        # order bound, and the search on every kept column return the same
-        # laws, in the same order and printed alike
-        from util import _law_text, clear_search_memos
+        # the search on the support S of the order bound alone, with no row
+        # for the bound, and the search on every kept column return the
+        # same laws, in the same order and printed alike
+        from util import _law_text, clear_search_memos, jet_order_rows
         clear_search_memos()
-        densities, characteristics, support = claws._plan(eq.n, spec)
-        V = linalg.nullspace(list(claws._order_rows(characteristics).values()), len(densities))
+        densities, characteristics = claws._plan(eq.n, spec)
+        support, _ = reference_order_bound(list(characteristics))
+        V = linalg.nullspace(list(jet_order_rows(list(characteristics), 4).values()),
+                             len(densities))
         assert len(support) - len(V) == extra
         restricted = claws._laws_of_columns(eq, [densities[k] for k in support],
                                             [characteristics[k] for k in support])
@@ -227,42 +232,43 @@ class TestDeterminingSystem:
     def test_order_four_rows_cut_out_v(self, n, spec):
         # a combination of characteristics is E_u of the same combination of
         # densities, whose linearization is self-adjoint and so of even
-        # order; one of order <= 4 with no term of order 4 has order <= 2.
-        # So the plan's rows, those of the monomials with a jet of order 4,
+        # order; one of order <= 4 with no term of order 4 has order <= 2
+        # (fact 1, which the pure-u route's proof reads).  So the rows of
+        # the monomials with a jet of order 4 over the plan's kept columns
         # cut out V: their null space has the dimension of that of the
-        # rows of order >= 3, and its support is the plan's S
+        # rows of order >= 3, and its support is the reference's S
         from util import jet_order_rows
-        _, characteristics, support = claws._plan(n, spec)
+        characteristics = list(claws._plan(n, spec)[1])
         ncols = len(characteristics)
-        rows = claws._order_rows(characteristics)
-        assert rows == jet_order_rows(list(characteristics), 4)
-        V4 = linalg.nullspace(list(rows.values()), ncols)
-        V = linalg.nullspace(list(jet_order_rows(list(characteristics), 3).values()), ncols)
+        V4 = linalg.nullspace(list(jet_order_rows(characteristics, 4).values()), ncols)
+        V = linalg.nullspace(list(jet_order_rows(characteristics, 3).values()), ncols)
         assert len(V4) == len(V)
-        assert sorted({k for v in V4 for k in v}) == list(support)
+        assert sorted({k for v in V4 for k in v}) == reference_order_bound(characteristics)[0]
 
-    @pytest.mark.parametrize("eq, spec, force, restricted", [
-        (by_name("laplacian_squared").equation(), AnsatzSpec(2, 3, 0), False, True),
-        (EvolutionEquation(2, u11), AnsatzSpec(2, 3, 0), False, False),
-        (EvolutionEquation(2, -u11 - u22), AnsatzSpec(2, 3, 0), True, False),
-        (HEAT2, AnsatzSpec(2, 3, 0, unsafe_order=True), False, False),
+    @pytest.mark.parametrize("eq, spec, force", [
+        (by_name("laplacian_squared").equation(), AnsatzSpec(2, 3, 0), False),
+        (EvolutionEquation(2, u11), AnsatzSpec(2, 3, 0), False),
+        (EvolutionEquation(2, -u11 - u22), AnsatzSpec(2, 3, 0), True),
+        (HEAT2, AnsatzSpec(2, 3, 0, unsafe_order=True), False),
     ], ids=["strict", "weak", "forced", "unsafe-order"])
-    def test_only_a_strict_search_is_restricted(self, eq, spec, force, restricted):
-        # the order bound restricts a strictly parabolic search whose
-        # quartic form is not 0 to the columns S, where V is not spanned by
-        # single columns (H_S is not empty); a weak, a forced
-        # non-parabolic and an unsafe_order search
-        # assemble every kept column; every search solves the assembled
-        # system itself, with no row added
-        from util import recorded_search, reference_order_bound
+    def test_only_a_strict_search_is_restricted(self, eq, spec, force):
+        # no search on the plan is restricted: a strictly parabolic
+        # polynomial G reads no plan (laplacian_squared, whose quartic form
+        # is not 0, is searched backward, with force, as u_t = -G), and a
+        # weak, a forced non-parabolic and an unsafe_order search assemble
+        # every kept column, although the order bound's support S is
+        # smaller and V is not spanned by single columns (H_S is not
+        # empty); every search solves the assembled system itself, with no
+        # row added
+        from util import plan_route_problem, recorded_search
+        eq, force = plan_route_problem(eq, spec, force)
         calls, outcome = recorded_search(eq, spec, force)
         assert outcome[0] == "laws"
-        densities, characteristics, support = claws._plan(2, AnsatzSpec(2, 3, 0))
-        assert 0 < len(support) < len(densities)
-        reference_support, bound = reference_order_bound(list(characteristics))
-        assert reference_support == list(support) and bound
+        densities, characteristics = claws._plan(2, AnsatzSpec(2, 3, 0))
+        support, bound = reference_order_bound(list(characteristics))
+        assert 0 < len(support) < len(densities) and bound
         assembled = list(calls["assemble_determining_system"][0][1])
-        assert assembled == ([densities[k] for k in support] if restricted else list(densities))
+        assert assembled == list(densities)
         assert calls["solve_exact"][0][0] is calls["assemble_determining_system"][1]
 
     def test_rational_refusals_are_unchanged(self):
@@ -377,7 +383,9 @@ class TestPureURoute:
 
     def test_route_reads_cheap_tests_first(self):
         # a rational G or unsafe_order takes the plan route without building
-        # the symbol or the quartic form; a polynomial G reads each once
+        # the symbol or the quartic form; a weak symbol builds the symbol
+        # and its class, not the quartic form; a strict polynomial G reads
+        # each once, whether its quartic form is 0 or not
         from util import clear_search_memos
         clear_search_memos()
         rational = EvolutionEquation(1, uxx / (1 + x ** 2))
@@ -386,9 +394,13 @@ class TestPureURoute:
         find_conservation_laws(unsafe, AnsatzSpec(2, 1, 0, unsafe_order=True), True)
         for eq in (rational, unsafe):
             assert not {"symbol", "parabolicity", "quartic"} & vars(eq).keys()
-        eq = EvolutionEquation(2, u11 + u22)
-        find_conservation_laws(eq, AnsatzSpec(2, 1, 0))
-        assert {"symbol", "parabolicity", "quartic"} <= vars(eq).keys()
+        weak = EvolutionEquation(2, u11 + u11 ** 2)
+        find_conservation_laws(weak, AnsatzSpec(2, 1, 0))
+        assert {"symbol", "parabolicity"} <= vars(weak).keys() and "quartic" not in vars(weak)
+        for eq, laws in ((EvolutionEquation(2, u11 + u22), 1),
+                         (by_name("laplacian_squared").equation(), 0)):
+            assert len(find_conservation_laws(eq, AnsatzSpec(2, 1, 0))) == laws
+            assert {"symbol", "parabolicity", "quartic"} <= vars(eq).keys()
 
     def test_claws_builds_the_quartic_form_once(self, monkeypatch, tmp_path, capsys):
         from paraclaw import parabolic
@@ -404,6 +416,40 @@ class TestPureURoute:
         path.write_text("n=2; u_t = u_11 + u_22")
         assert cli.main(["claws", str(path)]) == 0
         assert len(calls) == 1 and json.loads(capsys.readouterr().out)["laws"]
+
+
+class TestQuarticRoute:
+    """A strictly parabolic polynomial G whose quartic form q is not 0 has
+    no law: along each rank-one line U + s xi xi^T the auxiliary equation's
+    top-order term reads (sigma Q^2)' = 0 with sigma a polynomial of degree
+    >= 1 in s, so Q = 0, and the search returns none after the size check,
+    with no plan, no assembly and no solve."""
+
+    def test_no_law_over_every_kept_column(self):
+        # seeded G, n = 1-3, with x- and u-dependent coefficients, at every
+        # golden spec
+        from util import suite_no_law_with_a_quartic_form
+        assert suite_no_law_with_a_quartic_form() == {"problems": 12, "columns": 1650}
+
+    @pytest.mark.parametrize("source", [
+        "n=2; u_t = u_11 + u_22 + u*(u_11 + u_22)^2",
+        "n=2; u_t = u_11 + u_22 + x1*(u_11 + u_22)^3",
+        "n=2; u_t = u_11 + 2*u_22 - (u_11 + 2*u_22)^2/5 + u_1",
+        "n=3; u_t = u_11 + u_22 + u_33 + (u_11 + u_22 + u_33)^2",
+    ], ids=["u-coefficient", "x1-cubic", "anisotropic-drift", "n3-laplacian_squared"])
+    def test_every_kept_column_agrees(self, source):
+        # a u- and an x-dependent coefficient, a drift on an anisotropic
+        # symbol and n = 3: no search, and the system over every kept
+        # column has no null vector
+        from paraclaw.grammar import parse
+        from util import no_search
+        eq = parse(source).equation()
+        for spec in (AnsatzSpec(2, 2, 1), AnsatzSpec(2, 3, 1), AnsatzSpec(2, 2, 2)):
+            with no_search():
+                assert find_conservation_laws(eq, spec) == []
+            densities, characteristics = claws._plan(eq.n, spec)
+            system = assemble_determining_system(eq, densities)
+            assert system.ncols == len(densities) and solve_exact(system) == []
 
 
 class TestAuxiliaryForm:
@@ -654,7 +700,10 @@ class TestFindConservationLaws:
             == [Expr.const(1)]
 
     def test_null_dimension_is_law_count(self, monkeypatch):
-        # the restricted ansatz leaves one null vector per law
+        # the restricted ansatz leaves one null vector per law; a strictly
+        # parabolic polynomial G whose quartic form is not 0 is answered
+        # with no solve, and the solve over every kept column leaves none
+        from util import takes_no_plan, takes_pure_u_route
         dims = []
 
         def recording(system):
@@ -663,15 +712,20 @@ class TestFindConservationLaws:
             return basis
 
         monkeypatch.setattr(claws, "solve_exact", recording)
-        total = 0
+        total = quartic = 0
         for entry in CORPUS:
             eq = entry.equation()
             for spec in (AnsatzSpec(), AnsatzSpec(2, 1, 2 if eq.n == 1 else 1)):
                 dims.clear()
                 laws = find_conservation_laws(eq, spec)
+                if takes_no_plan(eq, spec) and not takes_pure_u_route(eq, spec):
+                    assert dims == [], f"{entry.name} at {spec}"
+                    densities = claws._plan(eq.n, spec)[0]
+                    dims.append(len(solve_exact(assemble_determining_system(eq, densities))))
+                    quartic += 1
                 assert dims == [len(laws)], f"{entry.name} at {spec}"
                 total += len(laws)
-        assert total > 20
+        assert total > 20 and quartic
 
     def test_matches_full_ansatz_search(self):
         assert suite_restricted_search_equivalence() > 200
@@ -946,12 +1000,12 @@ class TestSearchMemos:
     def test_plan_generates_the_ansatz_once_per_bounds(self, monkeypatch):
         # a cold plan-route search (weak symbols here) generates the ansatz
         # once; a warm one at the same (n, spec) on another G reads the plan
-        # and generates none; the plan
-        # is the columns whose characteristics the pivot pass keeps, with
-        # the support S of the order bound's space V (neither empty nor
-        # everything at 2/3/0, and V not spanned by single columns: its
-        # rows H_S are not empty), computed by the test's own route; under
-        # unsafe_order S is every kept column
+        # and generates none; the plan is the columns whose characteristics
+        # the pivot pass keeps, every one of them, although the support S
+        # of the order bound's space V is neither empty nor everything at
+        # 2/3/0 and V is not spanned by single columns (its rows H_S are
+        # not empty), computed by the test's own route; it is the same
+        # under unsafe_order
         from util import clear_search_memos, reference_order_bound
         calls = []
         real = claws.generate_ansatz
@@ -976,12 +1030,10 @@ class TestSearchMemos:
         kept = [characteristics[k] for k in keep]
         support, bound = reference_order_bound(kept)
         assert 0 < len(support) < len(keep) and bound
-        assert claws._plan(2, spec) == (tuple(densities[k] for k in keep), tuple(kept),
-                                        tuple(support))
+        assert claws._plan(2, spec) == (tuple(densities[k] for k in keep), tuple(kept))
         assert calls == [(2, spec), (1, spec)]
         unsafe = AnsatzSpec(2, 3, 0, unsafe_order=True)
-        assert claws._plan(2, unsafe) == (tuple(densities[k] for k in keep), tuple(kept),
-                                          tuple(range(len(keep))))
+        assert claws._plan(2, unsafe) == claws._plan(2, spec)
 
     def test_every_memo_is_bounded(self, monkeypatch):
         # both memos are lru_caches of MAX_TERMS entries, so after

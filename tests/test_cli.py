@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import paraclaw
-from paraclaw import cli
+from paraclaw import claws, cli
 from paraclaw.cli import cmd_claws, cmd_classify, cmd_dims, cmd_verify, main
 from paraclaw.grammar import (
     IndexOutOfRange, ParseError, TimeDerivativeOnRHS, expr_to_source, parse,
@@ -1359,16 +1359,19 @@ class TestCorollary:
     """Only equations of Monge-Ampere type have a nontrivial conservation
     law, so `claws` answers a strictly parabolic polynomial G whose reported
     verdict (n1_affine for n = 1, residue_vanishes for n >= 2) is False with
-    no laws and no search; the search, the independent route, finds none
-    there either.  Every other equation is searched."""
+    no laws and no search; the search over every kept column, the
+    independent route, finds none there either, and the API, which reads
+    the quartic form instead of the verdict, answers with no search too.
+    Every other equation is searched."""
 
     def test_corpus_reports_match_the_search(self):
         decided = [entry for entry in CORPUS if corollary_decides(entry.equation())]
         assert [entry.name for entry in decided] == ["quadratic_diffusion",
                                                      "anisotropic_quartic"]
         for entry in decided:
+            eq = entry.equation()
             for spec in golden_ansatz_specs():
-                assert find_conservation_laws(entry.equation(), spec) == [], entry.name
+                assert claws._laws_of_columns(eq, *claws._plan(eq.n, spec)) == [], entry.name
         with open(GOLDEN_PATH, encoding="utf-8") as fh:
             golden = json.load(fh)
         with search_refused():
@@ -1379,6 +1382,21 @@ class TestCorollary:
 
     def test_random_reports_match_the_search(self):
         assert suite_corollary_routes_agree(random_non_ma_problems()) == 48
+
+    def test_api_answers_with_no_search(self):
+        # every input the corollary decides here, pointwise or symbolically,
+        # has a quartic form that is not 0: find_conservation_laws returns
+        # no law with no search
+        from util import no_search
+        problems = [(entry.equation(), spec) for entry in CORPUS
+                    if corollary_decides(entry.equation()) for spec in golden_ansatz_specs()]
+        problems += [(parse(source).equation(), spec)
+                     for source, spec in random_non_ma_problems()]
+        problems.append((parse("n=2; u_t = u_11 + u_22 + u*u_11^2").equation(), AnsatzSpec()))
+        with no_search():
+            for eq, spec in problems:
+                assert find_conservation_laws(eq, spec) == [], f"u_t = {eq.G} at {spec}"
+        assert len(problems) == 2 * 4 + 48 + 1
 
     def test_symbolic_verdict_decides_symbolic_requests(self, tmp_path, capsys, monkeypatch):
         # the residue of u*u_11^2 vanishes at the reference jet u = 0 but

@@ -17,7 +17,9 @@ from the auxiliary equation with total derivatives only, so a search on
 the plan route takes one raw Euler walk per t-free ansatz monomial, all
 in ``generate_ansatz``; and its independence tests build no reduced
 echelon.  A strictly parabolic minor-affine search reads its pure-u
-columns off, with neither ``generate_ansatz`` nor the plan.
+columns off, with neither ``generate_ansatz`` nor the plan, and one whose
+quartic form is not 0 returns no law after the size check, with no
+search at all.
 The package has one divergence inverter: ``invert_divergence`` and the
 search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
@@ -138,6 +140,56 @@ def test_minor_affine_search_reads_no_plan(monkeypatch, source, spec):
     assert callers == [("nullspace", "solve_exact")]
 
 
+@pytest.mark.parametrize("source, spec", [
+    ("n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2", (2, 4, 3)),
+    ("n=3; u_t = u_11 + u_22 + u_33 + (u_11 + u_22 + u_33)^2", (2, 2, 2)),
+], ids=["laplacian_squared", "n3-laplacian_squared"])
+def test_strict_quartic_search_reads_no_plan(monkeypatch, source, spec):
+    # a strictly parabolic polynomial G whose quartic form is not 0 has no
+    # law: from cold memos the search runs the size check and nothing
+    # after it (no generate_ansatz, no _plan, no assembly and no solve),
+    # and past MAX_TERMS the size check still refuses it; a weak and a
+    # forced symbol with the same quartic form are searched on the plan
+    from paraclaw import claws
+    from paraclaw.grammar import parse
+    from paraclaw.parabolic import Parabolicity
+    from util import clear_search_memos
+    calls = []
+    real_check = claws.check_ansatz_size
+
+    def check(*args):
+        calls.append("check_ansatz_size")
+        return real_check(*args)
+
+    def refuse(*args):
+        raise AssertionError("a strict search with a quartic form searched")
+
+    clear_search_memos()
+    monkeypatch.setattr(claws, "check_ansatz_size", check)
+    for name in ("generate_ansatz", "_plan", "assemble_determining_system", "solve_exact",
+                 "_pure_u_columns", "_laws_of_columns"):
+        monkeypatch.setattr(claws, name, refuse)
+    eq = parse(source).equation()
+    assert claws.find_conservation_laws(eq, claws.AnsatzSpec(*spec)) == []
+    assert calls == ["check_ansatz_size"]
+    with pytest.raises(claws.AnsatzTooLarge):
+        claws.find_conservation_laws(eq, claws.AnsatzSpec(2, 9, 3))
+    monkeypatch.undo()
+    searched = []
+    real_solve = claws.solve_exact
+    monkeypatch.setattr(claws, "solve_exact", lambda system: searched.append(system)
+                        or real_solve(system))
+    n = eq.n
+    weak = parse(f"n={n}; u_t = u_11 + u_11^2").equation()
+    assert weak.parabolicity is Parabolicity.WEAK and not weak.quartic.is_zero
+    forced = parse(f"n={n}; u_t = -({source.split('=', 2)[2]})").equation()
+    assert forced.parabolicity is Parabolicity.NOT_PARABOLIC
+    for other, force in ((weak, False), (forced, True)):
+        searched.clear()
+        assert claws.find_conservation_laws(other, claws.AnsatzSpec(2, 1, 1), force) == []
+        assert len(searched) == 1 and searched[0].ncols
+
+
 @pytest.mark.parametrize("source, other, spec", [
     (*PLAN_ROUTE[0][:1], "n=1; u_t = -u_xx - u^2*u_x", PLAN_ROUTE[0][1]),
     (*PLAN_ROUTE[1][:1], "n=2; u_t = -u_11 - 2*u_22 - u_1", PLAN_ROUTE[1][1]),
@@ -189,8 +241,8 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
 @pytest.mark.parametrize("source, spec", PLAN_ROUTE, ids=PLAN_ROUTE_IDS)
 def test_search_back_substitutes_once(monkeypatch, source, spec):
     # the pivot pass and the law loop only test independence, forward only;
-    # each null space back-substitutes its echelon once: V of the order
-    # bound in a cold plan, and the determining system's in every search
+    # the one null space, the determining system's, back-substitutes its
+    # echelon once, in a cold plan and a warm one alike
     from paraclaw import claws, linalg
     from paraclaw.grammar import parse
     from util import clear_search_memos
@@ -203,12 +255,12 @@ def test_search_back_substitutes_once(monkeypatch, source, spec):
 
     monkeypatch.setattr(linalg.Echelon, "reduced", recording)
     clear_search_memos()
-    for plan in (["_plan"], []):
+    for _ in ("cold", "warm"):
         callers.clear()
         laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
                                             force=True)
         assert laws
-        assert callers == [("nullspace", caller) for caller in plan + ["solve_exact"]]
+        assert callers == [("nullspace", "solve_exact")]
 
 
 TRACED_SEARCH = """

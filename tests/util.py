@@ -1659,7 +1659,7 @@ def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
     rational G, refused unless no column is kept) with force, and a random
     polynomial G with rational coefficients, with and without force (so
     refused when it is not parabolic).  Each equation the search would
-    answer on its pure-u columns is searched backward, with force
+    answer with no plan is searched backward, with force
     (:func:`plan_route_problem`).  Returns the counts of
     :func:`_compare_column_route`."""
     rng = random.Random(seed)
@@ -1708,22 +1708,87 @@ def random_strict_law_equation(rng: random.Random, n: int) -> EvolutionEquation:
 def random_strict_quartic_equation(rng: random.Random, n: int) -> EvolutionEquation:
     """A :func:`random_strict_law_equation` draw plus c u_11^2, a random
     rational c != 0: its quartic form 2 c xi_1^4 is not 0, so the search
-    restricted by the order bound runs on it, and its symbol at the
-    reference jet, where u_11 = 0, is the draw's, so strictly parabolic."""
+    finds no law on it with no plan, and its symbol at the reference jet,
+    where u_11 = 0, is the draw's, so strictly parabolic."""
     eq = random_strict_law_equation(rng, n)
     c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
     return EvolutionEquation(n, eq.G + c * jet(1, 1) ** 2)
 
 
+def random_quartic_coefficient_equation(rng: random.Random, n: int) -> EvolutionEquation:
+    """u_t = (1 + w^2) G + c v u_11^2 for a :func:`random_strict_law_equation`
+    draw G, a random monomial w in x and u, a random polynomial v != 0 in
+    x, u and u_1, and a random rational c != 0: coefficients that depend on
+    x and u, and the quartic form 2 c v xi_1^4, not 0 (G's is 0); drawn
+    again until the symbol is strictly parabolic at the reference jet."""
+    coefficients = [base_var(a) for a in range(1, n + 1)] + [jet_var()]
+    while True:
+        G = random_strict_law_equation(rng, n).G
+        w = random_poly(rng, coefficients, terms=1, max_exp=1)
+        v = random_poly(rng, coefficients + [jet_var((1,))], terms=2, max_exp=1)
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        eq = EvolutionEquation(n, (1 + w * w) * G + c * v * jet(1, 1) ** 2)
+        if naive_parabolicity(eq) is Parabolicity.STRICT:
+            return eq
+
+
+@contextlib.contextmanager
+def no_search():
+    """Within the block, each stage of the law search in paraclaw.claws
+    (``generate_ansatz``, ``_plan``, ``_pure_u_columns``,
+    ``assemble_determining_system`` and ``solve_exact``) raises
+    AssertionError."""
+    names = ("generate_ansatz", "_plan", "_pure_u_columns", "assemble_determining_system",
+             "solve_exact")
+    real = {name: getattr(claws, name) for name in names}
+
+    def refuse(*args):
+        raise AssertionError("the law search ran")
+
+    for name in names:
+        setattr(claws, name, refuse)
+    try:
+        yield
+    finally:
+        for name, fn in real.items():
+            setattr(claws, name, fn)
+
+
+def suite_no_law_with_a_quartic_form(cases: int = 3, seed: int = 211) -> dict:
+    """A strictly parabolic polynomial G whose quartic form is not 0 has no
+    law: on ``cases`` seeded :func:`random_quartic_coefficient_equation`
+    draws, n = 1, 2, 3 in turn, at every golden spec, find_conservation_laws
+    returns none with no search (:func:`no_search`), and the search over
+    every kept column of the plan, ``claws._laws_of_columns``, finds none
+    either.  Returns the counts of problems and of kept columns searched."""
+    rng = random.Random(seed)
+    counts = {"problems": 0, "columns": 0}
+    for k in range(cases):
+        eq = random_quartic_coefficient_equation(rng, 1 + k % 3)
+        assert not naive_quartic_form(eq).is_zero
+        for spec in golden_ansatz_specs():
+            where = f"u_t = {eq.G} at {spec}"
+            with no_search():
+                assert find_conservation_laws(eq, spec) == [], where
+            densities, characteristics = claws._plan(eq.n, spec)
+            assert claws._laws_of_columns(eq, densities, characteristics) == [], where
+            counts["problems"] += 1
+            counts["columns"] += len(densities)
+    return counts
+
+
 def suite_order_bound(cases: int = 6, seed: int = 163) -> dict:
-    """The search restricted by the order bound: :func:`_compare_column_route`
-    on laplacian_squared (u_t = u_11 + u_22 + (u_11 + u_22)^2) at 2/3/3,
-    where dim V = 280, S has 300 of the 880 kept columns and H_S is not
-    empty, and on ``cases`` seeded :func:`random_strict_quartic_equation`
-    draws, n = 1, 2, 3 in turn, at 2/4/1 (n = 1), 2/3/1 (n = 2, where H_S
-    is not empty) and 2/2/1 (n = 3).  Each has a strictly parabolic symbol
-    whose quartic form is not 0, so the search restricts the plan's kept
-    columns to S.  Returns the counts of :func:`_compare_column_route`."""
+    """The order bound against the reference route:
+    :func:`_compare_column_route` on laplacian_squared
+    (u_t = u_11 + u_22 + (u_11 + u_22)^2) at 2/3/3, where dim V = 280, S
+    has 300 of the 880 kept columns and H_S is not empty, and on ``cases``
+    seeded :func:`random_strict_quartic_equation` draws, n = 1, 2, 3 in
+    turn, at 2/4/1 (n = 1), 2/3/1 (n = 2, where H_S is not empty) and
+    2/2/1 (n = 3).  Each has a strictly parabolic symbol whose quartic form
+    is not 0, which the search answers with no plan, so each is searched
+    backward (:func:`plan_route_problem`), on every kept column, and its
+    null space must lie in V.  Returns the counts of
+    :func:`_compare_column_route`."""
     rng = random.Random(seed)
     problems = [("laplacian_squared", by_name("laplacian_squared").equation(),
                  AnsatzSpec(2, 3, 3))]
@@ -1795,7 +1860,7 @@ def suite_top_order_identity(cases: int = 12, seed: int = 191) -> dict:
         draw = random_strict_quartic_equation if k % 2 else random_strict_law_equation
         eq = draw(rng, n)
         spec = (AnsatzSpec(2, 3, 1), AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 0))[n - 1]
-        densities, characteristics, _ = claws._plan(n, spec)
+        densities, characteristics = claws._plan(n, spec)
         high = jet_order_rows(list(characteristics), 3)
         V = reference_nullspace(list(high.values()), len(characteristics))
         bounded = set(range(len(characteristics))) - {k for row in high.values() for k in row}
@@ -1829,9 +1894,10 @@ def pure_u_places(densities) -> list[int]:
 
 def compare_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> int:
     """The search of a strictly parabolic minor-affine polynomial G, which
-    reads its pure-u columns off, against the plan route forced through,
-    its kept columns in S searched by ``claws._laws_of_columns``: the same
-    laws, printed alike (T, every flux and Q).  W, the null space of the
+    reads its pure-u columns off, against the plan's kept columns in the
+    support S of the order bound (:func:`reference_order_bound`) searched
+    by ``claws._laws_of_columns``: the same laws, printed alike (T, every
+    flux and Q).  W, the null space of the
     rows of every monomial holding a jet other than u over the plan's kept
     columns, is spanned by the pure-u kept columns, one vector each, and
     those are the columns the search reads off, in the same order.  The
@@ -1849,7 +1915,8 @@ def compare_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> int:
         laws = find_conservation_laws(eq, spec)
     finally:
         claws.generate_ansatz, claws._plan = real
-    densities, characteristics, support = claws._plan(eq.n, spec)
+    densities, characteristics = claws._plan(eq.n, spec)
+    support, _ = reference_order_bound(list(characteristics))
     planned = claws._laws_of_columns(eq, [densities[k] for k in support],
                                      [characteristics[k] for k in support])
     where = f"u_t = {eq.G} at {spec}"
@@ -1901,16 +1968,19 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     """One problem of :func:`suite_column_route_equivalence`: the search's
     staged calls against :func:`tagged_stages`, and its outcome against
     :func:`reference_find_conservation_laws`; counts the problem, a
-    refusal and the laws.  The search assembles the kept columns that
-    :func:`searched_columns` names and solves that system as it is, with
-    no row added, so its system is the tagged one restricted to those
-    columns, and its null space the tagged one, each vector of which lies
-    on them and is annihilated by the reference's rows H_S.  The plan
-    memo is emptied first, so the search generates its ansatz.  Counts
-    the searches where S is smaller than the kept columns, and those
-    with H_S not empty (where V is not spanned by single columns), too.
-    A problem the search would answer on the pure-u columns is replaced
-    by its :func:`plan_route_problem`, so the plan route is compared."""
+    refusal and the laws.  The search assembles every kept column and
+    solves that system as it is, with no row added, so its system and its
+    null space are the tagged ones.  The plan memo is emptied first, so
+    the search generates its ansatz.  A problem the search would answer
+    with no plan (:func:`takes_no_plan`: on its pure-u columns, or with no
+    law where the quartic form is not 0) is replaced by its
+    :func:`plan_route_problem`, so the plan route is compared; there the
+    order bound of the replaced problem holds, so every null vector lies on
+    the support S of :func:`reference_order_bound` and is annihilated by
+    its rows H_S.  Counts those replaced problems where S is smaller than
+    the kept columns ("restricted"), and those with H_S not empty, where V
+    is not spanned by single columns ("bounded")."""
+    moved = takes_no_plan(eq, spec)
     eq, force = plan_route_problem(eq, spec, force)
     claws._plan.cache_clear()
     calls, outcome = recorded_search(eq, spec, force)
@@ -1930,31 +2000,30 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     assert densities == linear_columns(stages["T"], stages["tags"]), where
     assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
     kept = stages["kept"]
-    support, bound = searched_columns(eq, spec, [characteristics[k] for k in kept])
-    counts["restricted"] += len(support) < len(kept)
-    counts["bounded"] += bool(bound)
+    if moved:
+        support, bound = reference_order_bound([characteristics[k] for k in kept])
+        counts["restricted"] += len(support) < len(kept)
+        counts["bounded"] += bool(bound)
     index = {id(T): k for k, T in enumerate(densities)}
     assembled = calls["assemble_determining_system"][0][1]
-    assert [index[id(T)] for T in assembled] == [kept[i] for i in support], where
+    assert [index[id(T)] for T in assembled] == kept, where
     if "error" in stages:
         assert outcome[0] != "laws" and calls["assemble_determining_system"][1] is None, where
         return
     system, reference = calls["assemble_determining_system"][1], stages["system"]
-    place = {k: i for i, k in enumerate(support)}
-    restricted = {}
-    for key, row in zip(reference.keys, reference.rows):
-        row = {place[k]: c for k, c in row.items() if k in place}
-        if row:
-            restricted[key] = row
-    assert system.ncols == len(support), where
-    assert len(system.keys) == len(system.rows) == len(restricted), where
-    assert dict(zip(system.keys, system.rows)) == restricted, where
+    rows = {key: row for key, row in zip(reference.keys, reference.rows) if row}
+    assert system.ncols == len(kept), where
+    assert len(system.keys) == len(system.rows) == len(rows), where
+    assert dict(zip(system.keys, system.rows)) == rows, where
     assert calls["solve_exact"][0][0] is system, where
-    assert all(k in place for vec in stages["basis"] for k in vec), where
     basis = calls["solve_exact"][1]
-    assert basis == [{place[k]: c for k, c in vec.items()} for vec in stages["basis"]], where
-    assert all(sum(c * vec.get(k, 0) for k, c in row.items()) == 0
-               for vec in basis for row in bound.values()), where
+    assert basis == stages["basis"], where
+    if moved:
+        place = {k: i for i, k in enumerate(support)}
+        assert all(k in place for vec in basis for k in vec), where
+        assert all(sum(c * vec.get(k, 0) for k, c in row.items()) == 0
+                   for vec in ({place[k]: c for k, c in vec.items()} for vec in basis)
+                   for row in bound.values()), where
     counts["laws"] += len(outcome[1])
 
 
@@ -1977,7 +2046,8 @@ def reference_order_bound(characteristics: list[dict]) -> tuple[list[int], dict]
     reduced basis is not 0, the free columns and each pivot whose reduced
     row is not 0 at one of them, in column order; and H_S, by monomial, is
     H restricted to S and renumbered by place in S, empty rows dropped.
-    Kept to check the plan of paraclaw.claws, with none of its code."""
+    Kept to check the order bound that paraclaw.claws relies on, with none
+    of its code."""
     rows = jet_order_rows(characteristics, 3)
     reduced, pivots = naive_rref(list(rows.values()), len(characteristics))
     free = set(range(len(characteristics))) - set(pivots)
@@ -1991,40 +2061,32 @@ def reference_order_bound(characteristics: list[dict]) -> tuple[list[int], dict]
     return support, bound
 
 
-def searched_columns(eq: EvolutionEquation, spec: AnsatzSpec,
-                     characteristics: list[dict]) -> tuple[list[int], dict]:
-    """The places, among these kept characteristic columns, of the columns
-    the search assembles, and the rows that cut V out of their span, by
-    monomial: S and H_S of :func:`reference_order_bound` on a polynomial G
-    with a strictly parabolic symbol (:func:`naive_parabolicity`), without
-    unsafe_order, where S is not every column; else every column and no
-    rows.  The search adds no row: H_S only tells where V is not spanned
-    by single columns, and checks that the null space lies in V."""
-    support, bound = reference_order_bound(characteristics)
-    if (spec.unsafe_order or not eq.G.is_polynomial or len(support) == len(characteristics)
-            or naive_parabolicity(eq) is not Parabolicity.STRICT):
-        return list(range(len(characteristics))), {}
-    return support, bound
-
-
 def takes_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> bool:
     """Whether find_conservation_laws searches the pure-u columns
     t^b x^a u^k with no plan: on a polynomial G with a strictly parabolic
     symbol (:func:`naive_parabolicity`) and a quartic form
     (:func:`naive_quartic_form`) of 0, without unsafe_order."""
+    return takes_no_plan(eq, spec) and naive_quartic_form(eq).is_zero
+
+
+def takes_no_plan(eq: EvolutionEquation, spec: AnsatzSpec) -> bool:
+    """Whether find_conservation_laws answers with no plan: on a polynomial
+    G with a strictly parabolic symbol (:func:`naive_parabolicity`),
+    without unsafe_order.  It searches the pure-u columns where the
+    quartic form is 0 (:func:`takes_pure_u_route`), and returns no law
+    with no search where it is not."""
     return (eq.G.is_polynomial and not spec.unsafe_order
-            and naive_parabolicity(eq) is Parabolicity.STRICT
-            and naive_quartic_form(eq).is_zero)
+            and naive_parabolicity(eq) is Parabolicity.STRICT)
 
 
 def plan_route_problem(eq: EvolutionEquation, spec: AnsatzSpec,
                        force: bool) -> tuple[EvolutionEquation, bool]:
     """(eq, force) where the search takes the plan route; where it would
-    search the pure-u columns (:func:`takes_pure_u_route`), the backward
-    equation u_t = -G, searched with force.  Its symbol is not parabolic,
-    so it searches every kept column, and its laws are those of u_t = G
-    with t -> -t, which maps the ansatz to itself."""
-    if takes_pure_u_route(eq, spec):
+    answer with no plan (:func:`takes_no_plan`), the backward equation
+    u_t = -G, searched with force.  Its symbol is not parabolic, so it
+    searches every kept column, and its laws are those of u_t = G with
+    t -> -t, which maps the ansatz to itself."""
+    if takes_no_plan(eq, spec):
         return EvolutionEquation(eq.n, -eq.G, eq.reference_jet), True
     return eq, force
 
@@ -2036,8 +2098,8 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     explicit t, at base degrees 2 and 3, :func:`_compare_column_route`
     finds the columns, the key -> row mapping, the null space and the
     laws of the tagged route, or the same refusal.  The equations are
-    u_xx + t u_xx^2 + t u (strict, with the quartic form 2 t xi^4, so the
-    order bound restricts it), t u_11 + u_22 + t^2 u_1, a
+    u_xx + t u_xx^2 + t u (strict, with the quartic form 2 t xi^4, so
+    answered with no plan), t u_11 + u_22 + t^2 u_1, a
     :func:`rational_corpus` entry times (1 + t), the same over 1 + t^2 (a
     rational G, refused), all with force, and ``cases`` seeded random
     G = a u_ii + t p, p a polynomial in t, x and the jets of order <= 1,
@@ -2131,7 +2193,7 @@ def _memo_snapshot(snapshot: dict, monomials, plan) -> None:
     and tuple the search memos hold that it lacks: the prolonged E_u of the
     t-free ansatz ``monomials`` and each of its entries (held already, so
     reading them stores nothing), and the ``plan`` a search read, if any:
-    its three parts and each density and characteristic in them."""
+    its two parts and each density and characteristic in them."""
     held = [plan, *plan, *plan[0], *plan[1]] if plan else []
     for m in monomials:
         prolonged = claws._prolonged_euler(m)
@@ -2546,15 +2608,18 @@ def random_non_ma_problems(draws: int = 150, seed: int = 39) -> list[tuple[str, 
 
 def suite_corollary_routes_agree(problems: list[tuple[str, AnsatzSpec]]) -> int:
     """On each (problem source, bounds) the corollary decides, the search
-    finds no law, and ``paraclaw claws`` with the search refused prints the
+    over every kept column of the plan (``claws._laws_of_columns``, the
+    route that does not read the quartic form) finds no law, and
+    ``paraclaw claws`` with the search refused prints the
     report of :func:`searched_claws_output`, with exit 0 and no stderr.
     Returns the number of problems."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.pde")
         for source, spec in problems:
             pf = parse(source)
-            assert corollary_decides(pf.equation()), source
-            assert find_conservation_laws(pf.equation(), spec) == [], source
+            eq = pf.equation()
+            assert corollary_decides(eq), source
+            assert claws._laws_of_columns(eq, *claws._plan(eq.n, spec)) == [], source
             want = searched_claws_output(pf, spec)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(source)
