@@ -16,10 +16,7 @@ is not 0 it forces every characteristic to be 0, and there is no law and
 no search.  The ansatz is linear in its coefficients, so it is held as
 columns from start to finish: one ``int`` term dict per monomial for its
 density and one for its characteristic, and one determining-system column
-per kept monomial.  ``paraclaw claws`` answers by the paper's corollary
-where it decides: on a strictly parabolic polynomial G whose Monge-Ampere
-verdict excludes every nontrivial law (:func:`excluding_verdict`), it
-reports no laws after the search's size check (:func:`check_ansatz_size`).
+per kept monomial.
 
 Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
@@ -93,7 +90,6 @@ __all__ = [
     "solve_exact", "check_ansatz_size", "check_density_order",
     "find_conservation_laws", "verify",
     "jacobi_potential_order", "reconstruct_flux", "cross_validate_ma",
-    "excluding_verdict",
 ]
 
 
@@ -532,7 +528,8 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
        Q vanishes at every U of that set, an open set of jet points:
        Q = 0.  M is injective on the kept columns, so v = 0.  On a G that
        is not of Monge-Ampere type q != 0, so this decides every input of
-       the paper's corollary (:func:`excluding_verdict`) too.
+       the paper's corollary too: only equations of Monge-Ampere type have
+       a nontrivial law (:func:`cross_validate_ma`).
 
     The size check runs first on every route, so AnsatzTooLarge is raised
     at the same bounds.  The routes' cheap tests come first: G a
@@ -609,26 +606,14 @@ def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
     return laws
 
 
-def excluding_verdict(n: int, report: MAReport) -> str | None:
-    """The name of the Monge-Ampere verdict of ``report`` that excludes
-    every nontrivial conservation law, or None when it excludes none.
-
-    The paper's corollary: only equations of Monge-Ampere type have a
-    nontrivial law, so a law forces n1_affine for n = 1 and a vanishing
-    traceless residue for n >= 2.  That verdict, when False, is named; when
-    True or undecided (None, a singular symbol), it excludes nothing."""
-    which = "n1_affine" if n == 1 else "residue_vanishes"
-    return which if getattr(report, which) is False else None
-
-
 def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw],
                       report: MAReport | None = None) -> None:
-    """Check the structural implication of :func:`excluding_verdict` on
-    the laws of a search: a nontrivial law on an equation whose verdict
-    excludes every law is an implementation bug, raised as
-    InvariantViolation.  It guards what the search decides; ``cli``
-    answers a strictly parabolic polynomial G with an excluding verdict by
-    the corollary and does not search.
+    """Check the paper's corollary on the laws of a search: only equations
+    of Monge-Ampere type have a nontrivial law, so a law forces n1_affine
+    for n = 1 and a vanishing traceless residue for n >= 2.  A law on an
+    equation where that verdict is False is an implementation bug, raised
+    as InvariantViolation; a True or undecided (None, a singular symbol)
+    verdict excludes nothing.
 
     ``report`` is the pointwise ``ma_classify(eq)``, computed here when not
     given."""
@@ -636,7 +621,7 @@ def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw],
         return
     if report is None:
         report = ma_classify(eq)
-    which = excluding_verdict(eq.n, report)
-    if which:
+    which = "n1_affine" if eq.n == 1 else "residue_vanishes"
+    if getattr(report, which) is False:
         raise InvariantViolation(f"MA cross-validation violated: {len(laws)} nontrivial "
                                  f"law(s) but {which} is false")

@@ -15,8 +15,8 @@ from json.encoder import encode_basestring_ascii
 
 from .claws import (
     AnsatzSpec, ConservationLaw, InvariantViolation, NotParabolicEquation,
-    check_ansatz_size, check_density_order, cross_validate_ma, excluding_verdict,
-    find_conservation_laws, jacobi_potential_order, verify,
+    check_density_order, cross_validate_ma, find_conservation_laws,
+    jacobi_potential_order, verify,
 )
 from .expr import DivisionByZeroExpr
 from .grammar import ParseError, ProblemFile, expr_to_source, parse, parse_expression
@@ -89,22 +89,10 @@ def cmd_classify(pf: ProblemFile, symbolic: bool = False) -> dict:
 
 def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
               force: bool = False) -> dict:
-    """The claws report.  A strictly parabolic polynomial G whose reported
-    Monge-Ampere verdict (symbolic with ``symbolic``) excludes every
-    nontrivial law is answered by the paper's corollary: no laws, after
-    the search's size check and with no search.  The verdict is False on
-    an open set of strictly parabolic jets, where no nonzero polynomial
-    characteristic vanishes, so the search could only return none.  Any
-    other equation is searched, and its laws are cross-checked.  Without
-    ``--unsafe-order`` the search answers such a G with no search too (its
-    quartic form is not 0, :func:`~paraclaw.claws.find_conservation_laws`);
-    the corollary is kept for ``--unsafe-order`` requests, which the search
-    runs on every kept column, and for the verdict it names."""
+    """The claws report: the classified equation, searched by
+    :func:`~paraclaw.claws.find_conservation_laws`, its laws cross-checked
+    against the pointwise Monge-Ampere verdict."""
     eq, report, ma = _classified(pf, symbolic, force)
-    if (report["parabolicity"] == Parabolicity.STRICT and eq.G.is_polynomial
-            and excluding_verdict(eq.n, ma)):
-        check_ansatz_size(eq.n, spec)
-        return report
     laws = find_conservation_laws(eq, spec, force=True)
     # the cross-check uses the pointwise verdict, so a --symbolic one is not reused
     cross_validate_ma(eq, laws, None if symbolic else ma)

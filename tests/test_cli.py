@@ -26,9 +26,9 @@ from paraclaw.claws import AnsatzSpec, find_conservation_laws
 from paraclaw.expr import Expr, base_var, jet_var, mono_encode
 from corpus import CORPUS
 from util import (
-    GOLDEN_PATH, claws_corpus_reports, corollary_decides, golden_ansatz_specs,
-    perfbench_problems, random_non_ma_problems, search_refused, searched_claws_output,
-    suite_corollary_routes_agree, t, u, u11, u12, u22, ux, uxx, x,
+    GOLDEN_PATH, benchmark_non_ma_problems, claws_corpus_reports, corollary_decides,
+    golden_ansatz_specs, no_search, perfbench_problems, random_non_ma_problems,
+    searched_claws_output, suite_corollary_routes_agree, t, u, u11, u12, u22, ux, uxx, x,
 )
 
 
@@ -1357,12 +1357,12 @@ class TestMainEntry:
 
 class TestCorollary:
     """Only equations of Monge-Ampere type have a nontrivial conservation
-    law, so `claws` answers a strictly parabolic polynomial G whose reported
-    verdict (n1_affine for n = 1, residue_vanishes for n >= 2) is False with
-    no laws and no search; the search over every kept column, the
-    independent route, finds none there either, and the API, which reads
-    the quartic form instead of the verdict, answers with no search too.
-    Every other equation is searched."""
+    law.  A strictly parabolic polynomial G whose reported verdict
+    (n1_affine for n = 1, residue_vanishes for n >= 2) is False has a
+    quartic form that is not 0, so `claws` and the API answer it with no
+    laws and no search stage unless ``unsafe_order`` asks for one; the
+    search over every kept column, the independent route, finds none
+    there either."""
 
     def test_corpus_reports_match_the_search(self):
         decided = [entry for entry in CORPUS if corollary_decides(entry.equation())]
@@ -1374,20 +1374,21 @@ class TestCorollary:
                 assert claws._laws_of_columns(eq, *claws._plan(eq.n, spec)) == [], entry.name
         with open(GOLDEN_PATH, encoding="utf-8") as fh:
             golden = json.load(fh)
-        with search_refused():
+        with no_search():
             got = claws_corpus_reports(entries=decided)
         assert len(got) == 2 * len(golden_ansatz_specs())
         for key, outcome in got.items():
             assert outcome == golden[key], key
 
     def test_random_reports_match_the_search(self):
-        assert suite_corollary_routes_agree(random_non_ma_problems()) == 48
+        # and the quartic and qdiff requests of wide-ansatz, 2 per pass
+        problems = random_non_ma_problems() + benchmark_non_ma_problems()
+        assert suite_corollary_routes_agree(problems) == 48 + 18
 
     def test_api_answers_with_no_search(self):
         # every input the corollary decides here, pointwise or symbolically,
         # has a quartic form that is not 0: find_conservation_laws returns
         # no law with no search
-        from util import no_search
         problems = [(entry.equation(), spec) for entry in CORPUS
                     if corollary_decides(entry.equation()) for spec in golden_ansatz_specs()]
         problems += [(parse(source).equation(), spec)
@@ -1398,25 +1399,62 @@ class TestCorollary:
                 assert find_conservation_laws(eq, spec) == [], f"u_t = {eq.G} at {spec}"
         assert len(problems) == 2 * 4 + 48 + 1
 
-    def test_symbolic_verdict_decides_symbolic_requests(self, tmp_path, capsys, monkeypatch):
+    def test_symbolic_verdict_decides_symbolic_requests(self, tmp_path, capsys):
         # the residue of u*u_11^2 vanishes at the reference jet u = 0 but
-        # not identically: the pointwise verdict leaves the search to
-        # decide, the symbolic one decides
+        # not identically: the pointwise verdict is True, the symbolic one
+        # False; its quartic form 2u xi_1^4 is not 0 either way, so neither
+        # request is searched
         source = "n=2; u_t = u_11 + u_22 + u*u_11^2"
         f = tmp_path / "problem.pde"
         f.write_text(source)
-        calls = []
-        real = cli.find_conservation_laws
-        monkeypatch.setattr(cli, "find_conservation_laws",
-                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-        for flags, residue, searched in (([], True, 1), (["--symbolic"], False, 0)):
-            calls.clear()
-            assert main(["claws", str(f), *flags]) == 0
+        for flags, residue in (([], True), (["--symbolic"], False)):
+            with no_search():
+                assert main(["claws", str(f), *flags]) == 0
+                want = searched_claws_output(parse(source), AnsatzSpec(), bool(flags))
             out = capsys.readouterr().out
-            assert out == searched_claws_output(parse(source), AnsatzSpec(), bool(flags))
+            assert out == want
             report = json.loads(out)
             assert report["laws"] == [] and report["ma"]["residue_vanishes"] is residue
-            assert len(calls) == searched, flags
+
+    UNSAFE_ORDER_REPORT = """{
+  "schema_version": 1,
+  "n": %s,
+  "equation": "%s",
+  "parabolicity": "strict",
+  "ma": {
+    "minor_affine": false,
+    "residue_vanishes": %s,
+    "n1_affine": %s
+  },
+  "laws": [],
+  "warnings": []
+}
+"""
+
+    @pytest.mark.parametrize("source, code, stdout, stderr", [
+        ("n=1; u_t = u_xx + u_xx^2", 0,
+         UNSAFE_ORDER_REPORT % (1, "u_t = u_xx^2 + u_xx", "null", "false"), ""),
+        ("n=2; u_t = u_11 + u_22 + u_11^2", 0,
+         UNSAFE_ORDER_REPORT % (2, "u_t = u_11^2 + u_11 + u_22", "false", "null"), ""),
+        ("n=1; u_t = u_xx + u_xx^2 + ((u^2048)^1024)^1023*(u^2047)^1024*u^1023; "
+         "jet_degree = 3", 1, "", "error: a monomial exponent would pass 2147483647 = 2^31 - 1\n"),
+    ], ids=["n1", "n2", "product-past-the-field"])
+    def test_unsafe_order_searches_every_kept_column(self, tmp_path, capsys, monkeypatch,
+                                                     source, code, stdout, stderr):
+        # --unsafe-order asks for the search that tests the order bound, so
+        # a G the corollary decides is searched on the plan's columns: it
+        # finds no law, or reports the search's error (the product of
+        # test_corollary_answers_before_a_product_past_the_field)
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        calls = []
+        for name in ("_plan", "assemble_determining_system"):
+            real = getattr(claws, name)
+            monkeypatch.setattr(claws, name, lambda *args, _name=name, _real=real:
+                                calls.append(_name) or _real(*args))
+        assert main(["claws", str(f), "--order", "3", "--unsafe-order"]) == code
+        assert capsys.readouterr() == (stdout, stderr)
+        assert calls == ["_plan", "assemble_determining_system"]
 
     @pytest.mark.parametrize("source, flags, laws", [
         ("n=2; u_t = u_11 + u_22 + u_11^2; ref u_11 = -1/2", [], 0),

@@ -54,6 +54,16 @@ from paraclaw.parabolic import (
 )
 from corpus import CORPUS, by_name
 
+# A monomial is an int as wide as its highest slot, and a symbol takes the
+# next slot when it is first interned (paraclaw.expr).  The tagged
+# reference route interns one column symbol per ansatz monomial, so a jet
+# or xi first met after it would make every monomial that holds it a huge
+# int.  The symbols the tests search with are interned here, first.
+for _n in (1, 2, 3):
+    base_var(_n)
+    spatial_jet_vars(_n, 6)
+    xi_symbols(_n)
+
 t = Expr.symbol(base_var(0))
 x = Expr.symbol(base_var(1))
 x1, x2 = x, Expr.symbol(base_var(2))
@@ -2542,25 +2552,10 @@ def suite_cross_validation() -> int:
     return checked
 
 
-@contextlib.contextmanager
-def search_refused():
-    """Within the block, ``cli.find_conservation_laws`` raises
-    AssertionError, which ``cli.main`` does not catch."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("claws searched an equation the corollary decides")
-
-    real, cli.find_conservation_laws = cli.find_conservation_laws, refuse
-    try:
-        yield
-    finally:
-        cli.find_conservation_laws = real
-
-
 def searched_claws_output(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False) -> str:
-    """What ``paraclaw claws`` prints for a request that ends in a report when
-    it searches every equation: the classified report, the laws of
-    find_conservation_laws cross-checked against the pointwise verdict,
-    as JSON.  The search route that the corollary replaces."""
+    """What ``paraclaw claws`` prints for a request that ends in a report:
+    the classified report, the laws of find_conservation_laws
+    cross-checked against the pointwise verdict, as JSON."""
     eq, report, ma = cli._classified(pf, symbolic, False)
     laws = find_conservation_laws(eq, spec, force=True)
     cross_validate_ma(eq, laws, None if symbolic else ma)
@@ -2606,13 +2601,29 @@ def random_non_ma_problems(draws: int = 150, seed: int = 39) -> list[tuple[str, 
     return kept
 
 
+def benchmark_non_ma_problems() -> list[tuple[str, AnsatzSpec]]:
+    """The claws requests of the wide-ansatz benchmark workload at seeds 1,
+    2 and 1000003, passes 0-2, that the corollary decides, as (problem
+    source, bounds)."""
+    problems = perfbench_problems()
+    kept = []
+    for seed in (1, 2, 1000003):
+        for pass_index in (0, 1, 2):
+            for req in problems.generate("wide-ansatz", seed, pass_index):
+                if corollary_decides(parse(req["source"]).equation()):
+                    flags = dict(zip(req["args"][::2], map(int, req["args"][1::2])))
+                    kept.append((req["source"], AnsatzSpec(
+                        flags["--order"], flags["--jet-degree"], flags["--base-degree"])))
+    return kept
+
+
 def suite_corollary_routes_agree(problems: list[tuple[str, AnsatzSpec]]) -> int:
     """On each (problem source, bounds) the corollary decides, the search
     over every kept column of the plan (``claws._laws_of_columns``, the
     route that does not read the quartic form) finds no law, and
-    ``paraclaw claws`` with the search refused prints the
-    report of :func:`searched_claws_output`, with exit 0 and no stderr.
-    Returns the number of problems."""
+    ``paraclaw claws``, with every search stage refused (:func:`no_search`),
+    prints the report of :func:`searched_claws_output`, with exit 0 and no
+    stderr.  Returns the number of problems."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.pde")
         for source, spec in problems:
@@ -2627,7 +2638,7 @@ def suite_corollary_routes_agree(problems: list[tuple[str, AnsatzSpec]]) -> int:
                     "--jet-degree", str(spec.jet_degree),
                     "--base-degree", str(spec.base_degree)]
             stdout, stderr = io.StringIO(), io.StringIO()
-            with search_refused(), contextlib.redirect_stdout(stdout), \
+            with no_search(), contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
             assert (code, stdout.getvalue(), stderr.getvalue()) == (0, want, ""), source
