@@ -47,7 +47,7 @@ with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
 by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
 memo of D_L E_u(m) for the process, and a second, :func:`_plan`, keyed by
 (n, spec), holds the columns the pivot pass keeps, which only a weak,
-forced, rational or ``unsafe_order`` search reads.  Both are bounded by
+forced or ``unsafe_order`` search reads.  Both are bounded by
 MAX_TERMS, which also bounds the columns of one ansatz, so no search
 evicts what it built.  A second equation at bounds already seen then does
 only the G-dependent products, the solve and the extraction; a single
@@ -240,7 +240,7 @@ def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...]]
     the ansatz of these bounds in n space dimensions: those whose
     characteristic is independent of those of the earlier columns, in
     column order.  They depend on n and the bounds alone; memoized for the
-    process, and the dicts are only read.  Only a weak, forced, rational or
+    process, and the dicts are only read.  Only a weak, forced or
     ``unsafe_order`` search reads the plan (:func:`find_conservation_laws`)."""
     densities, characteristics = generate_ansatz(n, spec)
     pivots = linalg.Echelon()
@@ -277,8 +277,7 @@ def assemble_determining_system(eq: EvolutionEquation,
         return DeterminingSystem(0)
     G = eq.G
     if not G.is_polynomial:
-        raise NotPolynomialIn([s for s in G.den.symbols() if s.kind == JET]
-                              or G.den.symbols())
+        raise _not_polynomial(G)
     d, (dG,) = _cleared([G.num.terms])
     D_G = _prolongations(dG)
     A = _adjoint_coefficients(dG)
@@ -302,6 +301,12 @@ def assemble_determining_system(eq: EvolutionEquation,
         for key, c in E.items():
             rows.setdefault(key, {})[k] = c
     return DeterminingSystem(len(densities), list(rows.values()), list(rows))
+
+
+def _not_polynomial(G: Expr) -> NotPolynomialIn:
+    """The refusal of a search on the rational-function G: it names the
+    jets of G.den, or all its symbols when it has none."""
+    return NotPolynomialIn([s for s in G.den.symbols() if s.kind == JET] or G.den.symbols())
 
 
 def _times_t(terms: dict, b: int) -> dict:
@@ -532,18 +537,26 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
        a nontrivial law (:func:`cross_validate_ma`).
 
     The size check runs first on every route, so AnsatzTooLarge is raised
-    at the same bounds.  The routes' cheap tests come first: G a
-    polynomial, then ``unsafe_order``; only then are the symbol's class
-    and q read off the equation, which computes each once
-    (``EvolutionEquation.parabolicity`` and ``quartic``).  A weak or, with
-    force, a non-parabolic symbol, a rational G and ``unsafe_order``, where
-    the order bound is not a theorem or is under test, search every kept
+    at the same bounds.  A rational G has no determining system (the
+    assembly needs a polynomial), so it is refused after the size check
+    with no ansatz built, unless jet_degree is 0: then every column's
+    characteristic is 0, none is kept and there is no law.  (With a jet,
+    the column u, whose characteristic is 1, is kept.)  The routes' cheap
+    tests come first: G a polynomial, then ``unsafe_order``; only then are
+    the symbol's class and q read off the equation, which computes each
+    once (``EvolutionEquation.parabolicity`` and ``quartic``).  A weak or,
+    with force, a non-parabolic symbol and ``unsafe_order``, where the
+    order bound is not a theorem or is under test, search every kept
     column of the plan.  :func:`_laws_of_columns` extracts the laws."""
     spec = spec or AnsatzSpec()
     if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
-    if (eq.G.is_polynomial and not spec.unsafe_order
-            and eq.parabolicity is Parabolicity.STRICT):
+    if not eq.G.is_polynomial:
+        check_ansatz_size(eq.n, spec)
+        if spec.jet_degree:
+            raise _not_polynomial(eq.G)
+        return []
+    if not spec.unsafe_order and eq.parabolicity is Parabolicity.STRICT:
         if eq.quartic.is_zero:
             return _laws_of_columns(eq, *_pure_u_columns(eq.n, spec))
         check_ansatz_size(eq.n, spec)
@@ -578,7 +591,7 @@ def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
     basis = solve_exact(assemble_determining_system(eq, densities))
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
-    d, (dG,) = _cleared([eq.G.num.terms])  # the basis is empty unless G is a polynomial
+    d, (dG,) = _cleared([eq.G.num.terms])  # G is a polynomial: a rational one has no search
     D_G = _prolongations(dG)
     for vec in basis:
         Q = _combination(characteristics, vec)

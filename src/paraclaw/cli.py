@@ -8,7 +8,6 @@ identical inputs; elapsed time appears only in --text output.
 from __future__ import annotations
 
 import math
-import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -236,10 +235,6 @@ _DESCRIPTION = ("Conservation laws and Monge-Ampere classification for "
 # has no converter and stores `third`; switches that share a destination
 # exclude each other.  A value option is converted with int or str, and
 # appends to a list when `third` is true.
-_HELP = {
-    "-h": ("help", None, None, "show this help message and exit"),
-    "--help": ("help", None, None, None),
-}
 _OUTPUT = {
     "--json": ("as_json", None, True, "machine-readable report (default)"),
     "--text": ("as_json", None, False, "human-readable report with timing"),
@@ -248,14 +243,12 @@ _OUTPUT = {
 # command -> (help, takes the problem file, options, defaults, required options)
 _COMMANDS = {
     "classify": ("parabolicity and Monge-Ampere tests", True,
-                 {**_HELP,
-                  "--symbolic": ("symbolic", None, True,
+                 {"--symbolic": ("symbolic", None, True,
                                  "compute the traceless residue over the rational "
                                  "functions of the jet, not at the reference jet"),
                   **_OUTPUT},
                  {"symbolic": False, "as_json": True}, ()),
     "claws": ("find conservation laws", True, {
-        **_HELP,
         "--jet-degree": ("jet_degree", int, False, None),
         "--base-degree": ("base_degree", int, False, None),
         "--order": ("order", int, False,
@@ -270,187 +263,111 @@ _COMMANDS = {
     }, {"jet_degree": None, "base_degree": None, "order": None, "unsafe_order": False,
         "symbolic": False, "force": False, "as_json": True}, ()),
     "verify": ("check D_t T + Div X = 0 exactly", True, {
-        **_HELP,
         "--density": ("density", str, False, None),
         "--flux": ("flux", str, True, "repeat n times, one expression per direction"),
         **_OUTPUT,
     }, {"density": None, "flux": None, "as_json": True}, ("--density", "--flux")),
     "dims": ("tableau and system dimensions", False, {
-        **_HELP, "-n": ("n", int, False, None), "-r": ("r", int, False, None), **_OUTPUT,
+        "-n": ("n", int, False, None), "-r": ("r", int, False, None), **_OUTPUT,
     }, {"n": None, "r": 0, "as_json": True}, ("-n",)),
 }
 
 
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: paraclaw [-h] {{{','.join(_COMMANDS)}}} ..."
-    _, takes_file, options, _, required = _COMMANDS[command]
-    parts, group = ["[-h]"], {}
-    for opt, (dest, convert, _, _) in options.items():
-        if dest == "help":
-            continue
-        text = opt if convert is None else f"{opt} {dest.upper()}"
-        if dest in group:
-            parts[group[dest]] = f"{parts[group[dest]][:-1]} | {text}]"
-        elif opt in required:
-            parts.append(text)
-        else:
-            group[dest] = len(parts)
-            parts.append(f"[{text}]")
-    if takes_file:
-        parts.append("file")
-    return f"usage: paraclaw {command} {' '.join(parts)}"
-
-
-def _help(command: str | None) -> str:
-    def row(name, text):
-        if not text:
-            return f"  {name}"
-        return f"  {name:<22}{text}" if len(name) < 22 else f"  {name}\n{'':24}{text}"
-
-    lines = [_usage(command), ""]
-    if command is None:
-        lines += [_DESCRIPTION, "", "positional arguments:", f"  {{{','.join(_COMMANDS)}}}"]
-        lines += [row(f"  {name}", spec[0]) for name, spec in _COMMANDS.items()]
-        lines += ["", "options:", row("-h, --help", _HELP["-h"][3])]
-        return "\n".join(lines)
-    _, takes_file, options, _, _ = _COMMANDS[command]
-    if takes_file:
-        lines += ["positional arguments:", row("file", "problem file, or - for stdin"), ""]
-    lines += ["options:", row("-h, --help", _HELP["-h"][3])]
-    lines += [row(opt if convert is None else f"{opt} {dest.upper()}", text)
-              for opt, (dest, convert, _, text) in options.items() if dest != "help"]
-    return "\n".join(lines)
-
-
-def _usage_error(command: str | None, message: str) -> None:
-    prog = "paraclaw" if command is None else f"paraclaw {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _option(command: str | None, options: dict, arg: str) -> tuple:
-    """(option string, the value attached to it or None) for an argument
-    that starts with "-", as argparse finds it: the whole argument, the part
-    before its "=", a unique prefix of a long option, or a short option with
-    its value attached (-n3).  (None, None) is a positional: a negative
-    number, or an argument with a space; (arg, None) is an unknown option."""
-    if arg in options:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and name in options:
-        return name, value
-    if arg[1] == "-":
-        hits = [opt for opt in options if opt.startswith(name)]
-        value = value if eq else None
-    else:
-        hits = [arg[:2]] if arg[:2] in options else []
-        value = arg[2:]
-    if len(hits) == 1:
-        return hits[0], value
-    if hits:
-        _usage_error(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None, None
-    return arg, None
-
-
-def _switch(command: str | None, opt: str, value: str | None) -> None:
-    """Refuse a value attached to a switch; -h and --help print the help and
-    exit 0."""
-    name = "-h/--help" if opt in _HELP else opt
-    if value is not None:
-        _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
-    if opt in _HELP:
-        print(_help(command))
-        raise SystemExit(0)
-
-
 def _read_args(argv: list[str]) -> dict:
-    """The command and its options, keyed by destination, read from argv by
-    the command table with argparse's syntax: options before or after the
-    file, "--opt value", "--opt=value" and unique prefixes of long options,
-    "-n3", "-n 3" and "-n=3", the last value of a repeated option (--flux
-    appends), and "--" next to the file.  A value that follows its option
-    after a space is taken whatever it starts with.  A usage error prints
-    the usage and exits 2; -h and --help print the help and exit 0.  The
-    arguments that nothing reads (an unknown option, a second file, "--"
-    away from the file) are, as argparse reports them, one usage error
-    that names them all, in order, under the top-level usage, after the
-    command's own usage errors."""
-    stray = []  # the indices of the arguments that nothing reads
-    k = 0
-    while k < len(argv) and argv[k][:1] == "-" and argv[k] not in ("-", "--"):
-        opt, value = _option(None, _HELP, argv[k])
-        if opt is None:
-            break
-        if opt in _HELP:
-            _switch(None, opt, value)  # prints the help, or refuses the value
-        stray.append(k)
-        k += 1
-    command = argv[k] if k < len(argv) else None
+    """The command and its options, keyed by destination.  An argv that
+    starts with the command, spells every option in full, gives each value
+    after a space or an "=", and holds exactly the files the command takes
+    is read here, by the command table; a value that follows its option
+    after a space is taken whatever it starts with.  Every other argv is
+    read by argparse (:func:`_parse_args`)."""
+    command = argv[0] if argv else None
     if command not in _COMMANDS:
-        _usage_error(None, "the following arguments are required: command"
-                     if command is None or argv[k:] == ["--"] else
-                     f"argument command: invalid choice: {command!r} (choose from "
-                     f"{', '.join(map(repr, _COMMANDS))})")
+        return _parse_args(argv)
     _, takes_file, options, defaults, required = _COMMANDS[command]
     args = {"command": command, **defaults}
     seen, switched = set(), {}
-    file_at = dashes = None
-    i, count = k + 1, len(argv)
+    i, count = 1, len(argv)
     while i < count:
         arg = argv[i]
         i += 1
-        opt = None
-        if arg[:1] == "-" and arg != "-" and dashes is None:
-            if arg == "--":
-                dashes = i - 1
-                continue
-            opt, value = _option(command, options, arg)
-        if opt is None and takes_file and file_at is None:
-            args["file"], file_at = arg, i - 1
+        if arg[:1] != "-" or arg == "-":
+            if not takes_file or "file" in args:
+                return _parse_args(argv)
+            args["file"] = arg
             continue
-        if opt not in options:  # a positional after the file, or an unknown option
-            stray.append(i - 1)
-            continue
-        dest, convert, third, _ = options[opt]
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            return _parse_args(argv)
+        dest, convert, third, _ = options[name]
         if convert is None:
-            _switch(command, opt, value)
-            if switched.setdefault(dest, opt) != opt:
-                _usage_error(command, f"argument {opt}: not allowed with argument "
-                                      f"{switched[dest]}")
+            if eq or switched.setdefault(dest, name) != name:
+                return _parse_args(argv)
             args[dest] = third
         else:
-            if value is None:
+            if not eq:
                 if i == count:
-                    _usage_error(command, f"argument {opt}: expected one argument")
+                    return _parse_args(argv)
                 value = argv[i]
                 i += 1
             if convert is int:
                 try:
                     value = int(value)
                 except ValueError:
-                    _usage_error(command, f"argument {opt}: invalid int value: {value!r}")
+                    return _parse_args(argv)
             if not third:
                 args[dest] = value
             elif args[dest] is None:
                 args[dest] = [value]
             else:
                 args[dest].append(value)
-        seen.add(opt)
-    # argparse takes "--" only right before or after the file
-    if dashes is not None and file_at not in (dashes - 1, dashes + 1):
-        stray.append(dashes)
-    missing = [opt for opt in required if opt not in seen]
-    if takes_file and file_at is None:
-        missing.insert(0, "file")
-    if missing:
-        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
-    if stray:
-        _usage_error(None, "unrecognized arguments: "
-                     + " ".join([argv[j] for j in sorted(stray)]))
+        seen.add(name)
+    if (takes_file and "file" not in args) or not seen.issuperset(required):
+        return _parse_args(argv)
     return args
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """argv read by argparse, with a parser built from the command table:
+    unique prefixes of long options, "-n3", "--", options before the
+    command, the help (exit 0) and every usage error (exit 2).  A value
+    option, spelled in full or as a unique prefix, is first joined to the
+    next argument by "=", up to any "--", so that its value may start with
+    "-", as :func:`_read_args` takes it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="paraclaw", description=_DESCRIPTION)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, takes_file, options, defaults, required) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary)
+        if takes_file:
+            sub.add_argument("file", help="problem file, or - for stdin")
+        groups = {}
+        for opt, (dest, convert, third, text) in options.items():
+            if convert is not None:
+                sub.add_argument(opt, dest=dest, type=convert, default=defaults[dest],
+                                 action="append" if third else "store",
+                                 required=opt in required, help=text)
+                continue
+            if dest not in groups:  # switches that share a destination exclude each other
+                shared = sum(spec[0] == dest for spec in options.values()) > 1
+                groups[dest] = sub.add_mutually_exclusive_group() if shared else sub
+            groups[dest].add_argument(opt, dest=dest, action="store_const", const=third,
+                                      default=defaults[dest], help=text)
+    joined, options, i = [], None, 0
+    while i < len(argv) and argv[i] != "--":
+        arg = argv[i]
+        i += 1
+        if options is None:  # before the command
+            options = _COMMANDS[arg][2] if arg in _COMMANDS else None
+        else:
+            hits = [arg] if arg in options else [
+                opt for opt in (*options, "--help") if arg[:2] == "--" and opt.startswith(arg)]
+            opt = hits[0] if len(hits) == 1 else None
+            if opt in options and options[opt][1] is not None and i < len(argv):
+                arg = f"{arg}={argv[i]}"
+                i += 1
+        joined.append(arg)
+    return vars(parser.parse_args(joined + argv[i:]))
 
 
 def main(argv: list[str] | None = None) -> int:
