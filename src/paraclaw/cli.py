@@ -8,6 +8,7 @@ identical inputs; elapsed time appears only in --text output.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -395,9 +396,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args["as_json"]:
-        print(_json(report))
+        text = _json(report)
     else:
-        print(_render_text(report, time.monotonic() - started))
+        text = _render_text(report, time.monotonic() - started)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: stdout goes to devnull, so that the
+        # flush at exit writes nowhere instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

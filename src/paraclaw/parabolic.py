@@ -17,15 +17,17 @@ Two Monge-Ampere verdicts are computed and reported side by side:
   i.e. the totally symmetric component of the secondary invariant.  Its
   vanishing is the condition for a Monge-Ampere deprolongation, and it is
   strictly weaker than minor affinity (Laplacian-squared reaction terms
-  pass it while failing the literal minor test).  The verdict is the
-  polynomial identity N = 0, where N = c det(g)^2 q0 is built from det(g),
-  adj(g) (Faddeev-LeVerrier) and two adjugate Laplacians of q by ring
-  operations alone: no matrix inverse, no linear solve and no gcd.  It
-  runs on ``int`` numerators: the denominators of sigma and q are cleared
-  once on the way in, and the Faddeev-LeVerrier division by k is exact
-  over Z.
-  The verdict reads the scaled N, so it divides by nothing.  q0 itself,
-  N / (c det(g)^2), is read only through ma_traceless_residue; no report
+  pass it while failing the literal minor test).  For a nonsingular g the
+  harmonic split q = H4 + sigma H2 + sigma^2 H0 is unique and q0 = H4, so
+  the verdict is "sigma divides q": a pseudo-division in xi by ring
+  operations alone, with no matrix inverse, no linear solve and no gcd.
+  It runs on ``int`` numerators: the denominators of sigma and q are
+  cleared once on the way in.  At the reference jet a strict symbol is
+  nonsingular, since the elimination that decides parabolicity found
+  every pivot positive; any other symbol, and every symbol when symbolic,
+  has det(g) computed by Faddeev-LeVerrier, whose division by k is exact
+  over Z.  q0 itself, N / (c det(g)^2) for the N of the split
+  (_scaled_split), is computed only by ma_traceless_residue; no report
   needs it.
 
 Parabolicity and the residue are certified at a user-supplied reference
@@ -45,6 +47,7 @@ from fractions import Fraction
 from .expr import (
     AUX, BASE, JET, MAX_TERMS, DivisionByZeroExpr, Expr, FrozenValue, Monomial, Poly,
     Rationalish, Symbol, _add_terms, _cleared, _derived, _shifted, aux_var, jet_var, mono_decode,
+    mono_divides,
 )
 
 __all__ = [
@@ -323,12 +326,39 @@ def _over(p, d) -> Expr:
     return Expr._make(p, d)
 
 
+def _integral_forms(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
+    """(s, g_s, s_q, q_s, one): the symbol matrix g_s = s g and the terms
+    q_s of s_q q, each integral, with ``one`` the unit of g_s's entries.
+    g and q are taken at the reference jet unless ``symbolic``.  At the
+    reference jet s and s_q are the lcms of the denominators there, and
+    q_s holds monomials in xi.  Symbolically sigma clears itself: with d
+    the lcm of the coefficient denominators of sigma.num, s = 2 d sigma.den
+    and g_s is the xi-coefficients of d sigma.num, doubled on the diagonal;
+    s_q is q.den times the lcm of the coefficient denominators of q.num,
+    and q_s's monomials hold the jet too."""
+    if eq.n < 2:
+        raise PreconditionSpatialDim("traceless residue needs n >= 2")
+    n = eq.n
+    if symbolic:
+        d, (num,) = _cleared([eq.symbol.num.terms])
+        s = eq.symbol.den.scale(2 * d)
+        coefficients = Poly(num).coefficients_in(frozenset(xi_symbols(n)))
+        g = [[None] * n for _ in range(n)]
+        for i, j, _u, m in _hessian_directions(n):
+            c = coefficients.get(m, Poly())
+            g[i][j] = g[j][i] = 2 * c if i == j else c
+        d, (qs,) = _cleared([q.num.terms])
+        return s, g, q.den.scale(d), qs, Poly({0: 1})
+    s, g = _cleared([dict(enumerate(row)) for row in eq.symbol_at_reference])
+    s_q, (qs,) = _cleared([_xi_coefficients_at(q, eq.reference_jet)])
+    return s, [list(row.values()) for row in g], s_q, qs, 1
+
+
 def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     """The harmonic split of the quartic form q of ``eq``: the pairs
     (integral numerator, scale) of N, D, P and sigma, each the quotient of
     its pair, with q = q0 + sigma * P / D, tr_g(q0) = 0 and D q0 = N: a
-    polynomial identity, so q0 vanishes iff N does and the verdict needs no
-    division.
+    polynomial identity, so q0 vanishes iff N does.
 
     L = sum adj(g)_ij d_xi_i d_xi_j is det(g) tr_g, and tr_g(sigma p) =
     sigma tr_g(p) + (2n + 4 deg p) p.  On the harmonic split
@@ -336,42 +366,18 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     L(q) = det ((2n+8) H2 + (4n+8) sigma H0) and L(L(q)) = det^2 2n(4n+8) H0,
     so with c = (2n+8)(4n+8), D = c det^2 and P = (4n+8) det L(q) -
     sigma L(L(q)), h = H2 + sigma H0 is P / D and N = D q - sigma P is D H4.
-    g and q are taken at the reference jet unless ``symbolic``.
 
-    All of it runs on g_s = s g and q_s = s_q q, whose entries and
-    coefficients are integral.  At the reference jet s and s_q are the lcms
-    of the denominators there.  Symbolically sigma clears itself: with d
-    the lcm of the coefficient denominators of sigma.num, s = 2 d sigma.den
-    and g_s is the xi-coefficients of d sigma.num, doubled on the diagonal;
-    s_q is q.den times the lcm of the coefficient denominators of q.num.
-    With det, adj and sigma of g_s, N, D and P come out scaled by
-    s^(2n) s_q, s^(2n) and s^(2n-1) s_q, the scales returned."""
-    if eq.n < 2:
-        raise PreconditionSpatialDim("traceless residue needs n >= 2")
+    All of it runs on the integral g_s = s g and q_s = s_q q of
+    :func:`_integral_forms`.  With det, adj and sigma of g_s, N, D and P
+    come out scaled by s^(2n) s_q, s^(2n) and s^(2n-1) s_q, the scales
+    returned."""
+    s, g, s_q, qs, one = _integral_forms(eq, q, symbolic)
     n = eq.n
     xi = xi_symbols(n)
-    directions = _hessian_directions(n)
-    if symbolic:
-        d, (num,) = _cleared([eq.symbol.num.terms])
-        s = eq.symbol.den.scale(2 * d)
-        coefficients = Poly(num).coefficients_in(frozenset(xi))
-        g = [[None] * n for _ in range(n)]
-        for i, j, _u, m in directions:
-            c = coefficients.get(m, Poly())
-            g[i][j] = g[j][i] = 2 * c if i == j else c
-        d, (qs,) = _cleared([q.num.terms])
-        s_q = q.den.scale(d)
-        one = Poly({0: 1})
-    else:
-        at_ref = eq.symbol_at_reference
-        s, g = _cleared([dict(enumerate(row)) for row in at_ref])
-        g = [list(row.values()) for row in g]
-        s_q, (qs,) = _cleared([_xi_coefficients_at(q, eq.reference_jet)])
-        one = 1
     qs = Poly(qs)
     det, adj = _det_adjugate(g, one)
     sigma = Poly()
-    for i, j, _u, m in directions:
+    for i, j, _u, m in _hessian_directions(n):
         sigma = sigma + g[i][j] * Poly({m: 1 if i == j else 2})
     Lq = _trace_with(adj, qs, xi)
     P = (4 * n + 8) * det * Lq - sigma * _trace_with(adj, Lq, xi)
@@ -380,6 +386,37 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     s_P = s ** (2 * n - 1)
     s_D = s_P * s
     return (N, s_D * s_q), (D, s_D), (P, s_P * s_q), (sigma, s)
+
+
+def _divides(sigma: dict, p: dict, zero) -> bool:
+    """Whether the form sigma divides the form p in xi, each given by its
+    terms, xi-monomial -> nonzero coefficient in an integral domain (an
+    ``int``, or an int-coefficient Poly in the jet), ``zero`` the domain's
+    0.  Pseudo-division: with c x^l sigma's leading term and a x^m p's,
+    under the lex order of the packed ints, x^l must divide x^m, and then
+    p becomes c p - a x^(m-l) sigma, whose term at x^m cancels.  c is not
+    0, so over the field of fractions each step is a division step by
+    sigma, and one polynomial is a Groebner basis of the ideal it
+    generates: the remainder is unique, and 0 exactly when p empties."""
+    lead = max(sigma)
+    tail = dict(sigma)
+    c = tail.pop(lead)
+    p = dict(p)
+    while p:
+        top = max(p)
+        if not mono_divides(lead, top):
+            return False
+        a = p.pop(top)
+        shift = top - lead
+        p = {m: c * v for m, v in p.items()}
+        for m, v in tail.items():
+            m += shift
+            v = p.get(m, zero) - a * v
+            if v == zero:
+                del p[m]
+            else:
+                p[m] = v
+    return True
 
 
 def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
@@ -399,10 +436,9 @@ def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
 class MAReport(FrozenValue):
     """Both Monge-Ampere verdicts, reported without collapsing them.
 
-    For n >= 2 and a nonsingular symbol, ``residue_vanishes`` is the
-    verdict N = 0, for N = c det(g)^2 q0 (see _scaled_split); else it is
-    None.  The traceless residue q0 = N / (c det(g)^2) is not formed, since
-    that division runs polynomial gcds that the verdict does not need.
+    For n >= 2 and a nonsingular symbol, ``residue_vanishes`` is whether
+    sigma divides q, which for a nonsingular g is whether the traceless
+    residue q0 vanishes (see :func:`ma_classify`); else it is None.
     """
 
     __slots__ = ("minor_affine", "n1_affine", "singular_symbol", "residue_vanishes")
@@ -422,14 +458,29 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
     instead; for n >= 2 both the literal minor-affinity test and the
     traceless-residue test run.  A singular symbol at the reference jet is
     reported as a flag, not an error.
+
+    For a nonsingular g the harmonic split q = H4 + sigma H2 + sigma^2 H0
+    is unique, so q0 = H4 vanishes exactly when sigma divides q, and the
+    verdict is that division (:func:`_divides`) on the integral forms of
+    :func:`_integral_forms`, with no split.  Pointwise, a strict symbol is
+    nonsingular, since every pivot of its elimination is positive; any
+    other symbol, and every symbol when ``symbolic``, runs
+    :func:`_det_adjugate` to find whether det g vanishes.
     """
     q = eq.quartic
     minor = q.is_zero
     if eq.n == 1:
         # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity
         return MAReport(minor, minor)
-    try:
-        N, _scale = _scaled_split(eq, q, symbolic)[0]
-    except SingularSymbol:
-        return MAReport(minor, None, singular_symbol=True)
-    return MAReport(minor, None, residue_vanishes=N.is_zero)
+    _s, g, _s_q, qs, one = _integral_forms(eq, q, symbolic)
+    if symbolic or eq.parabolicity is not Parabolicity.STRICT:
+        try:
+            _det_adjugate(g, one)
+        except SingularSymbol:
+            return MAReport(minor, None, singular_symbol=True)
+    zero = one - one
+    sigma = {m: g[i][j] if i == j else 2 * g[i][j]
+             for i, j, _u, m in _hessian_directions(eq.n) if g[i][j] != zero}
+    if symbolic:
+        qs = Poly(qs).coefficients_in(frozenset(xi_symbols(eq.n)))
+    return MAReport(minor, None, residue_vanishes=_divides(sigma, qs, zero))

@@ -4,7 +4,9 @@ Every grammar production gets at least one accepting and one rejecting
 case; reports are checked for the fixed field order and byte stability.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -28,7 +30,8 @@ from corpus import CORPUS
 from util import (
     GOLDEN_PATH, benchmark_non_ma_problems, claws_corpus_reports, corollary_decides,
     golden_ansatz_specs, no_search, perfbench_problems, random_non_ma_problems,
-    searched_claws_output, suite_corollary_routes_agree, t, u, u11, u12, u22, ux, uxx, x,
+    searched_claws_output, split_ma_classify, split_refused, suite_corollary_routes_agree,
+    t, u, u11, u12, u22, ux, uxx, x,
 )
 
 
@@ -37,11 +40,16 @@ def run_paraclaw(args: list[str], timeout: float | None = None,
     """``python -m paraclaw *args`` in a child process that runs the same
     copy of paraclaw as this one, whether from a source checkout or an
     install; nothing but PATH, the package location and ``env`` is passed."""
-    package_root = os.path.dirname(os.path.dirname(paraclaw.__file__))
     return subprocess.run(
         [sys.executable, "-m", "paraclaw", *args], capture_output=True,
-        text=True, timeout=timeout,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **env})
+        text=True, timeout=timeout, env=child_env(**env))
+
+
+def child_env(**env: str) -> dict[str, str]:
+    """PATH, the location of this process's paraclaw and ``env``: the whole
+    environment of a child ``python -m paraclaw``."""
+    package_root = os.path.dirname(os.path.dirname(paraclaw.__file__))
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **env}
 
 
 class TestGrammarAccepts:
@@ -1204,7 +1212,7 @@ class TestMainEntry:
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch, broken):
         from paraclaw import claws, cli, parabolic
         from paraclaw.claws import InvariantViolation
-        source, commands = "n=1; u_t = u_xx", ["claws"]
+        source, commands = "n=1; u_t = u_xx", [["claws"]]
         if broken == "cross_validation":
             def violated(eq, laws, report=None):
                 raise InvariantViolation("MA cross-validation violated: forced")
@@ -1213,28 +1221,78 @@ class TestMainEntry:
         elif broken == "flux_check":
             monkeypatch.setattr(claws, "_balanced", lambda R, L, LX: False)
             message = "reconstructed flux fails to verify for T = u"
+        elif broken == "faddeev_leverrier":
+            # an inexact division by k in the real _div_exact: only
+            # --symbolic runs Faddeev-LeVerrier on a strict symbol
+            source, commands = "n=2; u_t = u_11 + u_22", [
+                ["classify", "--symbolic"], ["claws", "--symbolic"]]
+            monkeypatch.setattr(parabolic, "divmod", lambda a, k: (a // k, 1),
+                                raising=False)
+            message = "Faddeev-LeVerrier: 1 does not divide -4"
         else:
-            # the invariants of the Monge-Ampere residue, in parabolic
-            source, commands = "n=2; u_t = u_11 + u_22", ["classify", "claws"]
-            if broken == "faddeev_leverrier":
-                # an inexact division by k in the real _div_exact
-                monkeypatch.setattr(parabolic, "divmod", lambda a, k: (a // k, 1),
-                                    raising=False)
-                message = "Faddeev-LeVerrier: 1 does not divide -2"
-            else:
-                # a nonzero N from the real _scaled_split
-                from paraclaw.expr import Poly
-                split = parabolic._scaled_split
-                monkeypatch.setattr(parabolic, "_scaled_split", lambda eq, q, symbolic: (
-                    (Poly({0: 1}), 1), *split(eq, q, symbolic)[1:]))
-                message = "minor-affine equation with nonzero residue"
+            # sigma reported not to divide the quartic form 0 of a
+            # minor-affine equation
+            source, commands = "n=2; u_t = u_11 + u_22", [["classify"], ["claws"]]
+            monkeypatch.setattr(parabolic, "_divides", lambda sigma, p, zero: False)
+            message = "minor-affine equation with nonzero residue"
         f = tmp_path / "problem.pde"
         f.write_text(source)
         for command in commands:
-            assert main([command, str(f)]) == 3, command
+            assert main([command[0], str(f), *command[1:]]) == 3, command
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"internal error: {message}\n"
+
+    def test_reports_read_no_split(self, tmp_path, monkeypatch):
+        # the residue verdict divides q by sigma: with the harmonic split
+        # refused, classify, classify --symbolic and claws on the corpus, and
+        # one pass of the three benchmark workloads, print what they print
+        # when the verdict is the split's N = 0
+        problems = perfbench_problems()
+        argvs = []
+        for entry in CORPUS:
+            path = tmp_path / f"{entry.name}.pde"
+            path.write_text(entry.source)
+            argvs += [["classify", str(path)], ["classify", str(path), "--symbolic"],
+                      ["claws", str(path)]]
+        for workload in problems.WORKLOADS:
+            requests = problems.generate(workload, 1, 0)
+            paths = problems.write_files(requests, str(tmp_path / workload))
+            argvs += [problems.argv(req, path) for req, path in zip(requests, paths)]
+
+        def answers() -> list[tuple]:
+            out = []
+            for argv in argvs:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                out.append((code, stdout.getvalue(), stderr.getvalue()))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "ma_classify", split_ma_classify)
+            m.setattr(claws, "ma_classify", split_ma_classify)
+            want = answers()
+        with split_refused():
+            got = answers()
+        assert [a[0] for a in want].count(0) > len(argvs) // 2
+        assert got == want
+
+    def test_closed_stdout_exits_one_quietly(self, tmp_path):
+        # the reader stops after the first line of a 270 kB report, as
+        # `| head -1` does: exit 1, the code of an OSError, with no traceback
+        # and no "Exception ignored" line
+        f = tmp_path / "weak.pde"
+        f.write_text("n=2; u_t = u_1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "paraclaw", "claws", str(f), "--order", "2",
+             "--jet-degree", "3", "--base-degree", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_unsafe_order_flag(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"
@@ -1559,6 +1617,28 @@ class TestBoundedWork:
         proc = run_paraclaw([*command.split(), str(f)], timeout=8)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ma"] == ma
+
+    def test_symbolic_n5_laplacian_squared_within_cap(self, tmp_path):
+        # the verdict divides q by sigma and builds no adjugate Laplacians:
+        # 14 ms of request time, where building the split took about 1 s
+        # (2-vCPU VM).  Timed in a fresh process, whose symbols take the low
+        # slots, and without its start-up
+        f = tmp_path / "problem.pde"
+        f.write_text("n=5; u_t = u_11 + u_22 + u_33 + u_44 + u_55"
+                     " + 3/2*(u_11 + u_22 + u_33 + u_44 + u_55)^2"
+                     " + u_1*(u_11 + u_22 + u_33 + u_44 + u_55)")
+        timed = ("import sys, time\n"
+                 "from paraclaw.cli import main\n"
+                 "started = time.perf_counter()\n"
+                 "code = main(['classify', '--symbolic', sys.argv[1]])\n"
+                 "print(code, time.perf_counter() - started, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", timed, str(f)], capture_output=True,
+                              text=True, timeout=8, env=child_env())
+        code, elapsed = proc.stderr.split()
+        assert code == "0"
+        assert float(elapsed) < 0.3
+        assert json.loads(proc.stdout)["ma"] == {
+            "minor_affine": False, "residue_vanishes": True, "n1_affine": None}
 
     def test_verifies_over_rational_equation(self, tmp_path):
         f = tmp_path / "problem.pde"

@@ -326,7 +326,8 @@ class TestTracelessResidue:
         assert not ma_traceless_residue(eq2, symbolic=True).is_zero
 
     def test_matches_inverse_and_trace_equation_reference(self):
-        assert suite_residue_equivalence() == 58
+        assert suite_residue_equivalence() == {
+            "naive route": 58, True: 31, False: 53, None: 2, "vanishing denominator": 2}
 
     def test_integer_split_matches_expr_route(self):
         assert suite_split_equivalence() == {
@@ -341,7 +342,12 @@ class TestTracelessResidue:
             ("rational", "pointwise", "split", "strict"): 10,
             ("rational", "pointwise", "vanishing denominator"): 2,
             ("rational", "symbolic", "split"): 8,
+            ("symbolic", "symbolic", "singular"): 3,
             ("symbolic", "symbolic", "split"): 20,
+            ("verdict", True): 34,
+            ("verdict", False): 54,
+            ("verdict", None): 12,
+            ("verdict", "vanishing denominator"): 2,
         }
 
     @pytest.mark.parametrize("G, ref, vanishes", [

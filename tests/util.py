@@ -22,7 +22,7 @@ import tempfile
 import threading
 from fractions import Fraction
 
-from paraclaw import cli, linalg
+from paraclaw import cli, linalg, parabolic
 from paraclaw import claws
 from paraclaw.claws import (
     AnsatzSpec, ConservationLaw, DeterminingSystem, InvariantViolation,
@@ -48,7 +48,7 @@ from paraclaw.grammar import (
     parse, parse_expression,
 )
 from paraclaw.parabolic import (
-    EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
+    EvolutionEquation, MAReport, Parabolicity, PreconditionSpatialDim, SingularSymbol,
     _over, _scaled_split, ma_classify, parabolicity_check,
     quartic_form, symbol_form, xi_symbols,
 )
@@ -1268,43 +1268,110 @@ def _random_parabolic_like(rng: random.Random, n: int, extra: Expr) -> Evolution
     return EvolutionEquation(n, G, ref)
 
 
-def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> int:
+def split_ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
+    """ma_classify with the residue verdict N = 0 of the harmonic split
+    (parabolic._scaled_split) in place of the division of q by sigma."""
+    minor = eq.quartic.is_zero
+    if eq.n == 1:
+        return MAReport(minor, minor)
+    try:
+        N = _scaled_split(eq, eq.quartic, symbolic)[0][0]
+    except SingularSymbol:
+        return MAReport(minor, None, singular_symbol=True)
+    return MAReport(minor, None, residue_vanishes=N.is_zero)
+
+
+def residue_verdict(eq: EvolutionEquation, symbolic: bool):
+    """ma_classify(eq, symbolic).residue_vanishes, asserted, with the whole
+    report, equal to that of :func:`split_ma_classify`, whose verdict is
+    whether ma_traceless_residue's q0 = N / D vanishes; "vanishing
+    denominator" where both raise DivisionByZeroExpr."""
+    outcomes = []
+    for classify in (ma_classify, split_ma_classify):
+        try:
+            outcomes.append(classify(eq, symbolic))
+        except DivisionByZeroExpr:
+            outcomes.append("vanishing denominator")
+    got, want = outcomes
+    assert got == want, \
+        f"residue verdict differs for u_t = {eq.G} (symbolic={symbolic}): {got} != {want}"
+    return got if isinstance(got, str) else got.residue_vanishes
+
+
+def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> dict:
     """The closed-form (q0, h, sigma) of :func:`residue_decomposition` equals
     naive_residue_decomposition, or both raise SingularSymbol, and the
-    verdict of ma_classify (N = 0) is whether the naive q0 vanishes: on every
-    corpus entry with n >= 2, pointwise and symbolic; on random G for
-    n = 2..4 pointwise; and on random G for n = 2 symbolically.  The random
-    pointwise G are polynomials of degree <= 6 in the Hessian and
-    first-order data.  A symbolic G has one term quadratic in the Hessian
-    and one Hessian entry times first-order data: the gcds that normalize
-    the naive route's rational coefficients run for minutes on richer G,
-    such as u_11*u_12*u_22.  Returns the number of (equation,
-    mode) pairs checked."""
+    verdict of ma_classify (sigma divides q) is whether the naive q0
+    vanishes: on every corpus entry with n >= 2, pointwise and symbolic; on
+    random G for n = 2..4 pointwise; and on random G for n = 2
+    symbolically.  The random pointwise G are polynomials of degree <= 6
+    in the Hessian and first-order data.  A symbolic G has one term
+    quadratic in the Hessian and one Hessian entry times first-order data:
+    the gcds that normalize the naive route's rational coefficients run
+    for minutes on richer G, such as u_11*u_12*u_22.  The verdict alone,
+    against the split's (:func:`residue_verdict`), is also checked on
+    ``cases // 6`` such symbolic G for n = 3 and on the rational G of
+    SPLIT_RATIONAL_SOURCES, symbolic, at the default jet and at a random
+    one.  Returns the number of (equation, mode) pairs checked against the
+    naive route, and how many draws had each verdict."""
     rng = random.Random(seed)
     problems = [(entry.equation(), symbolic) for entry in CORPUS
                 if entry.equation().n >= 2 for symbolic in (False, True)]
+    lower = [base_var(1), jet_var(), jet_var((1,))]
+
+    def symbolic_draw(n: int) -> EvolutionEquation:
+        hess = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
+        extra = rng.randint(1, 5) * Expr.symbol(rng.choice(hess)) \
+            * Expr.symbol(rng.choice(hess)) \
+            + rng.randint(-5, 5) * Expr.symbol(rng.choice(lower)) \
+            * Expr.symbol(rng.choice(hess))
+        return _random_parabolic_like(rng, n, extra)
+
     for k in range(cases):
         n = 2 + k % 3
         hess = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
-        lower = [base_var(1), jet_var(), jet_var((1,))]
         extra = random_poly(rng, hess + lower, terms=3, max_exp=2)
         problems.append((_random_parabolic_like(rng, n, extra), False))
         if n == 2:
-            extra = rng.randint(1, 5) * Expr.symbol(rng.choice(hess)) \
-                * Expr.symbol(rng.choice(hess)) \
-                + rng.randint(-5, 5) * Expr.symbol(rng.choice(lower)) \
-                * Expr.symbol(rng.choice(hess))
-            problems.append((_random_parabolic_like(rng, n, extra), True))
+            problems.append((symbolic_draw(2), True))
+    verdict_only = [(symbolic_draw(3), True) for _ in range(cases // 6)]
+    for source in SPLIT_RATIONAL_SOURCES:
+        eq = parse(source).equation()
+        point = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for s in sorted(eq.G.symbols())}
+        verdict_only += [(eq, True), (eq, False),
+                         (EvolutionEquation(eq.n, eq.G, point), False)]
+    counts = {"naive route": len(problems)}
     for eq, symbolic in problems:
         got = _residue_outcome(residue_decomposition, eq, symbolic)
         want = _residue_outcome(naive_residue_decomposition, eq, symbolic)
         assert got == want if isinstance(got, str) or isinstance(want, str) \
             else tuple(got) == tuple(want), \
             f"residue differs for u_t = {eq.G} (symbolic={symbolic})"
-        verdict = ma_classify(eq, symbolic).residue_vanishes
+        verdict = residue_verdict(eq, symbolic)
         assert verdict == (None if want == "singular" else want[0].is_zero), \
             f"residue verdict differs for u_t = {eq.G} (symbolic={symbolic})"
-    return len(problems)
+        counts[verdict] = counts.get(verdict, 0) + 1
+    for eq, symbolic in verdict_only:
+        verdict = residue_verdict(eq, symbolic)
+        counts[verdict] = counts.get(verdict, 0) + 1
+    return counts
+
+
+@contextlib.contextmanager
+def split_refused():
+    """Within the block, parabolic._scaled_split and parabolic._trace_with
+    raise AssertionError."""
+    real = parabolic._scaled_split, parabolic._trace_with
+
+    def refuse(*args):
+        raise AssertionError("the harmonic split ran")
+
+    parabolic._scaled_split = parabolic._trace_with = refuse
+    try:
+        yield
+    finally:
+        parabolic._scaled_split, parabolic._trace_with = real
 
 
 def _split_outcome(split, eq: EvolutionEquation, symbolic: bool):
@@ -1324,6 +1391,10 @@ SPLIT_SYMBOLIC_SOURCES = (
     " - u_11*u_23^2 - u_22*u_13^2 - u_33*u_12^2; ref u_11 = 1; ref u_22 = 1; ref u_33 = 1",
     "n=3; u_t = u_11 + u_22 + u_33 + u_11*u_22*u_12 + u_33^2",
     "n=3; u_t = u_11 + 2*u_22 + u_33 + 1/2*u_12*u_23 - u_1*u_13^2",
+    # det(g) = 0 identically in the jet
+    "n=2; u_t = u_11",
+    "n=2; u_t = (u_11 + 2*u_12 + u_22)^2 + u_1",
+    "n=3; u_t = u_11 + u_22 + u_1*u_12",
 )
 SPLIT_RATIONAL_SOURCES = (
     "n=2; u_t = (u_11 + u_22)/(1 + u_1^2) + u_11*u_22 - u_12^2",
@@ -1351,9 +1422,11 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
     SPLIT_RATIONAL_SOURCES, with denominators in first-order data and in
     the Hessian, symbolic and at two reference jets, the default and a
     random one.  Each random reference value is drawn over G's symbols in
-    symbol order, so the draws do not depend on set order.  Returns the
-    number of draws of each kind, mode and outcome, with the parabolicity
-    verdict of each pointwise draw."""
+    symbol order, so the draws do not depend on set order.  On every draw
+    the residue verdict of ma_classify is checked against the split's
+    (:func:`residue_verdict`).  Returns the number of draws of each kind,
+    mode and outcome, with the parabolicity verdict of each pointwise
+    draw, and the number with each residue verdict."""
     rng = random.Random(seed)
     draws = [("corpus", entry.equation(), symbolic) for entry in CORPUS
              if entry.equation().n >= 2 for symbolic in (False, True)]
@@ -1387,6 +1460,8 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
         got = _split_outcome(harmonic_split, eq, symbolic)
         want = _split_outcome(reference_harmonic_split, eq, symbolic)
         assert got == want, f"split differs for u_t = {eq.G} (symbolic={symbolic})"
+        verdict = ("verdict", residue_verdict(eq, symbolic))
+        counts[verdict] = counts.get(verdict, 0) + 1
         key = (kind, "symbolic" if symbolic else "pointwise",
                want if isinstance(want, str) else "split")
         if not symbolic and want != "vanishing denominator":
