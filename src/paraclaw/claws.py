@@ -7,16 +7,16 @@ equations depend on at most second derivatives); keep only the monomials
 whose characteristics are independent, so that no trivial law is ever
 solved for; assemble the determining system in characteristic form; solve
 the system exactly; reconstruct fluxes by divergence inversion.  On a
-strictly parabolic symbol, where the bound is a theorem, the auxiliary
-equation's top-order term 2 sigma D_xi Q + q Q decides the search
-(:func:`find_conservation_laws`): where the symbol's quartic form q is 0 it
-forces every characteristic to be a function of (t, x, u), and the search
-keeps only the pure-u columns t^b x^a u^k, read off with no plan; where q
-is not 0 it forces every characteristic to be 0, and there is no law and
-no search.  The ansatz is linear in its coefficients, so it is held as
-columns from start to finish: one ``int`` term dict per monomial for its
-density and one for its characteristic, and one determining-system column
-per kept monomial.
+polynomial G whose symbol sigma is not 0, where the bound is a theorem,
+the auxiliary equation's top-order term 2 sigma D_xi Q + q Q decides the
+search (:func:`find_conservation_laws`): where the symbol's quartic form
+q is 0 it forces every characteristic to be a function of (t, x, u), and
+the search keeps only the pure-u columns t^b x^a u^k, read off with no
+plan; where q is not 0 it forces every characteristic to be 0, and there
+is no law and no search.  The ansatz is linear in its coefficients, so it
+is held as columns from start to finish: one ``int`` term dict per
+monomial for its density and one for its characteristic, and one
+determining-system column per kept monomial.
 
 Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
@@ -40,21 +40,6 @@ by J.  On term dicts, every sum and product and the clearing of G's
 denominators run through the raw-term kernel of :mod:`paraclaw.expr`
 (``_add_terms``, ``_add_product``, ``_cleared``).
 
-Memos.  A column is a monomial t^b m with m t-free, and E_u(t^b m) =
-t^b E_u(m), so all of the search that does not depend on G is a function
-of m: the D_L Q of Q = E_u(m), and Q itself at L = (); only their products
-with D_J(d G) and the A_L depend on G.  One ``functools.lru_cache`` keyed
-by m, :func:`_prolonged_euler`, holds the :class:`~paraclaw.jets.Prolonged`
-memo of D_L E_u(m) for the process, and a second, :func:`_plan`, keyed by
-(n, spec), holds the columns the pivot pass keeps, which only a weak,
-forced or ``unsafe_order`` search reads.  Both are bounded by
-MAX_TERMS, which also bounds the columns of one ansatz, so no search
-evicts what it built.  A second equation at bounds already seen then does
-only the G-dependent products, the solve and the extraction; a single
-search computes what it computed without them, and keeps it.  The
-memoized dicts are only read: the characteristic of a t-free column is
-the memo's own E_u(m), which the plan holds, not a copy.
-
 Sign convention: D_t T + Div X = 0 on solutions.  Laws are identified by
 their characteristics Q = E_u(T) (densities differing by a spatial
 divergence share Q) and reported with Q scaled monic under the global
@@ -63,7 +48,6 @@ monomial order.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from math import comb
 
@@ -184,9 +168,7 @@ def generate_ansatz(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     counted before any is built (:func:`check_ansatz_size`).  E_u commutes
     with multiplication by t, so E_u(t^b m) = t^b E_u(m): one raw Euler walk
     per t-free monomial m gives the characteristics of all its t^b multiples,
-    each key shifted by t^b.  The walks are memoized for the process: the
-    characteristic of a t-free monomial is the memo's own E_u(m), to be
-    read only, and every other returned dict is new."""
+    each key shifted by t^b.  Every returned dict is new."""
     check_ansatz_size(n, spec)
     base_syms = [base_var(a) for a in range(n + 1)]
     jet_syms = spatial_jet_vars(n, spec.max_jet_order)
@@ -194,9 +176,14 @@ def generate_ansatz(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     jet_monos = bounded_monomials(jet_syms, spec.jet_degree)
     densities = [{bm + jm: 1} for jm in jet_monos for bm in base_monos]
     characteristics = []
+    walks: dict = {}  # t-free m -> E_u(m)
     for (m,) in densities:
         b = _exponent(m, TIME)
-        characteristics.append(_times_t(_prolonged_euler(m - b * TIME.unit)[()], b))
+        m -= b * TIME.unit
+        Q = walks.get(m)
+        if Q is None:
+            Q = walks[m] = _euler_terms({m: 1})
+        characteristics.append(_times_t(Q, b))
     return densities, characteristics
 
 
@@ -227,25 +214,16 @@ def _pure_u_columns(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
             [{bm + (k - 1) * u: k} for k in powers for bm in base_monos])
 
 
-@functools.lru_cache(maxsize=MAX_TERMS)
-def _prolonged_euler(m: Monomial) -> Prolonged:
-    """The memo of the terms of D_L E_u(m), by the word L, for the t-free
-    monomial m: E_u(m) itself is the entry at ()."""
-    return _prolongations(_euler_terms({m: 1}))
-
-
-@functools.lru_cache(maxsize=MAX_TERMS)
-def _plan(n: int, spec: AnsatzSpec) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+def _plan(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     """(densities, characteristics) of the columns the search keeps, for
     the ansatz of these bounds in n space dimensions: those whose
     characteristic is independent of those of the earlier columns, in
-    column order.  They depend on n and the bounds alone; memoized for the
-    process, and the dicts are only read.  Only a weak, forced or
-    ``unsafe_order`` search reads the plan (:func:`find_conservation_laws`)."""
+    column order.  Only a search on a symbol of 0 or with ``unsafe_order``
+    reads the plan (:func:`find_conservation_laws`)."""
     densities, characteristics = generate_ansatz(n, spec)
     pivots = linalg.Echelon()
     keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
-    return tuple(densities[k] for k in keep), tuple(characteristics[k] for k in keep)
+    return [densities[k] for k in keep], [characteristics[k] for k in keep]
 
 
 def assemble_determining_system(eq: EvolutionEquation,
@@ -267,8 +245,8 @@ def assemble_determining_system(eq: EvolutionEquation,
     table is built.  Multiplying by t commutes with every D_i, d/du_J and
     product, so for T = t^b m the expression is t^b S_m + d b t^(b-1) E_u(m),
     with S_m = l_Q(d G) + sum_L A_L D_L Q for Q = E_u(m), for any G: S_m is
-    built once per distinct m, from the :func:`_prolonged_euler` memo of m
-    and one pass for the dQ/du_J.
+    built once per distinct m, from one Euler walk, the prolongation memo
+    of its E_u(m) and one pass for the dQ/du_J.
 
     With no columns the system is empty on any G.  Otherwise a
     rational-function G raises NotPolynomialIn before any assembly, naming
@@ -288,7 +266,7 @@ def assemble_determining_system(eq: EvolutionEquation,
         m -= b * TIME.unit
         got = spatial.get(m)
         if got is None:
-            D_Q = _prolonged_euler(m)
+            D_Q = _prolongations(_euler_terms({m: 1}))
             Q = D_Q[()]
             S: dict = {}
             _add_contraction(S, _jet_partials(Q), D_G)
@@ -479,22 +457,42 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     keeps only the ansatz monomials m_k whose characteristic E_u(m_k) is
     linearly independent of those of the earlier monomials, in column
     order (a monomial with E_u(m_k) = 0 is dropped; the kept columns
-    depend on n and the bounds alone and are memoized, :func:`_plan`), and
-    assembles, from the kept columns of M alone, and solves the
-    determining system of that restricted ansatz.  M is injective there,
-    so each null vector is one law: a vector whose characteristic is 0 or
-    dependent on the kept ones is an InvariantViolation.  The laws are
+    depend on n and the bounds alone, :func:`_plan`), and assembles, from
+    the kept columns of M alone, and solves the determining system of that
+    restricted ansatz.  M is injective there, so each null vector is one
+    law: a vector whose characteristic is 0 or dependent on the kept ones
+    is an InvariantViolation.  The laws are
     those the full ansatz gives after dropping trivial and dependent null
     vectors, in the same order: E_u(dT/dt) = d/dt E_u(T), so ker M lies in
     the null space, and the null vector of each free column that is not a
     pivot of M has a characteristic that depends on those of earlier null
     vectors.
 
-    On a strictly parabolic polynomial G the paper's order bound holds:
-    the characteristic of every conservation law has jet order <= 2, and
-    the auxiliary equation's top-order term then decides the search with
-    no plan.  Let N be the null space and sigma = D_xi G and q = D_xi sigma
-    the symbol and its quartic form, D_xi = sum_{i <= j} xi_i xi_j d/du_ij.
+    Let N be the null space and sigma = D_xi G and q = D_xi sigma the
+    symbol and its quartic form, D_xi = sum_{i <= j} xi_i xi_j d/du_ij.  On
+    a polynomial G with sigma != 0 (G of order 2: strictly or weakly
+    parabolic, or, with force, not parabolic) the characteristic of every
+    law has jet order <= 2, the paper's order bound, here with no use of
+    definiteness, and the auxiliary equation's top-order term then decides
+    the search with no plan:
+
+    0. The order bound.  Let Q = M v have order r >= 3.  The jets of order
+       r + 2 in dQ/dt + l_Q(G) + l*_G(Q) come only from
+       sum_{|J| = r} Q_{u_J} G_{u_kl} u_{J+kl}, twice: once from l_Q(G)
+       and once from G_{u_kl} D_k D_l Q in l*_G(Q).  Every other term has
+       order <= r + 1: dQ/dt has order r; D_J G has order <= r + 1 for
+       |J| < r, and so have the other terms of D_J G for |J| = r and of
+       D_k D_l Q; D_k(G_{u_kl}) D_l Q and the terms of l*_G(Q) from
+       G_{u_k} and G_u have order <= max(3, r + 1); and
+       D_k D_l(G_{u_kl}) Q has order <= max(4, r), below r + 2 only as
+       r >= 3.  The u_K of order r + 2 enter linearly, with coefficients
+       of order <= r, so on a null vector each coefficient is 0.  Read
+       with xi^a <-> u_a, that part is 2 sigma P_Q, where
+       P_Q = sum_{|J| = r} Q_{u_J} xi^J is the principal symbol of l_Q.  The polynomials in xi over the
+       polynomials in (t, x) and the jets form an integral domain, and
+       sigma != 0 and P_Q != 0 (Q has order r), so 2 sigma P_Q != 0: a
+       contradiction.  So r <= 2, and steps 1-4 use only sigma != 0.
+
     Where q = 0 (``MAReport.minor_affine``), N lies in the span of the
     pure-u columns t^b x^a u^k, and the search assembles those alone
     (:func:`_pure_u_columns`):
@@ -503,9 +501,9 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
        order-4 part of dQ/dt + l_Q(G) + l*_G(Q) comes only from
        Q_{u_ij} D_i D_j G, G_{u_kl} D_k D_l Q and Q D_k D_l(G_{u_kl}), and
        it is 2 sigma D_xi Q + q Q, read with xi^a <-> u_a.  On a null
-       vector it is 0.  With q = 0 and sigma != 0 (sigma is not 0 where
-       the symbol is strict) this gives D_xi Q = 0, so Q holds no u_ij and
-       has order <= 1.  Q is E_u of a density, so its linearization l_Q is
+       vector it is 0.  With q = 0 and sigma != 0 this gives D_xi Q = 0,
+       in the same integral domain, so Q holds no u_ij and has order
+       <= 1.  Q is E_u of a density, so its linearization l_Q is
        self-adjoint (the Helmholtz conditions; Olver, GTM 107, ch. 5); the
        principal symbol of the adjoint of a scalar operator of order r is
        (-1)^r times its own, so Q has even order: Q = Q(t, x, u).
@@ -541,13 +539,15 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     assembly needs a polynomial), so it is refused after the size check
     with no ansatz built, unless jet_degree is 0: then every column's
     characteristic is 0, none is kept and there is no law.  (With a jet,
-    the column u, whose characteristic is 1, is kept.)  The routes' cheap
-    tests come first: G a polynomial, then ``unsafe_order``; only then are
-    the symbol's class and q read off the equation, which computes each
-    once (``EvolutionEquation.parabolicity`` and ``quartic``).  A weak or,
-    with force, a non-parabolic symbol and ``unsafe_order``, where the
-    order bound is not a theorem or is under test, search every kept
-    column of the plan.  :func:`_laws_of_columns` extracts the laws."""
+    the column u, whose characteristic is 1, is kept.)  The symbol's class
+    is read only to refuse a symbol that is not parabolic without force.
+    The routes' cheap tests come first: G a polynomial, then
+    ``unsafe_order``; only then are sigma and q read off the equation,
+    which computes each once (``EvolutionEquation.symbol`` and
+    ``quartic``).  A symbol of 0 (G of order <= 1, which the classifier
+    calls weak) and ``unsafe_order``, where the order bound does not hold
+    or is under test, search every kept column of the plan.
+    :func:`_laws_of_columns` extracts the laws."""
     spec = spec or AnsatzSpec()
     if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
@@ -556,7 +556,7 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
         if spec.jet_degree:
             raise _not_polynomial(eq.G)
         return []
-    if not spec.unsafe_order and eq.parabolicity is Parabolicity.STRICT:
+    if not spec.unsafe_order and not eq.symbol.is_zero:
         if eq.quartic.is_zero:
             return _laws_of_columns(eq, *_pure_u_columns(eq.n, spec))
         check_ansatz_size(eq.n, spec)
@@ -573,11 +573,10 @@ def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
     Each law is scaled so its characteristic is monic.  Every null-space
     density has a flux, reconstructed by exact divergence inversion.
     Every returned law satisfies the conservation identity exactly.  A
-    characteristic of jet order > 2 is an InvariantViolation on a strictly
-    parabolic symbol, where the order bound is a theorem: an
+    characteristic of jet order > 2 is an InvariantViolation wherever the
+    symbol is not 0, where the order bound is a theorem: an
     ``unsafe_order`` search, which tests the bound, and the pure-u route
-    reach it.  Otherwise (a weak or, with force, a non-parabolic symbol)
-    the law is kept.
+    reach it.  On a symbol of 0 (G of order <= 1) the law is kept.
 
     Each law is extracted on ``int`` term dicts, and only the finished law
     becomes an Expr: the null vector's characteristic Q and density T are
@@ -610,7 +609,7 @@ def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
                 f"null-space density has no flux: T = {T_law}") from exc
         law = ConservationLaw(T_law, tuple(_over(LXi, -lead * d * L) for LXi in LX),
                               _over(Q, lead))
-        if jacobi_potential_order(law) > 2 and eq.parabolicity is Parabolicity.STRICT:
+        if jacobi_potential_order(law) > 2 and not eq.symbol.is_zero:
             raise InvariantViolation(
                 f"characteristic of jet order > 2 found: {law.Q}")
         if not _balanced(R, L, LX):

@@ -19,7 +19,7 @@ from paraclaw.claws import (
     cross_validate_ma, find_conservation_laws, generate_ansatz,
     jacobi_potential_order, reconstruct_flux, solve_exact, verify,
 )
-from paraclaw.expr import MAX_TERMS, Expr, aux_var, base_var, jet_var, mono_decode, mono_encode
+from paraclaw.expr import Expr, aux_var, base_var, jet_var, mono_decode, mono_encode
 from paraclaw.jets import (
     ORDER_GUARD, OrderOverflow, TimeJetPresent, build_replacement_table, euler_operator,
     spatial_jet_order, total_derivative,
@@ -35,9 +35,7 @@ from util import (
     suite_extraction_equivalence, suite_integer_assembly, tag, tagged,
     jet, suite_linear_extraction, suite_on_shell_corpus, suite_on_shell_random,
     suite_reported_coefficients_are_fractions, suite_restricted_search_equivalence,
-    suite_memos_change_no_result, suite_memos_shared_by_threads,
     suite_returned_columns_are_fresh,
-    suite_order_bound, reference_order_bound,
     suite_solver_soundness, suite_triviality_filter,
     t, u, u1, u11, u12, u2, u22, ux, uxx, x, x1, x2,
 )
@@ -150,9 +148,6 @@ class TestDeterminingSystem:
         counts = suite_column_route_equivalence(cases=80)
         assert counts["problems"] == 4 * len(CORPUS) + 80
         assert counts["refusals"] >= 10 and counts["laws"] > 80
-        # the order bound would cut the columns of some searches moved off
-        # the no-plan routes, whose null spaces lie in V
-        assert counts["restricted"] > 0
 
     def test_elimination_order_keeps_the_null_space(self):
         # solve_exact feeds the rows in an order of its own; the basis is the
@@ -178,98 +173,37 @@ class TestDeterminingSystem:
         counts = suite_time_linearity(cases=12)
         assert counts["problems"] == 2 * (4 + 12)
         assert counts["refusals"] >= 2 + 2 * 3 and counts["laws"] > 20
-        assert counts["restricted"] > 0
-
-    def test_order_bound_matches_reference_route(self):
-        # every problem has a quartic form that is not 0, so it has no law
-        # and is searched backward, on every kept column; S is smaller than
-        # the kept columns in each
-        counts = suite_order_bound(cases=6)
-        assert counts == {"problems": 7, "refusals": 0, "laws": 0,
-                          "restricted": 7, "bounded": 3}
-        # laplacian_squared at 2/3/3, the first problem: dim V = 280 and S
-        # holds 300 of the 880 kept columns
-        characteristics = generate_ansatz(2, AnsatzSpec(2, 3, 3))[1]
-        pivots = linalg.Echelon()
-        kept = [Q for Q in characteristics if pivots.add(Q)]
-        support, bound = reference_order_bound(kept)
-        assert (len(kept), len(support)) == (880, 300)
-        assert len(support) - rank(list(bound.values()), len(support)) == 280
-
-    @pytest.mark.parametrize("eq, spec, extra", [
-        (HEAT2, AnsatzSpec(2, 4, 3), 80),
-        (by_name("heat_plus_det").equation(), AnsatzSpec(2, 3, 3), 20),
-    ], ids=["heat_2d-2/4/3", "heat_plus_det-2/3/3"])
-    def test_restricted_search_matches_every_kept_column(self, eq, spec, extra):
-        # where V is not spanned by single columns (|S| - dim V = extra),
-        # the search (on the pure-u columns, these G being minor-affine),
-        # the search on the support S of the order bound alone, with no row
-        # for the bound, and the search on every kept column return the
-        # same laws, in the same order and printed alike
-        from util import _law_text, clear_search_memos, jet_order_rows
-        clear_search_memos()
-        densities, characteristics = claws._plan(eq.n, spec)
-        support, _ = reference_order_bound(list(characteristics))
-        V = linalg.nullspace(list(jet_order_rows(list(characteristics), 4).values()),
-                             len(densities))
-        assert len(support) - len(V) == extra
-        restricted = claws._laws_of_columns(eq, [densities[k] for k in support],
-                                            [characteristics[k] for k in support])
-        full = claws._laws_of_columns(eq, densities, characteristics)
-        searched = find_conservation_laws(eq, spec)
-        assert restricted
-        assert [_law_text(law) for law in restricted] == [_law_text(law) for law in full] \
-            == [_law_text(law) for law in searched]
 
     @pytest.mark.parametrize("n, spec", [
         *((n, AnsatzSpec(*bounds) if bounds else AnsatzSpec())
           for n in (1, 2) for bounds in GOLDEN_SPECS),
         (2, AnsatzSpec(2, 4, 3)), (3, AnsatzSpec(2, 3, 2)), (1, AnsatzSpec(2, 6, 4)),
-        (2, AnsatzSpec(2, 3, 3)),
+        (2, AnsatzSpec(2, 3, 3)), (2, AnsatzSpec(3, 2, 1, unsafe_order=True)),
     ], ids=[f"n{n}-{'/'.join(map(str, bounds)) if bounds else 'default'}"
             for n in (1, 2) for bounds in GOLDEN_SPECS]
-       + ["heat_2d-2/4/3", "heat_3d-2/3/2", "burgers-2/6/4", "det_hessian-2/3/3"])
+       + ["heat_2d-2/4/3", "heat_3d-2/3/2", "burgers-2/6/4", "det_hessian-2/3/3",
+          "unsafe-3/2/1"])
     def test_order_four_rows_cut_out_v(self, n, spec):
-        # a combination of characteristics is E_u of the same combination of
+        # fact 1, which step 1 of the pure-u route's proof reads: a
+        # combination of characteristics is E_u of the same combination of
         # densities, whose linearization is self-adjoint and so of even
-        # order; one of order <= 4 with no term of order 4 has order <= 2
-        # (fact 1, which the pure-u route's proof reads).  So the rows of
-        # the monomials with a jet of order 4 over the plan's kept columns
-        # cut out V: their null space has the dimension of that of the
-        # rows of order >= 3, and its support is the reference's S
-        from util import jet_order_rows
-        characteristics = list(claws._plan(n, spec)[1])
-        ncols = len(characteristics)
-        V4 = linalg.nullspace(list(jet_order_rows(characteristics, 4).values()), ncols)
-        V = linalg.nullspace(list(jet_order_rows(characteristics, 3).values()), ncols)
-        assert len(V4) == len(V)
-        assert sorted({k for v in V4 for k in v}) == reference_order_bound(characteristics)[0]
-
-    @pytest.mark.parametrize("eq, spec, force", [
-        (by_name("laplacian_squared").equation(), AnsatzSpec(2, 3, 0), False),
-        (EvolutionEquation(2, u11), AnsatzSpec(2, 3, 0), False),
-        (EvolutionEquation(2, -u11 - u22), AnsatzSpec(2, 3, 0), True),
-        (HEAT2, AnsatzSpec(2, 3, 0, unsafe_order=True), False),
-    ], ids=["strict", "weak", "forced", "unsafe-order"])
-    def test_only_a_strict_search_is_restricted(self, eq, spec, force):
-        # no search on the plan is restricted: a strictly parabolic
-        # polynomial G reads no plan (laplacian_squared, whose quartic form
-        # is not 0, is searched backward, with force, as u_t = -G), and a
-        # weak, a forced non-parabolic and an unsafe_order search assemble
-        # every kept column, although the order bound's support S is
-        # smaller and V is not spanned by single columns (H_S is not
-        # empty); every search solves the assembled system itself, with no
-        # row added
-        from util import plan_route_problem, recorded_search
-        eq, force = plan_route_problem(eq, spec, force)
-        calls, outcome = recorded_search(eq, spec, force)
-        assert outcome[0] == "laws"
-        densities, characteristics = claws._plan(2, AnsatzSpec(2, 3, 0))
-        support, bound = reference_order_bound(list(characteristics))
-        assert 0 < len(support) < len(densities) and bound
-        assembled = list(calls["assemble_determining_system"][0][1])
-        assert assembled == list(densities)
-        assert calls["solve_exact"][0][0] is calls["assemble_determining_system"][1]
+        # order.  So a combination of order <= 4 with no term of order 4
+        # has order <= 2: the rows of order 4 cut out the combinations of
+        # order <= 2.  Checked directly on every kept column of the plan and
+        # on seeded combinations of up to four of them; at 3/2/1 the
+        # characteristics reach order 6
+        import random
+        rng = random.Random(227)
+        characteristics = claws._plan(n, spec)[1]
+        vectors = [{k: Fraction(1)} for k in range(len(characteristics))]
+        for _ in range(40):
+            picked = rng.sample(range(len(characteristics)), min(4, len(characteristics)))
+            vectors.append({k: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                            for k in picked})
+        orders = {spatial_jet_order(combine(characteristics, vec)) for vec in vectors}
+        assert all(order % 2 == 0 for order in orders), orders
+        # E_u of a jet monomial of degree 1 is 0 or 1
+        assert max(orders) == (2 * spec.max_jet_order if spec.jet_degree > 1 else 0)
 
     def test_rational_refusals_are_unchanged(self):
         # every rational_corpus equation, and the same over 1 + x1^2 (a
@@ -320,9 +254,11 @@ class TestDeterminingSystem:
 
 
 class TestPureURoute:
-    """A strictly parabolic polynomial G whose quartic form is 0 is searched
-    on its pure-u columns t^b x^a u^k, with no plan: the auxiliary
-    equation's top-order term 2 sigma D_xi Q + q Q forces Q = Q(t, x, u)."""
+    """A polynomial G whose symbol is not 0 and whose quartic form is 0 is
+    searched on its pure-u columns t^b x^a u^k, with no plan, whether the
+    symbol is strictly or weakly parabolic or, with force, not parabolic:
+    the auxiliary equation's top-order term 2 sigma D_xi Q + q Q forces
+    Q = Q(t, x, u)."""
 
     def test_top_order_identity(self):
         # on seeded G with and without a quartic form, n = 1-3, both terms
@@ -334,10 +270,11 @@ class TestPureURoute:
     def test_matches_the_plan_route_on_corpus_and_seeded_equations(self):
         # every minor-affine strict corpus entry (heat, burgers, heat_2d,
         # det_hessian_flow, heat_plus_det, porous_medium u*u_xx, ...) and
-        # seeded ones, n = 1-3, at every golden spec
+        # seeded ones, n = 1-3, then seeded weakly parabolic draws, n = 2, 3,
+        # and backward strict ones searched with force, at every golden spec
         import random
         from util import compare_pure_u_route, golden_ansatz_specs, \
-            random_strict_law_equation, takes_pure_u_route
+            random_strict_law_equation, random_weak_and_forced, takes_pure_u_route
         rng = random.Random(197)
         equations = [entry.equation() for entry in CORPUS]
         equations = [eq for eq in equations if takes_pure_u_route(eq, AnsatzSpec())]
@@ -346,6 +283,11 @@ class TestPureURoute:
         laws = sum(compare_pure_u_route(eq, spec)
                    for eq in equations for spec in golden_ansatz_specs())
         assert laws == 114
+        rng = random.Random(229)
+        problems = [pair for k in range(4) for pair in random_weak_and_forced(rng, 2 + k % 2, False)]
+        laws = sum(compare_pure_u_route(eq, spec, force)
+                   for eq, force in problems for spec in golden_ansatz_specs())
+        assert laws == 92
 
     @pytest.mark.parametrize("source, spec, count", [
         ("n=2; u_t = u_11 + u_22", (2, 4, 3), 10),
@@ -383,22 +325,23 @@ class TestPureURoute:
 
     def test_route_reads_cheap_tests_first(self):
         # a rational G or unsafe_order takes the plan route without building
-        # the symbol or the quartic form; a weak symbol builds the symbol
-        # and its class, not the quartic form; a strict polynomial G reads
-        # each once, whether its quartic form is 0 or not
-        from util import clear_search_memos
-        clear_search_memos()
+        # the symbol or the quartic form; a symbol of 0 builds the symbol
+        # and its class, not the quartic form; a polynomial G whose symbol
+        # is not 0 reads each once, whether its quartic form is 0 or not
         rational = EvolutionEquation(1, uxx / (1 + x ** 2))
         unsafe = EvolutionEquation(1, uxx)
         find_conservation_laws(rational, AnsatzSpec(2, 0, 1), True)
         find_conservation_laws(unsafe, AnsatzSpec(2, 1, 0, unsafe_order=True), True)
         for eq in (rational, unsafe):
             assert not {"symbol", "parabolicity", "quartic"} & vars(eq).keys()
-        weak = EvolutionEquation(2, u11 + u11 ** 2)
-        find_conservation_laws(weak, AnsatzSpec(2, 1, 0))
-        assert {"symbol", "parabolicity"} <= vars(weak).keys() and "quartic" not in vars(weak)
+        transport = EvolutionEquation(1, ux)
+        find_conservation_laws(transport, AnsatzSpec(2, 1, 0))
+        assert {"symbol", "parabolicity"} <= vars(transport).keys()
+        assert "quartic" not in vars(transport)
         for eq, laws in ((EvolutionEquation(2, u11 + u22), 1),
-                         (by_name("laplacian_squared").equation(), 0)):
+                         (by_name("laplacian_squared").equation(), 0),
+                         (EvolutionEquation(2, u11), 1),
+                         (EvolutionEquation(2, u11 + u11 ** 2), 0)):
             assert len(find_conservation_laws(eq, AnsatzSpec(2, 1, 0))) == laws
             assert {"symbol", "parabolicity", "quartic"} <= vars(eq).keys()
 
@@ -419,17 +362,20 @@ class TestPureURoute:
 
 
 class TestQuarticRoute:
-    """A strictly parabolic polynomial G whose quartic form q is not 0 has
-    no law: along each rank-one line U + s xi xi^T the auxiliary equation's
-    top-order term reads (sigma Q^2)' = 0 with sigma a polynomial of degree
-    >= 1 in s, so Q = 0, and the search returns none after the size check,
-    with no plan, no assembly and no solve."""
+    """A polynomial G whose quartic form q is not 0 has no law, whatever
+    the class of its symbol: along each rank-one line U + s xi xi^T the
+    auxiliary equation's top-order term reads (sigma Q^2)' = 0 with sigma a
+    polynomial of degree >= 1 in s, so Q = 0, and the search returns none
+    after the size check, with no plan, no assembly and no solve."""
 
     def test_no_law_over_every_kept_column(self):
-        # seeded G, n = 1-3, with x- and u-dependent coefficients, at every
-        # golden spec
+        # seeded strict G, n = 1-3, with x- and u-dependent coefficients,
+        # then seeded weakly parabolic G, n = 2, 3, and backward strict ones
+        # searched with force, at every golden spec
         from util import suite_no_law_with_a_quartic_form
         assert suite_no_law_with_a_quartic_form() == {"problems": 12, "columns": 1650}
+        assert suite_no_law_with_a_quartic_form(cases=2, weak_and_forced=True) \
+            == {"problems": 16, "columns": 3166}
 
     @pytest.mark.parametrize("source", [
         "n=2; u_t = u_11 + u_22 + u*(u_11 + u_22)^2",
@@ -691,10 +637,13 @@ class TestFindConservationLaws:
                            match=r"^null-space density has no flux: T = 1/2\*u\^2$"):
             find_conservation_laws(HEAT, spec)
 
-    def test_order_bound_enforced_only_on_strict_symbols(self, monkeypatch):
+    def test_order_bound_enforced_where_the_symbol_is_not_zero(self, monkeypatch):
+        # a strict and a weak symbol are bounded; a symbol of 0 (a G of
+        # order 1) is not, and its laws are kept
         monkeypatch.setattr(claws, "jacobi_potential_order", lambda law: 3)
-        with pytest.raises(InvariantViolation, match="jet order > 2"):
-            find_conservation_laws(HEAT, AnsatzSpec(2, 1, 0))
+        for eq in (HEAT, EvolutionEquation(2, u11)):
+            with pytest.raises(InvariantViolation, match="jet order > 2"):
+                find_conservation_laws(eq, AnsatzSpec(2, 1, 0))
         transport = EvolutionEquation(1, ux)
         assert [law.Q for law in find_conservation_laws(transport, AnsatzSpec(2, 1, 0))] \
             == [Expr.const(1)]
@@ -936,8 +885,8 @@ class TestGoldenCorpus:
         self.check(claws_corpus_reports())
 
     def test_reports_byte_identical_spec_major(self):
-        # the search memos are warm with other bounds between the requests
-        # of one entry
+        # the requests run spec-major: other bounds run between the
+        # requests of one entry
         self.check(claws_corpus_reports(spec_major=True))
 
     def test_reports_free_of_symbol_creation_order(self, tmp_path, capsys):
@@ -983,81 +932,40 @@ class TestGoldenCorpus:
             assert capsys.readouterr().out == out, argv
 
 
-class TestSearchMemos:
-    """The G-independent half of the search (E_u of the ansatz monomials,
-    the kept columns, the tables of each t-free characteristic part) is
-    memoized for the process; the memos change no result."""
+class TestZeroSymbol:
+    """A G of order 1 has a symbol of 0: the order bound does not hold, so
+    the search runs on every kept column of the plan, and its laws have
+    characteristics that hold u or a jet (u u_x: Q = u, u^2, ...; u_x:
+    Q = u_11, ...), which no golden or benchmark report has.  Their
+    reports are pinned in tests/zero_symbol_claws.json."""
 
-    def test_warm_searches_match_cold_ones(self):
-        assert suite_memos_change_no_result() == {"problems": 82, "warm": 186}
+    def test_reports_match_the_pins(self):
+        # at the golden specs and 2/4/3; every law verifies, and each
+        # equation has laws whose characteristic holds u or a jet
+        from paraclaw.expr import JET
+        from paraclaw.grammar import parse_expression
+        from util import ZERO_SYMBOL_CORPUS, ZERO_SYMBOL_PATH, ZERO_SYMBOL_SPECS, \
+            zero_symbol_pins
+        reports = claws_corpus_reports(entries=ZERO_SYMBOL_CORPUS, specs=ZERO_SYMBOL_SPECS)
+        with open(ZERO_SYMBOL_PATH, encoding="utf-8") as fh:
+            assert zero_symbol_pins(reports) == json.load(fh)
+        equations = {entry.name: entry.equation() for entry in ZERO_SYMBOL_CORPUS}
+        held = dict.fromkeys(equations, 0)
+        for key, record in reports.items():
+            name = key.split()[0]
+            eq = equations[name]
+            for law in json.loads(record["stdout"])["laws"]:
+                T, Q, *X = (parse_expression(text, eq.n)
+                            for text in (law["density"], law["characteristic"], *law["flux"]))
+                assert verify(eq, ConservationLaw(T, tuple(X), Q)), key
+                held[name] += any(s.kind == JET for s in Q.symbols())
+        assert held == {"zero_convection": 17, "transport": 109, "zero_convection_2d": 40,
+                        "transport_2d": 1550}
+
+
+class TestSearchMemos:
+    """The search keeps no process-wide memo: the columns generate_ansatz
+    returns are the caller's, and nothing a later search reads."""
 
     def test_returned_columns_are_fresh(self):
         assert suite_returned_columns_are_fresh() == 4 * len(CORPUS)
-
-    def test_memos_shared_by_threads(self):
-        assert suite_memos_shared_by_threads() == 4 * 4 * len(CORPUS)
-
-    def test_plan_generates_the_ansatz_once_per_bounds(self, monkeypatch):
-        # a cold plan-route search (weak symbols here) generates the ansatz
-        # once; a warm one at the same (n, spec) on another G reads the plan
-        # and generates none; the plan is the columns whose characteristics
-        # the pivot pass keeps, every one of them, although the support S
-        # of the order bound's space V is neither empty nor everything at
-        # 2/3/0 and V is not spanned by single columns (its rows H_S are
-        # not empty), computed by the test's own route; it is the same
-        # under unsafe_order
-        from util import clear_search_memos, reference_order_bound
-        calls = []
-        real = claws.generate_ansatz
-
-        def counting(n, spec):
-            calls.append((n, spec))
-            return real(n, spec)
-
-        monkeypatch.setattr(claws, "generate_ansatz", counting)
-        spec = AnsatzSpec(2, 3, 0)
-        clear_search_memos()
-        assert find_conservation_laws(EvolutionEquation(2, u11), spec)
-        assert calls == [(2, spec)]
-        find_conservation_laws(EvolutionEquation(2, 2 * u22 + ux), spec)
-        assert calls == [(2, spec)]
-        find_conservation_laws(EvolutionEquation(1, ux), spec)
-        assert calls == [(2, spec), (1, spec)]
-        densities, characteristics = real(2, spec)
-        pivots = linalg.Echelon()
-        keep = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
-        assert 0 < len(keep) < len(densities)
-        kept = [characteristics[k] for k in keep]
-        support, bound = reference_order_bound(kept)
-        assert 0 < len(support) < len(keep) and bound
-        assert claws._plan(2, spec) == (tuple(densities[k] for k in keep), tuple(kept))
-        assert calls == [(2, spec), (1, spec)]
-        unsafe = AnsatzSpec(2, 3, 0, unsafe_order=True)
-        assert claws._plan(2, unsafe) == claws._plan(2, spec)
-
-    def test_every_memo_is_bounded(self, monkeypatch):
-        # both memos are lru_caches of MAX_TERMS entries, so after
-        # MAX_TERMS + 2 plans the memo holds the last MAX_TERMS and has
-        # evicted the first two; an empty ansatz keeps the searches cheap at
-        # large n, and unsafe_order takes the plan route without building
-        # a symbol, whose n(n + 1)/2 directions would not be cheap
-        from util import clear_search_memos
-        assert claws._prolonged_euler.cache_info().maxsize == MAX_TERMS
-        assert claws._plan.cache_info().maxsize == MAX_TERMS
-        monkeypatch.setattr(claws, "generate_ansatz", lambda n, spec: ([], []))
-        spec = AnsatzSpec(unsafe_order=True)
-        clear_search_memos()
-        try:
-            for n in range(1, MAX_TERMS + 3):
-                eq = EvolutionEquation(n, u11)
-                find_conservation_laws(eq, spec, True)
-                assert "symbol" not in vars(eq)
-            info = claws._plan.cache_info()
-            assert info.misses == MAX_TERMS + 2 and info.currsize == MAX_TERMS
-            claws._plan(n, spec)
-            claws._plan(3, spec)
-            assert claws._plan.cache_info().hits == info.hits + 2
-            claws._plan(1, spec)
-            assert claws._plan.cache_info().misses == info.misses + 1
-        finally:
-            clear_search_memos()

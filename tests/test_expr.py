@@ -725,16 +725,6 @@ class TestValueClasses:
         assert DeterminingSystem(0).rows is not DeterminingSystem(0).rows
         assert ProblemFile(1, u).reference_jet is not ProblemFile(1, u).reference_jet
 
-    def test_equal_ansatz_specs_share_one_plan(self):
-        from paraclaw import claws
-        from paraclaw.claws import AnsatzSpec
-        a, b = AnsatzSpec(2, 2, 1), AnsatzSpec(max_jet_order=2, jet_degree=2, base_degree=1)
-        assert hash(a) == hash(b) == hash((2, 2, 1, False))
-        claws._plan.cache_clear()
-        plan = claws._plan(1, a)
-        assert claws._plan(1, b) is plan
-        assert claws._plan.cache_info()[:2] == (1, 1)  # (hits, misses)
-
     @pytest.mark.parametrize("bounds, message", [
         ((-1,), "ansatz bounds must be non-negative"),
         ((2, 1, -1), "ansatz bounds must be non-negative"),

@@ -14,12 +14,13 @@ traced under the tracer in a fresh interpreter that writes no bytecode,
 so the tracer's rebinding stays there and perfbench is only read.  The
 determining system depends on the characteristic alone and is assembled
 from the auxiliary equation with total derivatives only, so a search on
-the plan route takes one raw Euler walk per t-free ansatz monomial, all
-in ``generate_ansatz``; and its independence tests build no reduced
-echelon.  A strictly parabolic minor-affine search reads its pure-u
-columns off, with neither ``generate_ansatz`` nor the plan, and one whose
-quartic form is not 0 returns no law after the size check, with no
-search at all.
+the plan route takes one raw Euler walk per t-free ansatz monomial in
+``generate_ansatz`` and one per distinct t-free monomial of the kept
+columns in the assembly, and none in the extraction; and its independence
+tests build no reduced echelon.  A minor-affine search whose symbol is
+not 0 (strict, weak or forced) reads its pure-u columns off, with neither
+``generate_ansatz`` nor the plan, and one whose quartic form is not 0
+returns no law after the size check, with no search at all.
 The package has one divergence inverter: ``invert_divergence`` and the
 search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
@@ -74,11 +75,11 @@ def test_traced_name_resolves(modname, attr):
     assert callable(target)
 
 
-# backward Burgers and heat_2d, searched with force, and the weakly
-# parabolic transport equation take the plan route
+# backward Burgers and heat_2d, searched with force and unsafe_order, and
+# the transport equation, whose symbol is 0, take the plan route
 PLAN_ROUTE = [
-    ("n=1; u_t = -u_xx - u*u_x", (2, 2, 1)),
-    ("n=2; u_t = -u_11 - u_22", (2, 1, 1)),
+    ("n=1; u_t = -u_xx - u*u_x", (2, 2, 1, True)),
+    ("n=2; u_t = -u_11 - u_22", (2, 1, 1, True)),
     ("n=1; u_t = u_x", (2, 2, 0)),
 ]
 PLAN_ROUTE_IDS = ["burgers", "heat_2d", "transport"]
@@ -86,11 +87,8 @@ PLAN_ROUTE_IDS = ["burgers", "heat_2d", "transport"]
 
 @pytest.mark.parametrize("source, spec", PLAN_ROUTE, ids=PLAN_ROUTE_IDS)
 def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
-    # from cold memos: a warm plan generates no ansatz
     from paraclaw import claws
     from paraclaw.grammar import parse
-    from util import clear_search_memos
-    clear_search_memos()
     calls = {}
     for name in ("generate_ansatz", "assemble_determining_system", "solve_exact"):
         def counting(*args, _name=name, _real=getattr(claws, name), **kwargs):
@@ -104,18 +102,20 @@ def test_search_calls_traced_stages_by_module_name(monkeypatch, source, spec):
                      "solve_exact": 1}
 
 
-@pytest.mark.parametrize("source, spec", [
-    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1)),
-    ("n=2; u_t = u_11 + u_22", (2, 1, 1)),
-], ids=["burgers", "heat_2d"])
-def test_minor_affine_search_reads_no_plan(monkeypatch, source, spec):
-    # a strictly parabolic minor-affine search reads its pure-u columns off:
-    # from cold memos it calls neither generate_ansatz nor _plan, the traced
-    # assembly and solve once each, and back-substitutes only the
-    # determining system's echelon
+@pytest.mark.parametrize("source, spec, force", [
+    ("n=1; u_t = u_xx + u*u_x", (2, 2, 1), False),
+    ("n=2; u_t = u_11 + u_22", (2, 1, 1), False),
+    ("n=2; u_t = u_11 + u_1", (2, 2, 1), False),
+    ("n=2; u_t = u_11 - u_22", (2, 1, 1), True),
+], ids=["burgers", "heat_2d", "weak", "forced"])
+def test_minor_affine_search_reads_no_plan(monkeypatch, source, spec, force):
+    # a minor-affine search whose symbol is not 0 reads its pure-u columns
+    # off, on a strict, a weak and (with force) a not parabolic symbol: it
+    # calls neither generate_ansatz nor _plan, the traced assembly and
+    # solve once each, and back-substitutes only the determining system's
+    # echelon
     from paraclaw import claws, linalg
     from paraclaw.grammar import parse
-    from util import clear_search_memos
     calls, callers = {}, []
     for name in ("assemble_determining_system", "solve_exact"):
         def counting(*args, _name=name, _real=getattr(claws, name), **kwargs):
@@ -132,30 +132,30 @@ def test_minor_affine_search_reads_no_plan(monkeypatch, source, spec):
         callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
         return reduced(self)
 
-    clear_search_memos()
     monkeypatch.setattr(claws, "generate_ansatz", no_plan)
     monkeypatch.setattr(claws, "_plan", no_plan)
     monkeypatch.setattr(linalg.Echelon, "reduced", recording)
-    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec))
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
+                                        force)
     assert laws
     assert calls == {"assemble_determining_system": 1, "solve_exact": 1}
     assert callers == [("nullspace", "solve_exact")]
 
 
-@pytest.mark.parametrize("source, spec", [
-    ("n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2", (2, 4, 3)),
-    ("n=3; u_t = u_11 + u_22 + u_33 + (u_11 + u_22 + u_33)^2", (2, 2, 2)),
-], ids=["laplacian_squared", "n3-laplacian_squared"])
-def test_strict_quartic_search_reads_no_plan(monkeypatch, source, spec):
-    # a strictly parabolic polynomial G whose quartic form is not 0 has no
-    # law: from cold memos the search runs the size check and nothing
-    # after it (no generate_ansatz, no _plan, no assembly and no solve),
-    # and past MAX_TERMS the size check still refuses it; a weak and a
-    # forced symbol with the same quartic form are searched on the plan
+@pytest.mark.parametrize("source, spec, force", [
+    ("n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2", (2, 4, 3), False),
+    ("n=3; u_t = u_11 + u_22 + u_33 + (u_11 + u_22 + u_33)^2", (2, 2, 2), False),
+    ("n=2; u_t = u_11 + u_11^2", (2, 4, 3), False),
+    ("n=2; u_t = -(u_11 + u_22 + (u_11 + u_22)^2)", (2, 4, 3), True),
+], ids=["laplacian_squared", "n3-laplacian_squared", "weak", "forced"])
+def test_strict_quartic_search_reads_no_plan(monkeypatch, source, spec, force):
+    # a polynomial G whose quartic form is not 0 has no law, on a strict,
+    # a weak and (with force) a not parabolic symbol alike: the search runs
+    # the size check and nothing after it (no generate_ansatz, no _plan, no
+    # assembly and no solve), and past MAX_TERMS the size check still
+    # refuses it
     from paraclaw import claws
     from paraclaw.grammar import parse
-    from paraclaw.parabolic import Parabolicity
-    from util import clear_search_memos
     calls = []
     real_check = claws.check_ansatz_size
 
@@ -164,32 +164,17 @@ def test_strict_quartic_search_reads_no_plan(monkeypatch, source, spec):
         return real_check(*args)
 
     def refuse(*args):
-        raise AssertionError("a strict search with a quartic form searched")
+        raise AssertionError("a search with a quartic form searched")
 
-    clear_search_memos()
     monkeypatch.setattr(claws, "check_ansatz_size", check)
     for name in ("generate_ansatz", "_plan", "assemble_determining_system", "solve_exact",
                  "_pure_u_columns", "_laws_of_columns"):
         monkeypatch.setattr(claws, name, refuse)
     eq = parse(source).equation()
-    assert claws.find_conservation_laws(eq, claws.AnsatzSpec(*spec)) == []
+    assert claws.find_conservation_laws(eq, claws.AnsatzSpec(*spec), force) == []
     assert calls == ["check_ansatz_size"]
     with pytest.raises(claws.AnsatzTooLarge):
-        claws.find_conservation_laws(eq, claws.AnsatzSpec(2, 9, 3))
-    monkeypatch.undo()
-    searched = []
-    real_solve = claws.solve_exact
-    monkeypatch.setattr(claws, "solve_exact", lambda system: searched.append(system)
-                        or real_solve(system))
-    n = eq.n
-    weak = parse(f"n={n}; u_t = u_11 + u_11^2").equation()
-    assert weak.parabolicity is Parabolicity.WEAK and not weak.quartic.is_zero
-    forced = parse(f"n={n}; u_t = -({source.split('=', 2)[2]})").equation()
-    assert forced.parabolicity is Parabolicity.NOT_PARABOLIC
-    for other, force in ((weak, False), (forced, True)):
-        searched.clear()
-        assert claws.find_conservation_laws(other, claws.AnsatzSpec(2, 1, 1), force) == []
-        assert len(searched) == 1 and searched[0].ncols
+        claws.find_conservation_laws(eq, claws.AnsatzSpec(2, 9, 3), force)
 
 
 @pytest.mark.parametrize("source, other, spec", [
@@ -198,15 +183,16 @@ def test_strict_quartic_search_reads_no_plan(monkeypatch, source, spec):
     (*PLAN_ROUTE[2][:1], "n=1; u_t = 3*u_x", PLAN_ROUTE[2][1]),
 ], ids=PLAN_ROUTE_IDS)
 def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
-    # from cold memos, one raw Euler walk per t-free ansatz monomial
-    # (E_u(t^b m) = t^b E_u(m)), all inside generate_ansatz; none in
-    # assembly or extraction; no generate_ansatz call and no walk in a
-    # second search at the same bounds on another G, whose columns come
-    # from the plan memo; and no euler_operator
+    # one raw Euler walk per t-free ansatz monomial, inside generate_ansatz
+    # (E_u(t^b m) = t^b E_u(m)), then one per distinct t-free monomial of
+    # the kept columns, in the assembly; none in the extraction, and no
+    # euler_operator; a second search at the same bounds on another G
+    # takes the same walks, as no memo is kept between searches
     from paraclaw import claws, jets
     from paraclaw.expr import TIME, mono_decode
     from paraclaw.grammar import parse
-    from util import clear_search_memos
+    from util import t_free
+    kept = t_free(claws._plan(parse(source).equation().n, claws.AnsatzSpec(*spec))[0])
     walks, inside, sizes = [], [], []
     real_walk, real_generate = jets._euler_terms, claws.generate_ansatz
 
@@ -230,24 +216,22 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
         monkeypatch.setattr(module, "_euler_terms", walk)
         monkeypatch.setattr(module, "euler_operator", no_euler_operator, raising=False)
     monkeypatch.setattr(claws, "generate_ansatz", generate)
-    clear_search_memos()
-    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
-                                        force=True)
-    assert laws
-    assert sizes and walks == [True] * sizes[0]
-    walks.clear()
-    claws.find_conservation_laws(parse(other).equation(), claws.AnsatzSpec(*spec), force=True)
-    assert len(sizes) == 1 and walks == []
+    for text in (source, other):
+        walks.clear()
+        sizes.clear()
+        laws = claws.find_conservation_laws(parse(text).equation(), claws.AnsatzSpec(*spec),
+                                            force=True)
+        assert laws or text == other
+        assert len(sizes) == 1 and walks == [True] * sizes[0] + [False] * len(kept)
 
 
 @pytest.mark.parametrize("source, spec", PLAN_ROUTE, ids=PLAN_ROUTE_IDS)
 def test_search_back_substitutes_once(monkeypatch, source, spec):
     # the pivot pass and the law loop only test independence, forward only;
     # the one null space, the determining system's, back-substitutes its
-    # echelon once, in a cold plan and a warm one alike
+    # echelon once
     from paraclaw import claws, linalg
     from paraclaw.grammar import parse
-    from util import clear_search_memos
     callers = []
     reduced = linalg.Echelon.reduced
 
@@ -256,13 +240,10 @@ def test_search_back_substitutes_once(monkeypatch, source, spec):
         return reduced(self)
 
     monkeypatch.setattr(linalg.Echelon, "reduced", recording)
-    clear_search_memos()
-    for _ in ("cold", "warm"):
-        callers.clear()
-        laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
-                                            force=True)
-        assert laws
-        assert callers == [("nullspace", "solve_exact")]
+    laws = claws.find_conservation_laws(parse(source).equation(), claws.AnsatzSpec(*spec),
+                                        force=True)
+    assert laws
+    assert callers == [("nullspace", "solve_exact")]
 
 
 TRACED_SEARCH = """
@@ -280,26 +261,24 @@ print(json.dumps(layer_metrics([{"spans": tracer.spans, "scale": 1.0}], tracer.c
 """
 
 
-@pytest.mark.parametrize("spec, size", [((2, 1, 1), 28), ((2, 0, 0), 1)],
+@pytest.mark.parametrize("spec, size", [((2, 1, 1, True), 28), ((2, 0, 0, True), 1)],
                          ids=["heat_2d-2/1/1", "one-monomial"])
 def test_tracer_sizes_the_search_stages(spec, size):
     # the tracer reads the ansatz size as len(r[1]) of generate_ansatz, the
     # row count as r.num_equations of the assembly and the null dimension
     # as len(r) of solve_exact; 2/0/0 has one monomial, so a bare list of
-    # columns would break r[1]; the recorded search runs cold, as the
-    # traced one in a fresh interpreter does, on the backward heat_2d
-    # equation with force, which takes the plan route
+    # columns would break r[1]; both searches run on the heat_2d equation
+    # with unsafe_order, which takes the plan route
     from paraclaw import claws
     from paraclaw.grammar import parse
-    from util import clear_search_memos, recorded_search
-    source = "n=2; u_t = -u_11 - u_22"
+    from util import recorded_search
+    source = "n=2; u_t = u_11 + u_22"
     proc = subprocess.run(
         [sys.executable, "-B", "-c", TRACED_SEARCH, os.path.join(ROOT, "src"),
          os.path.join(ROOT, "perfbench"), source, json.dumps(spec)],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)
-    clear_search_memos()
     calls, outcome = recorded_search(parse(source).equation(), claws.AnsatzSpec(*spec), True)
     assert len(calls["generate_ansatz"][1][1]) == size
     assert metrics["claws.ansatz_unknowns"] == size
@@ -310,22 +289,19 @@ def test_tracer_sizes_the_search_stages(spec, size):
 
 def test_search_memos_and_rows_are_untracked():
     # a monomial is an int and the search's term dicts hold int
-    # coefficients, so the collector tracks none of the _prolonged_euler
-    # memo's keys or term dicts and no row or key of the determining system
+    # coefficients, so the collector tracks no ansatz monomial and no row
+    # or key of the determining system
     import gc
     from paraclaw import claws
     from paraclaw.grammar import parse
-    from util import _t_free
+    from util import t_free
     eq, spec = parse("n=2; u_t = u_11 + u_22 + u*u_1").equation(), claws.AnsatzSpec(2, 2, 1)
     densities, _ = claws.generate_ansatz(eq.n, spec)
     system = claws.assemble_determining_system(eq, densities)
     assert claws.find_conservation_laws(eq, spec)
     gc.collect()
-    monomials = _t_free(densities)
+    monomials = t_free(densities)
     assert len(monomials) == 84 and not any(map(gc.is_tracked, monomials))
-    for m in monomials:
-        memo = claws._prolonged_euler(m)
-        assert len(memo) > 1 and not any(map(gc.is_tracked, memo.values()))
     assert system.rows and not any(map(gc.is_tracked, system.rows))
     assert not any(map(gc.is_tracked, system.keys))
 

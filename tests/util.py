@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -19,7 +20,6 @@ import re
 import string
 import sys
 import tempfile
-import threading
 from fractions import Fraction
 
 from paraclaw import cli, linalg, parabolic
@@ -37,7 +37,7 @@ from paraclaw.expr import (
     mono_decode, mono_encode, mono_sort_key,
 )
 from paraclaw.jets import (
-    NotInDivergenceImage, Prolonged, TimeJetPresent, _add_terms, _horner, _jet_partials,
+    NotInDivergenceImage, TimeJetPresent, _add_terms, _horner, _jet_partials,
     _step, bounded_monomials, build_replacement_table,
     euler_operator, has_time_jets, invert_divergence, reduce_to_spatial,
     spatial_jet_vars, total_derivative,
@@ -52,7 +52,7 @@ from paraclaw.parabolic import (
     _over, _scaled_split, ma_classify, parabolicity_check,
     quartic_form, symbol_form, xi_symbols,
 )
-from corpus import CORPUS, by_name
+from corpus import CORPUS, CorpusEntry, by_name
 
 # A monomial is an int as wide as its highest slot, and a symbol takes the
 # next slot when it is first interned (paraclaw.expr).  The tagged
@@ -422,8 +422,7 @@ def reference_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
             raise InvariantViolation(
                 f"null-space density has no flux: T = {T}") from exc
         law = ConservationLaw(T, X, Q)
-        if (jacobi_potential_order(law) > 2
-                and parabolicity_check(eq) is Parabolicity.STRICT):
+        if jacobi_potential_order(law) > 2 and not naive_symbol_is_zero(eq):
             raise InvariantViolation(f"characteristic of jet order > 2 found: {Q}")
         if not _balances(R, X):
             raise InvariantViolation(f"reconstructed flux fails to verify for T = {T}")
@@ -698,6 +697,12 @@ def symbol_matrix_at(eq: EvolutionEquation) -> list[list[Fraction]]:
     """:func:`symbol_matrix` at the reference jet, entry by entry."""
     return [[entry.eval_fraction(eq.reference_jet) for entry in row]
             for row in symbol_matrix(eq)]
+
+
+def naive_symbol_is_zero(eq: EvolutionEquation) -> bool:
+    """Whether every entry of :func:`symbol_matrix` is 0: G holds no jet of
+    order 2, so its symbol sigma = D_xi G is 0."""
+    return all(entry.is_zero for row in symbol_matrix(eq) for entry in row)
 
 
 def naive_parabolicity(eq: EvolutionEquation) -> Parabolicity:
@@ -1744,8 +1749,8 @@ def suite_column_route_equivalence(cases: int = 40, seed: int = 103) -> dict:
     rational G, refused unless no column is kept) with force, and a random
     polynomial G with rational coefficients, with and without force (so
     refused when it is not parabolic).  Each equation the search would
-    answer with no plan is searched backward, with force
-    (:func:`plan_route_problem`).  Returns the counts of
+    answer with no plan is searched with unsafe_order
+    (:func:`plan_route_spec`).  Returns the counts of
     :func:`_compare_column_route`."""
     rng = random.Random(seed)
     problems = []
@@ -1839,51 +1844,34 @@ def no_search():
             setattr(claws, name, fn)
 
 
-def suite_no_law_with_a_quartic_form(cases: int = 3, seed: int = 211) -> dict:
-    """A strictly parabolic polynomial G whose quartic form is not 0 has no
-    law: on ``cases`` seeded :func:`random_quartic_coefficient_equation`
-    draws, n = 1, 2, 3 in turn, at every golden spec, find_conservation_laws
-    returns none with no search (:func:`no_search`), and the search over
-    every kept column of the plan, ``claws._laws_of_columns``, finds none
+def suite_no_law_with_a_quartic_form(cases: int = 3, seed: int = 211,
+                                     weak_and_forced: bool = False) -> dict:
+    """A polynomial G whose quartic form is not 0 has no law: on ``cases``
+    seeded :func:`random_quartic_coefficient_equation` draws (strictly
+    parabolic), n = 1, 2, 3 in turn, or with ``weak_and_forced`` on
+    ``cases`` :func:`random_weak_and_forced` pairs with a quartic form,
+    n = 2, 3 in turn, at every golden spec, find_conservation_laws returns
+    none with no search (:func:`no_search`), and the search over every
+    kept column of the plan, ``claws._laws_of_columns``, finds none
     either.  Returns the counts of problems and of kept columns searched."""
     rng = random.Random(seed)
-    counts = {"problems": 0, "columns": 0}
+    problems = []
     for k in range(cases):
-        eq = random_quartic_coefficient_equation(rng, 1 + k % 3)
+        if weak_and_forced:
+            problems += random_weak_and_forced(rng, 2 + k % 2, True)
+        else:
+            problems.append((random_quartic_coefficient_equation(rng, 1 + k % 3), False))
+    counts = {"problems": 0, "columns": 0}
+    for eq, force in problems:
         assert not naive_quartic_form(eq).is_zero
         for spec in golden_ansatz_specs():
             where = f"u_t = {eq.G} at {spec}"
             with no_search():
-                assert find_conservation_laws(eq, spec) == [], where
+                assert find_conservation_laws(eq, spec, force) == [], where
             densities, characteristics = claws._plan(eq.n, spec)
             assert claws._laws_of_columns(eq, densities, characteristics) == [], where
             counts["problems"] += 1
             counts["columns"] += len(densities)
-    return counts
-
-
-def suite_order_bound(cases: int = 6, seed: int = 163) -> dict:
-    """The order bound against the reference route:
-    :func:`_compare_column_route` on laplacian_squared
-    (u_t = u_11 + u_22 + (u_11 + u_22)^2) at 2/3/3, where dim V = 280, S
-    has 300 of the 880 kept columns and H_S is not empty, and on ``cases``
-    seeded :func:`random_strict_quartic_equation` draws, n = 1, 2, 3 in
-    turn, at 2/4/1 (n = 1), 2/3/1 (n = 2, where H_S is not empty) and
-    2/2/1 (n = 3).  Each has a strictly parabolic symbol whose quartic form
-    is not 0, which the search answers with no plan, so each is searched
-    backward (:func:`plan_route_problem`), on every kept column, and its
-    null space must lie in V.  Returns the counts of
-    :func:`_compare_column_route`."""
-    rng = random.Random(seed)
-    problems = [("laplacian_squared", by_name("laplacian_squared").equation(),
-                 AnsatzSpec(2, 3, 3))]
-    for k in range(cases):
-        n = 1 + k % 3
-        eq = random_strict_quartic_equation(rng, n)
-        problems.append((f"u_t = {eq.G}", eq, AnsatzSpec(2, (4, 3, 2)[n - 1], 1)))
-    counts = dict.fromkeys(ROUTE_COUNTS, 0)
-    for name, eq, spec in problems:
-        _compare_column_route(f"{name} at {spec}", eq, spec, False, counts)
     return counts
 
 
@@ -1935,7 +1923,9 @@ def suite_top_order_identity(cases: int = 12, seed: int = 191) -> dict:
     a :func:`random_strict_quartic_equation` (not 0), at 2/3/1 (n = 1),
     2/2/1 (n = 2) or 2/2/0 (n = 3); the densities are every plan column
     whose characteristic holds no jet of order >= 3 and three seeded
-    combinations of the plan's V basis.  Returns the counts of
+    combinations of the basis of V, the combinations of the plan's
+    characteristics of order <= 2 (the null space of the rows of the
+    monomials with a jet of order >= 3).  Returns the counts of
     characteristics checked, of those with 2 sigma D_xi Q != 0 and of
     those with q Q != 0."""
     rng = random.Random(seed)
@@ -1946,7 +1936,11 @@ def suite_top_order_identity(cases: int = 12, seed: int = 191) -> dict:
         eq = draw(rng, n)
         spec = (AnsatzSpec(2, 3, 1), AnsatzSpec(2, 2, 1), AnsatzSpec(2, 2, 0))[n - 1]
         densities, characteristics = claws._plan(n, spec)
-        high = jet_order_rows(list(characteristics), 3)
+        high: dict = {}  # monomial with a jet of order >= 3 -> its row
+        for j, Q in enumerate(characteristics):
+            for m, c in Q.items():
+                if any(s.kind == JET and s.order >= 3 for s, _ in mono_decode(m)):
+                    high.setdefault(m, {})[j] = c
         V = reference_nullspace(list(high.values()), len(characteristics))
         bounded = set(range(len(characteristics))) - {k for row in high.values() for k in row}
         vectors = [{k: Fraction(1)} for k in sorted(bounded)]
@@ -1977,18 +1971,14 @@ def pure_u_places(densities) -> list[int]:
             if all(s.kind == BASE or s == jet_var() for s, _ in mono_decode(m))]
 
 
-def compare_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> int:
-    """The search of a strictly parabolic minor-affine polynomial G, which
-    reads its pure-u columns off, against the plan's kept columns in the
-    support S of the order bound (:func:`reference_order_bound`) searched
-    by ``claws._laws_of_columns``: the same laws, printed alike (T, every
-    flux and Q).  W, the null space of the
-    rows of every monomial holding a jet other than u over the plan's kept
-    columns, is spanned by the pure-u kept columns, one vector each, and
-    those are the columns the search reads off, in the same order.  The
-    search runs with ``generate_ansatz`` and ``_plan`` replaced by a
-    function that fails, so it calls neither.  Returns the number of
-    laws."""
+def compare_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec, force: bool = False) -> int:
+    """The search of a polynomial G whose symbol is not 0 and whose quartic
+    form is 0, which reads its pure-u columns off, against the search over
+    every kept column of the plan, ``claws._laws_of_columns``: the same
+    laws, printed alike (T, every flux and Q).  The columns it reads off
+    are the plan's pure-u columns, in the same order.  The search runs
+    with ``generate_ansatz`` and ``_plan`` replaced by a function that
+    fails, so it calls neither.  Returns the number of laws."""
     assert takes_pure_u_route(eq, spec)
     real = claws.generate_ansatz, claws._plan
 
@@ -1997,22 +1987,46 @@ def compare_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> int:
 
     claws.generate_ansatz = claws._plan = no_plan
     try:
-        laws = find_conservation_laws(eq, spec)
+        laws = find_conservation_laws(eq, spec, force)
     finally:
         claws.generate_ansatz, claws._plan = real
     densities, characteristics = claws._plan(eq.n, spec)
-    support, _ = reference_order_bound(list(characteristics))
-    planned = claws._laws_of_columns(eq, [densities[k] for k in support],
-                                     [characteristics[k] for k in support])
+    planned = claws._laws_of_columns(eq, densities, characteristics)
     where = f"u_t = {eq.G} at {spec}"
     assert [_law_text(law) for law in laws] == [_law_text(law) for law in planned], where
     places = pure_u_places(densities)
-    W = linalg.nullspace(list(jet_order_rows(list(characteristics), 1).values()),
-                         len(characteristics))
-    assert W == [{k: 1} for k in places], where
     assert claws._pure_u_columns(eq.n, spec) \
         == ([densities[k] for k in places], [characteristics[k] for k in places]), where
     return len(laws)
+
+
+def random_weak_law_equation(rng: random.Random, n: int) -> EvolutionEquation:
+    """A :func:`random_law_equation` draw (n >= 2) with u_nn set to 0,
+    drawn again until its symbol at the reference jet is weakly parabolic:
+    a symbol that is not 0 but singular, and a quartic form of 0."""
+    assert n >= 2
+    while True:
+        eq = EvolutionEquation(n, random_law_equation(rng, n).G.substitute({jet_var((n, n)): 0}))
+        if naive_parabolicity(eq) is Parabolicity.WEAK:
+            return eq
+
+
+def random_weak_and_forced(rng: random.Random, n: int, quartic: bool) -> list:
+    """Two (equation, force) draws the search answers with no plan although
+    their symbol is not strictly parabolic: a :func:`random_weak_law_equation`
+    (n >= 2), plus c u_11^2, a random rational c != 0, when ``quartic``
+    (u_11 = 0 at the reference jet, so the class is the draw's), without
+    force; and the backward equation u_t = -G of a
+    :func:`random_strict_quartic_equation` (``quartic``) or
+    :func:`random_strict_law_equation` draw, whose symbol is not
+    parabolic, with force.  The quartic form is not 0 exactly when
+    ``quartic``."""
+    weak = random_weak_law_equation(rng, n)
+    strict = (random_strict_quartic_equation if quartic else random_strict_law_equation)(rng, n)
+    if quartic:
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        weak = EvolutionEquation(n, weak.G + c * jet(1, 1) ** 2)
+    return [(weak, False), (EvolutionEquation(n, -strict.G), True)]
 
 
 def minor_affine_reports():
@@ -2045,7 +2059,7 @@ def minor_affine_reports():
 
 
 # what :func:`_compare_column_route` counts
-ROUTE_COUNTS = ("problems", "refusals", "laws", "restricted", "bounded")
+ROUTE_COUNTS = ("problems", "refusals", "laws")
 
 
 def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
@@ -2053,22 +2067,15 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     """One problem of :func:`suite_column_route_equivalence`: the search's
     staged calls against :func:`tagged_stages`, and its outcome against
     :func:`reference_find_conservation_laws`; counts the problem, a
-    refusal and the laws.  The search assembles every kept column and
-    solves that system as it is, with no row added, so its system and its
-    null space are the tagged ones.  The plan memo is emptied first, so
-    the search generates its ansatz; a refusal, of a symbol that is not
-    parabolic without force or of a rational G, runs no stage.  A problem
-    the search would answer with no plan (:func:`takes_no_plan`: on its
-    pure-u columns, or with no law where the quartic form is not 0) is
-    replaced by its :func:`plan_route_problem`, so the plan route is
-    compared; there the order bound of the replaced problem holds, so every
-    null vector lies on the support S of :func:`reference_order_bound` and
-    is annihilated by its rows H_S.  Counts those replaced problems where S
-    is smaller than the kept columns ("restricted"), and those with H_S not
-    empty, where V is not spanned by single columns ("bounded")."""
-    moved = takes_no_plan(eq, spec)
-    eq, force = plan_route_problem(eq, spec, force)
-    claws._plan.cache_clear()
+    refusal and the laws.  The search generates its ansatz, assembles
+    every kept column and solves that system as it is, with no row added,
+    so its system and its null space are the tagged ones; a refusal, of a
+    symbol that is not parabolic without force or of a rational G, runs no
+    stage.  A problem the search would answer with no plan
+    (:func:`takes_no_plan`: on its pure-u columns, or with no law where
+    the quartic form is not 0) is searched at its :func:`plan_route_spec`,
+    so the plan route is compared."""
+    spec = plan_route_spec(eq, spec)
     calls, outcome = recorded_search(eq, spec, force)
     stages = tagged_stages(eq, spec)
 
@@ -2086,10 +2093,6 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     assert densities == linear_columns(stages["T"], stages["tags"]), where
     assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
     kept = stages["kept"]
-    if moved:
-        support, bound = reference_order_bound([characteristics[k] for k in kept])
-        counts["restricted"] += len(support) < len(kept)
-        counts["bounded"] += bool(bound)
     index = {id(T): k for k, T in enumerate(densities)}
     assembled = calls["assemble_determining_system"][0][1]
     assert [index[id(T)] for T in assembled] == kept, where
@@ -2102,79 +2105,35 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     assert len(system.keys) == len(system.rows) == len(rows), where
     assert dict(zip(system.keys, system.rows)) == rows, where
     assert calls["solve_exact"][0][0] is system, where
-    basis = calls["solve_exact"][1]
-    assert basis == stages["basis"], where
-    if moved:
-        place = {k: i for i, k in enumerate(support)}
-        assert all(k in place for vec in basis for k in vec), where
-        assert all(sum(c * vec.get(k, 0) for k, c in row.items()) == 0
-                   for vec in ({place[k]: c for k, c in vec.items()} for vec in basis)
-                   for row in bound.values()), where
+    assert calls["solve_exact"][1] == stages["basis"], where
     counts["laws"] += len(outcome[1])
-
-
-def jet_order_rows(characteristics: list[dict], order: int) -> dict:
-    """The rows {k: coefficient in characteristics[k]}, by each monomial
-    (decoded) with a jet factor of order >= order."""
-    rows: dict = {}
-    for k, Q in enumerate(characteristics):
-        for m, c in Q.items():
-            if any(s.kind == JET and s.order >= order for s, _ in mono_decode(m)):
-                rows.setdefault(m, {})[k] = c
-    return rows
-
-
-def reference_order_bound(characteristics: list[dict]) -> tuple[list[int], dict]:
-    """(S, H_S) for these characteristic columns: H holds, for each
-    monomial with a jet factor of order >= 3 (each monomial decoded), the
-    row {k: coefficient in characteristics[k]}; V is the null space of H,
-    by :func:`naive_rref`; S is the columns where some vector of V's
-    reduced basis is not 0, the free columns and each pivot whose reduced
-    row is not 0 at one of them, in column order; and H_S, by monomial, is
-    H restricted to S and renumbered by place in S, empty rows dropped.
-    Kept to check the order bound that paraclaw.claws relies on, with none
-    of its code."""
-    rows = jet_order_rows(characteristics, 3)
-    reduced, pivots = naive_rref(list(rows.values()), len(characteristics))
-    free = set(range(len(characteristics))) - set(pivots)
-    support = sorted(free | {p for p, row in zip(pivots, reduced) if free & row.keys()})
-    place = {k: i for i, k in enumerate(support)}
-    bound = {}
-    for m, row in rows.items():
-        row = {place[k]: c for k, c in row.items() if k in place}
-        if row:
-            bound[m] = row
-    return support, bound
 
 
 def takes_pure_u_route(eq: EvolutionEquation, spec: AnsatzSpec) -> bool:
     """Whether find_conservation_laws searches the pure-u columns
-    t^b x^a u^k with no plan: on a polynomial G with a strictly parabolic
-    symbol (:func:`naive_parabolicity`) and a quartic form
-    (:func:`naive_quartic_form`) of 0, without unsafe_order."""
+    t^b x^a u^k with no plan: on a polynomial G whose symbol is not 0 and
+    whose quartic form (:func:`naive_quartic_form`) is 0, without
+    unsafe_order."""
     return takes_no_plan(eq, spec) and naive_quartic_form(eq).is_zero
 
 
 def takes_no_plan(eq: EvolutionEquation, spec: AnsatzSpec) -> bool:
     """Whether find_conservation_laws answers with no plan: on a polynomial
-    G with a strictly parabolic symbol (:func:`naive_parabolicity`),
-    without unsafe_order.  It searches the pure-u columns where the
-    quartic form is 0 (:func:`takes_pure_u_route`), and returns no law
-    with no search where it is not."""
-    return (eq.G.is_polynomial and not spec.unsafe_order
-            and naive_parabolicity(eq) is Parabolicity.STRICT)
+    G whose symbol is not 0 (:func:`naive_symbol_is_zero`), strict, weak
+    or not parabolic alike, without unsafe_order.  It searches the pure-u
+    columns where the quartic form is 0 (:func:`takes_pure_u_route`), and
+    returns no law with no search where it is not."""
+    return eq.G.is_polynomial and not spec.unsafe_order and not naive_symbol_is_zero(eq)
 
 
-def plan_route_problem(eq: EvolutionEquation, spec: AnsatzSpec,
-                       force: bool) -> tuple[EvolutionEquation, bool]:
-    """(eq, force) where the search takes the plan route; where it would
-    answer with no plan (:func:`takes_no_plan`), the backward equation
-    u_t = -G, searched with force.  Its symbol is not parabolic, so it
-    searches every kept column, and its laws are those of u_t = G with
-    t -> -t, which maps the ansatz to itself."""
+def plan_route_spec(eq: EvolutionEquation, spec: AnsatzSpec) -> AnsatzSpec:
+    """Bounds at which the search of eq takes the plan route: where it
+    would answer with no plan (:func:`takes_no_plan`), the same bounds with
+    unsafe_order, which search every kept column of the same plan, so
+    give the same laws (``max_jet_order`` is at most 2); otherwise spec."""
     if takes_no_plan(eq, spec):
-        return EvolutionEquation(eq.n, -eq.G, eq.reference_jet), True
-    return eq, force
+        return AnsatzSpec(spec.max_jet_order, spec.jet_degree, spec.base_degree, True)
+    return spec
 
 
 def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
@@ -2190,8 +2149,8 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     rational G, refused), all with force, and ``cases`` seeded random
     G = a u_ii + t p, p a polynomial in t, x and the jets of order <= 1,
     with force, except that every fourth has a < 0 and no force, so it is
-    refused as not parabolic; the strict ones are searched backward
-    (:func:`plan_route_problem`).  The full
+    refused as not parabolic; those whose symbol is not 0 are searched
+    with unsafe_order (:func:`plan_route_spec`).  The full
     ansatz of each polynomial G is also assembled with its columns in
     reverse order, which must give the same key -> row mapping: S_m does
     not depend on which column meets m first.
@@ -2230,231 +2189,41 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
     return counts
 
 
-# ---------------------------------------------------------------------------
-# Process-wide memos of the law search
-# ---------------------------------------------------------------------------
-
-def clear_search_memos() -> None:
-    """Empty the law search's process-wide memos of its G-independent half:
-    the prolonged E_u of t-free monomials, and the plans (the kept columns)
-    by (n, spec)."""
-    claws._prolonged_euler.cache_clear()
-    claws._plan.cache_clear()
-
-
-def search_memo_sizes() -> dict:
-    """name -> (maxsize, currsize) of each memo of the law search."""
-    infos = {memo.__name__: memo.cache_info() for memo in (claws._plan, claws._prolonged_euler)}
-    return {name: (info.maxsize, info.currsize) for name, info in infos.items()}
-
-
 def golden_ansatz_specs() -> list[AnsatzSpec]:
     """GOLDEN_SPECS as AnsatzSpecs, None as the default bounds."""
     return [AnsatzSpec(*spec) if spec else AnsatzSpec() for spec in GOLDEN_SPECS]
 
 
-def _search_record(eq: EvolutionEquation, spec: AnsatzSpec, force: bool) -> tuple:
-    """The search's :func:`_search_outcome`, its determining system (keys,
-    and each row's items in order) and null space, as recorded by
-    :func:`recorded_search`; the t-free monomials of the ansatz it
-    generated, if its plan was cold; and the plan it read, or None."""
-    calls, outcome = recorded_search(eq, spec, force)
-    system = calls.get("assemble_determining_system", [None, None])[1]
-    staged = None
-    if system is not None:
-        staged = system.keys, [list(row.items()) for row in system.rows], \
-            calls["solve_exact"][1]
-    ansatz = calls["generate_ansatz"][1][0] if "generate_ansatz" in calls else []
-    plan = claws._plan(eq.n, spec) if "assemble_determining_system" in calls else None
-    return (outcome, staged), _t_free(ansatz), plan
-
-
-def _t_free(densities: list[dict]) -> set:
+def t_free(densities: list[dict]) -> set:
     """The t-free monomials m of the one-term density columns {t^b m: 1}."""
     return {mono_encode((s, e) for s, e in mono_decode(m) if s != TIME) for (m,) in densities}
 
 
-def _memo_snapshot(snapshot: dict, monomials, plan) -> None:
-    """Add to ``snapshot``, id -> (object, copy of its contents), every dict
-    and tuple the search memos hold that it lacks: the prolonged E_u of the
-    t-free ansatz ``monomials`` and each of its entries (held already, so
-    reading them stores nothing), and the ``plan`` a search read, if any:
-    its two parts and each density and characteristic in them."""
-    held = [plan, *plan, *plan[0], *plan[1]] if plan else []
-    for m in monomials:
-        prolonged = claws._prolonged_euler(m)
-        held += [prolonged, *prolonged.values()]
-    for obj in held:
-        if id(obj) not in snapshot:
-            snapshot[id(obj)] = obj, list(obj.items()) if isinstance(obj, dict) else obj
-
-
-def _assert_snapshot_holds(snapshot: dict, where: str) -> None:
-    """Every memoized object still has the contents it had, in order; a
-    prolongation memo may only have gained words, after the old ones."""
-    for obj, copy in snapshot.values():
-        now = list(obj.items()) if isinstance(obj, dict) else obj
-        if isinstance(obj, Prolonged):
-            now = now[:len(copy)]
-        assert now == copy, f"a memoized value changed in {where}"
-
-
-def random_memo_problems(rng: random.Random, cases: int) -> list:
-    """``cases`` seeded (name, equation, spec, force) problems at mixed n
-    and bounds: :func:`random_law_equation` draws (n = 1, 2) and random
-    polynomial G over t, x and the jets of order <= 2 (n = 1..3, with
-    force), at random bounds that repeat across the problems."""
-    problems = []
-    for k in range(cases):
-        n = 1 + k % 3
-        if n < 3 and k % 2:
-            eq = random_law_equation(rng, n)
-        else:
-            G = random_poly(rng, random_spatial_symbols(n), terms=3) \
-                * Fraction(rng.randint(1, 5), rng.randint(1, 4)) \
-                + Fraction(rng.randint(1, 5), 3) * jet(*[rng.randint(1, n)] * 2)
-            eq = EvolutionEquation(n, G)
-        spec = corpus_specs(rng, n) if n < 3 else AnsatzSpec(2, 1, rng.randint(0, 1))
-        problems.append((f"u_t = {eq.G} (n = {n})", eq, spec, True))
-    return problems
-
-
-def suite_memos_change_no_result(cases: int = 30, seed: int = 167) -> dict:
-    """The process-wide memos change no search: every corpus entry at every
-    golden spec, in entry-major, spec-major and reversed order, and
-    ``cases`` :func:`random_memo_problems`, run after one another with the
-    memos kept warm, give the outcome, determining system (keys and row
-    items in order) and null space of a cold search of the same problem,
-    run with the memos cleared just before it.  After each warm search
-    every value memoized before it is unchanged (:func:`_memo_snapshot`),
-    and after the suite each memo is within its bound.  Returns the number
-    of problems and of warm searches compared."""
-    rng = random.Random(seed)
-    specs = golden_ansatz_specs()
-    equations = [(entry.name, entry.equation()) for entry in CORPUS]
-    corpus = [(name, eq, spec, False) for name, eq in equations for spec in specs]
-    spec_major = [(name, eq, spec, False) for spec in specs for name, eq in equations]
-    problems = corpus + random_memo_problems(rng, cases)
-    reference = {}
-    for name, eq, spec, force in problems:
-        clear_search_memos()
-        reference[name, spec, force] = _search_record(eq, spec, force)[0]
-    warm = corpus + spec_major + corpus[::-1] + problems[len(corpus):]
-    clear_search_memos()
-    snapshot: dict = {}
-    for name, eq, spec, force in warm:
-        where = f"{name} at {spec}"
-        record, monomials, plan = _search_record(eq, spec, force)
-        assert record == reference[name, spec, force], f"a warm search differs on {where}"
-        _assert_snapshot_holds(snapshot, where)
-        _memo_snapshot(snapshot, monomials, plan)
-    for name, (maxsize, currsize) in search_memo_sizes().items():
-        assert isinstance(maxsize, int) and 0 <= currsize <= maxsize, name
-    return {"problems": len(problems), "warm": len(warm)}
-
-
 def suite_returned_columns_are_fresh() -> int:
-    """generate_ansatz returns the memo's own E_u(m) as the characteristic
-    of each t-free column m, and a new dict for every other column:
-    emptying every density and every characteristic of a column t^b m,
-    b > 0, and putting a constant in each of those characteristics,
-    changes no later search.  Each corpus entry at the golden specs,
-    searched warm after such a mutation, gives the cold outcome.  Returns
-    the number of searches compared."""
+    """generate_ansatz returns a new dict for every column, and the search
+    keeps nothing of what it returned: emptying every density and every
+    characteristic it returned and putting a constant in each
+    characteristic changes no later search.  Each corpus entry at the
+    golden specs, searched on the plan (:func:`plan_route_spec`), gives the
+    outcome it gave before the mutation.  Returns the number of searches
+    compared."""
     done = 0
     for entry in CORPUS:
         eq = entry.equation()
         for spec in golden_ansatz_specs():
-            clear_search_memos()
-            want = _search_record(eq, spec, False)[0]
+            spec = plan_route_spec(eq, spec)
+            want = _search_outcome(find_conservation_laws, eq, spec, False)
             densities, characteristics = generate_ansatz(eq.n, spec)
-            fresh = []
-            for (m,), Q in zip(densities, characteristics):
-                if all(s != TIME for s, _ in mono_decode(m)):
-                    assert Q is claws._prolonged_euler(m)[()], entry.name
-                else:
-                    fresh.append(Q)
-            for column in densities + fresh:
+            columns = densities + characteristics
+            assert len({id(column) for column in columns}) == len(columns), entry.name
+            for column in columns:
                 column.clear()
-            for Q in fresh:
+            for Q in characteristics:
                 Q[()] = 1
-            assert _search_record(eq, spec, False)[0] == want, \
+            assert _search_outcome(find_conservation_laws, eq, spec, False) == want, \
                 f"a mutated column changed the search on {entry.name} at {spec}"
             done += 1
     return done
-
-
-def _in_threads(work, threads: int) -> list:
-    """Run ``work(k)`` for k < threads in that many threads at once, with a
-    short switch interval; returns what each raised, or None.  Each join
-    has a timeout, and every thread must have finished."""
-    errors: list = [None] * threads
-
-    def run(k):
-        try:
-            work(k)
-        except Exception as exc:  # reported by the caller, with its thread
-            errors[k] = exc
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        pool = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in pool), "a thread did not finish"
-    finally:
-        sys.setswitchinterval(interval)
-    return errors
-
-
-def suite_memos_shared_by_threads(threads: int = 4, seed: int = 173) -> int:
-    """Threads that share the search memos get the results of cold
-    searches: from cleared memos, each of ``threads`` threads runs every
-    corpus entry at every golden spec, in its own seeded order, and each
-    outcome equals the cold one.  And threads storing MAX_TERMS + threads
-    distinct plans at once, by ``unsafe_order`` searches of an empty ansatz
-    at n = 1, 2, ..., leave the plan memo within its bound.  Returns the number of
-    searches compared."""
-    problems = [(entry.name, entry.equation(), spec)
-                for entry in CORPUS for spec in golden_ansatz_specs()]
-    reference = []
-    for name, eq, spec in problems:
-        clear_search_memos()
-        reference.append(_search_outcome(find_conservation_laws, eq, spec, False))
-    orders = [random.Random(seed + k).sample(range(len(problems)), len(problems))
-              for k in range(threads)]
-    got: dict = {}
-
-    def search(k):
-        for i in orders[k]:
-            name, eq, spec = problems[i]
-            got[k, i] = _search_outcome(find_conservation_laws, eq, spec, False)
-
-    clear_search_memos()
-    errors = _in_threads(search, threads)
-    assert errors == [None] * threads, errors
-    for (k, i), outcome in got.items():
-        assert outcome == reference[i], f"thread {k} differs on {problems[i][0]} at {problems[i][2]}"
-
-    def fill(k):  # unsafe_order takes the plan route and builds no symbol
-        for n in range(1 + k, MAX_TERMS + threads + 1, threads):
-            find_conservation_laws(EvolutionEquation(n, u11), AnsatzSpec(unsafe_order=True),
-                                   True)
-
-    clear_search_memos()  # no plan of the real ansatz is kept here
-    generate, claws.generate_ansatz = claws.generate_ansatz, lambda n, spec: ([], [])
-    try:
-        errors = _in_threads(fill, threads)
-    finally:
-        claws.generate_ansatz = generate
-    assert errors == [None] * threads, errors
-    info = claws._plan.cache_info()
-    assert info.misses == MAX_TERMS + threads and info.currsize == MAX_TERMS, info
-    clear_search_memos()  # the empty plans hold no real ansatz
-    return len(got)
 
 
 def planted_rows(rng: random.Random, nrows: int, ncols: int, entry) -> list[dict]:
@@ -3432,9 +3201,10 @@ def perfbench_problems():
 GOLDEN_SPECS = (None, (2, 2, 1), (2, 3, 1), (2, 2, 2))
 
 
-def claws_corpus_reports(spec_major: bool = False, entries=CORPUS) -> dict[str, dict]:
+def claws_corpus_reports(spec_major: bool = False, entries=CORPUS,
+                         specs=GOLDEN_SPECS) -> dict[str, dict]:
     """`paraclaw claws` on every corpus entry (or every one of ``entries``)
-    under every golden spec, keyed
+    under every golden spec (or every one of ``specs``), keyed
     "<entry> <order>/<jet degree>/<base degree>" ("default" for no flags):
     exit code, stdout (the JSON report) and stderr.  The requests run
     entry by entry, or spec by spec with ``spec_major``, in one process."""
@@ -3445,9 +3215,9 @@ def claws_corpus_reports(spec_major: bool = False, entries=CORPUS) -> dict[str, 
             paths[entry.name] = os.path.join(tmp, f"{entry.name}.pde")
             with open(paths[entry.name], "w", encoding="utf-8") as fh:
                 fh.write(entry.source)
-        requests = [(entry, spec) for entry in entries for spec in GOLDEN_SPECS]
+        requests = [(entry, spec) for entry in entries for spec in specs]
         if spec_major:
-            requests.sort(key=lambda request: GOLDEN_SPECS.index(request[1]))
+            requests.sort(key=lambda request: specs.index(request[1]))
         for entry, spec in requests:
             path = paths[entry.name]
             argv = ["claws", path]
@@ -3473,6 +3243,39 @@ def write_claws_golden() -> None:
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(claws_corpus_reports(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+# The equations whose symbol is 0 (G of order 1), which the search answers
+# on the plan, and whose laws have characteristics that hold u or a jet
+ZERO_SYMBOL_CORPUS = (
+    CorpusEntry("zero_convection", "n=1; u_t = u*u_x"),
+    CorpusEntry("transport", "n=1; u_t = u_x"),
+    CorpusEntry("zero_convection_2d", "n=2; u_t = u_1 + u*u_2"),
+    CorpusEntry("transport_2d", "n=2; u_t = u_1"),
+)
+ZERO_SYMBOL_SPECS = GOLDEN_SPECS + ((2, 4, 3),)
+ZERO_SYMBOL_PATH = os.path.join(os.path.dirname(__file__), "zero_symbol_claws.json")
+
+
+def zero_symbol_pins(reports: dict[str, dict]) -> dict[str, dict]:
+    """The pin of each :func:`claws_corpus_reports` record: its exit code,
+    stderr, law count and the sha256 of its stdout (the report at 2/4/3 on
+    transport_2d is 1.3 MB)."""
+    return {key: {"exit": record["exit"], "stderr": record["stderr"],
+                  "laws": len(json.loads(record["stdout"])["laws"]),
+                  "sha256": hashlib.sha256(record["stdout"].encode()).hexdigest()}
+            for key, record in reports.items()}
+
+
+def write_zero_symbol_pins() -> None:
+    """Record the pins of the `paraclaw claws` reports on ZERO_SYMBOL_CORPUS
+    at ZERO_SYMBOL_SPECS; run once, from the commit whose reports are the
+    reference:
+    ``PYTHONPATH=src:tests python -c "import util; util.write_zero_symbol_pins()"``."""
+    reports = claws_corpus_reports(entries=ZERO_SYMBOL_CORPUS, specs=ZERO_SYMBOL_SPECS)
+    with open(ZERO_SYMBOL_PATH, "w", encoding="utf-8") as fh:
+        json.dump(zero_symbol_pins(reports), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
