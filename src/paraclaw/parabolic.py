@@ -2,11 +2,12 @@
 
 Both forms of u_t = G(x, t, u, grad u, Hess u) that the classification
 reads come from one derivation, D_xi = sum_{i <= j} xi_i xi_j d/du_ij, the
-derivative of G(..., u_ij + e xi_i xi_j) in e at e = 0: the symbol is the
-quadratic form sigma = D_xi G and the quartic form is q = D_xi sigma, each
-one quotient rule (expr._derived) away from G.  The symbol matrix g, with
-g^ii the xi_i^2 coefficient of sigma and g^ij half its xi_i xi_j
-coefficient, is read off sigma.
+derivative of G(..., u_ij + e xi_i xi_j) in e at e = 0, which walks each
+monomial's fields once: the symbol is the quadratic form sigma = D_xi G
+and the quartic form is q = D_xi sigma, each one quotient rule
+(expr._derived) away from G.  The symbol matrix g, with g^ii the xi_i^2
+coefficient of sigma and g^ij half its xi_i xi_j coefficient, is read off
+sigma.
 
 Two Monge-Ampere verdicts are computed and reported side by side:
 
@@ -21,18 +22,25 @@ Two Monge-Ampere verdicts are computed and reported side by side:
   harmonic split q = H4 + sigma H2 + sigma^2 H0 is unique and q0 = H4, so
   the verdict is "sigma divides q": a pseudo-division in xi by ring
   operations alone, with no matrix inverse, no linear solve and no gcd.
-  It runs on ``int`` numerators: the denominators of sigma and q are
-  cleared once on the way in.  At the reference jet a strict symbol is
-  nonsingular, since the elimination that decides parabolicity found
-  every pivot positive; any other symbol, and every symbol when symbolic,
-  has det(g) computed by Faddeev-LeVerrier, whose division by k is exact
-  over Z.  q0 itself, N / (c det(g)^2) for the N of the split
-  (_scaled_split), is computed only by ma_traceless_residue; no report
-  needs it.
+
+Both verdicts read integral forms.  At the reference jet sigma and q are
+each evaluated in one pass, with the reference values over one common
+denominator, into ``int`` terms with a positive scale (_integral_at);
+symbolically their coefficient denominators are cleared.  Parabolicity is
+one symmetric elimination without fractions on the integral symbol
+matrix.  The pointwise class settles what it can about det g: a strict
+symbol has every pivot positive, so det g > 0 at the reference jet and
+det g is not 0 in the jet either; a weak one has a zero pivot, so
+det g = 0 there.  Faddeev-LeVerrier (_det_adjugate, whose division by k is
+exact over Z) runs only where the class leaves det g open: on a pointwise
+symbol that is not parabolic, and, symbolically, where the pointwise class
+is not strict or cannot be computed.  q0 itself, N / (c det(g)^2) for the
+N of the split (_scaled_split), is computed only by ma_traceless_residue;
+no report needs it.
 
 Parabolicity and the residue are certified at a user-supplied reference
 2-jet; global positivity of a symbolic matrix is not decided here.  The
-symbol and its matrix at the reference jet are built once per
+symbol and its integral form at the reference jet are built once per
 EvolutionEquation and shared by both, as is the quartic form, which the
 law search reads too.
 """
@@ -40,14 +48,14 @@ law search reads too.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .expr import (
-    AUX, BASE, JET, MAX_TERMS, DivisionByZeroExpr, Expr, FrozenValue, Monomial, Poly,
-    Rationalish, Symbol, _add_terms, _cleared, _derived, _shifted, aux_var, jet_var, mono_decode,
-    mono_divides,
+    AUX, BASE, JET, MAX_TERMS, DivisionByZeroExpr, Expr, FrozenValue, Monomial, Poly, Rationalish,
+    Symbol, _add_terms, _cleared, _derived, _fields, aux_var, jet_var, mono_divides,
 )
 
 __all__ = [
@@ -130,36 +138,34 @@ class EvolutionEquation:
         return quartic_form(self)
 
     @cached_property
-    def symbol_at_reference(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The symbol matrix g at the reference jet, evaluated once: g^ii is
-        the xi_i^2 coefficient of sigma there and g^ij half its xi_i xi_j
-        coefficient.  sigma's denominator is the lcm of those of the
-        entries, since distinct xi-coefficients cannot cancel, so it
-        vanishes where one of theirs does."""
+    def symbol_at_reference(self) -> tuple[int, dict[Monomial, int]]:
+        """(s, sigma): the symbol at the reference jet, evaluated once as the
+        xi-monomial -> ``int`` terms of s sigma with a scale s > 0
+        (:func:`_integral_at`).  sigma's denominator is the lcm of those of
+        the entries of g, since distinct xi-coefficients cannot cancel, so
+        it vanishes where one of theirs does."""
         try:
-            at = _xi_coefficients_at(self.symbol, self.reference_jet)
+            s, sigma = _integral_at(self.symbol, self.reference_jet)
         except DivisionByZeroExpr:
             point = ", ".join(f"{s} = {self.reference_jet[s]}"
                               for s in sorted(self.G.symbols()))
             raise DivisionByZeroExpr(
                 f"a denominator of the symbol vanishes at the reference jet "
                 f"{point}; choose another with a ref clause") from None
-        n = self.n
-        g = [[None] * n for _ in range(n)]
-        zero = Fraction(0)
-        for i, j, _u, m in _hessian_directions(n):
-            c = at.get(m, zero)
-            g[i][j] = g[j][i] = c if i == j else c / 2
-        return tuple(map(tuple, g))
+        return s, sigma
 
     @cached_property
     def parabolicity(self) -> Parabolicity:
         """The symbol at the reference jet classified once, exactly, by one
-        symmetric (LDL^T) elimination: a negative pivot, or a zero pivot
+        symmetric (LDL^T) elimination on the integral matrix 2 s g of
+        :attr:`symbol_at_reference`, free of fractions: each row it updates
+        is multiplied by the pivot, which is positive there, so every row
+        stays a positive multiple of its row of the Schur complement and
+        every pivot keeps its sign.  A negative pivot, or a zero pivot
         whose row is not zero, is not parabolic; all pivots positive is
-        strict; else weak."""
-        g = [list(row) for row in self.symbol_at_reference]
+        strict (det g > 0); else weak, with a zero pivot, so det g = 0."""
         n = self.n
+        g = _matrix(self.symbol_at_reference[1], n, 0)
         strict = True
         for k in range(n):
             pivot = g[k][k]
@@ -167,10 +173,11 @@ class EvolutionEquation:
                 return Parabolicity.NOT_PARABOLIC
             strict = strict and pivot > 0
             for i in range(k + 1, n):
-                if g[i][k]:  # never under a zero pivot, whose row is zero
-                    factor = g[i][k] / pivot
+                factor = g[i][k]
+                if factor:  # never under a zero pivot, whose row is zero
+                    row, above = g[i], g[k]
                     for j in range(k + 1, n):
-                        g[i][j] -= factor * g[k][j]
+                        row[j] = pivot * row[j] - factor * above[j]
         return Parabolicity.STRICT if strict else Parabolicity.WEAK
 
     def __eq__(self, other) -> bool:
@@ -204,15 +211,23 @@ def _hessian_directions(n: int) -> tuple[tuple[int, int, Symbol, Monomial], ...]
 
 def _xi_derivation(n: int) -> Callable[[Poly], Poly]:
     """D_xi = sum_{i <= j} xi_i xi_j d/du_ij on polynomials, for n spatial
-    dimensions: the derivative of p(..., u_ij + e xi_i xi_j) in e at e = 0."""
-    directions = _hessian_directions(n)
+    dimensions: the derivative of p(..., u_ij + e xi_i xi_j) in e at e = 0.
+    One walk over each monomial's fields: a factor u_ij^e gives e times the
+    monomial with u_ij lowered once and xi_i xi_j raised.  That step is
+    injective, so the terms of one u_ij do not meet; the parts of the u_ij
+    are summed by _add_terms, as terms of p with other xi can meet."""
+    steps = {u_ij.slot: m - u_ij.unit for _i, _j, u_ij, m in _hessian_directions(n)}
 
     def derive(p: Poly) -> Poly:
+        parts = {slot: (step, {}) for slot, step in steps.items()}
+        for m, c in p.terms.items():
+            for slot, e in _fields(m):
+                part = parts.get(slot)
+                if part is not None:
+                    part[1][m + part[0]] = c if e == 1 else c * e
         out: dict = {}
-        for _i, _j, u_ij, m in directions:
-            d = p.diff(u_ij)
-            if d.terms:
-                _add_terms(out, _shifted(d.terms, m))
+        for _step, terms in parts.values():
+            _add_terms(out, terms)
         return Poly(out)
     return derive
 
@@ -293,28 +308,68 @@ def _trace_with(adj: list[list], P: Poly, xi: list[Symbol]) -> Poly:
     return out
 
 
-def _xi_coefficients_at(e: Expr, ref: Mapping[Symbol, Fraction]) -> dict[Monomial, Fraction]:
-    """The nonzero xi-coefficients of the symbol or quartic form e at the
-    jet ``ref``, in one pass over e's numerator: each factor of a monomial
-    is a xi, since G holds no auxiliary symbol, or is bound in ref.  The
-    denominator, free of xi, is evaluated only when e is not a polynomial,
-    and raises DivisionByZeroExpr where it vanishes."""
-    den = Fraction(1)
+def _evaluated(p: Poly, d: int, point: Mapping[int, tuple[int, Monomial]]) -> tuple:
+    """(s, terms): s > 0 and the terms of s p at the point, which binds the
+    symbol of each slot in it to a / d for its (a, unit); the terms are
+    over the monomials in the symbols left free, with ``int``
+    coefficients.  Where d is not 1, a term of degree k in the bound
+    symbols is scaled by d^(top - k), top the largest such degree."""
+    c_den = math.lcm(*[c.denominator for c in p.terms.values()])
+    terms, found, top = {}, [], 0
+    for m, c in p.terms.items():
+        v, free, degree = c.numerator * (c_den // c.denominator), m, 0
+        for slot, k in _fields(m):
+            bound = point.get(slot)
+            if bound is not None:
+                a, unit = bound
+                v *= a if k == 1 else a ** k
+                free -= k * unit
+                degree += k
+        if not v:
+            continue
+        if d == 1:
+            terms[free] = terms.get(free, 0) + v
+        else:
+            found.append((free, v, degree))
+            top = max(top, degree)
+    for free, v, degree in found:
+        terms[free] = terms.get(free, 0) + v * d ** (top - degree)
+    return c_den * d ** top, {m: c for m, c in terms.items() if c}
+
+
+def _integral_at(e: Expr, ref: Mapping[Symbol, Fraction]) -> tuple:
+    """(s, terms): s > 0 and the xi-monomial -> ``int`` terms of s e, for
+    the symbol or quartic form e at the jet ``ref``, in one pass over e's
+    numerator: each factor of a monomial is a xi, since G holds no
+    auxiliary symbol, or is bound in ref (a binding of a xi is ignored),
+    and ref's values are put over one common denominator.  The
+    denominator, free of xi, is evaluated the same way where e is not a
+    polynomial, raises DivisionByZeroExpr where it vanishes, and otherwise
+    has its sign folded into the terms."""
+    d = math.lcm(*[v.denominator for v in ref.values()])
+    point = {s.slot: (v.numerator * (d // v.denominator), s.unit)
+             for s, v in ref.items() if s.kind != AUX}
+    s, terms = _evaluated(e.num, d, point)
     if not e.is_polynomial:
-        den = e.den.eval_fraction(ref)
-        if not den:
+        s_den, den = _evaluated(e.den, d, point)
+        den = den.get(0)
+        if den is None:
             raise DivisionByZeroExpr("denominator vanishes at evaluation point")
-    at: dict[Monomial, Fraction] = {}
-    for m, c in e.num.terms.items():
-        xi_part = 0
-        for s, k in mono_decode(m):
-            if s.kind == AUX:
-                xi_part += k * s.unit
-            else:
-                c *= ref[s] if k == 1 else ref[s] ** k
-        if c:
-            at[xi_part] = at.get(xi_part, 0) + c
-    return {m: c / den for m, c in at.items() if c}
+        s *= abs(den)
+        factor = s_den if den > 0 else -s_den
+        terms = {m: factor * c for m, c in terms.items()}
+    return s, terms
+
+
+def _matrix(sigma: Mapping[Monomial, object], n: int, zero) -> list[list]:
+    """The matrix 2 g of the quadratic form sigma = sum g^ij xi_i xi_j,
+    given by its terms, with ``zero`` their 0: 2 g^ii is twice the xi_i^2
+    coefficient and 2 g^ij the xi_i xi_j coefficient."""
+    g = [[None] * n for _ in range(n)]
+    for i, j, _u, m in _hessian_directions(n):
+        c = sigma.get(m, zero)
+        g[i][j] = g[j][i] = 2 * c if i == j else c
+    return g
 
 
 def _over(p, d) -> Expr:
@@ -327,31 +382,24 @@ def _over(p, d) -> Expr:
 
 
 def _integral_forms(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
-    """(s, g_s, s_q, q_s, one): the symbol matrix g_s = s g and the terms
-    q_s of s_q q, each integral, with ``one`` the unit of g_s's entries.
-    g and q are taken at the reference jet unless ``symbolic``.  At the
-    reference jet s and s_q are the lcms of the denominators there, and
-    q_s holds monomials in xi.  Symbolically sigma clears itself: with d
-    the lcm of the coefficient denominators of sigma.num, s = 2 d sigma.den
-    and g_s is the xi-coefficients of d sigma.num, doubled on the diagonal;
-    s_q is q.den times the lcm of the coefficient denominators of q.num,
-    and q_s's monomials hold the jet too."""
+    """(c, sigma, c_q, q_s, one): the xi-monomial -> coefficient terms
+    sigma of s sigma and q_s of s_q q, each integral with s and s_q
+    nonzero, with ``one`` the unit of their coefficients.  At the
+    reference jet, unless ``symbolic``, s = c and s_q = c_q are the
+    positive scales of :func:`_integral_at`.  Symbolically the
+    coefficients are int-coefficient polynomials in the jet: c is the lcm
+    of the coefficient denominators of sigma.num, s = c sigma.den and
+    sigma is the xi-coefficients of c sigma.num; c_q, s_q = c_q q.den and
+    q_s are alike."""
     if eq.n < 2:
         raise PreconditionSpatialDim("traceless residue needs n >= 2")
-    n = eq.n
-    if symbolic:
-        d, (num,) = _cleared([eq.symbol.num.terms])
-        s = eq.symbol.den.scale(2 * d)
-        coefficients = Poly(num).coefficients_in(frozenset(xi_symbols(n)))
-        g = [[None] * n for _ in range(n)]
-        for i, j, _u, m in _hessian_directions(n):
-            c = coefficients.get(m, Poly())
-            g[i][j] = g[j][i] = 2 * c if i == j else c
-        d, (qs,) = _cleared([q.num.terms])
-        return s, g, q.den.scale(d), qs, Poly({0: 1})
-    s, g = _cleared([dict(enumerate(row)) for row in eq.symbol_at_reference])
-    s_q, (qs,) = _cleared([_xi_coefficients_at(q, eq.reference_jet)])
-    return s, [list(row.values()) for row in g], s_q, qs, 1
+    if not symbolic:
+        s, sigma = eq.symbol_at_reference
+        return (s, sigma, *_integral_at(q, eq.reference_jet), 1)
+    xi = frozenset(xi_symbols(eq.n))
+    c, (sigma,) = _cleared([eq.symbol.num.terms])
+    c_q, (qs,) = _cleared([q.num.terms])
+    return c, Poly(sigma).coefficients_in(xi), c_q, Poly(qs).coefficients_in(xi), Poly({0: 1})
 
 
 def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
@@ -367,14 +415,20 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     so with c = (2n+8)(4n+8), D = c det^2 and P = (4n+8) det L(q) -
     sigma L(L(q)), h = H2 + sigma H0 is P / D and N = D q - sigma P is D H4.
 
-    All of it runs on the integral g_s = s g and q_s = s_q q of
-    :func:`_integral_forms`.  With det, adj and sigma of g_s, N, D and P
-    come out scaled by s^(2n) s_q, s^(2n) and s^(2n-1) s_q, the scales
-    returned."""
-    s, g, s_q, qs, one = _integral_forms(eq, q, symbolic)
+    All of it runs on the integral g_s = s g, with s twice the scale of
+    sigma, and q_s = s_q q of :func:`_integral_forms`.  With det, adj and
+    sigma of g_s, N, D and P come out scaled by s^(2n) s_q, s^(2n) and
+    s^(2n-1) s_q, the scales returned."""
+    s, sigma, s_q, qs, one = _integral_forms(eq, q, symbolic)
     n = eq.n
+    g = _matrix(sigma, n, one - one)
+    if symbolic:
+        s, s_q = eq.symbol.den.scale(s), q.den.scale(s_q)
+        qs = sum((c.mono_shift(m) for m, c in qs.items()), Poly())
+    else:
+        qs = Poly(qs)
+    s = 2 * s
     xi = xi_symbols(n)
-    qs = Poly(qs)
     det, adj = _det_adjugate(g, one)
     sigma = Poly()
     for i, j, _u, m in _hessian_directions(n):
@@ -438,7 +492,10 @@ class MAReport(FrozenValue):
 
     For n >= 2 and a nonsingular symbol, ``residue_vanishes`` is whether
     sigma divides q, which for a nonsingular g is whether the traceless
-    residue q0 vanishes (see :func:`ma_classify`); else it is None.
+    residue q0 vanishes (see :func:`ma_classify`); else it is None.  Both
+    verdicts read integral forms of sigma and q, and ``singular_symbol``
+    comes from the pointwise class where that settles det g, else from
+    Faddeev-LeVerrier.
     """
 
     __slots__ = ("minor_affine", "n1_affine", "singular_symbol", "residue_vanishes")
@@ -462,25 +519,33 @@ def ma_classify(eq: EvolutionEquation, symbolic: bool = False) -> MAReport:
     For a nonsingular g the harmonic split q = H4 + sigma H2 + sigma^2 H0
     is unique, so q0 = H4 vanishes exactly when sigma divides q, and the
     verdict is that division (:func:`_divides`) on the integral forms of
-    :func:`_integral_forms`, with no split.  Pointwise, a strict symbol is
-    nonsingular, since every pivot of its elimination is positive; any
-    other symbol, and every symbol when ``symbolic``, runs
-    :func:`_det_adjugate` to find whether det g vanishes.
+    :func:`_integral_forms`, with no split.  The pointwise class of the
+    symbol settles what it can about det g: strict gives det g > 0 at the
+    reference jet, so g is nonsingular, pointwise and symbolically alike,
+    and weak has a zero pivot, so det g = 0 there.  :func:`_det_adjugate`
+    finds whether det g vanishes only on a pointwise symbol that is not
+    parabolic, and when ``symbolic`` on one whose pointwise class is not
+    strict or cannot be computed, as its denominator vanishes at the
+    reference jet.
     """
     q = eq.quartic
     minor = q.is_zero
     if eq.n == 1:
         # q = G_{u_xx u_xx} xi^4: affinity in u_xx is minor affinity
         return MAReport(minor, minor)
-    _s, g, _s_q, qs, one = _integral_forms(eq, q, symbolic)
-    if symbolic or eq.parabolicity is not Parabolicity.STRICT:
+    try:
+        verdict = eq.parabolicity
+    except DivisionByZeroExpr:
+        if not symbolic:
+            raise
+        verdict = None
+    if verdict is Parabolicity.WEAK and not symbolic:
+        return MAReport(minor, None, singular_symbol=True)
+    _s, sigma, _s_q, qs, one = _integral_forms(eq, q, symbolic)
+    zero = one - one
+    if verdict is not Parabolicity.STRICT:
         try:
-            _det_adjugate(g, one)
+            _det_adjugate(_matrix(sigma, eq.n, zero), one)
         except SingularSymbol:
             return MAReport(minor, None, singular_symbol=True)
-    zero = one - one
-    sigma = {m: g[i][j] if i == j else 2 * g[i][j]
-             for i, j, _u, m in _hessian_directions(eq.n) if g[i][j] != zero}
-    if symbolic:
-        qs = Poly(qs).coefficients_in(frozenset(xi_symbols(eq.n)))
     return MAReport(minor, None, residue_vanishes=_divides(sigma, qs, zero))

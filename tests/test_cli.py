@@ -1222,13 +1222,14 @@ class TestMainEntry:
             monkeypatch.setattr(claws, "_balanced", lambda R, L, LX: False)
             message = "reconstructed flux fails to verify for T = u"
         elif broken == "faddeev_leverrier":
-            # an inexact division by k in the real _div_exact: only
-            # --symbolic runs Faddeev-LeVerrier on a strict symbol
-            source, commands = "n=2; u_t = u_11 + u_22", [
+            # an inexact division by k in the real _div_exact: the weak
+            # symbol under --symbolic is the one request that still runs
+            # Faddeev-LeVerrier, as det g is 0 at the reference jet
+            source, commands = "n=2; u_t = u_11", [
                 ["classify", "--symbolic"], ["claws", "--symbolic"]]
             monkeypatch.setattr(parabolic, "divmod", lambda a, k: (a // k, 1),
                                 raising=False)
-            message = "Faddeev-LeVerrier: 1 does not divide -4"
+            message = "Faddeev-LeVerrier: 1 does not divide -2"
         else:
             # sigma reported not to divide the quartic form 0 of a
             # minor-affine equation
@@ -1242,6 +1243,40 @@ class TestMainEntry:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"internal error: {message}\n"
+
+    @pytest.mark.parametrize("source, argv, runs, residue", [
+        ("n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2", ["classify"], 0, True),
+        ("n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2", ["classify", "--symbolic"], 0, True),
+        ("n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2", ["claws"], 0, True),
+        ("n=2; u_t = u_11", ["classify"], 0, None),
+        ("n=2; u_t = u_11", ["classify", "--symbolic"], 1, None),
+        ("n=2; u_t = u_11 - u_22", ["classify"], 1, True),
+    ], ids=["strict", "strict-symbolic", "strict-claws", "weak", "weak-symbolic",
+            "not-parabolic"])
+    def test_faddeev_leverrier_runs_where_the_class_leaves_det_g_open(
+            self, tmp_path, capsys, monkeypatch, source, argv, runs, residue):
+        # a strict symbol has det g > 0 at the reference jet, and a weak one
+        # a zero pivot there, so det g = 0: _det_adjugate runs only on a
+        # symbol that is not parabolic, and under --symbolic on one that is
+        # not strict; the weak u_11 is still reported singular, with its
+        # warning, where its recursion no longer runs
+        from paraclaw import parabolic
+        calls = []
+        real = parabolic._det_adjugate
+
+        def counted(g, one):
+            calls.append(len(g))
+            return real(g, one)
+
+        monkeypatch.setattr(parabolic, "_det_adjugate", counted)
+        f = tmp_path / "problem.pde"
+        f.write_text(source)
+        assert main([argv[0], str(f), *argv[1:]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == runs
+        assert report["ma"]["residue_vanishes"] is residue
+        singular = "singular symbol at the reference jet; residue test skipped"
+        assert (singular in report["warnings"]) is (residue is None)
 
     def test_reports_read_no_split(self, tmp_path, monkeypatch):
         # the residue verdict divides q by sigma: with the harmonic split

@@ -68,6 +68,17 @@ class TestEvolutionEquation:
         assert set(eq.reference_jet) >= eq.G.symbols()
 
 
+def reference_symbol_matrix(eq: EvolutionEquation) -> tuple:
+    """The symbol matrix g at the reference jet: the matrix 2 s g of the
+    terms of s sigma that eq.symbol_at_reference holds, int coefficients
+    with a positive int scale s, divided by 2 s."""
+    s, sigma = eq.symbol_at_reference
+    assert type(s) is int and s > 0
+    assert all(type(c) is int and c for c in sigma.values())
+    return tuple(tuple(Fraction(v, 2 * s) for v in row)
+                 for row in parabolic._matrix(sigma, eq.n, 0))
+
+
 class TestSymbolForm:
     # sigma = D_xi G against the matrix of util.symbol_matrix, built entry
     # by entry from G.diff(u_ij)
@@ -76,7 +87,7 @@ class TestSymbolForm:
         eq = EvolutionEquation(1, uxx)
         assert symbol_matrix(eq) == [[Expr.const(1)]]
         assert symbol_form(eq) == symbol_quadratic(symbol_matrix(eq)) == XI1 ** 2
-        assert eq.symbol_at_reference == ((1,),)
+        assert reference_symbol_matrix(eq) == ((1,),)
 
     def test_det_hessian_is_adjugate(self):
         eq = det_hess_eq()
@@ -86,13 +97,13 @@ class TestSymbolForm:
         sigma = symbol_form(eq)
         assert sigma == symbol_quadratic(g) == u22 * XI1 ** 2 - 2 * u12 * XI1 * XI2 + u11 * XI2 ** 2
         assert sigma.substitute(eq.reference_jet) == XI1 ** 2 + XI2 ** 2
-        assert eq.symbol_at_reference == ((1, 0), (0, 1))
+        assert reference_symbol_matrix(eq) == ((1, 0), (0, 1))
 
     def test_quasilinear_readoff(self):
         eq = EvolutionEquation(1, u * uxx, {jet_var(): 3})
         assert symbol_matrix(eq) == [[u]]
         assert symbol_form(eq) == symbol_quadratic(symbol_matrix(eq)) == u * XI1 ** 2
-        assert eq.symbol_at_reference == ((3,),)
+        assert reference_symbol_matrix(eq) == ((3,),)
 
     def test_sigma_matches_derivative_definition(self):
         rng = random.Random(23)
@@ -146,6 +157,13 @@ class TestParabolicity:
             assert counts[verdict] >= 100
         assert counts["zero pivot", Parabolicity.WEAK] >= 50
         assert counts["zero pivot", Parabolicity.NOT_PARABOLIC] >= 50
+        # symbols that depend on the jet, and rational G whose denominator
+        # is negative there, at random rational reference jets
+        assert {key: count for key, count in counts.items()
+                if isinstance(key, tuple) and key[0] != "zero pivot"} == {
+            ("jet", Parabolicity.STRICT): 39, ("jet", Parabolicity.WEAK): 109,
+            ("jet", Parabolicity.NOT_PARABOLIC): 52, ("rational", Parabolicity.STRICT): 27,
+            ("rational", Parabolicity.WEAK): 50, ("rational", Parabolicity.NOT_PARABOLIC): 23}
 
 
 class TestQuarticForm:
@@ -182,25 +200,36 @@ class TestQuarticForm:
             assert q == assembled
 
     def test_matches_epsilon_derivative_reference(self):
-        assert suite_quartic_equivalence() == 75
+        assert suite_quartic_equivalence() == {
+            "seeded": 75, "n = 4": 15, "powers": 15, "quotients": 15}
 
     def test_reads_first_derivatives_off_the_symbol(self, monkeypatch):
-        # G's numerator is differentiated once per Hessian coordinate, by the
-        # symbol sigma = D_xi G, and q = D_xi sigma reads sigma, not G
+        # D_xi walks G's numerator once, with no Poly.diff per Hessian
+        # coordinate, for the symbol sigma = D_xi G, and q = D_xi sigma
+        # reads sigma, not G
         eq = EvolutionEquation(2, LAPLACIAN + u11 ** 2 + u12 * u22 + u12 ** 3)
-        differentiated = []
-        real_diff = Poly.diff
+        walked = []
+        real_derivation = parabolic._xi_derivation
 
-        def recording_diff(self, s):
-            differentiated.append(self is eq.G.num)
-            return real_diff(self, s)
+        def recording_derivation(n):
+            derive = real_derivation(n)
 
-        monkeypatch.setattr(Poly, "diff", recording_diff)
+            def record(p):
+                walked.append(p)
+                return derive(p)
+            return record
+
+        def refused(self, s):
+            raise AssertionError("Poly.diff ran")
+
+        monkeypatch.setattr(parabolic, "_xi_derivation", recording_derivation)
+        monkeypatch.setattr(Poly, "diff", refused)
         q = quartic_form(eq)
-        assert differentiated.count(True) == 3
-        differentiated.clear()
+        assert len(walked) == 2
+        assert walked[0] is eq.G.num and walked[1] is eq.symbol.num
+        walked.clear()
         assert quartic_form(eq) == q
-        assert differentiated and True not in differentiated
+        assert len(walked) == 1 and walked[0] is eq.symbol.num
 
 
 def minor_affine_oracle_2d(G: Expr) -> bool:
@@ -327,7 +356,8 @@ class TestTracelessResidue:
 
     def test_matches_inverse_and_trace_equation_reference(self):
         assert suite_residue_equivalence() == {
-            "naive route": 58, True: 31, False: 53, None: 2, "vanishing denominator": 2}
+            "naive route": 58, True: 31, False: 53, None: 2, "vanishing denominator": 2,
+            ("random jet", True): 16, ("random jet", False): 25}
 
     def test_integer_split_matches_expr_route(self):
         assert suite_split_equivalence() == {

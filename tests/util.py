@@ -1317,7 +1317,10 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> dict:
     against the split's (:func:`residue_verdict`), is also checked on
     ``cases // 6`` such symbolic G for n = 3 and on the rational G of
     SPLIT_RATIONAL_SOURCES, symbolic, at the default jet and at a random
-    one.  Returns the number of (equation, mode) pairs checked against the
+    one.  Drawn after all of those, every pointwise draw checked against
+    the naive route is checked again, route and verdict, at a random
+    rational reference jet, and counted under ("random jet", verdict).
+    Returns the number of (equation, mode) pairs checked against the
     naive route, and how many draws had each verdict."""
     rng = random.Random(seed)
     problems = [(entry.equation(), symbolic) for entry in CORPUS
@@ -1346,8 +1349,11 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> dict:
                  for s in sorted(eq.G.symbols())}
         verdict_only += [(eq, True), (eq, False),
                          (EvolutionEquation(eq.n, eq.G, point), False)]
+    at_random_jets = [(EvolutionEquation(eq.n, eq.G, {
+        s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in sorted(eq.G.symbols())}),
+        False) for eq, symbolic in problems if not symbolic]
     counts = {"naive route": len(problems)}
-    for eq, symbolic in problems:
+    for k, (eq, symbolic) in enumerate(problems + at_random_jets):
         got = _residue_outcome(residue_decomposition, eq, symbolic)
         want = _residue_outcome(naive_residue_decomposition, eq, symbolic)
         assert got == want if isinstance(got, str) or isinstance(want, str) \
@@ -1356,7 +1362,8 @@ def suite_residue_equivalence(cases: int = 36, seed: int = 47) -> dict:
         verdict = residue_verdict(eq, symbolic)
         assert verdict == (None if want == "singular" else want[0].is_zero), \
             f"residue verdict differs for u_t = {eq.G} (symbolic={symbolic})"
-        counts[verdict] = counts.get(verdict, 0) + 1
+        key = verdict if k < len(problems) else ("random jet", verdict)
+        counts[key] = counts.get(key, 0) + 1
     for eq, symbolic in verdict_only:
         verdict = residue_verdict(eq, symbolic)
         counts[verdict] = counts.get(verdict, 0) + 1
@@ -1475,11 +1482,16 @@ def suite_split_equivalence(cases: int = 45, seed: int = 83) -> dict:
     return counts
 
 
-def suite_quartic_equivalence(cases: int = 60, seed: int = 59) -> int:
-    """quartic_form equals naive_quartic_form on every corpus entry, on two
-    G rational in first-order data, and on random polynomial G for
-    n = 1..3 with products of up to three Hessian entries.  Returns the
-    number of equations checked."""
+def suite_quartic_equivalence(cases: int = 60, seed: int = 59) -> dict:
+    """quartic_form equals naive_quartic_form, and symbol_form the quadratic
+    form of symbol_matrix, on every corpus entry, on two G rational in
+    first-order data, and on random polynomial G for n = 1..3 with products
+    of up to three Hessian entries ("seeded"); and, drawn after those, on
+    ``cases // 4`` random G of each of three shapes that D_xi's one walk
+    over a monomial's fields meets: n = 4 ("n = 4"), and for n = 1..3 a
+    Hessian entry raised to a power 2..4 ("powers") and Hessian terms over
+    first-order data, where the quotient rule runs ("quotients").  Returns
+    the number of equations of each kind checked."""
     rng = random.Random(seed)
     eqs = [entry.equation() for entry in CORPUS]
     eqs += [EvolutionEquation(1, uxx / (1 + u ** 2)),
@@ -1493,10 +1505,31 @@ def suite_quartic_equivalence(cases: int = 60, seed: int = 59) -> int:
             G = G + random_poly(rng, lower, terms=2) * math.prod(
                 (Expr.symbol(rng.choice(hess)) for _ in range(rng.randint(2, 3))), start=ONE)
         eqs.append(EvolutionEquation(n, G))
-    for eq in eqs:
+    kinds = [("seeded", eq) for eq in eqs]
+    hess4 = [s for s in spatial_jet_vars(4, 2) if s.order == 2]
+    lower = [base_var(1), jet_var(), jet_var((1,))]
+    for k in range(cases // 4):
+        G = random_poly(rng, hess4 + lower, terms=4, max_exp=2) + random_poly(rng, lower, terms=2) \
+            * Expr.symbol(rng.choice(hess4)) * Expr.symbol(rng.choice(hess4))
+        kinds.append(("n = 4", EvolutionEquation(4, G)))
+        n = 1 + k % 3
+        hess = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
+        G = random_poly(rng, hess + lower, terms=3, max_exp=2) + random_poly(rng, lower, terms=2) \
+            * Expr.symbol(rng.choice(hess)) ** rng.randint(2, 4) * Expr.symbol(rng.choice(hess))
+        kinds.append(("powers", EvolutionEquation(n, G)))
+        G = random_poly(rng, hess + lower, terms=3, max_exp=2) \
+            / (rng.randint(1, 3) + random_poly(rng, lower, terms=2) ** 2) \
+            + Expr.symbol(rng.choice(hess)) * Expr.symbol(rng.choice(hess)) \
+            / (rng.randint(1, 3) + Expr.symbol(rng.choice(lower)))
+        kinds.append(("quotients", EvolutionEquation(n, G)))
+    counts: dict = {}
+    for kind, eq in kinds:
+        assert symbol_form(eq) == symbol_quadratic(symbol_matrix(eq)), \
+            f"symbol differs for u_t = {eq.G} (n={eq.n})"
         assert quartic_form(eq) == naive_quartic_form(eq), \
             f"quartic form differs for u_t = {eq.G} (n={eq.n})"
-    return len(eqs)
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
 
 
 def _random_symmetric(rng: random.Random, n: int) -> list[list[Fraction]]:
@@ -1513,13 +1546,43 @@ def _random_symmetric(rng: random.Random, n: int) -> list[list[Fraction]]:
              for j in range(n)] for i in range(n)]
 
 
+def _jet_symbol_draw(rng: random.Random, n: int, g: list[list[Fraction]],
+                     rational: bool) -> EvolutionEquation:
+    """u_t = G at a random rational reference jet, where G's symbol there is
+    g and depends on the jet: the coefficient of u_ij is an affine function
+    of u, u_1 or x1 that takes the value of g there, and one product of two
+    Hessian entries, each minus its reference value, adds Hessian terms to
+    the symbol that vanish there.  When ``rational``, G is divided by one
+    of u, u_1 or x1 minus its reference value and a positive m, a
+    denominator that is -m there, and the numerator's coefficients carry
+    the factor -m."""
+    hess = [s for s in spatial_jet_vars(n, 2) if s.order == 2]
+    lower = [jet_var(), jet_var((1,)), base_var(1)]
+    point = {s: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in hess + lower}
+    at = {s: Expr.symbol(s) - point[s] for s in hess + lower}
+    m = Fraction(rng.randint(1, 5), rng.randint(1, 3)) if rational else Fraction(-1)
+    G = rng.randint(-2, 2) * at[rng.choice(hess)] * at[rng.choice(hess)]
+    for i in range(n):
+        for j in range(i, n):
+            c = -m * g[i][j] * (1 if i == j else 2) + rng.randint(-2, 2) * at[rng.choice(lower)]
+            G = G + c * jet(i + 1, j + 1)
+    if rational:
+        G = G / (at[rng.choice(lower)] - m)
+    return EvolutionEquation(n, G, point)
+
+
 def suite_parabolicity_equivalence(cases: int = 600, seed: int = 61) -> dict:
     """parabolicity_check agrees with naive_parabolicity on seeded random
     symmetric rational symbols, n = 1..4.  G is linear in the Hessian,
     G = sum_i g_ii u_ii + sum_{i<j} 2 g_ij u_ij, so its symbol is g at any
     jet.  Returns the count of each verdict, and under ("zero pivot",
     verdict) the count of matrices with a vanishing leading principal
-    minor, where the elimination meets a zero pivot."""
+    minor, where the elimination meets a zero pivot.  Drawn after those,
+    ``cases // 3`` symbols that depend on the jet and ``cases // 6``
+    rational G whose denominator is negative at the reference jet (see
+    :func:`_jet_symbol_draw`), each at a random rational reference jet and
+    with the symbol of a further random symmetric matrix there, are
+    counted under ("jet", verdict) and ("rational", verdict)."""
     rng = random.Random(seed)
     counts: dict = {}
     for k in range(cases):
@@ -1535,6 +1598,14 @@ def suite_parabolicity_equivalence(cases: int = 600, seed: int = 61) -> dict:
         counts[got] = counts.get(got, 0) + 1
         if any(leibniz_det([row[:m] for row in g[:m]]) == 0 for m in range(1, n + 1)):
             counts["zero pivot", got] = counts.get(("zero pivot", got), 0) + 1
+    draws = [("jet", k, False) for k in range(cases // 3)] \
+        + [("rational", k, True) for k in range(cases // 6)]
+    for kind, k, rational in draws:
+        n = 1 + k % 4
+        eq = _jet_symbol_draw(rng, n, _random_symmetric(rng, n), rational)
+        got = parabolicity_check(eq)
+        assert got is naive_parabolicity(eq), f"verdict differs on u_t = {eq.G}"
+        counts[kind, got] = counts.get((kind, got), 0) + 1
     return counts
 
 
