@@ -312,10 +312,10 @@ def _evaluated(p: Poly, d: int, point: Mapping[int, tuple[int, Monomial]]) -> tu
     """(s, terms): s > 0 and the terms of s p at the point, which binds the
     symbol of each slot in it to a / d for its (a, unit); the terms are
     over the monomials in the symbols left free, with ``int``
-    coefficients.  Where d is not 1, a term of degree k in the bound
-    symbols is scaled by d^(top - k), top the largest such degree."""
+    coefficients.  A term of degree k in the bound symbols is scaled by
+    d^(top - k), top the largest such degree."""
     c_den = math.lcm(*[c.denominator for c in p.terms.values()])
-    terms, found, top = {}, [], 0
+    found, top = [], 0
     for m, c in p.terms.items():
         v, free, degree = c.numerator * (c_den // c.denominator), m, 0
         for slot, k in _fields(m):
@@ -325,13 +325,10 @@ def _evaluated(p: Poly, d: int, point: Mapping[int, tuple[int, Monomial]]) -> tu
                 v *= a if k == 1 else a ** k
                 free -= k * unit
                 degree += k
-        if not v:
-            continue
-        if d == 1:
-            terms[free] = terms.get(free, 0) + v
-        else:
+        if v:
             found.append((free, v, degree))
             top = max(top, degree)
+    terms = {}
     for free, v, degree in found:
         terms[free] = terms.get(free, 0) + v * d ** (top - degree)
     return c_den * d ** top, {m: c for m, c in terms.items() if c}
