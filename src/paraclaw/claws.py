@@ -15,8 +15,9 @@ the search keeps only the pure-u columns t^b x^a u^k, read off with no
 plan; where q is not 0 it forces every characteristic to be 0, and there
 is no law and no search.  The ansatz is linear in its coefficients, so it
 is held as columns from start to finish: one ``int`` term dict per
-monomial for its density and one for its characteristic, and one
-determining-system column per kept monomial.
+monomial for its density and one for its characteristic, computed only
+where the columns are generated, and one determining-system column per
+kept monomial, assembled from that characteristic.
 
 Characteristic form.  On u_t = G the on-shell time derivative is
 reduce(D_t T) = dT/dt + sum_J (D_J G) dT/du_J, and integrating each term by
@@ -205,8 +206,7 @@ def _pure_u_columns(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     1 <= k <= jet_degree and deg(t^b x^a) <= base_degree, in column order:
     k first, then the base monomials as :func:`generate_ansatz` orders
     them.  Each characteristic E_u(t^b x^a u^k) = k t^b x^a u^(k-1) is
-    read off.  The size check runs first, as in :func:`generate_ansatz`."""
-    check_ansatz_size(n, spec)
+    read off.  The caller checks the size (:func:`check_ansatz_size`)."""
     base_monos = bounded_monomials([base_var(a) for a in range(n + 1)], spec.base_degree)
     u = jet_var().unit
     powers = range(1, spec.jet_degree + 1)
@@ -226,32 +226,35 @@ def _plan(n: int, spec: AnsatzSpec) -> tuple[list[dict], list[dict]]:
     return [densities[k] for k in keep], [characteristics[k] for k in keep]
 
 
-def assemble_determining_system(eq: EvolutionEquation,
-                                densities: Sequence[dict]) -> DeterminingSystem:
+def assemble_determining_system(eq: EvolutionEquation, densities: Sequence[dict],
+                                characteristics: Sequence[dict]) -> DeterminingSystem:
     """The linear determining equations of the one-term ``int`` density
-    columns T_k = {t^b m: 1} of :func:`generate_ansatz`: the coefficient of
-    every monomial in the base and jet variables of
-    sum_k v_k d (dQ_k/dt + E_u(G Q_k)) = sum_k v_k d E_u(reduce(D_t T_k)),
-    Q_k = E_u(T_k) (see the module docstring).
+    columns T_k = {t^b m: 1} and their characteristics Q_k = E_u(T_k), in
+    parallel lists of one length (ValueError otherwise), as from
+    :func:`generate_ansatz`: the coefficient of every monomial in the base
+    and jet variables of sum_k v_k d (dQ_k/dt + E_u(G Q_k)) =
+    sum_k v_k d E_u(reduce(D_t T_k)) (see the module docstring).
 
     Each column's expression is d dQ/dt + l_Q(d G) + sum_L A_L D_L Q, from
     the auxiliary equation, which holds only for a characteristic: E_u(f g)
     = l*_f(g) + l*_g(f) for any f and g, and Helmholtz gives l*_Q = l_Q for
     Q = E_u(T) (Olver, GTM 107), so E_u((d G) Q) = l_Q(d G) + l*_{dG}(Q).
-    No Euler operator runs.  d, the lcm of the denominators of G's
-    coefficients, keeps every step on ``int`` coefficients; it changes
-    neither the null space nor the reduced rows.  The D_J(d G) memo and
-    the A_L of l*_{dG} are built once for all columns, and no replacement
-    table is built.  Multiplying by t commutes with every D_i, d/du_J and
-    product, so for T = t^b m the expression is t^b S_m + d b t^(b-1) E_u(m),
-    with S_m = l_Q(d G) + sum_L A_L D_L Q for Q = E_u(m), for any G: S_m is
-    built once per distinct m, from one Euler walk, the prolongation memo
-    of its E_u(m) and one pass for the dQ/du_J.
+    No Euler operator runs: each Q is given.  d, the lcm of the
+    denominators of G's coefficients, keeps every step on ``int``
+    coefficients; it changes neither the null space nor the reduced rows.
+    The D_J(d G) memo and the A_L of l*_{dG} are built once for all
+    columns, and no replacement table is built.  Multiplying by t commutes
+    with every D_i, d/du_J and product, so for T = t^b m, Q = t^b E_u(m),
+    the expression is t^b S_m + d b t^(b-1) E_u(m), with
+    S_m = l_Q(d G) + sum_L A_L D_L Q for Q = E_u(m), for any G: S_m is
+    built once per distinct m, from the first such Q with t^b shifted off,
+    the prolongation memo of E_u(m) and one pass for the dQ/du_J.
 
     With no columns the system is empty on any G.  Otherwise a
     rational-function G raises NotPolynomialIn before any assembly, naming
     the jets of G.den, or all its symbols when it has none."""
-    if not densities:
+    columns = list(zip(densities, characteristics, strict=True))
+    if not columns:
         return DeterminingSystem(0)
     G = eq.G
     if not G.is_polynomial:
@@ -261,12 +264,12 @@ def assemble_determining_system(eq: EvolutionEquation,
     A = _adjoint_coefficients(dG)
     spatial: dict = {}  # t-free m -> (S_m, E_u(m))
     rows: dict = {}
-    for k, (m,) in enumerate(densities):
+    for k, ((m,), Q) in enumerate(columns):
         b = _exponent(m, TIME)
         m -= b * TIME.unit
         got = spatial.get(m)
         if got is None:
-            D_Q = _prolongations(_euler_terms({m: 1}))
+            D_Q = _prolongations(_times_t(Q, -b))
             Q = D_Q[()]
             S: dict = {}
             _add_contraction(S, _jet_partials(Q), D_G)
@@ -278,7 +281,7 @@ def assemble_determining_system(eq: EvolutionEquation,
             _add_terms(E, _times_t(Q, b - 1), d * b)
         for key, c in E.items():
             rows.setdefault(key, {})[k] = c
-    return DeterminingSystem(len(densities), list(rows.values()), list(rows))
+    return DeterminingSystem(len(columns), list(rows.values()), list(rows))
 
 
 def _not_polynomial(G: Expr) -> NotPolynomialIn:
@@ -288,8 +291,8 @@ def _not_polynomial(G: Expr) -> NotPolynomialIn:
 
 
 def _times_t(terms: dict, b: int) -> dict:
-    """The terms of t^b p, for the polynomial p with these terms.  For
-    b = 0, terms itself."""
+    """The terms of t^b p, for the polynomial p with these terms; for
+    b < 0, every term of p must hold t^-b.  For b = 0, terms itself."""
     return _shifted(terms, b * TIME.unit) if b else terms
 
 
@@ -534,9 +537,10 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
        the paper's corollary too: only equations of Monge-Ampere type have
        a nontrivial law (:func:`cross_validate_ma`).
 
-    The size check runs first on every route, so AnsatzTooLarge is raised
-    at the same bounds.  A rational G has no determining system (the
-    assembly needs a polynomial), so it is refused after the size check
+    The size check runs once, after the parabolicity refusal and before
+    any route is chosen, so AnsatzTooLarge is raised at the same bounds on
+    every route, before sigma or q is read.  A rational G has no
+    determining system (the assembly needs a polynomial), so it is refused
     with no ansatz built, unless jet_degree is 0: then every column's
     characteristic is 0, none is kept and there is no law.  (With a jet,
     the column u, whose characteristic is 1, is kept.)  The symbol's class
@@ -551,15 +555,14 @@ def find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec | None = None
     spec = spec or AnsatzSpec()
     if not force and eq.parabolicity is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
+    check_ansatz_size(eq.n, spec)
     if not eq.G.is_polynomial:
-        check_ansatz_size(eq.n, spec)
         if spec.jet_degree:
             raise _not_polynomial(eq.G)
         return []
     if not spec.unsafe_order and not eq.symbol.is_zero:
         if eq.quartic.is_zero:
             return _laws_of_columns(eq, *_pure_u_columns(eq.n, spec))
-        check_ansatz_size(eq.n, spec)
         return []
     return _laws_of_columns(eq, *_plan(eq.n, spec))
 
@@ -587,7 +590,7 @@ def _laws_of_columns(eq: EvolutionEquation, densities: Sequence[dict],
     L R = sum_i D_i (L X^i) is checked exactly.  The reported law is T and
     Q over Q's leading coefficient c, and the fluxes -(L X^i) / (c d L),
     with ``Fraction`` coefficients."""
-    basis = solve_exact(assemble_determining_system(eq, densities))
+    basis = solve_exact(assemble_determining_system(eq, densities, characteristics))
     kept = linalg.Echelon()
     laws: list[ConservationLaw] = []
     d, (dG,) = _cleared([eq.G.num.terms])  # G is a polynomial: a rational one has no search

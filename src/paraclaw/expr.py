@@ -415,7 +415,6 @@ def _cleared(polys: Sequence[dict]) -> tuple[int, list[dict]]:
 # Polynomials
 # ---------------------------------------------------------------------------
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -542,17 +541,6 @@ class Poly:
             if e:
                 out[m - unit] = c * e
         return Poly(out)
-
-    def eval_fraction(self, bindings: Mapping[Symbol, Rationalish]) -> Fraction:
-        total = _F0
-        for m, c in self.terms.items():
-            v = c
-            for s, e in mono_decode(m):
-                if s not in bindings:
-                    raise KeyError(f"no value bound for symbol {s}")
-                v *= bindings[s] if e == 1 else bindings[s] ** e
-            total += v
-        return total
 
     def substitute(self, bindings: Mapping[Symbol, "Expr"]) -> "Expr":
         """Simultaneous substitution; unbound symbols map to themselves."""
@@ -929,14 +917,6 @@ class Expr:
         if self.is_polynomial:
             return num
         return num / self.den.substitute(norm)
-
-    def eval_fraction(self, bindings: Mapping[Symbol, Rationalish]) -> Fraction:
-        if self.is_polynomial:
-            return self.num.eval_fraction(bindings)
-        d = self.den.eval_fraction(bindings)
-        if not d:
-            raise DivisionByZeroExpr("denominator vanishes at evaluation point")
-        return self.num.eval_fraction(bindings) / d
 
     def __str__(self) -> str:
         return format_expr(self)

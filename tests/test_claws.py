@@ -27,8 +27,8 @@ from paraclaw.jets import (
 from paraclaw.parabolic import EvolutionEquation, ma_classify
 from corpus import CORPUS, by_name
 from util import (
-    GOLDEN_PATH, GOLDEN_SPECS, claws_corpus_reports, combine, expr_coefficient_vector,
-    heat_polynomial_space, in_span, linear_columns, rank, span_equal,
+    GOLDEN_PATH, GOLDEN_SPECS, characteristic_columns, claws_corpus_reports, combine,
+    expr_coefficient_vector, heat_polynomial_space, in_span, linear_columns, rank, span_equal,
     suite_auxiliary_form_corpus, suite_auxiliary_form_random,
     suite_characteristic_form_corpus, suite_characteristic_form_random,
     suite_column_route_equivalence, suite_cross_validation, suite_time_linearity,
@@ -113,25 +113,27 @@ class TestGenerateAnsatz:
 
 
 def columns(*monomials):
-    """The one-term ``int`` density columns {m: 1} of these monomials, as
-    generate_ansatz returns them."""
-    return [{m: 1} for T in monomials for m in T.num.terms]
+    """(densities, characteristics): the one-term ``int`` density columns
+    {m: 1} of these monomials and their E_u, as generate_ansatz returns
+    them."""
+    densities = [{m: 1} for T in monomials for m in T.num.terms]
+    return densities, characteristic_columns(densities)
 
 
 class TestDeterminingSystem:
     def test_conserved_density_gives_empty_system(self):
-        system = assemble_determining_system(HEAT, columns(u))
+        system = assemble_determining_system(HEAT, *columns(u))
         assert system.ncols == 1 and system.num_equations == 0
         assert solve_exact(system) == [{0: Fraction(1)}]
 
     def test_divergence_density_gives_empty_system(self):
-        system = assemble_determining_system(HEAT, columns(ux))
+        system = assemble_determining_system(HEAT, *columns(ux))
         assert system.num_equations == 0
         # ... but the characteristic vanishes: trivial downstream
         assert euler_operator(ux).is_zero
 
     def test_u_squared_is_forced_to_zero(self):
-        system = assemble_determining_system(HEAT, columns(u ** 2))
+        system = assemble_determining_system(HEAT, *columns(u ** 2))
         assert solve_exact(system) == []
         # E_u(2 u u_xx) = 4 u_xx: one equation forcing the coefficient to 0
         assert euler_operator(2 * u * uxx) == 4 * uxx
@@ -139,10 +141,22 @@ class TestDeterminingSystem:
     def test_rows_are_indexed_by_column(self):
         # E_u(u^2) = 2u gives E_u(2 u u_xx) = 4 u_xx on the heat equation,
         # and E_u(x u) = x and E_u(u) = 1 give 0
-        system = assemble_determining_system(HEAT, columns(u ** 2, x * u, u))
+        system = assemble_determining_system(HEAT, *columns(u ** 2, x * u, u))
         assert system.ncols == 3
         assert system.keys == [jet_var((1, 1)).unit]
         assert system.rows == [{0: 4}]
+
+    def test_columns_and_characteristics_pair_up(self):
+        # the densities and their characteristics are parallel lists: lists
+        # of different lengths are refused, whichever is the shorter and on
+        # a rational G too, before any row is built
+        densities, characteristics = columns(u ** 2, x * u, u)
+        rational = EvolutionEquation(1, uxx / (1 + x ** 2))
+        for eq in (HEAT, rational):
+            for args in ((densities, characteristics[:2]), (densities[:2], characteristics),
+                         ([], characteristics), (densities, [])):
+                with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is "):
+                    assemble_determining_system(eq, *args)
 
     def test_column_route_matches_tagged_route(self):
         counts = suite_column_route_equivalence(cases=80)
@@ -158,7 +172,7 @@ class TestDeterminingSystem:
         for entry in CORPUS:
             for spec in (AnsatzSpec(), AnsatzSpec(2, 2, 1)):
                 system = assemble_determining_system(
-                    entry.equation(), generate_ansatz(entry.equation().n, spec)[0])
+                    entry.equation(), *generate_ansatz(entry.equation().n, spec))
                 assert solve_exact(system) == linalg.nullspace(system.rows, system.ncols)
         rng = random.Random(157)
         for _ in range(100):
@@ -316,11 +330,24 @@ class TestPureURoute:
         assert (reports, laws) == (103, 241)
 
     def test_size_check_comes_first_on_both_routes(self):
-        # 2/7/3 at n = 2 has 34 320 monomials; the cap 2/6/3 has 18 480
-        laplacian_squared = by_name("laplacian_squared").equation()
-        for eq in (HEAT2, laplacian_squared):
-            with pytest.raises(AnsatzTooLarge, match="34320 monomials"):
-                find_conservation_laws(eq, AnsatzSpec(2, 7, 3))
+        # 2/7/3 at n = 2 has 34 320 monomials; the cap 2/6/3 has 18 480: the
+        # pure-u route, the no-law route, a rational G, the transport u_1
+        # (symbol 0, the plan) and unsafe_order are all refused, with and
+        # without force; with force, before the symbol or the quartic form
+        # is built.  At jet_degree 0, 2/0/60 has C(63, 3) = 39 711 monomials
+        equations = (lambda: EvolutionEquation(2, u11 + u22),
+                     lambda: by_name("laplacian_squared").equation(),
+                     lambda: EvolutionEquation(2, (u11 + u22) / (1 + x1 ** 2)),
+                     lambda: EvolutionEquation(2, u1))
+        for make in equations:
+            for spec, count in ((AnsatzSpec(2, 7, 3), 34320),
+                                (AnsatzSpec(2, 7, 3, unsafe_order=True), 34320),
+                                (AnsatzSpec(2, 0, 60), 39711)):
+                for force in (False, True):
+                    eq = make()
+                    with pytest.raises(AnsatzTooLarge, match=f"^{count} monomials"):
+                        find_conservation_laws(eq, spec, force)
+                    assert not force or not {"symbol", "quartic"} & vars(eq).keys()
         assert len(find_conservation_laws(HEAT2, AnsatzSpec(2, 6, 3))) == 10
 
     def test_route_reads_cheap_tests_first(self):
@@ -394,7 +421,7 @@ class TestQuarticRoute:
             with no_search():
                 assert find_conservation_laws(eq, spec) == []
             densities, characteristics = claws._plan(eq.n, spec)
-            system = assemble_determining_system(eq, densities)
+            system = assemble_determining_system(eq, densities, characteristics)
             assert system.ncols == len(densities) and solve_exact(system) == []
 
 
@@ -420,15 +447,15 @@ class TestAuxiliaryForm:
         def no_walk(*args):
             raise AssertionError("a kernel ran before the refusal")
 
-        Q = columns(u ** 2)
+        densities, characteristics = columns(u ** 2)
         monkeypatch.setattr(claws, "_add_total_derivative", no_walk)
         monkeypatch.setattr(claws, "_jet_partials", no_walk)
         with pytest.raises(NotPolynomialIn, match=f"^expression is not polynomial in {named}$"):
-            assemble_determining_system(EvolutionEquation(2, G), Q)
+            assemble_determining_system(EvolutionEquation(2, G), densities, characteristics)
 
     def test_zero_characteristic_on_rational_equation(self):
         eq = EvolutionEquation(2, (u11 + u22) / (1 + x1 ** 2))
-        system = assemble_determining_system(eq, [])
+        system = assemble_determining_system(eq, [], [])
         assert system.ncols == 0 and system.rows == []
         assert find_conservation_laws(eq, AnsatzSpec(2, 0, 1)) == []
 
@@ -669,8 +696,8 @@ class TestFindConservationLaws:
                 laws = find_conservation_laws(eq, spec)
                 if takes_no_plan(eq, spec) and not takes_pure_u_route(eq, spec):
                     assert dims == [], f"{entry.name} at {spec}"
-                    densities = claws._plan(eq.n, spec)[0]
-                    dims.append(len(solve_exact(assemble_determining_system(eq, densities))))
+                    system = assemble_determining_system(eq, *claws._plan(eq.n, spec))
+                    dims.append(len(solve_exact(system)))
                     quartic += 1
                 assert dims == [len(laws)], f"{entry.name} at {spec}"
                 total += len(laws)

@@ -451,6 +451,31 @@ class TestArguments:
         assert shown[-1].startswith("elapsed: ") and printed[-1].startswith("elapsed: ")
         assert printed[:-1] == shown[:-1]
 
+    def test_readme_library_example_runs(self):
+        """README's Library block runs as written, and each expression line
+        that a comment follows gives the value the comment starts with:
+        Parabolicity.STRICT, then minor_affine True; the last line finds
+        every law verified."""
+        import ast
+        import re
+        readme = open(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                   "README.md"), encoding="utf-8").read()
+        section = readme[readme.index("## Library"):]
+        block = re.match(r"## Library\n\n```python\n(.*?)```", section, re.S).group(1)
+        lines = block.splitlines()
+        namespace: dict = {}
+        values = []
+        for node in ast.parse(block).body:
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.end_lineno - 1].partition("#")[2].split()
+            values.append((str(value), comment[0].rstrip(":") if comment else None))
+        assert values == [("Parabolicity.STRICT", "Parabolicity.STRICT"), ("True", "True"),
+                          ("True", None)]
+        assert namespace["laws"]
+
 
 class TestNestingLimit:
     @staticmethod

@@ -635,10 +635,10 @@ class TestSymbolContract:
         assert {s.name for s in got.symbols()} == {s.name for s in e.symbols()}
         pf = parse("n=2; u_t = u_11 + u_22 + u_1*u_12; ref u_1 = 1; jet_degree = 1")
         eq, spec = pf.equation(), AnsatzSpec(2, 1, 1)
-        densities, _ = generate_ansatz(eq.n, AnsatzSpec(1, 1, 0))
+        columns = generate_ansatz(eq.n, AnsatzSpec(1, 1, 0))
         values = [base_var(0), base_var(2), jet_var(), jet_var((2, 1), 1), aux_var(3),
                   aux_var(1, "xi1"), e, spec, find_conservation_laws(eq, spec)[0],
-                  ma_classify(eq), pf, eq, assemble_determining_system(eq, densities)]
+                  ma_classify(eq), pf, eq, assemble_determining_system(eq, *columns)]
         for value in values:
             got = clone(value)
             assert type(got) is type(value) and repr(got) == repr(value), value

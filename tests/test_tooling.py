@@ -13,14 +13,16 @@ module name, once, and it sizes them from their results; one search is
 traced under the tracer in a fresh interpreter that writes no bytecode,
 so the tracer's rebinding stays there and perfbench is only read.  The
 determining system depends on the characteristic alone and is assembled
-from the auxiliary equation with total derivatives only, so a search on
-the plan route takes one raw Euler walk per t-free ansatz monomial in
-``generate_ansatz`` and one per distinct t-free monomial of the kept
-columns in the assembly, and none in the extraction; and its independence
-tests build no reduced echelon.  A minor-affine search whose symbol is
-not 0 (strict, weak or forced) reads its pure-u columns off, with neither
-``generate_ansatz`` nor the plan, and one whose quartic form is not 0
-returns no law after the size check, with no search at all.
+from the auxiliary equation with total derivatives only, from the
+characteristic columns the search holds, so a search on the plan route
+takes one raw Euler walk per t-free ansatz monomial in ``generate_ansatz``
+and none in the assembly or the extraction; and its independence tests
+build no reduced echelon.  A minor-affine search whose symbol is not 0
+(strict, weak or forced) reads its pure-u columns off, with neither
+``generate_ansatz`` nor the plan nor any Euler walk, and one whose
+quartic form is not 0 returns no law after the size check, with no
+search at all.  The search checks its size once, before it picks a
+route; only ``generate_ansatz`` checks again, on the plan route.
 The package has one divergence inverter: ``invert_divergence`` and the
 search both run the integer homotopy core ``jets._homotopy``, and no
 search builds a replacement table.  Raw term dicts have one kernel: only ``expr`` defines
@@ -184,15 +186,13 @@ def test_strict_quartic_search_reads_no_plan(monkeypatch, source, spec, force):
 ], ids=PLAN_ROUTE_IDS)
 def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
     # one raw Euler walk per t-free ansatz monomial, inside generate_ansatz
-    # (E_u(t^b m) = t^b E_u(m)), then one per distinct t-free monomial of
-    # the kept columns, in the assembly; none in the extraction, and no
+    # (E_u(t^b m) = t^b E_u(m)); none in the assembly, which takes the kept
+    # characteristic columns, none in the extraction, and no
     # euler_operator; a second search at the same bounds on another G
     # takes the same walks, as no memo is kept between searches
     from paraclaw import claws, jets
     from paraclaw.expr import TIME, mono_decode
     from paraclaw.grammar import parse
-    from util import t_free
-    kept = t_free(claws._plan(parse(source).equation().n, claws.AnsatzSpec(*spec))[0])
     walks, inside, sizes = [], [], []
     real_walk, real_generate = jets._euler_terms, claws.generate_ansatz
 
@@ -222,7 +222,56 @@ def test_search_takes_one_euler_operator(monkeypatch, source, other, spec):
         laws = claws.find_conservation_laws(parse(text).equation(), claws.AnsatzSpec(*spec),
                                             force=True)
         assert laws or text == other
-        assert len(sizes) == 1 and walks == [True] * sizes[0] + [False] * len(kept)
+        assert len(sizes) == 1 and walks == [True] * sizes[0]
+
+
+def test_pure_u_search_takes_no_euler_walk(monkeypatch):
+    # the pure-u columns' characteristics k t^b x^a u^(k-1) are read off,
+    # and the assembly takes them as they are: heat_2d at 2/4/3 finds its
+    # 10 laws with no raw Euler walk and no euler_operator
+    from paraclaw import claws, jets
+    from paraclaw.grammar import parse
+
+    def no_walk(*args):
+        raise AssertionError("a pure-u search took an Euler walk")
+
+    for module in (claws, jets):
+        monkeypatch.setattr(module, "_euler_terms", no_walk)
+        monkeypatch.setattr(module, "euler_operator", no_walk, raising=False)
+    eq = parse("n=2; u_t = u_11 + u_22").equation()
+    assert len(claws.find_conservation_laws(eq, claws.AnsatzSpec(2, 4, 3))) == 10
+
+
+@pytest.mark.parametrize("source, spec, outcome, checks", [
+    ("n=2; u_t = u_11 + u_22", (2, 4, 3), 10, ["find_conservation_laws"]),
+    ("n=2; u_t = u_11 + u_22 + (u_11 + u_22)^2", (2, 4, 3), 0, ["find_conservation_laws"]),
+    ("n=2; u_t = (u_11 + u_22)/(1 + x1^2)", (2, 4, 3), "NotPolynomialIn",
+     ["find_conservation_laws"]),
+    ("n=2; u_t = (u_11 + u_22)/(1 + x1^2)", (2, 0, 3), 0, ["find_conservation_laws"]),
+    ("n=2; u_t = u_1", (2, 2, 1), 30, ["find_conservation_laws", "generate_ansatz"]),
+], ids=["pure-u", "no-law", "rational", "rational-jet-degree-0", "plan"])
+def test_search_checks_its_size_once(monkeypatch, source, spec, outcome, checks):
+    # the search checks its size once, before it picks a route: on the
+    # pure-u, no-law and rational routes that is the only check; on the
+    # plan route generate_ansatz, a public entry point, checks again
+    from paraclaw import claws
+    from paraclaw.expr import NotPolynomialIn
+    from paraclaw.grammar import parse
+    callers = []
+    real_check = claws.check_ansatz_size
+
+    def check(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_check(*args)
+
+    monkeypatch.setattr(claws, "check_ansatz_size", check)
+    eq = parse(source).equation()
+    if outcome == "NotPolynomialIn":
+        with pytest.raises(NotPolynomialIn):
+            claws.find_conservation_laws(eq, claws.AnsatzSpec(*spec))
+    else:
+        assert len(claws.find_conservation_laws(eq, claws.AnsatzSpec(*spec))) == outcome
+    assert callers == checks
 
 
 @pytest.mark.parametrize("source, spec", PLAN_ROUTE, ids=PLAN_ROUTE_IDS)
@@ -296,8 +345,8 @@ def test_search_memos_and_rows_are_untracked():
     from paraclaw.grammar import parse
     from util import t_free
     eq, spec = parse("n=2; u_t = u_11 + u_22 + u*u_1").equation(), claws.AnsatzSpec(2, 2, 1)
-    densities, _ = claws.generate_ansatz(eq.n, spec)
-    system = claws.assemble_determining_system(eq, densities)
+    densities, characteristics = claws.generate_ansatz(eq.n, spec)
+    system = claws.assemble_determining_system(eq, densities, characteristics)
     assert claws.find_conservation_laws(eq, spec)
     gc.collect()
     monomials = t_free(densities)

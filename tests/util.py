@@ -249,10 +249,18 @@ def tagged(columns: list[dict]) -> Expr:
     return Expr._make(Poly(terms), Poly.one())
 
 
+def characteristic_columns(densities: list[dict]) -> list[dict]:
+    """E_u(T) of each ``int`` density column T, by the public
+    euler_operator: the characteristics the assembly takes with these
+    densities."""
+    return [euler_operator(Expr._make(Poly(T), Poly.one())).num.terms for T in densities]
+
+
 def assembled_expression(eq: EvolutionEquation, densities: list[dict]) -> Expr:
     """sum_k c_k E_k, E_k the determining expression of column k read off
-    the rows of assemble_determining_system(eq, densities)."""
-    system = assemble_determining_system(eq, densities)
+    the rows of assemble_determining_system(eq, densities, Q) with the
+    :func:`characteristic_columns` Q of the densities."""
+    system = assemble_determining_system(eq, densities, characteristic_columns(densities))
     assert system.ncols == len(densities)
     terms = {}
     for key, row in zip(system.keys, system.rows):
@@ -695,8 +703,20 @@ def symbol_matrix(eq: EvolutionEquation) -> list[list[Expr]]:
 
 def symbol_matrix_at(eq: EvolutionEquation) -> list[list[Fraction]]:
     """:func:`symbol_matrix` at the reference jet, entry by entry."""
-    return [[entry.eval_fraction(eq.reference_jet) for entry in row]
-            for row in symbol_matrix(eq)]
+    return [[value_at(entry, eq.reference_jet) for entry in row] for row in symbol_matrix(eq)]
+
+
+def value_at(e: Expr, point: dict) -> Fraction:
+    """e at the point {symbol: value}, term by term over mono_decode: an
+    evaluation apart from paraclaw's own.  A denominator that vanishes
+    there raises DivisionByZeroExpr."""
+    def value(p: Poly) -> Fraction:
+        return sum((c * math.prod(point[s] ** k for s, k in mono_decode(m))
+                    for m, c in p.terms.items()), Fraction(0))
+    den = value(e.den)
+    if not den:
+        raise DivisionByZeroExpr("denominator vanishes at evaluation point")
+    return value(e.num) / den
 
 
 def naive_symbol_is_zero(eq: EvolutionEquation) -> bool:
@@ -1224,8 +1244,8 @@ def suite_integer_assembly() -> int:
     checked."""
     checked = 0
     for name, eq in rational_corpus():
-        densities = generate_ansatz(eq.n, AnsatzSpec(2, 2, 1))[0]
-        system = assemble_determining_system(eq, densities)
+        densities, characteristics = generate_ansatz(eq.n, AnsatzSpec(2, 2, 1))
+        system = assemble_determining_system(eq, densities, characteristics)
         d = determining_scale(eq)
         reference: dict = {}
         tags = [tag(k) for k in range(len(densities))]
@@ -1661,7 +1681,7 @@ def naive_find_conservation_laws(eq: EvolutionEquation, spec: AnsatzSpec,
     if not force and parabolicity_check(eq) is Parabolicity.NOT_PARABOLIC:
         raise NotParabolicEquation()
     densities, characteristics = generate_ansatz(eq.n, spec)
-    system = assemble_determining_system(eq, densities)
+    system = assemble_determining_system(eq, densities, characteristics)
     kept = linalg.Echelon()
     laws = []
     for vec in solve_exact(system):
@@ -2165,8 +2185,10 @@ def _compare_column_route(where: str, eq: EvolutionEquation, spec: AnsatzSpec,
     assert characteristics == linear_columns(stages["Q"], stages["tags"]), where
     kept = stages["kept"]
     index = {id(T): k for k, T in enumerate(densities)}
-    assembled = calls["assemble_determining_system"][0][1]
+    _, assembled, assembled_characteristics = calls["assemble_determining_system"][0]
     assert [index[id(T)] for T in assembled] == kept, where
+    assert [id(Q) for Q in assembled_characteristics] \
+        == [id(characteristics[k]) for k in kept], where
     if "error" in stages:
         assert outcome[0] != "laws" and calls["assemble_determining_system"][1] is None, where
         return
@@ -2250,9 +2272,10 @@ def suite_time_linearity(cases: int = 12, seed: int = 139) -> dict:
             force = k < 4 or (k - 4) % 4 != 3
             _compare_column_route(f"{name} at {spec}", eq, spec, force, counts)
             if G.is_polynomial:
-                densities = generate_ansatz(eq.n, spec)[0]
-                forward = assemble_determining_system(eq, densities)
-                backward = assemble_determining_system(eq, densities[::-1])
+                densities, characteristics = generate_ansatz(eq.n, spec)
+                forward = assemble_determining_system(eq, densities, characteristics)
+                backward = assemble_determining_system(eq, densities[::-1],
+                                                       characteristics[::-1])
                 flipped = [{len(densities) - 1 - c: v for c, v in row.items()}
                            for row in backward.rows]
                 assert dict(zip(forward.keys, forward.rows)) \
@@ -2421,8 +2444,9 @@ def suite_nullspace_equivalence(cases: int = 150, seed: int = 163) -> dict:
     for name, eq, spec in searches:
         densities, characteristics = generate_ansatz(eq.n, spec)
         pivots = ReferenceEchelon()
+        kept = [k for k, Q in enumerate(characteristics) if pivots.add(Q)]
         system = assemble_determining_system(
-            eq, [T for T, Q in zip(densities, characteristics) if pivots.add(Q)])
+            eq, [densities[k] for k in kept], [characteristics[k] for k in kept])
         compare(f"{name} at {spec}", solve_exact(system), system.rows, system.ncols)
     return counts
 
@@ -2444,7 +2468,7 @@ def suite_linear_extraction(cases: int = 100, seed: int = 31) -> int:
         eq = entry.equation()
         densities, characteristics = generate_ansatz(eq.n, spec)
         T_ansatz = tagged(densities)
-        system = assemble_determining_system(eq, densities)
+        system = assemble_determining_system(eq, densities, characteristics)
         for vec in solve_exact(system):
             T = T_ansatz.substitute({tag(k): vec.get(k, 0) for k in range(len(densities))})
             assert combine(densities, vec) == T, f"density differs on {entry.name}"
