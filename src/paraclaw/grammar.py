@@ -45,10 +45,15 @@ is an ``int`` (any other a ``Fraction``), so ``ProblemFile.G`` may hold
 ``int`` coefficients.  Term dicts multiply as raw terms, one operator at a
 time; Expr arithmetic runs only from a division by a non-constant on.
 
-A valid input pays only for building its value: a token keeps its offset,
-and a ParseError finds its line and column from it only when raised; a
-name is resolved once per (name, n) per process, by one memo bounded by
-expr.MAX_TERMS, which keeps no illegal name.
+A valid input pays only for building its value: the lexer keeps each
+token's text alone, from one findall call that makes no match object, and
+the parser reads the kind off the text; a ParseError finds its token's
+offset by lexing the source again, and its line and column from that, only
+when raised.  A name that is a whole factor, or a nonzero integer literal
+that is a whole factor or divisor, shifts or scales a polynomial product
+with no operand built, and a one-term polynomial summand is added with one
+lookup.  A name is resolved once per (name, n) per process, by one memo
+bounded by expr.MAX_TERMS, which keeps no illegal name.
 """
 
 from __future__ import annotations
@@ -94,11 +99,11 @@ class TimeDerivativeOnRHS(ParseError):
 # ---------------------------------------------------------------------------
 
 # One match is the whitespace (\s: exactly the str.isspace() characters) and
-# the token: an operator, a name, a number, or another character, refused.
-# Trailing whitespace is not searched: each start in it would scan the rest
-# of the run, so a long run would take quadratic time.
-_TOKEN = re.compile(r"\s*(?:([-+*/^()=;])|([A-Za-z][A-Za-z0-9_]*)|([0-9]+)|(\S))")
-_KINDS = (None, None, "name", "num")
+# the token: an operator, a name or a number, or else "" before any other
+# character, which is refused.  Trailing whitespace is not searched: each
+# start in it would scan the rest of the run, so a long run would take
+# quadratic time.
+_TOKEN = re.compile(r"\s*([-+*/^()=;]|[A-Za-z][A-Za-z0-9_]*|[0-9]+|(?=\S))")
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
@@ -106,18 +111,32 @@ def _position(source: str, offset: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens, the last one "end" at the end of the
-    source; the kind is "num", "name", "end" or the operator character."""
-    tokens = []
-    for match in _TOKEN.finditer(source, 0, len(source.rstrip())):
-        group = match.lastindex
-        text, offset = match[group], match.start(group)
-        if group == 4:
-            raise ParseError(f"unexpected character {text!r}", *_position(source, offset))
-        tokens.append((text if group == 1 else _KINDS[group], text, offset))
-    tokens.append(("end", "", len(source)))
+def _offset(source: str, index: int) -> int:
+    """The offset of the index-th token, found by lexing the source again:
+    only a ParseError reads it.  The end token is at the end of the source."""
+    for i, match in enumerate(_TOKEN.finditer(source, 0, len(source.rstrip()))):
+        if i == index:
+            return match.start(1)
+    return len(source)
+
+
+def _tokenize(source: str) -> list[str]:
+    """The token texts, the last one "" at the end of the source."""
+    tokens = _TOKEN.findall(source, 0, len(source.rstrip()))
+    if "" in tokens:
+        offset = _offset(source, tokens.index(""))
+        raise ParseError(f"unexpected character {source[offset]!r}", *_position(source, offset))
+    tokens.append("")
     return tokens
+
+
+def _kind(text: str) -> str:
+    """A token's kind: "num", "name", "end" or the operator character."""
+    if text.isdigit():
+        return "num"
+    if text[:1].isalpha():
+        return "name"
+    return text or "end"
 
 
 @lru_cache(maxsize=MAX_TERMS)
@@ -225,24 +244,26 @@ class _Parser:
         self.depth = 0
         self.work = 0  # term-pair products so far, bounded by MAX_TERMS
 
-    def fail(self, message: str, tok: tuple, expected: tuple[str, ...] = (),
+    def fail(self, message: str, index: int, expected: tuple[str, ...] = (),
              error: type = ParseError):
-        """Raise the error at the token's line:col, found from its offset only here."""
-        raise error(message, *_position(self.source, tok[2]), expected) from None
+        """Raise the error at the line:col of the index-th token, found only here."""
+        offset = _offset(self.source, index)
+        raise error(message, *_position(self.source, offset), expected) from None
 
-    def expect(self, kind: str, text: str | None = None) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text if text is not None else kind.upper()
-            self.fail(f"unexpected {tok[1]!r}", tok, (want,))
-        self.pos += 1
-        return tok
+    def expect(self, kind: str, text: str | None = None) -> int:
+        """The index of the next token, which must be of the kind (and text)."""
+        i = self.pos
+        tok = self.tokens[i]
+        if _kind(tok) != kind or (text is not None and tok != text):
+            self.fail(f"unexpected {tok!r}", i, (text if text is not None else kind.upper(),))
+        self.pos = i + 1
+        return i
 
-    def number(self, tok: tuple) -> int:
+    def number(self, index: int) -> int:
         try:
-            return int(tok[1])
+            return int(self.tokens[index])
         except ValueError:  # past sys.get_int_max_str_digits
-            self.fail(f"number literal longer than {sys.get_int_max_str_digits()} digits", tok)
+            self.fail(f"number literal longer than {sys.get_int_max_str_digits()} digits", index)
 
     # -- grammar ------------------------------------------------------------
 
@@ -256,13 +277,13 @@ class _Parser:
         self.n = n
         self.expect(";")
         lhs = self.expect("name")
-        if lhs[1] != "u_t":
-            self.fail(f"unexpected {lhs[1]!r}", lhs, ("u_t",))
+        if self.tokens[lhs] != "u_t":
+            self.fail(f"unexpected {self.tokens[lhs]!r}", lhs, ("u_t",))
         self.expect("=")
         G = _as_expr(self.parse_expr())
         ref: dict[Symbol, Fraction] = {}
         options: dict[str, int] = {}
-        while self.tokens[self.pos][0] == ";":
+        while self.tokens[self.pos] == ";":
             self.pos += 1
             self.parse_option(ref, options)
         self.expect("end")
@@ -273,30 +294,30 @@ class _Parser:
 
     def parse_option(self, ref: dict, options: dict) -> None:
         tok = self.expect("name")
-        if tok[1] == "ref":
+        name = self.tokens[tok]
+        if name == "ref":
             ident = self.expect("name")
             sym = self.symbol_from_name(ident)
             if sym in ref:
-                self.fail(f"repeated clause 'ref {ident[1]}'", tok)
+                self.fail(f"repeated clause 'ref {self.tokens[ident]}'", tok)
             self.expect("=")
             ref[sym] = self.parse_rational()
-        elif tok[1] in ("jet_degree", "base_degree", "order"):
-            if tok[1] in options:
-                self.fail(f"repeated clause {tok[1]!r}", tok)
+        elif name in ("jet_degree", "base_degree", "order"):
+            if name in options:
+                self.fail(f"repeated clause {name!r}", tok)
             self.expect("=")
-            val = self.expect("num")
-            options[tok[1]] = self.number(val)
+            options[name] = self.number(self.expect("num"))
         else:
-            self.fail(f"unknown option {tok[1]!r}", tok,
+            self.fail(f"unknown option {name!r}", tok,
                       ("ref", "jet_degree", "base_degree", "order"))
 
     def parse_rational(self) -> Fraction:
         sign = 1
-        if self.tokens[self.pos][0] == "-":
+        if self.tokens[self.pos] == "-":
             self.pos += 1
             sign = -1
         p = self.number(self.expect("num"))
-        if self.tokens[self.pos][0] == "/":
+        if self.tokens[self.pos] == "/":
             self.pos += 1
             qtok = self.expect("num")
             q = self.number(qtok)
@@ -312,45 +333,86 @@ class _Parser:
         hand term's checked coefficient, so a long sum stays linear."""
         acc = self.parse_term()
         tokens = self.tokens
-        while (op := tokens[self.pos])[0] == "+" or op[0] == "-":
-            self.pos += 1
+        while (op := tokens[self.pos]) == "+" or op == "-":
+            i = self.pos
+            self.pos = i + 1
             rhs = self.parse_term()
             if type(acc) is dict and type(rhs) is dict:
-                merged = [m for m in rhs if m in acc]
-                _add_terms(acc, rhs, None if op[0] == "+" else -1)
-                long = merged and _too_long({m: acc[m] for m in merged if m in acc})
+                if len(rhs) == 1:  # one term, added with one lookup
+                    [(m, c)] = rhs.items()
+                    old = acc.get(m)
+                    if old is None:
+                        acc[m] = c if op == "+" else -c
+                        continue
+                    c = old + c if op == "+" else old - c
+                    if c:
+                        acc[m] = c
+                    else:
+                        del acc[m]
+                    long = c and _too_long(c)
+                else:
+                    merged = [m for m in rhs if m in acc]
+                    _add_terms(acc, rhs, None if op == "+" else -1)
+                    long = merged and _too_long({m: acc[m] for m in merged if m in acc})
             else:
                 try:  # a sum of quotients multiplies their parts
-                    acc = _as_expr(acc) + _as_expr(rhs) if op[0] == "+" else \
+                    acc = _as_expr(acc) + _as_expr(rhs) if op == "+" else \
                         _as_expr(acc) - _as_expr(rhs)
                 except ExponentOverflow:
-                    self.exponent_too_large("sum", op)
+                    self.exponent_too_large("sum", i)
                 long = _too_long(acc)
             if long:
-                self.too_long("sum", op)
+                self.too_long("sum", i)
         return acc
 
     def parse_term(self) -> dict | Expr:
         """A product, built at each "*" and "/" in turn: a one-term constant
         factor or divisor scales the coefficients, a monomial factor shifts
         the keys, two term dicts multiply as raw terms, and any other pair
-        multiplies or divides as Expr.  Each operator is charged the term
-        pairs of its Poly products before it runs, and its built result is
-        checked by the digit-limit rule (a shift keeps checked coefficients)."""
+        multiplies or divides as Expr.  A factor that is a name, or a divisor
+        or factor that is a nonzero integer literal, with no "^" after it,
+        shifts or scales term dicts straight from its token, with no operand
+        built.  Each operator is charged the term pairs of its Poly products
+        before it runs, and its built result is checked by the digit-limit
+        rule (a shift keeps checked coefficients)."""
         acc = self.parse_operand()
         tokens = self.tokens
-        while (op := tokens[self.pos])[0] == "*" or op[0] == "/":
-            self.pos += 1
+        while (op := tokens[self.pos]) == "*" or op == "/":
+            i = self.pos
+            times = op == "*"
+            f = tokens[i + 1]
+            if type(acc) is dict and (f.isdigit() or times and f[:1].isalpha()) \
+                    and tokens[i + 2] != "^":
+                m, q = (0, self.number(i + 1)) if f.isdigit() else \
+                    (self.symbol_from_name(i + 1).unit, 1)
+                if q:  # a zero factor or divisor is read as an operand, below
+                    self.pos = i + 2
+                    # m p and q p pair the len(p) numerator terms, and the
+                    # denominators' one term
+                    self.work += len(acc) + 1
+                    if self.work > MAX_TERMS:
+                        self.past_budget(i)
+                    if m:
+                        try:
+                            acc = _shifted(acc, m)
+                        except ExponentOverflow:
+                            self.exponent_too_large("product", i)
+                        continue
+                    acc = {k: c * q for k, c in acc.items()} if times else \
+                        {k: Fraction(c, q) for k, c in acc.items()}
+                    if _too_long(acc):
+                        self.too_long("product" if times else "quotient", i)
+                    continue
+            self.pos = i + 1
             f = self.parse_operand()
-            times = op[0] == "*"
             acc_num, acc_den = _sizes(acc)
             f_num, f_den = _sizes(f)
             if times:
-                self.charge(op, acc_num * f_num + acc_den * f_den)
+                self.charge(i, acc_num * f_num + acc_den * f_den)
             elif f_num:
-                self.charge(op, acc_num * f_den + acc_den * f_num)
+                self.charge(i, acc_num * f_den + acc_den * f_num)
             else:
-                self.fail("division by zero", op)
+                self.fail("division by zero", i)
             m, q = next(iter(f.items())) if f_num == 1 and type(f) is dict else (None, None)
             try:
                 if m == 0:  # c * q keeps an Expr's parts coprime and its denominator monic
@@ -369,53 +431,55 @@ class _Parser:
                 else:
                     acc = _as_expr(acc) * _as_expr(f) if times else _as_expr(acc) / _as_expr(f)
             except ExponentOverflow:
-                self.exponent_too_large("product" if times else "quotient", op)
+                self.exponent_too_large("product" if times else "quotient", i)
             if _too_long(acc):
-                self.too_long("product" if times else "quotient", op)
+                self.too_long("product" if times else "quotient", i)
         return acc
 
-    def charge(self, op: tuple, pairs: int) -> None:
+    def charge(self, index: int, pairs: int) -> None:
         """Add the term pairs of the polynomial products about to run to the
         parse's running count; past MAX_TERMS the input is a ParseError."""
         self.work += pairs
         if self.work > MAX_TERMS:
-            self.fail(f"expression expands past MAX_TERMS = {MAX_TERMS} "
-                      "term products", op)
+            self.past_budget(index)
 
-    def too_long(self, what: str, op: tuple) -> None:
+    def past_budget(self, index: int) -> None:
+        self.fail(f"expression expands past MAX_TERMS = {MAX_TERMS} term products", index)
+
+    def too_long(self, what: str, index: int) -> None:
         self.fail(f"{what} has a coefficient longer than "
-                  f"{sys.get_int_max_str_digits()} digits", op)
+                  f"{sys.get_int_max_str_digits()} digits", index)
 
-    def exponent_too_large(self, what: str, op: tuple) -> None:
-        self.fail(f"{what} has an exponent past {MAX_EXPONENT} = 2^31 - 1", op)
+    def exponent_too_large(self, what: str, index: int) -> None:
+        self.fail(f"{what} has an exponent past {MAX_EXPONENT} = 2^31 - 1", index)
 
     def parse_operand(self) -> dict | Expr:
         """["-"] atom ["^" INT], in one routine: the atom is a number, a name
         or a sum in parentheses, and its power is taken before the sign."""
         tokens = self.tokens
-        tok = tokens[self.pos]
-        negative = tok[0] == "-"
+        i = self.pos
+        tok = tokens[i]
+        negative = tok == "-"
         if negative:
-            self.pos += 1
-            tok = tokens[self.pos]
-        kind = tok[0]
-        self.pos += 1  # an error raises at tok, and the parse ends there
-        if kind == "name":
-            value = {self.symbol_from_name(tok).unit: 1}
-        elif kind == "num":
-            c = self.number(tok)
+            i += 1
+            tok = tokens[i]
+        self.pos = i + 1  # an error raises at tok, and the parse ends there
+        if tok.isdigit():
+            c = self.number(i)
             value = {0: c} if c else {}
-        elif kind == "(":
+        elif tok[:1].isalpha():
+            value = {self.symbol_from_name(i).unit: 1}
+        elif tok == "(":
             if self.depth == MAX_NESTING:
-                self.fail(f"parentheses nested deeper than {MAX_NESTING}", tok)
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", i)
             self.depth += 1
             value = self.parse_expr()
             self.depth -= 1
             self.expect(")")
         else:
-            self.fail(f"unexpected {tok[1] or 'end of input'!r}", tok,
+            self.fail(f"unexpected {tok or 'end of input'!r}", i,
                       ("RATIONAL", "ident", "("))
-        if tokens[self.pos][0] == "^":
+        if tokens[self.pos] == "^":
             value = self.power(value)
         if negative:
             return {m: -c for m, c in value.items()} if type(value) is dict else -value
@@ -423,7 +487,7 @@ class _Parser:
 
     def power(self, atom: dict | Expr) -> dict | Expr:
         """The atom to the power INT, read from the "^" on."""
-        op = self.tokens[self.pos]
+        op = self.pos
         self.pos += 1
         k = self.number(self.expect("num"))
         if not k:
@@ -463,11 +527,11 @@ class _Parser:
         # coprime parts stay coprime under powers, so no re-reduction
         return p.terms if den is None else Expr(p, q, _raw=True)
 
-    def symbol_from_name(self, tok: tuple) -> Symbol:
+    def symbol_from_name(self, index: int) -> Symbol:
         try:
-            return _symbol(tok[1], self.n)
+            return _symbol(self.tokens[index], self.n)
         except ParseError as exc:
-            self.fail(exc.message, tok, exc.expected, type(exc))
+            self.fail(exc.message, index, exc.expected, type(exc))
 
 
 class ProblemFile(Value):

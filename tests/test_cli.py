@@ -209,11 +209,73 @@ class TestParseEquivalence:
             "budget": 30, "past_max_terms": 8, "past_max_nesting": 6,
             "near_limit": 100, "past_limit": 66}
 
+    def test_whole_inputs_match_the_reference(self):
+        # hypothesis draws problem files, with ref, jet_degree and order
+        # clauses, and bare expressions over the grammar's alphabet, some cut
+        # short or holding a refused character; each outcome must equal the
+        # reference route's
+        pytest.importorskip("hypothesis")
+        from hypothesis import HealthCheck, given, settings, strategies as st
+        from paraclaw.grammar import _Parser
+        from util import ReferenceParser, _parse_outcome
+
+        space = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\r\n", "\u3000", " \r\n\t"])
+        gap = st.sampled_from([" ", "\t", "\r\n", "\u3000"])
+        name = st.sampled_from(["t", "x", "x1", "x2", "x3", "u", "u", "u_1", "u_2", "u_12",
+                                "u_3", "u_x", "u_xx", "u_t", "u_1t", "u_", "v"])
+        number = st.sampled_from(["0", "1", "2", "3", "7", "10", "12345678901234567890"])
+
+        def joined(*parts):
+            return st.tuples(*parts).map("".join)
+
+        expression = st.recursive(st.one_of(name, number), lambda inner: st.one_of(
+            joined(inner, space, st.sampled_from("+-*/"), space, inner),
+            joined(st.just("("), space, inner, space, st.just(")")),
+            joined(inner, space, st.just("^"), space, st.sampled_from("01234")),
+            joined(st.just("-"), space, inner)), max_leaves=8)
+        rational = joined(st.sampled_from(["", "-"]), number,
+                          st.sampled_from(["", "/2", " / 3", "/0"]))
+        clause = st.one_of(
+            joined(st.just("ref"), gap, name, space, st.just("="), space, rational),
+            joined(st.sampled_from(["jet_degree", "order"]), space, st.just("="), space, number))
+        problem_file = joined(
+            st.just("n"), space, st.just("="), space, st.sampled_from("01123"), space,
+            st.just(";"), space, st.just("u_t"), space, st.just("="), space, expression,
+            st.lists(joined(space, st.just(";"), space, clause), max_size=3).map("".join))
+        inputs = st.one_of(st.tuples(problem_file, st.none()),
+                           st.tuples(expression, st.integers(1, 3)))
+
+        @st.composite
+        def edited(draw):
+            text, n = draw(inputs)
+            k = draw(st.integers(0, len(text)))
+            edit = draw(st.sampled_from(["none", "none", "cut", "refused"]))
+            if edit == "cut":
+                text = text[:k]
+            elif edit == "refused":
+                text = text[:k] + draw(st.sampled_from(["$", "\u00e9", "\u00b2", "\u0661"])) \
+                    + text[k:]
+            return text, n
+
+        seen = {(kind, ok): 0 for kind in ("file", "expression") for ok in (True, False)}
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=list(HealthCheck))
+        @given(edited())
+        def check(case):
+            text, n = case
+            got = _parse_outcome(_Parser, text, n)
+            assert got == _parse_outcome(ReferenceParser, text, n)
+            seen["file" if n is None else "expression", got[0] == "ok"] += 1
+
+        check()
+        assert min(seen.values()) >= 20, seen
+
 
 class TestLazyPositions:
-    """The lexer keeps each token's offset, and a ParseError finds its line
-    and column from it only when raised: each position equals the one the
-    character-loop lexer of tests/util.py counts."""
+    """A ParseError finds its token's offset, by lexing the source again,
+    and its line and column only when raised: each position equals the one
+    the character-loop lexer of tests/util.py counts."""
 
     @pytest.mark.parametrize("source, line, col", [
         ("n=1;\r\nu_t = u_xx\r\n  + u $ 2", 3, 7),
@@ -230,6 +292,31 @@ class TestLazyPositions:
         got = _parse_outcome(_Parser, source, None)
         assert got == _parse_outcome(ReferenceParser, source, None)
         assert got[2:] == (line, col) and f" at {line}:{col}" in got[1]
+
+    @pytest.mark.parametrize("source", [
+        "n=2;\r\nu_t = u_11 +\tu_22\u3000- 3/4*u_1*u_2^2 + (u - x1)*t;\r\n"
+        " ref u_1 = -1/2 ;\tjet_degree = 2",
+        "n=1; u_t = u_xx + u*u_x/2\n; order = 3\n",
+        "n=3;\u3000u_t=-(u_11+u_22+u_33)^2*x3\t;ref u_11=1;ref u_22=1;ref u_33=1",
+    ], ids=["crlf-tab-u3000", "newline", "u3000-no-spaces"])
+    def test_error_at_every_token(self, source):
+        # each token in turn replaced by "$", which is refused at that
+        # token's line:col, and the source cut after it, read alike by both
+        # routes
+        from paraclaw.grammar import _Parser
+        from util import ReferenceParser, _parse_outcome, reference_tokenize
+        starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+        tokens = reference_tokenize(source)[:-1]
+        assert _parse_outcome(_Parser, source, None)[0] == "ok"
+        for _, text, line, col in tokens:
+            offset = starts[line - 1] + col - 1
+            assert source[offset:offset + len(text)] == text
+            replaced = source[:offset] + "$" + source[offset + len(text):]
+            got = _parse_outcome(_Parser, replaced, None)
+            assert got == _parse_outcome(ReferenceParser, replaced, None)
+            assert got[1:] == (f"unexpected character '$' at {line}:{col}", line, col)
+            cut = source[:offset + len(text)]
+            assert _parse_outcome(_Parser, cut, None) == _parse_outcome(ReferenceParser, cut, None)
 
 
 class TestParseWork:
@@ -252,17 +339,14 @@ class TestParseWork:
                 parse("n=2; u_t = u_11 + u_13")
         assert grammar._symbol.cache_info().currsize == 5
 
-    def test_valid_parses_find_no_position(self, monkeypatch):
-        from paraclaw import grammar
+    @staticmethod
+    def parse_benchmark_inputs(passes: int) -> tuple[int, int]:
+        """Parse every problem file and --density and --flux expression of
+        the benchmark's first passes at seed 1: (files, expressions)."""
         problems = perfbench_problems()
-
-        def refuse(source, offset):
-            raise AssertionError("a valid input read a position")
-
-        monkeypatch.setattr(grammar, "_position", refuse)
         files = expressions = 0
         for workload in problems.WORKLOADS:
-            for pass_index in range(3):
+            for pass_index in range(passes):
                 for req in problems.generate(workload, 1, pass_index):
                     pf = parse(req["source"] + "\n")
                     files += 1
@@ -270,9 +354,48 @@ class TestParseWork:
                         if arg.startswith(("--density=", "--flux=")):
                             parse_expression(arg.split("=", 1)[1], pf.n)
                             expressions += 1
-        assert (files, expressions) == (330, 473)
+        return files, expressions
+
+    def test_valid_parses_find_no_position(self, monkeypatch):
+        # neither a token's offset, found by lexing again, nor its line:col
+        from paraclaw import grammar
+
+        def refuse(source, offset):
+            raise AssertionError("a valid input read a position")
+
+        monkeypatch.setattr(grammar, "_offset", refuse)
+        monkeypatch.setattr(grammar, "_position", refuse)
+        assert self.parse_benchmark_inputs(3) == (330, 473)
         with pytest.raises(AssertionError, match="read a position"):
             parse("n=1; u_t = u_xx +")
+
+    def test_valid_parses_make_no_match_object(self):
+        # a re.Match comes only from a call of a compiled pattern's method,
+        # which the profile hook sees: a valid parse makes one findall call,
+        # and its tokens are the texts alone
+        from paraclaw.grammar import _Parser
+        calls = []
+
+        def watch(frame, event, arg):
+            if event == "c_call" and isinstance(getattr(arg, "__self__", None), re.Pattern) \
+                    and frame.f_globals["__name__"].startswith("paraclaw"):
+                calls.append(arg.__name__)
+
+        sys.setprofile(watch)
+        try:
+            files, expressions = self.parse_benchmark_inputs(1)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["findall"] * (files + expressions) and files == 110
+        assert {type(tok) for tok in _Parser("n=1; u_t = u_xx + 2*u^3; order = 2").tokens} == {str}
+        sys.setprofile(watch)
+        try:
+            with pytest.raises(ParseError) as err:
+                parse("n=1; u_t = u_xx +")
+        finally:
+            sys.setprofile(None)
+        assert (err.value.line, err.value.col) == (1, 18)
+        assert calls[files + expressions:] == ["findall", "finditer"]
 
     def test_monomial_factor_builds_the_raw_product(self, monkeypatch):
         # a factor m with the int coefficient 1 shifts the keys: the terms,
@@ -535,7 +658,9 @@ class TestExponentLimit:
         ("(((u^2048)^1024)^1023)*(((u^2048)^1024)^1023)", "product", "1:23"),
         ("(((u^2048)^1024)^1023 + 1)^3", "power", "1:27"),
         ("1/((u^2048)^1024)^1023 + 1/(((u^2048)^1024)^1023 + 1)", "sum", "1:24"),
-    ], ids=["first-power-past", "99^5", "product", "binomial-power", "sum-of-quotients"])
+        ("((u^2048)^1024)^1023*(u^2047)^1024*u^1023*u", "product", "1:42"),
+    ], ids=["first-power-past", "99^5", "product", "binomial-power", "sum-of-quotients",
+            "name-factor"])
     def test_exponent_past_the_field(self, tmp_path, capsys, source, what, where):
         with pytest.raises(ParseError, match=f"^{what} has an {re.escape(self.PAST)} "
                                              f"at {where}$"):

@@ -44,8 +44,8 @@ from paraclaw.jets import (
 )
 from paraclaw.expr import MAX_TERMS, Poly
 from paraclaw.grammar import (
-    MAX_NESTING, ParseError, ProblemFile, _as_expr, _Parser, _too_long, expr_to_source,
-    parse, parse_expression,
+    MAX_NESTING, IndexOutOfRange, ParseError, ProblemFile, TimeDerivativeOnRHS, _as_expr,
+    _Parser, _too_long, expr_to_source, parse, parse_expression,
 )
 from paraclaw.parabolic import (
     EvolutionEquation, MAReport, Parabolicity, PreconditionSpatialDim, SingularSymbol,
@@ -2586,15 +2586,18 @@ def suite_corollary_routes_agree(problems: list[tuple[str, AnsatzSpec]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Problem-file parsing: the reference route.  The expression half of the
-# grammar with an Expr for every atom and full Expr arithmetic at every
-# operator, and the lexer as a character loop, kept to check the raw-term
-# parser and the regex lexer of paraclaw.grammar
+# Problem-file parsing: the reference route.  The whole grammar over its own
+# character-loop lexer, whose tokens carry their line and column: files,
+# options and names by their own productions, and expressions with an Expr
+# for every atom and full Expr arithmetic at every operator.  It shares no
+# parsing code with paraclaw.grammar, whose lexer and raw-term parser it
+# checks.
 # ---------------------------------------------------------------------------
 
 def reference_tokenize(source: str) -> list[tuple]:
-    """grammar._tokenize, one character at a time, each token with its line
-    and column in place of its offset."""
+    """The (kind, text, line, column) tokens of the source, one character at
+    a time, the last one "end" at the end of the source; the kind is "num",
+    "name", "end" or the operator character."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -2631,10 +2634,40 @@ def reference_tokenize(source: str) -> list[tuple]:
     return tokens
 
 
-class ReferenceParser(_Parser):
-    """grammar._Parser with the reference lexer, whose tokens carry their line
-    and column, and the Expr route for every expression production; files,
-    options and names are the grammar's.
+def _reference_index(digit: str, n: int) -> int:
+    if not 1 <= int(digit) <= n:
+        raise IndexOutOfRange(f"spatial index {digit} out of range 1..{n}")
+    return int(digit)
+
+
+def reference_symbol(text: str, n: int) -> Symbol:
+    """The symbol that a name denotes in dimension n, matched against the
+    ident production; an illegal name raises its ParseError, with no
+    position."""
+    if text == "t":
+        return base_var(0)
+    if text == "u":
+        return jet_var()
+    if text == "x":
+        if n != 1:
+            raise ParseError("'x' alone is legal only when n = 1")
+        return base_var(1)
+    if re.fullmatch(r"x[0-9]", text):
+        return base_var(_reference_index(text[1], n))
+    suffix = text[2:]
+    if text[:2] == "u_" and "t" in suffix:
+        raise TimeDerivativeOnRHS(f"time derivative {text!r} is not allowed here")
+    if text[:2] == "u_" and re.fullmatch("x+", suffix):
+        if n != 1:
+            raise ParseError("u_x... aliases are legal only when n = 1")
+        return jet_var((1,) * len(suffix))
+    if text[:2] == "u_" and re.fullmatch("[0-9]+", suffix):
+        return jet_var(tuple(_reference_index(d, n) for d in suffix))
+    raise ParseError(f"unknown identifier {text!r}", expected=("t", "x", "u", "u_<indices>"))
+
+
+class ReferenceParser:
+    """The reference route for the whole grammar, over reference_tokenize.
     Every "+", "-", "*", "/" and "^" builds its Expr, each product of a
     power in turn, and the digit-limit rule checks it at that operator."""
 
@@ -2657,6 +2690,74 @@ class ReferenceParser(_Parser):
         self.pos += 1
         return tok
 
+    def expect(self, kind: str, text: str | None = None) -> tuple:
+        tok = self.advance()
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            self.fail(f"unexpected {tok[1]!r}", tok, (kind.upper() if text is None else text,))
+        return tok
+
+    def number(self, tok: tuple) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            self.fail(f"number literal longer than {sys.get_int_max_str_digits()} digits", tok)
+
+    def symbol_from_name(self, tok: tuple) -> Symbol:
+        try:
+            return reference_symbol(tok[1], self.n)
+        except ParseError as exc:
+            self.fail(exc.message, tok, exc.expected, type(exc))
+
+    def parse_file(self) -> ProblemFile:
+        self.expect("name", "n")
+        self.expect("=")
+        ntok = self.expect("num")
+        self.n = self.number(ntok)
+        if not 1 <= self.n <= 9:
+            self.fail("n must be between 1 and 9", ntok)
+        self.expect(";")
+        lhs = self.expect("name")
+        if lhs[1] != "u_t":
+            self.fail(f"unexpected {lhs[1]!r}", lhs, ("u_t",))
+        self.expect("=")
+        G = self.parse_expr()
+        ref, options = {}, {}
+        while self.peek()[0] == ";":
+            self.advance()
+            clause = self.expect("name")
+            if clause[1] == "ref":
+                ident = self.expect("name")
+                sym = self.symbol_from_name(ident)
+                if sym in ref:
+                    self.fail(f"repeated clause 'ref {ident[1]}'", clause)
+                self.expect("=")
+                ref[sym] = self.parse_rational()
+            elif clause[1] in ("jet_degree", "base_degree", "order"):
+                if clause[1] in options:
+                    self.fail(f"repeated clause {clause[1]!r}", clause)
+                self.expect("=")
+                options[clause[1]] = self.number(self.expect("num"))
+            else:
+                self.fail(f"unknown option {clause[1]!r}", clause,
+                          ("ref", "jet_degree", "base_degree", "order"))
+        self.expect("end")
+        return ProblemFile(self.n, G, ref, options.get("jet_degree"),
+                           options.get("base_degree"), options.get("order"))
+
+    def parse_rational(self) -> Fraction:
+        negative = self.peek()[0] == "-"
+        if negative:
+            self.advance()
+        p = self.number(self.expect("num"))
+        q = 1
+        if self.peek()[0] == "/":
+            self.advance()
+            qtok = self.expect("num")
+            q = self.number(qtok)
+            if q == 0:
+                self.fail("zero denominator", qtok)
+        return Fraction(-p if negative else p, q)
+
     def parse_expr(self) -> Expr:
         acc = self.parse_term()
         while self.peek()[0] in ("+", "-"):
@@ -2677,18 +2778,21 @@ class ReferenceParser(_Parser):
                 self.check("product", op, acc)
             else:
                 if rhs.is_zero:
-                    raise ParseError("division by zero", op[2], op[3])
+                    self.fail("division by zero", op)
                 self.charge_products(op, (acc.num, rhs.den), (acc.den, rhs.num))
                 acc = acc / rhs
                 self.check("quotient", op, acc)
         return acc
 
     def charge_products(self, op: tuple, *products) -> None:
-        self.charge(op, sum(len(p.terms) * len(q.terms) for p, q in products))
+        self.work += sum(len(p.terms) * len(q.terms) for p, q in products)
+        if self.work > MAX_TERMS:
+            self.fail(f"expression expands past MAX_TERMS = {MAX_TERMS} term products", op)
 
     def check(self, what: str, op: tuple, value: Expr) -> None:
         if _too_long(value):
-            self.too_long(what, op)
+            self.fail(f"{what} has a coefficient longer than "
+                      f"{sys.get_int_max_str_digits()} digits", op)
 
     def parse_unary(self) -> Expr:
         if self.peek()[0] == "-":
@@ -2720,16 +2824,14 @@ class ReferenceParser(_Parser):
             return Expr.symbol(self.symbol_from_name(tok))
         if tok[0] == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 tok[2], tok[3])
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", tok)
             self.advance()
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
             self.expect(")")
             return inner
-        raise ParseError(f"unexpected {tok[1] or 'end of input'!r}",
-                         tok[2], tok[3], ("RATIONAL", "ident", "("))
+        self.fail(f"unexpected {tok[1] or 'end of input'!r}", tok, ("RATIONAL", "ident", "("))
 
 
 # whitespace between tokens: str.isspace() characters, "\n" the only line break
