@@ -630,8 +630,8 @@ def cross_validate_ma(eq: EvolutionEquation, laws: list[ConservationLaw],
     as InvariantViolation; a True or undecided (None, a singular symbol)
     verdict excludes nothing.
 
-    ``report`` is the pointwise ``ma_classify(eq)``, computed here when not
-    given."""
+    ``report`` is the reported ``ma_classify(eq)``, pointwise or symbolic;
+    it is computed here, pointwise, when not given."""
     if not laws:
         return
     if report is None:

@@ -91,11 +91,10 @@ def cmd_claws(pf: ProblemFile, spec: AnsatzSpec, symbolic: bool = False,
               force: bool = False) -> dict:
     """The claws report: the classified equation, searched by
     :func:`~paraclaw.claws.find_conservation_laws`, its laws cross-checked
-    against the pointwise Monge-Ampere verdict."""
+    against the Monge-Ampere verdict it reports, pointwise or symbolic."""
     eq, report, ma = _classified(pf, symbolic, force)
     laws = find_conservation_laws(eq, spec, force=True)
-    # the cross-check uses the pointwise verdict, so a --symbolic one is not reused
-    cross_validate_ma(eq, laws, None if symbolic else ma)
+    cross_validate_ma(eq, laws, ma)
     report["laws"] = [_law_section(law, eq.n) for law in laws]
     return report
 

@@ -693,10 +693,8 @@ def _gcd_with_coefficients(p: Poly, q: Poly, v: Symbol) -> Poly:
 
 
 def _gcd_primitive(p: Poly, q: Poly) -> Poly:
-    vars_ = p.symbols() | q.symbols()
-    if not vars_:
-        return Poly.one()
-    v = max(vars_)
+    """gcd(p, q) up to a rational factor, for p and q of two terms or more."""
+    v = max(p.symbols() | q.symbols())
     dp, dq = p.degree_of(v), q.degree_of(v)
     if dp == 0:
         return _gcd_with_coefficients(p, q, v)

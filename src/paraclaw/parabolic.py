@@ -35,8 +35,8 @@ det g = 0 there.  Faddeev-LeVerrier (_det_adjugate, whose division by k is
 exact over Z) runs only where the class leaves det g open: on a pointwise
 symbol that is not parabolic, and, symbolically, where the pointwise class
 is not strict or cannot be computed.  q0 itself, N / (c det(g)^2) for the
-N of the split (_scaled_split), is computed only by ma_traceless_residue;
-no report needs it.
+N of the split (_scaled_split), is computed only by ma_traceless_residue,
+and only at the reference jet; no report needs it.
 
 Parabolicity and the residue are certified at a user-supplied reference
 2-jet; global positivity of a symbolic matrix is not decided here.  The
@@ -255,10 +255,10 @@ def parabolicity_check(eq: EvolutionEquation) -> Parabolicity:
 # ---------------------------------------------------------------------------
 
 # The residue runs on the integral numerators of g and q: a scalar (an entry
-# of g, det g, adj g, L(L(q))) is an ``int`` at the reference jet and a Poly
-# with ``int`` coefficients in the jet when symbolic; a form in xi is a Poly.
-# An int scalar is written on the left of a product, so int * Poly runs
-# Poly.__rmul__.
+# of g, det g, adj g, L(L(q))) is an ``int`` at the reference jet, and in
+# Faddeev-LeVerrier under ma_classify(symbolic=True) a Poly with ``int``
+# coefficients in the jet; a form in xi is a Poly.  An int scalar is written
+# on the left of a product, so int * Poly runs Poly.__rmul__.
 
 def _div_exact(a, k: int):
     """a / k for an int, or an int-coefficient Poly, that k divides."""
@@ -369,15 +369,6 @@ def _matrix(sigma: Mapping[Monomial, object], n: int, zero) -> list[list]:
     return g
 
 
-def _over(p, d) -> Expr:
-    """The canonical p / d for p and d each an int or a Poly, d nonzero."""
-    if type(p) is int:
-        p = Poly({0: p} if p else {})
-    if type(d) is int:
-        return Expr._make(p if d == 1 else p.scale(Fraction(1, d)), Poly.one())
-    return Expr._make(p, d)
-
-
 def _integral_forms(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     """(c, sigma, c_q, q_s, one): the xi-monomial -> coefficient terms
     sigma of s sigma and q_s of s_q q, each integral with s and s_q
@@ -399,11 +390,11 @@ def _integral_forms(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     return c, Poly(sigma).coefficients_in(xi), c_q, Poly(qs).coefficients_in(xi), Poly({0: 1})
 
 
-def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
-    """The harmonic split of the quartic form q of ``eq``: the pairs
-    (integral numerator, scale) of N, D, P and sigma, each the quotient of
-    its pair, with q = q0 + sigma * P / D, tr_g(q0) = 0 and D q0 = N: a
-    polynomial identity, so q0 vanishes iff N does.
+def _scaled_split(eq: EvolutionEquation) -> tuple:
+    """The harmonic split of the quartic form q of ``eq`` at the reference
+    jet: the pairs (integral numerator, scale) of N, D, P and sigma, each
+    the quotient of its pair, with q = q0 + sigma * P / D, tr_g(q0) = 0 and
+    D q0 = N: a polynomial identity, so q0 vanishes iff N does.
 
     L = sum adj(g)_ij d_xi_i d_xi_j is det(g) tr_g, and tr_g(sigma p) =
     sigma tr_g(p) + (2n + 4 deg p) p.  On the harmonic split
@@ -416,17 +407,13 @@ def _scaled_split(eq: EvolutionEquation, q: Expr, symbolic: bool) -> tuple:
     sigma, and q_s = s_q q of :func:`_integral_forms`.  With det, adj and
     sigma of g_s, N, D and P come out scaled by s^(2n) s_q, s^(2n) and
     s^(2n-1) s_q, the scales returned."""
-    s, sigma, s_q, qs, one = _integral_forms(eq, q, symbolic)
+    s, sigma, s_q, qs, _one = _integral_forms(eq, eq.quartic, False)
     n = eq.n
-    g = _matrix(sigma, n, one - one)
-    if symbolic:
-        s, s_q = eq.symbol.den.scale(s), q.den.scale(s_q)
-        qs = sum((c.mono_shift(m) for m, c in qs.items()), Poly())
-    else:
-        qs = Poly(qs)
+    g = _matrix(sigma, n, 0)
+    qs = Poly(qs)
     s = 2 * s
     xi = xi_symbols(n)
-    det, adj = _det_adjugate(g, one)
+    det, adj = _det_adjugate(g, 1)
     sigma = Poly()
     for i, j, _u, m in _hessian_directions(n):
         sigma = sigma + g[i][j] * Poly({m: 1 if i == j else 2})
@@ -470,18 +457,19 @@ def _divides(sigma: dict, p: dict, zero) -> bool:
     return True
 
 
-def ma_traceless_residue(eq: EvolutionEquation, symbolic: bool = False) -> Expr:
-    """The g-traceless part q0 of the quartic form: q = q0 + sigma * h with
-    tr_g(q0) = 0.  q0 vanishes iff q is divisible by sigma.
+def ma_traceless_residue(eq: EvolutionEquation) -> Expr:
+    """The g-traceless part q0 of the quartic form at the reference jet:
+    q = q0 + sigma * h with tr_g(q0) = 0, so q0 vanishes iff q is divisible
+    by sigma.  SingularSymbol is raised when det(g) vanishes there.
 
-    By default the symbol and the quartic coefficients are evaluated at the
-    reference jet (enough to falsify Monge-Ampere-ness); ``symbolic=True``
-    keeps them exact over the rational functions of the jet.  SingularSymbol
-    is raised when det(g) vanishes (identically, when symbolic).  q0 is
-    N / D of :func:`_scaled_split`.
+    q0 is N / D of :func:`_scaled_split`, with D an ``int``: N scaled by
+    one rational, over the denominator 1, so no gcd runs.  There is no
+    symbolic mode: over the rational functions of the jet, normalizing
+    N / D takes gcds whose work is not bounded, and the symbolic verdict,
+    whether sigma divides q, is :func:`ma_classify`'s with no split.
     """
-    N, D, _P, _sigma = _scaled_split(eq, eq.quartic, symbolic)
-    return _over(*N) / _over(*D)
+    (N, s_N), (D, s_D), _P, _sigma = _scaled_split(eq)
+    return Expr._make(N.scale(Fraction(s_D, D * s_N)), Poly.one())
 
 
 class MAReport(FrozenValue):

@@ -205,14 +205,15 @@ class TestParseEquivalence:
     def test_matches_reference_route(self):
         from util import suite_parse_equivalence
         assert suite_parse_equivalence() == {
-            "valid": 300, "parsed": 300, "malformed": 596, "malformed_errors": 401,
+            "valid": 300, "parsed": 300, "malformed": 600, "malformed_errors": 405,
             "budget": 30, "past_max_terms": 8, "past_max_nesting": 6,
-            "near_limit": 100, "past_limit": 66}
+            "near_limit": 100, "past_limit": 66, "exponent": 34, "past_exponent": 21}
 
     def test_whole_inputs_match_the_reference(self):
         # hypothesis draws problem files, with ref, jet_degree and order
         # clauses, and bare expressions over the grammar's alphabet, some cut
-        # short or holding a refused character; each outcome must equal the
+        # short or holding a refused character, and powers up to 2^31 - 1,
+        # whose nests pass the exponent field; each outcome must equal the
         # reference route's
         pytest.importorskip("hypothesis")
         from hypothesis import HealthCheck, given, settings, strategies as st
@@ -228,10 +229,14 @@ class TestParseEquivalence:
         def joined(*parts):
             return st.tuples(*parts).map("".join)
 
-        expression = st.recursive(st.one_of(name, number), lambda inner: st.one_of(
+        # a name to 2^31 or 2^31 - 2^21: one more factor of it passes the field
+        nest = joined(st.just("((("), name, st.just("^128)^128)^128)^"),
+                      st.sampled_from(["1023", "1024"]))
+        expression = st.recursive(st.one_of(name, number, nest), lambda inner: st.one_of(
             joined(inner, space, st.sampled_from("+-*/"), space, inner),
             joined(st.just("("), space, inner, space, st.just(")")),
-            joined(inner, space, st.just("^"), space, st.sampled_from("01234")),
+            joined(inner, space, st.just("^"), space,
+                   st.sampled_from(["0", "1", "2", "3", "4", "2048", "2147483647"])),
             joined(st.just("-"), space, inner)), max_leaves=8)
         rational = joined(st.sampled_from(["", "-"]), number,
                           st.sampled_from(["", "/2", " / 3", "/0"]))
@@ -267,9 +272,12 @@ class TestParseEquivalence:
             got = _parse_outcome(_Parser, text, n)
             assert got == _parse_outcome(ReferenceParser, text, n)
             seen["file" if n is None else "expression", got[0] == "ok"] += 1
+            past_field[0] += got[0] != "ok" and "exponent past" in got[1]
 
+        past_field = [0]
         check()
         assert min(seen.values()) >= 20, seen
+        assert past_field[0] >= 1
 
 
 class TestLazyPositions:
@@ -633,6 +641,7 @@ class TestParseBudget:
         "(1+u+u_1)^20*(1+u+u_2)^20",
         "1/(1+u+u_1+u_2+x1+x2+t)^12",
         "u^30000",
+        "(u+u_1+u_2+x1+x2+t)^9*u",  # 18020 pairs, then 2002 + 1 for the name factor
     ])
     def test_past_the_budget_is_a_parse_error(self, source):
         with pytest.raises(ParseError, match="MAX_TERMS = 20000"):
@@ -736,6 +745,13 @@ class TestLongLiterals:
         assert main(["verify", str(f), "--density", f"{self.LONG}*u", "--flux", "0"]) == 2
         assert capsys.readouterr().err == (
             f"parse error: number literal longer than {self.LIMIT} digits at 1:1\n")
+
+    def test_no_digit_limit_refuses_no_length(self):
+        # a digit limit of 0 is no limit: no literal, sum, product, quotient
+        # or power is refused for its length
+        sys.set_int_max_str_digits(0)
+        e = parse_expression(f"({self.LONG} + u)*10^5000/3 - 10^9000", 1)
+        assert e == (int(self.LONG) + u) * 10 ** 5000 / 3 - 10 ** 9000
 
     def test_longest_literal_parses(self):
         assert parse_expression("9" * self.LIMIT, 1) == Expr.const(10 ** self.LIMIT - 1)
@@ -1091,6 +1107,14 @@ class TestCommands:
         assert cmd_dims(2, r)["tableau_dim"] == 10 ** 4300 - 1
         with pytest.raises(ValueError, match="have more than 4300 digits$"):
             cmd_dims(2, r + 1)
+
+    def test_dims_far_past_the_digits_is_refused_before_computing(self, monkeypatch):
+        # C(2 * 10^6 + 2, 10^6) has about 600000 digits: its lower bound
+        # refuses it, and no dimension is computed
+        from paraclaw import cli
+        monkeypatch.setattr(cli, "tableau_dimension", None)
+        with pytest.raises(ValueError, match="have more than 4300 digits$"):
+            cmd_dims(10 ** 6, 10 ** 6)
 
 
 class TestReportWriter:
@@ -1582,6 +1606,26 @@ class TestMainEntry:
             "error: symbol is not parabolic at the reference jet; "
             "pass --force (force=True in the API) to proceed\n")
         assert len(calls) == 1 and classified == []
+
+    @pytest.mark.parametrize("flags", [[], ["--symbolic"]], ids=["pointwise", "symbolic"])
+    def test_one_ma_classify_per_claws_request(self, tmp_path, capsys, monkeypatch, flags):
+        # the cross-check reads the verdict the report prints, pointwise or
+        # symbolic, so a request with laws classifies once
+        from paraclaw import claws, parabolic
+        calls = []
+
+        def counted(eq, symbolic=False):
+            calls.append(symbolic)
+            return parabolic.ma_classify(eq, symbolic)
+
+        monkeypatch.setattr(cli, "ma_classify", counted)
+        monkeypatch.setattr(claws, "ma_classify", counted)
+        f = tmp_path / "heat.pde"
+        f.write_text("n=2; u_t = u_11 + u_22")
+        assert main(["claws", str(f), *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["laws"]) == 1 and report["ma"]["residue_vanishes"] is True
+        assert calls == [bool(flags)]
 
     def test_file_options_feed_claws_defaults(self, tmp_path, capsys):
         f = tmp_path / "heat.pde"

@@ -226,6 +226,12 @@ class TestAlgebraProperties:
             monic_r = r.num.scale(1 / r.num.leading()[1])
             divexact(g, monic_r)  # raises if r does not divide the gcd
 
+    def test_gcd_with_zero(self):
+        # gcd(0, 0) = 0, and gcd(p, 0) = gcd(0, p) is p made monic
+        p = (2 * x * u + 4 * u).num
+        assert poly_gcd(Poly(), Poly()).is_zero
+        assert poly_gcd(p, Poly()) == poly_gcd(Poly(), p) == (x * u + 2 * u).num
+
     def test_gcd_with_one_term_is_the_common_monomial(self):
         rng = random.Random(12)
         syms = [base_var(1), jet_var(), jet_var((1,))]

@@ -4,7 +4,9 @@ trace-matrix oracle."""
 
 import pytest
 
-from paraclaw.expr import Expr, Poly, ZERO, base_var, jet_var, mono_decode, mono_encode
+from paraclaw.expr import (
+    Expr, NotPolynomialIn, Poly, ZERO, base_var, jet_var, mono_decode, mono_encode,
+)
 from paraclaw.jets import (
     NotInDivergenceImage, TimeJetPresent, _homotopy, _step, bounded_monomials,
     build_replacement_table, deprolongation_dimension, euler_operator,
@@ -237,6 +239,12 @@ class TestInvertDivergence:
         with pytest.raises(TimeJetPresent):
             invert_divergence(jet(1, tp=1), 1)
 
+    def test_rejects_n_below_one_and_a_rational_r(self):
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            invert_divergence(u, 0)
+        with pytest.raises(NotPolynomialIn, match=r"\{x1\}$"):
+            invert_divergence(u / (1 + x1), 1)
+
     def test_names_the_lowest_out_of_range_symbol(self):
         with pytest.raises(ValueError, match=r"only, not x2$"):
             invert_divergence(u2 + x2, 1)
@@ -271,6 +279,16 @@ class TestDimensions:
         for n in range(1, 5):
             for r in range(5):
                 assert tableau_dimension(n, r) == trace_matrix_nullity(n, r), (n, r)
+
+    @pytest.mark.parametrize("dimension, args, need", [
+        (tableau_dimension, (0, 0), "n >= 1 and r >= 0"),
+        (tableau_dimension, (1, -1), "n >= 1 and r >= 0"),
+        (parabolic_system_dimension, (0,), "n >= 1"),
+        (deprolongation_dimension, (0,), "n >= 1"),
+    ], ids=["tableau-n", "tableau-r", "system", "deprolongation"])
+    def test_rejects_n_below_one_and_negative_r(self, dimension, args, need):
+        with pytest.raises(ValueError, match=f"^need {need}$"):
+            dimension(*args)
 
     def test_system_dimensions(self):
         assert parabolic_system_dimension(1) == 7

@@ -239,3 +239,39 @@ def test_solve_particular():
             k = rng.choice(nonzero)
             bad = rows + [rows[k]]
             assert linalg.solve_particular(bad, rhs + [rhs[k] + 1], ncols) is None
+
+
+def test_oracles_share_no_elimination_with_the_package(monkeypatch):
+    # the acceptance oracles (rank, span_equal, in_span, the trace matrix,
+    # the heat polynomial space) and the residue's naive route eliminate
+    # with tests/util.py's own routines, never paraclaw.linalg's
+    from paraclaw.jets import tableau_dimension
+    from paraclaw.parabolic import EvolutionEquation
+    from util import (
+        heat_polynomial_space, in_span, naive_residue_decomposition, naive_nullspace, rank,
+        reference_solve_dense, span_equal, trace_matrix_nullity, u11, u22,
+    )
+
+    def refuse(*args):
+        raise AssertionError("an oracle called paraclaw.linalg")
+
+    for name in ("rref", "nullspace", "solve_particular", "solve_dense", "Echelon"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert [trace_matrix_nullity(n, r) for n in (1, 2, 3) for r in (0, 2)] \
+        == [tableau_dimension(n, r) for n in (1, 2, 3) for r in (0, 2)]
+    assert len(heat_polynomial_space(2, 3)) == 10
+    half = [Fraction(1, 2), Fraction(0), Fraction(3)]
+    vectors = [[Fraction(1), Fraction(0), Fraction(6)], [Fraction(0), Fraction(1), Fraction(0)]]
+    assert rank([dict(enumerate(v)) for v in vectors], 3) == 2
+    assert span_equal(vectors, [half, vectors[1]]) and in_span(half, vectors)
+    assert not in_span([Fraction(0), Fraction(0), Fraction(1)], vectors)
+    for symbolic in (False, True):
+        q0, _h, _sigma = naive_residue_decomposition(
+            EvolutionEquation(2, u11 + u22 + (u11 + u22) ** 2), symbolic)
+        assert q0.is_zero
+    rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2), 2: Fraction(4)}]
+    assert naive_nullspace(rows, 3) == [{0: Fraction(1), 1: Fraction(-2), 2: Fraction(1)}]
+    assert reference_solve_dense([[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]],
+                                 [Fraction(4), Fraction(5)], Fraction(0)) == [1, 2]
+    assert reference_solve_dense([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+                                 [Fraction(1), Fraction(2)], Fraction(0)) is None

@@ -2,21 +2,24 @@
 minor affinity (with a minor-basis oracle), and the traceless residue (with
 a polynomial-division oracle)."""
 
+import inspect
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from paraclaw import parabolic
-from paraclaw.expr import Expr, Poly, ZERO, base_var, divexact, jet_var
+from paraclaw.expr import DivisionByZeroExpr, Expr, Poly, ZERO, base_var, divexact, jet_var
+from paraclaw.grammar import parse
 from paraclaw.parabolic import (
     EvolutionEquation, Parabolicity, PreconditionSpatialDim, SingularSymbol,
     ma_classify, ma_traceless_residue,
     parabolicity_check, quartic_form, symbol_form, xi_symbols,
 )
 from util import (
-    harmonic_split, jet, random_poly, rank, residue_decomposition,
+    harmonic_split, jet, random_poly, rank, reference_harmonic_split, residue_decomposition,
     suite_parabolicity_equivalence,
     suite_quartic_equivalence,
     suite_residue_equivalence, suite_split_equivalence, symbol_matrix, symbol_matrix_at,
@@ -59,6 +62,13 @@ class TestEvolutionEquation:
             EvolutionEquation(1, u22)
         with pytest.raises(ValueError):
             EvolutionEquation(1, uxx + Expr.symbol(base_var(2)))
+
+    def test_rejects_n_below_one_and_auxiliary_symbols(self):
+        with pytest.raises(ValueError, match=r"^spatial dimension n must be >= 1$"):
+            EvolutionEquation(0, ZERO)
+        xi1 = xi_symbols(2)[0]
+        with pytest.raises(ValueError, match=rf"^G may not contain {xi1.kind} symbols \(xi1\)$"):
+            EvolutionEquation(2, u11 + u22 + Expr.symbol(xi1))
 
     def test_reference_jet_binds_every_symbol(self):
         eq = EvolutionEquation(1, x * u * uxx, {jet_var(): Fraction(2)})
@@ -349,10 +359,27 @@ class TestTracelessResidue:
             ma_traceless_residue(eq)
 
     def test_symbolic_mode(self):
-        eq = EvolutionEquation(2, LAPLACIAN + LAPLACIAN ** 2)
-        assert ma_traceless_residue(eq, symbolic=True).is_zero
-        eq2 = EvolutionEquation(2, LAPLACIAN + u11 ** 2)
-        assert not ma_traceless_residue(eq2, symbolic=True).is_zero
+        # the residue is pointwise only; the symbolic verdict is
+        # ma_classify's, which the Expr route's N = 0 decides alike
+        assert list(inspect.signature(ma_traceless_residue).parameters) == ["eq"]
+        for G, vanishes in ((LAPLACIAN + LAPLACIAN ** 2, True), (LAPLACIAN + u11 ** 2, False)):
+            eq = EvolutionEquation(2, G)
+            assert ma_classify(eq, symbolic=True).residue_vanishes is vanishes
+            assert reference_harmonic_split(eq, symbolic=True)[0].is_zero is vanishes
+
+    @pytest.mark.parametrize("source, vanishes", [
+        ("n=3; u_t = u_11 + u_22 + u_33 + u_11*u_22*u_12 + u_33^2", False),
+        ("n=3; u_t = u_11 + 2*u_22 + u_33 + 1/2*u_12*u_23 - u_1*u_13^2", False),
+    ], ids=["cubic", "first_order_coefficient"])
+    def test_bounded_on_n3(self, source, vanishes):
+        # symbolically, normalizing N / D took 12 s on the first and did not
+        # end in 100 s on the second; at the reference jet it is one scaling
+        eq = parse(source).equation()
+        start = time.perf_counter()
+        q0 = ma_traceless_residue(eq)
+        assert time.perf_counter() - start < 1.0
+        assert q0.is_zero is vanishes is ma_classify(eq).residue_vanishes
+        assert q0.is_polynomial and q0 == residue_decomposition(eq)[0]
 
     def test_matches_inverse_and_trace_equation_reference(self):
         assert suite_residue_equivalence() == {
@@ -388,12 +415,12 @@ class TestTracelessResidue:
     def test_symbolic_n3_agrees_with_random_points(self, G, ref, vanishes):
         # Schwartz-Zippel: a nonzero polynomial of the jet is nonzero at most
         # random rational points.  N = c det^2 q0 is built by ring operations
-        # alone, so the symbolic N must specialize to the pointwise one, and
-        # the pointwise residue must vanish at every point exactly when the
-        # symbolic verdict says it vanishes
+        # alone, so the symbolic N of the Expr route must specialize to the
+        # package's pointwise one, and the pointwise residue must vanish at
+        # every point exactly when the symbolic verdict says it vanishes
         eq = EvolutionEquation(3, G, ref)
         assert ma_classify(eq, symbolic=True).residue_vanishes is vanishes
-        N = harmonic_split(eq, symbolic=True)[0]
+        N = reference_harmonic_split(eq, symbolic=True)[0]
         rng = random.Random(53)
         checked = nonzero = 0
         for _ in range(12):
@@ -446,6 +473,20 @@ class TestMAClassify:
         rep = ma_classify(EvolutionEquation(2, LAPLACIAN + LAPLACIAN ** 2))
         assert rep.minor_affine is False
         assert rep.residue_vanishes is True
+
+    @pytest.mark.parametrize("source, vanishes", [
+        ("n=2; u_t = (u_11 + u_22)/(2*u_1 + 1); ref u_1 = -1/2", True),
+        ("n=2; u_t = (u_11 + u_22 + u_11^2)/(1 + u_1); ref u_1 = -1", False),
+    ], ids=["laplacian", "not_monge_ampere"])
+    def test_symbolic_where_the_symbol_has_no_value(self, source, vanishes):
+        # the symbol's denominator vanishes at the reference jet: the
+        # pointwise verdict is refused, and the symbolic one runs
+        # Faddeev-LeVerrier in the jet, as the pointwise class is unknown
+        eq = parse(source).equation()
+        with pytest.raises(DivisionByZeroExpr, match="choose another with a ref clause$"):
+            ma_classify(eq)
+        report = ma_classify(eq, symbolic=True)
+        assert (report.singular_symbol, report.residue_vanishes) == (False, vanishes)
 
     def test_singular_symbol_becomes_flag(self):
         rep = ma_classify(EvolutionEquation(2, u11 ** 2 + u22 ** 2))
